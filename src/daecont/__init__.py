@@ -15,6 +15,7 @@ from .degree import (
     Box,
     DegreeCertificate,
     averaged_map,
+    candidate_block,
     candidate_map,
     degree_generic,
     degree_reduced,
@@ -48,10 +49,9 @@ from .transform import (
     DaeProblem2,
     TransformedSystem,
     c_frame_drifts,
+    fixed_frame,
     fixed_frame_first,
     fixed_frame_second,
-    pull_back,
-    push_forward,
 )
 
 __version__ = "0.1.0"

@@ -26,12 +26,13 @@ from . import fixtures
 from .degree import (
     Box,
     averaged_map_audit,
+    candidate_block,
     candidate_map,
     degree_generic,
     degree_reduced,
 )
 from .errors import DaecontError
-from .paths import frame_audit, lemma_audit
+from .paths import MIN_GRID, frame_audit, lemma_audit
 from .periodic import branch_seeds, continue_branch, integrate
 from .probfile import (
     branch_to_csv,
@@ -43,7 +44,7 @@ from .probfile import (
     to_json,
 )
 from .semilinear import SemiLinearDae, check_conditions, reduce_semilinear
-from .transform import fixed_frame_first, fixed_frame_second
+from .transform import fixed_frame
 
 
 def _positive(kind=float, name="value"):
@@ -54,6 +55,19 @@ def _positive(kind=float, name="value"):
             raise argparse.ArgumentTypeError(f"{name} must be a {kind.__name__}: {text!r}")
         if value <= 0:
             raise argparse.ArgumentTypeError(f"{name} must be positive, got {text!r}")
+        return value
+
+    return convert
+
+
+def _int_at_least(minimum, name):
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an int: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {minimum}, got {text!r}")
         return value
 
     return convert
@@ -80,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, problem=True):
         if problem:
             p.add_argument("problem", help="problem file path or fixture name")
-        p.add_argument("--grid", type=int, default=64,
+        p.add_argument("--grid", type=_int_at_least(MIN_GRID, "grid"), default=64,
                        help="audit grid size (default 64)")
         p.add_argument("--tol", type=_positive(float, "tol"), default=None,
                        help="audit tolerance (default per derivative mode)")
@@ -104,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deg.add_argument("--method", choices=("reduced", "generic", "both"), default="both")
     p_deg.add_argument("--radius", type=_positive(float, "radius"), default=2.0,
                        help="box half-width (default 2)")
-    p_deg.add_argument("--zero-grid", type=int, default=9,
+    p_deg.add_argument("--zero-grid", type=_int_at_least(2, "zero-grid"), default=9,
                        help="multistart seeds per axis (default 9)")
     p_deg.set_defaults(func=cmd_degree)
 
@@ -246,16 +260,12 @@ def cmd_degree(args) -> int:
     if kind != "problem":
         raise _usage("degree needs a problem, not a path fixture")
     problem = _first_order(build_problem(payload), args.grid)
-    sys_t = fixed_frame_first(problem) if problem.order == 1 else fixed_frame_second(problem)
+    sys_t = fixed_frame(problem)
     box = Box.cube(args.radius, problem.m + problem.s)
     out = {}
     if args.method in ("reduced", "both"):
-        if problem.order == 1:
-            block = sys_t.M if np.array_equal(sys_t.D0, -sys_t.M) else sys_t.D0
-        else:
-            m2 = sys_t.M @ sys_t.M
-            block = -m2 if np.array_equal(sys_t.D0, -m2) else sys_t.D0
-        cert = degree_reduced(block, problem.g, box, args.zero_grid, d2g=problem.g_jac2)
+        cert = degree_reduced(candidate_block(sys_t), problem.g, box, args.zero_grid,
+                              d2g=problem.g_jac2)
         out["reduced"] = cert.to_dict()
     if args.method in ("generic", "both"):
         cert = degree_generic(candidate_map(sys_t), box, args.zero_grid)
@@ -292,11 +302,17 @@ def cmd_integrate(args) -> int:
     if kind != "problem":
         raise _usage("integrate needs a problem, not a path fixture")
     problem = _first_order(build_problem(payload), args.grid)
-    x0 = (np.zeros(problem.m) if args.x0 is None
-          else np.array([float(v) for v in args.x0.split(",")]))
+    try:
+        x0 = (np.zeros(problem.m) if args.x0 is None
+              else np.array([float(v) for v in args.x0.split(",")]))
+    except ValueError:
+        raise _usage(f"--x0 must be comma-separated numbers, got {args.x0!r}")
     if x0.size != problem.m:
         raise _usage(f"--x0 needs {problem.m} components")
-    traj = integrate(problem, args.lam, x0, h=args.h, mode=args.mode)
+    try:
+        traj = integrate(problem, args.lam, x0, h=args.h, mode=args.mode)
+    except ValueError as exc:  # bad arguments only, here a --h that does not divide T
+        raise _usage(str(exc))
     _emit(serialize(traj), args.out)
     return 0
 
@@ -313,7 +329,7 @@ def cmd_continue(args) -> int:
         return 1
     if not (0 <= args.seed_index < len(seeds)):
         raise _usage(f"--seed-index out of range (found {len(seeds)} seeds)")
-    state_dim = problem.m if problem.order == 1 else 2 * problem.m
+    state_dim = problem.order * problem.m
     box = Box(
         np.concatenate([[0.0], -args.radius * np.ones(state_dim)]),
         np.concatenate([[args.lam_max], args.radius * np.ones(state_dim)]),

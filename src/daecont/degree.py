@@ -36,18 +36,13 @@ from .linalg import (
     quadrature_periodic,
     solve_linear,
 )
-from .transform import (
-    DaeProblem1,
-    DaeProblem2,
-    TransformedSystem,
-    fixed_frame_first,
-    fixed_frame_second,
-)
+from .transform import DaeProblem1, DaeProblem2, TransformedSystem, fixed_frame
 
 __all__ = [
     "Box",
     "ZeroRecord",
     "DegreeCertificate",
+    "candidate_block",
     "candidate_map",
     "locate_zeros",
     "zeros_of_reduced",
@@ -96,7 +91,9 @@ class Box:
         return float(min((x - self.lower).min(), (self.upper - x).min()))
 
     def lattice(self, grid: int) -> np.ndarray:
-        """Uniform grid of seed points, ``grid`` per axis, corners included."""
+        """Uniform grid of seed points, ``grid >= 2`` per axis, corners included."""
+        if grid < 2:
+            raise ValueError(f"seed lattice needs at least 2 points per axis, got {grid}")
         axes = [np.linspace(self.lower[i], self.upper[i], grid) for i in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -259,27 +256,32 @@ def locate_zeros(fun: Callable[[np.ndarray], np.ndarray], box: Box,
     return _find_zeros(wrapped, jac, box, grid)
 
 
+def candidate_block(sys: TransformedSystem) -> np.ndarray:
+    """Linear block of the candidate map of a transformed system.
+
+    ``M`` for order 1 and ``-M^2`` for order 2 when the drift ``D0`` is
+    exactly the frame-only drift (``-M`` resp. ``-M^2``); with a constant
+    drift present, ``D0`` itself.
+    """
+    if sys.order == 1:
+        return sys.M if np.array_equal(sys.D0, -sys.M) else sys.D0
+    m2 = sys.M @ sys.M
+    return -m2 if np.array_equal(sys.D0, -m2) else sys.D0
+
+
 def candidate_map(sys) -> Callable[[np.ndarray], np.ndarray]:
     """Finite-dimensional map whose zeros seed branches of periodic pairs.
 
-    For a first-order system the map is ``(M xi, g(xi, eta))`` (with a
-    constant drift present, the drift ``D0`` replaces ``M``); for a
-    second-order system ``(-M^2 xi, g(xi, eta))`` (or ``D0``).  Accepts a
-    problem (the frame hypotheses are audited by the transformation) or
-    an already-transformed system.
+    The map is ``(C xi, g(xi, eta))`` with ``C`` the
+    :func:`candidate_block`.  Accepts a problem (the frame hypotheses are
+    audited by the transformation) or an already-transformed system.
     """
-    if isinstance(sys, DaeProblem1):
-        sys = fixed_frame_first(sys)
-    elif isinstance(sys, DaeProblem2):
-        sys = fixed_frame_second(sys)
+    if isinstance(sys, (DaeProblem1, DaeProblem2)):
+        sys = fixed_frame(sys)
     if not isinstance(sys, TransformedSystem):
         raise TypeError(f"cannot build a candidate map from {type(sys).__name__}")
     m, g = sys.m, sys.g
-    if sys.order == 1:
-        block = sys.M if np.array_equal(sys.D0, -sys.M) else sys.D0
-    else:
-        m2 = sys.M @ sys.M
-        block = -m2 if np.array_equal(sys.D0, -m2) else sys.D0
+    block = candidate_block(sys)
 
     def the_map(z):
         z = np.asarray(z, dtype=float)

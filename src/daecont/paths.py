@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import EvaluationError, HypothesisViolatedError, SingularMatrixError
+from .errors import EvaluationError, HypothesisViolatedError
 from .linalg import norm_inf, solve_linear
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 64
+MIN_GRID = 8
 ANALYTIC_TOL = 1e-8
 FD_TOL = 1e-5
 
@@ -236,8 +237,8 @@ def frame_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, tol: Optional[f
     Constancy is measured against the grid mean (not against any single
     time), so no instant is privileged.
     """
-    if grid_size < 8:
-        raise ValueError("audit grid must have at least 8 points")
+    if grid_size < MIN_GRID:
+        raise ValueError(f"audit grid must have at least {MIN_GRID} points")
     if tol is None:
         tol = default_tol(path)
     times = _grid_times(path, grid_size)
@@ -394,9 +395,5 @@ def inverse_derivative(path_b: MatrixPath, t: float) -> np.ndarray:
     """
     b = path_b(t)
     db = path_b(t, 1)
-    try:
-        x = solve_linear(b, db)  # B^{-1} dB
-        y = solve_linear(b.T, x.T).T  # (B^{-1} dB) B^{-1}
-    except SingularMatrixError:
-        raise
-    return -y
+    x = solve_linear(b, db)  # B^{-1} dB
+    return -solve_linear(b.T, x.T).T  # -(B^{-1} dB) B^{-1}

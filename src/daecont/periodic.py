@@ -3,11 +3,16 @@ and pseudo-arclength continuation.
 
 Integration is half-explicit: the differential variables advance with
 classical RK4 while the algebraic ones are re-solved from the constraint
-at every stage (warm-started Newton).  The same scheme runs in two modes:
+at every stage (warm-started Newton).  One stepper runs the scheme in
+either coordinate system, which differ only in how the algebraic block
+and its rate are solved and in how a node maps to original coordinates:
 
 - raw: original coordinates, moving constraint ``g(A(t) x, B(t) y) = 0``;
-- fixed: frame coordinates, autonomous constraint and constant drifts,
-  with the result pulled back to original coordinates.
+- fixed: frame coordinates, autonomous constraint and constant drifts;
+  the coordinate change both ways belongs to
+  :class:`~daecont.transform.TransformedSystem`.
+
+Both modes return original-coordinate trajectories.
 
 Periodic orbits are zeros of the shooting residual
 ``xi(T; lam, xi0) - xi0`` posed in the fixed frame, where the constraint
@@ -33,8 +38,7 @@ from .errors import (
     SingularMonodromyError,
 )
 from .linalg import NewtonConfig, fd_jacobian, newton_solve, norm_inf, solve_linear
-from .paths import inverse_derivative
-from .transform import fixed_frame_first, fixed_frame_second
+from .transform import fixed_frame
 
 __all__ = [
     "Trajectory",
@@ -167,26 +171,50 @@ def consistent_init(prob, t0: float, x0: np.ndarray, y_guess: np.ndarray) -> np.
     )
 
 
-class _RawStepper:
-    # Original coordinates, moving constraint.
-    def __init__(self, prob, lam):
-        self.prob = prob
+class _Stepper:
+    """Half-explicit RK4 stages, shared by both coordinate systems.
+
+    Positions are ``state[:m]``; order-2 states carry the velocities in
+    ``state[m:]``.  ``sys.drive`` gives the differential right-hand side.
+    A variant supplies ``solve`` (the algebraic block from the
+    constraint), ``rate`` (its time derivative, order 2 only) and ``node``
+    (a recorded node in original coordinates).
+    """
+
+    def __init__(self, sys, lam):
+        self.sys = sys
         self.lam = lam
-        self.order = prob.order
+        self.m = sys.m
+        self.order = sys.order
 
-    def solve_y(self, t, x, y_guess):
-        prob = self.prob
-        p = prob.A(t) @ x
-        b = prob.B(t)
-        return _solve_constraint(
-            lambda y: prob.g(p, b @ y),
-            lambda y: prob.g_jac2(p, b @ y) @ b,
-            y_guess,
-        )
+    def stage(self, t, state, y_warm):
+        x = state[: self.m]
+        y = self.solve(t, x, y_warm)
+        if self.order == 1:
+            return self.sys.drive(t, x, y, self.lam), y
+        xd = state[self.m :]
+        acc = self.sys.drive(t, x, y, xd, self.rate(t, x, xd, y), self.lam)
+        return np.concatenate([xd, acc]), y
 
-    def ydot(self, t, x, xdot, y):
+    def resolve(self, t, state, y_warm):
+        return self.solve(t, state[: self.m], y_warm)
+
+    def record(self, t, state, y):
+        x = state[: self.m]
+        if self.order == 1:
+            return self.node(t, x, y)
+        xd = state[self.m :]
+        return self.node(t, x, y, xd, self.rate(t, x, xd, y))
+
+
+class _RawStepper(_Stepper):
+    # Original coordinates, moving constraint.
+    def solve(self, t, x, y_guess):
+        return consistent_init(self.sys, t, x, y_guess)
+
+    def rate(self, t, x, xdot, y):
         # Differentiate g(A x, B y) = 0 in time and solve for dy/dt.
-        prob = self.prob
+        prob = self.sys
         a, da = prob.A(t), prob.A(t, 1)
         b, db = prob.B(t), prob.B(t, 1)
         p, q = a @ x, b @ y
@@ -195,38 +223,13 @@ class _RawStepper:
         rhs = -(j1 @ (da @ x + a @ xdot) + j2 @ (db @ y))
         return solve_linear(j2 @ b, rhs)
 
-    def stage(self, t, state, y_warm):
-        prob, lam = self.prob, self.lam
-        if self.order == 1:
-            y = self.solve_y(t, state, y_warm)
-            return prob.drive(t, state, y, lam), y
-        m = prob.m
-        x, xd = state[:m], state[m:]
-        y = self.solve_y(t, x, y_warm)
-        yd = self.ydot(t, x, xd, y)
-        acc = prob.drive(t, x, y, xd, yd, lam)
-        return np.concatenate([xd, acc]), y
-
-    def resolve(self, t, state, y_warm):
-        x = state if self.order == 1 else state[: self.prob.m]
-        return self.solve_y(t, x, y_warm)
-
-    def record(self, t, state, y):
-        if self.order == 1:
-            return state, y, None, None
-        m = self.prob.m
-        x, xd = state[:m], state[m:]
-        return x, y, xd, self.ydot(t, x, xd, y)
+    def node(self, t, x, y, xdot=None, ydot=None):
+        return x, y, xdot, ydot
 
 
-class _FixedStepper:
+class _FixedStepper(_Stepper):
     # Frame coordinates, autonomous constraint, constant drifts.
-    def __init__(self, sys, lam):
-        self.sys = sys
-        self.lam = lam
-        self.order = sys.order
-
-    def solve_eta(self, xi, eta_guess):
+    def solve(self, t, xi, eta_guess):
         sys = self.sys
         return _solve_constraint(
             lambda eta: sys.g(xi, eta),
@@ -234,34 +237,13 @@ class _FixedStepper:
             eta_guess,
         )
 
-    def etadot(self, xi, xid, eta):
+    def rate(self, t, xi, xid, eta):
         sys = self.sys
         j2 = sys.g_jac2(xi, eta)
         return solve_linear(np.atleast_2d(j2), -(sys.g_jac1(xi, eta) @ xid))
 
-    def stage(self, t, state, eta_warm):
-        sys, lam = self.sys, self.lam
-        if self.order == 1:
-            eta = self.solve_eta(state, eta_warm)
-            return sys.D0 @ state + lam * sys.F(t, state, eta), eta
-        m = sys.m
-        xi, xid = state[:m], state[m:]
-        eta = self.solve_eta(xi, eta_warm)
-        etad = self.etadot(xi, xid, eta)
-        acc = sys.D0 @ xi + sys.D1 @ xid + lam * sys.F(t, xi, eta, xid, etad)
-        return np.concatenate([xid, acc]), eta
-
-    def resolve(self, t, state, eta_warm):
-        xi = state if self.order == 1 else state[: self.sys.m]
-        return self.solve_eta(xi, eta_warm)
-
-    def record(self, t, state, eta):
-        # Returns frame-coordinate node; pull-back happens at trajectory level.
-        if self.order == 1:
-            return state, eta, None, None
-        m = self.sys.m
-        xi, xid = state[:m], state[m:]
-        return xi, eta, xid, self.etadot(xi, xid, eta)
+    def node(self, t, xi, eta, xid=None, etad=None):
+        return self.sys.pull_back(t, xi, eta, xid, etad)
 
 
 def _march(stepper, t0, state0, y0, h, nsteps, record_nodes):
@@ -329,57 +311,27 @@ def integrate(
             f"initial state violates the constraint (residual {start_residual:.3e}); "
             "pass y0=None to solve for a consistent start"
         )
-    order = prob.order
-    if order == 2:
+    if prob.order == 1:
+        xdot0 = None
+    else:
         xdot0 = np.zeros(prob.m) if xdot0 is None else np.atleast_1d(np.asarray(xdot0, float))
 
     if mode == "raw":
-        stepper = _RawStepper(prob, lam)
-        state0 = x0 if order == 1 else np.concatenate([x0, xdot0])
-        _, _, _, times, nodes = _march(stepper, t0, state0, y0, h, nsteps, True)
-        return _nodes_to_trajectory(times, nodes, order)
-
-    sys = fixed_frame_first(prob) if order == 1 else fixed_frame_second(prob)
-    xi0 = prob.A(t0) @ x0
-    eta0 = prob.B(t0) @ y0
-    if order == 1:
-        state0 = xi0
+        stepper, start = _RawStepper(prob, lam), (x0, y0, xdot0)
     else:
-        xid0 = prob.A(t0, 1) @ x0 + prob.A(t0) @ xdot0
-        state0 = np.concatenate([xi0, xid0])
-    stepper = _FixedStepper(sys, lam)
-    _, _, _, times, nodes = _march(stepper, t0, state0, eta0, h, nsteps, True)
-    return _frame_nodes_to_trajectory(prob, times, nodes, order)
+        sys = fixed_frame(prob)
+        stepper, start = _FixedStepper(sys, lam), sys.push_forward(t0, x0, y0, xdot0)
+    pos0, alg0, vel0 = start
+    state0 = pos0 if vel0 is None else np.concatenate([pos0, vel0])
+    _, _, _, times, nodes = _march(stepper, t0, state0, alg0, h, nsteps, True)
+    return _nodes_to_trajectory(times, nodes)
 
 
-def _nodes_to_trajectory(times, nodes, order) -> Trajectory:
-    times = np.asarray(times, dtype=float)
-    x = np.array([n[0] for n in nodes])
-    y = np.array([n[1] for n in nodes])
-    if order == 1:
-        return Trajectory(times=times, x=x, y=y)
-    xd = np.array([n[2] for n in nodes])
-    yd = np.array([n[3] for n in nodes])
-    return Trajectory(times=times, x=x, y=y, xdot=xd, ydot=yd)
-
-
-def _frame_nodes_to_trajectory(prob, times, nodes, order) -> Trajectory:
-    times = np.asarray(times, dtype=float)
-    n = len(times)
-    x = np.empty((n, prob.m))
-    y = np.empty((n, prob.s))
-    xd = np.empty((n, prob.m)) if order == 2 else None
-    yd = np.empty((n, prob.s)) if order == 2 else None
-    for k, t in enumerate(times):
-        a = prob.A(t)
-        xi, eta = nodes[k][0], nodes[k][1]
-        x[k] = a.T @ xi
-        y[k] = solve_linear(prob.B(t), eta)
-        if order == 2:
-            xid, etad = nodes[k][2], nodes[k][3]
-            xd[k] = prob.A(t, 1).T @ xi + a.T @ xid
-            yd[k] = inverse_derivative(prob.B, t) @ eta + solve_linear(prob.B(t), etad)
-    return Trajectory(times=times, x=x, y=y, xdot=xd, ydot=yd)
+def _nodes_to_trajectory(times, nodes) -> Trajectory:
+    # Nodes are (x, y, xdot, ydot) in original coordinates, with None
+    # velocities for order 1.
+    columns = (None if col[0] is None else np.array(col) for col in zip(*nodes))
+    return Trajectory(np.asarray(times, dtype=float), *columns)
 
 
 class _ShootingRunner:
@@ -393,32 +345,28 @@ class _ShootingRunner:
 
     def __init__(self, prob, nsteps: int = DEFAULT_STEPS):
         self.prob = prob
-        self.order = prob.order
-        self.sys = fixed_frame_first(prob) if self.order == 1 else fixed_frame_second(prob)
+        self.sys = fixed_frame(prob)
         self.nsteps = int(nsteps)
         self.h = prob.period / self.nsteps
-        self.state_dim = prob.m if self.order == 1 else 2 * prob.m
+        self.state_dim = prob.order * prob.m
 
     def flow(self, lam, state0, record=False):
+        # One period from a float state; returns
+        # (eta0, end_state, eta_end, times, nodes).
         stepper = _FixedStepper(self.sys, lam)
-        xi_start = state0 if self.order == 1 else state0[: self.prob.m]
-        eta0 = stepper.solve_eta(np.asarray(xi_start, float), np.zeros(self.prob.s))
-        return _march(stepper, 0.0, state0, eta0, self.h, self.nsteps, record)
+        eta0 = stepper.solve(0.0, state0[: self.prob.m], np.zeros(self.prob.s))
+        _, end, eta_end, times, nodes = _march(
+            stepper, 0.0, state0, eta0, self.h, self.nsteps, record
+        )
+        return eta0, end, eta_end, times, nodes
 
     def shoot(self, lam, state0):
-        _, end_state, _, _, _ = self.flow(lam, np.asarray(state0, dtype=float))
-        return end_state - np.asarray(state0, dtype=float)
-
-    def eta_gap(self, lam, state0):
-        stepper = _FixedStepper(self.sys, lam)
-        xi_start = state0 if self.order == 1 else state0[: self.prob.m]
-        eta0 = stepper.solve_eta(np.asarray(xi_start, float), np.zeros(self.prob.s))
-        _, _, eta_end, _, _ = _march(stepper, 0.0, state0, eta0, self.h, self.nsteps, False)
-        return norm_inf(eta_end - eta0)
+        state0 = np.asarray(state0, dtype=float)
+        return self.flow(lam, state0)[1] - state0
 
     def make_tpair(self, lam, state0) -> TPair:
         _, _, _, times, nodes = self.flow(lam, np.asarray(state0, dtype=float), record=True)
-        traj = _frame_nodes_to_trajectory(self.prob, times, nodes, self.order)
+        traj = _nodes_to_trajectory(times, nodes)
         periodicity = traj.periodicity_residual()
         constraint = traj.constraint_residual(self.prob)
         if periodicity > PERIODICITY_TOL:
@@ -448,13 +396,12 @@ def shooting_residual(prob, lam: float, xi0, nsteps: int = DEFAULT_STEPS,
     For order-1 problems the unknown is ``xi0``; order-2 problems take the
     stacked ``(xi0, xidot0)``.  With ``return_eta_gap=True`` the residual
     of the recovered algebraic block, ``||eta(T) - eta(0)||``, is returned
-    alongside.
+    alongside, from the same march.
     """
-    runner = _ShootingRunner(prob, nsteps)
-    res = runner.shoot(lam, np.atleast_1d(np.asarray(xi0, dtype=float)))
-    if return_eta_gap:
-        return res, runner.eta_gap(lam, np.atleast_1d(np.asarray(xi0, dtype=float)))
-    return res
+    state0 = np.atleast_1d(np.asarray(xi0, dtype=float))
+    eta0, end, eta_end, _, _ = _ShootingRunner(prob, nsteps).flow(lam, state0)
+    res = end - state0
+    return (res, norm_inf(eta_end - eta0)) if return_eta_gap else res
 
 
 def find_tpair(prob, lam: float, xi0_guess, nsteps: int = DEFAULT_STEPS) -> TPair:
@@ -488,14 +435,10 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     prob = runner.prob
     m = prob.m
     xi0, eta0 = seed[:m], seed[m:]
-    nn = runner.nsteps
-    times = np.arange(nn + 1) * runner.h
-    if runner.order == 1:
-        nodes = [(xi0, eta0, None, None) for _ in range(nn + 1)]
-    else:
-        zero_m, zero_s = np.zeros(m), np.zeros(prob.s)
-        nodes = [(xi0, eta0, zero_m, zero_s) for _ in range(nn + 1)]
-    traj = _frame_nodes_to_trajectory(prob, times, nodes, runner.order)
+    vel = () if prob.order == 1 else (np.zeros(m), np.zeros(prob.s))
+    times = np.arange(runner.nsteps + 1) * runner.h
+    nodes = [runner.sys.pull_back(t, xi0, eta0, *vel) for t in times]
+    traj = _nodes_to_trajectory(times, nodes)
     dev = max(norm_inf(traj.x - traj.x[0]), norm_inf(traj.y - traj.y[0]))
     return TPair(
         lam=0.0,
@@ -573,7 +516,7 @@ def continue_branch(
         )
     pairs = [_trivial_tpair(runner, seed)]
     m = prob.m
-    state_seed = seed[:m] if runner.order == 1 else np.concatenate([seed[:m], np.zeros(m)])
+    state_seed = np.concatenate([seed[:m], np.zeros(runner.state_dim - m)])
     ds = float(ds)
 
     # First step: fixed lam = ds, correct the state only.
@@ -644,7 +587,7 @@ def branch_seeds(prob, box: Box, grid: int = 5, quad_n: int = 64) -> List[ZeroRe
     product, no commuting drift) its first block would be identically
     zero, and the averaged map takes its place.
     """
-    sys = fixed_frame_first(prob) if prob.order == 1 else fixed_frame_second(prob)
+    sys = fixed_frame(prob)
     if norm_inf(sys.D0) <= 1e-8:
         fun = averaged_map_fn(prob, quad_n, warn=False)
     else:

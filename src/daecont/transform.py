@@ -10,8 +10,10 @@ built from the audited frame product ``M = mean(A @ dA.T)``:
 - order 1: ``dxi/dt  = (H - M) xi + lam * F(t, xi, eta)``
 - order 2: ``d2xi/dt2 = (H1 M + H2 - M^2) xi + (H1 - 2M) dxi/dt + lam * F``
 
-with ``F`` the frame-conjugated forcing.  Back-maps invert the change
-pointwise: ``x = A(t).T xi``, ``y = B(t)^{-1} eta``.
+with ``F`` the frame-conjugated forcing.  :class:`TransformedSystem`
+owns the change in both directions, node by node: ``push_forward`` and
+its inverse ``pull_back`` (``x = A(t).T xi``, ``y = B(t)^{-1} eta``),
+velocities included for order 2.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ __all__ = [
     "DaeProblem1",
     "DaeProblem2",
     "TransformedSystem",
+    "fixed_frame",
     "fixed_frame_first",
     "fixed_frame_second",
     "c_frame_drifts",
-    "pull_back",
-    "push_forward",
 ]
 
 PERIODICITY_TOL = 1e-9
@@ -170,13 +171,84 @@ class TransformedSystem:
     M: np.ndarray
     problem: object = None
 
-    def pull_back_point(self, t: float, xi: np.ndarray, eta: np.ndarray):
-        x = self.A(t).T @ xi
-        y = solve_linear(self.B(t), eta)
-        return x, y
+    def drive(self, t, xi, eta, *args):
+        """Right-hand side of the differential part in frame coordinates.
 
-    def push_forward_point(self, t: float, x: np.ndarray, y: np.ndarray):
-        return self.A(t) @ x, self.B(t) @ y
+        Called like the problem's ``drive``: ``(t, xi, eta, lam)`` for
+        order 1 and ``(t, xi, eta, xidot, etadot, lam)`` for order 2.
+        """
+        if self.order == 1:
+            (lam,) = args
+            return self.D0 @ xi + lam * self.F(t, xi, eta)
+        xid, etad, lam = args
+        return self.D0 @ xi + self.D1 @ xid + lam * self.F(t, xi, eta, xid, etad)
+
+    def pull_back(self, t: float, xi, eta, xid=None, etad=None):
+        """Original-coordinate node ``(x, y, xdot, ydot)`` of a frame node.
+
+        ``x = A(t).T xi`` and ``y = B(t)^{-1} eta``; the velocities are
+        differentiated through the same change when ``xid`` and ``etad``
+        are given, and are None otherwise.
+        """
+        a, b = self.A(t), self.B(t)
+        x = a.T @ xi
+        y = solve_linear(b, eta)
+        if xid is None:
+            return x, y, None, None
+        xd = self.A(t, 1).T @ xi + a.T @ xid
+        yd = inverse_derivative(self.B, t) @ eta + solve_linear(b, etad)
+        return x, y, xd, yd
+
+    def push_forward(self, t: float, x, y, xdot=None):
+        """Frame node ``(xi, eta, xidot)`` of an original-coordinate node.
+
+        ``xi = A(t) x`` and ``eta = B(t) y``; ``xidot`` is None unless
+        ``xdot`` is given.
+        """
+        a = self.A(t)
+        xi, eta = a @ x, self.B(t) @ y
+        if xdot is None:
+            return xi, eta, None
+        return xi, eta, self.A(t, 1) @ x + a @ xdot
+
+
+def _transform(prob, grid, tol, validate, labels, drifts, forcing) -> TransformedSystem:
+    # Shared body of both transforms: audit the frame and the commutation
+    # of each named drift matrix (zero when absent) with A, then build the
+    # system with ``drifts(M, *drift_matrices) -> (D0, D1)``.
+    audit = _check_frame(prob, grid, tol) if validate else frame_audit(prob.A, grid, tol)
+    mats = []
+    for label in labels:
+        h = getattr(prob, label)
+        if h is None:
+            h = np.zeros((prob.m, prob.m))
+        else:
+            h = np.asarray(h, dtype=float)
+            if validate:
+                _check_commutation(h, prob.A, grid, audit.tol, label)
+        mats.append(h)
+    d0, d1 = drifts(audit.M, *mats)
+    return TransformedSystem(
+        order=prob.order,
+        m=prob.m,
+        s=prob.s,
+        period=prob.period,
+        D0=d0,
+        D1=d1,
+        F=forcing,
+        g=prob.g,
+        g_jac1=prob.g_jac1,
+        g_jac2=prob.g_jac2,
+        A=prob.A,
+        B=prob.B,
+        M=audit.M,
+        problem=prob,
+    )
+
+
+def fixed_frame(prob) -> TransformedSystem:
+    """Fixed-frame form of a first- or second-order problem."""
+    return fixed_frame_first(prob) if prob.order == 1 else fixed_frame_second(prob)
 
 
 def fixed_frame_first(
@@ -192,37 +264,13 @@ def fixed_frame_first(
     periodicity, commutation of ``H``) unless ``validate=False``; the
     audited grid mean ``M`` feeds the drift ``D0 = H - M``.
     """
-    if validate:
-        audit = _check_frame(prob, grid, tol)
-    else:
-        audit = frame_audit(prob.A, grid, tol)
-    m_mat = audit.M
-    h = np.zeros((prob.m, prob.m)) if prob.H is None else np.asarray(prob.H, dtype=float)
-    if validate and prob.H is not None:
-        _check_commutation(h, prob.A, grid, audit.tol, "H")
-    d0 = h - m_mat
     a_path, b_path, f = prob.A, prob.B, prob.f
 
     def forcing(t, xi, eta):
         a = a_path(t)
         return a @ np.asarray(f(t, a.T @ xi, solve_linear(b_path(t), eta)), dtype=float)
 
-    return TransformedSystem(
-        order=1,
-        m=prob.m,
-        s=prob.s,
-        period=prob.period,
-        D0=d0,
-        D1=None,
-        F=forcing,
-        g=prob.g,
-        g_jac1=prob.g_jac1,
-        g_jac2=prob.g_jac2,
-        A=prob.A,
-        B=prob.B,
-        M=m_mat,
-        problem=prob,
-    )
+    return _transform(prob, grid, tol, validate, ("H",), lambda m, h: (h - m, None), forcing)
 
 
 def fixed_frame_second(
@@ -238,21 +286,6 @@ def fixed_frame_second(
     with constant product equals ``M^2``, which is what the drift
     formulas use: ``D0 = H1 M + H2 - M^2`` and ``D1 = H1 - 2M``.
     """
-    if validate:
-        audit = _check_frame(prob, grid, tol)
-    else:
-        audit = frame_audit(prob.A, grid, tol)
-    m_mat = audit.M
-    m2 = m_mat @ m_mat
-    h1 = np.zeros((prob.m, prob.m)) if prob.H1 is None else np.asarray(prob.H1, dtype=float)
-    h2 = np.zeros((prob.m, prob.m)) if prob.H2 is None else np.asarray(prob.H2, dtype=float)
-    if validate:
-        if prob.H1 is not None:
-            _check_commutation(h1, prob.A, grid, audit.tol, "H1")
-        if prob.H2 is not None:
-            _check_commutation(h2, prob.A, grid, audit.tol, "H2")
-    d0 = h1 @ m_mat + h2 - m2
-    d1 = h1 - 2.0 * m_mat
     a_path, b_path, f = prob.A, prob.B, prob.f
 
     def forcing(t, xi, eta, u, v):
@@ -265,22 +298,10 @@ def fixed_frame_second(
         ydot = inverse_derivative(b_path, t) @ eta + solve_linear(b, v)
         return a @ np.asarray(f(t, x, y, xdot, ydot), dtype=float)
 
-    return TransformedSystem(
-        order=2,
-        m=prob.m,
-        s=prob.s,
-        period=prob.period,
-        D0=d0,
-        D1=d1,
-        F=forcing,
-        g=prob.g,
-        g_jac1=prob.g_jac1,
-        g_jac2=prob.g_jac2,
-        A=prob.A,
-        B=prob.B,
-        M=m_mat,
-        problem=prob,
-    )
+    def drifts(m, h1, h2):
+        return h1 @ m + h2 - m @ m, h1 - 2.0 * m
+
+    return _transform(prob, grid, tol, validate, ("H1", "H2"), drifts, forcing)
 
 
 def c_frame_drifts(c_path: MatrixPath, grid: int = 64, tol: Optional[float] = None):
@@ -299,33 +320,3 @@ def c_frame_drifts(c_path: MatrixPath, grid: int = 64, tol: Optional[float] = No
         )
     k1 = audit.K
     return -2.0 * k1, k1 @ k1
-
-
-def pull_back(times, xi_nodes, eta_nodes, a_path: MatrixPath, b_path: MatrixPath):
-    """Map a fixed-frame trajectory back to original coordinates.
-
-    Pointwise ``x = A(t).T xi`` and ``y = B(t)^{-1} eta``; T-periodicity
-    of the input survives because the paths are T-periodic.
-    """
-    times = np.asarray(times, dtype=float)
-    xi_nodes = np.atleast_2d(np.asarray(xi_nodes, dtype=float))
-    eta_nodes = np.atleast_2d(np.asarray(eta_nodes, dtype=float))
-    x_nodes = np.empty_like(xi_nodes)
-    y_nodes = np.empty_like(eta_nodes)
-    for k, t in enumerate(times):
-        x_nodes[k] = a_path(t).T @ xi_nodes[k]
-        y_nodes[k] = solve_linear(b_path(t), eta_nodes[k])
-    return x_nodes, y_nodes
-
-
-def push_forward(times, x_nodes, y_nodes, a_path: MatrixPath, b_path: MatrixPath):
-    """Inverse of :func:`pull_back`: ``xi = A(t) x``, ``eta = B(t) y``."""
-    times = np.asarray(times, dtype=float)
-    x_nodes = np.atleast_2d(np.asarray(x_nodes, dtype=float))
-    y_nodes = np.atleast_2d(np.asarray(y_nodes, dtype=float))
-    xi_nodes = np.empty_like(x_nodes)
-    eta_nodes = np.empty_like(y_nodes)
-    for k, t in enumerate(times):
-        xi_nodes[k] = a_path(t) @ x_nodes[k]
-        eta_nodes[k] = b_path(t) @ y_nodes[k]
-    return xi_nodes, eta_nodes

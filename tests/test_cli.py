@@ -146,6 +146,20 @@ class TestIntegrate:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["integrate", "rotating_surface", "--h", "0.3"], "does not divide"),
+    (["integrate", "rotating_surface", "--x0", "a,b"], "--x0"),
+    (["check", "rotating_surface", "--grid", "3"], "grid"),
+    (["degree", "rotating_surface", "--zero-grid", "1"], "zero-grid"),
+])
+def test_bad_input_is_usage_error(capsys, argv, needle):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert needle in err and "Traceback" not in err
+
+
 class TestContinue:
     def test_small_branch_csv(self, capsys, tmp_path):
         out_file = tmp_path / "branch.csv"

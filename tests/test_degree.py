@@ -5,6 +5,7 @@ from daecont.degree import (
     Box,
     averaged_map,
     averaged_map_audit,
+    candidate_block,
     candidate_map,
     degree_generic,
     degree_reduced,
@@ -21,7 +22,7 @@ from daecont.fixtures import load_fixture
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath, frame_audit
 from daecont.semilinear import reduce_semilinear
-from daecont.transform import DaeProblem1, fixed_frame_first, fixed_frame_second
+from daecont.transform import DaeProblem1, fixed_frame, fixed_frame_first, fixed_frame_second
 
 ROT_M = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -44,8 +45,29 @@ class TestBox:
         assert samples.shape == (20, 2)
         assert all(box.boundary_distance(p) == 0.0 for p in samples)
 
+    @pytest.mark.parametrize("grid", [0, 1])
+    def test_lattice_needs_two_points_per_axis(self, grid):
+        box = Box.cube(1.0, 2)
+        with pytest.raises(ValueError):
+            box.lattice(grid)
+        with pytest.raises(ValueError):
+            locate_zeros(lambda z: z, box, grid)
+
 
 class TestCandidateMap:
+    @pytest.mark.parametrize("name, block", [
+        ("rotating_surface", ROT_M),  # D0 = -M: the block is M
+        ("rotating_surface_2nd", np.eye(2)),  # D0 = -M^2 = I
+        ("commuting_h", None),  # constant drift: the block is D0
+    ])
+    def test_candidate_block(self, name, block):
+        sys_t = fixed_frame(load_fixture(name))
+        got = candidate_block(sys_t)
+        want = sys_t.D0 if block is None else block
+        assert norm_inf(got - want) <= 1e-10
+        z = np.array([0.3, -0.7, 0.2])
+        assert np.array_equal(candidate_map(sys_t)(z)[:2], got @ z[:2])
+
     def test_rotating_surface(self):
         prob = load_fixture("rotating_surface")
         cmap = candidate_map(prob)

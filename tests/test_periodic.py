@@ -120,6 +120,21 @@ class TestShootingResidual:
         assert abs(res[0] - expected) <= 1e-8
         assert eta_gap <= 1.0  # reported, finite
 
+    @pytest.mark.parametrize("name", ["scalar_linear", "rotating_surface_2nd"])
+    def test_eta_gap_marches_once(self, name):
+        # one forcing call per RK4 stage: the residual and the eta gap come
+        # from a single march
+        prob = load_fixture(name)
+        calls = []
+        f = prob.f
+        prob.f = lambda *args: calls.append(1) or f(*args)
+        n = 16
+        xi0 = np.zeros(prob.order * prob.m)
+        res, gap = shooting_residual(prob, 0.5, xi0, nsteps=n, return_eta_gap=True)
+        assert len(calls) == 4 * n
+        assert np.array_equal(res, shooting_residual(prob, 0.5, xi0, nsteps=n))
+        assert np.isfinite(gap)
+
 
 class TestFindTPair:
     def test_trivial_at_lambda_zero(self):

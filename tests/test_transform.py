@@ -8,10 +8,9 @@ from daecont.paths import MatrixPath, frame_audit
 from daecont.transform import (
     DaeProblem1,
     c_frame_drifts,
+    fixed_frame,
     fixed_frame_first,
     fixed_frame_second,
-    pull_back,
-    push_forward,
 )
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -142,42 +141,91 @@ class TestCFrameDrifts:
             c_frame_drifts(MatrixPath.constant(np.diag([2.0, 1.0]), 1.0))
 
 
+def frame_system(a_path, b_path):
+    # Transformed system that only carries the two paths (no audit needed)
+    m, s = a_path.dim, b_path.dim
+    prob = DaeProblem1(
+        m=m, s=s, period=a_path.period, f=lambda t, x, y: np.zeros(m),
+        g=lambda p, q: q, A=a_path, B=b_path,
+    )
+    return fixed_frame_first(prob, validate=False)
+
+
+def pull_back_nodes(sys_t, times, xi, eta):
+    nodes = [sys_t.pull_back(t, xi[k], eta[k]) for k, t in enumerate(times)]
+    return np.array([n[0] for n in nodes]), np.array([n[1] for n in nodes])
+
+
 class TestPullBack:
     def test_identity(self):
         times = np.linspace(0, 1, 5)
         xi = np.random.default_rng(0).normal(size=(5, 2))
         eta = np.random.default_rng(1).normal(size=(5, 1))
-        eye2 = MatrixPath.constant(np.eye(2), 1.0)
-        eye1 = MatrixPath.constant(np.eye(1), 1.0)
-        x, y = pull_back(times, xi, eta, eye2, eye1)
+        sys_t = frame_system(MatrixPath.constant(np.eye(2), 1.0),
+                             MatrixPath.constant(np.eye(1), 1.0))
+        x, y = pull_back_nodes(sys_t, times, xi, eta)
         assert np.array_equal(x, xi) and np.array_equal(y, eta)
+        assert sys_t.pull_back(0.5, xi[0], eta[0])[2:] == (None, None)
 
     def test_constant_frame_state_rotates_back(self):
         # x = A(t).T xi picks the first row of A when xi = e1
-        rot = path_fixture("rot2")
+        eye1 = MatrixPath.constant(np.eye(1), 2 * np.pi)
         times = np.linspace(0, 2 * np.pi, 9)
         xi = np.tile([1.0, 0.0], (9, 1))
         eta = np.zeros((9, 1))
-        x, _ = pull_back(times, xi, eta, rot, MatrixPath.constant(np.eye(1), 2 * np.pi))
+        x, _ = pull_back_nodes(frame_system(path_fixture("rot2"), eye1), times, xi, eta)
         ref = np.column_stack([np.cos(times), -np.sin(times)])
         assert norm_inf(x - ref) <= 1e-14
         # the clockwise frame gives the (cos, sin) circle
-        x_cw, _ = pull_back(times, xi, eta, path_fixture("rot2cw"),
-                            MatrixPath.constant(np.eye(1), 2 * np.pi))
+        x_cw, _ = pull_back_nodes(frame_system(path_fixture("rot2cw"), eye1), times, xi, eta)
         ref_cw = np.column_stack([np.cos(times), np.sin(times)])
         assert norm_inf(x_cw - ref_cw) <= 1e-14
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
-        rot = path_fixture("rot2")
-        b = path_fixture("rot2cw")
-        times = np.linspace(0, 2 * np.pi, 17)
-        x = rng.normal(size=(17, 2))
-        y = rng.normal(size=(17, 2))
-        xi, eta = push_forward(times, x, y, rot, b)
-        x2, y2 = pull_back(times, xi, eta, rot, b)
-        assert norm_inf(x2 - x) <= 1e-12
-        assert norm_inf(y2 - y) <= 1e-12
+        sys_t = frame_system(path_fixture("rot2"), path_fixture("rot2cw"))
+        for t in np.linspace(0, 2 * np.pi, 17):
+            x, y = rng.normal(size=2), rng.normal(size=2)
+            xi, eta, xid = sys_t.push_forward(t, x, y)
+            assert xid is None
+            x2, y2, _, _ = sys_t.pull_back(t, xi, eta)
+            assert norm_inf(x2 - x) <= 1e-12
+            assert norm_inf(y2 - y) <= 1e-12
+
+    def test_round_trip_with_velocities(self):
+        # xidot = dA x + A xdot and etadot = dB y + B ydot map back to the
+        # original velocities
+        prob = load_fixture("rotating_surface_2nd")
+        sys_t = fixed_frame(prob)
+        rng = np.random.default_rng(4)
+        for t in np.linspace(0, prob.period, 7):
+            x, xdot = rng.normal(size=prob.m), rng.normal(size=prob.m)
+            y, ydot = rng.normal(size=prob.s), rng.normal(size=prob.s)
+            xi, eta, xid = sys_t.push_forward(t, x, y, xdot)
+            etad = prob.B(t, 1) @ y + prob.B(t) @ ydot
+            x2, y2, xd2, yd2 = sys_t.pull_back(t, xi, eta, xid, etad)
+            for got, want in ((x2, x), (y2, y), (xd2, xdot), (yd2, ydot)):
+                assert norm_inf(got - want) <= 1e-12
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("name, transform", [
+        ("rotating_surface", fixed_frame_first),
+        ("rotating_surface_2nd", fixed_frame_second),
+    ])
+    def test_fixed_frame_matches_order(self, name, transform):
+        prob = load_fixture(name)
+        sys_t, ref = fixed_frame(prob), transform(prob)
+        assert sys_t.order == prob.order
+        assert np.array_equal(sys_t.D0, ref.D0) and np.array_equal(sys_t.M, ref.M)
+
+    def test_drive_matches_drift_plus_forcing(self):
+        prob = load_fixture("rotating_surface_2nd")
+        sys_t = fixed_frame(prob)
+        xi, eta = np.array([0.3, -0.2]), np.array([0.1])
+        u, v = np.array([0.05, 0.4]), np.array([-0.2])
+        ref = sys_t.D0 @ xi + sys_t.D1 @ u + 0.7 * sys_t.F(0.4, xi, eta, u, v)
+        assert np.array_equal(sys_t.drive(0.4, xi, eta, u, v, 0.7), ref)
 
 
 class TestFiniteDifferenceMode:
