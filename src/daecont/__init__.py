@@ -26,7 +26,6 @@ from .linalg import (
     NewtonConfig,
     newton_solve,
     quadrature_periodic,
-    rk4_step,
     solve_linear,
     svd_small,
 )
@@ -42,7 +41,7 @@ from .periodic import (
     integrate,
     shooting_residual,
 )
-from .probfile import ProblemSpec, build_problem, load_problem, parse_problem, serialize
+from .probfile import ProblemSpec, build_problem, parse_problem, serialize
 from .semilinear import ReductionReport, SemiLinearDae, check_conditions, reduce_semilinear
 from .transform import (
     DaeProblem1,

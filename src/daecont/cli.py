@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 hypothesis/solver failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .degree import (
 )
 from .errors import DaecontError
 from .paths import MIN_GRID, frame_audit, lemma_audit
-from .periodic import branch_seeds, continue_branch, integrate
+from .periodic import DEFAULT_STEPS, _steps_for, branch_seeds, continue_branch, integrate
 from .probfile import (
     branch_to_csv,
     build_problem,
@@ -47,14 +48,16 @@ from .semilinear import SemiLinearDae, check_conditions, reduce_semilinear
 from .transform import fixed_frame
 
 
-def _positive(kind=float, name="value"):
+def _positive(kind=float, name="value", allow_inf=False):
     def convert(text):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be a {kind.__name__}: {text!r}")
-        if value <= 0:
+        if not value > 0:  # also rejects NaN
             raise argparse.ArgumentTypeError(f"{name} must be positive, got {text!r}")
+        if value == math.inf and not allow_inf:
+            raise argparse.ArgumentTypeError(f"{name} must be finite, got {text!r}")
         return value
 
     return convert
@@ -75,8 +78,8 @@ def _int_at_least(minimum, name):
 
 def _nonnegative(text):
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"lambda must be nonnegative, got {text!r}")
+    if not 0 <= value < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"lambda must be nonnegative and finite, got {text!r}")
     return value
 
 
@@ -100,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="audit tolerance (default per derivative mode)")
         p.add_argument("--out", type=Path, default=None,
                        help="write output here instead of stdout")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_int_at_least(0, "seed"), default=0,
                        help="seed for randomized paths (default 0)")
 
     p_check = sub.add_parser("check", help="audit frame hypotheses / reduction conditions")
@@ -109,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lem = sub.add_parser("lemmas", help="identity audits on built-in and random paths")
     add_common(p_lem, problem=False)
-    p_lem.add_argument("--count", type=int, default=10,
+    p_lem.add_argument("--count", type=_int_at_least(0, "count"), default=10,
                        help="number of random exponential-frame paths (default 10)")
     p_lem.set_defaults(func=cmd_lemmas)
 
@@ -149,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="continuation step budget (default 40)")
     p_cont.add_argument("--radius", type=_positive(float, "radius"), default=2.0,
                         help="state box half-width (default 2)")
-    p_cont.add_argument("--lam-max", type=_positive(float, "lam-max"), default=10.0,
+    p_cont.add_argument("--lam-max", type=_positive(float, "lam-max", allow_inf=True),
+                        default=10.0,
                         help="upper lambda bound of the continuation box (default 10)")
     p_cont.add_argument("--h", type=_positive(float, "h"), default=None,
                         help="integration step (default period/256)")
@@ -307,6 +311,8 @@ def cmd_integrate(args) -> int:
               else np.array([float(v) for v in args.x0.split(",")]))
     except ValueError:
         raise _usage(f"--x0 must be comma-separated numbers, got {args.x0!r}")
+    if not np.all(np.isfinite(x0)):
+        raise _usage(f"--x0 must be finite, got {args.x0!r}")
     if x0.size != problem.m:
         raise _usage(f"--x0 needs {problem.m} components")
     try:
@@ -322,6 +328,10 @@ def cmd_continue(args) -> int:
     if kind != "problem":
         raise _usage("continue needs a problem, not a path fixture")
     problem = _first_order(build_problem(payload), args.grid)
+    try:
+        nsteps = DEFAULT_STEPS if args.h is None else _steps_for(problem.period, args.h)
+    except ValueError as exc:  # a --h that does not divide T
+        raise _usage(str(exc))
     seed_box = Box.cube(args.radius, problem.m + problem.s)
     seeds = branch_seeds(problem, seed_box)
     if not seeds:
@@ -334,7 +344,6 @@ def cmd_continue(args) -> int:
         np.concatenate([[0.0], -args.radius * np.ones(state_dim)]),
         np.concatenate([[args.lam_max], args.radius * np.ones(state_dim)]),
     )
-    nsteps = int(round(problem.period / args.h)) if args.h else 256
     branch = continue_branch(problem, seeds[args.seed_index].point, args.ds,
                              args.steps, box, integration_steps=nsteps)
     print(f"branch: {len(branch.pairs)} pairs, termination: {branch.termination}",

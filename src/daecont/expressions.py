@@ -367,20 +367,6 @@ def expr_to_text(ast: Expr) -> str:
     return f"({expr_to_text(ast.left)} {ast.op} {expr_to_text(ast.right)})"
 
 
-def collect_vars(ast: Expr, out: Optional[set] = None) -> set:
-    """Set of variable names appearing in the tree."""
-    if out is None:
-        out = set()
-    if isinstance(ast, Var):
-        out.add(ast.name)
-    elif isinstance(ast, Unary):
-        collect_vars(ast.arg, out)
-    elif isinstance(ast, Binary):
-        collect_vars(ast.left, out)
-        collect_vars(ast.right, out)
-    return out
-
-
 def _source(ast: Expr, varmap: Mapping[str, str]) -> str:
     if isinstance(ast, Num):
         return f"({float(ast.value)!r})"

@@ -1,17 +1,22 @@
 """Dense linear-algebra and numerics substrate.
 
-Everything here works on small (desk-scale) dense float64 arrays: LU solves
-with partial pivoting, damped Newton iteration, a one-sided Jacobi SVD,
-periodic quadrature and classical Runge-Kutta stepping.  All functions are
-pure; inputs are never mutated.
+Everything here works on small (desk-scale) dense float64 arrays: linear
+solves and determinants, damped Newton iteration, finite-difference
+Jacobians, an SVD with deterministic signs and periodic quadrature.  The
+factorizations are LAPACK's (through scipy and numpy); what this module adds
+is the pivot-threshold singularity test and the sign convention.  1x1 and
+2x2 solves use closed forms.  All functions are pure; inputs are never
+mutated.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import (
     EvaluationError,
@@ -31,7 +36,6 @@ __all__ = [
     "newton_solve",
     "svd_small",
     "quadrature_periodic",
-    "rk4_step",
     "norm_inf",
 ]
 
@@ -42,26 +46,23 @@ def norm_inf(a) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def _lu_factor(a: np.ndarray):
-    # Doolittle LU with partial pivoting; returns (lu, perm, sign).
-    n = a.shape[0]
-    lu = np.array(a, dtype=float)
-    perm = np.arange(n)
-    sign = 1.0
+def _lu(a: np.ndarray):
+    # LAPACK LU with partial pivoting, (lu, piv) as scipy.linalg.lu_factor.
+    # LAPACK factors on past a zero pivot, and an inf entry can turn later
+    # pivots into NaN, which would hide a small pivot from a min: every
+    # pivot is compared with the threshold (NaN compares false).
     threshold = PIVOT_REL * max(norm_inf(a), 1e-300)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < threshold:
-            raise SingularMatrixError(
-                f"pivot {abs(lu[p, k]):.3e} below threshold {threshold:.3e} at column {k}"
-            )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm, sign
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(a, check_finite=False)
+    pivots = np.abs(np.diag(lu))
+    small = pivots < threshold
+    if np.any(small):
+        k = int(np.argmax(small))
+        raise SingularMatrixError(
+            f"pivot {pivots[k]:.3e} below threshold {threshold:.3e} at column {k}"
+        )
+    return lu, piv
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,12 +103,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 (a[0, 0] * b[1] - a[1, 0] * b[0]) / det,
             ]
         )
-    lu, perm, _ = _lu_factor(a)
-    x = b[perm].astype(float, copy=True)
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
+    x = lu_solve(_lu(a), b, check_finite=False)
     if not np.all(np.isfinite(x)):
         raise EvaluationError("linear solve produced non-finite entries")
     return x
@@ -122,10 +118,11 @@ def determinant(a: np.ndarray) -> float:
     if n == 2:
         return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     try:
-        lu, _, sign = _lu_factor(a)
+        lu, piv = _lu(a)
     except SingularMatrixError:
         return 0.0
-    return float(sign * np.prod(np.diag(lu)))
+    swaps = np.count_nonzero(piv != np.arange(n))
+    return float((-1.0) ** swaps * np.prod(np.diag(lu)))
 
 
 def fd_jacobian(
@@ -251,95 +248,35 @@ def newton_solve(
     )
 
 
-def _orthonormal_fill(p: np.ndarray, filled: int) -> None:
-    # Complete columns filled..n-1 of p to an orthonormal basis, scanning
-    # identity vectors in index order (deterministic).  Two rounds of
-    # Gram-Schmidt keep the result orthogonal to ~1e-15.
-    n = p.shape[0]
-    col = filled
-    for cand in range(n):
-        if col >= n:
-            break
-        v = np.zeros(n)
-        v[cand] = 1.0
-        for _ in range(2):
-            v -= p[:, :col] @ (p[:, :col].T @ v)
-        nv = float(np.sqrt(v @ v))
-        if nv > 1e-6:
-            p[:, col] = v / nv
-            col += 1
-    if col < n:
-        raise NoConvergenceError("failed to complete orthonormal basis")
-
-
-def svd_small(e: np.ndarray, *, max_sweeps: int = 50):
-    """One-sided Jacobi SVD of a small square matrix.
+def svd_small(e: np.ndarray):
+    """SVD of a small square matrix with deterministic signs.
 
     Returns ``(P, sigma, Q)`` with ``P.T @ e @ Q`` diagonal, ``sigma``
     nonnegative and nonincreasing, and both factors orthogonal to 1e-12.
-    Columns of ``e @ Q`` are rotated pairwise until mutually orthogonal;
-    left vectors for (near-)zero singular values are completed to an
-    orthonormal basis deterministically.
+    Singular values below ``1e-13 * sigma[0]`` are set to zero.  Signs are
+    fixed so that the largest-magnitude entry of each column of ``Q``, and
+    of each column of ``P`` past the rank, is positive; columns of ``P``
+    inside the rank follow their ``Q`` column.
     """
     e = np.asarray(e, dtype=float)
     n = e.shape[0]
     if e.shape != (n, n):
         raise EvaluationError(f"expected square matrix, got shape {e.shape}")
-    if n > 32:
-        raise EvaluationError("svd_small handles matrices up to 32x32")
-    w = e.copy()
-    q = np.eye(n)
-    # Rotation threshold just above the roundoff floor of a column dot;
-    # tighter values churn forever on rank-deficient input.  Columns whose
-    # norm has collapsed below the representable floor of the matrix are
-    # deflated outright: their direction is pure cancellation noise.
-    tol = 1e-14
-    deflate = 1e-15 * np.sqrt(float((e * e).sum()))
-    for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                a = float(w[:, i] @ w[:, i])
-                b = float(w[:, j] @ w[:, j])
-                c = float(w[:, i] @ w[:, j])
-                scale = np.sqrt(a * b)
-                if min(a, b) <= deflate * deflate or abs(c) <= tol * scale:
-                    continue
-                off = max(off, abs(c) / scale)
-                zeta = (b - a) / (2.0 * c)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                wi = w[:, i].copy()
-                w[:, i] = cs * wi - sn * w[:, j]
-                w[:, j] = sn * wi + cs * w[:, j]
-                qi = q[:, i].copy()
-                q[:, i] = cs * qi - sn * q[:, j]
-                q[:, j] = sn * qi + cs * q[:, j]
-        if off == 0.0:
-            break
-    else:
-        raise NoConvergenceError(f"jacobi sweeps exceeded budget ({max_sweeps})")
-    sigma = np.sqrt(np.einsum("ij,ij->j", w, w))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    w = w[:, order]
-    q = q[:, order]
-    smax = sigma[0] if sigma.size else 0.0
-    cutoff = 1e-13 * max(smax, 1e-300)
-    p = np.zeros((n, n))
-    rank = 0
-    for k in range(n):
-        if sigma[k] > cutoff:
-            p[:, k] = w[:, k] / sigma[k]
-            rank = k + 1
-        else:
-            sigma[k] = 0.0
+    if not 1 <= n <= 32:
+        raise EvaluationError("svd_small handles matrices from 1x1 up to 32x32")
+    if not np.all(np.isfinite(e)):
+        raise EvaluationError("svd_small input has non-finite entries")
+    p, sigma, qt = np.linalg.svd(e)
+    q = qt.T
+    cutoff = 1e-13 * max(sigma[0], 1e-300)
+    rank = int(np.count_nonzero(sigma > cutoff))
     sigma[rank:] = 0.0
-    _orthonormal_fill(p, rank)
-    return p, sigma, q
+    cols = np.arange(n)
+    q_sign = np.sign(q[np.argmax(np.abs(q), axis=0), cols])
+    p_sign = np.sign(p[np.argmax(np.abs(p), axis=0), cols])
+    p_sign[:rank] = q_sign[:rank]
+    # + 0.0 turns the -0.0 of a flipped zero entry into 0.0
+    return p * p_sign + 0.0, sigma, q * q_sign + 0.0
 
 
 def quadrature_periodic(
@@ -358,18 +295,3 @@ def quadrature_periodic(
         val = np.asarray(h(k * period / n), dtype=float)
         acc = val.copy() if acc is None else acc + val
     return acc / n
-
-
-def rk4_step(
-    field: Callable[[float, np.ndarray], np.ndarray],
-    t: float,
-    u: np.ndarray,
-    h: float,
-) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of size ``h``."""
-    u = np.asarray(u, dtype=float)
-    k1 = np.asarray(field(t, u), dtype=float)
-    k2 = np.asarray(field(t + 0.5 * h, u + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(field(t + 0.5 * h, u + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(field(t + h, u + h * k3), dtype=float)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -25,7 +25,6 @@ from .linalg import norm_inf, solve_linear
 
 __all__ = [
     "MatrixPath",
-    "eval_path",
     "FrameAudit",
     "frame_audit",
     "LemmaReport",
@@ -170,11 +169,6 @@ class MatrixPath:
             d2=lambda t: s2 @ value(t),
             name=name or "exp_frame",
         )
-
-
-def eval_path(path: MatrixPath, t: float, order: int = 0) -> np.ndarray:
-    """Evaluate ``path`` (or one of its first two derivatives) at ``t``."""
-    return path(t, order)
 
 
 def _grid_times(path: MatrixPath, grid: int) -> np.ndarray:

@@ -47,7 +47,6 @@ __all__ = [
     "parse_problem",
     "problem_to_text",
     "build_problem",
-    "load_problem",
     "reduced_spec",
     "expr_path",
     "serialize",
@@ -398,11 +397,6 @@ def _build_semilinear(spec: ProblemSpec) -> SemiLinearDae:
     s_fun = ex.compile_vector([row[0] for row in spec.tables["S"]], "x", s_vm)
     return SemiLinearDae(n=n, period=spec.period, mass=mass, Fpath=f_path,
                          Cpath=c_path, S=s_fun, name=spec.name)
-
-
-def load_problem(text: str):
-    """Parse and build in one step."""
-    return build_problem(parse_problem(text))
 
 
 def _scaled(coef: float, ast: ex.Expr):

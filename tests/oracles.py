@@ -1,0 +1,13 @@
+"""Reference integrators the tests check the library against."""
+
+import numpy as np
+
+
+def rk4_step(field, t, u, h):
+    """One classical fourth-order Runge-Kutta step of size ``h``."""
+    u = np.asarray(u, dtype=float)
+    k1 = np.asarray(field(t, u), dtype=float)
+    k2 = np.asarray(field(t + 0.5 * h, u + 0.5 * h * k1), dtype=float)
+    k3 = np.asarray(field(t + 0.5 * h, u + 0.5 * h * k2), dtype=float)
+    k4 = np.asarray(field(t + h, u + h * k3), dtype=float)
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

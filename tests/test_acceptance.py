@@ -18,11 +18,12 @@ from daecont.degree import Box, candidate_map, degree_generic, degree_reduced
 from daecont.expressions import eval_expr, expr_to_text, parse_expr
 from daecont.errors import NonfiniteResultError
 from daecont.fixtures import PROBLEMS, load_fixture, path_fixture, problem_text
-from daecont.linalg import norm_inf, rk4_step, solve_linear
+from daecont.linalg import norm_inf, solve_linear
 from daecont.paths import MatrixPath, frame_audit, lemma_audit
 from daecont.periodic import find_tpair, integrate
 from daecont.semilinear import check_conditions, reduce_semilinear
 from daecont.transform import fixed_frame_second
+from oracles import rk4_step
 
 
 @contextmanager

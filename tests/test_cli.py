@@ -8,7 +8,8 @@ import pytest
 from daecont.cli import build_parser, main
 from daecont.fixtures import problem_text
 
-GOLDEN = Path(__file__).parent / "golden" / "help.txt"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "help.txt"
 
 
 def run(capsys, *args):
@@ -113,6 +114,19 @@ class TestReduce:
         assert report["conditions_hold"] is True
         assert report["frame_suitable"] is True
 
+    def test_matches_golden(self, capsys, tmp_path):
+        out_file = tmp_path / "reduced.prob"
+        main(["reduce", "semilinear_4x4", "--out", str(out_file)])
+        assert out_file.read_bytes() == (GOLDEN_DIR / "reduce_semilinear_4x4.prob").read_bytes()
+        report = json.loads(Path(str(out_file) + ".report.json").read_text())
+        golden = json.loads((GOLDEN_DIR / "reduce_semilinear_4x4.report.json").read_text())
+        # the problem text is byte-stable; the report may move at roundoff
+        # level in the kernel residuals only
+        for key in ("kernel_residual_c", "kernel_residual_f"):
+            assert report.pop(key) <= 1e-14
+            golden.pop(key)
+        assert report == golden
+
     def test_rejects_non_semilinear(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reduce", "scalar_linear"])
@@ -151,6 +165,17 @@ class TestIntegrate:
     (["integrate", "rotating_surface", "--x0", "a,b"], "--x0"),
     (["check", "rotating_surface", "--grid", "3"], "grid"),
     (["degree", "rotating_surface", "--zero-grid", "1"], "zero-grid"),
+    (["continue", "rotating_surface", "--h", "100"], "does not divide"),
+    (["continue", "rotating_surface", "--h", "0.3"], "does not divide"),
+    (["check", "rotating_surface", "--tol", "nan"], "tol"),
+    (["integrate", "rotating_surface", "--lambda", "nan"], "lambda"),
+    (["integrate", "rotating_surface", "--lambda", "inf"], "lambda"),
+    (["integrate", "rotating_surface", "--x0", "nan,0"], "--x0"),
+    (["continue", "rotating_surface", "--ds", "inf"], "ds"),
+    (["continue", "rotating_surface", "--radius", "inf"], "radius"),
+    (["continue", "rotating_surface", "--lam-max", "nan"], "lam-max"),
+    (["lemmas", "--count", "-2"], "count"),
+    (["lemmas", "--seed", "-1"], "seed"),
 ])
 def test_bad_input_is_usage_error(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:
@@ -158,6 +183,11 @@ def test_bad_input_is_usage_error(capsys, argv, needle):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert needle in err and "Traceback" not in err
+
+
+def test_lam_max_may_be_infinite():
+    args = build_parser().parse_args(["continue", "rotating_surface", "--lam-max", "inf"])
+    assert args.lam_max == float("inf")
 
 
 class TestContinue:
@@ -172,6 +202,23 @@ class TestContinue:
         first = lines[1].split(",")
         assert float(first[1]) == 0.0 and first[-1] == "1"
         assert "termination" in err
+
+
+@pytest.mark.parametrize("problem, steps", [("commuting_h", "3"),
+                                            ("rotating_surface_2nd", "2")])
+def test_branch_matches_golden_within_roundoff(capsys, problem, steps):
+    # The LU behind the corrector and tangent solves rounds differently
+    # across BLAS builds, so values are compared to 1e-12, while the rows,
+    # step numbers, trivial flags and termination must match exactly.
+    code, out, err = run(capsys, "continue", problem, "--steps", steps)
+    golden = (GOLDEN_DIR / f"continue_{problem}_{steps}.csv").read_text()
+    rows = [line.split(",") for line in out.splitlines()]
+    ref = [line.split(",") for line in golden.splitlines()]
+    assert code == 0 and f"{len(ref) - 1} pairs, termination: budget" in err
+    assert rows[0] == ref[0] and len(rows) == len(ref)
+    for row, ref_row in zip(rows[1:], ref[1:]):
+        assert row[0] == ref_row[0] and row[-1] == ref_row[-1]
+        assert np.max(np.abs(np.array(row, float) - np.array(ref_row, float))) <= 1e-12
 
 
 class TestFixtures:

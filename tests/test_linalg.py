@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
-from daecont.errors import NoConvergenceError, SingularJacobianError, SingularMatrixError
+from daecont.errors import (
+    EvaluationError,
+    NoConvergenceError,
+    SingularJacobianError,
+    SingularMatrixError,
+)
 from daecont.linalg import (
+    PIVOT_REL,
     NewtonConfig,
     determinant,
     fd_jacobian,
     newton_solve,
     norm_inf,
     quadrature_periodic,
-    rk4_step,
     solve_linear,
     svd_small,
 )
+from oracles import rk4_step
 
 
 class TestSolveLinear:
@@ -44,6 +50,36 @@ class TestSolveLinear:
             solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
         with pytest.raises(SingularMatrixError):
             solve_linear(np.zeros((3, 3)), np.zeros(3))
+        # zero pivot in a middle column, with nonzero pivots after it
+        with pytest.raises(SingularMatrixError):
+            solve_linear(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 1.0, 3.0]]),
+                         np.ones(3))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_pivot_threshold(self, n, factor):
+        # Rows of a unit upper-triangular matrix, reversed: partial pivoting
+        # restores the triangle without arithmetic, so the pivots are exactly
+        # the diagonal, and the last one sits at factor * PIVOT_REL * ||a||.
+        u = np.triu(np.ones((n, n)))
+        u[-1, -1] = factor * PIVOT_REL
+        a = u[::-1]
+        if factor < 1.0:
+            with pytest.raises(SingularMatrixError, match=f"at column {n - 1}"):
+                solve_linear(a, np.ones(n))
+        else:
+            x = solve_linear(a, np.ones(n))
+            assert norm_inf(a @ x - np.ones(n)) <= 1e-12 * norm_inf(x)
+
+    @pytest.mark.parametrize("bad, error", [(np.nan, EvaluationError),
+                                            (np.inf, SingularMatrixError)])
+    def test_non_finite_matrix(self, bad, error):
+        # inf: the threshold is inf and the later pivots come out NaN, so
+        # only a test of every pivot (not their min) sees the finite first one
+        a = np.eye(3)
+        a[0, 1] = bad
+        with pytest.raises(error):
+            solve_linear(a, np.ones(3))
 
     def test_pivoting_needed(self):
         a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -68,6 +104,13 @@ class TestDeterminant:
                 + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
             )
             assert determinant(a) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("shift", [1, 2])
+    def test_permutation_sign(self, n, shift):
+        perm = np.roll(np.arange(n), shift)
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        assert determinant(np.eye(n)[perm]) == (-1.0) ** inversions
 
 
 class TestNewton:
@@ -138,6 +181,9 @@ class TestSvdSmall:
         p, s, q = svd_small(e)
         assert np.allclose(s, [1.0, 1.0, 0.0, 0.0], atol=1e-14)
         assert norm_inf(e - p @ np.diag(s) @ q.T) <= 1e-12
+        # the mass matrix of semilinear_4x4; its factors appear in reduce output
+        assert np.array_equal(p, np.eye(4)[[0, 2, 1, 3]].T)
+        assert np.array_equal(q, np.eye(4)[[0, 3, 1, 2]].T)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_reconstruction(self, seed):
@@ -154,6 +200,28 @@ class TestSvdSmall:
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
         diag = p.T @ e @ q
         assert np.all(np.diag(diag) >= -1e-12)
+
+    @pytest.mark.parametrize("e", [
+        -np.eye(3),
+        np.array([[0.0, -2.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+        np.array([[1.0, -3.0], [-2.0, 6.0]]),
+        np.random.default_rng(11).normal(size=(5, 5)),
+    ])
+    def test_sign_rule(self, e):
+        p, s, q = svd_small(e)
+        rank = int(np.count_nonzero(s))
+        cols = np.arange(e.shape[0])
+        assert np.all(q[np.argmax(np.abs(q), axis=0), cols] > 0)
+        assert np.all(p[np.argmax(np.abs(p[:, rank:]), axis=0), cols[rank:]] > 0)
+        # inside the rank P follows Q: e q_k = sigma_k p_k with sigma_k > 0
+        assert norm_inf(e @ q[:, :rank] - p[:, :rank] * s[:rank]) <= 1e-12 * norm_inf(e)
+        assert not np.any(np.signbit(p[p == 0.0])) and not np.any(np.signbit(q[q == 0.0]))
+
+    def test_non_finite_raises(self):
+        e = np.eye(3)
+        e[1, 2] = np.nan
+        with pytest.raises(EvaluationError):
+            svd_small(e)
 
     def test_zero_matrix(self):
         p, s, q = svd_small(np.zeros((3, 3)))

@@ -7,7 +7,6 @@ from daecont.fixtures import path_fixture
 from daecont.linalg import norm_inf
 from daecont.paths import (
     MatrixPath,
-    eval_path,
     frame_audit,
     inverse_derivative,
     lemma_audit,
@@ -25,18 +24,18 @@ def skew(rng, n):
 class TestEvalPath:
     def test_constant_derivative_zero(self):
         path = MatrixPath.constant(np.eye(3), period=1.0)
-        assert np.array_equal(eval_path(path, 0.37, 1), np.zeros((3, 3)))
-        assert np.array_equal(eval_path(path, 0.37, 2), np.zeros((3, 3)))
+        assert np.array_equal(path(0.37, 1), np.zeros((3, 3)))
+        assert np.array_equal(path(0.37, 2), np.zeros((3, 3)))
 
     def test_rotation_derivative(self):
         rot = path_fixture("rot2")
-        assert norm_inf(eval_path(rot, 0.0, 1) - ROT_GEN) <= 1e-15
+        assert norm_inf(rot(0.0, 1) - ROT_GEN) <= 1e-15
 
     def test_exp_frame_second_derivative(self):
         rng = np.random.default_rng(0)
         s = skew(rng, 3)
         path = MatrixPath.exp_frame(s)
-        assert norm_inf(eval_path(path, 0.0, 2) - s @ s) <= 1e-13
+        assert norm_inf(path(0.0, 2) - s @ s) <= 1e-13
 
     def test_order_limit(self):
         with pytest.raises(Exception):

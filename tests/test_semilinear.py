@@ -3,9 +3,10 @@ import pytest
 
 from daecont.errors import RankMismatchError, SingularBlockError
 from daecont.fixtures import load_fixture
-from daecont.linalg import norm_inf, rk4_step, solve_linear
+from daecont.linalg import norm_inf, solve_linear
 from daecont.paths import MatrixPath
 from daecont.semilinear import SemiLinearDae, _check_with, _rank_checked_svd, check_conditions, reduce_semilinear
+from oracles import rk4_step
 
 
 def worked_example():
@@ -120,7 +121,6 @@ class TestReduce:
         lam, h = 0.7, dae.period / 256
         x0 = np.array([0.4, -0.3])
         tr1 = integrate(red1, lam, x0, h=h)
-        tr2_x0 = solve_linear(q2[: 2, : 2].T @ q[: 2, : 2] if False else np.eye(2), x0)
         # same original state: x_orig(0) = Q (x; y) must agree, so map x0
         # from the first reduction's coordinates into the second's
         y0_1 = -solve_linear(np.eye(2), red1.A(0.0) @ x0)  # y = -F3 x (F4 = I)
