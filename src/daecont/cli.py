@@ -11,7 +11,8 @@ analysis pipeline:
 - ``continue``   branch continuation, CSV
 - ``fixtures``   list shipped fixtures
 
-Exit codes: 0 success, 1 hypothesis/solver failure, 2 usage error.
+Exit codes: 0 success, 1 hypothesis/solver failure, 2 usage error (also
+for sizes above ``MAX_GRID``, ``MAX_ZERO_STARTS`` or ``periodic.MAX_STEPS``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ from .probfile import (
 from .semilinear import SemiLinearDae, check_conditions, reduce_semilinear
 from .transform import fixed_frame
 
+MAX_GRID = 10_000  # audit grid points
+MAX_ZERO_STARTS = 100_000  # multistart lattice points of the degree zero search
+
 
 def _positive(kind=float, name="value", allow_inf=False):
     def convert(text):
@@ -63,7 +67,7 @@ def _positive(kind=float, name="value", allow_inf=False):
     return convert
 
 
-def _int_at_least(minimum, name):
+def _int_in(minimum, maximum, name):
     def convert(text):
         try:
             value = int(text)
@@ -71,6 +75,8 @@ def _int_at_least(minimum, name):
             raise argparse.ArgumentTypeError(f"{name} must be an int: {text!r}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{name} must be at least {minimum}, got {text!r}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"{name} must be at most {maximum}, got {text!r}")
         return value
 
     return convert
@@ -97,13 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, problem=True):
         if problem:
             p.add_argument("problem", help="problem file path or fixture name")
-        p.add_argument("--grid", type=_int_at_least(MIN_GRID, "grid"), default=64,
+        p.add_argument("--grid", type=_int_in(MIN_GRID, MAX_GRID, "grid"), default=64,
                        help="audit grid size (default 64)")
         p.add_argument("--tol", type=_positive(float, "tol"), default=None,
                        help="audit tolerance (default per derivative mode)")
         p.add_argument("--out", type=Path, default=None,
                        help="write output here instead of stdout")
-        p.add_argument("--seed", type=_int_at_least(0, "seed"), default=0,
+        p.add_argument("--seed", type=_int_in(0, math.inf, "seed"), default=0,
                        help="seed for randomized paths (default 0)")
 
     p_check = sub.add_parser("check", help="audit frame hypotheses / reduction conditions")
@@ -112,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lem = sub.add_parser("lemmas", help="identity audits on built-in and random paths")
     add_common(p_lem, problem=False)
-    p_lem.add_argument("--count", type=_int_at_least(0, "count"), default=10,
+    p_lem.add_argument("--count", type=_int_in(0, math.inf, "count"), default=10,
                        help="number of random exponential-frame paths (default 10)")
     p_lem.set_defaults(func=cmd_lemmas)
 
@@ -121,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deg.add_argument("--method", choices=("reduced", "generic", "both"), default="both")
     p_deg.add_argument("--radius", type=_positive(float, "radius"), default=2.0,
                        help="box half-width (default 2)")
-    p_deg.add_argument("--zero-grid", type=_int_at_least(2, "zero-grid"), default=9,
+    p_deg.add_argument("--zero-grid", type=_int_in(2, math.inf, "zero-grid"), default=9,
                        help="multistart seeds per axis (default 9)")
     p_deg.set_defaults(func=cmd_degree)
 
@@ -264,8 +270,11 @@ def cmd_degree(args) -> int:
     if kind != "problem":
         raise _usage("degree needs a problem, not a path fixture")
     problem = _first_order(build_problem(payload), args.grid)
+    dim = problem.m + problem.s
+    if args.zero_grid**dim > MAX_ZERO_STARTS:
+        raise _usage(f"--zero-grid {args.zero_grid} gives more than {MAX_ZERO_STARTS} seed points")
     sys_t = fixed_frame(problem)
-    box = Box.cube(args.radius, problem.m + problem.s)
+    box = Box.cube(args.radius, dim)
     out = {}
     if args.method in ("reduced", "both"):
         cert = degree_reduced(candidate_block(sys_t), problem.g, box, args.zero_grid,
@@ -301,6 +310,14 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _integration_steps(problem, h) -> int:
+    # A --h that does not divide T into 1..MAX_STEPS steps is a usage error.
+    try:
+        return DEFAULT_STEPS if h is None else _steps_for(problem.period, h)
+    except ValueError as exc:
+        raise _usage(str(exc))
+
+
 def cmd_integrate(args) -> int:
     kind, payload = _resolve(args.problem)
     if kind != "problem":
@@ -315,10 +332,8 @@ def cmd_integrate(args) -> int:
         raise _usage(f"--x0 must be finite, got {args.x0!r}")
     if x0.size != problem.m:
         raise _usage(f"--x0 needs {problem.m} components")
-    try:
-        traj = integrate(problem, args.lam, x0, h=args.h, mode=args.mode)
-    except ValueError as exc:  # bad arguments only, here a --h that does not divide T
-        raise _usage(str(exc))
+    _integration_steps(problem, args.h)
+    traj = integrate(problem, args.lam, x0, h=args.h, mode=args.mode)
     _emit(serialize(traj), args.out)
     return 0
 
@@ -328,10 +343,7 @@ def cmd_continue(args) -> int:
     if kind != "problem":
         raise _usage("continue needs a problem, not a path fixture")
     problem = _first_order(build_problem(payload), args.grid)
-    try:
-        nsteps = DEFAULT_STEPS if args.h is None else _steps_for(problem.period, args.h)
-    except ValueError as exc:  # a --h that does not divide T
-        raise _usage(str(exc))
+    nsteps = _integration_steps(problem, args.h)
     seed_box = Box.cube(args.radius, problem.m + problem.s)
     seeds = branch_seeds(problem, seed_box)
     if not seeds:

@@ -39,7 +39,6 @@ __all__ = [
     "diff_expr",
     "expr_to_text",
     "substitute_vars",
-    "compile_scalar",
     "compile_vector",
     "compile_matrix",
     "FUNCTIONS",
@@ -214,7 +213,7 @@ def eval_expr(ast: Expr, env: Mapping[str, float]) -> float:
     """Evaluate an expression tree against a variable environment."""
     try:
         value = _eval(ast, env)
-    except (ZeroDivisionError, OverflowError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise NonfiniteResultError(str(exc)) from exc
     if not math.isfinite(value):
         raise NonfiniteResultError(f"expression evaluated to {value}")
@@ -384,29 +383,35 @@ def _source(ast: Expr, varmap: Mapping[str, str]) -> str:
     return f"({_source(ast.left, varmap)} {ast.op} {_source(ast.right, varmap)})"
 
 
-_COMPILE_GLOBALS = {"math": math, "np": np, "__builtins__": {}}
+_COMPILE_GLOBALS = {"math": math, "np": np, "ArithmeticError": ArithmeticError,
+                    "ValueError": ValueError, "NonfiniteResultError": NonfiniteResultError,
+                    "str": str, "__builtins__": {}}
 
 
-def compile_scalar(ast: Expr, args: str, varmap: Mapping[str, str]) -> Callable:
-    """Compile one expression to ``lambda <args>: float``.
-
-    ``varmap`` maps language variables to Python source fragments over
-    the lambda arguments (e.g. ``{"x2": "x[1]"}``).  The generated source
-    is built entirely from the validated tree.
-    """
-    src = f"lambda {args}: {_source(ast, varmap)}"
-    return eval(src, dict(_COMPILE_GLOBALS))
+def _compile(args: str, body: str) -> Callable:
+    # A def rather than a lambda, so that math failures (exp overflow, a
+    # domain error) raise NonfiniteResultError as in eval_expr; the try
+    # costs nothing on calls that do not raise.
+    src = (f"def compiled({args}):\n    try:\n        return {body}\n"
+           "    except (ArithmeticError, ValueError) as exc:\n"
+           "        raise NonfiniteResultError(str(exc)) from exc\n")
+    namespace = dict(_COMPILE_GLOBALS)
+    exec(src, namespace)
+    return namespace["compiled"]
 
 
 def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str]) -> Callable:
-    """Compile a list of expressions to ``lambda <args>: np.ndarray``."""
-    body = ", ".join(_source(a, varmap) for a in asts)
-    src = f"lambda {args}: np.array([{body}])"
-    return eval(src, dict(_COMPILE_GLOBALS))
+    """Compile a list of expressions to a function ``(<args>) -> np.ndarray``.
+
+    ``varmap`` maps language variables to Python source fragments over
+    the function arguments (e.g. ``{"x2": "x[1]"}``).  The generated
+    source is built entirely from the validated tree.  Arithmetic
+    failures raise :class:`NonfiniteResultError`.
+    """
+    return _compile(args, "np.array([" + ", ".join(_source(a, varmap) for a in asts) + "])")
 
 
 def compile_matrix(rows: Sequence[Sequence[Expr]], args: str, varmap: Mapping[str, str]) -> Callable:
-    """Compile a matrix of expressions to ``lambda <args>: np.ndarray``."""
+    """Compile a matrix of expressions like :func:`compile_vector`."""
     body = ", ".join("[" + ", ".join(_source(a, varmap) for a in row) + "]" for row in rows)
-    src = f"lambda {args}: np.array([{body}])"
-    return eval(src, dict(_COMPILE_GLOBALS))
+    return _compile(args, f"np.array([{body}])")

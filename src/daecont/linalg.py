@@ -130,7 +130,6 @@ def fd_jacobian(
     x: np.ndarray,
     *,
     central: bool = False,
-    step: Optional[float] = None,
     f0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Finite-difference Jacobian of ``fun`` at ``x``.
@@ -142,21 +141,19 @@ def fd_jacobian(
     x = np.asarray(x, dtype=float)
     n = x.size
     if central:
-        h0 = 1e-5 if step is None else step
         cols = []
         for i in range(n):
-            h = h0 * (1.0 + abs(x[i]))
+            h = 1e-5 * (1.0 + abs(x[i]))
             xp = x.copy()
             xm = x.copy()
             xp[i] += h
             xm[i] -= h
             cols.append((np.asarray(fun(xp), float) - np.asarray(fun(xm), float)) / (2 * h))
         return np.column_stack(cols)
-    h0 = 1e-7 if step is None else step
     base = np.asarray(fun(x), dtype=float) if f0 is None else np.asarray(f0, dtype=float)
     cols = []
     for i in range(n):
-        h = h0 * (1.0 + abs(x[i]))
+        h = 1e-7 * (1.0 + abs(x[i]))
         xp = x.copy()
         xp[i] += h
         cols.append((np.asarray(fun(xp), float) - base) / h)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .degree import Box, ZeroRecord, averaged_map_fn, candidate_map, locate_zeros
 from .errors import (
+    DaecontError,
     NoConvergenceError,
     SeedRejectedError,
     SingularJacobianError,
@@ -57,7 +58,13 @@ CONSTRAINT_TOL = 1e-10
 TRIVIAL_TOL = 1e-9
 SEED_TOL = 1e-8
 DEFAULT_STEPS = 256
+MAX_STEPS = 100_000  # per integration span; bounds the work and the node memory
 CONSTRAINT_SOLVE_TOL = 1e-12
+CONSTRAINT_SOLVE_MAX_ITER = 40
+LSQ_TOL = 1e-10
+LSQ_MAX_ITER = 30
+_FIRST_STEP = NewtonConfig(max_iters=25, tol_residual=1e-10)
+_CORRECTOR = NewtonConfig(max_iters=15, tol_residual=1e-10)
 
 
 @dataclass
@@ -77,12 +84,8 @@ class Trajectory:
         return norm_inf(self.y)
 
     def periodicity_residual(self) -> float:
-        res = max(norm_inf(self.x[-1] - self.x[0]), norm_inf(self.y[-1] - self.y[0]))
-        if self.xdot is not None:
-            res = max(res, norm_inf(self.xdot[-1] - self.xdot[0]))
-        if self.ydot is not None:
-            res = max(res, norm_inf(self.ydot[-1] - self.ydot[0]))
-        return res
+        columns = (self.x, self.y, self.xdot, self.ydot)
+        return max(norm_inf(c[-1] - c[0]) for c in columns if c is not None)
 
     def constraint_residual(self, prob) -> float:
         worst = 0.0
@@ -132,7 +135,7 @@ class Branch:
     state_dim: int = 0  # xi0 column count when pairs is empty
 
 
-def _solve_constraint(g, jac, q0, tol=CONSTRAINT_SOLVE_TOL, max_iter=40):
+def _solve_constraint(g, jac, q0):
     # Plain warm-started Newton; the algebraic block is locally unique, so
     # no globalization is needed once seeded on the right branch.  A warm
     # start inside the absolute tolerance still gets one polish iteration:
@@ -141,21 +144,21 @@ def _solve_constraint(g, jac, q0, tol=CONSTRAINT_SOLVE_TOL, max_iter=40):
     q = np.atleast_1d(np.asarray(q0, dtype=float)).copy()
     r = np.atleast_1d(g(q))
     rn = np.abs(r).max()
-    for iteration in range(max_iter):
-        if rn == 0.0 or (rn <= tol and iteration > 0):
+    for iteration in range(CONSTRAINT_SOLVE_MAX_ITER):
+        if rn == 0.0 or (rn <= CONSTRAINT_SOLVE_TOL and iteration > 0):
             return q
         try:
             q = q - solve_linear(np.atleast_2d(jac(q)), r)
         except SingularMatrixError:
-            if rn <= tol:
+            if rn <= CONSTRAINT_SOLVE_TOL:
                 return q
             raise
         r = np.atleast_1d(g(q))
         rn = np.abs(r).max()
-    if rn <= tol:
+    if rn <= CONSTRAINT_SOLVE_TOL:
         return q
     raise NoConvergenceError(
-        f"constraint solve stalled at residual {rn:.3e} (tol {tol:.1e})"
+        f"constraint solve stalled at residual {rn:.3e} (tol {CONSTRAINT_SOLVE_TOL:.1e})"
     )
 
 
@@ -270,6 +273,9 @@ def _march(stepper, t0, state0, y0, h, nsteps, record_nodes):
 
 
 def _steps_for(span_len, h):
+    # ValueError unless h divides the span into 1..MAX_STEPS steps (the cap first: inf has no int)
+    if not span_len / h < MAX_STEPS + 0.5:
+        raise ValueError(f"step {h!r} gives more than {MAX_STEPS} steps over {span_len!r}")
     nsteps = int(round(span_len / h))
     if nsteps < 1 or abs(nsteps * h - span_len) > 1e-9 * max(1.0, span_len):
         raise ValueError(f"step {h!r} does not divide the span length {span_len!r}")
@@ -365,28 +371,27 @@ class _ShootingRunner:
         return self.flow(lam, state0)[1] - state0
 
     def make_tpair(self, lam, state0) -> TPair:
-        _, _, _, times, nodes = self.flow(lam, np.asarray(state0, dtype=float), record=True)
-        traj = _nodes_to_trajectory(times, nodes)
-        periodicity = traj.periodicity_residual()
-        constraint = traj.constraint_residual(self.prob)
-        if periodicity > PERIODICITY_TOL:
-            raise NoConvergenceError(
-                f"periodicity residual {periodicity:.3e} exceeds {PERIODICITY_TOL:g}"
-            )
-        if constraint > CONSTRAINT_TOL:
-            raise NoConvergenceError(
-                f"constraint residual {constraint:.3e} exceeds {CONSTRAINT_TOL:g}"
-            )
-        xi0 = np.asarray(state0, dtype=float)[: self.prob.m].copy()
-        dev = max(norm_inf(traj.x - traj.x[0]), norm_inf(traj.y - traj.y[0]))
-        return TPair(
-            lam=float(lam),
-            trajectory=traj,
-            xi0=xi0,
-            periodicity_residual=periodicity,
-            constraint_residual=constraint,
-            is_trivial=bool(lam == 0.0 and dev <= TRIVIAL_TOL),
-        )
+        state0 = np.asarray(state0, dtype=float)
+        _, _, _, times, nodes = self.flow(lam, state0, record=True)
+        pair = _tpair(self.prob, lam, _nodes_to_trajectory(times, nodes), state0[: self.prob.m])
+        for name, value, tol in (("periodicity", pair.periodicity_residual, PERIODICITY_TOL),
+                                 ("constraint", pair.constraint_residual, CONSTRAINT_TOL)):
+            if value > tol:
+                raise NoConvergenceError(f"{name} residual {value:.3e} exceeds {tol:g}")
+        return pair
+
+
+def _tpair(prob, lam, traj: Trajectory, xi0) -> TPair:
+    # The one TPair assembly: residuals, and triviality at lam = 0.
+    dev = max(norm_inf(traj.x - traj.x[0]), norm_inf(traj.y - traj.y[0]))
+    return TPair(
+        lam=float(lam),
+        trajectory=traj,
+        xi0=np.asarray(xi0, dtype=float).copy(),
+        periodicity_residual=traj.periodicity_residual(),
+        constraint_residual=traj.constraint_residual(prob),
+        is_trivial=bool(lam == 0.0 and dev <= TRIVIAL_TOL),
+    )
 
 
 def shooting_residual(prob, lam: float, xi0, nsteps: int = DEFAULT_STEPS,
@@ -438,32 +443,23 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     vel = () if prob.order == 1 else (np.zeros(m), np.zeros(prob.s))
     times = np.arange(runner.nsteps + 1) * runner.h
     nodes = [runner.sys.pull_back(t, xi0, eta0, *vel) for t in times]
-    traj = _nodes_to_trajectory(times, nodes)
-    dev = max(norm_inf(traj.x - traj.x[0]), norm_inf(traj.y - traj.y[0]))
-    return TPair(
-        lam=0.0,
-        trajectory=traj,
-        xi0=np.asarray(xi0, dtype=float).copy(),
-        periodicity_residual=traj.periodicity_residual(),
-        constraint_residual=traj.constraint_residual(prob),
-        is_trivial=bool(dev <= TRIVIAL_TOL),
-    )
+    return _tpair(prob, 0.0, _nodes_to_trajectory(times, nodes), xi0)
 
 
-def _least_squares_newton(fun, x0, tol=1e-10, max_iter=30):
+def _least_squares_newton(fun, x0):
     # Gauss-Newton with a Tikhonov floor; corrector fallback for the
     # (expected) singular shooting Jacobian near lam = 0.
     x = np.asarray(x0, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(LSQ_MAX_ITER):
         r = np.atleast_1d(fun(x))
-        if norm_inf(r) <= tol:
+        if norm_inf(r) <= LSQ_TOL:
             return x
         j = fd_jacobian(fun, x, f0=r)
         jtj = j.T @ j
         mu = 1e-12 * max(norm_inf(jtj), 1.0)
         x = x + solve_linear(jtj + mu * np.eye(x.size), -(j.T @ r))
     r = np.atleast_1d(fun(x))
-    if norm_inf(r) <= tol:
+    if norm_inf(r) <= LSQ_TOL:
         return x
     raise NoConvergenceError(f"least-squares corrector stalled at {norm_inf(r):.3e}")
 
@@ -485,6 +481,26 @@ def _branch_tangent(shoot_fn, z, t_prev):
     return t if float(t @ t_prev) >= 0.0 else -t
 
 
+def _arclength_step(shoot_fn, z, tangent, ds, box: Box):
+    # Predictor along the tangent, then Newton on the shooting residual
+    # plus the arclength condition, retried once at half the step (a second
+    # failure propagates).  Returns the new point or a termination.
+    for retry, step in enumerate((ds, 0.5 * ds)):
+        z_pred = z + step * tangent
+        if z_pred[0] < 0.0:
+            return "lambda_boundary"
+        aug = lambda w: np.concatenate([shoot_fn(w), [float(tangent @ (w - z_pred))]])
+        try:
+            w = newton_solve(aug, None, z_pred, _CORRECTOR)
+        except (NoConvergenceError, SingularJacobianError):
+            if retry:
+                raise
+            continue
+        if w[0] < 0.0:
+            return "lambda_boundary"
+        return w if box.contains(w) else "left_box"
+
+
 def continue_branch(
     prob,
     seed,
@@ -502,80 +518,49 @@ def continue_branch(
     (not 0) with the trivial state as predictor, because the period map at
     ``lam = 0`` may be the identity.  ``lam`` is clamped to be nonnegative
     and the march direction starts toward increasing ``lam``.
+
+    A bad seed, box or ``ds`` raises.  Once the trivial pair exists the
+    branch always comes back with the pairs traced so far and its
+    termination: ``budget`` (all ``nsteps`` steps taken), ``left_box``,
+    ``lambda_boundary`` (a step would go below ``lam = 0``) or
+    ``solver_failure`` (any :class:`DaecontError` of a later step).
     """
     runner = _ShootingRunner(prob, integration_steps)
     seed = np.atleast_1d(np.asarray(seed, dtype=float))
-    cmap = candidate_map(runner.sys)
-    if norm_inf(cmap(seed)) > SEED_TOL:
-        raise SeedRejectedError(
-            f"seed is not a candidate-map zero (residual {norm_inf(cmap(seed)):.3e})"
-        )
+    seed_residual = norm_inf(candidate_map(runner.sys)(seed))
+    if seed_residual > SEED_TOL:
+        raise SeedRejectedError(f"seed is not a candidate-map zero (residual {seed_residual:.3e})")
     if box.dim != 1 + runner.state_dim:
         raise ValueError(
             f"continuation box must live in (lam, state) space of dim {1 + runner.state_dim}"
         )
-    pairs = [_trivial_tpair(runner, seed)]
-    m = prob.m
-    state_seed = np.concatenate([seed[:m], np.zeros(runner.state_dim - m)])
+    if not ds > 0:
+        raise ValueError(f"continuation step ds must be positive, got {ds!r}")
     ds = float(ds)
-
-    # First step: fixed lam = ds, correct the state only.
-    cfg = NewtonConfig(max_iters=25, tol_residual=1e-10)
-    first_res = lambda st: runner.shoot(ds, st)
-    try:
-        state1 = newton_solve(first_res, None, state_seed, cfg)
-    except SingularJacobianError:
-        try:
-            state1 = _least_squares_newton(first_res, state_seed)
-        except NoConvergenceError:
-            return Branch(pairs=pairs, seed=seed, termination="solver_failure", ds=ds, state_dim=prob.m)
-    except NoConvergenceError:
-        return Branch(pairs=pairs, seed=seed, termination="solver_failure", ds=ds, state_dim=prob.m)
-    pairs.append(runner.make_tpair(ds, state1))
-
-    z_prev = np.concatenate([[0.0], state_seed])
-    z = np.concatenate([[ds], state1])
-    chord = z - z_prev
-    tangent = chord / np.sqrt(chord @ chord) if norm_inf(chord) > 0 else np.eye(z.size)[0]
-    shoot_fn = lambda w: runner.shoot(w[0], w[1:])
+    pairs = [_trivial_tpair(runner, seed)]
     termination = "budget"
-    for _ in range(nsteps - 1):
-        tangent = _branch_tangent(shoot_fn, z, tangent)
-        accepted = None
-        step = ds
-        for _ in range(2):  # one halved retry on corrector failure
-            z_pred = z + step * tangent
-            if z_pred[0] < 0.0:
-                accepted = "lambda_boundary"
-                break
-            aug = lambda w: np.concatenate(
-                [shoot_fn(w), [float(tangent @ (w - z_pred))]]
-            )
-            try:
-                w = newton_solve(aug, None, z_pred, NewtonConfig(max_iters=15, tol_residual=1e-10))
-                accepted = w
-                break
-            except (NoConvergenceError, SingularJacobianError):
-                step *= 0.5
-        if accepted is None:
-            termination = "solver_failure"
-            break
-        if isinstance(accepted, str):
-            termination = accepted
-            break
-        w = accepted
-        if w[0] < 0.0:
-            termination = "lambda_boundary"
-            break
-        if not box.contains(w):
-            termination = "left_box"
-            break
+    try:
+        # First step: fixed lam = ds, correct the state only.
+        state_seed = np.concatenate([seed[: prob.m], np.zeros(runner.state_dim - prob.m)])
+        first_res = lambda st: runner.shoot(ds, st)
         try:
-            pairs.append(runner.make_tpair(w[0], w[1:]))
-        except NoConvergenceError:
-            termination = "solver_failure"
-            break
-        z_prev, z = z, w
+            state1 = newton_solve(first_res, None, state_seed, _FIRST_STEP)
+        except SingularJacobianError:
+            state1 = _least_squares_newton(first_res, state_seed)
+        pairs.append(runner.make_tpair(ds, state1))
+        z = np.concatenate([[ds], state1])
+        chord = z - np.concatenate([[0.0], state_seed])
+        tangent = chord / np.sqrt(chord @ chord)
+        shoot_fn = lambda w: runner.shoot(w[0], w[1:])
+        for _ in range(nsteps - 1):
+            tangent = _branch_tangent(shoot_fn, z, tangent)
+            z = _arclength_step(shoot_fn, z, tangent, ds, box)
+            if isinstance(z, str):
+                termination = z
+                break
+            pairs.append(runner.make_tpair(z[0], z[1:]))
+    except DaecontError:
+        termination = "solver_failure"
     return Branch(pairs=pairs, seed=seed, termination=termination, ds=ds, state_dim=prob.m)
 
 

@@ -176,6 +176,11 @@ class TestIntegrate:
     (["continue", "rotating_surface", "--lam-max", "nan"], "lam-max"),
     (["lemmas", "--count", "-2"], "count"),
     (["lemmas", "--seed", "-1"], "seed"),
+    # sizes that would run for hours or exhaust memory are rejected before any work
+    (["integrate", "rotating_surface", "--h", "1e-300"], "more than 100000 steps"),
+    (["continue", "rotating_surface", "--h", "5e-324"], "more than 100000 steps"),
+    (["check", "rotating_surface", "--grid", "100000000000"], "grid must be at most"),
+    (["degree", "rotating_surface", "--zero-grid", "1000000"], "zero-grid"),
 ])
 def test_bad_input_is_usage_error(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:
@@ -190,7 +195,43 @@ def test_lam_max_may_be_infinite():
     assert args.lam_max == float("inf")
 
 
+def overflowing_problem(tmp_path, forcing):
+    # rotating_surface with the forcing rows replaced
+    path = tmp_path / "overflow.prob"
+    path.write_text(problem_text("rotating_surface").replace("cos(t) - x1\n-x2", forcing))
+    return str(path)
+
+
+class TestModelFailure:
+    def test_integrate_overflow_exits_one(self, capsys, tmp_path):
+        prob = overflowing_problem(tmp_path, "exp(1000*x1) - x1\n-x2")
+        code, out, err = run(capsys, "integrate", prob, "--x0", "1,0")
+        assert code == 1 and out == ""
+        assert err.startswith("daecont: NonfiniteResultError: ")
+
+    def test_integrate_domain_error_exits_one(self, capsys, tmp_path):
+        prob = overflowing_problem(tmp_path, "sin(x1^400) - x1\n-x2")
+        with np.errstate(over="ignore"):
+            code, _, err = run(capsys, "integrate", prob, "--x0", "10,0")
+        assert code == 1 and "daecont: NonfiniteResultError: math domain error" in err
+
+    def test_continue_overflow_keeps_trivial_pair(self, capsys, tmp_path):
+        prob = overflowing_problem(tmp_path, "exp(1000*x1) - x1\n-x2")
+        code, out, err = run(capsys, "continue", prob, "--steps", "3")
+        assert code == 0
+        assert "branch: 1 pairs, termination: solver_failure" in err
+        rows = out.splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,0,") and rows[1].endswith(",1")
+
+
 class TestContinue:
+    def test_left_box(self, capsys):
+        code, out, err = run(capsys, "continue", "rotating_surface", "--ds", "0.5",
+                             "--steps", "8", "--radius", "0.3")
+        assert code == 0
+        assert "branch: 2 pairs, termination: left_box" in err
+        assert len(out.splitlines()) == 3
+
     def test_small_branch_csv(self, capsys, tmp_path):
         out_file = tmp_path / "branch.csv"
         code, _, err = run(capsys, "continue", "scalar_linear", "--ds", "0.2",

@@ -15,7 +15,6 @@ from daecont.expressions import (
     Unary,
     Var,
     compile_matrix,
-    compile_scalar,
     compile_vector,
     diff_expr,
     eval_expr,
@@ -99,6 +98,10 @@ class TestEval:
         with pytest.raises(NonfiniteResultError):
             eval_expr(parse_expr("exp(t)"), {"t": 1e4})
 
+    def test_domain_error(self):
+        with pytest.raises(NonfiniteResultError):
+            eval_expr(parse_expr("sin(t)"), {"t": float("inf")})
+
 
 class TestDiff:
     @pytest.mark.parametrize("text", [
@@ -180,13 +183,13 @@ class TestCompile:
         rng = np.random.default_rng(1)
         for _ in range(40):
             ast = _random_ast(rng, depth=4)
-            fn = compile_scalar(ast, "a, b, c", {"a": "a", "b": "b", "c": "c"})
+            fn = compile_vector([ast], "a, b, c", {"a": "a", "b": "b", "c": "c"})
             env = {v: float(rng.uniform(-1.5, 1.5)) for v in ("a", "b", "c")}
             try:
                 expected = eval_expr(ast, env)
             except NonfiniteResultError:
                 continue
-            assert fn(env["a"], env["b"], env["c"]) == expected
+            assert fn(env["a"], env["b"], env["c"])[0] == expected
 
     def test_vector_and_matrix(self):
         vm = {"x1": "x[0]", "x2": "x[1]"}
@@ -196,3 +199,15 @@ class TestCompile:
                               [parse_expr("sin(t)"), parse_expr("cos(t)")]], "t", {"t": "t"})
         t = 0.3
         assert np.allclose(mat(t), [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], atol=0)
+
+    @pytest.mark.parametrize("text, value", [
+        ("exp(1000*x1) - x1", 1.0),  # OverflowError in math.exp
+        ("sin(x1^400) - x1", 10.0),  # numpy power overflows to inf, then a domain error
+    ])
+    def test_compiled_failures_are_nonfinite_results(self, text, value):
+        ast = parse_expr(text)
+        fns = (compile_vector([ast], "x", {"x1": "x[0]"}),
+               compile_matrix([[ast]], "x", {"x1": "x[0]"}))
+        for fn in fns:
+            with pytest.raises(NonfiniteResultError), np.errstate(over="ignore"):
+                fn(np.array([value]))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from daecont import periodic
 from daecont.degree import Box
-from daecont.errors import SeedRejectedError
+from daecont.errors import DaecontError, SeedRejectedError
 from daecont.fixtures import load_fixture
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath
@@ -81,6 +82,12 @@ class TestIntegrate:
         prob = scalar_problem()
         with pytest.raises(ValueError):
             integrate(prob, 1.0, np.array([0.0]), h=1.0)
+
+    @pytest.mark.parametrize("h", [1e-300, 5e-324, TWO_PI / (periodic.MAX_STEPS + 1)])
+    def test_step_count_is_capped(self, h):
+        with pytest.raises(ValueError, match="more than"):
+            integrate(scalar_problem(), 1.0, np.array([0.0]), h=h)
+        assert periodic._steps_for(TWO_PI, TWO_PI / periodic.MAX_STEPS) == periodic.MAX_STEPS
 
     def test_constraint_residual_at_nodes(self):
         prob = load_fixture("rotating_surface")
@@ -240,6 +247,12 @@ class TestContinueBranch:
             assert p.periodicity_residual <= 1e-8
             assert p.constraint_residual <= 1e-10
 
+    @pytest.mark.parametrize("ds", [0.0, -0.1, float("nan")])
+    def test_ds_must_be_positive(self, ds):
+        box = Box(np.array([0.0, -2.0]), np.array([10.0, 2.0]))
+        with pytest.raises(ValueError, match="ds"):
+            continue_branch(load_fixture("scalar_linear"), np.zeros(2), ds, 3, box)
+
     def test_lambda_stays_nonnegative(self):
         prob = load_fixture("scalar_linear")
         box = Box(np.array([0.0, -2.0]), np.array([10.0, 2.0]))
@@ -322,3 +335,69 @@ class TestSecondOrderClosedForm:
         p2 = np.sin(ts) * traj.x[:, 0] + np.cos(ts) * traj.x[:, 1]
         y = traj.y[:, 0]
         assert norm_inf(y**3 + y - p1**2 - 2 * p2**2) <= 1e-9
+
+
+class TestTermination:
+    """How a branch ends once the trivial pair exists."""
+
+    BOX = Box(np.array([0.0, -2.0]), np.array([10.0, 2.0]))
+
+    @staticmethod
+    def lambda_ray():
+        # constants are periodic at every lam: a budget-limited branch
+        prob = scalar_problem(g=lambda p, q: q - p)
+        prob.H = -np.eye(1)
+        return prob
+
+    def test_degenerate_family_ends_in_solver_failure(self, monkeypatch):
+        # x1 decays, x2 is free: every (0, x2) is periodic, so the first
+        # shooting Jacobian, the tangent system and the corrector are all
+        # singular.  The first step is rescued by least squares, the
+        # tangent keeps the chord, and the corrector fails twice.
+        prob = DaeProblem1(
+            m=2, s=1, period=TWO_PI, f=lambda t, x, y: np.array([-x[0], 0.0]),
+            g=lambda p, q: q - p[:1],
+            A=MatrixPath.constant(np.eye(2), TWO_PI),
+            B=MatrixPath.constant(np.eye(1), TWO_PI),
+        )
+        fallbacks = {"least_squares": 0, "kept_tangent": 0}
+        lsq, tangent = periodic._least_squares_newton, periodic._branch_tangent
+
+        def counted_lsq(*args):
+            fallbacks["least_squares"] += 1
+            return lsq(*args)
+
+        def counted_tangent(shoot_fn, z, t_prev):
+            t = tangent(shoot_fn, z, t_prev)
+            fallbacks["kept_tangent"] += t is t_prev
+            return t
+
+        monkeypatch.setattr(periodic, "_least_squares_newton", counted_lsq)
+        monkeypatch.setattr(periodic, "_branch_tangent", counted_tangent)
+        box = Box(np.array([0.0, -2, -2]), np.array([10.0, 2, 2]))
+        branch = continue_branch(prob, np.array([0.3, 0.4, 0.3]), 0.1, 5, box)
+        assert branch.termination == "solver_failure"
+        assert [p.lam for p in branch.pairs] == [0.0, 0.1]
+        assert norm_inf(branch.pairs[1].xi0 - np.array([0.0, 0.4])) <= 1e-9
+        assert fallbacks == {"least_squares": 1, "kept_tangent": 1}
+
+    @pytest.mark.parametrize("owner, name, failing_call, pairs", [
+        (periodic._ShootingRunner, "make_tpair", 1, 1),  # the first step's pair
+        (periodic, "_branch_tangent", 1, 2),
+        (periodic._ShootingRunner, "make_tpair", 3, 3),  # a later step's pair
+    ], ids=["first_pair", "tangent", "later_pair"])
+    def test_error_keeps_traced_pairs(self, monkeypatch, owner, name, failing_call, pairs):
+        original = getattr(owner, name)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise DaecontError("injected")
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, failing)
+        branch = continue_branch(self.lambda_ray(), np.zeros(2), 0.25, 6, self.BOX)
+        assert branch.termination == "solver_failure"
+        assert len(branch.pairs) == pairs
+        assert np.allclose([p.lam for p in branch.pairs], 0.25 * np.arange(pairs), atol=1e-9)
