@@ -14,12 +14,10 @@ file format plus serialization (:mod:`~daecont.probfile`).
 from .degree import (
     Box,
     DegreeCertificate,
-    averaged_map,
     candidate_block,
     candidate_map,
     degree_generic,
     degree_reduced,
-    zeros_of_reduced,
 )
 from .errors import DaecontError
 from .linalg import (

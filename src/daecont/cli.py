@@ -211,7 +211,7 @@ def cmd_check(args) -> int:
     if kind == "path":
         audit = frame_audit(payload, args.grid, args.tol)
         _emit(serialize(audit), args.out)
-        return 0 if (audit.is_orthogonal and audit.right_constant) else 1
+        return 0 if audit.suitable else 1
     problem = build_problem(payload)
     if isinstance(problem, SemiLinearDae):
         report = check_conditions(problem, args.grid)
@@ -231,7 +231,7 @@ def cmd_check(args) -> int:
         return 0 if ok else 1
     audit = frame_audit(problem.A, args.grid, args.tol)
     _emit(serialize(audit), args.out)
-    return 0 if (audit.is_orthogonal and audit.right_constant) else 1
+    return 0 if audit.suitable else 1
 
 
 def _random_skew(rng, dim):

@@ -13,8 +13,7 @@ that suggest an unlocated zero all raise instead of returning a number.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .linalg import (
     quadrature_periodic,
     solve_linear,
 )
-from .transform import DaeProblem1, DaeProblem2, TransformedSystem, fixed_frame
+from .transform import TransformedSystem
 
 __all__ = [
     "Box",
@@ -45,10 +44,8 @@ __all__ = [
     "candidate_block",
     "candidate_map",
     "locate_zeros",
-    "zeros_of_reduced",
     "degree_reduced",
     "degree_generic",
-    "averaged_map",
     "averaged_map_fn",
     "averaged_map_audit",
 ]
@@ -98,27 +95,10 @@ class Box:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def boundary_samples(self, grid: int) -> np.ndarray:
-        """Sample points on every face, ``grid`` per tangential axis."""
-        pts = []
-        for axis in range(self.dim):
-            others = [np.linspace(self.lower[i], self.upper[i], grid) for i in range(self.dim)
-                      if i != axis]
-            if others:
-                mesh = np.meshgrid(*others, indexing="ij")
-                tang = np.stack([m.ravel() for m in mesh], axis=-1)
-            else:
-                tang = np.zeros((1, 0))
-            for value in (self.lower[axis], self.upper[axis]):
-                block = np.empty((tang.shape[0], self.dim))
-                block[:, axis] = value
-                block[:, [i for i in range(self.dim) if i != axis]] = tang
-                pts.append(block)
-        return np.vstack(pts)
-
-    def sub_box(self, idx: Sequence[int]) -> "Box":
-        idx = list(idx)
-        return Box(self.lower[idx], self.upper[idx])
+    def face_mask(self, grid: int) -> np.ndarray:
+        """Which rows of ``lattice(grid)`` lie on a face of the box."""
+        index = np.indices((grid,) * self.dim).reshape(self.dim, -1)
+        return np.any((index == 0) | (index == grid - 1), axis=0)
 
 
 @dataclass(frozen=True)
@@ -141,7 +121,6 @@ class DegreeCertificate:
     zeros: List[ZeroRecord]
     boundary_margin: float
     method: str
-    box: Box = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -153,10 +132,11 @@ class DegreeCertificate:
         }
 
 
-def _boundary_margin(fun, box: Box, grid: int) -> float:
+def _boundary_margin(face_values) -> float:
+    # Least map norm over the lattice nodes on the faces of the box.
     margin = np.inf
-    for pt in box.boundary_samples(grid):
-        margin = min(margin, norm_inf(fun(pt)))
+    for value in face_values:
+        margin = min(margin, norm_inf(value))
     if margin <= 1e-12:
         raise BoundaryZeroError(f"map vanishes on the sampled boundary (margin {margin:.3e})")
     return float(margin)
@@ -191,10 +171,15 @@ def _polish_and_classify(fun, jac, x: np.ndarray, box: Box):
                       residual=float(norm_inf(r)))
 
 
-def _find_zeros(fun, jac, box: Box, grid: int):
-    cfg = NewtonConfig(max_iters=60, tol_residual=1e-12)
+def _survey(fun, box: Box, grid: int):
+    # The seed lattice and the map values on it, evaluated once.
     lattice = box.lattice(grid)
-    values = np.array([np.atleast_1d(fun(p)) for p in lattice])
+    return lattice, np.array([fun(p) for p in lattice])
+
+
+def _find_zeros(fun, jac, box: Box, grid: int, survey=None):
+    cfg = NewtonConfig(max_iters=60, tol_residual=1e-12)
+    lattice, values = _survey(fun, box, grid) if survey is None else survey
     found: List[np.ndarray] = []
     for seed in lattice:
         try:
@@ -269,19 +254,9 @@ def candidate_block(sys: TransformedSystem) -> np.ndarray:
     return -m2 if np.array_equal(sys.D0, -m2) else sys.D0
 
 
-def candidate_map(sys) -> Callable[[np.ndarray], np.ndarray]:
-    """Finite-dimensional map whose zeros seed branches of periodic pairs.
-
-    The map is ``(C xi, g(xi, eta))`` with ``C`` the
-    :func:`candidate_block`.  Accepts a problem (the frame hypotheses are
-    audited by the transformation) or an already-transformed system.
-    """
-    if isinstance(sys, (DaeProblem1, DaeProblem2)):
-        sys = fixed_frame(sys)
-    if not isinstance(sys, TransformedSystem):
-        raise TypeError(f"cannot build a candidate map from {type(sys).__name__}")
-    m, g = sys.m, sys.g
-    block = candidate_block(sys)
+def _block_map(block: np.ndarray, g) -> Callable[[np.ndarray], np.ndarray]:
+    # z = (xi, eta) -> (block @ xi, g(xi, eta))
+    m = block.shape[0]
 
     def the_map(z):
         z = np.asarray(z, dtype=float)
@@ -290,28 +265,14 @@ def candidate_map(sys) -> Callable[[np.ndarray], np.ndarray]:
     return the_map
 
 
-def zeros_of_reduced(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    box_q: Box,
-    grid: int = DEFAULT_GRID,
-    *,
-    m: Optional[int] = None,
-    d2g: Optional[Callable] = None,
-) -> List[ZeroRecord]:
-    """Zeros of the section ``q -> g(0, q)`` inside ``box_q``, with signs.
+def candidate_map(sys: TransformedSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """Finite-dimensional map whose zeros seed branches of periodic pairs.
 
-    Multistart Newton from a uniform grid, dedup at 1e-6; each zero
-    carries the orientation sign of ``dg/dq`` there.  ``m`` is the
-    dimension of the zero first argument (defaults to the box dimension).
+    The map is ``(C xi, g(xi, eta))`` with ``C`` the
+    :func:`candidate_block` of the transformed system (see
+    :func:`~daecont.transform.fixed_frame`).
     """
-    m = box_q.dim if m is None else m
-    zero_p = np.zeros(m)
-    fun = lambda q: np.atleast_1d(np.asarray(g(zero_p, q), dtype=float))
-    if d2g is not None:
-        jac = lambda q: np.atleast_2d(np.asarray(d2g(zero_p, q), dtype=float))
-    else:
-        jac = lambda q: fd_jacobian(fun, q)
-    return _find_zeros(fun, jac, box_q, grid)
+    return _block_map(candidate_block(sys), sys.g)
 
 
 def degree_reduced(
@@ -326,39 +287,40 @@ def degree_reduced(
 
     With ``M`` nonsingular the zeros confine to ``xi = 0`` and the degree
     factors as ``sign(det M)`` times the sum of the orientation signs of
-    the section zeros.  (The linear block contributes its orientation
-    sign; any nonzero ``|det M|`` scales the map without changing the
-    count.)
+    the zeros of the section ``eta -> g(0, eta)``, located on the
+    ``eta`` block of ``box`` like :func:`locate_zeros` (with ``d2g`` as
+    the section Jacobian when given).  (The linear block contributes its
+    orientation sign; any nonzero ``|det M|`` scales the map without
+    changing the count.)
     """
     m_mat = np.atleast_2d(np.asarray(m_mat, dtype=float))
     m = m_mat.shape[0]
     det_m = determinant(m_mat)
     if det_m == 0.0:
         raise SingularMatrixError("reduction shortcut needs a nonsingular linear block")
-    s = box.dim - m
-    if s < 1:
+    if box.dim - m < 1:
         raise ValueError("box must cover both state blocks")
-    box_q = box.sub_box(range(m, m + s))
-    zeros = zeros_of_reduced(g, box_q, grid, m=m, d2g=d2g)
+    zero_p = np.zeros(m)
+    section = lambda q: np.atleast_1d(np.asarray(g(zero_p, q), dtype=float))
+    if d2g is None:
+        jac = lambda q: fd_jacobian(section, q)
+    else:
+        jac = lambda q: np.atleast_2d(np.asarray(d2g(zero_p, q), dtype=float))
+    zeros = _find_zeros(section, jac, Box(box.lower[m:], box.upper[m:]), grid)
+    full_map = _block_map(m_mat, g)
+    margin = _boundary_margin(full_map(p) for p in box.lattice(grid)[box.face_mask(grid)])
     sign_m = 1 if det_m > 0 else -1
-    degree = sign_m * sum(z.sign for z in zeros)
-
-    def full_map(z):
-        z = np.asarray(z, dtype=float)
-        return np.concatenate([m_mat @ z[:m], np.atleast_1d(g(z[:m], z[m:]))])
-
-    margin = _boundary_margin(full_map, box, grid)
     full_zeros = [
         ZeroRecord(
-            point=np.concatenate([np.zeros(m), z.point]),
+            point=np.concatenate([zero_p, z.point]),
             sign=sign_m * z.sign,
             det=det_m * z.det,
             residual=z.residual,
         )
         for z in zeros
     ]
-    return DegreeCertificate(degree=int(degree), zeros=full_zeros, boundary_margin=margin,
-                             method="reduced", box=box)
+    return DegreeCertificate(degree=int(sign_m * sum(z.sign for z in zeros)), zeros=full_zeros,
+                             boundary_margin=margin, method="reduced")
 
 
 def degree_generic(
@@ -370,37 +332,29 @@ def degree_generic(
 
     Locates all zeros by multistart Newton from a uniform lattice,
     verifies each is regular and interior, and sums orientation signs.
-    Raises rather than guessing whenever the evidence is inconclusive.
+    One pass over the lattice gives both the seeds' sign pattern and the
+    boundary margin (its nodes on the faces of the box).  Raises rather
+    than guessing whenever the evidence is inconclusive.
     """
     wrapped = lambda z: np.atleast_1d(np.asarray(fun(z), dtype=float))
     jac = lambda z: fd_jacobian(wrapped, z)
-    margin = _boundary_margin(wrapped, box, grid)
-    zeros = _find_zeros(wrapped, jac, box, grid)
+    survey = _survey(wrapped, box, grid)
+    margin = _boundary_margin(survey[1][box.face_mask(grid)])
+    zeros = _find_zeros(wrapped, jac, box, grid, survey)
     return DegreeCertificate(
         degree=int(sum(z.sign for z in zeros)),
         zeros=zeros,
         boundary_margin=margin,
         method="generic",
-        box=box,
     )
 
 
-def averaged_map_fn(prob, quad_n: int = 64, *, warn: bool = True) -> Callable:
+def averaged_map_fn(prob, quad_n: int = 64) -> Callable:
     """Averaged map ``(mean_t of conjugated forcing, g)`` as a callable.
 
-    Meaningful as a branch-seeding map when the frame product ``M``
-    vanishes; a nonzero ``M`` triggers a warning (not an error), so the
-    map stays computable for diagnostics on drifting frames.
+    The branch-seeding map when the drift ``D0 = H - M`` of the
+    transformed system vanishes (see :func:`~daecont.periodic.branch_seeds`).
     """
-    from .paths import frame_audit  # local import keeps module deps one-way
-
-    audit = frame_audit(prob.A)
-    if warn and norm_inf(audit.M) > audit.tol:
-        warnings.warn(
-            f"averaged map requested with nonzero frame product (||M|| = {norm_inf(audit.M):.3e}); "
-            "the seeding theory behind it assumes M = 0",
-            stacklevel=3,
-        )
     a_path, b_path, f, g = prob.A, prob.B, prob.f, prob.g
     m = prob.m
     second_order = getattr(prob, "order", 1) == 2
@@ -423,11 +377,6 @@ def averaged_map_fn(prob, quad_n: int = 64, *, warn: bool = True) -> Callable:
     return omega
 
 
-def averaged_map(prob, point, quad_n: int = 64) -> np.ndarray:
-    """Evaluate the averaged map at one point (see :func:`averaged_map_fn`)."""
-    return averaged_map_fn(prob, quad_n)(np.asarray(point, dtype=float))
-
-
 def averaged_map_audit(
     prob,
     probes: Sequence[np.ndarray],
@@ -441,10 +390,8 @@ def averaged_map_audit(
     its deviation is recorded as well (reported, not asserted, since a
     shipped reference may itself be unverified).
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        coarse = averaged_map_fn(prob, quad_ns[0], warn=False)
-        fine = averaged_map_fn(prob, quad_ns[1], warn=False)
+    coarse = averaged_map_fn(prob, quad_ns[0])
+    fine = averaged_map_fn(prob, quad_ns[1])
     rows = []
     quad_gap = 0.0
     ref_gap = 0.0

@@ -209,6 +209,11 @@ class FrameAudit:
     def left_constant(self) -> bool:
         return self.left_constancy <= self.tol
 
+    @property
+    def suitable(self) -> bool:
+        """Orthogonal with a constant right product: a frame the fixed-frame form accepts."""
+        return self.is_orthogonal and self.right_constant
+
     def to_dict(self) -> dict:
         return {
             "orthogonality_residual": self.orthogonality,
@@ -324,12 +329,10 @@ def lemma_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, *, strict: bool
     is meaningful.  ``strict=True`` raises in that situation instead.
     """
     audit = frame_audit(path, grid_size)
-    pre_tol = 1e-8 if path.analytic else 1e-5
-    pre_ok = audit.orthogonality <= pre_tol and audit.right_constancy <= pre_tol
-    if strict and not pre_ok:
+    if strict and not audit.suitable:
         raise HypothesisViolatedError(
             f"identity audit preconditions failed: orthogonality {audit.orthogonality:.3e}, "
-            f"right constancy {audit.right_constancy:.3e} (tol {pre_tol:.1e})"
+            f"right constancy {audit.right_constancy:.3e} (tol {audit.tol:.1e})"
         )
     times = _grid_times(path, grid_size)
     m2 = audit.M @ audit.M

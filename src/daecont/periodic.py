@@ -33,6 +33,7 @@ from .degree import Box, ZeroRecord, averaged_map_fn, candidate_map, locate_zero
 from .errors import (
     DaecontError,
     NoConvergenceError,
+    NonfiniteResultError,
     SeedRejectedError,
     SingularJacobianError,
     SingularMatrixError,
@@ -131,8 +132,6 @@ class Branch:
     pairs: List[TPair]
     seed: np.ndarray
     termination: str
-    ds: float = 0.0
-    state_dim: int = 0  # xi0 column count when pairs is empty
 
 
 def _solve_constraint(g, jac, q0):
@@ -140,13 +139,17 @@ def _solve_constraint(g, jac, q0):
     # no globalization is needed once seeded on the right branch.  A warm
     # start inside the absolute tolerance still gets one polish iteration:
     # skipping it leaves an O(tol) error that unstable flows can amplify
-    # far past the tolerance of the differential block.
+    # far past the tolerance of the differential block.  A non-finite
+    # residual (a model value overflowed or divided by zero) ends the solve
+    # at once: Newton cannot recover from it.
     q = np.atleast_1d(np.asarray(q0, dtype=float)).copy()
     r = np.atleast_1d(g(q))
     rn = np.abs(r).max()
     for iteration in range(CONSTRAINT_SOLVE_MAX_ITER):
         if rn == 0.0 or (rn <= CONSTRAINT_SOLVE_TOL and iteration > 0):
             return q
+        if not rn < np.inf:
+            raise NonfiniteResultError(f"constraint residual is {rn}: a model value is not finite")
         try:
             q = q - solve_linear(np.atleast_2d(jac(q)), r)
         except SingularMatrixError:
@@ -561,7 +564,7 @@ def continue_branch(
             pairs.append(runner.make_tpair(z[0], z[1:]))
     except DaecontError:
         termination = "solver_failure"
-    return Branch(pairs=pairs, seed=seed, termination=termination, ds=ds, state_dim=prob.m)
+    return Branch(pairs=pairs, seed=seed, termination=termination)
 
 
 def branch_seeds(prob, box: Box, grid: int = 5, quad_n: int = 64) -> List[ZeroRecord]:
@@ -574,7 +577,7 @@ def branch_seeds(prob, box: Box, grid: int = 5, quad_n: int = 64) -> List[ZeroRe
     """
     sys = fixed_frame(prob)
     if norm_inf(sys.D0) <= 1e-8:
-        fun = averaged_map_fn(prob, quad_n, warn=False)
+        fun = averaged_map_fn(prob, quad_n)
     else:
         fun = candidate_map(sys)
     return locate_zeros(fun, box, grid)

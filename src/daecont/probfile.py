@@ -540,7 +540,7 @@ def branch_to_csv(branch: Branch) -> str:
     Columns: step, lambda, xi0_1..m, sup_norm_x, sup_norm_y,
     periodicity_residual, constraint_residual, trivial_flag.
     """
-    m = branch.pairs[0].xi0.size if branch.pairs else branch.state_dim
+    m = branch.pairs[0].xi0.size
     header = ["step", "lambda"] + [f"xi0_{k}" for k in range(1, m + 1)] + [
         "sup_norm_x", "sup_norm_y", "periodicity_residual",
         "constraint_residual", "trivial_flag",

@@ -208,12 +208,12 @@ def reduce_semilinear(
     When ``F3`` fails the orthogonal-frame audit the problem is still
     returned but marked ``frame_suitable=False`` (outside the scope of the
     fixed-frame machinery; integration in raw mode still works).
+    A given ``report`` supplies ``P``, ``Q``, ``sigma`` and the rank;
+    without one, :func:`check_conditions` runs first.
     """
-    p, sigma, q, r = _rank_checked_svd(dae)
     if report is None:
-        report = _check_with(dae, p, sigma, q, r, grid)
-    else:
-        p, q, sigma, r = report.P, report.Q, report.sigma, report.rank
+        report = check_conditions(dae, grid)
+    p, q, sigma, r = report.P, report.Q, report.sigma, report.rank
     if not report.conditions_hold:
         raise ConditionsViolatedError(
             "reduction conditions failed: "
@@ -250,8 +250,5 @@ def reduce_semilinear(
         d2g=lambda pp, qq: eye_r,
         name=(dae.name + "_reduced") if dae.name else "reduced",
     )
-    audit = frame_audit(a_path, grid)
-    prob.frame_suitable = (
-        audit.orthogonality <= audit.tol and audit.right_constancy <= audit.tol
-    )
+    prob.frame_suitable = frame_audit(a_path, grid).suitable
     return prob

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import HypothesisViolatedError
 from .linalg import fd_jacobian, norm_inf, solve_linear
-from .paths import MatrixPath, frame_audit, inverse_derivative
+from .paths import DEFAULT_GRID, MatrixPath, frame_audit, inverse_derivative
 
 __all__ = [
     "DaeProblem1",
@@ -116,8 +116,8 @@ class DaeProblem2:
         return rhs
 
 
-def _check_frame(prob, grid: int, tol: Optional[float]):
-    audit = frame_audit(prob.A, grid, tol)
+def _check_frame(prob):
+    audit = frame_audit(prob.A)
     if audit.orthogonality > audit.tol:
         raise HypothesisViolatedError(
             f"frame path is not orthogonal: residual {audit.orthogonality:.3e} > {audit.tol:.1e}"
@@ -135,10 +135,10 @@ def _check_frame(prob, grid: int, tol: Optional[float]):
     return audit
 
 
-def _check_commutation(h: np.ndarray, path: MatrixPath, grid: int, tol: float, label: str):
+def _check_commutation(h: np.ndarray, path: MatrixPath, tol: float, label: str):
     worst = 0.0
-    for k in range(grid):
-        t = k * path.period / grid
+    for k in range(DEFAULT_GRID):
+        t = k * path.period / DEFAULT_GRID
         a = path(t)
         worst = max(worst, norm_inf(h @ a - a @ h))
     if worst > tol:
@@ -169,7 +169,6 @@ class TransformedSystem:
     A: MatrixPath
     B: MatrixPath
     M: np.ndarray
-    problem: object = None
 
     def drive(self, t, xi, eta, *args):
         """Right-hand side of the differential part in frame coordinates.
@@ -212,11 +211,11 @@ class TransformedSystem:
         return xi, eta, self.A(t, 1) @ x + a @ xdot
 
 
-def _transform(prob, grid, tol, validate, labels, drifts, forcing) -> TransformedSystem:
+def _transform(prob, validate, labels, drifts, forcing) -> TransformedSystem:
     # Shared body of both transforms: audit the frame and the commutation
     # of each named drift matrix (zero when absent) with A, then build the
     # system with ``drifts(M, *drift_matrices) -> (D0, D1)``.
-    audit = _check_frame(prob, grid, tol) if validate else frame_audit(prob.A, grid, tol)
+    audit = _check_frame(prob) if validate else frame_audit(prob.A)
     mats = []
     for label in labels:
         h = getattr(prob, label)
@@ -225,7 +224,7 @@ def _transform(prob, grid, tol, validate, labels, drifts, forcing) -> Transforme
         else:
             h = np.asarray(h, dtype=float)
             if validate:
-                _check_commutation(h, prob.A, grid, audit.tol, label)
+                _check_commutation(h, prob.A, audit.tol, label)
         mats.append(h)
     d0, d1 = drifts(audit.M, *mats)
     return TransformedSystem(
@@ -242,7 +241,6 @@ def _transform(prob, grid, tol, validate, labels, drifts, forcing) -> Transforme
         A=prob.A,
         B=prob.B,
         M=audit.M,
-        problem=prob,
     )
 
 
@@ -251,13 +249,7 @@ def fixed_frame(prob) -> TransformedSystem:
     return fixed_frame_first(prob) if prob.order == 1 else fixed_frame_second(prob)
 
 
-def fixed_frame_first(
-    prob: DaeProblem1,
-    grid: int = 64,
-    tol: Optional[float] = None,
-    *,
-    validate: bool = True,
-) -> TransformedSystem:
+def fixed_frame_first(prob: DaeProblem1, *, validate: bool = True) -> TransformedSystem:
     """Transform a first-order problem into its fixed-frame form.
 
     Audits the frame hypotheses (orthogonality, product constancy,
@@ -270,16 +262,10 @@ def fixed_frame_first(
         a = a_path(t)
         return a @ np.asarray(f(t, a.T @ xi, solve_linear(b_path(t), eta)), dtype=float)
 
-    return _transform(prob, grid, tol, validate, ("H",), lambda m, h: (h - m, None), forcing)
+    return _transform(prob, validate, ("H",), lambda m, h: (h - m, None), forcing)
 
 
-def fixed_frame_second(
-    prob: DaeProblem2,
-    grid: int = 64,
-    tol: Optional[float] = None,
-    *,
-    validate: bool = True,
-) -> TransformedSystem:
+def fixed_frame_second(prob: DaeProblem2, *, validate: bool = True) -> TransformedSystem:
     """Transform a second-order problem into its fixed-frame form.
 
     The second-derivative product ``A @ d2A.T`` of an orthogonal path
@@ -301,10 +287,10 @@ def fixed_frame_second(
     def drifts(m, h1, h2):
         return h1 @ m + h2 - m @ m, h1 - 2.0 * m
 
-    return _transform(prob, grid, tol, validate, ("H1", "H2"), drifts, forcing)
+    return _transform(prob, validate, ("H1", "H2"), drifts, forcing)
 
 
-def c_frame_drifts(c_path: MatrixPath, grid: int = 64, tol: Optional[float] = None):
+def c_frame_drifts(c_path: MatrixPath):
     """Constant drifts induced by differentiating ``C(t) x`` twice in time.
 
     For an orthogonal path with constant products, ``K1 = mean(C.T @ dC)``
@@ -312,8 +298,8 @@ def c_frame_drifts(c_path: MatrixPath, grid: int = 64, tol: Optional[float] = No
     ``d2/dt2 (C x)`` then yields the drift pair ``H1 = -2 K1`` and
     ``H2 = K1^2``, both commuting with any matrix that commutes with K1.
     """
-    audit = frame_audit(c_path, grid, tol)
-    if audit.orthogonality > audit.tol or audit.right_constancy > audit.tol:
+    audit = frame_audit(c_path)
+    if not audit.suitable:
         raise HypothesisViolatedError(
             f"drift path fails the frame audit: orthogonality {audit.orthogonality:.3e}, "
             f"constancy {audit.right_constancy:.3e} (tol {audit.tol:.1e})"

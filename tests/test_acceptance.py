@@ -22,7 +22,7 @@ from daecont.linalg import norm_inf, solve_linear
 from daecont.paths import MatrixPath, frame_audit, lemma_audit
 from daecont.periodic import find_tpair, integrate
 from daecont.semilinear import check_conditions, reduce_semilinear
-from daecont.transform import fixed_frame_second
+from daecont.transform import fixed_frame, fixed_frame_second
 from oracles import rk4_step
 
 
@@ -87,7 +87,7 @@ def test_criterion_3_degree_agreement():
         box = Box.cube(2.0, 3)
         m_mat = np.array([[0.0, 1.0], [-1.0, 0.0]])
         cert_r = degree_reduced(m_mat, prob.g, box, d2g=prob.g_jac2)
-        cert_g = degree_generic(candidate_map(prob), box)
+        cert_g = degree_generic(candidate_map(fixed_frame(prob)), box)
         assert cert_r.degree == 1 and cert_g.degree == 1
         rng = np.random.default_rng(7)
         for _ in range(20):

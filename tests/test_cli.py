@@ -103,6 +103,14 @@ class TestDegree:
         assert "HypothesisViolated" in err
 
 
+    @pytest.mark.parametrize("name", ["commuting_h", "rotating_surface",
+                                      "rotating_surface_2nd", "semilinear_4x4"])
+    def test_both_methods_match_golden(self, capsys, name):
+        code, out, err = run(capsys, "degree", name, "--method", "both")
+        assert code == 0 and err == ""
+        assert out == (GOLDEN_DIR / f"degree_{name}.json").read_text()
+
+
 class TestReduce:
     def test_emits_problem_and_report(self, capsys, tmp_path):
         out_file = tmp_path / "reduced.prob"
@@ -214,6 +222,17 @@ class TestModelFailure:
         with np.errstate(over="ignore"):
             code, _, err = run(capsys, "integrate", prob, "--x0", "10,0")
         assert code == 1 and "daecont: NonfiniteResultError: math domain error" in err
+
+    @pytest.mark.parametrize("forcing, x0", [("x1^400 - x1\n-x2", "10,0"),
+                                             ("1/x2 - x1\n-x2", "1,0")])
+    def test_integrate_nonfinite_state_names_cause(self, capsys, tmp_path, forcing, x0):
+        # numpy scalars overflow or divide by zero to inf without raising;
+        # the constraint solve that meets the non-finite value reports it
+        prob = overflowing_problem(tmp_path, forcing)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "integrate", prob, "--x0", x0)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1].startswith("daecont: NonfiniteResultError: ")
 
     def test_continue_overflow_keeps_trivial_pair(self, capsys, tmp_path):
         prob = overflowing_problem(tmp_path, "exp(1000*x1) - x1\n-x2")

@@ -3,14 +3,13 @@ import pytest
 
 from daecont.degree import (
     Box,
-    averaged_map,
     averaged_map_audit,
+    averaged_map_fn,
     candidate_block,
     candidate_map,
     degree_generic,
     degree_reduced,
     locate_zeros,
-    zeros_of_reduced,
 )
 from daecont.errors import (
     BoundaryZeroError,
@@ -40,10 +39,20 @@ class TestBox:
 
     def test_lattice_and_boundary_shapes(self):
         box = Box.cube(1.0, 2)
-        assert box.lattice(5).shape == (25, 2)
-        samples = box.boundary_samples(5)
-        assert samples.shape == (20, 2)
-        assert all(box.boundary_distance(p) == 0.0 for p in samples)
+        lattice = box.lattice(5)
+        assert lattice.shape == (25, 2)
+        faces = lattice[box.face_mask(5)]
+        assert len({tuple(p) for p in faces}) == len(faces) == 16
+        assert all(box.boundary_distance(p) == 0.0 for p in faces)
+        assert all(box.boundary_distance(p) > 0.0 for p in lattice[~box.face_mask(5)])
+
+    @pytest.mark.parametrize("dim, grid", [(1, 2), (1, 9), (3, 4), (3, 9)])
+    def test_face_mask_counts(self, dim, grid):
+        # grid^dim lattice nodes, (grid - 2)^dim of them interior
+        box = Box.cube(2.0, dim)
+        mask = box.face_mask(grid)
+        assert mask.shape == (grid**dim,)
+        assert mask.sum() == grid**dim - (grid - 2) ** dim
 
     @pytest.mark.parametrize("grid", [0, 1])
     def test_lattice_needs_two_points_per_axis(self, grid):
@@ -70,7 +79,7 @@ class TestCandidateMap:
 
     def test_rotating_surface(self):
         prob = load_fixture("rotating_surface")
-        cmap = candidate_map(prob)
+        cmap = candidate_map(fixed_frame(prob))
         # first block is M xi = (xi2, -xi1); second the surface constraint
         z = np.array([0.3, -0.7, 0.2])
         val = cmap(z)
@@ -88,14 +97,14 @@ class TestCandidateMap:
             B=MatrixPath.constant(np.eye(1), 2 * np.pi),
             H=np.eye(2),
         )
-        cmap = candidate_map(prob)
+        cmap = candidate_map(fixed_frame(prob))
         z = np.array([0.4, -0.2, 0.9])
         # with a drift, the first block is D0 = H - M = I
         assert norm_inf(cmap(z) - np.array([0.4, -0.2, 0.9])) <= 1e-12
 
     def test_second_order_uses_minus_m_squared(self):
         prob = load_fixture("rotating_surface_2nd")
-        cmap = candidate_map(prob)
+        cmap = candidate_map(fixed_frame(prob))
         z = np.array([0.5, 0.25, 0.0])
         val = cmap(z)
         # -M^2 = I for the rotation frame
@@ -103,22 +112,32 @@ class TestCandidateMap:
 
 
 class TestZerosOfReduced:
+    # Zeros of the section q -> g(0, q): located directly, and as the
+    # eta block of the reduction shortcut's zeros (at xi = 0, identity block).
+    @staticmethod
+    def section_zeros(g, radius):
+        located = locate_zeros(lambda q: g(np.zeros(1), q), Box.cube(radius, 1))
+        cert = degree_reduced(np.eye(1), g, Box.cube(radius, 2))
+        assert [tuple(z.point) for z in cert.zeros] == [(0.0, z.point[0]) for z in located]
+        assert [z.sign for z in cert.zeros] == [z.sign for z in located]
+        return located
+
     def test_cubic_single_zero(self):
-        zs = zeros_of_reduced(lambda p, q: q**3 + q, Box.cube(2.0, 1), m=1)
+        zs = self.section_zeros(lambda p, q: q**3 + q, 2.0)
         assert len(zs) == 1
         assert abs(zs[0].point[0]) <= 1e-10
         assert zs[0].sign == 1
 
     def test_linear(self):
-        zs = zeros_of_reduced(lambda p, q: q, Box.cube(1.0, 1), m=1)
+        zs = self.section_zeros(lambda p, q: q, 1.0)
         assert len(zs) == 1 and zs[0].sign == 1
 
     def test_quintic(self):
-        zs = zeros_of_reduced(lambda p, q: q**5 + q, Box.cube(2.0, 1), m=1)
+        zs = self.section_zeros(lambda p, q: q**5 + q, 2.0)
         assert len(zs) == 1 and zs[0].sign == 1
 
     def test_three_zeros_with_signs(self):
-        zs = zeros_of_reduced(lambda p, q: q**3 - q, Box.cube(2.0, 1), m=1)
+        zs = self.section_zeros(lambda p, q: q**3 - q, 2.0)
         points = sorted(z.point[0] for z in zs)
         assert np.allclose(points, [-1.0, 0.0, 1.0], atol=1e-9)
         signs = [z.sign for z in sorted(zs, key=lambda z: z.point[0])]
@@ -167,7 +186,7 @@ class TestDegreeGeneric:
 
     def test_rotating_candidate_map(self):
         prob = load_fixture("rotating_surface")
-        cert = degree_generic(candidate_map(prob), Box.cube(2.0, 3))
+        cert = degree_generic(candidate_map(fixed_frame(prob)), Box.cube(2.0, 3))
         assert cert.degree == 1
 
     def test_flat_zero_is_degenerate(self):
@@ -198,7 +217,7 @@ class TestDegreeGeneric:
 
     def test_scaling_invariance(self):
         prob = load_fixture("rotating_surface")
-        cmap = candidate_map(prob)
+        cmap = candidate_map(fixed_frame(prob))
         box = Box.cube(2.0, 3)
         base = degree_generic(cmap, box).degree
         scaled = degree_generic(lambda z: 3.7 * cmap(z), box).degree
@@ -206,7 +225,7 @@ class TestDegreeGeneric:
 
     def test_single_component_negation_flips_sign(self):
         prob = load_fixture("rotating_surface")
-        cmap = candidate_map(prob)
+        cmap = candidate_map(fixed_frame(prob))
 
         def negated(z):
             val = cmap(z)
@@ -262,7 +281,7 @@ class TestAveragedMap:
             A=MatrixPath.constant(np.eye(1), 2 * np.pi),
             B=MatrixPath.constant(np.eye(1), 2 * np.pi),
         )
-        val = averaged_map(prob, np.array([0.5, 0.25]))
+        val = averaged_map_fn(prob)(np.array([0.5, 0.25]))
         assert abs(val[0] - (0.5 + 2 * 0.25)) <= 1e-12
         assert abs(val[1] - (0.25 - 0.5)) <= 1e-12
 
@@ -274,14 +293,9 @@ class TestAveragedMap:
             A=MatrixPath.constant(np.eye(2), 2 * np.pi),
             B=MatrixPath.constant(np.eye(1), 2 * np.pi),
         )
-        val = averaged_map(prob, np.array([0.3, 0.4, 0.7]))
+        val = averaged_map_fn(prob)(np.array([0.3, 0.4, 0.7]))
         assert norm_inf(val[:2]) <= 1e-12
         assert abs(val[2] - 0.7) <= 1e-14
-
-    def test_warns_on_nonzero_frame_product(self):
-        prob = load_fixture("rotating_surface")
-        with pytest.warns(UserWarning):
-            averaged_map(prob, np.zeros(3))
 
     def test_semilinear_audit_consistency(self):
         red = reduce_semilinear(load_fixture("semilinear_4x4"))

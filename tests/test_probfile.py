@@ -155,12 +155,6 @@ def _tiny_trajectory(m=1, s=1, nodes=3):
 
 
 class TestBranchCsv:
-    def test_empty_branch_header_only(self):
-        branch = Branch(pairs=[], seed=np.zeros(2), termination="budget", state_dim=1)
-        text = branch_to_csv(branch)
-        assert text == ("step,lambda,xi0_1,sup_norm_x,sup_norm_y,"
-                        "periodicity_residual,constraint_residual,trivial_flag\n")
-
     def test_single_trivial_pair(self):
         pair = TPair(lam=0.0, trajectory=_tiny_trajectory(), xi0=np.zeros(1),
                      periodicity_residual=0.0, constraint_residual=0.0, is_trivial=True)
