@@ -18,6 +18,7 @@ from .degree import (
     candidate_map,
     degree_generic,
     degree_reduced,
+    seeding_map,
 )
 from .errors import DaecontError
 from .linalg import (

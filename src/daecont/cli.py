@@ -5,14 +5,15 @@ analysis pipeline:
 
 - ``check``      frame audit (problems, paths) or reduction audit (semi-linear)
 - ``lemmas``     identity audits over built-in and randomized frame paths
-- ``degree``     degree certificate(s) for the candidate map
+- ``degree``     degree certificate(s) for the map that seeds branches
 - ``reduce``     semi-linear reduction: problem file + JSON report
 - ``integrate``  one integration, trajectory as JSON
 - ``continue``   branch continuation, CSV
 - ``fixtures``   list shipped fixtures
 
 Exit codes: 0 success, 1 hypothesis/solver failure, 2 usage error (also
-for sizes above ``MAX_GRID``, ``MAX_ZERO_STARTS`` or ``periodic.MAX_STEPS``).
+for sizes above ``MAX_GRID``, ``MAX_ZERO_STARTS``, ``MAX_LEMMA_PATHS``,
+``MAX_BRANCH_STEPS`` or ``periodic.MAX_STEPS``).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .degree import (
     Box,
     averaged_map_audit,
     candidate_block,
-    candidate_map,
     degree_generic,
     degree_reduced,
+    seeding_map,
 )
 from .errors import DaecontError
 from .paths import MIN_GRID, frame_audit, lemma_audit
@@ -46,18 +47,20 @@ from .probfile import (
     to_json,
 )
 from .semilinear import SemiLinearDae, check_conditions, reduce_semilinear
-from .transform import fixed_frame
+from .transform import fixed_frame, fixed_frame_first
 
 MAX_GRID = 10_000  # audit grid points
 MAX_ZERO_STARTS = 100_000  # multistart lattice points of the degree zero search
+MAX_LEMMA_PATHS = 5_000  # random paths of `lemmas --count`
+MAX_BRANCH_STEPS = 1_000  # continuation steps of `continue --steps`
 
 
-def _positive(kind=float, name="value", allow_inf=False):
+def _positive(name, allow_inf=False):
     def convert(text):
         try:
-            value = kind(text)
+            value = float(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be a {kind.__name__}: {text!r}")
+            raise argparse.ArgumentTypeError(f"{name} must be a float: {text!r}")
         if not value > 0:  # also rejects NaN
             raise argparse.ArgumentTypeError(f"{name} must be positive, got {text!r}")
         if value == math.inf and not allow_inf:
@@ -105,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("problem", help="problem file path or fixture name")
         p.add_argument("--grid", type=_int_in(MIN_GRID, MAX_GRID, "grid"), default=64,
                        help="audit grid size (default 64)")
-        p.add_argument("--tol", type=_positive(float, "tol"), default=None,
+        p.add_argument("--tol", type=_positive("tol"), default=None,
                        help="audit tolerance (default per derivative mode)")
         p.add_argument("--out", type=Path, default=None,
                        help="write output here instead of stdout")
@@ -118,14 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lem = sub.add_parser("lemmas", help="identity audits on built-in and random paths")
     add_common(p_lem, problem=False)
-    p_lem.add_argument("--count", type=_int_in(0, math.inf, "count"), default=10,
+    p_lem.add_argument("--count", type=_int_in(0, MAX_LEMMA_PATHS, "count"), default=10,
                        help="number of random exponential-frame paths (default 10)")
     p_lem.set_defaults(func=cmd_lemmas)
 
     p_deg = sub.add_parser("degree", help="degree certificate of the candidate map")
     add_common(p_deg)
     p_deg.add_argument("--method", choices=("reduced", "generic", "both"), default="both")
-    p_deg.add_argument("--radius", type=_positive(float, "radius"), default=2.0,
+    p_deg.add_argument("--radius", type=_positive("radius"), default=2.0,
                        help="box half-width (default 2)")
     p_deg.add_argument("--zero-grid", type=_int_in(2, math.inf, "zero-grid"), default=9,
                        help="multistart seeds per axis (default 9)")
@@ -139,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_int)
     p_int.add_argument("--lambda", dest="lam", type=_nonnegative, default=1.0,
                        help="parameter value (default 1)")
-    p_int.add_argument("--h", type=_positive(float, "h"), default=None,
+    p_int.add_argument("--h", type=_positive("h"), default=None,
                        help="step size (default period/256)")
     p_int.add_argument("--x0", type=str, default=None,
                        help="comma-separated initial differential state (default zeros)")
@@ -152,16 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cont = sub.add_parser("continue", help="trace a branch of periodic pairs")
     add_common(p_cont)
-    p_cont.add_argument("--ds", type=_positive(float, "ds"), default=0.05,
+    p_cont.add_argument("--ds", type=_positive("ds"), default=0.05,
                         help="pseudo-arclength step (default 0.05)")
-    p_cont.add_argument("--steps", type=_positive(int, "steps"), default=40,
+    p_cont.add_argument("--steps", type=_int_in(1, MAX_BRANCH_STEPS, "steps"), default=40,
                         help="continuation step budget (default 40)")
-    p_cont.add_argument("--radius", type=_positive(float, "radius"), default=2.0,
+    p_cont.add_argument("--radius", type=_positive("radius"), default=2.0,
                         help="state box half-width (default 2)")
-    p_cont.add_argument("--lam-max", type=_positive(float, "lam-max", allow_inf=True),
+    p_cont.add_argument("--lam-max", type=_positive("lam-max", allow_inf=True),
                         default=10.0,
                         help="upper lambda bound of the continuation box (default 10)")
-    p_cont.add_argument("--h", type=_positive(float, "h"), default=None,
+    p_cont.add_argument("--h", type=_positive("h"), default=None,
                         help="integration step (default period/256)")
     p_cont.add_argument("--seed-index", type=int, default=0,
                         help="which located seed to continue (default 0)")
@@ -225,7 +228,9 @@ def cmd_check(args) -> int:
                 np.zeros(2 * report.rank),
             ]
             reference = fixtures.AVERAGED_MAP_REFERENCES.get(payload.name)
-            out["averaged_map_audit"] = averaged_map_audit(reduced, probes, reference)
+            # the reduced frame may fail the audit; the map is reported anyway
+            sys_t = fixed_frame_first(reduced, validate=False)
+            out["averaged_map_audit"] = averaged_map_audit(sys_t, probes, reference)
             out["frame_suitable"] = reduced.frame_suitable
         _emit(to_json(out), args.out)
         return 0 if ok else 1
@@ -275,18 +280,27 @@ def cmd_degree(args) -> int:
         raise _usage(f"--zero-grid {args.zero_grid} gives more than {MAX_ZERO_STARTS} seed points")
     sys_t = fixed_frame(problem)
     box = Box.cube(args.radius, dim)
-    out = {}
-    if args.method in ("reduced", "both"):
-        cert = degree_reduced(candidate_block(sys_t), problem.g, box, args.zero_grid,
-                              d2g=problem.g_jac2)
-        out["reduced"] = cert.to_dict()
-    if args.method in ("generic", "both"):
-        cert = degree_generic(candidate_map(sys_t), box, args.zero_grid)
-        out["generic"] = cert.to_dict()
-    if args.method == "both":
-        out["agree"] = out["reduced"]["degree"] == out["generic"]["degree"]
+    certify = {
+        "reduced": lambda: degree_reduced(candidate_block(sys_t), problem.g, box,
+                                          args.zero_grid, d2g=problem.g_jac2),
+        "generic": lambda: degree_generic(seeding_map(sys_t), box, args.zero_grid),
+    }
+    if args.method != "both":
+        _emit(to_json({args.method: certify[args.method]().to_dict()}), args.out)
+        return 0
+    # One method's failure goes into its slot and does not hide the other.
+    out, failures = {}, []
+    for method, run in certify.items():
+        try:
+            out[method] = run().to_dict()
+        except DaecontError as exc:
+            failures.append(f"{type(exc).__name__}: {exc}")
+            out[method] = {"error": failures[-1]}
+    out["agree"] = not failures and out["reduced"]["degree"] == out["generic"]["degree"]
     _emit(to_json(out), args.out)
-    return 0
+    for failure in failures:
+        print(f"daecont: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_reduce(args) -> int:

@@ -1,4 +1,4 @@
-"""Brouwer degree of the candidate maps whose zeros seed solution branches.
+"""Brouwer degree of the maps whose zeros seed solution branches.
 
 Degree is computed on axis-aligned boxes either generically (locate all
 regular zeros by multistart Newton, sum Jacobian orientation signs) or by
@@ -47,6 +47,7 @@ __all__ = [
     "degree_reduced",
     "degree_generic",
     "averaged_map_fn",
+    "seeding_map",
     "averaged_map_audit",
 ]
 
@@ -54,6 +55,8 @@ DEDUP_TOL = 1e-6
 BOUNDARY_TOL = 1e-6
 DET_TOL = 1e-10
 DEFAULT_GRID = 9
+SEEDING_DRIFT_TOL = 1e-8  # ||D0||_inf at or below which the averaged map seeds
+AUDIT_QUAD_NS = (64, 256)  # the two quadrature resolutions of the averaged-map audit
 
 
 @dataclass(frozen=True)
@@ -349,39 +352,42 @@ def degree_generic(
     )
 
 
-def averaged_map_fn(prob, quad_n: int = 64) -> Callable:
-    """Averaged map ``(mean_t of conjugated forcing, g)`` as a callable.
+def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
+    """Averaged map ``(mean_t F(t, xi, eta), g(xi, eta))`` as a callable.
 
-    The branch-seeding map when the drift ``D0 = H - M`` of the
-    transformed system vanishes (see :func:`~daecont.periodic.branch_seeds`).
+    ``F`` is the fixed-frame forcing at the constant frame state
+    ``(xi, eta)``, frame velocities zero for order 2 (so the original
+    velocities are those of the moving frame).  The branch-seeding map
+    when the drift ``D0`` vanishes (see :func:`seeding_map`).
     """
-    a_path, b_path, f, g = prob.A, prob.B, prob.f, prob.g
-    m = prob.m
-    second_order = getattr(prob, "order", 1) == 2
+    m = sys.m
+    velocities = () if sys.order == 1 else (np.zeros(sys.m), np.zeros(sys.s))
 
     def omega(z):
         z = np.asarray(z, dtype=float)
         xi, eta = z[:m], z[m:]
-
-        def integrand(t):
-            a = a_path(t)
-            x = a.T @ xi
-            y = solve_linear(b_path(t), eta)
-            if second_order:
-                return a @ np.asarray(f(t, x, y, np.zeros_like(x), np.zeros_like(y)), float)
-            return a @ np.asarray(f(t, x, y), dtype=float)
-
-        first = quadrature_periodic(integrand, prob.period, quad_n)
-        return np.concatenate([np.atleast_1d(first), np.atleast_1d(g(xi, eta))])
+        first = quadrature_periodic(lambda t: sys.F(t, xi, eta, *velocities), sys.period, quad_n)
+        return np.concatenate([np.atleast_1d(first), np.atleast_1d(sys.g(xi, eta))])
 
     return omega
 
 
+def seeding_map(sys: TransformedSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """The map whose zeros seed branches: the candidate map, or the averaged map.
+
+    When the drift ``D0`` vanishes (``||D0||_inf <= 1e-8``: no frame
+    product, no commuting drift) the first block of the candidate map is
+    identically zero, and the averaged map takes its place.
+    """
+    if norm_inf(sys.D0) <= SEEDING_DRIFT_TOL:
+        return averaged_map_fn(sys)
+    return candidate_map(sys)
+
+
 def averaged_map_audit(
-    prob,
+    sys: TransformedSystem,
     probes: Sequence[np.ndarray],
     reference: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    quad_ns=(64, 256),
 ) -> dict:
     """Internal-consistency (and optional reference) audit of the averaged map.
 
@@ -390,8 +396,7 @@ def averaged_map_audit(
     its deviation is recorded as well (reported, not asserted, since a
     shipped reference may itself be unverified).
     """
-    coarse = averaged_map_fn(prob, quad_ns[0])
-    fine = averaged_map_fn(prob, quad_ns[1])
+    coarse, fine = (averaged_map_fn(sys, n) for n in AUDIT_QUAD_NS)
     rows = []
     quad_gap = 0.0
     ref_gap = 0.0
@@ -408,7 +413,7 @@ def averaged_map_audit(
             ref_gap = max(ref_gap, row["reference_gap"])
         rows.append(row)
     out = {
-        "quad_n": list(quad_ns),
+        "quad_n": list(AUDIT_QUAD_NS),
         "quadrature_gap": quad_gap,
         "probes": rows,
     }

@@ -27,6 +27,8 @@ from .errors import (
 
 # Pivot magnitudes below PIVOT_REL * ||A||_inf are treated as zero.
 PIVOT_REL = 1e-13
+NEWTON_TOL_STEP = 1e-14  # a Newton step this small, residual above tolerance: stagnation
+NEWTON_DAMPING_MIN = 1.0 / 1024.0  # backtracking floor of the Newton step fraction
 
 __all__ = [
     "NewtonConfig",
@@ -162,20 +164,16 @@ def fd_jacobian(
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Stopping and damping parameters for :func:`newton_solve`."""
+    """Iteration budget and residual tolerance for :func:`newton_solve`."""
 
     max_iters: int = 50
     tol_residual: float = 1e-12
-    tol_step: float = 1e-14
-    damping_min: float = 1.0 / 1024.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol_residual <= 0 or self.tol_step <= 0:
-            raise ValueError("tolerances must be positive")
-        if not (0.0 < self.damping_min <= 1.0):
-            raise ValueError("damping_min must lie in (0, 1]")
+        if self.tol_residual <= 0:
+            raise ValueError("tol_residual must be positive")
 
 
 def newton_solve(
@@ -202,7 +200,7 @@ def newton_solve(
     x : array with ``||residual(x)||_inf <= cfg.tol_residual``.
 
     Backtracking halves the step until the residual norm decreases, down
-    to ``cfg.damping_min``; a step that cannot improve at the floor is
+    to ``NEWTON_DAMPING_MIN``; a step that cannot improve at the floor is
     taken anyway (the next iteration may recover), and failure to reach
     the residual tolerance within the budget raises
     :class:`NoConvergenceError`.  Success is decided by the residual
@@ -230,10 +228,10 @@ def newton_solve(
             x_new = x + alpha * step
             r_new = np.atleast_1d(np.asarray(residual(x_new), dtype=float))
             rnorm_new = norm_inf(r_new)
-            if rnorm_new < rnorm or alpha <= cfg.damping_min:
+            if rnorm_new < rnorm or alpha <= NEWTON_DAMPING_MIN:
                 break
             alpha *= 0.5
-        if norm_inf(alpha * step) <= cfg.tol_step and rnorm_new > cfg.tol_residual:
+        if norm_inf(alpha * step) <= NEWTON_TOL_STEP and rnorm_new > cfg.tol_residual:
             raise NoConvergenceError(
                 f"newton stagnated: step {norm_inf(alpha * step):.3e}, residual {rnorm_new:.3e}"
             )

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import EvaluationError, HypothesisViolatedError
+from .errors import EvaluationError
 from .linalg import norm_inf, solve_linear
 
 __all__ = [
@@ -321,19 +321,14 @@ class LemmaReport:
         return out
 
 
-def lemma_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, *, strict: bool = False) -> LemmaReport:
+def lemma_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID) -> LemmaReport:
     """Evaluate every second-derivative identity residual on the grid.
 
     The identities are only guaranteed for orthogonal paths with constant
-    right product; when those preconditions fail, only the constancy pair
-    is meaningful.  ``strict=True`` raises in that situation instead.
+    right product (``frame_audit(path).suitable``); when those
+    preconditions fail, only the constancy pair is meaningful.
     """
     audit = frame_audit(path, grid_size)
-    if strict and not audit.suitable:
-        raise HypothesisViolatedError(
-            f"identity audit preconditions failed: orthogonality {audit.orthogonality:.3e}, "
-            f"right constancy {audit.right_constancy:.3e} (tol {audit.tol:.1e})"
-        )
     times = _grid_times(path, grid_size)
     m2 = audit.M @ audit.M
     res = dict.fromkeys(
@@ -384,13 +379,11 @@ def lemma_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, *, strict: bool
     )
 
 
-def inverse_derivative(path_b: MatrixPath, t: float) -> np.ndarray:
-    """Time derivative of ``B(t)^{-1}``, computed as ``-B^{-1} dB B^{-1}``.
+def inverse_derivative(b: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Time derivative ``-B^{-1} dB B^{-1}`` of ``B^{-1}`` from ``B`` and ``dB``.
 
-    Two LU solves; raises :class:`SingularMatrixError` if ``B(t)`` is
+    Two LU solves; raises :class:`SingularMatrixError` if ``B`` is
     singular at the pivot threshold.
     """
-    b = path_b(t)
-    db = path_b(t, 1)
     x = solve_linear(b, db)  # B^{-1} dB
     return -solve_linear(b.T, x.T).T  # -(B^{-1} dB) B^{-1}

@@ -18,8 +18,8 @@ Periodic orbits are zeros of the shooting residual
 ``xi(T; lam, xi0) - xi0`` posed in the fixed frame, where the constraint
 is autonomous and the algebraic block is a local function of the state.
 Branches in ``(lam, xi0)`` are traced by a pseudo-arclength
-predictor-corrector seeded at the zeros of the candidate (or averaged)
-map.
+predictor-corrector seeded at the zeros of the seeding map (the
+candidate map, or the averaged map when the drift vanishes).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .degree import Box, ZeroRecord, averaged_map_fn, candidate_map, locate_zeros
+from .degree import Box, ZeroRecord, candidate_map, locate_zeros, seeding_map
 from .errors import (
     DaecontError,
     NoConvergenceError,
@@ -290,49 +290,44 @@ def integrate(
     lam: float,
     x0,
     y0=None,
-    span=None,
     h: Optional[float] = None,
     *,
-    xdot0=None,
     mode: str = "raw",
 ) -> Trajectory:
-    """Integrate a problem at fixed ``lam`` and return the node trajectory.
+    """Integrate a problem over one period at fixed ``lam``.
 
-    ``y0=None`` solves the constraint for the algebraic start from a zero
-    guess.  ``mode='fixed'`` integrates the transformed system instead and
-    pulls the result back, so both modes return original-coordinate
-    trajectories and are directly comparable.
+    Returns the node trajectory from ``t = 0``; order-2 problems start at
+    rest (``xdot = 0``).  ``y0=None`` solves the constraint for the
+    algebraic start from a zero guess.  ``mode='fixed'`` integrates the
+    transformed system instead and pulls the result back, so both modes
+    return original-coordinate trajectories and are directly comparable.
     """
     if mode not in ("raw", "fixed"):
         raise ValueError(f"unknown integration mode {mode!r}")
-    t0, t1 = (0.0, prob.period) if span is None else span
     h = prob.period / DEFAULT_STEPS if h is None else h
-    nsteps = _steps_for(t1 - t0, h)
+    nsteps = _steps_for(prob.period, h)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if y0 is None:
-        y0 = consistent_init(prob, t0, x0, np.zeros(prob.s))
+        y0 = consistent_init(prob, 0.0, x0, np.zeros(prob.s))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     start_residual = norm_inf(
-        np.atleast_1d(prob.g(prob.A(t0) @ x0, prob.B(t0) @ y0))
+        np.atleast_1d(prob.g(prob.A(0.0) @ x0, prob.B(0.0) @ y0))
     )
     if start_residual > 1e-8:
         raise ValueError(
             f"initial state violates the constraint (residual {start_residual:.3e}); "
             "pass y0=None to solve for a consistent start"
         )
-    if prob.order == 1:
-        xdot0 = None
-    else:
-        xdot0 = np.zeros(prob.m) if xdot0 is None else np.atleast_1d(np.asarray(xdot0, float))
+    xdot0 = None if prob.order == 1 else np.zeros(prob.m)
 
     if mode == "raw":
         stepper, start = _RawStepper(prob, lam), (x0, y0, xdot0)
     else:
         sys = fixed_frame(prob)
-        stepper, start = _FixedStepper(sys, lam), sys.push_forward(t0, x0, y0, xdot0)
+        stepper, start = _FixedStepper(sys, lam), sys.push_forward(0.0, x0, y0, xdot0)
     pos0, alg0, vel0 = start
     state0 = pos0 if vel0 is None else np.concatenate([pos0, vel0])
-    _, _, _, times, nodes = _march(stepper, t0, state0, alg0, h, nsteps, True)
+    _, _, _, times, nodes = _march(stepper, 0.0, state0, alg0, h, nsteps, True)
     return _nodes_to_trajectory(times, nodes)
 
 
@@ -360,22 +355,19 @@ class _ShootingRunner:
         self.state_dim = prob.order * prob.m
 
     def flow(self, lam, state0, record=False):
-        # One period from a float state; returns
-        # (eta0, end_state, eta_end, times, nodes).
+        # One period from a float state; returns (end_state, times, nodes).
         stepper = _FixedStepper(self.sys, lam)
         eta0 = stepper.solve(0.0, state0[: self.prob.m], np.zeros(self.prob.s))
-        _, end, eta_end, times, nodes = _march(
-            stepper, 0.0, state0, eta0, self.h, self.nsteps, record
-        )
-        return eta0, end, eta_end, times, nodes
+        _, end, _, times, nodes = _march(stepper, 0.0, state0, eta0, self.h, self.nsteps, record)
+        return end, times, nodes
 
     def shoot(self, lam, state0):
         state0 = np.asarray(state0, dtype=float)
-        return self.flow(lam, state0)[1] - state0
+        return self.flow(lam, state0)[0] - state0
 
     def make_tpair(self, lam, state0) -> TPair:
         state0 = np.asarray(state0, dtype=float)
-        _, _, _, times, nodes = self.flow(lam, state0, record=True)
+        _, times, nodes = self.flow(lam, state0, record=True)
         pair = _tpair(self.prob, lam, _nodes_to_trajectory(times, nodes), state0[: self.prob.m])
         for name, value, tol in (("periodicity", pair.periodicity_residual, PERIODICITY_TOL),
                                  ("constraint", pair.constraint_residual, CONSTRAINT_TOL)):
@@ -397,19 +389,13 @@ def _tpair(prob, lam, traj: Trajectory, xi0) -> TPair:
     )
 
 
-def shooting_residual(prob, lam: float, xi0, nsteps: int = DEFAULT_STEPS,
-                      *, return_eta_gap: bool = False):
+def shooting_residual(prob, lam: float, xi0, nsteps: int = DEFAULT_STEPS) -> np.ndarray:
     """Fixed-frame period-map mismatch ``state(T) - state(0)``.
 
     For order-1 problems the unknown is ``xi0``; order-2 problems take the
-    stacked ``(xi0, xidot0)``.  With ``return_eta_gap=True`` the residual
-    of the recovered algebraic block, ``||eta(T) - eta(0)||``, is returned
-    alongside, from the same march.
+    stacked ``(xi0, xidot0)``.
     """
-    state0 = np.atleast_1d(np.asarray(xi0, dtype=float))
-    eta0, end, eta_end, _, _ = _ShootingRunner(prob, nsteps).flow(lam, state0)
-    res = end - state0
-    return (res, norm_inf(eta_end - eta0)) if return_eta_gap else res
+    return _ShootingRunner(prob, nsteps).shoot(lam, np.atleast_1d(np.asarray(xi0, dtype=float)))
 
 
 def find_tpair(prob, lam: float, xi0_guess, nsteps: int = DEFAULT_STEPS) -> TPair:
@@ -567,17 +553,7 @@ def continue_branch(
     return Branch(pairs=pairs, seed=seed, termination=termination)
 
 
-def branch_seeds(prob, box: Box, grid: int = 5, quad_n: int = 64) -> List[ZeroRecord]:
-    """Zeros of the seeding map inside ``box``, with local degree signs.
-
-    The candidate map seeds branches when the constant drift of the
-    transformed system is nonzero; when the drift vanishes (no frame
-    product, no commuting drift) its first block would be identically
-    zero, and the averaged map takes its place.
-    """
-    sys = fixed_frame(prob)
-    if norm_inf(sys.D0) <= 1e-8:
-        fun = averaged_map_fn(prob, quad_n)
-    else:
-        fun = candidate_map(sys)
-    return locate_zeros(fun, box, grid)
+def branch_seeds(prob, box: Box, grid: int = 5) -> List[ZeroRecord]:
+    """Zeros of the :func:`~daecont.degree.seeding_map` inside ``box``, with
+    local degree signs."""
+    return locate_zeros(seeding_map(fixed_frame(prob)), box, grid)

@@ -10,10 +10,11 @@ built from the audited frame product ``M = mean(A @ dA.T)``:
 - order 1: ``dxi/dt  = (H - M) xi + lam * F(t, xi, eta)``
 - order 2: ``d2xi/dt2 = (H1 M + H2 - M^2) xi + (H1 - 2M) dxi/dt + lam * F``
 
-with ``F`` the frame-conjugated forcing.  :class:`TransformedSystem`
+with ``F = A(t) f`` the frame-conjugated forcing.  :class:`TransformedSystem`
 owns the change in both directions, node by node: ``push_forward`` and
 its inverse ``pull_back`` (``x = A(t).T xi``, ``y = B(t)^{-1} eta``),
-velocities included for order 2.
+velocities included for order 2.  One node map evaluates the frame at a
+time and serves both ``pull_back`` and ``F``.
 """
 
 from __future__ import annotations
@@ -151,9 +152,8 @@ def _check_commutation(h: np.ndarray, path: MatrixPath, tol: float, label: str):
 class TransformedSystem:
     """Fixed-frame form of a problem: autonomous constraint, constant drifts.
 
-    ``D0`` multiplies the state, ``D1`` (order 2 only) the velocity; ``F``
-    is the conjugated forcing, called as ``F(t, xi, eta)`` for order 1 and
-    ``F(t, xi, eta, u, v)`` for order 2.
+    ``D0`` multiplies the state, ``D1`` (order 2 only) the velocity; ``f``
+    is the problem's forcing, which :meth:`F` conjugates into the frame.
     """
 
     order: int
@@ -162,13 +162,35 @@ class TransformedSystem:
     period: float
     D0: np.ndarray
     D1: Optional[np.ndarray]
-    F: Callable
+    f: Callable
     g: Callable
     g_jac1: Callable
     g_jac2: Callable
     A: MatrixPath
     B: MatrixPath
     M: np.ndarray
+
+    def _node(self, t: float, xi, eta, xid=None, etad=None):
+        # The frame at t, evaluated once: A(t) and the original-coordinate
+        # node (x, y, xdot, ydot) of a frame node, velocities None unless
+        # xid and etad are given.
+        a, b = self.A(t), self.B(t)
+        x = a.T @ xi
+        y = solve_linear(b, eta)
+        if xid is None:
+            return a, (x, y, None, None)
+        xd = self.A(t, 1).T @ xi + a.T @ xid
+        yd = inverse_derivative(b, self.B(t, 1)) @ eta + solve_linear(b, etad)
+        return a, (x, y, xd, yd)
+
+    def F(self, t: float, xi, eta, *velocities):
+        """Frame-conjugated forcing ``A(t) f(t, x, y[, xdot, ydot])``.
+
+        Called as ``F(t, xi, eta)`` for order 1 and ``F(t, xi, eta, u, v)``
+        for order 2, where ``u`` and ``v`` are the frame velocities.
+        """
+        a, node = self._node(t, xi, eta, *velocities)
+        return a @ np.asarray(self.f(t, *node[: 2 * self.order]), dtype=float)
 
     def drive(self, t, xi, eta, *args):
         """Right-hand side of the differential part in frame coordinates.
@@ -189,14 +211,7 @@ class TransformedSystem:
         differentiated through the same change when ``xid`` and ``etad``
         are given, and are None otherwise.
         """
-        a, b = self.A(t), self.B(t)
-        x = a.T @ xi
-        y = solve_linear(b, eta)
-        if xid is None:
-            return x, y, None, None
-        xd = self.A(t, 1).T @ xi + a.T @ xid
-        yd = inverse_derivative(self.B, t) @ eta + solve_linear(b, etad)
-        return x, y, xd, yd
+        return self._node(t, xi, eta, xid, etad)[1]
 
     def push_forward(self, t: float, x, y, xdot=None):
         """Frame node ``(xi, eta, xidot)`` of an original-coordinate node.
@@ -211,7 +226,7 @@ class TransformedSystem:
         return xi, eta, self.A(t, 1) @ x + a @ xdot
 
 
-def _transform(prob, validate, labels, drifts, forcing) -> TransformedSystem:
+def _transform(prob, validate, labels, drifts) -> TransformedSystem:
     # Shared body of both transforms: audit the frame and the commutation
     # of each named drift matrix (zero when absent) with A, then build the
     # system with ``drifts(M, *drift_matrices) -> (D0, D1)``.
@@ -234,7 +249,7 @@ def _transform(prob, validate, labels, drifts, forcing) -> TransformedSystem:
         period=prob.period,
         D0=d0,
         D1=d1,
-        F=forcing,
+        f=prob.f,
         g=prob.g,
         g_jac1=prob.g_jac1,
         g_jac2=prob.g_jac2,
@@ -256,13 +271,7 @@ def fixed_frame_first(prob: DaeProblem1, *, validate: bool = True) -> Transforme
     periodicity, commutation of ``H``) unless ``validate=False``; the
     audited grid mean ``M`` feeds the drift ``D0 = H - M``.
     """
-    a_path, b_path, f = prob.A, prob.B, prob.f
-
-    def forcing(t, xi, eta):
-        a = a_path(t)
-        return a @ np.asarray(f(t, a.T @ xi, solve_linear(b_path(t), eta)), dtype=float)
-
-    return _transform(prob, validate, ("H",), lambda m, h: (h - m, None), forcing)
+    return _transform(prob, validate, ("H",), lambda m, h: (h - m, None))
 
 
 def fixed_frame_second(prob: DaeProblem2, *, validate: bool = True) -> TransformedSystem:
@@ -272,22 +281,10 @@ def fixed_frame_second(prob: DaeProblem2, *, validate: bool = True) -> Transform
     with constant product equals ``M^2``, which is what the drift
     formulas use: ``D0 = H1 M + H2 - M^2`` and ``D1 = H1 - 2M``.
     """
-    a_path, b_path, f = prob.A, prob.B, prob.f
-
-    def forcing(t, xi, eta, u, v):
-        a = a_path(t)
-        da = a_path(t, 1)
-        b = b_path(t)
-        x = a.T @ xi
-        y = solve_linear(b, eta)
-        xdot = da.T @ xi + a.T @ u
-        ydot = inverse_derivative(b_path, t) @ eta + solve_linear(b, v)
-        return a @ np.asarray(f(t, x, y, xdot, ydot), dtype=float)
-
     def drifts(m, h1, h2):
         return h1 @ m + h2 - m @ m, h1 - 2.0 * m
 
-    return _transform(prob, validate, ("H1", "H2"), drifts, forcing)
+    return _transform(prob, validate, ("H1", "H2"), drifts)
 
 
 def c_frame_drifts(c_path: MatrixPath):

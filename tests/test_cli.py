@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from daecont.cli import build_parser, main
-from daecont.fixtures import problem_text
+from daecont.cli import MAX_BRANCH_STEPS, MAX_LEMMA_PATHS, build_parser, main
+from daecont.degree import Box
+from daecont.fixtures import load_fixture, problem_text
+from daecont.linalg import norm_inf
+from daecont.periodic import branch_seeds
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "help.txt"
@@ -110,6 +113,30 @@ class TestDegree:
         assert code == 0 and err == ""
         assert out == (GOLDEN_DIR / f"degree_{name}.json").read_text()
 
+    # scalar_linear has no drift (D0 = 0): its candidate block is zero, and
+    # the averaged map seeds its branches
+    def test_generic_certifies_the_seeding_map(self, capsys):
+        code, out, err = run(capsys, "degree", "scalar_linear", "--method", "generic")
+        assert code == 0 and err == ""
+        cert = json.loads(out)["generic"]
+        assert cert["degree"] == -1 and cert["boundary_margin"] == 2.0
+        (zero,) = cert["zeros"]
+        assert zero["sign"] == -1
+        (seed,) = branch_seeds(load_fixture("scalar_linear"), Box.cube(2.0, 2))
+        assert norm_inf(np.array(zero["point"]) - seed.point) <= 1e-10
+
+    def test_failed_method_fills_its_slot(self, capsys):
+        message = "SingularMatrixError: reduction shortcut needs a nonsingular linear block"
+        code, out, err = run(capsys, "degree", "scalar_linear", "--method", "both")
+        assert code == 1
+        assert err == f"daecont: {message}\n"
+        data = json.loads(out)
+        assert data["reduced"] == {"error": message}
+        assert data["generic"]["degree"] == -1
+        assert data["agree"] is False
+        code, out, err = run(capsys, "degree", "scalar_linear", "--method", "reduced")
+        assert (code, out, err) == (1, "", f"daecont: {message}\n")
+
 
 class TestReduce:
     def test_emits_problem_and_report(self, capsys, tmp_path):
@@ -162,6 +189,13 @@ class TestIntegrate:
         fix = json.loads(out_fix)
         assert np.max(np.abs(np.array(raw["x"]) - np.array(fix["x"]))) <= 1e-6
 
+    def test_second_order_fixed_frame_matches_golden(self, capsys):
+        # pulled-back velocities and the conjugated order-2 forcing
+        code, out, err = run(capsys, "integrate", "rotating_surface_2nd", "--lambda", "0.5",
+                             "--fixed-frame")
+        assert code == 0 and err == ""
+        assert out == (GOLDEN_DIR / "integrate_rotating_surface_2nd_fixed.json").read_text()
+
     def test_negative_lambda_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["integrate", "scalar_linear", "--lambda", "-1"])
@@ -189,6 +223,11 @@ class TestIntegrate:
     (["continue", "rotating_surface", "--h", "5e-324"], "more than 100000 steps"),
     (["check", "rotating_surface", "--grid", "100000000000"], "grid must be at most"),
     (["degree", "rotating_surface", "--zero-grid", "1000000"], "zero-grid"),
+    (["lemmas", "--count", str(MAX_LEMMA_PATHS + 1)], "count must be at most"),
+    (["lemmas", "--count", "100000000"], "count must be at most"),
+    (["continue", "rotating_surface", "--steps", str(MAX_BRANCH_STEPS + 1)],
+     "steps must be at most"),
+    (["continue", "rotating_surface", "--steps", "0"], "steps must be at least 1"),
 ])
 def test_bad_input_is_usage_error(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:

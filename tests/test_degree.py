@@ -10,6 +10,7 @@ from daecont.degree import (
     degree_generic,
     degree_reduced,
     locate_zeros,
+    seeding_map,
 )
 from daecont.errors import (
     BoundaryZeroError,
@@ -21,7 +22,13 @@ from daecont.fixtures import load_fixture
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath, frame_audit
 from daecont.semilinear import reduce_semilinear
-from daecont.transform import DaeProblem1, fixed_frame, fixed_frame_first, fixed_frame_second
+from daecont.transform import (
+    DaeProblem1,
+    DaeProblem2,
+    fixed_frame,
+    fixed_frame_first,
+    fixed_frame_second,
+)
 
 ROT_M = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -281,7 +288,7 @@ class TestAveragedMap:
             A=MatrixPath.constant(np.eye(1), 2 * np.pi),
             B=MatrixPath.constant(np.eye(1), 2 * np.pi),
         )
-        val = averaged_map_fn(prob)(np.array([0.5, 0.25]))
+        val = averaged_map_fn(fixed_frame(prob))(np.array([0.5, 0.25]))
         assert abs(val[0] - (0.5 + 2 * 0.25)) <= 1e-12
         assert abs(val[1] - (0.25 - 0.5)) <= 1e-12
 
@@ -293,7 +300,7 @@ class TestAveragedMap:
             A=MatrixPath.constant(np.eye(2), 2 * np.pi),
             B=MatrixPath.constant(np.eye(1), 2 * np.pi),
         )
-        val = averaged_map_fn(prob)(np.array([0.3, 0.4, 0.7]))
+        val = averaged_map_fn(fixed_frame(prob))(np.array([0.3, 0.4, 0.7]))
         assert norm_inf(val[:2]) <= 1e-12
         assert abs(val[2] - 0.7) <= 1e-14
 
@@ -302,9 +309,28 @@ class TestAveragedMap:
         probes = [np.array([0.7, -0.3, 0.2, 0.5]), np.zeros(4)]
         from daecont.fixtures import AVERAGED_MAP_REFERENCES
 
-        audit = averaged_map_audit(red, probes, AVERAGED_MAP_REFERENCES["semilinear_4x4"])
+        audit = averaged_map_audit(fixed_frame_first(red, validate=False), probes,
+                                   AVERAGED_MAP_REFERENCES["semilinear_4x4"])
         assert audit["quadrature_gap"] <= 1e-10
         assert "reference_gap" in audit and "matches_reference" in audit
+
+    def test_second_order_constant_frame_state_moves(self):
+        # A = 1, B = 2 + sin(t): the constant frame state (0.5, 0.5) has
+        # y = eta / B and ydot = -cos(t) eta / B^2, so f = ydot B^2 cos(t) - x
+        # averages to -eta/2 - xi = -0.75 (zero velocities would give -0.5)
+        b = MatrixPath(1, 2 * np.pi, lambda t: np.array([[2.0 + np.sin(t)]]),
+                       d1=lambda t: np.array([[np.cos(t)]]))
+        prob = DaeProblem2(
+            m=1, s=1, period=2 * np.pi,
+            f=lambda t, x, y, u, v: np.array([v[0] * (2.0 + np.sin(t)) ** 2 * np.cos(t) - x[0]]),
+            g=lambda p, q: q - p,
+            A=MatrixPath.constant(np.eye(1), 2 * np.pi), B=b,
+        )
+        sys_t = fixed_frame(prob)
+        assert norm_inf(sys_t.D0) == 0.0
+        val = seeding_map(sys_t)(np.array([0.5, 0.5]))
+        assert abs(val[0] + 0.75) <= 1e-12
+        assert val[1] == 0.0
 
 
 class TestLocateZeros:

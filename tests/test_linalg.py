@@ -153,8 +153,6 @@ class TestNewton:
             NewtonConfig(max_iters=0)
         with pytest.raises(ValueError):
             NewtonConfig(tol_residual=0.0)
-        with pytest.raises(ValueError):
-            NewtonConfig(damping_min=2.0)
 
 
 class TestFdJacobian:

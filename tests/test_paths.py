@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from daecont.errors import HypothesisViolatedError, SingularMatrixError
+from daecont.errors import SingularMatrixError
 from daecont.fixtures import path_fixture
 from daecont.linalg import norm_inf
 from daecont.paths import (
@@ -118,7 +118,8 @@ class TestLemmaAudit:
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(2, 7))
         path = MatrixPath.exp_frame(skew(rng, n), expm(skew(rng, n)))
-        report = lemma_audit(path, strict=True)
+        assert frame_audit(path).suitable
+        report = lemma_audit(path)
         assert max(report.residuals().values()) <= 1e-8
 
     def test_fd_mode_tolerance(self):
@@ -126,11 +127,6 @@ class TestLemmaAudit:
         fd = MatrixPath(2, rot.period, lambda t: rot(t), fd_step=1e-4)
         report = lemma_audit(fd)
         assert max(report.residuals().values()) <= 1e-4
-
-    def test_strict_mode_rejects_bad_path(self):
-        bad = MatrixPath.constant(np.diag([2.0, 1.0]), period=1.0)
-        with pytest.raises(HypothesisViolatedError):
-            lemma_audit(bad, strict=True)
 
     def test_constancy_equivalence(self):
         # one-sided constancy holds or fails on both sides together
@@ -156,25 +152,25 @@ class TestLemmaAudit:
 class TestInverseDerivative:
     def test_identity(self):
         path = MatrixPath.constant(np.eye(2), period=1.0)
-        assert norm_inf(inverse_derivative(path, 0.3)) == 0.0
+        assert norm_inf(inverse_derivative(path(0.3), path(0.3, 1))) == 0.0
 
     def test_exponential_diagonal(self):
         # B(t) = diag(e^t): d/dt B^{-1} at 0 is diag(-1)
         path = MatrixPath(1, 2 * np.pi, lambda t: np.array([[np.exp(t)]]),
                           d1=lambda t: np.array([[np.exp(t)]]))
-        assert abs(inverse_derivative(path, 0.0)[0, 0] + 1.0) <= 1e-12
+        assert abs(inverse_derivative(path(0.0), path(0.0, 1))[0, 0] + 1.0) <= 1e-12
 
     def test_shear(self):
         # B(t) = [[1, t], [0, 1]]: B^{-1} = [[1, -t], [0, 1]]
         path = MatrixPath(2, 2 * np.pi, lambda t: np.array([[1.0, t], [0.0, 1.0]]),
                           d1=lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]))
         ref = np.array([[0.0, -1.0], [0.0, 0.0]])
-        assert norm_inf(inverse_derivative(path, 0.0) - ref) <= 1e-12
+        assert norm_inf(inverse_derivative(path(0.0), path(0.0, 1)) - ref) <= 1e-12
 
     def test_singular_raises(self):
         path = MatrixPath.constant(np.zeros((2, 2)), period=1.0)
         with pytest.raises(SingularMatrixError):
-            inverse_derivative(path, 0.0)
+            inverse_derivative(path(0.0), path(0.0, 1))
 
 
 class TestPeriodicity:
