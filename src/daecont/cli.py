@@ -13,7 +13,7 @@ analysis pipeline:
 
 Exit codes: 0 success, 1 hypothesis/solver failure, 2 usage error (also
 for sizes above ``MAX_GRID``, ``MAX_ZERO_STARTS``, ``MAX_LEMMA_PATHS``,
-``MAX_BRANCH_STEPS`` or ``periodic.MAX_STEPS``).
+``MAX_LEMMA_NODES``, ``MAX_BRANCH_STEPS`` or ``periodic.MAX_STEPS``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .degree import (
     seeding_map,
 )
 from .errors import DaecontError
-from .paths import MIN_GRID, frame_audit, lemma_audit
+from .paths import DEFAULT_GRID, MIN_GRID, MatrixPath, frame_audit, lemma_audit
 from .periodic import DEFAULT_STEPS, _steps_for, branch_seeds, continue_branch, integrate
 from .probfile import (
     branch_to_csv,
@@ -52,6 +52,9 @@ from .transform import fixed_frame, fixed_frame_first
 MAX_GRID = 10_000  # audit grid points
 MAX_ZERO_STARTS = 100_000  # multistart lattice points of the degree zero search
 MAX_LEMMA_PATHS = 5_000  # random paths of `lemmas --count`
+LEMMA_FIXTURES = ("rot2", "rot2cw", "counterexample4")  # audited before the random paths
+# path nodes of one `lemmas` run: its whole --count cap at the default grid
+MAX_LEMMA_NODES = (MAX_LEMMA_PATHS + len(LEMMA_FIXTURES)) * DEFAULT_GRID
 MAX_BRANCH_STEPS = 1_000  # continuation steps of `continue --steps`
 
 
@@ -125,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of random exponential-frame paths (default 10)")
     p_lem.set_defaults(func=cmd_lemmas)
 
-    p_deg = sub.add_parser("degree", help="degree certificate of the candidate map")
+    p_deg = sub.add_parser("degree", help="degree certificate of the seeding map")
     add_common(p_deg)
     p_deg.add_argument("--method", choices=("reduced", "generic", "both"), default="both")
     p_deg.add_argument("--radius", type=_positive("radius"), default=2.0,
@@ -231,7 +234,7 @@ def cmd_check(args) -> int:
             # the reduced frame may fail the audit; the map is reported anyway
             sys_t = fixed_frame_first(reduced, validate=False)
             out["averaged_map_audit"] = averaged_map_audit(sys_t, probes, reference)
-            out["frame_suitable"] = reduced.frame_suitable
+            out["frame_suitable"] = frame_audit(reduced.A, args.grid).suitable
         _emit(to_json(out), args.out)
         return 0 if ok else 1
     audit = frame_audit(problem.A, args.grid, args.tol)
@@ -250,22 +253,28 @@ def random_exp_frame(rng, dim):
 
     s = _random_skew(rng, dim)
     a0 = expm(_random_skew(rng, dim))
-    return fixtures.exp_frame_path(s, a0)
+    return MatrixPath.exp_frame(s, a0)
 
 
 def cmd_lemmas(args) -> int:
+    if (args.count + len(LEMMA_FIXTURES)) * args.grid > MAX_LEMMA_NODES:
+        raise _usage(f"--count {args.count} with --grid {args.grid} audits more than "
+                     f"{MAX_LEMMA_NODES} path nodes")
     rng = np.random.default_rng(args.seed)
+
+    def paths():
+        for name in LEMMA_FIXTURES:
+            yield {"name": name}, fixtures.path_fixture(name)
+        for k in range(args.count):
+            dim = int(rng.integers(2, 7))
+            yield {"name": f"exp_frame_{k}", "dim": dim}, random_exp_frame(rng, dim)
+
     entries = []
     ok = True
-    for name in ("rot2", "rot2cw", "counterexample4"):
-        report = lemma_audit(fixtures.path_fixture(name), args.grid)
-        entries.append({"name": name, "report": report.to_dict()})
-        ok = ok and max(report.residuals().values()) <= 1e-8
-    for k in range(args.count):
-        dim = int(rng.integers(2, 7))
-        report = lemma_audit(random_exp_frame(rng, dim), args.grid)
-        entries.append({"name": f"exp_frame_{k}", "dim": dim, "report": report.to_dict()})
-        ok = ok and max(report.residuals().values()) <= 1e-8
+    for entry, path in paths():
+        report = lemma_audit(path, args.grid)
+        entries.append({**entry, "report": report.to_dict()})
+        ok = ok and max(report.residuals.values()) <= 1e-8
     _emit(to_json({"paths": entries, "all_identities_hold": ok}), args.out)
     return 0 if ok else 1
 
@@ -313,7 +322,7 @@ def cmd_reduce(args) -> int:
     spec_out = reduced_spec(payload, report.P, report.sigma, report.Q)
     problem_text = problem_to_text(spec_out)
     report_dict = report.to_dict()
-    report_dict["frame_suitable"] = reduced.frame_suitable
+    report_dict["frame_suitable"] = frame_audit(reduced.A, args.grid).suitable
     report_json = to_json(report_dict)
     if args.out is None:
         sys.stdout.write(problem_text)

@@ -54,7 +54,7 @@ class SingularMonodromyError(DaecontError):
 
 
 class SeedRejectedError(DaecontError):
-    """Continuation seed is not a zero of the candidate map."""
+    """Continuation seed is not a zero of the seeding map."""
 
 
 class ExpressionSyntaxError(DaecontError):

@@ -38,7 +38,7 @@ __all__ = [
     "eval_expr",
     "diff_expr",
     "expr_to_text",
-    "substitute_vars",
+    "substitute_exprs",
     "compile_vector",
     "compile_matrix",
     "FUNCTIONS",
@@ -321,17 +321,6 @@ def diff_expr(ast: Expr, var: str) -> Expr:
     return _mul(_mul(Num(float(n)), Binary("^", ast.left, Num(float(n - 1)))), du)
 
 
-def substitute_vars(ast: Expr, mapping: Mapping[str, str]) -> Expr:
-    """Rename variables (used to canonicalize alias spellings)."""
-    if isinstance(ast, Num):
-        return ast
-    if isinstance(ast, Var):
-        return Var(mapping.get(ast.name, ast.name))
-    if isinstance(ast, Unary):
-        return Unary(ast.op, substitute_vars(ast.arg, mapping))
-    return Binary(ast.op, substitute_vars(ast.left, mapping), substitute_vars(ast.right, mapping))
-
-
 def substitute_exprs(ast: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by whole expression trees."""
     if isinstance(ast, Num):
@@ -385,18 +374,26 @@ def _source(ast: Expr, varmap: Mapping[str, str]) -> str:
 
 _COMPILE_GLOBALS = {"math": math, "np": np, "ArithmeticError": ArithmeticError,
                     "ValueError": ValueError, "NonfiniteResultError": NonfiniteResultError,
-                    "str": str, "__builtins__": {}}
+                    "float": float, "str": str, "__builtins__": {}}
 
 
 def _compile(args: str, body: str) -> Callable:
     # A def rather than a lambda, so that math failures (exp overflow, a
     # domain error) raise NonfiniteResultError as in eval_expr; the try
-    # costs nothing on calls that do not raise.
-    src = (f"def compiled({args}):\n    try:\n        return {body}\n"
-           "    except (ArithmeticError, ValueError) as exc:\n"
-           "        raise NonfiniteResultError(str(exc)) from exc\n")
+    # costs nothing on calls that do not raise.  Arguments are read as
+    # Python floats, whose powers raise on overflow and whose division
+    # raises on zero, where numpy scalars would warn and go on with inf.
+    lines = [f"def compiled({args}):"]
+    for arg in (a.strip() for a in args.split(",")):
+        if re.search(rf"\b{arg}\[", body):
+            lines.append(f"    {arg} = np.asarray({arg}, dtype=float).tolist()")
+        elif re.search(rf"\b{arg}\b", body):
+            lines.append(f"    {arg} = float({arg})")
+    lines += ["    try:", f"        return {body}",
+              "    except (ArithmeticError, ValueError) as exc:",
+              "        raise NonfiniteResultError(str(exc)) from exc", ""]
     namespace = dict(_COMPILE_GLOBALS)
-    exec(src, namespace)
+    exec("\n".join(lines), namespace)
     return namespace["compiled"]
 
 

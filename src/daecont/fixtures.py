@@ -209,11 +209,6 @@ def path_fixture(name: str, period: float = 2.0 * np.pi) -> MatrixPath:
     return expr_path(_PATH_TABLES[name], period, name=name)
 
 
-def exp_frame_path(s: np.ndarray, a0=None, period: float = 2.0 * np.pi) -> MatrixPath:
-    """Exponential-frame path ``t -> expm(t s) a0`` (s skew, a0 orthogonal)."""
-    return MatrixPath.exp_frame(np.asarray(s, dtype=float), a0, period)
-
-
 def fixture_names():
     """(name, kind, description) rows for every shipped fixture."""
     rows = []

@@ -230,89 +230,74 @@ class FrameAudit:
         }
 
 
+def _samples(path: MatrixPath, grid_size: int, order: int) -> list:
+    """``(A, dA[, d2A])`` at each node of a uniform grid: the audits' one sampling pass."""
+    if grid_size < MIN_GRID:
+        raise ValueError(f"audit grid must have at least {MIN_GRID} points")
+    return [tuple(path(t, k) for k in range(order + 1)) for t in _grid_times(path, grid_size)]
+
+
+def _audit_samples(samples: list, tol: float) -> FrameAudit:
+    eye = np.eye(samples[0][0].shape[0])
+    orth = max(norm_inf(a @ a.T - eye) for a, *_ in samples)
+    rights = [a @ da.T for a, da, *_ in samples]
+    lefts = [a.T @ da for a, da, *_ in samples]
+    m_mean = np.mean(rights, axis=0)
+    k_mean = np.mean(lefts, axis=0)
+    return FrameAudit(
+        orthogonality=orth,
+        right_constancy=max(norm_inf(r - m_mean) for r in rights),
+        M=m_mean,
+        left_constancy=max(norm_inf(l - k_mean) for l in lefts),
+        K=k_mean,
+        skewness=norm_inf(m_mean + m_mean.T),
+        tol=tol,
+        grid_size=len(samples),
+    )
+
+
 def frame_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, tol: Optional[float] = None) -> FrameAudit:
     """Audit orthogonality and frame-product constancy on a uniform grid.
 
     Constancy is measured against the grid mean (not against any single
     time), so no instant is privileged.
     """
-    if grid_size < MIN_GRID:
-        raise ValueError(f"audit grid must have at least {MIN_GRID} points")
-    if tol is None:
-        tol = default_tol(path)
-    times = _grid_times(path, grid_size)
-    eye = np.eye(path.dim)
-    rights = []
-    lefts = []
-    orth = 0.0
-    for t in times:
-        a = path(t)
-        da = path(t, 1)
-        orth = max(orth, norm_inf(a @ a.T - eye))
-        rights.append(a @ da.T)
-        lefts.append(a.T @ da)
-    m_mean = np.mean(rights, axis=0)
-    k_mean = np.mean(lefts, axis=0)
-    right_res = max(norm_inf(r - m_mean) for r in rights)
-    left_res = max(norm_inf(l - k_mean) for l in lefts)
-    return FrameAudit(
-        orthogonality=orth,
-        right_constancy=right_res,
-        M=m_mean,
-        left_constancy=left_res,
-        K=k_mean,
-        skewness=norm_inf(m_mean + m_mean.T),
-        tol=tol,
-        grid_size=grid_size,
-    )
+    samples = _samples(path, grid_size, 1)
+    return _audit_samples(samples, default_tol(path) if tol is None else tol)
+
+
+# The second-derivative identities, name -> residual matrix at one node
+# from (A, dA, d2A) and M^2 (M the grid mean of A @ dA.T).  For an
+# orthogonal path with constant right product every one vanishes.
+IDENTITIES = {
+    "accel_symmetry": lambda a, da, dda, m2: dda @ a.T - a @ dda.T,
+    "accel_velocity": lambda a, da, dda, m2: dda @ a.T + da @ da.T,
+    "velocity_square": lambda a, da, dda, m2: da @ da.T + (a @ da.T) @ (a @ da.T),
+    "accel_drift_square": lambda a, da, dda, m2: dda @ a.T - m2,
+    "left_accel_velocity": lambda a, da, dda, m2: dda.T @ a + da.T @ da,
+    "left_velocity_square": lambda a, da, dda, m2: da.T @ da + (a.T @ da) @ (a.T @ da),
+    "left_accel_square": lambda a, da, dda, m2: dda.T @ a - (a.T @ da) @ (a.T @ da),
+}
 
 
 @dataclass(frozen=True)
 class LemmaReport:
     """Grid residuals of the second-derivative identities of frame paths.
 
-    For an orthogonal path with constant right product M := A @ dA.T the
-    following vanish identically, and the report records their worst
-    grid deviation:
-
-    - ``accel_symmetry``:      d2A @ A.T - A @ d2A.T
-    - ``accel_velocity``:      d2A @ A.T + dA @ dA.T
-    - ``velocity_square``:     dA @ dA.T + (A @ dA.T)^2
-    - ``accel_drift_square``:  d2A @ A.T - M^2        (M = grid mean)
-    - ``left_accel_velocity``: d2A.T @ A + dA.T @ dA
-    - ``left_velocity_square``: dA.T @ dA + (A.T @ dA)^2
-    - ``left_accel_square``:   d2A.T @ A - (A.T @ dA)^2
-
-    ``constancy_pair`` carries the two one-sided constancy residuals,
-    which are zero (or not) together; ``second_mean`` is the grid mean of
-    ``A @ d2A.T``.
+    ``residuals`` maps each name of :data:`IDENTITIES` to the worst grid
+    deviation of its identity.  ``constancy_pair`` carries the two
+    one-sided constancy residuals, which are zero (or not) together;
+    ``second_mean`` is the grid mean of ``A @ d2A.T``.
     """
 
-    accel_symmetry: float
-    accel_velocity: float
-    velocity_square: float
-    accel_drift_square: float
-    left_accel_velocity: float
-    left_velocity_square: float
-    left_accel_square: float
+    residuals: dict
     constancy_pair: tuple
     second_mean: np.ndarray
     one_sided_gap: float  # max ||A.T @ dA - A @ dA.T||_inf over the grid
     grid_size: int
 
-    def residuals(self) -> dict:
-        return {
-            "accel_symmetry": self.accel_symmetry,
-            "accel_velocity": self.accel_velocity,
-            "velocity_square": self.velocity_square,
-            "accel_drift_square": self.accel_drift_square,
-            "left_accel_velocity": self.left_accel_velocity,
-            "left_velocity_square": self.left_velocity_square,
-            "left_accel_square": self.left_accel_square,
-        }
-
     def to_dict(self) -> dict:
-        out = dict(self.residuals())
+        out = dict(self.residuals)
         out["right_constancy_residual"] = self.constancy_pair[0]
         out["left_constancy_residual"] = self.constancy_pair[1]
         out["second_mean"] = self.second_mean
@@ -328,53 +313,17 @@ def lemma_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID) -> LemmaReport:
     right product (``frame_audit(path).suitable``); when those
     preconditions fail, only the constancy pair is meaningful.
     """
-    audit = frame_audit(path, grid_size)
-    times = _grid_times(path, grid_size)
+    samples = _samples(path, grid_size, 2)
+    audit = _audit_samples(samples, default_tol(path))
     m2 = audit.M @ audit.M
-    res = dict.fromkeys(
-        [
-            "accel_symmetry",
-            "accel_velocity",
-            "velocity_square",
-            "accel_drift_square",
-            "left_accel_velocity",
-            "left_velocity_square",
-            "left_accel_square",
-        ],
-        0.0,
-    )
-    gap = 0.0
-    seconds = []
-    for t in times:
-        a = path(t)
-        da = path(t, 1)
-        dda = path(t, 2)
-        right = a @ da.T
-        left = a.T @ da
-        dda_at = dda @ a.T
-        a_ddat = a @ dda.T
-        seconds.append(a_ddat)
-        res["accel_symmetry"] = max(res["accel_symmetry"], norm_inf(dda_at - a_ddat))
-        res["accel_velocity"] = max(res["accel_velocity"], norm_inf(dda_at + da @ da.T))
-        res["velocity_square"] = max(res["velocity_square"], norm_inf(da @ da.T + right @ right))
-        res["accel_drift_square"] = max(res["accel_drift_square"], norm_inf(dda_at - m2))
-        res["left_accel_velocity"] = max(res["left_accel_velocity"], norm_inf(dda.T @ a + da.T @ da))
-        res["left_velocity_square"] = max(
-            res["left_velocity_square"], norm_inf(da.T @ da + left @ left)
-        )
-        res["left_accel_square"] = max(res["left_accel_square"], norm_inf(dda.T @ a - left @ left))
-        gap = max(gap, norm_inf(left - right))
     return LemmaReport(
-        accel_symmetry=res["accel_symmetry"],
-        accel_velocity=res["accel_velocity"],
-        velocity_square=res["velocity_square"],
-        accel_drift_square=res["accel_drift_square"],
-        left_accel_velocity=res["left_accel_velocity"],
-        left_velocity_square=res["left_velocity_square"],
-        left_accel_square=res["left_accel_square"],
+        residuals={
+            name: max(norm_inf(formula(a, da, dda, m2)) for a, da, dda in samples)
+            for name, formula in IDENTITIES.items()
+        },
         constancy_pair=(audit.right_constancy, audit.left_constancy),
-        second_mean=np.mean(seconds, axis=0),
-        one_sided_gap=gap,
+        second_mean=np.mean([a @ dda.T for a, _, dda in samples], axis=0),
+        one_sided_gap=max(norm_inf(a.T @ da - a @ da.T) for a, da, _ in samples),
         grid_size=grid_size,
     )
 

@@ -29,7 +29,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .degree import Box, ZeroRecord, candidate_map, locate_zeros, seeding_map
+from .degree import Box, ZeroRecord, locate_zeros, seeding_map
 from .errors import (
     DaecontError,
     NoConvergenceError,
@@ -424,8 +424,9 @@ def find_tpair(prob, lam: float, xi0_guess, nsteps: int = DEFAULT_STEPS) -> TPai
 
 
 def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
-    # The seed is a candidate-map zero: drift annihilates xi0 and the
-    # constraint holds, so the constant frame state is a solution at lam=0.
+    # The seed is a seeding-map zero: the drift annihilates xi0 (or
+    # vanishes, when the averaged map seeds) and the constraint holds, so
+    # the constant frame state is a solution at lam=0.
     prob = runner.prob
     m = prob.m
     xi0, eta0 = seed[:m], seed[m:]
@@ -499,14 +500,15 @@ def continue_branch(
     *,
     integration_steps: int = DEFAULT_STEPS,
 ) -> Branch:
-    """Trace a branch of T-pairs from a candidate-map zero.
+    """Trace a branch of T-pairs from a seeding-map zero.
 
-    ``seed`` lives in (xi, eta) space and must be a zero of the candidate
-    map; the traced polyline lives in ``(lam, xi0)`` space, which is what
-    ``box`` bounds.  The first corrected point is taken at ``lam = ds``
-    (not 0) with the trivial state as predictor, because the period map at
-    ``lam = 0`` may be the identity.  ``lam`` is clamped to be nonnegative
-    and the march direction starts toward increasing ``lam``.
+    ``seed`` lives in (xi, eta) space and must be a zero of the
+    :func:`~daecont.degree.seeding_map`; the traced polyline lives in
+    ``(lam, xi0)`` space, which is what ``box`` bounds.  The first
+    corrected point is taken at ``lam = ds`` (not 0) with the trivial state
+    as predictor, because the period map at ``lam = 0`` may be the
+    identity.  ``lam`` is clamped to be nonnegative and the march
+    direction starts toward increasing ``lam``.
 
     A bad seed, box or ``ds`` raises.  Once the trivial pair exists the
     branch always comes back with the pairs traced so far and its
@@ -516,9 +518,9 @@ def continue_branch(
     """
     runner = _ShootingRunner(prob, integration_steps)
     seed = np.atleast_1d(np.asarray(seed, dtype=float))
-    seed_residual = norm_inf(candidate_map(runner.sys)(seed))
+    seed_residual = norm_inf(seeding_map(runner.sys)(seed))
     if seed_residual > SEED_TOL:
-        raise SeedRejectedError(f"seed is not a candidate-map zero (residual {seed_residual:.3e})")
+        raise SeedRejectedError(f"seed is not a seeding-map zero (residual {seed_residual:.3e})")
     if box.dim != 1 + runner.state_dim:
         raise ValueError(
             f"continuation box must live in (lam, state) space of dim {1 + runner.state_dim}"

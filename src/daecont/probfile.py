@@ -105,15 +105,15 @@ def _split_rows(lines: List[str]) -> List[List[str]]:
     return rows
 
 
-def _alias_map(prefixes: Dict[str, str], dims: Dict[str, int]) -> Dict[str, str]:
+def _alias_map(prefixes: Dict[str, str], dims: Dict[str, int]) -> Dict[str, ex.Var]:
     # prefixes: alias spelling -> canonical prefix; dims: canonical prefix -> size
     out = {}
     for alias, canon in prefixes.items():
         size = dims[canon]
         for k in range(1, size + 1):
-            out[f"{alias}{k}"] = f"{canon}{k}"
+            out[f"{alias}{k}"] = ex.Var(f"{canon}{k}")
         if size == 1:
-            out[alias] = f"{canon}1"
+            out[alias] = ex.Var(f"{canon}1")
     return out
 
 
@@ -132,7 +132,7 @@ def _parse_table(section, lines, rows_expected, cols_expected, aliases, canonica
                 f"expected {cols_expected}"
             )
         table.append([
-            ex.substitute_vars(ex.parse_expr(entry, allowed), aliases) for entry in row
+            ex.substitute_exprs(ex.parse_expr(entry, allowed), aliases) for entry in row
         ])
     return table
 

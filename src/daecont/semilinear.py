@@ -23,7 +23,7 @@ from .errors import (
     SingularBlockError,
 )
 from .linalg import determinant, norm_inf, svd_small
-from .paths import MatrixPath, frame_audit
+from .paths import MatrixPath
 from .transform import DaeProblem1
 
 __all__ = ["SemiLinearDae", "ReductionReport", "check_conditions", "reduce_semilinear"]
@@ -159,12 +159,13 @@ def _check_with(dae, p, sigma, q, r, grid) -> ReductionReport:
     det3 = det4 = np.inf
     for k in range(grid):
         t = k * dae.period / grid
-        f_t = p.T @ dae.Fpath(t) @ q
-        c_t = p.T @ dae.Cpath(t) @ q
+        f_raw, c_raw = dae.Fpath(t), dae.Cpath(t)
+        f_t = p.T @ f_raw @ q
+        c_t = p.T @ c_raw @ q
         f_res = max(f_res, norm_inf(f_t[:r, :]))
         c_res = max(c_res, norm_inf(c_t[r:, :]))
-        ker_c_res = max(ker_c_res, _subspace_residual(_kernel_basis(dae.Cpath(t)), ker_e))
-        ker_f_res = max(ker_f_res, _subspace_residual(_image_basis(dae.Fpath(t)), ker_e))
+        ker_c_res = max(ker_c_res, _subspace_residual(_kernel_basis(c_raw), ker_e))
+        ker_f_res = max(ker_f_res, _subspace_residual(_image_basis(f_raw), ker_e))
         det3 = min(det3, abs(determinant(f_t[r:, :r])))
         det4 = min(det4, abs(determinant(f_t[r:, r:])))
     return ReductionReport(
@@ -205,9 +206,9 @@ def reduce_semilinear(
     The result has ``m = s = r = n/2``, frame path ``F3``, scaling path
     ``F4``, constraint ``g(p, q) = p + q`` and forcing
     ``f = E1^{-1} (C1(t) S1 + C2(t) S2)`` with ``(S1, S2) = Q.T S(Q ·)``.
-    When ``F3`` fails the orthogonal-frame audit the problem is still
-    returned but marked ``frame_suitable=False`` (outside the scope of the
-    fixed-frame machinery; integration in raw mode still works).
+    The frame ``F3`` is not audited here: a frame that fails
+    ``frame_audit`` is outside the scope of the fixed-frame machinery
+    (which then raises), while raw-mode integration still works.
     A given ``report`` supplies ``P``, ``Q``, ``sigma`` and the rank;
     without one, :func:`check_conditions` runs first.
     """
@@ -238,7 +239,7 @@ def reduce_semilinear(
         return inv_e1 * (c_top(t) @ s_vec)
 
     eye_r = np.eye(r)
-    prob = DaeProblem1(
+    return DaeProblem1(
         m=r,
         s=r,
         period=period,
@@ -250,5 +251,3 @@ def reduce_semilinear(
         d2g=lambda pp, qq: eye_r,
         name=(dae.name + "_reduced") if dae.name else "reduced",
     )
-    prob.frame_suitable = frame_audit(a_path, grid).suitable
-    return prob

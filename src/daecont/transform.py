@@ -63,7 +63,6 @@ class DaeProblem1:
     d2g: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     H: Optional[np.ndarray] = None
     name: str = ""
-    frame_suitable: bool = True
 
     order: int = field(default=1, init=False, repr=False)
 
@@ -101,7 +100,6 @@ class DaeProblem2:
     H1: Optional[np.ndarray] = None
     H2: Optional[np.ndarray] = None
     name: str = ""
-    frame_suitable: bool = True
 
     order: int = field(default=2, init=False, repr=False)
 

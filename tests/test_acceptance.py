@@ -62,7 +62,7 @@ def test_criterion_2_identity_suite():
             dim = int(rng.integers(2, 7))
             path = MatrixPath.exp_frame(_skew(rng, dim), expm(_skew(rng, dim)))
             report = lemma_audit(path)
-            assert max(report.residuals().values()) <= 1e-8
+            assert max(report.residuals.values()) <= 1e-8
             right, left = report.constancy_pair
             assert (right <= tol) == (left <= tol)  # both constant here
             assert right <= tol

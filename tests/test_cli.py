@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,8 @@ class TestIntegrate:
     (["continue", "rotating_surface", "--steps", str(MAX_BRANCH_STEPS + 1)],
      "steps must be at most"),
     (["continue", "rotating_surface", "--steps", "0"], "steps must be at least 1"),
+    # the flags' product: --count 5000 runs at the default grid, not at this one
+    (["lemmas", "--count", "5000", "--grid", "10000"], "path nodes"),
 ])
 def test_bad_input_is_usage_error(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:
@@ -257,21 +260,32 @@ class TestModelFailure:
         assert err.startswith("daecont: NonfiniteResultError: ")
 
     def test_integrate_domain_error_exits_one(self, capsys, tmp_path):
-        prob = overflowing_problem(tmp_path, "sin(x1^400) - x1\n-x2")
-        with np.errstate(over="ignore"):
-            code, _, err = run(capsys, "integrate", prob, "--x0", "10,0")
+        # a float product overflows to inf without raising; sin(inf) is a domain error
+        prob = overflowing_problem(tmp_path, "sin(x1^300*x1^300) - x1\n-x2")
+        code, _, err = run(capsys, "integrate", prob, "--x0", "10,0")
         assert code == 1 and "daecont: NonfiniteResultError: math domain error" in err
 
     @pytest.mark.parametrize("forcing, x0", [("x1^400 - x1\n-x2", "10,0"),
                                              ("1/x2 - x1\n-x2", "1,0")])
     def test_integrate_nonfinite_state_names_cause(self, capsys, tmp_path, forcing, x0):
-        # numpy scalars overflow or divide by zero to inf without raising;
-        # the constraint solve that meets the non-finite value reports it
+        # the float power overflows, the float division divides by zero
         prob = overflowing_problem(tmp_path, forcing)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            code, out, err = run(capsys, "integrate", prob, "--x0", x0)
+        code, out, err = run(capsys, "integrate", prob, "--x0", x0)
         assert code == 1 and out == ""
         assert err.splitlines()[-1].startswith("daecont: NonfiniteResultError: ")
+
+    def test_overflow_raises_at_the_model_call(self, capsys, tmp_path):
+        # one error line from the forcing call: no RuntimeWarning, and not
+        # a constraint residual that later meets an inf
+        prob = overflowing_problem(tmp_path, "x1^400 - x1\n-x2")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "integrate", prob, "--x0", "10,0")
+        assert caught == []
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("daecont: NonfiniteResultError: ")
+        assert "constraint" not in err
 
     def test_continue_overflow_keeps_trivial_pair(self, capsys, tmp_path):
         prob = overflowing_problem(tmp_path, "exp(1000*x1) - x1\n-x2")

@@ -21,7 +21,6 @@ from daecont.expressions import (
     expr_to_text,
     parse_expr,
     substitute_exprs,
-    substitute_vars,
 )
 
 
@@ -170,7 +169,7 @@ class TestRoundTrip:
 
 class TestSubstitution:
     def test_rename(self):
-        ast = substitute_vars(parse_expr("xi1 + eta1"), {"xi1": "x1", "eta1": "y1"})
+        ast = substitute_exprs(parse_expr("xi1 + eta1"), {"xi1": Var("x1"), "eta1": Var("y1")})
         assert eval_expr(ast, {"x1": 2.0, "y1": 3.0}) == 5.0
 
     def test_tree_substitution(self):
@@ -202,12 +201,12 @@ class TestCompile:
 
     @pytest.mark.parametrize("text, value", [
         ("exp(1000*x1) - x1", 1.0),  # OverflowError in math.exp
-        ("sin(x1^400) - x1", 10.0),  # numpy power overflows to inf, then a domain error
+        ("sin(x1^400) - x1", 10.0),  # OverflowError in the float power
     ])
     def test_compiled_failures_are_nonfinite_results(self, text, value):
         ast = parse_expr(text)
         fns = (compile_vector([ast], "x", {"x1": "x[0]"}),
                compile_matrix([[ast]], "x", {"x1": "x[0]"}))
         for fn in fns:
-            with pytest.raises(NonfiniteResultError), np.errstate(over="ignore"):
+            with pytest.raises(NonfiniteResultError):
                 fn(np.array([value]))

@@ -94,11 +94,22 @@ class TestFrameAudit:
         assert not audit.is_orthogonal
 
 
+class TestSampling:
+    # each audit samples every grid node once, at each derivative order it reads
+    def test_frame_audit_path_calls(self, path_calls):
+        frame_audit(path_fixture("rot2"), 16)
+        assert len(path_calls) == 2 * 16
+
+    def test_lemma_audit_path_calls(self, path_calls):
+        lemma_audit(path_fixture("rot2"), 16)
+        assert len(path_calls) == 3 * 16
+
+
 class TestLemmaAudit:
     def test_rotation_second_product(self):
         rot = path_fixture("rot2")
         report = lemma_audit(rot)
-        assert report.accel_drift_square <= 1e-8
+        assert report.residuals["accel_drift_square"] <= 1e-8
         # second-derivative product equals M^2 = -I for the rotation frame
         assert norm_inf(report.second_mean - (-np.eye(2))) <= 1e-10
 
@@ -107,11 +118,11 @@ class TestLemmaAudit:
         right, left = report.constancy_pair
         assert right <= 1e-10 and left <= 1e-10
         assert report.one_sided_gap >= 0.5
-        assert max(report.residuals().values()) <= 1e-10
+        assert max(report.residuals.values()) <= 1e-10
 
     def test_constant_path_all_zero(self):
         report = lemma_audit(MatrixPath.constant(np.eye(3), period=1.0))
-        assert max(report.residuals().values()) == 0.0
+        assert max(report.residuals.values()) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exp_frames_satisfy_identities(self, seed):
@@ -120,13 +131,13 @@ class TestLemmaAudit:
         path = MatrixPath.exp_frame(skew(rng, n), expm(skew(rng, n)))
         assert frame_audit(path).suitable
         report = lemma_audit(path)
-        assert max(report.residuals().values()) <= 1e-8
+        assert max(report.residuals.values()) <= 1e-8
 
     def test_fd_mode_tolerance(self):
         rot = path_fixture("rot2")
         fd = MatrixPath(2, rot.period, lambda t: rot(t), fd_step=1e-4)
         report = lemma_audit(fd)
-        assert max(report.residuals().values()) <= 1e-4
+        assert max(report.residuals.values()) <= 1e-4
 
     def test_constancy_equivalence(self):
         # one-sided constancy holds or fails on both sides together

@@ -3,7 +3,7 @@ import pytest
 
 from daecont import periodic
 from daecont.degree import Box
-from daecont.errors import DaecontError, SeedRejectedError
+from daecont.errors import DaecontError, SeedRejectedError, SingularMonodromyError
 from daecont.fixtures import load_fixture
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath
@@ -148,6 +148,11 @@ class TestFindTPair:
         assert tp.lam == 0.0
         assert tp.periodicity_residual <= 1e-8
 
+    def test_nonperiodic_guess_at_lambda_zero(self):
+        # the commuting spiral drift H decays every nonzero state
+        with pytest.raises(SingularMonodromyError):
+            find_tpair(load_fixture("commuting_h"), 0.0, np.array([0.5, 0.3]))
+
     def test_scalar_linear_periodic_orbit(self):
         prob = load_fixture("scalar_linear")
         tp = find_tpair(prob, 1.0, np.array([0.0]))
@@ -203,6 +208,13 @@ class TestContinueBranch:
         box = Box(np.array([0.0, -2, -2]), np.array([10.0, 2, 2]))
         with pytest.raises(SeedRejectedError):
             continue_branch(prob, np.array([0.5, 0.5, 0.5]), 0.05, 4, box)
+
+    def test_seed_off_the_averaged_map_rejected(self):
+        # the drift vanishes, so the averaged map seeds: (2, 1) satisfies
+        # the constraint but not the averaged forcing
+        box = Box(np.array([0.0, -2.0]), np.array([10.0, 2.0]))
+        with pytest.raises(SeedRejectedError):
+            continue_branch(load_fixture("scalar_linear"), np.array([2.0, 1.0]), 0.05, 3, box)
 
     def test_zero_forcing_traces_lambda_ray(self):
         prob = scalar_problem(g=lambda p, q: q - p)
@@ -347,12 +359,14 @@ class TestTermination:
         return prob
 
     def test_degenerate_family_ends_in_solver_failure(self, monkeypatch):
-        # x1 decays, x2 is free: every (0, x2) is periodic, so the first
-        # shooting Jacobian, the tangent system and the corrector are all
-        # singular.  The first step is rescued by least squares, the
-        # tangent keeps the chord, and the corrector fails twice.
+        # x1 relaxes onto a forced orbit, x2 is free: every (x1*, x2) is
+        # periodic, so the first shooting Jacobian, the tangent system and
+        # the corrector are all singular.  The first step is rescued by
+        # least squares, the tangent keeps the chord, and the corrector
+        # fails twice.  The seed (0, x2, 0) zeroes the averaged map.
         prob = DaeProblem1(
-            m=2, s=1, period=TWO_PI, f=lambda t, x, y: np.array([-x[0], 0.0]),
+            m=2, s=1, period=TWO_PI,
+            f=lambda t, x, y: np.array([-x[0] + 0.5 * np.cos(t), 0.0]),
             g=lambda p, q: q - p[:1],
             A=MatrixPath.constant(np.eye(2), TWO_PI),
             B=MatrixPath.constant(np.eye(1), TWO_PI),
@@ -372,10 +386,12 @@ class TestTermination:
         monkeypatch.setattr(periodic, "_least_squares_newton", counted_lsq)
         monkeypatch.setattr(periodic, "_branch_tangent", counted_tangent)
         box = Box(np.array([0.0, -2, -2]), np.array([10.0, 2, 2]))
-        branch = continue_branch(prob, np.array([0.3, 0.4, 0.3]), 0.1, 5, box)
+        branch = continue_branch(prob, np.array([0.0, 0.4, 0.0]), 0.1, 5, box)
         assert branch.termination == "solver_failure"
         assert [p.lam for p in branch.pairs] == [0.0, 0.1]
-        assert norm_inf(branch.pairs[1].xi0 - np.array([0.0, 0.4])) <= 1e-9
+        # x1(0) of the forced orbit of x1' = lam (0.5 cos t - x1)
+        x1 = 0.5 * 0.1**2 / (1.0 + 0.1**2)
+        assert norm_inf(branch.pairs[1].xi0 - np.array([x1, 0.4])) <= 1e-9
         assert fallbacks == {"least_squares": 1, "kept_tangent": 1}
 
     @pytest.mark.parametrize("owner, name, failing_call, pairs", [

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from daecont.errors import RankMismatchError, SingularBlockError
+from daecont.errors import ConditionsViolatedError, RankMismatchError, SingularBlockError
 from daecont.fixtures import load_fixture
 from daecont.linalg import norm_inf, solve_linear
-from daecont.paths import MatrixPath
+from daecont.paths import MatrixPath, frame_audit
 from daecont.semilinear import SemiLinearDae, _check_with, _rank_checked_svd, check_conditions, reduce_semilinear
 from oracles import rk4_step
 
@@ -65,6 +65,11 @@ class TestCheckConditions:
         assert report.kernel_residual_c > 1e-3
         assert not report.conditions_hold
 
+    def test_one_path_call_per_node(self, path_calls):
+        dae = worked_example()
+        check_conditions(dae, 16)
+        assert path_calls.count(dae.Fpath) == path_calls.count(dae.Cpath) == 16
+
     def test_rank_mismatch(self):
         dae = worked_example()
         dae.mass = np.eye(4)
@@ -73,10 +78,24 @@ class TestCheckConditions:
 
 
 class TestReduce:
+    def test_lower_c_block_rejected(self):
+        dae = worked_example()
+        dae.Cpath = MatrixPath.constant(np.eye(4), dae.period)
+        assert check_conditions(dae).c_block_residual > 1e-3
+        with pytest.raises(ConditionsViolatedError):
+            reduce_semilinear(dae)
+
+    def test_given_report_samples_no_path(self, path_calls):
+        dae = worked_example()
+        report = check_conditions(dae)
+        path_calls.clear()
+        reduce_semilinear(dae, report=report)
+        assert path_calls == []
+
     def test_worked_example_fields(self):
         red = reduce_semilinear(worked_example())
         assert red.m == red.s == 2
-        assert red.frame_suitable
+        assert frame_audit(red.A).suitable
         # forcing matches the displayed reduced system
         for t in (0.0, 0.9, 3.0):
             x = np.array([0.7, -0.2])
