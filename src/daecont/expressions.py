@@ -102,6 +102,16 @@ def _tokenize(text: str):
     return tokens
 
 
+def _number(text: str, offset: int) -> Num:
+    # A literal that rounds to inf (1e400, a 400-digit integer) has no
+    # finite value to compute with, and inf has no source form to compile to.
+    value = float(text)
+    if not math.isfinite(value):
+        raise ExpressionSyntaxError(offset, ("finite number",),
+                                    f"number {text!r} at offset {offset} is not finite")
+    return Num(value)
+
+
 class _Parser:
     def __init__(self, text: str, variables: Optional[Iterable[str]]):
         self.text = text
@@ -168,14 +178,14 @@ class _Parser:
                 if kind != "num" or not re.fullmatch(r"\d+", value):
                     raise ExpressionSyntaxError(offset, ("nonnegative integer exponent",))
                 self.advance()
-                node = Binary("^", node, Num(float(int(value))))
+                node = Binary("^", node, _number(value, offset))
             else:
                 return node
 
     def atom(self) -> Expr:
         kind, value, offset = self.advance()
         if kind == "num":
-            return Num(float(value))
+            return _number(value, offset)
         if kind == "ident":
             nkind, nvalue, _ = self.peek()
             if nkind == "op" and nvalue == "(":

@@ -20,10 +20,18 @@ is autonomous and the algebraic block is a local function of the state.
 Branches in ``(lam, xi0)`` are traced by a pseudo-arclength
 predictor-corrector seeded at the zeros of the seeding map (the
 candidate map, or the averaged map when the drift vanishes).
+
+Every shooting march of a branch runs the same time grid, and there the
+frame depends on time alone.  So each shooting runner builds one frame
+table when it is made: ``A``, ``B`` (and, for order 2, ``dA`` and the
+derivative of ``B^{-1}``) at the ``2N + 1`` step and midpoint times of
+its march, keyed by the exact floats the march produces.  The table lives
+and dies with its runner; ``integrate`` builds none.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -39,7 +47,7 @@ from .errors import (
     SingularMatrixError,
     SingularMonodromyError,
 )
-from .linalg import NewtonConfig, fd_jacobian, newton_solve, norm_inf, solve_linear
+from .linalg import PIVOT_REL, NewtonConfig, fd_jacobian, newton_solve, norm_inf, solve_linear
 from .transform import fixed_frame
 
 __all__ = [
@@ -141,7 +149,14 @@ def _solve_constraint(g, jac, q0):
     # skipping it leaves an O(tol) error that unstable flows can amplify
     # far past the tolerance of the differential block.  A non-finite
     # residual (a model value overflowed or divided by zero) ends the solve
-    # at once: Newton cannot recover from it.
+    # at once: Newton cannot recover from it.  A scalar block (s = 1)
+    # iterates on Python floats, with the same rules and the same bits.
+    if np.size(q0) == 1:
+        return _scalar_newton(g, jac, q0)
+    return _vector_newton(g, jac, q0)
+
+
+def _vector_newton(g, jac, q0):
     q = np.atleast_1d(np.asarray(q0, dtype=float)).copy()
     r = np.atleast_1d(g(q))
     rn = np.abs(r).max()
@@ -163,6 +178,42 @@ def _solve_constraint(g, jac, q0):
     raise NoConvergenceError(
         f"constraint solve stalled at residual {rn:.3e} (tol {CONSTRAINT_SOLVE_TOL:.1e})"
     )
+
+
+def _scalar_newton(g, jac, q0):
+    # _vector_newton for s = 1: the step q - r / j and the 1x1 pivot test
+    # of solve_linear, on floats.  The models still see a 1-vector, built
+    # once per iterate and shared by g and jac.
+    q = _one(q0)
+    qa = np.array([q])
+    r = _one(g(qa))
+    rn = abs(r)
+    for iteration in range(CONSTRAINT_SOLVE_MAX_ITER):
+        if rn == 0.0 or (rn <= CONSTRAINT_SOLVE_TOL and iteration > 0):
+            return qa
+        if not rn < math.inf:
+            raise NonfiniteResultError(f"constraint residual is {rn}: a model value is not finite")
+        j = _one(jac(qa))
+        if abs(j) < PIVOT_REL * max(abs(j), 1e-300) or j == 0.0:
+            if rn <= CONSTRAINT_SOLVE_TOL:
+                return qa
+            raise SingularMatrixError("1x1 system is singular")
+        q = q - r / j
+        qa = np.array([q])
+        r = _one(g(qa))
+        rn = abs(r)
+    if rn <= CONSTRAINT_SOLVE_TOL:
+        return qa
+    raise NoConvergenceError(
+        f"constraint solve stalled at residual {rn:.3e} (tol {CONSTRAINT_SOLVE_TOL:.1e})"
+    )
+
+
+def _one(value) -> float:
+    # The entry of a size-1 model value: an array of any shape, a list or a number.
+    if type(value) is not np.ndarray:
+        value = np.asarray(value, dtype=float)
+    return value.item()
 
 
 def consistent_init(prob, t0: float, x0: np.ndarray, y_guess: np.ndarray) -> np.ndarray:
@@ -194,8 +245,8 @@ class _Stepper:
         self.order = sys.order
 
     def stage(self, t, state, y_warm):
+        y = self.resolve(t, state, y_warm)
         x = state[: self.m]
-        y = self.solve(t, x, y_warm)
         if self.order == 1:
             return self.sys.drive(t, x, y, self.lam), y
         xd = state[self.m :]
@@ -203,7 +254,18 @@ class _Stepper:
         return np.concatenate([xd, acc]), y
 
     def resolve(self, t, state, y_warm):
-        return self.solve(t, state[: self.m], y_warm)
+        # The algebraic block at a stage state.  A non-finite residual at a
+        # non-finite state blames the state, where an earlier model value
+        # overflowed without raising, not the constraint.
+        x = state[: self.m]
+        try:
+            return self.solve(t, x, y_warm)
+        except NonfiniteResultError:
+            if np.isfinite(x).all():
+                raise
+            raise NonfiniteResultError(
+                f"state {x.tolist()} at t = {t!r} is not finite: a model value overflowed"
+            ) from None
 
     def record(self, t, state, y):
         x = state[: self.m]
@@ -252,27 +314,36 @@ class _FixedStepper(_Stepper):
         return self.sys.pull_back(t, xi, eta, xid, etad)
 
 
+def _step_times(t0, h, nsteps):
+    # (start, midpoint, end) of each RK4 step of a march from t0: the exact
+    # floats its stages see, and so the keys of a runner's frame table.
+    t = t0
+    for _ in range(nsteps):
+        end = t + h
+        yield t, t + 0.5 * h, end
+        t = end
+
+
 def _march(stepper, t0, state0, y0, h, nsteps, record_nodes):
     # RK4 over the differential block; algebraic block re-solved per stage
     # with warm starts.  A stage whose constraint Newton fails aborts the
-    # whole integration (no silent continuation).
-    t = t0
+    # whole integration (no silent continuation).  Returns the end state
+    # and, when recording, the node times and nodes.
     state = np.asarray(state0, dtype=float).copy()
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    nodes = [stepper.record(t, state, y)] if record_nodes else None
-    times = [t] if record_nodes else None
-    for _ in range(nsteps):
+    nodes = [stepper.record(t0, state, y)] if record_nodes else None
+    times = [t0] if record_nodes else None
+    for t, mid, end in _step_times(t0, h, nsteps):
         k1, y1 = stepper.stage(t, state, y)
-        k2, y2 = stepper.stage(t + 0.5 * h, state + 0.5 * h * k1, y1)
-        k3, y3 = stepper.stage(t + 0.5 * h, state + 0.5 * h * k2, y2)
-        k4, y4 = stepper.stage(t + h, state + h * k3, y3)
+        k2, y2 = stepper.stage(mid, state + 0.5 * h * k1, y1)
+        k3, y3 = stepper.stage(mid, state + 0.5 * h * k2, y2)
+        k4, y4 = stepper.stage(end, state + h * k3, y3)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        y = stepper.resolve(t, state, y4)
+        y = stepper.resolve(end, state, y4)
         if record_nodes:
-            nodes.append(stepper.record(t, state, y))
-            times.append(t)
-    return t, state, y, times, nodes
+            nodes.append(stepper.record(end, state, y))
+            times.append(end)
+    return state, times, nodes
 
 
 def _steps_for(span_len, h):
@@ -327,7 +398,7 @@ def integrate(
         stepper, start = _FixedStepper(sys, lam), sys.push_forward(0.0, x0, y0, xdot0)
     pos0, alg0, vel0 = start
     state0 = pos0 if vel0 is None else np.concatenate([pos0, vel0])
-    _, _, _, times, nodes = _march(stepper, 0.0, state0, alg0, h, nsteps, True)
+    _, times, nodes = _march(stepper, 0.0, state0, alg0, h, nsteps, True)
     return _nodes_to_trajectory(times, nodes)
 
 
@@ -345,20 +416,26 @@ class _ShootingRunner:
     ``(xi0, xidot0)`` for order 2); the algebraic block is recovered from
     the autonomous constraint, so periodicity of ``eta`` is checked a
     posteriori rather than solved for.
+
+    Every flow marches the same grid, so the runner's system carries a
+    frame table (see :meth:`~daecont.transform.TransformedSystem.tabulate`)
+    over the ``2 * nsteps + 1`` step and midpoint times of one period,
+    built here and dropped with the runner.
     """
 
     def __init__(self, prob, nsteps: int = DEFAULT_STEPS):
         self.prob = prob
-        self.sys = fixed_frame(prob)
         self.nsteps = int(nsteps)
         self.h = prob.period / self.nsteps
         self.state_dim = prob.order * prob.m
+        steps = _step_times(0.0, self.h, self.nsteps)
+        self.sys = fixed_frame(prob).tabulate(t for step in steps for t in step)
 
     def flow(self, lam, state0, record=False):
         # One period from a float state; returns (end_state, times, nodes).
         stepper = _FixedStepper(self.sys, lam)
         eta0 = stepper.solve(0.0, state0[: self.prob.m], np.zeros(self.prob.s))
-        _, end, _, times, nodes = _march(stepper, 0.0, state0, eta0, self.h, self.nsteps, record)
+        end, times, nodes = _march(stepper, 0.0, state0, eta0, self.h, self.nsteps, record)
         return end, times, nodes
 
     def shoot(self, lam, state0):

@@ -14,12 +14,15 @@ with ``F = A(t) f`` the frame-conjugated forcing.  :class:`TransformedSystem`
 owns the change in both directions, node by node: ``push_forward`` and
 its inverse ``pull_back`` (``x = A(t).T xi``, ``y = B(t)^{-1} eta``),
 velocities included for order 2.  One node map evaluates the frame at a
-time and serves both ``pull_back`` and ``F``.
+time and serves both ``pull_back`` and ``F``.  A shooting runner marches
+one grid over and over, so it tabulates the frame at that grid's times
+(:meth:`TransformedSystem.tabulate`); the table belongs to the runner's
+system and goes with it, and any other time is evaluated afresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -152,6 +155,7 @@ class TransformedSystem:
 
     ``D0`` multiplies the state, ``D1`` (order 2 only) the velocity; ``f``
     is the problem's forcing, which :meth:`F` conjugates into the frame.
+    ``frames`` is empty unless the system came from :meth:`tabulate`.
     """
 
     order: int
@@ -167,18 +171,39 @@ class TransformedSystem:
     A: MatrixPath
     B: MatrixPath
     M: np.ndarray
+    frames: dict = field(default_factory=dict, repr=False)  # t -> frame at t; see tabulate
+
+    def _frame(self, t: float, rates: bool):
+        # The frame at t: (A, B), then (dA, d(B^-1)) when rates are asked for.
+        a, b = self.A(t), self.B(t)
+        if not rates:
+            return a, b
+        return a, b, self.A(t, 1), inverse_derivative(b, self.B(t, 1))
+
+    def tabulate(self, times) -> "TransformedSystem":
+        """This system with its frame tabulated at ``times``.
+
+        Each entry holds ``A(t)`` and ``B(t)`` and, for order 2, ``dA(t)``
+        and the derivative of ``B(t)^{-1}``.  A node at a tabulated time
+        reads them from the table, keyed by the exact float; at any other
+        time the node evaluates the paths, and nothing is added to the table.
+        The table lives as long as the returned system.
+        """
+        return replace(self, frames={t: self._frame(t, self.order == 2) for t in times})
 
     def _node(self, t: float, xi, eta, xid=None, etad=None):
-        # The frame at t, evaluated once: A(t) and the original-coordinate
-        # node (x, y, xdot, ydot) of a frame node, velocities None unless
-        # xid and etad are given.
-        a, b = self.A(t), self.B(t)
+        # The frame at t, from the table or evaluated once: A(t) and the
+        # original-coordinate node (x, y, xdot, ydot) of a frame node,
+        # velocities None unless xid and etad are given.
+        frame = self.frames.get(t) or self._frame(t, xid is not None)
+        a, b = frame[0], frame[1]
         x = a.T @ xi
         y = solve_linear(b, eta)
         if xid is None:
             return a, (x, y, None, None)
-        xd = self.A(t, 1).T @ xi + a.T @ xid
-        yd = inverse_derivative(b, self.B(t, 1)) @ eta + solve_linear(b, etad)
+        da, dbinv = frame[2], frame[3]
+        xd = da.T @ xi + a.T @ xid
+        yd = dbinv @ eta + solve_linear(b, etad)
         return a, (x, y, xd, yd)
 
     def F(self, t: float, xi, eta, *velocities):

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import daecont
 
 from daecont.cli import MAX_BRANCH_STEPS, MAX_LEMMA_PATHS, build_parser, main
 from daecont.degree import Box
@@ -287,6 +292,25 @@ class TestModelFailure:
         assert len(lines) == 1 and lines[0].startswith("daecont: NonfiniteResultError: ")
         assert "constraint" not in err
 
+    def test_integrate_nonfinite_literal_is_syntax_error(self, capsys, tmp_path):
+        # 1e400 parses to inf, which has no source form in a compiled model
+        prob = overflowing_problem(tmp_path, "1e400*x1 - x1\n-x2")
+        code, out, err = run(capsys, "integrate", prob)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("daecont: ExpressionSyntaxError: ")
+        assert "'1e400'" in lines[0]
+
+    def test_integrate_overflowed_product_blames_the_state(self, capsys, tmp_path):
+        # the float product overflows to inf without raising; the next
+        # stage's constraint solve meets that state, which is to blame
+        prob = overflowing_problem(tmp_path, "x1^300*x1^300 - x1\n-x2")
+        code, out, err = run(capsys, "integrate", prob, "--x0", "10,0")
+        assert code == 1 and out == ""
+        last = err.splitlines()[-1]
+        assert last.startswith("daecont: NonfiniteResultError: state [inf, ")
+        assert " at t = " in last and "constraint" not in last
+
     def test_continue_overflow_keeps_trivial_pair(self, capsys, tmp_path):
         prob = overflowing_problem(tmp_path, "exp(1000*x1) - x1\n-x2")
         code, out, err = run(capsys, "continue", prob, "--steps", "3")
@@ -332,6 +356,24 @@ def test_branch_matches_golden_within_roundoff(capsys, problem, steps):
     for row, ref_row in zip(rows[1:], ref[1:]):
         assert row[0] == ref_row[0] and row[-1] == ref_row[-1]
         assert np.max(np.abs(np.array(row, float) - np.array(ref_row, float))) <= 1e-12
+
+
+def test_branch_of_criterion_8_fixture_matches_golden(capsys):
+    # Byte for byte: the frame table and the scalar constraint Newton must
+    # not move a bit.  Recorded before both, on OpenBLAS; another LAPACK
+    # build may round the 3x3 corrector solves differently (see above).
+    code, out, err = run(capsys, "continue", "rotating_surface", "--steps", "6")
+    assert code == 0 and err == "branch: 7 pairs, termination: budget\n"
+    assert out == (GOLDEN_DIR / "continue_rotating_surface_6.csv").read_text()
+
+
+def test_python_m_daecont_runs_the_cli():
+    src = str(Path(daecont.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "daecont", "fixtures"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines()[0].startswith("commuting_h ")
 
 
 class TestFixtures:

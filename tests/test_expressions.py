@@ -64,6 +64,17 @@ class TestParse:
         with pytest.raises(UnknownIdentifierError):
             parse_expr("t + z", variables=("t",))
 
+    @pytest.mark.parametrize("text, offset", [("x1 + 1e400", 5),
+                                              ("2 * 1" + "0" * 400, 4),
+                                              ("q^" + "9" * 400, 2)])
+    def test_nonfinite_literal_rejected_at_its_offset(self, text, offset):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expr(text)
+        assert exc.value.offset == offset and "not finite" in str(exc.value)
+
+    def test_largest_finite_literal_accepted(self):
+        assert parse_expr("1.7976931348623157e308") == Num(1.7976931348623157e308)
+
     def test_exponent_must_be_integer_literal(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_expr("q^t")

@@ -3,7 +3,13 @@ import pytest
 
 from daecont import periodic
 from daecont.degree import Box
-from daecont.errors import DaecontError, SeedRejectedError, SingularMonodromyError
+from daecont.errors import (
+    DaecontError,
+    NonfiniteResultError,
+    SeedRejectedError,
+    SingularMatrixError,
+    SingularMonodromyError,
+)
 from daecont.fixtures import load_fixture
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath
@@ -15,7 +21,7 @@ from daecont.periodic import (
     integrate,
     shooting_residual,
 )
-from daecont.transform import DaeProblem1
+from daecont.transform import DaeProblem1, TransformedSystem, fixed_frame
 
 TWO_PI = 2.0 * np.pi
 
@@ -414,3 +420,134 @@ class TestTermination:
         assert branch.termination == "solver_failure"
         assert len(branch.pairs) == pairs
         assert np.allclose([p.lam for p in branch.pairs], 0.25 * np.arange(pairs), atol=1e-9)
+
+
+class TestScalarConstraintNewton:
+    """The s = 1 path of the constraint solve keeps the n x n loop's rules and bits."""
+
+    SOLVERS = [periodic._scalar_newton, periodic._vector_newton]
+
+    @staticmethod
+    def march_solves(monkeypatch):
+        # every (g, jac, warm start) of the stage solves of a short march
+        solves = []
+        solve = periodic._solve_constraint
+
+        def recorded(g, jac, q0):
+            solves.append((g, jac, np.array(q0, dtype=float)))
+            return solve(g, jac, q0)
+
+        monkeypatch.setattr(periodic, "_solve_constraint", recorded)
+        shooting_residual(load_fixture("rotating_surface"), 0.5, np.array([0.4, -0.3]), nsteps=16)
+        monkeypatch.undo()
+        return solves
+
+    def test_matches_vector_loop_bit_for_bit(self, monkeypatch):
+        solves = self.march_solves(monkeypatch)
+        assert len(solves) == 5 * 16 + 1
+        for g, jac, q0 in solves:
+            for start in (q0, np.zeros(1)):  # the warm start, and a cold one
+                scalar = periodic._scalar_newton(g, jac, start)
+                vector = periodic._vector_newton(g, jac, start)
+                assert scalar.shape == (1,) and scalar.tobytes() == vector.tobytes()
+
+    def test_one_step_matches_vector_loop_bit_for_bit(self):
+        # a linear constraint ends after one step, so the step itself shows:
+        # r / j and r * (1 / j) differ in the last bit for about 1 in 4 of these
+        rng = np.random.default_rng(7)
+        for slope, offset in zip(rng.uniform(0.5, 4.0, 200), rng.uniform(-1.0, 1.0, 200)):
+            g = lambda q: slope * q - offset
+            jac = lambda q: np.array([[slope]])
+            scalar = periodic._scalar_newton(g, jac, np.zeros(1))
+            assert scalar.tobytes() == periodic._vector_newton(g, jac, np.zeros(1)).tobytes()
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_zero_jacobian_is_singular(self, solver):
+        with pytest.raises(SingularMatrixError):
+            solver(lambda q: q**2 - 1.0, lambda q: np.array([[2.0 * q[0]]]), np.zeros(1))
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_zero_jacobian_inside_tolerance_returns_the_start(self, solver):
+        q = solver(lambda q: np.array([1e-13]), lambda q: np.zeros((1, 1)), np.array([0.25]))
+        assert q.tolist() == [0.25]
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_residual(self, solver, bad):
+        with pytest.raises(NonfiniteResultError, match="constraint residual is"):
+            solver(lambda q: np.array([bad]), lambda q: np.ones((1, 1)), np.zeros(1))
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_warm_start_inside_tolerance_is_polished_once(self, solver):
+        calls = {"g": 0, "jac": 0}
+
+        def g(q):
+            calls["g"] += 1
+            return q - 0.5
+
+        def jac(q):
+            calls["jac"] += 1
+            return np.ones((1, 1))
+
+        q = solver(g, jac, np.array([0.5 + 1e-13]))
+        assert q.tolist() == [0.5] and calls == {"g": 2, "jac": 1}
+
+    @pytest.mark.parametrize("g, jac", [
+        (lambda q: float(q[0] ** 3 + q[0] - 2.0), lambda q: 3.0 * q[0] ** 2 + 1.0),
+        (lambda q: [q[0] ** 3 + q[0] - 2.0], lambda q: [[3.0 * q[0] ** 2 + 1.0]]),
+    ], ids=["bare_float", "list"])
+    def test_python_callable_model_values(self, g, jac):
+        for start in (0.0, [0.0], np.zeros(1)):
+            q = periodic._solve_constraint(g, jac, start)
+            assert isinstance(q, np.ndarray) and q.shape == (1,)
+            assert abs(q[0] - 1.0) <= 1e-12
+
+
+class TestFrameTable:
+    """A shooting runner tabulates the frame at its march times, and only there."""
+
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
+    def test_one_entry_per_march_time(self, name):
+        runner = periodic._ShootingRunner(load_fixture(name), 16)
+        assert len(runner.sys.frames) == 2 * 16 + 1
+        assert all(len(frame) == 2 * runner.sys.order for frame in runner.sys.frames.values())
+        _, times, _ = runner.flow(0.5, np.zeros(runner.state_dim), record=True)
+        assert set(times) <= set(runner.sys.frames)
+
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
+    def test_flows_make_no_path_calls(self, name, path_calls):
+        runner = periodic._ShootingRunner(load_fixture(name), 16)
+        del path_calls[:]
+        state0 = np.full(runner.state_dim, 0.1)
+        first = runner.shoot(0.5, state0)
+        runner.flow(0.5, state0, record=True)  # the nodes are pulled back at table times too
+        second = runner.shoot(0.5, state0)
+        assert path_calls == [] and first.tobytes() == second.tobytes()
+
+    def test_other_times_are_evaluated_and_not_stored(self, path_calls):
+        runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
+        del path_calls[:]
+        x = runner.sys.pull_back(0.123, np.array([0.3, 0.1]), np.array([0.2]))[0]
+        assert len(path_calls) == 2 and len(runner.sys.frames) == 2 * 16 + 1
+        prob = runner.prob
+        assert np.array_equal(x, prob.A(0.123).T @ np.array([0.3, 0.1]))
+
+    def test_tabulated_node_equals_evaluated_node(self):
+        runner = periodic._ShootingRunner(load_fixture("rotating_surface_2nd"), 16)
+        t = sorted(runner.sys.frames)[7]  # the midpoint of the fourth step
+        untabulated = fixed_frame(runner.prob)
+        args = (t, np.array([0.3, 0.1]), np.array([0.2]), np.array([-0.1, 0.4]), np.array([0.05]))
+        for a, b in zip(runner.sys.pull_back(*args), untabulated.pull_back(*args)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_fixed_frame_integration_builds_no_table(self, monkeypatch):
+        built = []
+        tabulate = TransformedSystem.tabulate
+        monkeypatch.setattr(TransformedSystem, "tabulate",
+                            lambda self, times: built.append(1) or tabulate(self, times))
+        prob = load_fixture("rotating_surface")
+        integrate(prob, 0.5, np.array([0.3, 0.1]), mode="fixed")
+        assert built == []
+        assert fixed_frame(prob).frames == {}
+        periodic._ShootingRunner(prob, 8)
+        assert built == [1] and fixed_frame(prob).frames == {}
