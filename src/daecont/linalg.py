@@ -131,30 +131,17 @@ def fd_jacobian(
     fun: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     *,
-    central: bool = False,
     f0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Finite-difference Jacobian of ``fun`` at ``x``.
+    """Forward-difference Jacobian of ``fun`` at ``x``.
 
-    Forward differences with per-component step ``1e-7 * (1 + |x_i|)`` by
-    default; ``central=True`` switches to central differences with step
-    ``1e-5`` (used for continuation tangents, where symmetry pays off).
+    The step of component ``i`` is ``1e-7 * (1 + |x_i|)``; ``f0``, when
+    given, is ``fun(x)``.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if central:
-        cols = []
-        for i in range(n):
-            h = 1e-5 * (1.0 + abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h
-            xm[i] -= h
-            cols.append((np.asarray(fun(xp), float) - np.asarray(fun(xm), float)) / (2 * h))
-        return np.column_stack(cols)
     base = np.asarray(fun(x), dtype=float) if f0 is None else np.asarray(f0, dtype=float)
     cols = []
-    for i in range(n):
+    for i in range(x.size):
         h = 1e-7 * (1.0 + abs(x[i]))
         xp = x.copy()
         xp[i] += h

@@ -21,6 +21,15 @@ Branches in ``(lam, xi0)`` are traced by a pseudo-arclength
 predictor-corrector seeded at the zeros of the seeding map (the
 candidate map, or the averaged map when the drift vanishes).
 
+Newton and the tangents use the exact Jacobian of the discrete RK4 map,
+not finite differences: a sensitivity march carries the derivative of
+the state with respect to ``(lam, xi0)`` through every stage of the same
+march (internal differentiation), with ``d eta / d xi = -g_q^-1 g_p``
+taken at each stage's converged algebraic block.  Its end state is the
+plain march's, bit for bit, so the residual and its Jacobian come from
+one march; the tangent at a converged point reuses the Jacobian of its
+last corrector iterate and costs no march.
+
 Every shooting march of a branch runs the same time grid, and there the
 frame depends on time alone.  So each shooting runner builds one frame
 table when it is made: ``A``, ``B`` (and, for order 2, ``dA`` and the
@@ -47,7 +56,7 @@ from .errors import (
     SingularMatrixError,
     SingularMonodromyError,
 )
-from .linalg import PIVOT_REL, NewtonConfig, fd_jacobian, newton_solve, norm_inf, solve_linear
+from .linalg import PIVOT_REL, NewtonConfig, newton_solve, norm_inf, solve_linear
 from .transform import fixed_frame
 
 __all__ = [
@@ -96,10 +105,16 @@ class Trajectory:
         columns = (self.x, self.y, self.xdot, self.ydot)
         return max(norm_inf(c[-1] - c[0]) for c in columns if c is not None)
 
-    def constraint_residual(self, prob) -> float:
+    def constraint_residual(self, model) -> float:
+        """Largest ``|g(A(t) x, B(t) y)|`` over the nodes.
+
+        ``model`` is a problem or its fixed-frame system; a system reads
+        ``A`` and ``B`` from its frame table at tabulated times.
+        """
         worst = 0.0
         for k, t in enumerate(self.times):
-            val = prob.g(prob.A(t) @ self.x[k], prob.B(t) @ self.y[k])
+            a, b = model.frame(t)
+            val = model.g(a @ self.x[k], b @ self.y[k])
             worst = max(worst, norm_inf(np.atleast_1d(val)))
         return worst
 
@@ -307,11 +322,59 @@ class _FixedStepper(_Stepper):
 
     def rate(self, t, xi, xid, eta):
         sys = self.sys
-        j2 = sys.g_jac2(xi, eta)
-        return solve_linear(np.atleast_2d(j2), -(sys.g_jac1(xi, eta) @ xid))
+        return _eta_rate(sys.g_jac1(xi, eta), np.atleast_2d(sys.g_jac2(xi, eta)), xid)
 
     def node(self, t, xi, eta, xid=None, etad=None):
         return self.sys.pull_back(t, xi, eta, xid, etad)
+
+
+def _eta_rate(g_p, g_q, xid):
+    # d eta / dt from d/dt g(xi, eta) = g_p xid + g_q etad = 0
+    return solve_linear(g_q, -(g_p @ xid))
+
+
+class _SensitivityStepper(_FixedStepper):
+    """Fixed-frame stages whose state carries its own sensitivity.
+
+    The state is a matrix: row 0 is the march state and row ``1 + j`` its
+    derivative with respect to parameter ``j`` (``lam``, then the start
+    state).  :func:`_march` advances every row with the same RK4
+    arithmetic, so row 0 keeps the bits of a plain march and the other
+    rows are the derivative of the discrete map itself.  Each stage adds
+    ``dk = K dstate + [F | 0]``: ``K`` is the Jacobian of the stage rate
+    along the constraint, with ``d eta / d xi = -g_q^-1 g_p`` (and, for
+    order 2, the derivative of ``etadot``) taken at the stage's converged
+    ``eta``, and ``F``, the forcing, is the rate's derivative in ``lam``.
+    """
+
+    def resolve(self, t, aug, y_warm):
+        return _FixedStepper.resolve(self, t, aug[0], y_warm)
+
+    def stage(self, t, aug, y_warm):
+        sys, m, lam = self.sys, self.m, self.lam
+        state, dstate = aug[0], aug[1:]
+        xi = state[:m]
+        eta = _FixedStepper.resolve(self, t, state, y_warm)
+        g_p = np.atleast_2d(sys.g_jac1(xi, eta))
+        g_q = np.atleast_2d(sys.g_jac2(xi, eta))
+        e = -solve_linear(g_q, g_p)  # d eta / d xi
+        out = np.empty_like(aug)
+        if self.order == 1:
+            out[0], force, (f_xi, f_eta) = sys.linear_drive(t, xi, eta, lam)
+            np.matmul(dstate, (sys.D0 + lam * (f_xi + f_eta @ e)).T, out=out[1:])
+            out[1] += force
+            return out, eta
+        xid = state[m:]
+        etad = _eta_rate(g_p, g_q, xid)
+        acc, force, (f_xi, f_eta, f_xid, f_etad) = sys.linear_drive(t, xi, eta, xid, etad, lam)
+        gdot = np.atleast_2d(sys.gdot_jac(xi, eta, xid, etad))
+        w = -solve_linear(g_q, gdot[:, :m] + gdot[:, m:] @ e)  # d etad / d xi; by xid it is e
+        out[0, :m], out[0, m:] = xid, acc
+        out[1:, :m] = dstate[:, m:]
+        out[1:, m:] = (dstate[:, :m] @ (sys.D0 + lam * (f_xi + f_eta @ e + f_etad @ w)).T
+                       + dstate[:, m:] @ (sys.D1 + lam * (f_xid + f_etad @ e)).T)
+        out[1, m:] += force
+        return out, eta
 
 
 def _step_times(t0, h, nsteps):
@@ -420,7 +483,8 @@ class _ShootingRunner:
     Every flow marches the same grid, so the runner's system carries a
     frame table (see :meth:`~daecont.transform.TransformedSystem.tabulate`)
     over the ``2 * nsteps + 1`` step and midpoint times of one period,
-    built here and dropped with the runner.
+    built here and dropped with the runner.  The runner also keeps the
+    last :meth:`linearize` result.
     """
 
     def __init__(self, prob, nsteps: int = DEFAULT_STEPS):
@@ -430,22 +494,55 @@ class _ShootingRunner:
         self.state_dim = prob.order * prob.m
         steps = _step_times(0.0, self.h, self.nsteps)
         self.sys = fixed_frame(prob).tabulate(t for step in steps for t in step)
+        self._last = (None, None, None)  # (key, residual, jacobian) of linearize
+
+    def _run(self, stepper, start, record=False):
+        # One period of stepper from start; returns (end, times, nodes).
+        eta0 = stepper.resolve(0.0, start, np.zeros(self.prob.s))
+        return _march(stepper, 0.0, start, eta0, self.h, self.nsteps, record)
 
     def flow(self, lam, state0, record=False):
         # One period from a float state; returns (end_state, times, nodes).
-        stepper = _FixedStepper(self.sys, lam)
-        eta0 = stepper.solve(0.0, state0[: self.prob.m], np.zeros(self.prob.s))
-        end, times, nodes = _march(stepper, 0.0, state0, eta0, self.h, self.nsteps, record)
-        return end, times, nodes
+        return self._run(_FixedStepper(self.sys, lam), state0, record)
 
     def shoot(self, lam, state0):
         state0 = np.asarray(state0, dtype=float)
         return self.flow(lam, state0)[0] - state0
 
+    def linearize(self, lam, state0):
+        """Shooting residual and its Jacobian by ``(lam, state0)``.
+
+        One sensitivity march gives both; the residual is :meth:`shoot`'s,
+        bit for bit.  The result for the last point is kept, keyed by the
+        exact bytes of ``(lam, state0)``, so that the residual and Jacobian
+        calls of one Newton iterate, and the tangent at a converged point,
+        share one march.  The returned arrays must not be modified.
+        """
+        state0 = np.asarray(state0, dtype=float)
+        key = np.append(lam, state0).tobytes()
+        if key != self._last[0]:
+            n = self.state_dim
+            start = np.vstack([state0, np.zeros(n), np.eye(n)])
+            end = self._run(_SensitivityStepper(self.sys, lam), start)[0]
+            self._last = (key, end[0] - state0, end[1:].T - np.eye(n, n + 1, 1))
+        return self._last[1], self._last[2]
+
+    def newton_maps(self, lam=None):
+        """Residual and Jacobian callables for :func:`newton_solve`.
+
+        The unknown is the start state at a fixed ``lam``, or ``(lam,
+        state0)`` when ``lam`` is None.  Both read :meth:`linearize`.
+        """
+        if lam is None:
+            return (lambda z: self.linearize(z[0], z[1:])[0],
+                    lambda z: self.linearize(z[0], z[1:])[1])
+        return (lambda z: self.linearize(lam, z)[0],
+                lambda z: self.linearize(lam, z)[1][:, 1:])
+
     def make_tpair(self, lam, state0) -> TPair:
         state0 = np.asarray(state0, dtype=float)
         _, times, nodes = self.flow(lam, state0, record=True)
-        pair = _tpair(self.prob, lam, _nodes_to_trajectory(times, nodes), state0[: self.prob.m])
+        pair = _tpair(self.sys, lam, _nodes_to_trajectory(times, nodes), state0[: self.prob.m])
         for name, value, tol in (("periodicity", pair.periodicity_residual, PERIODICITY_TOL),
                                  ("constraint", pair.constraint_residual, CONSTRAINT_TOL)):
             if value > tol:
@@ -453,7 +550,7 @@ class _ShootingRunner:
         return pair
 
 
-def _tpair(prob, lam, traj: Trajectory, xi0) -> TPair:
+def _tpair(sys, lam, traj: Trajectory, xi0) -> TPair:
     # The one TPair assembly: residuals, and triviality at lam = 0.
     dev = max(norm_inf(traj.x - traj.x[0]), norm_inf(traj.y - traj.y[0]))
     return TPair(
@@ -461,7 +558,7 @@ def _tpair(prob, lam, traj: Trajectory, xi0) -> TPair:
         trajectory=traj,
         xi0=np.asarray(xi0, dtype=float).copy(),
         periodicity_residual=traj.periodicity_residual(),
-        constraint_residual=traj.constraint_residual(prob),
+        constraint_residual=traj.constraint_residual(sys),
         is_trivial=bool(lam == 0.0 and dev <= TRIVIAL_TOL),
     )
 
@@ -494,7 +591,7 @@ def find_tpair(prob, lam: float, xi0_guess, nsteps: int = DEFAULT_STEPS) -> TPai
         return runner.make_tpair(lam, state0)
     cfg = NewtonConfig(max_iters=30, tol_residual=1e-10)
     try:
-        sol = newton_solve(lambda z: runner.shoot(lam, z), None, state0, cfg)
+        sol = newton_solve(*runner.newton_maps(lam), state0, cfg)
     except SingularJacobianError as exc:
         raise SingularMonodromyError(str(exc)) from exc
     return runner.make_tpair(lam, sol)
@@ -510,10 +607,10 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     vel = () if prob.order == 1 else (np.zeros(m), np.zeros(prob.s))
     times = np.arange(runner.nsteps + 1) * runner.h
     nodes = [runner.sys.pull_back(t, xi0, eta0, *vel) for t in times]
-    return _tpair(prob, 0.0, _nodes_to_trajectory(times, nodes), xi0)
+    return _tpair(runner.sys, 0.0, _nodes_to_trajectory(times, nodes), xi0)
 
 
-def _least_squares_newton(fun, x0):
+def _least_squares_newton(fun, jac, x0):
     # Gauss-Newton with a Tikhonov floor; corrector fallback for the
     # (expected) singular shooting Jacobian near lam = 0.
     x = np.asarray(x0, dtype=float).copy()
@@ -521,7 +618,7 @@ def _least_squares_newton(fun, x0):
         r = np.atleast_1d(fun(x))
         if norm_inf(r) <= LSQ_TOL:
             return x
-        j = fd_jacobian(fun, x, f0=r)
+        j = jac(x)
         jtj = j.T @ j
         mu = 1e-12 * max(norm_inf(jtj), 1.0)
         x = x + solve_linear(jtj + mu * np.eye(x.size), -(j.T @ r))
@@ -531,11 +628,10 @@ def _least_squares_newton(fun, x0):
     raise NoConvergenceError(f"least-squares corrector stalled at {norm_inf(r):.3e}")
 
 
-def _branch_tangent(shoot_fn, z, t_prev):
-    # Nullspace direction of the (m x m+1) residual Jacobian, computed by
-    # central differences and oriented along the previous tangent.
-    j = fd_jacobian(shoot_fn, z, central=True)
-    a = np.vstack([j, t_prev])
+def _branch_tangent(jac, z, t_prev):
+    # Nullspace direction of the (m x m+1) residual Jacobian at z, bordered
+    # with and oriented along the previous tangent.
+    a = np.vstack([jac(z), t_prev])
     rhs = np.zeros(z.size)
     rhs[-1] = 1.0
     try:
@@ -548,7 +644,7 @@ def _branch_tangent(shoot_fn, z, t_prev):
     return t if float(t @ t_prev) >= 0.0 else -t
 
 
-def _arclength_step(shoot_fn, z, tangent, ds, box: Box):
+def _arclength_step(fun, jac, z, tangent, ds, box: Box):
     # Predictor along the tangent, then Newton on the shooting residual
     # plus the arclength condition, retried once at half the step (a second
     # failure propagates).  Returns the new point or a termination.
@@ -556,9 +652,10 @@ def _arclength_step(shoot_fn, z, tangent, ds, box: Box):
         z_pred = z + step * tangent
         if z_pred[0] < 0.0:
             return "lambda_boundary"
-        aug = lambda w: np.concatenate([shoot_fn(w), [float(tangent @ (w - z_pred))]])
+        aug = lambda w: np.concatenate([fun(w), [float(tangent @ (w - z_pred))]])
+        aug_jac = lambda w: np.vstack([jac(w), tangent])
         try:
-            w = newton_solve(aug, None, z_pred, _CORRECTOR)
+            w = newton_solve(aug, aug_jac, z_pred, _CORRECTOR)
         except (NoConvergenceError, SingularJacobianError):
             if retry:
                 raise
@@ -610,19 +707,19 @@ def continue_branch(
     try:
         # First step: fixed lam = ds, correct the state only.
         state_seed = np.concatenate([seed[: prob.m], np.zeros(runner.state_dim - prob.m)])
-        first_res = lambda st: runner.shoot(ds, st)
+        first = runner.newton_maps(ds)
         try:
-            state1 = newton_solve(first_res, None, state_seed, _FIRST_STEP)
+            state1 = newton_solve(*first, state_seed, _FIRST_STEP)
         except SingularJacobianError:
-            state1 = _least_squares_newton(first_res, state_seed)
+            state1 = _least_squares_newton(*first, state_seed)
         pairs.append(runner.make_tpair(ds, state1))
         z = np.concatenate([[ds], state1])
         chord = z - np.concatenate([[0.0], state_seed])
         tangent = chord / np.sqrt(chord @ chord)
-        shoot_fn = lambda w: runner.shoot(w[0], w[1:])
+        fun, jac = runner.newton_maps()
         for _ in range(nsteps - 1):
-            tangent = _branch_tangent(shoot_fn, z, tangent)
-            z = _arclength_step(shoot_fn, z, tangent, ds, box)
+            tangent = _branch_tangent(jac, z, tangent)
+            z = _arclength_step(fun, jac, z, tangent, ds, box)
             if isinstance(z, str):
                 termination = z
                 break

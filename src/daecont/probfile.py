@@ -336,7 +336,8 @@ def build_problem(spec: ProblemSpec):
     """Compile a spec into a runtime problem object.
 
     Returns :class:`DaeProblem1`, :class:`DaeProblem2` or
-    :class:`SemiLinearDae` depending on the kind; constraint Jacobians are
+    :class:`SemiLinearDae` depending on the kind; the model Jacobians
+    (constraint blocks, forcing, and for ``dae2`` the constraint rate) are
     generated symbolically.
     """
     if spec.kind == "semilinear":
@@ -352,38 +353,46 @@ def build_problem(spec: ProblemSpec):
         d1_table=spec.tables.get("dB"), d2_table=spec.tables.get("ddB"),
         derivative_mode=spec.derivative_mode, fd_step=spec.fd_step, name="B",
     )
-    g_vm = {f"p{k}": f"p[{k - 1}]" for k in range(1, m + 1)}
-    g_vm |= {f"q{k}": f"q[{k - 1}]" for k in range(1, s + 1)}
+    g_vm = _indexed("p", m) | _indexed("q", s)
     g_asts = [row[0] for row in spec.tables["g"]]
     g = ex.compile_vector(g_asts, "p, q", g_vm)
-    d1g = ex.compile_matrix(
-        [[ex.diff_expr(gi, f"p{j}") for j in range(1, m + 1)] for gi in g_asts],
-        "p, q", g_vm,
-    )
-    d2g = ex.compile_matrix(
-        [[ex.diff_expr(gi, f"q{j}") for j in range(1, s + 1)] for gi in g_asts],
-        "p, q", g_vm,
-    )
-    f_vm = {"t": "t"}
-    f_vm |= {f"x{k}": f"x[{k - 1}]" for k in range(1, m + 1)}
-    f_vm |= {f"y{k}": f"y[{k - 1}]" for k in range(1, s + 1)}
+    d1g = _compile_jacobian(g_asts, list(g_vm)[:m], "p, q", g_vm)
+    d2g = _compile_jacobian(g_asts, list(g_vm)[m:], "p, q", g_vm)
+    f_vm = {"t": "t"} | _indexed("x", m) | _indexed("y", s)
     f_asts = [row[0] for row in spec.tables["f"]]
     if spec.kind == "dae1":
         f = ex.compile_vector(f_asts, "t, x, y", f_vm)
+        df = _compile_jacobian(f_asts, list(f_vm)[1:], "t, x, y", f_vm)
         h = _numeric_matrix(spec.tables["H"]) if "H" in spec.tables else None
         return DaeProblem1(
             m=m, s=s, period=spec.period, f=f, g=g, A=a_path, B=b_path,
-            d1g=d1g, d2g=d2g, H=h, name=spec.name,
+            d1g=d1g, d2g=d2g, H=h, name=spec.name, df=df,
         )
-    f_vm |= {f"u{k}": f"u[{k - 1}]" for k in range(1, m + 1)}
-    f_vm |= {f"v{k}": f"v[{k - 1}]" for k in range(1, s + 1)}
+    f_vm |= _indexed("u", m) | _indexed("v", s)
     f = ex.compile_vector(f_asts, "t, x, y, u, v", f_vm)
+    df = _compile_jacobian(f_asts, list(f_vm)[1:], "t, x, y, u, v", f_vm)
+    # the constraint's rate g_p u + g_q w along a motion with rates (u, w)
+    rate_vm = _indexed("u", m) | _indexed("w", s)
+    gdot_asts = [_ast_sum(ex.Binary("*", ex.diff_expr(gi, name), ex.Var(rate))
+                          for name, rate in zip(g_vm, rate_vm)) for gi in g_asts]
+    dgdot = _compile_jacobian(gdot_asts, list(g_vm), "p, q, u, w", g_vm | rate_vm)
     h1 = _numeric_matrix(spec.tables["H1"]) if "H1" in spec.tables else None
     h2 = _numeric_matrix(spec.tables["H2"]) if "H2" in spec.tables else None
     return DaeProblem2(
         m=m, s=s, period=spec.period, f=f, g=g, A=a_path, B=b_path,
-        d1g=d1g, d2g=d2g, H1=h1, H2=h2, name=spec.name,
+        d1g=d1g, d2g=d2g, H1=h1, H2=h2, name=spec.name, df=df, dgdot=dgdot,
     )
+
+
+def _indexed(prefix: str, size: int) -> Dict[str, str]:
+    # Language variables prefix1..prefixN -> the argument entries prefix[0..N-1].
+    return {f"{prefix}{k}": f"{prefix}[{k - 1}]" for k in range(1, size + 1)}
+
+
+def _compile_jacobian(asts, names, args: str, varmap):
+    # Symbolic Jacobian of an expression vector by the variables ``names``.
+    return ex.compile_matrix([[ex.diff_expr(a, name) for name in names] for a in asts],
+                             args, varmap)
 
 
 def _build_semilinear(spec: ProblemSpec) -> SemiLinearDae:
@@ -393,10 +402,12 @@ def _build_semilinear(spec: ProblemSpec) -> SemiLinearDae:
                        derivative_mode=spec.derivative_mode, fd_step=spec.fd_step, name="F")
     c_path = expr_path(spec.tables["C"], spec.period,
                        derivative_mode=spec.derivative_mode, fd_step=spec.fd_step, name="C")
-    s_vm = {f"x{k}": f"x[{k - 1}]" for k in range(1, n + 1)}
-    s_fun = ex.compile_vector([row[0] for row in spec.tables["S"]], "x", s_vm)
+    s_vm = _indexed("x", n)
+    s_asts = [row[0] for row in spec.tables["S"]]
+    s_fun = ex.compile_vector(s_asts, "x", s_vm)
+    ds_fun = _compile_jacobian(s_asts, list(s_vm), "x", s_vm)
     return SemiLinearDae(n=n, period=spec.period, mass=mass, Fpath=f_path,
-                         Cpath=c_path, S=s_fun, name=spec.name)
+                         Cpath=c_path, S=s_fun, name=spec.name, dS=ds_fun)
 
 
 def _scaled(coef: float, ast: ex.Expr):

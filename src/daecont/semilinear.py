@@ -38,7 +38,9 @@ class SemiLinearDae:
 
     ``mass`` is the (singular) constant matrix multiplying dx/dt;
     ``Fpath`` and ``Cpath`` are T-periodic matrix paths; ``S`` maps
-    state vectors to state vectors.
+    state vectors to state vectors, and ``dS``, when given, is its
+    Jacobian (the reduced problem's forcing Jacobian is then exact, and
+    formed by forward differences otherwise).
     """
 
     n: int
@@ -48,6 +50,7 @@ class SemiLinearDae:
     Cpath: MatrixPath
     S: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+    dS: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def _numerical_rank(sigma: np.ndarray) -> int:
@@ -238,6 +241,10 @@ def reduce_semilinear(
         s_vec = q_mat.T @ np.asarray(s_fun(q_mat @ np.concatenate([x, y])), dtype=float)
         return inv_e1 * (c_top(t) @ s_vec)
 
+    def forcing_jacobian(t, x, y):
+        ds = np.asarray(dae.dS(q_mat @ np.concatenate([x, y])), dtype=float)
+        return inv_e1[:, None] * (c_top(t) @ (q_mat.T @ ds @ q_mat))
+
     eye_r = np.eye(r)
     return DaeProblem1(
         m=r,
@@ -250,4 +257,5 @@ def reduce_semilinear(
         d1g=lambda pp, qq: eye_r,
         d2g=lambda pp, qq: eye_r,
         name=(dae.name + "_reduced") if dae.name else "reduced",
+        df=None if dae.dS is None else forcing_jacobian,
     )

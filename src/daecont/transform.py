@@ -14,20 +14,22 @@ with ``F = A(t) f`` the frame-conjugated forcing.  :class:`TransformedSystem`
 owns the change in both directions, node by node: ``push_forward`` and
 its inverse ``pull_back`` (``x = A(t).T xi``, ``y = B(t)^{-1} eta``),
 velocities included for order 2.  One node map evaluates the frame at a
-time and serves both ``pull_back`` and ``F``.  A shooting runner marches
-one grid over and over, so it tabulates the frame at that grid's times
-(:meth:`TransformedSystem.tabulate`); the table belongs to the runner's
-system and goes with it, and any other time is evaluated afresh.
+time and serves ``pull_back``, ``F`` and the linearized forcing that
+shooting sensitivities need (``linear_drive``).  A shooting runner
+marches one grid over and over, so it tabulates the frame at that grid's
+times (:meth:`TransformedSystem.tabulate`); the table belongs to the
+runner's system and goes with it, and any other time is evaluated afresh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import HypothesisViolatedError
+from .errors import HypothesisViolatedError, NonfiniteResultError
 from .linalg import fd_jacobian, norm_inf, solve_linear
 from .paths import DEFAULT_GRID, MatrixPath, frame_audit, inverse_derivative
 
@@ -51,8 +53,9 @@ class DaeProblem1:
     ``f(t, x, y)`` is the forcing (T-periodic in t), ``g(p, q)`` the
     constraint with invertible ``dg/dq``; ``A`` must be an orthogonal
     frame path with constant right product, ``B`` invertible.  ``d1g`` and
-    ``d2g`` are the constraint Jacobian blocks; when omitted they are
-    formed by forward differences.
+    ``d2g`` are the constraint Jacobian blocks and ``df(t, x, y)`` the
+    Jacobian of ``f`` with respect to ``(x, y)``; each one that is omitted
+    is formed by forward differences.
     """
 
     m: int
@@ -66,6 +69,7 @@ class DaeProblem1:
     d2g: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     H: Optional[np.ndarray] = None
     name: str = ""
+    df: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
 
     order: int = field(default=1, init=False, repr=False)
 
@@ -79,6 +83,18 @@ class DaeProblem1:
             return np.asarray(self.d2g(p, q), dtype=float)
         return fd_jacobian(lambda qq: np.atleast_1d(self.g(p, qq)), np.asarray(q, float))
 
+    def f_jac(self, t: float, *node) -> np.ndarray:
+        """Jacobian of ``f(t, *node)`` with respect to the stacked node arguments."""
+        if self.df is not None:
+            return np.asarray(self.df(t, *node), dtype=float)
+        cuts = np.cumsum([np.size(v) for v in node])[:-1]
+        return fd_jacobian(lambda z: np.asarray(self.f(t, *np.split(z, cuts)), dtype=float),
+                           np.concatenate(node))
+
+    def frame(self, t: float):
+        """``(A(t), B(t))``."""
+        return self.A(t), self.B(t)
+
     def drive(self, t: float, x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
         """Right-hand side of the differential part in original coordinates."""
         rhs = lam * np.asarray(self.f(t, x, y), dtype=float)
@@ -89,7 +105,14 @@ class DaeProblem1:
 
 @dataclass
 class DaeProblem2:
-    """Second-order variant: ``f(t, x, y, xdot, ydot)``, drifts H1, H2."""
+    """Second-order variant: ``f(t, x, y, xdot, ydot)``, drifts H1, H2.
+
+    ``df`` is the Jacobian of ``f`` with respect to ``(x, y, xdot, ydot)``
+    and ``dgdot(p, q, u, w)`` that of ``d1g(p, q) u + d2g(p, q) w`` with
+    respect to ``(p, q)``, the time derivative of the constraint along a
+    motion with rates ``(u, w)``; each one that is omitted is formed by
+    forward differences.
+    """
 
     m: int
     s: int
@@ -103,11 +126,23 @@ class DaeProblem2:
     H1: Optional[np.ndarray] = None
     H2: Optional[np.ndarray] = None
     name: str = ""
+    df: Optional[Callable] = None
+    dgdot: Optional[Callable] = None
 
     order: int = field(default=2, init=False, repr=False)
 
     g_jac1 = DaeProblem1.g_jac1
     g_jac2 = DaeProblem1.g_jac2
+    f_jac = DaeProblem1.f_jac
+    frame = DaeProblem1.frame
+
+    def gdot_jac(self, p, q, u, w) -> np.ndarray:
+        """Jacobian of ``g_jac1(p, q) u + g_jac2(p, q) w`` with respect to ``(p, q)``."""
+        if self.dgdot is not None:
+            return np.asarray(self.dgdot(p, q, u, w), dtype=float)
+        m = np.size(p)
+        return fd_jacobian(lambda z: self.g_jac1(z[:m], z[m:]) @ u + self.g_jac2(z[:m], z[m:]) @ w,
+                           np.concatenate([p, q]))
 
     def drive(self, t, x, y, xdot, ydot, lam):
         rhs = lam * np.asarray(self.f(t, x, y, xdot, ydot), dtype=float)
@@ -155,7 +190,9 @@ class TransformedSystem:
 
     ``D0`` multiplies the state, ``D1`` (order 2 only) the velocity; ``f``
     is the problem's forcing, which :meth:`F` conjugates into the frame.
-    ``frames`` is empty unless the system came from :meth:`tabulate`.
+    The model derivatives (``g_jac1``, ``g_jac2``, ``f_jac`` and, for order
+    2, ``gdot_jac``) are the problem's.  ``frames`` is empty unless the
+    system came from :meth:`tabulate`.
     """
 
     order: int
@@ -168,6 +205,8 @@ class TransformedSystem:
     g: Callable
     g_jac1: Callable
     g_jac2: Callable
+    f_jac: Callable
+    gdot_jac: Optional[Callable]
     A: MatrixPath
     B: MatrixPath
     M: np.ndarray
@@ -191,8 +230,12 @@ class TransformedSystem:
         """
         return replace(self, frames={t: self._frame(t, self.order == 2) for t in times})
 
+    def frame(self, t: float):
+        """``(A(t), B(t))``, read from the table at a tabulated time."""
+        return (self.frames.get(t) or self._frame(t, False))[:2]
+
     def _node(self, t: float, xi, eta, xid=None, etad=None):
-        # The frame at t, from the table or evaluated once: A(t) and the
+        # The frame at t, from the table or evaluated once, and the
         # original-coordinate node (x, y, xdot, ydot) of a frame node,
         # velocities None unless xid and etad are given.
         frame = self.frames.get(t) or self._frame(t, xid is not None)
@@ -200,11 +243,24 @@ class TransformedSystem:
         x = a.T @ xi
         y = solve_linear(b, eta)
         if xid is None:
-            return a, (x, y, None, None)
+            return frame, (x, y, None, None)
         da, dbinv = frame[2], frame[3]
         xd = da.T @ xi + a.T @ xid
         yd = dbinv @ eta + solve_linear(b, etad)
-        return a, (x, y, xd, yd)
+        return frame, (x, y, xd, yd)
+
+    def _forcing(self, t, xi, eta, velocities):
+        # (frame, model arguments, F) at a frame node.  A non-finite model
+        # value is named here: A(t) has zero entries, and 0 * inf in the
+        # product would turn it into a NaN and a numpy warning.
+        frame, node = self._node(t, xi, eta, *velocities)
+        args = node[: 2 * self.order]
+        value = np.asarray(self.f(t, *args), dtype=float)
+        if not all(map(math.isfinite, value.tolist())):
+            raise NonfiniteResultError(
+                f"forcing f at t = {t!r} is {value.tolist()}: a model value is not finite"
+            )
+        return frame, args, frame[0] @ value
 
     def F(self, t: float, xi, eta, *velocities):
         """Frame-conjugated forcing ``A(t) f(t, x, y[, xdot, ydot])``.
@@ -212,8 +268,10 @@ class TransformedSystem:
         Called as ``F(t, xi, eta)`` for order 1 and ``F(t, xi, eta, u, v)``
         for order 2, where ``u`` and ``v`` are the frame velocities.
         """
-        a, node = self._node(t, xi, eta, *velocities)
-        return a @ np.asarray(self.f(t, *node[: 2 * self.order]), dtype=float)
+        return self._forcing(t, xi, eta, velocities)[2]
+
+    def _drift(self, xi, velocities):
+        return self.D0 @ xi if self.order == 1 else self.D0 @ xi + self.D1 @ velocities[0]
 
     def drive(self, t, xi, eta, *args):
         """Right-hand side of the differential part in frame coordinates.
@@ -221,11 +279,33 @@ class TransformedSystem:
         Called like the problem's ``drive``: ``(t, xi, eta, lam)`` for
         order 1 and ``(t, xi, eta, xidot, etadot, lam)`` for order 2.
         """
+        *velocities, lam = args
+        return self._drift(xi, velocities) + lam * self.F(t, xi, eta, *velocities)
+
+    def linear_drive(self, t, xi, eta, *args):
+        """:meth:`drive` with its forcing and the forcing's Jacobian.
+
+        Called like :meth:`drive`; returns ``(rhs, F, dF)``, where ``rhs``
+        is :meth:`drive`'s value bit for bit, ``F`` the forcing and ``dF``
+        the Jacobians of ``F`` with respect to ``xi`` and ``eta`` (order 1)
+        or ``xi``, ``eta``, ``xidot`` and ``etadot`` (order 2), chained
+        through the frame change from the model's ``f_jac``.
+        """
+        *velocities, lam = args
+        frame, node, force = self._forcing(t, xi, eta, velocities)
+        a, b = frame[0], frame[1]
+        m, s = self.m, self.s
+        jac = self.f_jac(t, *node)
+        rhs = self._drift(xi, velocities) + lam * force
+        f_x, f_y = jac[:, :m], jac[:, m : m + s]
         if self.order == 1:
-            (lam,) = args
-            return self.D0 @ xi + lam * self.F(t, xi, eta)
-        xid, etad, lam = args
-        return self.D0 @ xi + self.D1 @ xid + lam * self.F(t, xi, eta, xid, etad)
+            return rhs, force, (a @ f_x @ a.T, a @ _times_inverse(f_y, b))
+        da, dbinv = frame[2], frame[3]
+        f_u, f_v = jac[:, m + s : 2 * m + s], jac[:, 2 * m + s :]
+        return rhs, force, (a @ (f_x @ a.T + f_u @ da.T),
+                            a @ (_times_inverse(f_y, b) + f_v @ dbinv),
+                            a @ f_u @ a.T,
+                            a @ _times_inverse(f_v, b))
 
     def pull_back(self, t: float, xi, eta, xid=None, etad=None):
         """Original-coordinate node ``(x, y, xdot, ydot)`` of a frame node.
@@ -247,6 +327,11 @@ class TransformedSystem:
         if xdot is None:
             return xi, eta, None
         return xi, eta, self.A(t, 1) @ x + a @ xdot
+
+
+def _times_inverse(c, b):
+    # c @ inv(b), as a solve with b.T
+    return solve_linear(b.T, c.T).T
 
 
 def _transform(prob, validate, labels, drifts) -> TransformedSystem:
@@ -276,6 +361,8 @@ def _transform(prob, validate, labels, drifts) -> TransformedSystem:
         g=prob.g,
         g_jac1=prob.g_jac1,
         g_jac2=prob.g_jac2,
+        f_jac=prob.f_jac,
+        gdot_jac=getattr(prob, "gdot_jac", None),
         A=prob.A,
         B=prob.B,
         M=audit.M,

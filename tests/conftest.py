@@ -1,3 +1,11 @@
+import os
+
+# One BLAS/OpenMP thread, set before numpy is first imported: the small
+# expm and LU calls of the suite gain nothing from threads, and threaded
+# OpenBLAS stalls when other processes compete for the cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from daecont.paths import MatrixPath

@@ -1,4 +1,4 @@
-"""Reference integrators the tests check the library against."""
+"""Reference integrators and derivatives the tests check the library against."""
 
 import numpy as np
 
@@ -11,3 +11,16 @@ def rk4_step(field, t, u, h):
     k3 = np.asarray(field(t + 0.5 * h, u + 0.5 * h * k2), dtype=float)
     k4 = np.asarray(field(t + h, u + h * k3), dtype=float)
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def central_jacobian(fun, x, step=1e-5):
+    """Central-difference Jacobian of ``fun`` at ``x``, step ``step * (1 + |x_i|)``."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(x.size):
+        h = step * (1.0 + abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        cols.append((np.asarray(fun(xp), float) - np.asarray(fun(xm), float)) / (2 * h))
+    return np.column_stack(cols)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from daecont.errors import (
     SingularMatrixError,
     SingularMonodromyError,
 )
-from daecont.fixtures import load_fixture
+from daecont.fixtures import load_fixture, problem_text
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath
+from daecont.probfile import build_problem, parse_problem
+from daecont.semilinear import reduce_semilinear
 from daecont.periodic import (
     branch_seeds,
     consistent_init,
@@ -22,6 +26,7 @@ from daecont.periodic import (
     shooting_residual,
 )
 from daecont.transform import DaeProblem1, TransformedSystem, fixed_frame
+from oracles import central_jacobian
 
 TWO_PI = 2.0 * np.pi
 
@@ -524,6 +529,16 @@ class TestFrameTable:
         second = runner.shoot(0.5, state0)
         assert path_calls == [] and first.tobytes() == second.tobytes()
 
+    def test_pair_residuals_read_the_table(self, path_calls):
+        runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
+        _, times, nodes = runner.flow(0.5, np.array([0.3, 0.1]), record=True)
+        traj = periodic._nodes_to_trajectory(times, nodes)
+        del path_calls[:]
+        from_table = traj.constraint_residual(runner.sys)
+        assert path_calls == [] and runner.make_tpair(0.0, np.zeros(2)).constraint_residual == 0.0
+        assert path_calls == []
+        assert from_table == traj.constraint_residual(runner.prob) and len(path_calls) == 2 * 17
+
     def test_other_times_are_evaluated_and_not_stored(self, path_calls):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
         del path_calls[:]
@@ -551,3 +566,118 @@ class TestFrameTable:
         assert fixed_frame(prob).frames == {}
         periodic._ShootingRunner(prob, 8)
         assert built == [1] and fixed_frame(prob).frames == {}
+
+
+def _shooting_problem(name):
+    # A problem fixture as the shooting layer sees it (semilinear reduced),
+    # or one of the variants that exercise the remaining Jacobian terms.
+    if name == "semilinear_4x4":
+        return reduce_semilinear(load_fixture(name))
+    if name == "python_callables":
+        # every model piece a Python callable with no derivative: f_jac and
+        # the constraint blocks come from forward differences; f sees y
+        rs = load_fixture("rotating_surface")
+        return DaeProblem1(
+            m=2, s=1, period=TWO_PI,
+            f=lambda t, x, y: np.array([np.cos(t) - x[0] + 0.5 * y[0] ** 2, -x[1] + 0.3 * x[0] * y[0]]),
+            g=lambda p, q: np.array([q[0] ** 3 + q[0] - p[0] ** 2 - 2.0 * p[1] ** 2]),
+            A=rs.A, B=rs.B,
+        )
+    if name.startswith("second_order_rates"):
+        # f sees y, xdot and ydot, so the eta and etadot sensitivities count;
+        # the _fd variant forms f_jac and gdot_jac by forward differences
+        text = problem_text("rotating_surface_2nd").replace(
+            "cos(t) - x1\n-x2", "cos(t) - x1 + 0.5*y1*v1\n-x2 + 0.3*u1*y1 + 0.2*v1")
+        prob = build_problem(parse_problem(text))
+        return replace(prob, df=None, dgdot=None) if name.endswith("_fd") else prob
+    return load_fixture(name)
+
+
+class TestExactShootingJacobian:
+    """One sensitivity march gives the residual and the exact Jacobian of the RK4 map."""
+
+    PROBLEMS = ["rotating_surface", "rotating_surface_2nd", "commuting_h", "semilinear_4x4",
+                "scalar_linear", "python_callables", "second_order_rates", "second_order_rates_fd"]
+
+    @staticmethod
+    def point(runner, lam=0.3):
+        state = 0.1 * np.array([1.0, -0.5, 0.3, 0.2])[: runner.state_dim]
+        return np.concatenate([[lam], state])
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_matches_central_differences(self, name):
+        runner = periodic._ShootingRunner(_shooting_problem(name), 32)
+        z = self.point(runner)
+        _, jac = runner.linearize(z[0], z[1:])
+        ref = central_jacobian(lambda w: runner.shoot(w[0], w[1:]), z)
+        assert jac.shape == (runner.state_dim, 1 + runner.state_dim)
+        assert norm_inf(jac - ref) <= 1e-6 * max(1.0, norm_inf(ref))
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_residual_is_the_plain_march_bit_for_bit(self, name):
+        runner = periodic._ShootingRunner(_shooting_problem(name), 16)
+        z = self.point(runner)
+        residual, _ = runner.linearize(z[0], z[1:])
+        assert residual.tobytes() == runner.shoot(z[0], z[1:]).tobytes()
+
+    @pytest.mark.parametrize("lam, x0", [(1.0, 0.0), (0.5, 0.3), (2.0, -0.7)])
+    def test_scalar_linear_closed_form(self, lam, x0):
+        # dx/dt = lam (cos t - x): x(T) = c + (x0 - c) exp(-lam T), c = lam^2 / (1 + lam^2)
+        runner = periodic._ShootingRunner(load_fixture("scalar_linear"))
+        _, jac = runner.linearize(lam, np.array([x0]))
+        decay = np.exp(-lam * TWO_PI)
+        c, dc = lam**2 / (1 + lam**2), 2 * lam / (1 + lam**2) ** 2
+        d_lam = dc * (1 - decay) - (x0 - c) * TWO_PI * decay
+        assert abs(jac[0, 1] - (decay - 1.0)) <= 1e-7
+        assert abs(jac[0, 0] - d_lam) <= 1e-7
+
+    def test_one_march_per_point(self, monkeypatch):
+        marches = []
+        march = periodic._march
+        monkeypatch.setattr(periodic, "_march", lambda *args: marches.append(1) or march(*args))
+        runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
+        z = self.point(runner)
+        fun, jac = runner.newton_maps()
+        first = fun(z)
+        jac(z.copy())
+        assert len(marches) == 1 and fun(z) is first
+        z[1] = np.nextafter(z[1], 1.0)  # the next float is another point
+        fun(z)
+        assert len(marches) == 2
+
+    def test_branch_tangent_makes_no_march(self, monkeypatch):
+        counts = {"marches": 0, "in_tangent": 0}
+        march, tangent = periodic._march, periodic._branch_tangent
+
+        def counted_march(*args):
+            counts["marches"] += 1
+            return march(*args)
+
+        def counted_tangent(*args):
+            before = counts["marches"]
+            t = tangent(*args)
+            counts["in_tangent"] += counts["marches"] - before
+            return t
+
+        monkeypatch.setattr(periodic, "_march", counted_march)
+        monkeypatch.setattr(periodic, "_branch_tangent", counted_tangent)
+        box = Box(np.array([0.0, -2.0]), np.array([5.0, 2.0]))
+        branch = continue_branch(load_fixture("scalar_linear"), np.zeros(2), 0.2, 4, box,
+                                 integration_steps=32)
+        assert branch.termination == "budget" and len(branch.pairs) == 5
+        assert counts["in_tangent"] == 0
+
+    def test_no_finite_differences_on_the_shooting_map(self, monkeypatch):
+        import daecont.linalg as linalg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("finite differences on a shooting residual")
+
+        monkeypatch.setattr(linalg, "fd_jacobian", forbidden)
+        monkeypatch.setattr(periodic, "newton_solve", lambda fun, jac, *rest: (
+            linalg.newton_solve(fun, jac, *rest) if jac is not None else forbidden()))
+        box = Box(np.array([0.0, -2.0, -2.0]), np.array([5.0, 2.0, 2.0]))
+        branch = continue_branch(load_fixture("rotating_surface"), np.zeros(3), 0.05, 3, box,
+                                 integration_steps=32)
+        assert branch.termination == "budget" and len(branch.pairs) == 4
+        assert find_tpair(load_fixture("scalar_linear"), 1.0, np.array([0.0])).lam == 1.0
