@@ -289,10 +289,11 @@ def cmd_degree(args) -> int:
         raise _usage(f"--zero-grid {args.zero_grid} gives more than {MAX_ZERO_STARTS} seed points")
     sys_t = fixed_frame(problem)
     box = Box.cube(args.radius, dim)
+    seed_map = seeding_map(sys_t)
     certify = {
         "reduced": lambda: degree_reduced(candidate_block(sys_t), problem.g, box,
                                           args.zero_grid, d2g=problem.g_jac2),
-        "generic": lambda: degree_generic(seeding_map(sys_t), box, args.zero_grid),
+        "generic": lambda: degree_generic(seed_map, box, args.zero_grid, jac=seed_map.jac),
     }
     if args.method != "both":
         _emit(to_json({args.method: certify[args.method]().to_dict()}), args.out)

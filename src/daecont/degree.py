@@ -9,6 +9,12 @@ the reduction shortcut available when the map has the block form
 The generic route refuses to certify anything it cannot defend: zeros on
 the boundary, zeros with (near-)singular Jacobians, and sign patterns
 that suggest an unlocated zero all raise instead of returning a number.
+Its Newton steps and orientation signs use the map's Jacobian when one is
+given (``jac``): the candidate map carries its exact one,
+``[[C, 0], [d1g, d2g]]``, as the ``jac`` attribute of the callable
+:func:`candidate_map` and :func:`seeding_map` return.  Without one (the
+averaged map, or any plain callable) the Jacobian is formed by forward
+differences.
 """
 
 from __future__ import annotations
@@ -231,17 +237,24 @@ def _check_sign_coverage(box: Box, grid: int, lattice, values, zeros):
                 )
 
 
+def _with_jacobian(fun, jac):
+    # (map, Jacobian) for the zero search: the given Jacobian, else forward
+    # differences of the map
+    wrapped = lambda z: np.atleast_1d(np.asarray(fun(z), dtype=float))
+    return wrapped, (lambda z: fd_jacobian(wrapped, z)) if jac is None else jac
+
+
 def locate_zeros(fun: Callable[[np.ndarray], np.ndarray], box: Box,
-                 grid: int = DEFAULT_GRID) -> List[ZeroRecord]:
+                 grid: int = DEFAULT_GRID, *,
+                 jac: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> List[ZeroRecord]:
     """All regular zeros of ``fun`` inside ``box`` with orientation signs.
 
     Same machinery as :func:`degree_generic` without forming the degree:
     multistart Newton from a uniform lattice, dedup, regularity and
-    coverage checks.
+    coverage checks.  ``jac`` is the Jacobian of ``fun``; forward
+    differences stand in when it is None.
     """
-    wrapped = lambda z: np.atleast_1d(np.asarray(fun(z), dtype=float))
-    jac = lambda z: fd_jacobian(wrapped, z)
-    return _find_zeros(wrapped, jac, box, grid)
+    return _find_zeros(*_with_jacobian(fun, jac), box, grid)
 
 
 def candidate_block(sys: TransformedSystem) -> np.ndarray:
@@ -273,9 +286,24 @@ def candidate_map(sys: TransformedSystem) -> Callable[[np.ndarray], np.ndarray]:
 
     The map is ``(C xi, g(xi, eta))`` with ``C`` the
     :func:`candidate_block` of the transformed system (see
-    :func:`~daecont.transform.fixed_frame`).
+    :func:`~daecont.transform.fixed_frame`).  The returned callable carries
+    its Jacobian ``[[C, 0], [g_jac1, g_jac2]]`` as its ``jac`` attribute,
+    exact wherever the model's constraint blocks are.
     """
-    return _block_map(candidate_block(sys), sys.g)
+    block = candidate_block(sys)
+    m = block.shape[0]
+    the_map = _block_map(block, sys.g)
+
+    def jacobian(z):
+        z = np.asarray(z, dtype=float)
+        out = np.zeros((z.size, z.size))
+        out[:m, :m] = block
+        out[m:, :m] = sys.g_jac1(z[:m], z[m:])
+        out[m:, m:] = sys.g_jac2(z[:m], z[m:])
+        return out
+
+    the_map.jac = jacobian
+    return the_map
 
 
 def degree_reduced(
@@ -330,6 +358,8 @@ def degree_generic(
     fun: Callable[[np.ndarray], np.ndarray],
     box: Box,
     grid: int = DEFAULT_GRID,
+    *,
+    jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> DegreeCertificate:
     """Degree by regular-zero enumeration.
 
@@ -337,10 +367,11 @@ def degree_generic(
     verifies each is regular and interior, and sums orientation signs.
     One pass over the lattice gives both the seeds' sign pattern and the
     boundary margin (its nodes on the faces of the box).  Raises rather
-    than guessing whenever the evidence is inconclusive.
+    than guessing whenever the evidence is inconclusive.  ``jac`` is the
+    Jacobian of ``fun`` for the Newton steps and the signs; forward
+    differences stand in when it is None.
     """
-    wrapped = lambda z: np.atleast_1d(np.asarray(fun(z), dtype=float))
-    jac = lambda z: fd_jacobian(wrapped, z)
+    wrapped, jac = _with_jacobian(fun, jac)
     survey = _survey(wrapped, box, grid)
     margin = _boundary_margin(survey[1][box.face_mask(grid)])
     zeros = _find_zeros(wrapped, jac, box, grid, survey)
@@ -358,7 +389,8 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
     ``F`` is the fixed-frame forcing at the constant frame state
     ``(xi, eta)``, frame velocities zero for order 2 (so the original
     velocities are those of the moving frame).  The branch-seeding map
-    when the drift ``D0`` vanishes (see :func:`seeding_map`).
+    when the drift ``D0`` vanishes (see :func:`seeding_map`).  Its ``jac``
+    attribute is None: its Jacobian is formed by forward differences.
     """
     m = sys.m
     velocities = () if sys.order == 1 else (np.zeros(sys.m), np.zeros(sys.s))
@@ -369,6 +401,7 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
         first = quadrature_periodic(lambda t: sys.F(t, xi, eta, *velocities), sys.period, quad_n)
         return np.concatenate([np.atleast_1d(first), np.atleast_1d(sys.g(xi, eta))])
 
+    omega.jac = None
     return omega
 
 
@@ -377,7 +410,10 @@ def seeding_map(sys: TransformedSystem) -> Callable[[np.ndarray], np.ndarray]:
 
     When the drift ``D0`` vanishes (``||D0||_inf <= 1e-8``: no frame
     product, no commuting drift) the first block of the candidate map is
-    identically zero, and the averaged map takes its place.
+    identically zero, and the averaged map takes its place.  The callable
+    carries its Jacobian as ``jac`` (see :func:`candidate_map`), None for
+    the averaged map; pass it on to :func:`degree_generic` or
+    :func:`locate_zeros`.
     """
     if norm_inf(sys.D0) <= SEEDING_DRIFT_TOL:
         return averaged_map_fn(sys)

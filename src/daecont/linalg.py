@@ -3,20 +3,22 @@
 Everything here works on small (desk-scale) dense float64 arrays: linear
 solves and determinants, damped Newton iteration, finite-difference
 Jacobians, an SVD with deterministic signs and periodic quadrature.  The
-factorizations are LAPACK's (through scipy and numpy); what this module adds
-is the pivot-threshold singularity test and the sign convention.  1x1 and
-2x2 solves use closed forms.  All functions are pure; inputs are never
+LU factorization and its solves call LAPACK ``getrf``/``getrs`` directly
+(``scipy.linalg.lapack.dgetrf``/``dgetrs``, the routines behind
+``scipy.linalg.lu_factor``/``lu_solve``, without their per-call checks and
+warning filters); the SVD is numpy's.  What this module adds is the
+pivot-threshold singularity test and the sign convention.  1x1 and 2x2
+solves use closed forms.  All functions are pure; inputs are never
 mutated.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     EvaluationError,
@@ -50,13 +52,13 @@ def norm_inf(a) -> float:
 
 def _lu(a: np.ndarray):
     # LAPACK LU with partial pivoting, (lu, piv) as scipy.linalg.lu_factor.
-    # LAPACK factors on past a zero pivot, and an inf entry can turn later
-    # pivots into NaN, which would hide a small pivot from a min: every
-    # pivot is compared with the threshold (NaN compares false).
+    # getrf factors on past a zero pivot (info > 0), and an inf entry can
+    # turn later pivots into NaN, which would hide a small pivot from a
+    # min: every pivot is compared with the threshold (NaN compares false).
     threshold = PIVOT_REL * max(norm_inf(a), 1e-300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a, check_finite=False)
+    lu, piv, info = dgetrf(a)
+    if info < 0:
+        raise EvaluationError(f"LAPACK getrf rejected argument {-info}")
     pivots = np.abs(np.diag(lu))
     small = pivots < threshold
     if np.any(small):
@@ -105,7 +107,9 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 (a[0, 0] * b[1] - a[1, 0] * b[0]) / det,
             ]
         )
-    x = lu_solve(_lu(a), b, check_finite=False)
+    x, info = dgetrs(*_lu(a), b)
+    if info < 0:
+        raise EvaluationError(f"LAPACK getrs rejected argument {-info}")
     if not np.all(np.isfinite(x)):
         raise EvaluationError("linear solve produced non-finite entries")
     return x

@@ -605,7 +605,8 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     m = prob.m
     xi0, eta0 = seed[:m], seed[m:]
     vel = () if prob.order == 1 else (np.zeros(m), np.zeros(prob.s))
-    times = np.arange(runner.nsteps + 1) * runner.h
+    # the march's node times, so that every node reads the runner's frame table
+    times = [0.0] + [end for _, _, end in _step_times(0.0, runner.h, runner.nsteps)]
     nodes = [runner.sys.pull_back(t, xi0, eta0, *vel) for t in times]
     return _tpair(runner.sys, 0.0, _nodes_to_trajectory(times, nodes), xi0)
 
@@ -732,4 +733,5 @@ def continue_branch(
 def branch_seeds(prob, box: Box, grid: int = 5) -> List[ZeroRecord]:
     """Zeros of the :func:`~daecont.degree.seeding_map` inside ``box``, with
     local degree signs."""
-    return locate_zeros(seeding_map(fixed_frame(prob)), box, grid)
+    seed_map = seeding_map(fixed_frame(prob))
+    return locate_zeros(seed_map, box, grid, jac=seed_map.jac)

@@ -1,6 +1,7 @@
-"""Reference integrators and derivatives the tests check the library against."""
+"""Reference integrators, derivatives and factorizations the tests check the library against."""
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 
 def rk4_step(field, t, u, h):
@@ -24,3 +25,15 @@ def central_jacobian(fun, x, step=1e-5):
         xm[i] -= h
         cols.append((np.asarray(fun(xp), float) - np.asarray(fun(xm), float)) / (2 * h))
     return np.column_stack(cols)
+
+
+def lu_solve_reference(a, b):
+    """``a x = b`` through scipy's public LU wrappers ``lu_factor``/``lu_solve``."""
+    return lu_solve(lu_factor(a), b)
+
+
+def lu_determinant_reference(a):
+    """Determinant from ``scipy.linalg.lu_factor``: pivot-sign times the product of U's diagonal."""
+    lu, piv = lu_factor(a)
+    swaps = np.count_nonzero(piv != np.arange(len(piv)))
+    return float((-1.0) ** swaps * np.prod(np.diag(lu)))

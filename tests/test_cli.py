@@ -112,12 +112,28 @@ class TestDegree:
         assert "HypothesisViolated" in err
 
 
+    # The goldens' generic zeros came from Newton on a forward-difference
+    # Jacobian (step 1e-7 (1 + |x|)); the exact Jacobian lands Newton on
+    # another point inside its 1e-12 residual tolerance.  Everything the
+    # certificate claims stays exact: the reduced slot, the degrees, signs,
+    # zero counts and margins.
     @pytest.mark.parametrize("name", ["commuting_h", "rotating_surface",
                                       "rotating_surface_2nd", "semilinear_4x4"])
     def test_both_methods_match_golden(self, capsys, name):
         code, out, err = run(capsys, "degree", name, "--method", "both")
         assert code == 0 and err == ""
-        assert out == (GOLDEN_DIR / f"degree_{name}.json").read_text()
+        got = json.loads(out)
+        golden = json.loads((GOLDEN_DIR / f"degree_{name}.json").read_text())
+        assert got["reduced"] == golden["reduced"] and got["agree"] is golden["agree"] is True
+        gen, ref = got["generic"], golden["generic"]
+        for key in ("degree", "method", "boundary_margin", "zero_count"):
+            assert gen[key] == ref[key], key
+        assert len(gen["zeros"]) == len(ref["zeros"])
+        for zero, ref_zero in zip(gen["zeros"], ref["zeros"]):
+            assert zero["sign"] == ref_zero["sign"]
+            assert np.max(np.abs(np.subtract(zero["point"], ref_zero["point"]))) <= 1e-12
+            assert zero["residual"] <= 1e-12
+            assert abs(zero["det"] - ref_zero["det"]) <= 1e-6 * abs(ref_zero["det"])
 
     # scalar_linear has no drift (D0 = 0): its candidate block is zero, and
     # the averaged map seeds its branches

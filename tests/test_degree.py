@@ -1,6 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+import daecont.degree as degree
+import daecont.linalg as linalg
+import daecont.transform as transform
+from daecont.cli import main
 from daecont.degree import (
     Box,
     averaged_map_audit,
@@ -21,6 +27,7 @@ from daecont.errors import (
 from daecont.fixtures import load_fixture
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath, frame_audit
+from daecont.periodic import branch_seeds
 from daecont.semilinear import reduce_semilinear
 from daecont.transform import (
     DaeProblem1,
@@ -29,6 +36,7 @@ from daecont.transform import (
     fixed_frame_first,
     fixed_frame_second,
 )
+from oracles import central_jacobian
 
 ROT_M = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -116,6 +124,65 @@ class TestCandidateMap:
         val = cmap(z)
         # -M^2 = I for the rotation frame
         assert abs(val[0] - 0.5) <= 1e-10 and abs(val[1] - 0.25) <= 1e-10
+
+
+def _seeding_problem(name):
+    # A degree fixture as the degree layer sees it (semilinear reduced), or
+    # a Python-callable problem with no constraint derivatives
+    if name == "semilinear_4x4":
+        return reduce_semilinear(load_fixture(name))
+    if name == "python_callables":
+        rs = load_fixture("rotating_surface")
+        return DaeProblem1(
+            m=2, s=1, period=2 * np.pi,
+            f=lambda t, x, y: np.zeros(2),
+            g=lambda p, q: np.array([q[0] ** 3 + np.sin(q[0]) - p[0] ** 2 - 2.0 * p[0] * p[1]]),
+            A=rs.A, B=rs.B,
+        )
+    return load_fixture(name)
+
+
+class TestSeedingMapJacobian:
+    PROBLEMS = ["commuting_h", "rotating_surface", "rotating_surface_2nd", "semilinear_4x4",
+                "python_callables"]
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_matches_central_differences(self, name):
+        prob = _seeding_problem(name)
+        sys_t = fixed_frame(prob)
+        dim = prob.m + prob.s
+        points = np.random.default_rng(7).uniform(-1.5, 1.5, size=(4, dim))
+        for fun in (candidate_map(sys_t), seeding_map(sys_t)):
+            for z in points:
+                ref = central_jacobian(fun, z)
+                assert norm_inf(fun.jac(z) - ref) <= 1e-6 * max(1.0, norm_inf(ref))
+
+    @pytest.fixture
+    def fd_calls(self, monkeypatch):
+        # every forward-difference Jacobian, through any module that binds it
+        calls = []
+        fd = linalg.fd_jacobian
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fd(*args, **kwargs)
+
+        for module in (linalg, degree, transform):
+            monkeypatch.setattr(module, "fd_jacobian", counted)
+        return calls
+
+    def test_degree_both_differences_nothing(self, fd_calls, capsys):
+        assert main(["degree", "rotating_surface", "--method", "both"]) == 0
+        assert json.loads(capsys.readouterr().out)["agree"] is True
+        assert fd_calls == []
+
+    def test_branch_seeds_differences_nothing(self, fd_calls):
+        (seed,) = branch_seeds(load_fixture("commuting_h"), Box.cube(2.0, 3))
+        assert norm_inf(seed.point) <= 1e-10 and fd_calls == []
+
+    def test_plain_callable_falls_back_to_differences(self, fd_calls):
+        cert = degree_generic(lambda z: z, Box.cube(1.0, 2))
+        assert cert.degree == 1 and len(fd_calls) > 0
 
 
 class TestZerosOfReduced:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from daecont.linalg import (
     solve_linear,
     svd_small,
 )
-from oracles import central_jacobian, rk4_step
+from oracles import central_jacobian, lu_determinant_reference, lu_solve_reference, rk4_step
 
 
 class TestSolveLinear:
@@ -85,6 +87,27 @@ class TestSolveLinear:
         a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         x = solve_linear(a, np.array([5.0, 7.0, 9.0]))
         assert np.allclose(x, [7.0, 5.0, 9.0], atol=0)
+
+    # LAPACK getrf/getrs called directly: the routines lu_factor/lu_solve call
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_scipy_lu_bit_for_bit(self, n):
+        rng = np.random.default_rng(10 + n)
+        a = rng.normal(size=(n, n))
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            x = solve_linear(a, b)
+            assert x.shape == b.shape
+            assert x.tobytes() == lu_solve_reference(a, b).tobytes()
+        assert determinant(a) == lu_determinant_reference(a)
+
+    def test_exact_zero_pivot_raises_without_a_warning(self):
+        # getrf reports the exact zero pivot through info and warns of
+        # nothing; the pivot test turns it into SingularMatrixError
+        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                solve_linear(a, np.ones(3))
+            assert determinant(a) == 0.0
 
 
 class TestDeterminant:

@@ -539,6 +539,15 @@ class TestFrameTable:
         assert path_calls == []
         assert from_table == traj.constraint_residual(runner.prob) and len(path_calls) == 2 * 17
 
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
+    def test_trivial_pair_reads_the_table(self, name, path_calls):
+        runner = periodic._ShootingRunner(load_fixture(name), 16)
+        del path_calls[:]
+        pair = periodic._trivial_tpair(runner, np.zeros(3))
+        _, times, _ = runner.flow(0.0, np.zeros(runner.state_dim), record=True)
+        assert path_calls == [] and pair.trajectory.times.tolist() == times
+        assert pair.is_trivial and pair.constraint_residual == 0.0
+
     def test_other_times_are_evaluated_and_not_stored(self, path_calls):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
         del path_calls[:]
@@ -585,10 +594,13 @@ def _shooting_problem(name):
         )
     if name.startswith("second_order_rates"):
         # f sees y, xdot and ydot, so the eta and etadot sensitivities count;
-        # the _fd variant forms f_jac and gdot_jac by forward differences
+        # the _fd variant forms f_jac and gdot_jac by differences, and the
+        # _bare variant the constraint blocks too
         text = problem_text("rotating_surface_2nd").replace(
             "cos(t) - x1\n-x2", "cos(t) - x1 + 0.5*y1*v1\n-x2 + 0.3*u1*y1 + 0.2*v1")
         prob = build_problem(parse_problem(text))
+        if name.endswith("_bare"):
+            return replace(prob, df=None, dgdot=None, d1g=None, d2g=None)
         return replace(prob, df=None, dgdot=None) if name.endswith("_fd") else prob
     return load_fixture(name)
 
@@ -597,7 +609,8 @@ class TestExactShootingJacobian:
     """One sensitivity march gives the residual and the exact Jacobian of the RK4 map."""
 
     PROBLEMS = ["rotating_surface", "rotating_surface_2nd", "commuting_h", "semilinear_4x4",
-                "scalar_linear", "python_callables", "second_order_rates", "second_order_rates_fd"]
+                "scalar_linear", "python_callables", "second_order_rates", "second_order_rates_fd",
+                "second_order_rates_bare"]
 
     @staticmethod
     def point(runner, lam=0.3):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,21 @@ class TestFiniteDifferenceMode:
         # transform accepts the O(h^2) constancy residual
         sys_t = fixed_frame_first(prob)
         assert norm_inf(sys_t.D0 - np.array([[0.0, -1.0], [1.0, 0.0]])) <= 1e-6
+
+
+class TestConstraintRateJacobian:
+    # Without dgdot (and without d1g/d2g) gdot_jac is a central mixed second
+    # difference of g; the compiled dgdot of the same problem is the reference.
+    @pytest.mark.parametrize("rate_scale", [1e-3, 1.0, 40.0])
+    def test_matches_compiled_dgdot(self, rate_scale):
+        prob = load_fixture("rotating_surface_2nd")
+        bare = replace(prob, dgdot=None, d1g=None, d2g=None)
+        p, q = np.array([0.4, -0.9]), np.array([0.7])
+        u, w = rate_scale * np.array([0.3, 0.5]), rate_scale * np.array([-0.8])
+        ref = prob.gdot_jac(p, q, u, w)
+        assert norm_inf(bare.gdot_jac(p, q, u, w) - ref) <= 1e-7 * max(1.0, norm_inf(ref))
+
+    def test_zero_rate_gives_zero(self):
+        bare = replace(load_fixture("rotating_surface_2nd"), dgdot=None, d1g=None, d2g=None)
+        out = bare.gdot_jac(np.array([0.4, -0.9]), np.array([0.7]), np.zeros(2), np.zeros(1))
+        assert out.shape == (1, 3) and not out.any()
