@@ -25,10 +25,10 @@ Newton and the tangents use the exact Jacobian of the discrete RK4 map,
 not finite differences: a sensitivity march carries the derivative of
 the state with respect to ``(lam, xi0)`` through every stage of the same
 march (internal differentiation), with ``d eta / d xi = -g_q^-1 g_p``
-taken at each stage's converged algebraic block.  Its end state is the
-plain march's, bit for bit, so the residual and its Jacobian come from
-one march; the tangent at a converged point reuses the Jacobian of its
-last corrector iterate and costs no march.
+taken at each stage's converged algebraic block.  Its row 0 is the plain
+march, bit for bit.  Newton accepts a point on the residual it evaluated
+there, so the corrector's last march gives the residual, the Jacobian,
+the tangent and the accepted pair's nodes: a pair costs no march of its own.
 
 Every shooting march of a branch runs the same time grid, and there the
 frame depends on time alone.  So each shooting runner builds one frame
@@ -350,6 +350,9 @@ class _SensitivityStepper(_FixedStepper):
     def resolve(self, t, aug, y_warm):
         return _FixedStepper.resolve(self, t, aug[0], y_warm)
 
+    def record(self, t, aug, y):
+        return _FixedStepper.record(self, t, aug[0], y)
+
     def stage(self, t, aug, y_warm):
         sys, m, lam = self.sys, self.m, self.lam
         state, dstate = aug[0], aug[1:]
@@ -387,15 +390,14 @@ def _step_times(t0, h, nsteps):
         t = end
 
 
-def _march(stepper, t0, state0, y0, h, nsteps, record_nodes):
+def _march(stepper, t0, state0, y0, h, nsteps):
     # RK4 over the differential block; algebraic block re-solved per stage
     # with warm starts.  A stage whose constraint Newton fails aborts the
-    # whole integration (no silent continuation).  Returns the end state
-    # and, when recording, the node times and nodes.
+    # whole integration (no silent continuation).  Returns the nodes
+    # (t, state, y) of the march, start first: the last holds the end state.
     state = np.asarray(state0, dtype=float).copy()
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    nodes = [stepper.record(t0, state, y)] if record_nodes else None
-    times = [t0] if record_nodes else None
+    nodes = [(t0, state, y)]
     for t, mid, end in _step_times(t0, h, nsteps):
         k1, y1 = stepper.stage(t, state, y)
         k2, y2 = stepper.stage(mid, state + 0.5 * h * k1, y1)
@@ -403,10 +405,8 @@ def _march(stepper, t0, state0, y0, h, nsteps, record_nodes):
         k4, y4 = stepper.stage(end, state + h * k3, y3)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y = stepper.resolve(end, state, y4)
-        if record_nodes:
-            nodes.append(stepper.record(end, state, y))
-            times.append(end)
-    return state, times, nodes
+        nodes.append((end, state, y))
+    return nodes
 
 
 def _steps_for(span_len, h):
@@ -461,30 +461,29 @@ def integrate(
         stepper, start = _FixedStepper(sys, lam), sys.push_forward(0.0, x0, y0, xdot0)
     pos0, alg0, vel0 = start
     state0 = pos0 if vel0 is None else np.concatenate([pos0, vel0])
-    _, times, nodes = _march(stepper, 0.0, state0, alg0, h, nsteps, True)
-    return _nodes_to_trajectory(times, nodes)
+    return _trajectory(stepper.record, _march(stepper, 0.0, state0, alg0, h, nsteps))
 
 
-def _nodes_to_trajectory(times, nodes) -> Trajectory:
-    # Nodes are (x, y, xdot, ydot) in original coordinates, with None
-    # velocities for order 1.
-    columns = (None if col[0] is None else np.array(col) for col in zip(*nodes))
-    return Trajectory(np.asarray(times, dtype=float), *columns)
+def _trajectory(record, nodes) -> Trajectory:
+    # March nodes (t, state, y) through record to (x, y, xdot, ydot); None velocities for order 1.
+    records = zip(*(record(*node) for node in nodes))
+    columns = (None if col[0] is None else np.array(col) for col in records)
+    return Trajectory(np.asarray([node[0] for node in nodes], dtype=float), *columns)
 
 
 class _ShootingRunner:
-    """Caches the transformed system and runs fixed-frame flows.
+    """Caches the transformed system and runs fixed-frame marches.
 
     The shooting unknown is the initial frame state (``xi0`` for order 1,
     ``(xi0, xidot0)`` for order 2); the algebraic block is recovered from
     the autonomous constraint, so periodicity of ``eta`` is checked a
     posteriori rather than solved for.
 
-    Every flow marches the same grid, so the runner's system carries a
+    Every march runs the same grid, so the runner's system carries a
     frame table (see :meth:`~daecont.transform.TransformedSystem.tabulate`)
     over the ``2 * nsteps + 1`` step and midpoint times of one period,
-    built here and dropped with the runner.  The runner also keeps the
-    last :meth:`linearize` result.
+    built here and dropped with the runner.  It also keeps the nodes of
+    one march, :meth:`linearize`'s last, for :meth:`make_tpair`.
     """
 
     def __init__(self, prob, nsteps: int = DEFAULT_STEPS):
@@ -494,37 +493,35 @@ class _ShootingRunner:
         self.state_dim = prob.order * prob.m
         steps = _step_times(0.0, self.h, self.nsteps)
         self.sys = fixed_frame(prob).tabulate(t for step in steps for t in step)
-        self._last = (None, None, None)  # (key, residual, jacobian) of linearize
+        self._last = (None,) * 5  # linearize's (key, residual, jacobian, record, nodes)
 
-    def _run(self, stepper, start, record=False):
-        # One period of stepper from start; returns (end, times, nodes).
+    def _run(self, stepper, start):
+        # The nodes of one period of stepper from start.
         eta0 = stepper.resolve(0.0, start, np.zeros(self.prob.s))
-        return _march(stepper, 0.0, start, eta0, self.h, self.nsteps, record)
-
-    def flow(self, lam, state0, record=False):
-        # One period from a float state; returns (end_state, times, nodes).
-        return self._run(_FixedStepper(self.sys, lam), state0, record)
+        return _march(stepper, 0.0, start, eta0, self.h, self.nsteps)
 
     def shoot(self, lam, state0):
         state0 = np.asarray(state0, dtype=float)
-        return self.flow(lam, state0)[0] - state0
+        return self._run(_FixedStepper(self.sys, lam), state0)[-1][1] - state0
 
     def linearize(self, lam, state0):
         """Shooting residual and its Jacobian by ``(lam, state0)``.
 
         One sensitivity march gives both; the residual is :meth:`shoot`'s,
         bit for bit.  The result for the last point is kept, keyed by the
-        exact bytes of ``(lam, state0)``, so that the residual and Jacobian
-        calls of one Newton iterate, and the tangent at a converged point,
-        share one march.  The returned arrays must not be modified.
+        exact bytes of ``(lam, state0)`` with its march's nodes: one Newton
+        iterate's residual and Jacobian, and the tangent and pair at a
+        converged point, share one march.  Do not modify the arrays.
         """
         state0 = np.asarray(state0, dtype=float)
         key = np.append(lam, state0).tobytes()
         if key != self._last[0]:
             n = self.state_dim
-            start = np.vstack([state0, np.zeros(n), np.eye(n)])
-            end = self._run(_SensitivityStepper(self.sys, lam), start)[0]
-            self._last = (key, end[0] - state0, end[1:].T - np.eye(n, n + 1, 1))
+            stepper = _SensitivityStepper(self.sys, lam)
+            nodes = self._run(stepper, np.vstack([state0, np.zeros(n), np.eye(n)]))
+            end = nodes[-1][1]
+            jacobian = end[1:].T - np.eye(n, n + 1, 1)
+            self._last = (key, end[0] - state0, jacobian, stepper.record, nodes)
         return self._last[1], self._last[2]
 
     def newton_maps(self, lam=None):
@@ -541,8 +538,8 @@ class _ShootingRunner:
 
     def make_tpair(self, lam, state0) -> TPair:
         state0 = np.asarray(state0, dtype=float)
-        _, times, nodes = self.flow(lam, state0, record=True)
-        pair = _tpair(self.sys, lam, _nodes_to_trajectory(times, nodes), state0[: self.prob.m])
+        self.linearize(lam, state0)  # no march right after the corrector that accepted the point
+        pair = _tpair(self.sys, lam, _trajectory(*self._last[3:]), state0[: self.prob.m])
         for name, value, tol in (("periodicity", pair.periodicity_residual, PERIODICITY_TOL),
                                  ("constraint", pair.constraint_residual, CONSTRAINT_TOL)):
             if value > tol:
@@ -582,7 +579,7 @@ def find_tpair(prob, lam: float, xi0_guess, nsteps: int = DEFAULT_STEPS) -> TPai
     runner = _ShootingRunner(prob, nsteps)
     state0 = np.atleast_1d(np.asarray(xi0_guess, dtype=float))
     if lam == 0.0:
-        res = runner.shoot(lam, state0)
+        res = runner.linearize(lam, state0)[0]
         if norm_inf(res) > PERIODICITY_TOL:
             raise SingularMonodromyError(
                 "shooting at lam = 0 is degenerate and the guess is not periodic "
@@ -607,8 +604,8 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     vel = () if prob.order == 1 else (np.zeros(m), np.zeros(prob.s))
     # the march's node times, so that every node reads the runner's frame table
     times = [0.0] + [end for _, _, end in _step_times(0.0, runner.h, runner.nsteps)]
-    nodes = [runner.sys.pull_back(t, xi0, eta0, *vel) for t in times]
-    return _tpair(runner.sys, 0.0, _nodes_to_trajectory(times, nodes), xi0)
+    at_rest = lambda t, xi, eta: runner.sys.pull_back(t, xi, eta, *vel)
+    return _tpair(runner.sys, 0.0, _trajectory(at_rest, [(t, xi0, eta0) for t in times]), xi0)
 
 
 def _least_squares_newton(fun, jac, x0):
@@ -689,7 +686,8 @@ def continue_branch(
     branch always comes back with the pairs traced so far and its
     termination: ``budget`` (all ``nsteps`` steps taken), ``left_box``,
     ``lambda_boundary`` (a step would go below ``lam = 0``) or
-    ``solver_failure`` (any :class:`DaecontError` of a later step).
+    ``solver_failure`` (a :class:`DaecontError` of a later step, or a model's
+    ``ArithmeticError``, ``ValueError`` or numpy ``LinAlgError``).
     """
     runner = _ShootingRunner(prob, integration_steps)
     seed = np.atleast_1d(np.asarray(seed, dtype=float))
@@ -725,7 +723,7 @@ def continue_branch(
                 termination = z
                 break
             pairs.append(runner.make_tpair(z[0], z[1:]))
-    except DaecontError:
+    except (DaecontError, ArithmeticError, ValueError):  # numpy's LinAlgError is a ValueError
         termination = "solver_failure"
     return Branch(pairs=pairs, seed=seed, termination=termination)
 

@@ -13,7 +13,7 @@ from daecont.errors import (
     SingularMonodromyError,
 )
 from daecont.fixtures import load_fixture, problem_text
-from daecont.linalg import norm_inf
+from daecont.linalg import NewtonConfig, newton_solve, norm_inf
 from daecont.paths import MatrixPath
 from daecont.probfile import build_problem, parse_problem
 from daecont.semilinear import reduce_semilinear
@@ -40,6 +40,12 @@ def scalar_problem(f=None, g=None):
         A=MatrixPath.constant(np.eye(1), TWO_PI),
         B=MatrixPath.constant(np.eye(1), TWO_PI),
     )
+
+
+def plain_march(runner, lam, state0):
+    # the record and nodes of one plain fixed-frame march over a period
+    stepper = periodic._FixedStepper(runner.sys, lam)
+    return stepper.record, runner._run(stepper, np.asarray(state0, dtype=float))
 
 
 def closed_form_scalar(lam, x0, t):
@@ -138,7 +144,7 @@ class TestShootingResidual:
         assert abs(res[0] - expected) <= 1e-8
 
     @pytest.mark.parametrize("name", ["scalar_linear", "rotating_surface_2nd"])
-    def test_eta_gap_marches_once(self, name):
+    def test_one_march_per_shooting_residual(self, name):
         # one forcing call per RK4 stage: the residual comes from a single march
         prob = load_fixture(name)
         calls = []
@@ -426,6 +432,32 @@ class TestTermination:
         assert len(branch.pairs) == pairs
         assert np.allclose([p.lam for p in branch.pairs], 0.25 * np.arange(pairs), atol=1e-9)
 
+    @staticmethod
+    def failing_forcing(error):
+        # dx/dt = lam (cos t - x) as a Python callable that raises past
+        # |x| = 0.3: the orbit lam (lam cos t + sin t) / (1 + lam^2) stays
+        # inside at lam = 0.2 and leaves by lam = 0.4
+        def f(t, x, y):
+            if abs(x[0]) > 0.3:
+                raise error("injected")
+            return np.array([np.cos(t) - x[0]])
+
+        return scalar_problem(f=f)
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, ValueError, np.linalg.LinAlgError])
+    def test_model_error_keeps_traced_pairs(self, error):
+        box = Box(np.array([0.0, -2.0]), np.array([5.0, 2.0]))
+        branch = continue_branch(self.failing_forcing(error), np.zeros(2), 0.2, 4, box,
+                                 integration_steps=32)
+        assert branch.termination == "solver_failure"
+        assert [p.lam for p in branch.pairs] == [0.0, 0.2]
+
+    def test_programming_error_propagates(self):
+        box = Box(np.array([0.0, -2.0]), np.array([5.0, 2.0]))
+        with pytest.raises(TypeError, match="injected"):
+            continue_branch(self.failing_forcing(TypeError), np.zeros(2), 0.2, 4, box,
+                            integration_steps=32)
+
 
 class TestScalarConstraintNewton:
     """The s = 1 path of the constraint solve keeps the n x n loop's rules and bits."""
@@ -516,8 +548,8 @@ class TestFrameTable:
         runner = periodic._ShootingRunner(load_fixture(name), 16)
         assert len(runner.sys.frames) == 2 * 16 + 1
         assert all(len(frame) == 2 * runner.sys.order for frame in runner.sys.frames.values())
-        _, times, _ = runner.flow(0.5, np.zeros(runner.state_dim), record=True)
-        assert set(times) <= set(runner.sys.frames)
+        _, nodes = plain_march(runner, 0.5, np.zeros(runner.state_dim))
+        assert {t for t, _, _ in nodes} <= set(runner.sys.frames)
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
     def test_flows_make_no_path_calls(self, name, path_calls):
@@ -525,14 +557,13 @@ class TestFrameTable:
         del path_calls[:]
         state0 = np.full(runner.state_dim, 0.1)
         first = runner.shoot(0.5, state0)
-        runner.flow(0.5, state0, record=True)  # the nodes are pulled back at table times too
+        periodic._trajectory(*plain_march(runner, 0.5, state0))  # pulled back at table times too
         second = runner.shoot(0.5, state0)
         assert path_calls == [] and first.tobytes() == second.tobytes()
 
     def test_pair_residuals_read_the_table(self, path_calls):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
-        _, times, nodes = runner.flow(0.5, np.array([0.3, 0.1]), record=True)
-        traj = periodic._nodes_to_trajectory(times, nodes)
+        traj = periodic._trajectory(*plain_march(runner, 0.5, np.array([0.3, 0.1])))
         del path_calls[:]
         from_table = traj.constraint_residual(runner.sys)
         assert path_calls == [] and runner.make_tpair(0.0, np.zeros(2)).constraint_residual == 0.0
@@ -544,8 +575,8 @@ class TestFrameTable:
         runner = periodic._ShootingRunner(load_fixture(name), 16)
         del path_calls[:]
         pair = periodic._trivial_tpair(runner, np.zeros(3))
-        _, times, _ = runner.flow(0.0, np.zeros(runner.state_dim), record=True)
-        assert path_calls == [] and pair.trajectory.times.tolist() == times
+        _, nodes = plain_march(runner, 0.0, np.zeros(runner.state_dim))
+        assert path_calls == [] and pair.trajectory.times.tolist() == [t for t, _, _ in nodes]
         assert pair.is_trivial and pair.constraint_residual == 0.0
 
     def test_other_times_are_evaluated_and_not_stored(self, path_calls):
@@ -657,6 +688,50 @@ class TestExactShootingJacobian:
         z[1] = np.nextafter(z[1], 1.0)  # the next float is another point
         fun(z)
         assert len(marches) == 2
+
+    def test_one_march_per_accepted_point(self, monkeypatch):
+        # Every march runs at a point linearize has not seen: a pair comes
+        # from the march that converged it, and find_tpair at lam = 0
+        # marches once.
+        runner_cls = periodic._ShootingRunner
+        march, linearize, make_tpair = periodic._march, runner_cls.linearize, runner_cls.make_tpair
+        marches, points, in_pairs = [], set(), []
+
+        def seen(runner, lam, state0):
+            points.add(np.append(lam, state0).tobytes())
+            return linearize(runner, lam, state0)
+
+        def counted_pair(runner, lam, state0):
+            before = len(marches)
+            pair = make_tpair(runner, lam, state0)
+            in_pairs.append(len(marches) - before)
+            return pair
+
+        monkeypatch.setattr(periodic, "_march", lambda *args: marches.append(1) or march(*args))
+        monkeypatch.setattr(runner_cls, "linearize", seen)
+        monkeypatch.setattr(runner_cls, "make_tpair", counted_pair)
+        box = Box(np.array([0.0, -2.0, -2.0]), np.array([5.0, 2.0, 2.0]))
+        branch = continue_branch(load_fixture("rotating_surface"), np.zeros(3), 0.05, 4, box,
+                                 integration_steps=32)
+        assert branch.termination == "budget" and len(branch.pairs) == 5
+        assert len(marches) == len(points) and in_pairs == [0, 0, 0, 0]
+        del marches[:]
+        assert find_tpair(scalar_problem(), 0.0, np.array([0.7])).is_trivial
+        assert len(marches) == 1
+
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd", "semilinear_4x4"])
+    def test_pair_is_the_plain_march_bit_for_bit(self, name):
+        runner = periodic._ShootingRunner(_shooting_problem(name), 16)
+        config = NewtonConfig(max_iters=30, tol_residual=1e-10)
+        state = newton_solve(*runner.newton_maps(0.3), np.zeros(runner.state_dim), config)
+        pair = runner.make_tpair(0.3, state)
+        plain = periodic._trajectory(*plain_march(runner, 0.3, state))
+        for column in ("times", "x", "y", "xdot", "ydot"):
+            got, ref = getattr(pair.trajectory, column), getattr(plain, column)
+            assert (got is ref is None) or got.tobytes() == ref.tobytes(), column
+        assert (pair.trajectory.xdot is None) == (runner.prob.order == 1)
+        assert pair.periodicity_residual == plain.periodicity_residual()
+        assert pair.constraint_residual == plain.constraint_residual(runner.sys)
 
     def test_branch_tangent_makes_no_march(self, monkeypatch):
         counts = {"marches": 0, "in_tangent": 0}
