@@ -106,24 +106,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add_common(p, problem=True):
+    def add_common(p, problem=True, tol=False, seed=False):
+        # --tol and --seed only where a command reads them
         if problem:
             p.add_argument("problem", help="problem file path or fixture name")
         p.add_argument("--grid", type=_int_in(MIN_GRID, MAX_GRID, "grid"), default=64,
                        help="audit grid size (default 64)")
-        p.add_argument("--tol", type=_positive("tol"), default=None,
-                       help="audit tolerance (default per derivative mode)")
+        if tol:
+            p.add_argument("--tol", type=_positive("tol"), default=None,
+                           help="audit tolerance (default per derivative mode)")
         p.add_argument("--out", type=Path, default=None,
                        help="write output here instead of stdout")
-        p.add_argument("--seed", type=_int_in(0, math.inf, "seed"), default=0,
-                       help="seed for randomized paths (default 0)")
+        if seed:
+            p.add_argument("--seed", type=_int_in(0, math.inf, "seed"), default=0,
+                           help="seed for randomized paths (default 0)")
 
     p_check = sub.add_parser("check", help="audit frame hypotheses / reduction conditions")
-    add_common(p_check)
+    add_common(p_check, tol=True)
     p_check.set_defaults(func=cmd_check)
 
     p_lem = sub.add_parser("lemmas", help="identity audits on built-in and random paths")
-    add_common(p_lem, problem=False)
+    add_common(p_lem, problem=False, seed=True)
     p_lem.add_argument("--count", type=_int_in(0, MAX_LEMMA_PATHS, "count"), default=10,
                        help="number of random exponential-frame paths (default 10)")
     p_lem.set_defaults(func=cmd_lemmas)
@@ -225,11 +228,8 @@ def cmd_check(args) -> int:
         ok = report.conditions_hold
         if ok:
             reduced = reduce_semilinear(problem, args.grid, report=report)
-            probes = [
-                np.array([0.7, -0.3, 0.2, 0.5])[: 2 * report.rank],
-                np.array([1.0, 1.0, 1.0, 0.0])[: 2 * report.rank],
-                np.zeros(2 * report.rank),
-            ]
+            probes = [np.resize(probe, 2 * report.rank)
+                      for probe in ([0.7, -0.3, 0.2, 0.5], [1.0, 1.0, 1.0, 0.0], [0.0])]
             reference = fixtures.AVERAGED_MAP_REFERENCES.get(payload.name)
             # the reduced frame may fail the audit; the map is reported anyway
             sys_t = fixed_frame_first(reduced, validate=False)

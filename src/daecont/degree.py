@@ -332,12 +332,10 @@ def degree_reduced(
     if box.dim - m < 1:
         raise ValueError("box must cover both state blocks")
     zero_p = np.zeros(m)
-    section = lambda q: np.atleast_1d(np.asarray(g(zero_p, q), dtype=float))
-    if d2g is None:
-        jac = lambda q: fd_jacobian(section, q)
-    else:
-        jac = lambda q: np.atleast_2d(np.asarray(d2g(zero_p, q), dtype=float))
-    zeros = _find_zeros(section, jac, Box(box.lower[m:], box.upper[m:]), grid)
+    jac = None if d2g is None else lambda q: np.atleast_2d(np.asarray(d2g(zero_p, q), dtype=float))
+    # not locate_zeros, whose per-call hook in perfbench/tracing.py would count these zeros twice
+    section = _with_jacobian(lambda q: g(zero_p, q), jac)
+    zeros = _find_zeros(*section, Box(box.lower[m:], box.upper[m:]), grid)
     full_map = _block_map(m_mat, g)
     margin = _boundary_margin(full_map(p) for p in box.lattice(grid)[box.face_mask(grid)])
     sign_m = 1 if det_m > 0 else -1

@@ -30,12 +30,12 @@ march, bit for bit.  Newton accepts a point on the residual it evaluated
 there, so the corrector's last march gives the residual, the Jacobian,
 the tangent and the accepted pair's nodes: a pair costs no march of its own.
 
-Every shooting march of a branch runs the same time grid, and there the
-frame depends on time alone.  So each shooting runner builds one frame
-table when it is made: ``A``, ``B`` (and, for order 2, ``dA`` and the
-derivative of ``B^{-1}``) at the ``2N + 1`` step and midpoint times of
-its march, keyed by the exact floats the march produces.  The table lives
-and dies with its runner; ``integrate`` builds none.
+Every fixed-frame march reads the frame through its system's table (see
+:mod:`daecont.transform`), so a march evaluates the frame paths only at
+the ``2N + 1`` step and midpoint times it has not seen before.  A
+shooting runner keeps one system, and with it one table, for all the
+marches of a branch; ``integrate`` and the seeding map fill the table of
+the system they are given.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ CONSTRAINT_TOL = 1e-10
 TRIVIAL_TOL = 1e-9
 SEED_TOL = 1e-8
 DEFAULT_STEPS = 256
-MAX_STEPS = 100_000  # per integration span; bounds the work and the node memory
+MAX_STEPS = 100_000  # per integration span; bounds the work, the nodes and the 2N + 1 frames
 CONSTRAINT_SOLVE_TOL = 1e-12
 CONSTRAINT_SOLVE_MAX_ITER = 40
 LSQ_TOL = 1e-10
@@ -109,7 +109,8 @@ class Trajectory:
         """Largest ``|g(A(t) x, B(t) y)|`` over the nodes.
 
         ``model`` is a problem or its fixed-frame system; a system reads
-        ``A`` and ``B`` from its frame table at tabulated times.
+        ``A`` and ``B`` through its frame table, so times it has seen cost
+        no path evaluation.
         """
         worst = 0.0
         for k, t in enumerate(self.times):
@@ -382,7 +383,7 @@ class _SensitivityStepper(_FixedStepper):
 
 def _step_times(t0, h, nsteps):
     # (start, midpoint, end) of each RK4 step of a march from t0: the exact
-    # floats its stages see, and so the keys of a runner's frame table.
+    # floats its stages see.
     t = t0
     for _ in range(nsteps):
         end = t + h
@@ -479,11 +480,10 @@ class _ShootingRunner:
     the autonomous constraint, so periodicity of ``eta`` is checked a
     posteriori rather than solved for.
 
-    Every march runs the same grid, so the runner's system carries a
-    frame table (see :meth:`~daecont.transform.TransformedSystem.tabulate`)
-    over the ``2 * nsteps + 1`` step and midpoint times of one period,
-    built here and dropped with the runner.  It also keeps the nodes of
-    one march, :meth:`linearize`'s last, for :meth:`make_tpair`.
+    Every march runs the same grid on the runner's one system, whose frame
+    table fills on the first march and serves every later one.  The runner
+    also keeps the nodes of one march, :meth:`linearize`'s last, for
+    :meth:`make_tpair`.
     """
 
     def __init__(self, prob, nsteps: int = DEFAULT_STEPS):
@@ -491,8 +491,7 @@ class _ShootingRunner:
         self.nsteps = int(nsteps)
         self.h = prob.period / self.nsteps
         self.state_dim = prob.order * prob.m
-        steps = _step_times(0.0, self.h, self.nsteps)
-        self.sys = fixed_frame(prob).tabulate(t for step in steps for t in step)
+        self.sys = fixed_frame(prob)
         self._last = (None,) * 5  # linearize's (key, residual, jacobian, record, nodes)
 
     def _run(self, stepper, start):
@@ -602,7 +601,7 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     m = prob.m
     xi0, eta0 = seed[:m], seed[m:]
     vel = () if prob.order == 1 else (np.zeros(m), np.zeros(prob.s))
-    # the march's node times, so that every node reads the runner's frame table
+    # the node times of a march, bit for bit
     times = [0.0] + [end for _, _, end in _step_times(0.0, runner.h, runner.nsteps)]
     at_rest = lambda t, xi, eta: runner.sys.pull_back(t, xi, eta, *vel)
     return _tpair(runner.sys, 0.0, _trajectory(at_rest, [(t, xi0, eta0) for t in times]), xi0)

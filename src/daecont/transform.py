@@ -13,18 +13,19 @@ built from the audited frame product ``M = mean(A @ dA.T)``:
 with ``F = A(t) f`` the frame-conjugated forcing.  :class:`TransformedSystem`
 owns the change in both directions, node by node: ``push_forward`` and
 its inverse ``pull_back`` (``x = A(t).T xi``, ``y = B(t)^{-1} eta``),
-velocities included for order 2.  One node map evaluates the frame at a
-time and serves ``pull_back``, ``F`` and the linearized forcing that
-shooting sensitivities need (``linear_drive``).  A shooting runner
-marches one grid over and over, so it tabulates the frame at that grid's
-times (:meth:`TransformedSystem.tabulate`); the table belongs to the
-runner's system and goes with it, and any other time is evaluated afresh.
+velocities included for order 2.  One node map serves ``pull_back``,
+``F`` and the linearized forcing that shooting sensitivities need
+(``linear_drive``).  The frame depends on time alone, and every
+fixed-frame computation (a march, the averaged map's quadrature) visits
+the same times again and again, so a system keeps the frame of each time
+it has seen in its table ``frames``: filled on first use, keyed by the
+exact float, and living as long as the system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -211,8 +212,9 @@ class TransformedSystem:
     ``D0`` multiplies the state, ``D1`` (order 2 only) the velocity; ``f``
     is the problem's forcing, which :meth:`F` conjugates into the frame.
     The model derivatives (``g_jac1``, ``g_jac2``, ``f_jac`` and, for order
-    2, ``gdot_jac``) are the problem's.  ``frames`` is empty unless the
-    system came from :meth:`tabulate`.
+    2, ``gdot_jac``) are the problem's.  ``frames`` maps each time the
+    system has seen to its frame (see :meth:`_frame`); a copy made with
+    :func:`dataclasses.replace` starts with an empty table.
     """
 
     order: int
@@ -230,35 +232,26 @@ class TransformedSystem:
     A: MatrixPath
     B: MatrixPath
     M: np.ndarray
-    frames: dict = field(default_factory=dict, repr=False)  # t -> frame at t; see tabulate
+    frames: dict = field(init=False, default_factory=dict, repr=False)
 
-    def _frame(self, t: float, rates: bool):
-        # The frame at t: (A, B), then (dA, d(B^-1)) when rates are asked for.
-        a, b = self.A(t), self.B(t)
-        if not rates:
-            return a, b
-        return a, b, self.A(t, 1), inverse_derivative(b, self.B(t, 1))
-
-    def tabulate(self, times) -> "TransformedSystem":
-        """This system with its frame tabulated at ``times``.
-
-        Each entry holds ``A(t)`` and ``B(t)`` and, for order 2, ``dA(t)``
-        and the derivative of ``B(t)^{-1}``.  A node at a tabulated time
-        reads them from the table, keyed by the exact float; at any other
-        time the node evaluates the paths, and nothing is added to the table.
-        The table lives as long as the returned system.
-        """
-        return replace(self, frames={t: self._frame(t, self.order == 2) for t in times})
+    def _frame(self, t: float):
+        # The frame at t, (A, B) and for order 2 (dA, d(B^-1)) too: from the
+        # table, else evaluated once and stored there.
+        frame = self.frames.get(t)
+        if frame is None:
+            a, b = self.A(t), self.B(t)
+            rates = (self.A(t, 1), inverse_derivative(b, self.B(t, 1))) if self.order == 2 else ()
+            frame = self.frames[t] = (a, b, *rates)
+        return frame
 
     def frame(self, t: float):
-        """``(A(t), B(t))``, read from the table at a tabulated time."""
-        return (self.frames.get(t) or self._frame(t, False))[:2]
+        """``(A(t), B(t))``, read through the frame table."""
+        return self._frame(t)[:2]
 
     def _node(self, t: float, xi, eta, xid=None, etad=None):
-        # The frame at t, from the table or evaluated once, and the
-        # original-coordinate node (x, y, xdot, ydot) of a frame node,
-        # velocities None unless xid and etad are given.
-        frame = self.frames.get(t) or self._frame(t, xid is not None)
+        # The frame at t and the original-coordinate node (x, y, xdot, ydot)
+        # of a frame node, velocities None unless xid and etad are given.
+        frame = self._frame(t)
         a, b = frame[0], frame[1]
         x = a.T @ xi
         y = solve_linear(b, eta)

@@ -21,6 +21,47 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "help.txt"
 
 
+# semilinear_4x4 plus a decoupled pair (x5, x6): n = 6, rank E = 3
+SEMILINEAR_6X6 = """[problem]
+kind = semilinear
+name = semilinear_6x6
+n = 6
+period = 6.283185307179586
+
+[E]
+1, 0, 0, 0, 0, 0
+0, 0, 0, 0, 0, 0
+0, 0, 0, 1, 0, 0
+0, 0, 0, 0, 0, 0
+0, 0, 0, 0, 1, 0
+0, 0, 0, 0, 0, 0
+
+[F]
+0, 0, 0, 0, 0, 0
+cos(t), 1, 0, -sin(t), 0, 0
+0, 0, 0, 0, 0, 0
+sin(t), 0, 1, cos(t), 0, 0
+0, 0, 0, 0, 0, 0
+0, 0, 0, 0, 1, 1
+
+[C]
+2 + cos(t), 1, 0, 1, 0, 0
+0, 0, 0, 0, 0, 0
+1, 3 + sin(t), 2, 0, 0, 0
+0, 0, 0, 0, 0, 0
+0, 0, 0, 0, 1, 2
+0, 0, 0, 0, 0, 0
+
+[S]
+x1
+x2
+x3
+x4
+x5
+x6
+"""
+
+
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -53,6 +94,24 @@ class TestCheck:
         assert audit["quadrature_gap"] <= 1e-10
         assert "reference_gap" in audit
         assert data["frame_suitable"] is True
+
+    def test_semilinear_report_matches_golden(self, capsys):
+        # the averaged-map audit reads the frame at its quadrature times
+        code, out, err = run(capsys, "check", "semilinear_4x4")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN_DIR / "check_semilinear_4x4.json").read_text()
+
+    def test_semilinear_rank_three(self, capsys, tmp_path):
+        # the audit's probes have 2 * rank = 6 entries
+        f = tmp_path / "semilinear_6x6.prob"
+        f.write_text(SEMILINEAR_6X6)
+        code, out, err = run(capsys, "check", str(f))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["reduction"]["rank"] == 3 and data["reduction"]["conditions_hold"] is True
+        audit = data["averaged_map_audit"]
+        assert [len(row["point"]) for row in audit["probes"]] == [6, 6, 6]
+        assert audit["quadrature_gap"] <= 1e-10
 
     def test_problem_file_path(self, capsys, tmp_path):
         f = tmp_path / "prob.txt"
@@ -218,6 +277,12 @@ class TestIntegrate:
         assert code == 0 and err == ""
         assert out == (GOLDEN_DIR / "integrate_rotating_surface_2nd_fixed.json").read_text()
 
+    def test_first_order_fixed_frame_matches_golden(self, capsys):
+        code, out, err = run(capsys, "integrate", "rotating_surface", "--lambda", "0.5",
+                             "--fixed-frame")
+        assert code == 0 and err == ""
+        assert out == (GOLDEN_DIR / "integrate_rotating_surface_fixed.json").read_text()
+
     def test_negative_lambda_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["integrate", "scalar_linear", "--lambda", "-1"])
@@ -252,6 +317,11 @@ class TestIntegrate:
     (["continue", "rotating_surface", "--steps", "0"], "steps must be at least 1"),
     # the flags' product: --count 5000 runs at the default grid, not at this one
     (["lemmas", "--count", "5000", "--grid", "10000"], "path nodes"),
+    # --tol only where check reads it, --seed only where lemmas reads it
+    (["degree", "rotating_surface", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["integrate", "rotating_surface", "--tol", "1e-3"], "unrecognized arguments: --tol"),
+    (["check", "rotating_surface", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["lemmas", "--tol", "1e-3"], "unrecognized arguments: --tol"),
 ])
 def test_bad_input_is_usage_error(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from daecont import periodic
-from daecont.degree import Box
+from daecont.degree import Box, averaged_map_fn
 from daecont.errors import (
     DaecontError,
     NonfiniteResultError,
@@ -25,7 +25,7 @@ from daecont.periodic import (
     integrate,
     shooting_residual,
 )
-from daecont.transform import DaeProblem1, TransformedSystem, fixed_frame
+from daecont.transform import DaeProblem1, fixed_frame
 from oracles import central_jacobian
 
 TWO_PI = 2.0 * np.pi
@@ -541,14 +541,15 @@ class TestScalarConstraintNewton:
 
 
 class TestFrameTable:
-    """A shooting runner tabulates the frame at its march times, and only there."""
+    """A fixed-frame system evaluates the frame once per time, on first use, and keeps it."""
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
     def test_one_entry_per_march_time(self, name):
         runner = periodic._ShootingRunner(load_fixture(name), 16)
+        assert runner.sys.frames == {}
+        _, nodes = plain_march(runner, 0.5, np.zeros(runner.state_dim))
         assert len(runner.sys.frames) == 2 * 16 + 1
         assert all(len(frame) == 2 * runner.sys.order for frame in runner.sys.frames.values())
-        _, nodes = plain_march(runner, 0.5, np.zeros(runner.state_dim))
         assert {t for t, _, _ in nodes} <= set(runner.sys.frames)
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
@@ -557,7 +558,11 @@ class TestFrameTable:
         del path_calls[:]
         state0 = np.full(runner.state_dim, 0.1)
         first = runner.shoot(0.5, state0)
-        periodic._trajectory(*plain_march(runner, 0.5, state0))  # pulled back at table times too
+        # one evaluation of the frame (and, for order 2, its rates) per march time
+        assert len(path_calls) == 2 * runner.sys.order * (2 * 16 + 1)
+        del path_calls[:]
+        periodic._trajectory(*plain_march(runner, 0.5, state0))  # pulled back at seen times too
+        runner.linearize(0.7, state0)
         second = runner.shoot(0.5, state0)
         assert path_calls == [] and first.tobytes() == second.tobytes()
 
@@ -573,39 +578,70 @@ class TestFrameTable:
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
     def test_trivial_pair_reads_the_table(self, name, path_calls):
         runner = periodic._ShootingRunner(load_fixture(name), 16)
+        _, nodes = plain_march(runner, 0.0, np.zeros(runner.state_dim))
         del path_calls[:]
         pair = periodic._trivial_tpair(runner, np.zeros(3))
-        _, nodes = plain_march(runner, 0.0, np.zeros(runner.state_dim))
         assert path_calls == [] and pair.trajectory.times.tolist() == [t for t, _, _ in nodes]
         assert pair.is_trivial and pair.constraint_residual == 0.0
 
-    def test_other_times_are_evaluated_and_not_stored(self, path_calls):
+    def test_new_times_are_evaluated_once_and_stored(self, path_calls):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
         del path_calls[:]
-        x = runner.sys.pull_back(0.123, np.array([0.3, 0.1]), np.array([0.2]))[0]
-        assert len(path_calls) == 2 and len(runner.sys.frames) == 2 * 16 + 1
+        args = (0.123, np.array([0.3, 0.1]), np.array([0.2]))
+        x = runner.sys.pull_back(*args)[0]
+        assert len(path_calls) == 2 and list(runner.sys.frames) == [0.123]
+        assert runner.sys.pull_back(*args)[0].tobytes() == x.tobytes() and len(path_calls) == 2
         prob = runner.prob
         assert np.array_equal(x, prob.A(0.123).T @ np.array([0.3, 0.1]))
 
     def test_tabulated_node_equals_evaluated_node(self):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface_2nd"), 16)
+        plain_march(runner, 0.5, np.zeros(runner.state_dim))
         t = sorted(runner.sys.frames)[7]  # the midpoint of the fourth step
-        untabulated = fixed_frame(runner.prob)
+        fresh = fixed_frame(runner.prob)
         args = (t, np.array([0.3, 0.1]), np.array([0.2]), np.array([-0.1, 0.4]), np.array([0.05]))
-        for a, b in zip(runner.sys.pull_back(*args), untabulated.pull_back(*args)):
+        for a, b in zip(runner.sys.pull_back(*args), fresh.pull_back(*args)):
             assert a.tobytes() == b.tobytes()
 
-    def test_fixed_frame_integration_builds_no_table(self, monkeypatch):
-        built = []
-        tabulate = TransformedSystem.tabulate
-        monkeypatch.setattr(TransformedSystem, "tabulate",
-                            lambda self, times: built.append(1) or tabulate(self, times))
+    def test_each_system_has_its_own_table(self):
         prob = load_fixture("rotating_surface")
         integrate(prob, 0.5, np.array([0.3, 0.1]), mode="fixed")
-        assert built == []
         assert fixed_frame(prob).frames == {}
-        periodic._ShootingRunner(prob, 8)
-        assert built == [1] and fixed_frame(prob).frames == {}
+        assert periodic._ShootingRunner(prob, 8).sys.frames == {}
+
+    def test_replaced_system_starts_with_an_empty_table(self):
+        sys = fixed_frame(load_fixture("rotating_surface"))
+        sys.pull_back(0.5, np.array([0.3, 0.1]), np.array([0.2]))
+        copy = replace(sys, D0=np.zeros((2, 2)))
+        assert list(sys.frames) == [0.5] and copy.frames == {}
+
+    def test_fixed_frame_integration_makes_two_path_calls_per_march_time(self, monkeypatch,
+                                                                         path_calls):
+        # order 1: A and B once at each of the 2N + 1 step and midpoint
+        # times, and none when the nodes are pulled back
+        march, counts = periodic._march, []
+
+        def counted(*args):
+            before = len(path_calls)
+            nodes = march(*args)
+            counts.append((len(path_calls) - before, len(path_calls)))
+            return nodes
+
+        monkeypatch.setattr(periodic, "_march", counted)
+        prob = load_fixture("rotating_surface")
+        traj = integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="fixed")
+        (in_march, after_march), = counts
+        assert in_march == 2 * (2 * 16 + 1) and len(path_calls) == after_march
+        assert len(traj.times) == 17
+
+    def test_second_averaged_map_call_makes_no_path_call(self, path_calls):
+        omega = averaged_map_fn(fixed_frame(load_fixture("scalar_linear")))
+        del path_calls[:]
+        first = omega(np.array([0.3, 0.2]))
+        assert len(path_calls) == 2 * 64
+        del path_calls[:]
+        omega(np.array([-0.5, 0.1]))
+        assert path_calls == [] and omega(np.array([0.3, 0.2])).tobytes() == first.tobytes()
 
 
 def _shooting_problem(name):
