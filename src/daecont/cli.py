@@ -292,8 +292,10 @@ def cmd_degree(args) -> int:
     seed_map = seeding_map(sys_t)
     certify = {
         "reduced": lambda: degree_reduced(candidate_block(sys_t), problem.g, box,
-                                          args.zero_grid, d2g=problem.g_jac2),
-        "generic": lambda: degree_generic(seed_map, box, args.zero_grid, jac=seed_map.jac),
+                                          args.zero_grid, d2g=problem.g_jac2,
+                                          g_arrays=problem.g_arrays),
+        "generic": lambda: degree_generic(seed_map, box, args.zero_grid, jac=seed_map.jac,
+                                          arrays=seed_map.arrays),
     }
     if args.method != "both":
         _emit(to_json({args.method: certify[args.method]().to_dict()}), args.out)

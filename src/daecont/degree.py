@@ -15,6 +15,14 @@ given (``jac``): the candidate map carries its exact one,
 :func:`candidate_map` and :func:`seeding_map` return.  Without one (the
 averaged map, or any plain callable) the Jacobian is formed by forward
 differences.
+
+The zero search runs one damped Newton over all lattice nodes at once,
+on stacks of points.  A problem compiled from a problem file (or reduced
+from a semi-linear one) carries its constraint on stacks (``g_arrays``),
+and the candidate map built from it carries the stacked map and
+Jacobian as its ``arrays`` attribute; any other map enters the same
+iteration point by point.  The survey of the lattice, the boundary
+margin and the classification of each located zero use the point forms.
 """
 
 from __future__ import annotations
@@ -27,19 +35,20 @@ import numpy as np
 from .errors import (
     BoundaryZeroError,
     DegenerateZeroError,
-    NoConvergenceError,
-    SingularJacobianError,
+    EvaluationError,
     SingularMatrixError,
     SuspectIncompleteError,
 )
 from .linalg import (
+    NEWTON_DAMPING_MIN,
+    NEWTON_TOL_STEP,
     NewtonConfig,
     determinant,
     fd_jacobian,
-    newton_solve,
     norm_inf,
     quadrature_periodic,
     solve_linear,
+    solve_stacked,
 )
 from .transform import TransformedSystem
 
@@ -61,6 +70,7 @@ DEDUP_TOL = 1e-6
 BOUNDARY_TOL = 1e-6
 DET_TOL = 1e-10
 DEFAULT_GRID = 9
+NEWTON_BATCH = 1024  # lattice starts per batched Newton run: bounds its working arrays
 SEEDING_DRIFT_TOL = 1e-8  # ||D0||_inf at or below which the averaged map seeds
 AUDIT_QUAD_NS = (64, 256)  # the two quadrature resolutions of the averaged-map audit
 
@@ -88,9 +98,11 @@ class Box:
     def cube(radius: float, dim: int) -> "Box":
         return Box(-radius * np.ones(dim), radius * np.ones(dim))
 
-    def contains(self, x: np.ndarray, slack: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray, slack: float = 0.0):
+        """Whether ``x`` lies in the box widened by ``slack``; a mask for a stack (k, n)."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - slack) and np.all(x <= self.upper + slack))
+        inside = np.all((x >= self.lower - slack) & (x <= self.upper + slack), axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def boundary_distance(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -141,14 +153,13 @@ class DegreeCertificate:
         }
 
 
-def _boundary_margin(face_values) -> float:
-    # Least map norm over the lattice nodes on the faces of the box.
-    margin = np.inf
-    for value in face_values:
-        margin = min(margin, norm_inf(value))
+def _boundary_margin(face_values: np.ndarray) -> float:
+    # Least map norm over the lattice nodes on the faces of the box (one
+    # row each); fmin skips a NaN norm, as min() over the rows did.
+    margin = float(np.fmin.reduce(np.abs(face_values).max(axis=1), initial=np.inf))
     if margin <= 1e-12:
         raise BoundaryZeroError(f"map vanishes on the sampled boundary (margin {margin:.3e})")
-    return float(margin)
+    return margin
 
 
 def _polish_and_classify(fun, jac, x: np.ndarray, box: Box):
@@ -186,19 +197,61 @@ def _survey(fun, box: Box, grid: int):
     return lattice, np.array([fun(p) for p in lattice])
 
 
-def _find_zeros(fun, jac, box: Box, grid: int, survey=None):
+def _newton_all(fun, jac, starts: np.ndarray, values: np.ndarray):
+    # newton_solve's damped Newton (60 iterations, residual 1e-12) from
+    # every start at once: ``fun`` maps a stack of points (k, n) to their
+    # values, ``jac(x, r)`` to their Jacobians (k, n, n), given the values
+    # r at x; ``values`` are the starts' values.  Each start keeps its own
+    # backtracking, stagnation test and budget, and a start whose Jacobian
+    # is singular is dropped.  Returns (points, converged).
     cfg = NewtonConfig(max_iters=60, tol_residual=1e-12)
+    x, r = starts.copy(), values.copy()
+    rnorm = np.abs(r).max(axis=1)
+    live = np.arange(len(x))  # starts still iterating
+    converged = np.zeros(len(x), dtype=bool)
+    for _ in range(cfg.max_iters):
+        done = rnorm[live] <= cfg.tol_residual
+        converged[live[done]] = True
+        live = live[~done]
+        if live.size == 0:
+            break
+        step, singular = solve_stacked(jac(x[live], r[live]), -r[live])
+        live, step = live[~singular], step[~singular]
+        alpha = np.ones(len(live))
+        x_new, r_new = x[live], r[live]
+        rnorm_new = rnorm[live]
+        todo = np.arange(len(live))  # halve the step until the residual drops
+        while todo.size:
+            x_new[todo] = x[live[todo]] + alpha[todo, None] * step[todo]
+            r_new[todo] = fun(x_new[todo])
+            rnorm_new[todo] = np.abs(r_new[todo]).max(axis=1)
+            better = rnorm_new[todo] < rnorm[live[todo]]
+            todo = todo[~(better | (alpha[todo] <= NEWTON_DAMPING_MIN))]
+            alpha[todo] *= 0.5
+        moved = np.abs(alpha[:, None] * step).max(axis=1)
+        going = ~((moved <= NEWTON_TOL_STEP) & (rnorm_new > cfg.tol_residual))
+        live = live[going]
+        x[live], r[live], rnorm[live] = x_new[going], r_new[going], rnorm_new[going]
+    converged[live[rnorm[live] <= cfg.tol_residual]] = True
+    if not np.all(np.isfinite(x[converged])):
+        raise EvaluationError("newton iterate is non-finite")
+    return x, converged
+
+
+def _find_zeros(search, box: Box, grid: int, survey=None):
+    # ``search`` is (map, Jacobian, stacked map, stacked Jacobian), see _search
+    fun, jac, stacked_fun, stacked_jac = search
     lattice, values = _survey(fun, box, grid) if survey is None else survey
+    runs = [_newton_all(stacked_fun, stacked_jac, lattice[k : k + NEWTON_BATCH],
+                        values[k : k + NEWTON_BATCH]) for k in range(0, len(lattice), NEWTON_BATCH)]
+    points, converged = (np.concatenate(part) for part in zip(*runs))
+    # Dedup in lattice order: the first point left is a zero, and the
+    # points within DEDUP_TOL of it are its copies.
     found: List[np.ndarray] = []
-    for seed in lattice:
-        try:
-            x = newton_solve(fun, jac, seed, cfg)
-        except (NoConvergenceError, SingularJacobianError):
-            continue
-        if not box.contains(x, slack=BOUNDARY_TOL):
-            continue
-        if all(norm_inf(x - z) > DEDUP_TOL for z in found):
-            found.append(x)
+    left = points[converged & box.contains(points, slack=BOUNDARY_TOL)]
+    while len(left):
+        found.append(left[0])
+        left = left[np.abs(left - left[0]).max(axis=1) > DEDUP_TOL]
     records = [_polish_and_classify(fun, jac, x, box) for x in found]
     _check_sign_coverage(box, grid, lattice, values, [rec.point for rec in records])
     return records
@@ -237,24 +290,39 @@ def _check_sign_coverage(box: Box, grid: int, lattice, values, zeros):
                 )
 
 
-def _with_jacobian(fun, jac):
-    # (map, Jacobian) for the zero search: the given Jacobian, else forward
-    # differences of the map
+def _search(fun, jac, arrays=None):
+    # (map, Jacobian, stacked map, stacked Jacobian) for the zero search.
+    # The Jacobian is the given one, else forward differences of the map;
+    # the stacked pair is ``arrays`` (the map and its Jacobian on stacks of
+    # points), else the point forms called at each point of the stack.
     wrapped = lambda z: np.atleast_1d(np.asarray(fun(z), dtype=float))
-    return wrapped, (lambda z: fd_jacobian(wrapped, z)) if jac is None else jac
+    if jac is None:
+        # a point's value doubles as its difference base point
+        jac_at = lambda z, v: fd_jacobian(wrapped, z, f0=v)
+        jac = lambda z: fd_jacobian(wrapped, z)
+    else:
+        jac_at = lambda z, v: np.atleast_2d(np.asarray(jac(z), dtype=float))
+    if arrays is None:
+        return (wrapped, jac, lambda x: np.array([wrapped(z) for z in x]),
+                lambda x, r: np.array([jac_at(z, v) for z, v in zip(x, r)]))
+    return wrapped, jac, arrays[0], lambda x, r: arrays[1](x)
 
 
 def locate_zeros(fun: Callable[[np.ndarray], np.ndarray], box: Box,
                  grid: int = DEFAULT_GRID, *,
-                 jac: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> List[ZeroRecord]:
+                 jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 arrays: Optional[tuple] = None) -> List[ZeroRecord]:
     """All regular zeros of ``fun`` inside ``box`` with orientation signs.
 
     Same machinery as :func:`degree_generic` without forming the degree:
-    multistart Newton from a uniform lattice, dedup, regularity and
+    Newton from every node of a uniform lattice, dedup, regularity and
     coverage checks.  ``jac`` is the Jacobian of ``fun``; forward
-    differences stand in when it is None.
+    differences stand in when it is None.  ``arrays``, when given, is the
+    pair ``(fun, jac)`` on stacks of points, ``(k, n) -> (k, n)`` and
+    ``(k, n) -> (k, n, n)``, for the Newton iteration (see
+    :func:`candidate_map`).
     """
-    return _find_zeros(*_with_jacobian(fun, jac), box, grid)
+    return _find_zeros(_search(fun, jac, arrays), box, grid)
 
 
 def candidate_block(sys: TransformedSystem) -> np.ndarray:
@@ -288,7 +356,9 @@ def candidate_map(sys: TransformedSystem) -> Callable[[np.ndarray], np.ndarray]:
     :func:`candidate_block` of the transformed system (see
     :func:`~daecont.transform.fixed_frame`).  The returned callable carries
     its Jacobian ``[[C, 0], [g_jac1, g_jac2]]`` as its ``jac`` attribute,
-    exact wherever the model's constraint blocks are.
+    exact wherever the model's constraint blocks are, and as its ``arrays``
+    attribute the map and that Jacobian on stacks of points, built from
+    the system's ``g_arrays`` (None when the system has none).
     """
     block = candidate_block(sys)
     m = block.shape[0]
@@ -303,7 +373,26 @@ def candidate_map(sys: TransformedSystem) -> Callable[[np.ndarray], np.ndarray]:
         return out
 
     the_map.jac = jacobian
+    the_map.arrays = None if sys.g_arrays is None else _stacked_block_map(block, *sys.g_arrays)
     return the_map
+
+
+def _stacked_block_map(block, g, d1g, d2g):
+    # The block map and its Jacobian on a stack of points z (k, n).
+    m = block.shape[0]
+
+    def the_map(z):
+        return np.concatenate([np.matmul(block, z[:, :m, None])[..., 0], g(z[:, :m], z[:, m:])],
+                              axis=1)
+
+    def jacobian(z):
+        out = np.zeros(z.shape + z.shape[-1:])
+        out[:, :m, :m] = block
+        out[:, m:, :m] = d1g(z[:, :m], z[:, m:])
+        out[:, m:, m:] = d2g(z[:, :m], z[:, m:])
+        return out
+
+    return the_map, jacobian
 
 
 def degree_reduced(
@@ -313,6 +402,7 @@ def degree_reduced(
     grid: int = DEFAULT_GRID,
     *,
     d2g: Optional[Callable] = None,
+    g_arrays: Optional[tuple] = None,
 ) -> DegreeCertificate:
     """Degree of ``(M xi, g(xi, eta))`` via the reduction shortcut.
 
@@ -320,9 +410,10 @@ def degree_reduced(
     factors as ``sign(det M)`` times the sum of the orientation signs of
     the zeros of the section ``eta -> g(0, eta)``, located on the
     ``eta`` block of ``box`` like :func:`locate_zeros` (with ``d2g`` as
-    the section Jacobian when given).  (The linear block contributes its
-    orientation sign; any nonzero ``|det M|`` scales the map without
-    changing the count.)
+    the section Jacobian when given, and a problem's ``g_arrays``, the
+    stacked ``(g, d1g, d2g)``, for the Newton iteration).  (The linear
+    block contributes its orientation sign; any nonzero ``|det M|``
+    scales the map without changing the count.)
     """
     m_mat = np.atleast_2d(np.asarray(m_mat, dtype=float))
     m = m_mat.shape[0]
@@ -333,11 +424,15 @@ def degree_reduced(
         raise ValueError("box must cover both state blocks")
     zero_p = np.zeros(m)
     jac = None if d2g is None else lambda q: np.atleast_2d(np.asarray(d2g(zero_p, q), dtype=float))
+    arrays = None
+    if g_arrays is not None:
+        zeros_p = lambda q: np.zeros((len(q), m))
+        arrays = (lambda q: g_arrays[0](zeros_p(q), q), lambda q: g_arrays[2](zeros_p(q), q))
     # not locate_zeros, whose per-call hook in perfbench/tracing.py would count these zeros twice
-    section = _with_jacobian(lambda q: g(zero_p, q), jac)
-    zeros = _find_zeros(*section, Box(box.lower[m:], box.upper[m:]), grid)
+    section = _search(lambda q: g(zero_p, q), jac, arrays)
+    zeros = _find_zeros(section, Box(box.lower[m:], box.upper[m:]), grid)
     full_map = _block_map(m_mat, g)
-    margin = _boundary_margin(full_map(p) for p in box.lattice(grid)[box.face_mask(grid)])
+    margin = _boundary_margin(np.array([full_map(p) for p in box.lattice(grid)[box.face_mask(grid)]]))
     sign_m = 1 if det_m > 0 else -1
     full_zeros = [
         ZeroRecord(
@@ -358,21 +453,23 @@ def degree_generic(
     grid: int = DEFAULT_GRID,
     *,
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    arrays: Optional[tuple] = None,
 ) -> DegreeCertificate:
     """Degree by regular-zero enumeration.
 
-    Locates all zeros by multistart Newton from a uniform lattice,
+    Locates all zeros by Newton from every node of a uniform lattice,
     verifies each is regular and interior, and sums orientation signs.
     One pass over the lattice gives both the seeds' sign pattern and the
     boundary margin (its nodes on the faces of the box).  Raises rather
     than guessing whenever the evidence is inconclusive.  ``jac`` is the
     Jacobian of ``fun`` for the Newton steps and the signs; forward
-    differences stand in when it is None.
+    differences stand in when it is None.  ``arrays`` is as in
+    :func:`locate_zeros`.
     """
-    wrapped, jac = _with_jacobian(fun, jac)
-    survey = _survey(wrapped, box, grid)
+    search = _search(fun, jac, arrays)
+    survey = _survey(search[0], box, grid)
     margin = _boundary_margin(survey[1][box.face_mask(grid)])
-    zeros = _find_zeros(wrapped, jac, box, grid, survey)
+    zeros = _find_zeros(search, box, grid, survey)
     return DegreeCertificate(
         degree=int(sum(z.sign for z in zeros)),
         zeros=zeros,
@@ -388,7 +485,8 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
     ``(xi, eta)``, frame velocities zero for order 2 (so the original
     velocities are those of the moving frame).  The branch-seeding map
     when the drift ``D0`` vanishes (see :func:`seeding_map`).  Its ``jac``
-    attribute is None: its Jacobian is formed by forward differences.
+    and ``arrays`` attributes are None: its Jacobian is formed by forward
+    differences, and the zero search calls it point by point.
     """
     m = sys.m
     velocities = () if sys.order == 1 else (np.zeros(sys.m), np.zeros(sys.s))
@@ -399,7 +497,7 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
         first = quadrature_periodic(lambda t: sys.F(t, xi, eta, *velocities), sys.period, quad_n)
         return np.concatenate([np.atleast_1d(first), np.atleast_1d(sys.g(xi, eta))])
 
-    omega.jac = None
+    omega.jac = omega.arrays = None
     return omega
 
 
@@ -409,9 +507,9 @@ def seeding_map(sys: TransformedSystem) -> Callable[[np.ndarray], np.ndarray]:
     When the drift ``D0`` vanishes (``||D0||_inf <= 1e-8``: no frame
     product, no commuting drift) the first block of the candidate map is
     identically zero, and the averaged map takes its place.  The callable
-    carries its Jacobian as ``jac`` (see :func:`candidate_map`), None for
-    the averaged map; pass it on to :func:`degree_generic` or
-    :func:`locate_zeros`.
+    carries its Jacobian as ``jac`` and its stacked forms as ``arrays``
+    (see :func:`candidate_map`), both None for the averaged map; pass them
+    on to :func:`degree_generic` or :func:`locate_zeros`.
     """
     if norm_inf(sys.D0) <= SEEDING_DRIFT_TOL:
         return averaged_map_fn(sys)

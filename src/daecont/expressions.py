@@ -365,7 +365,9 @@ def expr_to_text(ast: Expr) -> str:
     return f"({expr_to_text(ast.left)} {ast.op} {expr_to_text(ast.right)})"
 
 
-def _source(ast: Expr, varmap: Mapping[str, str]) -> str:
+def _source(ast: Expr, varmap: Mapping[str, str], lib: str = "math") -> str:
+    # Python source of a tree; ``lib`` names the module of sin/cos/exp:
+    # ``math`` for floats, ``np`` for arrays.
     if isinstance(ast, Num):
         return f"({float(ast.value)!r})"
     if isinstance(ast, Var):
@@ -375,11 +377,11 @@ def _source(ast: Expr, varmap: Mapping[str, str]) -> str:
             raise UnboundVariableError(f"variable {ast.name!r} is not bound") from None
     if isinstance(ast, Unary):
         if ast.op == "neg":
-            return f"(-{_source(ast.arg, varmap)})"
-        return f"math.{ast.op}({_source(ast.arg, varmap)})"
+            return f"(-{_source(ast.arg, varmap, lib)})"
+        return f"{lib}.{ast.op}({_source(ast.arg, varmap, lib)})"
     if ast.op == "^":
-        return f"({_source(ast.left, varmap)})**{int(ast.right.value)}"
-    return f"({_source(ast.left, varmap)} {ast.op} {_source(ast.right, varmap)})"
+        return f"({_source(ast.left, varmap, lib)})**{int(ast.right.value)}"
+    return f"({_source(ast.left, varmap, lib)} {ast.op} {_source(ast.right, varmap, lib)})"
 
 
 _COMPILE_GLOBALS = {"math": math, "np": np, "ArithmeticError": ArithmeticError,
@@ -402,23 +404,71 @@ def _compile(args: str, body: str) -> Callable:
     lines += ["    try:", f"        return {body}",
               "    except (ArithmeticError, ValueError) as exc:",
               "        raise NonfiniteResultError(str(exc)) from exc", ""]
+    return _exec(lines)
+
+
+def _exec(lines) -> Callable:
     namespace = dict(_COMPILE_GLOBALS)
     exec("\n".join(lines), namespace)
     return namespace["compiled"]
 
 
-def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str]) -> Callable:
+def _compile_arrays(args: str, entries, varmap: Mapping[str, str], dims: tuple) -> Callable:
+    # Array target: every argument is a stack of vectors (``x[0]`` reads
+    # ``x[..., 0]``), and the entries ``(index, tree)`` fill an array of
+    # shape stack + dims.  Overflow, division by zero and invalid
+    # operations raise NonfiniteResultError like the float target;
+    # underflow goes to zero as in math.exp.  Compiled on the first call:
+    # most runs never evaluate on stacks.
+    names = [a.strip() for a in args.split(",")]
+    varmap = {k: re.sub(r"\[(\d+)\]", r"[..., \1]", v) for k, v in varmap.items()}
+    lines = [f"def compiled({args}):"]
+    lines += [f"    {n} = np.asarray({n}, dtype=float)" for n in names]
+    shapes = ", ".join(f"{n}.shape[:-1]" for n in names)
+    lines += [f"    out = np.empty(np.broadcast_shapes({shapes}) + {dims!r})",
+              "    with np.errstate(over='raise', divide='raise', invalid='raise'):",
+              "        try:"]
+    lines += [f"            out[..., {index}] = {_source(ast, varmap, 'np')}" for index, ast in entries]
+    lines += ["        except ArithmeticError as exc:",
+              "            raise NonfiniteResultError(str(exc)) from exc",
+              "    return out", ""]
+    compiled = None
+
+    def on_first_call(*values):
+        nonlocal compiled
+        if compiled is None:
+            compiled = _exec(lines)
+        return compiled(*values)
+
+    return on_first_call
+
+
+def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *,
+                   arrays: bool = False) -> Callable:
     """Compile a list of expressions to a function ``(<args>) -> np.ndarray``.
 
     ``varmap`` maps language variables to Python source fragments over
     the function arguments (e.g. ``{"x2": "x[1]"}``).  The generated
     source is built entirely from the validated tree.  Arithmetic
     failures raise :class:`NonfiniteResultError`.
+
+    With ``arrays=True`` the function evaluates the same trees on stacks:
+    every argument is an array of vectors along its last axis
+    (``x[..., 1]``), and the result has the broadcast stack shape
+    followed by the vector's length.  It raises
+    :class:`NonfiniteResultError` on overflow, division by zero and
+    invalid operations, not on underflow.
     """
+    if arrays:
+        return _compile_arrays(args, list(enumerate(asts)), varmap, (len(asts),))
     return _compile(args, "np.array([" + ", ".join(_source(a, varmap) for a in asts) + "])")
 
 
-def compile_matrix(rows: Sequence[Sequence[Expr]], args: str, varmap: Mapping[str, str]) -> Callable:
+def compile_matrix(rows: Sequence[Sequence[Expr]], args: str, varmap: Mapping[str, str], *,
+                   arrays: bool = False) -> Callable:
     """Compile a matrix of expressions like :func:`compile_vector`."""
+    if arrays:
+        entries = [(f"{i}, {j}", a) for i, row in enumerate(rows) for j, a in enumerate(row)]
+        return _compile_arrays(args, entries, varmap, (len(rows), len(rows[0])))
     body = ", ".join("[" + ", ".join(_source(a, varmap) for a in row) + "]" for row in rows)
     return _compile(args, f"np.array([{body}])")

@@ -8,8 +8,9 @@ LU factorization and its solves call LAPACK ``getrf``/``getrs`` directly
 ``scipy.linalg.lu_factor``/``lu_solve``, without their per-call checks and
 warning filters); the SVD is numpy's.  What this module adds is the
 pivot-threshold singularity test and the sign convention.  1x1 and 2x2
-solves use closed forms.  All functions are pure; inputs are never
-mutated.
+solves use closed forms.  :func:`solve_stacked` solves a stack of
+systems at once with the same singularity rules.  All functions are
+pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ NEWTON_DAMPING_MIN = 1.0 / 1024.0  # backtracking floor of the Newton step fract
 __all__ = [
     "NewtonConfig",
     "solve_linear",
+    "solve_stacked",
     "determinant",
     "fd_jacobian",
     "newton_solve",
@@ -113,6 +115,55 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise EvaluationError("linear solve produced non-finite entries")
     return x
+
+
+def solve_stacked(a: np.ndarray, b: np.ndarray):
+    """Solve ``a[k] @ x[k] = b[k]`` for a stack of ``(n, n)`` systems.
+
+    Returns ``(x, singular)``: ``singular[k]`` flags the systems that
+    :func:`solve_linear` rejects, and their rows of ``x`` are
+    meaningless.  1x1 and 2x2 stacks use :func:`solve_linear`'s closed
+    forms, bit for bit; larger ones partial-pivot elimination with its
+    ``PIVOT_REL * ||a||_inf`` pivot test.  A non-finite solution of a
+    nonsingular system of size 3 or more raises
+    :class:`EvaluationError`, as :func:`solve_linear` does.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    k, n = b.shape
+    if a.shape != (k, n, n):
+        raise EvaluationError(f"dimension mismatch: matrices {a.shape}, right-hand sides {b.shape}")
+    if n == 1:
+        pivot = a[:, 0, 0]
+        singular = (np.abs(pivot) < PIVOT_REL * np.maximum(np.abs(pivot), 1e-300)) | (pivot == 0.0)
+        return b / np.where(singular, 1.0, pivot)[:, None], singular
+    scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)  # ||a||_inf of each system
+    if n == 2:
+        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        singular = (np.abs(det) < (PIVOT_REL * scale) ** 2) | (det == 0.0)
+        det = np.where(singular, 1.0, det)
+        return np.stack([(a[:, 1, 1] * b[:, 0] - a[:, 0, 1] * b[:, 1]) / det,
+                         (a[:, 0, 0] * b[:, 1] - a[:, 1, 0] * b[:, 0]) / det], axis=-1), singular
+    u, x = a.copy(), b.copy()
+    rows = np.arange(k)
+    threshold = PIVOT_REL * scale
+    singular = np.zeros(k, dtype=bool)
+    # like getrf, no warnings: a non-finite entry shows in the solution
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            p = j + np.argmax(np.abs(u[:, j:, j]), axis=1)
+            u[rows, j], u[rows, p] = u[rows, p], u[rows, j]
+            x[rows, j], x[rows, p] = x[rows, p], x[rows, j]
+            singular |= np.abs(u[:, j, j]) < threshold
+            pivot = u[:, j, j] = np.where(singular, 1.0, u[:, j, j])
+            factor = u[:, j + 1 :, j] / pivot[:, None]
+            u[:, j + 1 :, j:] -= factor[:, :, None] * u[:, None, j, j:]
+            x[:, j + 1 :] -= factor * x[:, j, None]
+        for j in range(n - 1, -1, -1):
+            x[:, j] = (x[:, j] - np.einsum("ki,ki->k", u[:, j, j + 1 :], x[:, j + 1 :])) / u[:, j, j]
+    if not np.all(np.isfinite(x[~singular])):
+        raise EvaluationError("linear solve produced non-finite entries")
+    return x, singular
 
 
 def determinant(a: np.ndarray) -> float:

@@ -233,10 +233,14 @@ def _one(value) -> float:
 
 
 def consistent_init(prob, t0: float, x0: np.ndarray, y_guess: np.ndarray) -> np.ndarray:
-    """Solve ``g(A(t0) x0, B(t0) y) = 0`` for y starting from ``y_guess``."""
+    """Solve ``g(A(t0) x0, B(t0) y) = 0`` for y starting from ``y_guess``.
+
+    The frame is ``prob.frame(t0)``: a problem's paths, or a transformed
+    system's frame table.
+    """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    p = prob.A(t0) @ x0
-    b = prob.B(t0)
+    a, b = prob.frame(t0)
+    p = a @ x0
     return _solve_constraint(
         lambda y: prob.g(p, b @ y),
         lambda y: prob.g_jac2(p, b @ y) @ b,
@@ -442,12 +446,13 @@ def integrate(
     h = prob.period / DEFAULT_STEPS if h is None else h
     nsteps = _steps_for(prob.period, h)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    # the fixed-frame march reads the start frame from its system's table
+    sys = fixed_frame(prob) if mode == "fixed" else prob
     if y0 is None:
-        y0 = consistent_init(prob, 0.0, x0, np.zeros(prob.s))
+        y0 = consistent_init(sys, 0.0, x0, np.zeros(prob.s))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    start_residual = norm_inf(
-        np.atleast_1d(prob.g(prob.A(0.0) @ x0, prob.B(0.0) @ y0))
-    )
+    a0, b0 = sys.frame(0.0)
+    start_residual = norm_inf(np.atleast_1d(prob.g(a0 @ x0, b0 @ y0)))
     if start_residual > 1e-8:
         raise ValueError(
             f"initial state violates the constraint (residual {start_residual:.3e}); "
@@ -458,7 +463,6 @@ def integrate(
     if mode == "raw":
         stepper, start = _RawStepper(prob, lam), (x0, y0, xdot0)
     else:
-        sys = fixed_frame(prob)
         stepper, start = _FixedStepper(sys, lam), sys.push_forward(0.0, x0, y0, xdot0)
     pos0, alg0, vel0 = start
     state0 = pos0 if vel0 is None else np.concatenate([pos0, vel0])
@@ -731,4 +735,4 @@ def branch_seeds(prob, box: Box, grid: int = 5) -> List[ZeroRecord]:
     """Zeros of the :func:`~daecont.degree.seeding_map` inside ``box``, with
     local degree signs."""
     seed_map = seeding_map(fixed_frame(prob))
-    return locate_zeros(seed_map, box, grid, jac=seed_map.jac)
+    return locate_zeros(seed_map, box, grid, jac=seed_map.jac, arrays=seed_map.arrays)

@@ -355,9 +355,12 @@ def build_problem(spec: ProblemSpec):
     )
     g_vm = _indexed("p", m) | _indexed("q", s)
     g_asts = [row[0] for row in spec.tables["g"]]
+    g_jacs = [_jacobian_rows(g_asts, list(g_vm)[:m]), _jacobian_rows(g_asts, list(g_vm)[m:])]
     g = ex.compile_vector(g_asts, "p, q", g_vm)
-    d1g = _compile_jacobian(g_asts, list(g_vm)[:m], "p, q", g_vm)
-    d2g = _compile_jacobian(g_asts, list(g_vm)[m:], "p, q", g_vm)
+    d1g, d2g = (ex.compile_matrix(rows, "p, q", g_vm) for rows in g_jacs)
+    # the same trees on stacks of points, for the batched degree zero search
+    g_arrays = (ex.compile_vector(g_asts, "p, q", g_vm, arrays=True),
+                *(ex.compile_matrix(rows, "p, q", g_vm, arrays=True) for rows in g_jacs))
     f_vm = {"t": "t"} | _indexed("x", m) | _indexed("y", s)
     f_asts = [row[0] for row in spec.tables["f"]]
     if spec.kind == "dae1":
@@ -366,7 +369,7 @@ def build_problem(spec: ProblemSpec):
         h = _numeric_matrix(spec.tables["H"]) if "H" in spec.tables else None
         return DaeProblem1(
             m=m, s=s, period=spec.period, f=f, g=g, A=a_path, B=b_path,
-            d1g=d1g, d2g=d2g, H=h, name=spec.name, df=df,
+            d1g=d1g, d2g=d2g, H=h, name=spec.name, df=df, g_arrays=g_arrays,
         )
     f_vm |= _indexed("u", m) | _indexed("v", s)
     f = ex.compile_vector(f_asts, "t, x, y, u, v", f_vm)
@@ -381,6 +384,7 @@ def build_problem(spec: ProblemSpec):
     return DaeProblem2(
         m=m, s=s, period=spec.period, f=f, g=g, A=a_path, B=b_path,
         d1g=d1g, d2g=d2g, H1=h1, H2=h2, name=spec.name, df=df, dgdot=dgdot,
+        g_arrays=g_arrays,
     )
 
 
@@ -389,10 +393,13 @@ def _indexed(prefix: str, size: int) -> Dict[str, str]:
     return {f"{prefix}{k}": f"{prefix}[{k - 1}]" for k in range(1, size + 1)}
 
 
-def _compile_jacobian(asts, names, args: str, varmap):
+def _jacobian_rows(asts, names):
     # Symbolic Jacobian of an expression vector by the variables ``names``.
-    return ex.compile_matrix([[ex.diff_expr(a, name) for name in names] for a in asts],
-                             args, varmap)
+    return [[ex.diff_expr(a, name) for name in names] for a in asts]
+
+
+def _compile_jacobian(asts, names, args: str, varmap):
+    return ex.compile_matrix(_jacobian_rows(asts, names), args, varmap)
 
 
 def _build_semilinear(spec: ProblemSpec) -> SemiLinearDae:

@@ -208,7 +208,8 @@ def reduce_semilinear(
 
     The result has ``m = s = r = n/2``, frame path ``F3``, scaling path
     ``F4``, constraint ``g(p, q) = p + q`` and forcing
-    ``f = E1^{-1} (C1(t) S1 + C2(t) S2)`` with ``(S1, S2) = Q.T S(Q ·)``.
+    ``f = E1^{-1} (C1(t) S1 + C2(t) S2)`` with ``(S1, S2) = Q.T S(Q ·)``;
+    the constraint's ``g_arrays`` are the same closed forms on stacks.
     The frame ``F3`` is not audited here: a frame that fails
     ``frame_audit`` is outside the scope of the fixed-frame machinery
     (which then raises), while raw-mode integration still works.
@@ -246,6 +247,7 @@ def reduce_semilinear(
         return inv_e1[:, None] * (c_top(t) @ (q_mat.T @ ds @ q_mat))
 
     eye_r = np.eye(r)
+    stacked_eye = lambda pp, qq: np.broadcast_to(eye_r, np.shape(pp)[:-1] + (r, r))
     return DaeProblem1(
         m=r,
         s=r,
@@ -258,4 +260,5 @@ def reduce_semilinear(
         d2g=lambda pp, qq: eye_r,
         name=(dae.name + "_reduced") if dae.name else "reduced",
         df=None if dae.dS is None else forcing_jacobian,
+        g_arrays=(lambda pp, qq: pp + qq, stacked_eye, stacked_eye),
     )

@@ -57,7 +57,11 @@ class DaeProblem1:
     frame path with constant right product, ``B`` invertible.  ``d1g`` and
     ``d2g`` are the constraint Jacobian blocks and ``df(t, x, y)`` the
     Jacobian of ``f`` with respect to ``(x, y)``; each one that is omitted
-    is formed by forward differences.
+    is formed by forward differences.  ``g_arrays``, when given, holds
+    ``(g, d1g, d2g)`` evaluated on stacks of points (arrays ``(..., m)``
+    and ``(..., s)``; see :func:`~daecont.expressions.compile_vector`), for
+    the batched degree zero search; it must agree with ``g``, so replace
+    it (or set it to None) together with ``g``.
     """
 
     m: int
@@ -72,6 +76,7 @@ class DaeProblem1:
     H: Optional[np.ndarray] = None
     name: str = ""
     df: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
+    g_arrays: Optional[tuple] = None
 
     order: int = field(default=1, init=False, repr=False)
 
@@ -114,7 +119,8 @@ class DaeProblem2:
     respect to ``(p, q)``, the time derivative of the constraint along a
     motion with rates ``(u, w)``.  An omitted ``df`` is formed by forward
     differences, an omitted ``dgdot`` by central second differences of
-    ``g`` (see :meth:`gdot_jac`).
+    ``g`` (see :meth:`gdot_jac`).  ``g_arrays`` is as in
+    :class:`DaeProblem1`.
     """
 
     m: int
@@ -131,6 +137,7 @@ class DaeProblem2:
     name: str = ""
     df: Optional[Callable] = None
     dgdot: Optional[Callable] = None
+    g_arrays: Optional[tuple] = None
 
     order: int = field(default=2, init=False, repr=False)
 
@@ -212,9 +219,9 @@ class TransformedSystem:
     ``D0`` multiplies the state, ``D1`` (order 2 only) the velocity; ``f``
     is the problem's forcing, which :meth:`F` conjugates into the frame.
     The model derivatives (``g_jac1``, ``g_jac2``, ``f_jac`` and, for order
-    2, ``gdot_jac``) are the problem's.  ``frames`` maps each time the
-    system has seen to its frame (see :meth:`_frame`); a copy made with
-    :func:`dataclasses.replace` starts with an empty table.
+    2, ``gdot_jac``) are the problem's, and so is ``g_arrays``.  ``frames``
+    maps each time the system has seen to its frame (see :meth:`_frame`);
+    a copy made with :func:`dataclasses.replace` starts with an empty table.
     """
 
     order: int
@@ -232,6 +239,7 @@ class TransformedSystem:
     A: MatrixPath
     B: MatrixPath
     M: np.ndarray
+    g_arrays: Optional[tuple] = None
     frames: dict = field(init=False, default_factory=dict, repr=False)
 
     def _frame(self, t: float):
@@ -333,13 +341,14 @@ class TransformedSystem:
         """Frame node ``(xi, eta, xidot)`` of an original-coordinate node.
 
         ``xi = A(t) x`` and ``eta = B(t) y``; ``xidot`` is None unless
-        ``xdot`` is given.
+        ``xdot`` is given (order 2).  The frame is read through the table.
         """
-        a = self.A(t)
-        xi, eta = a @ x, self.B(t) @ y
+        frame = self._frame(t)
+        a = frame[0]
+        xi, eta = a @ x, frame[1] @ y
         if xdot is None:
             return xi, eta, None
-        return xi, eta, self.A(t, 1) @ x + a @ xdot
+        return xi, eta, frame[2] @ x + a @ xdot
 
 
 def _times_inverse(c, b):
@@ -379,6 +388,7 @@ def _transform(prob, validate, labels, drifts) -> TransformedSystem:
         A=prob.A,
         B=prob.B,
         M=audit.M,
+        g_arrays=prob.g_arrays,
     )
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import daecont.cli as cli
 import daecont.degree as degree
 import daecont.linalg as linalg
 import daecont.transform as transform
@@ -21,13 +22,17 @@ from daecont.degree import (
 from daecont.errors import (
     BoundaryZeroError,
     DegenerateZeroError,
+    NoConvergenceError,
+    NonfiniteResultError,
+    SingularJacobianError,
     SingularMatrixError,
     SuspectIncompleteError,
 )
-from daecont.fixtures import load_fixture
+from daecont.fixtures import load_fixture, problem_text
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath, frame_audit
 from daecont.periodic import branch_seeds
+from daecont.probfile import build_problem, parse_problem
 from daecont.semilinear import reduce_semilinear
 from daecont.transform import (
     DaeProblem1,
@@ -404,3 +409,107 @@ class TestLocateZeros:
     def test_signs_reported(self):
         recs = locate_zeros(lambda q: np.array([q[0] ** 3 - q[0]]), Box.cube(2.0, 1))
         assert sorted(r.sign for r in recs) == [-1, 1, 1]
+
+
+def _forwarding(fn):
+    return lambda *args: fn(*args)
+
+
+class TestBatchedSearch:
+    """One Newton over all lattice starts: stacked forms when a problem has
+    them, the point forms otherwise, the same certificate either way."""
+
+    FIXTURES = ["commuting_h", "rotating_surface", "rotating_surface_2nd", "semilinear_4x4"]
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_forwarding_model_callables_change_no_byte(self, name, capsys, monkeypatch):
+        # wrappers like perfbench/tracing.py's replace g, d1g and d2g on the
+        # problem; the stacked forms stay, so the search runs as before
+        assert main(["degree", name, "--method", "both"]) == 0
+        plain = capsys.readouterr().out
+
+        def wrapped(build):
+            def build_and_wrap(*args):
+                prob = build(*args)
+                for attr in ("f", "g", "d1g", "d2g"):
+                    if callable(getattr(prob, attr, None)):
+                        setattr(prob, attr, _forwarding(getattr(prob, attr)))
+                return prob
+            return build_and_wrap
+
+        for attr in ("build_problem", "reduce_semilinear"):
+            monkeypatch.setattr(cli, attr, wrapped(getattr(cli, attr)))
+        assert main(["degree", name, "--method", "both"]) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_newton_from_each_start_matches_newton_solve(self, exact):
+        # the per-start loop the batched Newton replaced is the reference:
+        # same iterates bit for bit (2x2 closed-form solves), same starts dropped
+        def fun(z):
+            return np.array([z[0] ** 3 - z[0] + 0.3 * z[1], z[1] ** 2 + z[0] * z[1] - 0.5])
+
+        def jac(z):
+            return np.array([[3.0 * z[0] ** 2 - 1.0, 0.3], [z[1], 2.0 * z[1] + z[0]]])
+
+        lattice = Box.cube(2.0, 2).lattice(13)
+        search = degree._search(fun, jac if exact else None)
+        values = np.array([search[0](z) for z in lattice])
+        points, converged = degree._newton_all(*search[2:], lattice, values)
+        config = linalg.NewtonConfig(max_iters=60, tol_residual=1e-12)
+        for start, point, ok in zip(lattice, points, converged):
+            try:
+                ref = linalg.newton_solve(fun, jac if exact else None, start, config)
+            except (NoConvergenceError, SingularJacobianError):
+                assert not ok
+                continue
+            assert ok and point.tobytes() == ref.tobytes()
+        assert converged.any()
+
+    def test_plain_callable_twin_certifies_the_same(self):
+        # rotating_surface with Python callables: no stacked forms, so the
+        # point forms enter the batched Newton one point at a time
+        prob = load_fixture("rotating_surface")
+        twin = DaeProblem1(
+            m=2, s=1, period=prob.period, f=prob.f, A=prob.A, B=prob.B,
+            g=lambda p, q: np.array([q[0] ** 3 + q[0] - p[0] ** 2 - 2.0 * p[1] ** 2]),
+            d1g=lambda p, q: np.array([[-2.0 * p[0], -4.0 * p[1]]]),
+            d2g=lambda p, q: np.array([[3.0 * q[0] ** 2 + 1.0]]),
+        )
+        assert prob.g_arrays is not None and twin.g_arrays is None
+        box = Box.cube(2.0, 3)
+        for problem in (prob, twin):
+            sys_t = fixed_frame(problem)
+            cmap = candidate_map(sys_t)
+            certs = (degree_reduced(candidate_block(sys_t), problem.g, box,
+                                    d2g=problem.g_jac2, g_arrays=problem.g_arrays),
+                     degree_generic(cmap, box, jac=cmap.jac, arrays=cmap.arrays))
+            if problem is prob:
+                expected = certs
+                continue
+            for got, ref in zip(certs, expected):
+                assert (got.degree, got.boundary_margin, len(got.zeros)) == \
+                    (ref.degree, ref.boundary_margin, len(ref.zeros))
+                for zero, ref_zero in zip(got.zeros, ref.zeros):
+                    assert zero.sign == ref_zero.sign
+                    assert norm_inf(zero.point - ref_zero.point) <= 1e-12
+
+    def test_overflow_at_one_start_raises(self):
+        # Newton from q = 1.5 (g' ~ 0.1) tries q ~ -28.8, where exp(q^2)
+        # overflows; the lattice itself evaluates finitely
+        text = problem_text("rotating_surface").replace(
+            "q^3 + q - p1^2 - 2*p2^2", "sin(q) + 2 + 0.001*exp(q^2) - p1^2 - 2*p2^2")
+        prob = build_problem(parse_problem(text))
+        sys_t = fixed_frame(prob)
+        cmap = candidate_map(sys_t)
+        box = Box.cube(2.0, 3)
+        runs = [
+            lambda: degree_reduced(candidate_block(sys_t), prob.g, box, d2g=prob.g_jac2,
+                                   g_arrays=prob.g_arrays),
+            lambda: degree_reduced(candidate_block(sys_t), prob.g, box, d2g=prob.g_jac2),
+            lambda: degree_generic(cmap, box, jac=cmap.jac, arrays=cmap.arrays),
+            lambda: degree_generic(cmap, box, jac=cmap.jac),
+        ]
+        for run in runs:
+            with pytest.raises(NonfiniteResultError):
+                run()

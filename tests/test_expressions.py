@@ -22,6 +22,8 @@ from daecont.expressions import (
     parse_expr,
     substitute_exprs,
 )
+from daecont.fixtures import PROBLEMS, load_fixture
+from daecont.semilinear import SemiLinearDae, reduce_semilinear
 
 
 class TestParse:
@@ -221,3 +223,51 @@ class TestCompile:
         for fn in fns:
             with pytest.raises(NonfiniteResultError):
                 fn(np.array([value]))
+
+
+class TestArrayTarget:
+    """The same trees on stacks of points: a few ULP from the float target."""
+
+    @staticmethod
+    def first_order(name):
+        prob = load_fixture(name)
+        return reduce_semilinear(prob) if isinstance(prob, SemiLinearDae) else prob
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_constraint_matches_float_target(self, name):
+        prob = self.first_order(name)
+        rng = np.random.default_rng(11)
+        p = rng.uniform(-2.0, 2.0, (200, prob.m))
+        q = rng.uniform(-2.0, 2.0, (200, prob.s))
+        for point_fn, array_fn in zip((prob.g, prob.d1g, prob.d2g), prob.g_arrays):
+            got = array_fn(p, q)
+            ref = np.array([point_fn(pi, qi) for pi, qi in zip(p, q)])
+            assert got.shape == ref.shape
+            # sin, cos, exp and powers may round differently on arrays
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref).max()))
+
+    def test_stack_shape_broadcasts_constant_entries(self):
+        vm = {"p1": "p[0]", "q1": "q[0]"}
+        fn = compile_matrix([[parse_expr("1"), parse_expr("2*q1")]], "p, q", vm, arrays=True)
+        out = fn(np.zeros((3, 1)), np.arange(3.0)[:, None])
+        assert out.shape == (3, 1, 2)
+        assert np.array_equal(out[:, 0, 0], [1.0, 1.0, 1.0])
+        assert np.array_equal(out[:, 0, 1], [0.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("text, value", [
+        ("exp(800*x1)", 1.0),  # overflow
+        ("1/x1", 0.0),  # division by zero
+        ("x1^400", 10.0),  # overflow in a power
+    ])
+    def test_overflow_raises_in_both_targets(self, text, value):
+        ast, vm = parse_expr(text), {"x1": "x[0]"}
+        with pytest.raises(NonfiniteResultError):
+            compile_vector([ast], "x", vm)(np.array([value]))
+        with pytest.raises(NonfiniteResultError):
+            compile_vector([ast], "x", vm, arrays=True)(np.array([[0.5], [value]]))
+
+    def test_underflow_raises_in_neither_target(self):
+        ast, vm = parse_expr("exp(-800*x1)"), {"x1": "x[0]"}
+        assert compile_vector([ast], "x", vm)(np.array([1.0]))[0] == 0.0
+        out = compile_vector([ast], "x", vm, arrays=True)(np.array([[1.0], [2.0]]))
+        assert np.array_equal(out, [[0.0], [0.0]])

@@ -18,6 +18,7 @@ from daecont.linalg import (
     norm_inf,
     quadrature_periodic,
     solve_linear,
+    solve_stacked,
     svd_small,
 )
 from oracles import central_jacobian, lu_determinant_reference, lu_solve_reference, rk4_step
@@ -108,6 +109,46 @@ class TestSolveLinear:
             with pytest.raises(SingularMatrixError):
                 solve_linear(a, np.ones(3))
             assert determinant(a) == 0.0
+
+
+def _test_stack(n, rng):
+    # random systems, and near-singular ones on both sides of the pivot test
+    well = rng.normal(size=(200, n, n)) + 2.0 * n * np.eye(n)
+    rough = rng.normal(size=(200, n, n))
+    near = rng.normal(size=(6, 200, n, n))
+    for k, eps in enumerate((0.0, 1e-16, 1e-15, 1e-9, 1e-6)):
+        near[k, :, -1] = near[k, :, 0] * (1.0 + eps) if n > 1 else near[k, :, -1] * eps
+    near[5] *= 1e-200  # a tiny matrix is singular only relative to its norm
+    near[5, :50] = 0.0
+    return np.concatenate([well, rough, *near]), rng.normal(size=(1600, n))
+
+
+class TestSolveStacked:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_flags_and_solutions_match_solve_linear(self, n):
+        a, b = _test_stack(n, np.random.default_rng(n))
+        x, singular = solve_stacked(a, b)
+        for k in range(len(a)):
+            try:
+                ref = solve_linear(a[k], b[k])
+            except SingularMatrixError:
+                assert singular[k], k
+                continue
+            assert not singular[k], k
+            if n <= 2:
+                assert x[k].tobytes() == ref.tobytes(), k
+            elif np.linalg.cond(a[k]) < 1e3:
+                # two stable eliminations agree to about cond * eps
+                assert norm_inf(x[k] - ref) <= 1e-12 * norm_inf(ref), k
+        assert 0 < singular.sum() < len(a)
+
+    def test_nonfinite_solution_raises_like_solve_linear(self):
+        a = np.array([np.eye(3), np.diag([1.0, np.nan, 1.0])])
+        b = np.ones((2, 3))
+        with pytest.raises(EvaluationError):
+            solve_linear(a[1], b[1])
+        with pytest.raises(EvaluationError):
+            solve_stacked(a, b)
 
 
 class TestDeterminant:

@@ -618,7 +618,8 @@ class TestFrameTable:
     def test_fixed_frame_integration_makes_two_path_calls_per_march_time(self, monkeypatch,
                                                                          path_calls):
         # order 1: A and B once at each of the 2N + 1 step and midpoint
-        # times, and none when the nodes are pulled back
+        # times, and none when the nodes are pulled back; the start frame
+        # (t = 0) enters the table before the march, for the start itself
         march, counts = periodic._march, []
 
         def counted(*args):
@@ -631,8 +632,29 @@ class TestFrameTable:
         prob = load_fixture("rotating_surface")
         traj = integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="fixed")
         (in_march, after_march), = counts
-        assert in_march == 2 * (2 * 16 + 1) and len(path_calls) == after_march
+        assert in_march == 2 * 2 * 16 and len(path_calls) == after_march
         assert len(traj.times) == 17
+
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
+    def test_fixed_frame_integration_reads_the_start_frame_from_the_table(self, name,
+                                                                          monkeypatch):
+        # at t = 0, past the frame audit: one evaluation of each table entry
+        # (A and B, and for order 2 their rates), which the start residual,
+        # consistent_init, push_forward and the march all read
+        times = []
+        call = MatrixPath.__call__
+
+        def counted(self, t, order=0):
+            times.append(t)
+            return call(self, t, order)
+
+        monkeypatch.setattr(MatrixPath, "__call__", counted)
+        prob = load_fixture(name)
+        fixed_frame(prob)
+        audit = times.count(0.0)
+        del times[:]
+        integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="fixed")
+        assert times.count(0.0) == audit + 2 * prob.order
 
     def test_second_averaged_map_call_makes_no_path_call(self, path_calls):
         omega = averaged_map_fn(fixed_frame(load_fixture("scalar_linear")))
