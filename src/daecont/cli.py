@@ -29,7 +29,7 @@ from . import fixtures
 from .degree import (
     Box,
     averaged_map_audit,
-    candidate_block,
+    candidate_map,
     degree_generic,
     degree_reduced,
     seeding_map,
@@ -46,7 +46,7 @@ from .probfile import (
     serialize,
     to_json,
 )
-from .semilinear import SemiLinearDae, check_conditions, reduce_semilinear
+from .semilinear import COND_TOL, SemiLinearDae, check_conditions, reduce_semilinear
 from .transform import fixed_frame, fixed_frame_first
 
 MAX_GRID = 10_000  # audit grid points
@@ -221,6 +221,9 @@ def cmd_check(args) -> int:
         audit = frame_audit(payload, args.grid, args.tol)
         _emit(serialize(audit), args.out)
         return 0 if audit.suitable else 1
+    if payload.kind == "semilinear" and args.tol is not None:
+        raise _usage("--tol does not apply to a semilinear problem: "
+                     f"its reduction audit has the fixed tolerance {COND_TOL:g}")
     problem = build_problem(payload)
     if isinstance(problem, SemiLinearDae):
         report = check_conditions(problem, args.grid)
@@ -289,13 +292,9 @@ def cmd_degree(args) -> int:
         raise _usage(f"--zero-grid {args.zero_grid} gives more than {MAX_ZERO_STARTS} seed points")
     sys_t = fixed_frame(problem)
     box = Box.cube(args.radius, dim)
-    seed_map = seeding_map(sys_t)
     certify = {
-        "reduced": lambda: degree_reduced(candidate_block(sys_t), problem.g, box,
-                                          args.zero_grid, d2g=problem.g_jac2,
-                                          g_arrays=problem.g_arrays),
-        "generic": lambda: degree_generic(seed_map, box, args.zero_grid, jac=seed_map.jac,
-                                          arrays=seed_map.arrays),
+        "reduced": lambda: degree_reduced(candidate_map(sys_t), box, args.zero_grid),
+        "generic": lambda: degree_generic(seeding_map(sys_t), box, args.zero_grid),
     }
     if args.method != "both":
         _emit(to_json({args.method: certify[args.method]().to_dict()}), args.out)

@@ -9,12 +9,13 @@ the reduction shortcut available when the map has the block form
 The generic route refuses to certify anything it cannot defend: zeros on
 the boundary, zeros with (near-)singular Jacobians, and sign patterns
 that suggest an unlocated zero all raise instead of returning a number.
-Its Newton steps and orientation signs use the map's Jacobian when one is
-given (``jac``): the candidate map carries its exact one,
-``[[C, 0], [d1g, d2g]]``, as the ``jac`` attribute of the callable
-:func:`candidate_map` and :func:`seeding_map` return.  Without one (the
-averaged map, or any plain callable) the Jacobian is formed by forward
-differences.
+Every entry point takes only ``(map, box, grid)`` and reads what the
+search needs from the map itself.  Its Newton steps and orientation
+signs use the map's ``jac`` attribute: the candidate map carries its
+exact Jacobian ``[[C, 0], [d1g, d2g]]`` there, and its linear block
+``C`` as ``block`` (which :func:`degree_reduced` reads).  Without a
+``jac`` (the averaged map, or any plain callable) the Jacobian is formed
+by forward differences.
 
 The zero search runs one damped Newton over all lattice nodes at once,
 on stacks of points.  A problem compiled from a problem file (or reduced
@@ -290,11 +291,12 @@ def _check_sign_coverage(box: Box, grid: int, lattice, values, zeros):
                 )
 
 
-def _search(fun, jac, arrays=None):
+def _search(fun):
     # (map, Jacobian, stacked map, stacked Jacobian) for the zero search.
-    # The Jacobian is the given one, else forward differences of the map;
-    # the stacked pair is ``arrays`` (the map and its Jacobian on stacks of
-    # points), else the point forms called at each point of the stack.
+    # The Jacobian is the map's ``jac``, else forward differences of the
+    # map; the stacked pair is its ``arrays`` (the map and its Jacobian on
+    # stacks of points), else the point forms called at each point.
+    jac, arrays = getattr(fun, "jac", None), getattr(fun, "arrays", None)
     wrapped = lambda z: np.atleast_1d(np.asarray(fun(z), dtype=float))
     if jac is None:
         # a point's value doubles as its difference base point
@@ -309,20 +311,19 @@ def _search(fun, jac, arrays=None):
 
 
 def locate_zeros(fun: Callable[[np.ndarray], np.ndarray], box: Box,
-                 grid: int = DEFAULT_GRID, *,
-                 jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 arrays: Optional[tuple] = None) -> List[ZeroRecord]:
+                 grid: int = DEFAULT_GRID) -> List[ZeroRecord]:
     """All regular zeros of ``fun`` inside ``box`` with orientation signs.
 
     Same machinery as :func:`degree_generic` without forming the degree:
     Newton from every node of a uniform lattice, dedup, regularity and
-    coverage checks.  ``jac`` is the Jacobian of ``fun``; forward
-    differences stand in when it is None.  ``arrays``, when given, is the
-    pair ``(fun, jac)`` on stacks of points, ``(k, n) -> (k, n)`` and
-    ``(k, n) -> (k, n, n)``, for the Newton iteration (see
-    :func:`candidate_map`).
+    coverage checks.  The search reads the map's own ``jac`` (its
+    Jacobian) and ``arrays`` (the pair ``(fun, jac)`` on stacks of points,
+    ``(k, n) -> (k, n)`` and ``(k, n) -> (k, n, n)``) attributes, as the
+    maps of :func:`candidate_map` and :func:`seeding_map` carry them;
+    without them the Jacobian is formed by forward differences and the
+    Newton iteration calls ``fun`` point by point.
     """
-    return _find_zeros(_search(fun, jac, arrays), box, grid)
+    return _find_zeros(_search(fun), box, grid)
 
 
 def candidate_block(sys: TransformedSystem) -> np.ndarray:
@@ -338,14 +339,38 @@ def candidate_block(sys: TransformedSystem) -> np.ndarray:
     return -m2 if np.array_equal(sys.D0, -m2) else sys.D0
 
 
-def _block_map(block: np.ndarray, g) -> Callable[[np.ndarray], np.ndarray]:
-    # z = (xi, eta) -> (block @ xi, g(xi, eta))
+def _block_map(block, g, d1g=None, d2g=None, g_arrays=None) -> Callable[[np.ndarray], np.ndarray]:
+    # z = (xi, eta) -> (block @ xi, g(xi, eta)).  The map carries ``block``;
+    # as ``jac`` its Jacobian [[block, 0], [d1g, d2g]] when both constraint
+    # blocks are given (else None); as ``arrays`` the map and that Jacobian
+    # on stacks of points (k, n), built from g_arrays = (g, d1g, d2g) on
+    # stacks, when given (else None).
+    block = np.atleast_2d(np.asarray(block, dtype=float))
     m = block.shape[0]
 
     def the_map(z):
         z = np.asarray(z, dtype=float)
         return np.concatenate([block @ z[:m], np.atleast_1d(g(z[:m], z[m:]))])
 
+    def stacked_map(z):
+        return np.concatenate([np.matmul(block, z[:, :m, None])[..., 0],
+                               g_arrays[0](z[:, :m], z[:, m:])], axis=1)
+
+    def jacobian(d1, d2):
+        # on a point (n,) or a stack (k, n), with d1/d2 of the same form
+        def at(z):
+            z = np.asarray(z, dtype=float)
+            out = np.zeros(z.shape + z.shape[-1:])
+            out[..., :m, :m] = block
+            out[..., m:, :m] = d1(z[..., :m], z[..., m:])
+            out[..., m:, m:] = d2(z[..., :m], z[..., m:])
+            return out
+
+        return at
+
+    the_map.block = block
+    the_map.jac = None if d1g is None or d2g is None else jacobian(d1g, d2g)
+    the_map.arrays = None if g_arrays is None else (stacked_map, jacobian(*g_arrays[1:]))
     return the_map
 
 
@@ -355,88 +380,49 @@ def candidate_map(sys: TransformedSystem) -> Callable[[np.ndarray], np.ndarray]:
     The map is ``(C xi, g(xi, eta))`` with ``C`` the
     :func:`candidate_block` of the transformed system (see
     :func:`~daecont.transform.fixed_frame`).  The returned callable carries
-    its Jacobian ``[[C, 0], [g_jac1, g_jac2]]`` as its ``jac`` attribute,
-    exact wherever the model's constraint blocks are, and as its ``arrays``
-    attribute the map and that Jacobian on stacks of points, built from
-    the system's ``g_arrays`` (None when the system has none).
+    what the degree layer reads from it: ``C`` as its ``block``, its
+    Jacobian ``[[C, 0], [g_jac1, g_jac2]]`` as ``jac``, exact wherever the
+    model's constraint blocks are, and as ``arrays`` the map and that
+    Jacobian on stacks of points, built from the system's ``g_arrays``
+    (None when the system has none).
     """
-    block = candidate_block(sys)
-    m = block.shape[0]
-    the_map = _block_map(block, sys.g)
-
-    def jacobian(z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros((z.size, z.size))
-        out[:m, :m] = block
-        out[m:, :m] = sys.g_jac1(z[:m], z[m:])
-        out[m:, m:] = sys.g_jac2(z[:m], z[m:])
-        return out
-
-    the_map.jac = jacobian
-    the_map.arrays = None if sys.g_arrays is None else _stacked_block_map(block, *sys.g_arrays)
-    return the_map
+    return _block_map(candidate_block(sys), sys.g, sys.g_jac1, sys.g_jac2, sys.g_arrays)
 
 
-def _stacked_block_map(block, g, d1g, d2g):
-    # The block map and its Jacobian on a stack of points z (k, n).
-    m = block.shape[0]
+def degree_reduced(fun: Callable[[np.ndarray], np.ndarray], box: Box,
+                   grid: int = DEFAULT_GRID) -> DegreeCertificate:
+    """Degree of a block map ``(M xi, g(xi, eta))`` via the reduction shortcut.
 
-    def the_map(z):
-        return np.concatenate([np.matmul(block, z[:, :m, None])[..., 0], g(z[:, :m], z[:, m:])],
-                              axis=1)
-
-    def jacobian(z):
-        out = np.zeros(z.shape + z.shape[-1:])
-        out[:, :m, :m] = block
-        out[:, m:, :m] = d1g(z[:, :m], z[:, m:])
-        out[:, m:, m:] = d2g(z[:, :m], z[:, m:])
-        return out
-
-    return the_map, jacobian
-
-
-def degree_reduced(
-    m_mat: np.ndarray,
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    box: Box,
-    grid: int = DEFAULT_GRID,
-    *,
-    d2g: Optional[Callable] = None,
-    g_arrays: Optional[tuple] = None,
-) -> DegreeCertificate:
-    """Degree of ``(M xi, g(xi, eta))`` via the reduction shortcut.
-
-    With ``M`` nonsingular the zeros confine to ``xi = 0`` and the degree
-    factors as ``sign(det M)`` times the sum of the orientation signs of
-    the zeros of the section ``eta -> g(0, eta)``, located on the
-    ``eta`` block of ``box`` like :func:`locate_zeros` (with ``d2g`` as
-    the section Jacobian when given, and a problem's ``g_arrays``, the
-    stacked ``(g, d1g, d2g)``, for the Newton iteration).  (The linear
-    block contributes its orientation sign; any nonzero ``|det M|``
-    scales the map without changing the count.)
+    ``fun`` carries ``M`` as its ``block`` attribute (see
+    :func:`candidate_map`).  With ``M`` nonsingular the zeros confine to
+    ``xi = 0`` and the degree factors as ``sign(det M)`` times the sum of
+    the orientation signs of the zeros of the section
+    ``eta -> g(0, eta)``, located on the ``eta`` block of ``box`` like
+    :func:`locate_zeros`.  The section is ``fun`` at ``(0, eta)``, its
+    ``eta`` rows, with the ``eta`` block of the map's ``jac`` and
+    ``arrays``.  (The linear block contributes its orientation sign; any
+    nonzero ``|det M|`` scales the map without changing the count.)
     """
-    m_mat = np.atleast_2d(np.asarray(m_mat, dtype=float))
+    m_mat = fun.block
     m = m_mat.shape[0]
     det_m = determinant(m_mat)
     if det_m == 0.0:
         raise SingularMatrixError("reduction shortcut needs a nonsingular linear block")
     if box.dim - m < 1:
         raise ValueError("box must cover both state blocks")
-    zero_p = np.zeros(m)
-    jac = None if d2g is None else lambda q: np.atleast_2d(np.asarray(d2g(zero_p, q), dtype=float))
-    arrays = None
-    if g_arrays is not None:
-        zeros_p = lambda q: np.zeros((len(q), m))
-        arrays = (lambda q: g_arrays[0](zeros_p(q), q), lambda q: g_arrays[2](zeros_p(q), q))
+    # (0, eta) for a point eta (s,) or a stack (k, s)
+    at_zero = lambda q: np.concatenate([np.zeros(q.shape[:-1] + (m,)), q], axis=-1)
+    section = lambda q: fun(at_zero(q))[m:]
+    section.jac = None if fun.jac is None else lambda q: fun.jac(at_zero(q))[m:, m:]
+    section.arrays = None if fun.arrays is None else (
+        lambda q: fun.arrays[0](at_zero(q))[:, m:], lambda q: fun.arrays[1](at_zero(q))[:, m:, m:])
     # not locate_zeros, whose per-call hook in perfbench/tracing.py would count these zeros twice
-    section = _search(lambda q: g(zero_p, q), jac, arrays)
-    zeros = _find_zeros(section, Box(box.lower[m:], box.upper[m:]), grid)
-    full_map = _block_map(m_mat, g)
-    margin = _boundary_margin(np.array([full_map(p) for p in box.lattice(grid)[box.face_mask(grid)]]))
+    zeros = _find_zeros(_search(section), Box(box.lower[m:], box.upper[m:]), grid)
+    margin = _boundary_margin(np.array([fun(p) for p in box.lattice(grid)[box.face_mask(grid)]]))
     sign_m = 1 if det_m > 0 else -1
     full_zeros = [
         ZeroRecord(
-            point=np.concatenate([zero_p, z.point]),
+            point=at_zero(z.point),
             sign=sign_m * z.sign,
             det=det_m * z.det,
             residual=z.residual,
@@ -447,26 +433,19 @@ def degree_reduced(
                              boundary_margin=margin, method="reduced")
 
 
-def degree_generic(
-    fun: Callable[[np.ndarray], np.ndarray],
-    box: Box,
-    grid: int = DEFAULT_GRID,
-    *,
-    jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    arrays: Optional[tuple] = None,
-) -> DegreeCertificate:
+def degree_generic(fun: Callable[[np.ndarray], np.ndarray], box: Box,
+                   grid: int = DEFAULT_GRID) -> DegreeCertificate:
     """Degree by regular-zero enumeration.
 
     Locates all zeros by Newton from every node of a uniform lattice,
     verifies each is regular and interior, and sums orientation signs.
     One pass over the lattice gives both the seeds' sign pattern and the
     boundary margin (its nodes on the faces of the box).  Raises rather
-    than guessing whenever the evidence is inconclusive.  ``jac`` is the
-    Jacobian of ``fun`` for the Newton steps and the signs; forward
-    differences stand in when it is None.  ``arrays`` is as in
+    than guessing whenever the evidence is inconclusive.  The map's own
+    ``jac`` and ``arrays`` serve the Newton steps and the signs, as in
     :func:`locate_zeros`.
     """
-    search = _search(fun, jac, arrays)
+    search = _search(fun)
     survey = _survey(search[0], box, grid)
     margin = _boundary_margin(survey[1][box.face_mask(grid)])
     zeros = _find_zeros(search, box, grid, survey)
@@ -485,7 +464,7 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
     ``(xi, eta)``, frame velocities zero for order 2 (so the original
     velocities are those of the moving frame).  The branch-seeding map
     when the drift ``D0`` vanishes (see :func:`seeding_map`).  Its ``jac``
-    and ``arrays`` attributes are None: its Jacobian is formed by forward
+    and ``arrays`` are absent: its Jacobian is formed by forward
     differences, and the zero search calls it point by point.
     """
     m = sys.m
@@ -497,7 +476,6 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
         first = quadrature_periodic(lambda t: sys.F(t, xi, eta, *velocities), sys.period, quad_n)
         return np.concatenate([np.atleast_1d(first), np.atleast_1d(sys.g(xi, eta))])
 
-    omega.jac = omega.arrays = None
     return omega
 
 
@@ -506,10 +484,10 @@ def seeding_map(sys: TransformedSystem) -> Callable[[np.ndarray], np.ndarray]:
 
     When the drift ``D0`` vanishes (``||D0||_inf <= 1e-8``: no frame
     product, no commuting drift) the first block of the candidate map is
-    identically zero, and the averaged map takes its place.  The callable
-    carries its Jacobian as ``jac`` and its stacked forms as ``arrays``
-    (see :func:`candidate_map`), both None for the averaged map; pass them
-    on to :func:`degree_generic` or :func:`locate_zeros`.
+    identically zero, and the averaged map takes its place.  The candidate
+    map carries its own ``block``, ``jac`` and ``arrays`` (see
+    :func:`candidate_map`), the averaged map none of them;
+    :func:`degree_generic` and :func:`locate_zeros` read them from the map.
     """
     if norm_inf(sys.D0) <= SEEDING_DRIFT_TOL:
         return averaged_map_fn(sys)

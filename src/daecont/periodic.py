@@ -734,5 +734,4 @@ def continue_branch(
 def branch_seeds(prob, box: Box, grid: int = 5) -> List[ZeroRecord]:
     """Zeros of the :func:`~daecont.degree.seeding_map` inside ``box``, with
     local degree signs."""
-    seed_map = seeding_map(fixed_frame(prob))
-    return locate_zeros(seed_map, box, grid, jac=seed_map.jac, arrays=seed_map.arrays)
+    return locate_zeros(seeding_map(fixed_frame(prob)), box, grid)

@@ -28,6 +28,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json as _json
+import math
 import re
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional
@@ -175,34 +176,29 @@ def parse_problem(text: str) -> ProblemSpec:
     if kind not in KINDS:
         raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}")
     name = header.pop("name", "")
-    try:
-        period = float(header.pop("period"))
-    except KeyError:
-        raise SchemaError("missing 'period' in [problem]") from None
-    except ValueError as exc:
-        raise SchemaError(f"bad period: {exc}") from None
-    if not (period > 0):
-        raise SchemaError("period must be positive")
-    mode = header.pop("derivatives", "analytic")
-    if mode not in ("analytic", "fd"):
-        raise SchemaError(f"derivatives must be 'analytic' or 'fd', got {mode!r}")
-    fd_step = None
-    if "fd_step" in header:
-        fd_step = float(header.pop("fd_step"))
 
-    spec = ProblemSpec(kind=kind, name=name, period=period,
-                       derivative_mode=mode, fd_step=fd_step)
-
-    def int_field(key):
+    def number(key, convert, valid, rule):
         try:
-            value = int(header.pop(key))
+            value = convert(header.pop(key))
         except KeyError:
             raise SchemaError(f"missing '{key}' in [problem]") from None
         except ValueError as exc:
             raise SchemaError(f"bad {key}: {exc}") from None
-        if value < 1:
-            raise SchemaError(f"{key} must be >= 1")
+        if not valid(value):
+            raise SchemaError(f"{key} must be {rule}, got {value!r}")
         return value
+
+    positive = lambda key: number(key, float, lambda v: math.isfinite(v) and v > 0,
+                                  "finite and positive")
+    int_field = lambda key: number(key, int, lambda v: v >= 1, ">= 1")
+    period = positive("period")
+    mode = header.pop("derivatives", "analytic")
+    if mode not in ("analytic", "fd"):
+        raise SchemaError(f"derivatives must be 'analytic' or 'fd', got {mode!r}")
+    fd_step = positive("fd_step") if "fd_step" in header else None
+
+    spec = ProblemSpec(kind=kind, name=name, period=period,
+                       derivative_mode=mode, fd_step=fd_step)
 
     if kind in ("dae1", "dae2"):
         spec.m = int_field("m")

@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg import expm
 
 from daecont.cli import main
-from daecont.degree import Box, candidate_map, degree_generic, degree_reduced
+from daecont.degree import Box, _block_map, candidate_map, degree_generic, degree_reduced
 from daecont.expressions import eval_expr, expr_to_text, parse_expr
 from daecont.errors import NonfiniteResultError
 from daecont.fixtures import PROBLEMS, load_fixture, path_fixture, problem_text
@@ -86,7 +86,7 @@ def test_criterion_3_degree_agreement():
         prob = load_fixture("rotating_surface")
         box = Box.cube(2.0, 3)
         m_mat = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        cert_r = degree_reduced(m_mat, prob.g, box, d2g=prob.g_jac2)
+        cert_r = degree_reduced(_block_map(m_mat, prob.g, prob.g_jac1, prob.g_jac2), box)
         cert_g = degree_generic(candidate_map(fixed_frame(prob)), box)
         assert cert_r.degree == 1 and cert_g.degree == 1
         rng = np.random.default_rng(7)
@@ -100,7 +100,7 @@ def test_criterion_3_degree_agreement():
                 roots = np.sort(rng.uniform(-1.2, 1.2, size=3))
             g = lambda p, q: (q - roots[0]) * (q - roots[1]) * (q - roots[2])
             fixture_box = Box.cube(2.0, m + 1)
-            red = degree_reduced(d0, g, fixture_box, grid=7)
+            red = degree_reduced(_block_map(d0, g), fixture_box, grid=7)
             gen = degree_generic(
                 lambda z: np.concatenate([d0 @ z[:m], np.atleast_1d(g(z[:m], z[m:]))]),
                 fixture_box, grid=7)

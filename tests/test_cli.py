@@ -322,6 +322,8 @@ class TestIntegrate:
     (["integrate", "rotating_surface", "--tol", "1e-3"], "unrecognized arguments: --tol"),
     (["check", "rotating_surface", "--seed", "1"], "unrecognized arguments: --seed 1"),
     (["lemmas", "--tol", "1e-3"], "unrecognized arguments: --tol"),
+    # the reduction audit of a semilinear problem has a fixed tolerance
+    (["check", "semilinear_4x4", "--tol", "1e-300"], "--tol does not apply"),
 ])
 def test_bad_input_is_usage_error(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:

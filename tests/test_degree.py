@@ -32,7 +32,7 @@ from daecont.fixtures import load_fixture, problem_text
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath, frame_audit
 from daecont.periodic import branch_seeds
-from daecont.probfile import build_problem, parse_problem
+from daecont.probfile import build_problem, parse_problem, to_json
 from daecont.semilinear import reduce_semilinear
 from daecont.transform import (
     DaeProblem1,
@@ -44,6 +44,7 @@ from daecont.transform import (
 from oracles import central_jacobian
 
 ROT_M = np.array([[0.0, 1.0], [-1.0, 0.0]])
+block_map = degree._block_map
 
 
 class TestBox:
@@ -185,6 +186,23 @@ class TestSeedingMapJacobian:
         (seed,) = branch_seeds(load_fixture("commuting_h"), Box.cube(2.0, 3))
         assert norm_inf(seed.point) <= 1e-10 and fd_calls == []
 
+    @pytest.mark.parametrize("name", ["commuting_h", "rotating_surface", "rotating_surface_2nd",
+                                      "semilinear_4x4"])
+    def test_maps_carry_their_jacobian_to_every_entry_point(self, name, fd_calls, capsys):
+        # the plain calls, with no Jacobian passed, difference nothing and
+        # certify what the CLI certifies
+        assert main(["degree", name, "--method", "both"]) == 0
+        cli_out = json.loads(capsys.readouterr().out)
+        sys_t = fixed_frame(_seeding_problem(name))
+        box = Box.cube(2.0, sys_t.m + sys_t.s)
+        assert json.loads(to_json(degree_generic(candidate_map(sys_t), box).to_dict())) == \
+            cli_out["generic"]
+        assert json.loads(to_json(degree_reduced(candidate_map(sys_t), box).to_dict())) == \
+            cli_out["reduced"]
+        zeros = locate_zeros(seeding_map(sys_t), box)
+        assert json.loads(to_json([z.to_dict() for z in zeros])) == cli_out["generic"]["zeros"]
+        assert fd_calls == []
+
     def test_plain_callable_falls_back_to_differences(self, fd_calls):
         cert = degree_generic(lambda z: z, Box.cube(1.0, 2))
         assert cert.degree == 1 and len(fd_calls) > 0
@@ -196,7 +214,7 @@ class TestZerosOfReduced:
     @staticmethod
     def section_zeros(g, radius):
         located = locate_zeros(lambda q: g(np.zeros(1), q), Box.cube(radius, 1))
-        cert = degree_reduced(np.eye(1), g, Box.cube(radius, 2))
+        cert = degree_reduced(block_map(np.eye(1), g), Box.cube(radius, 2))
         assert [tuple(z.point) for z in cert.zeros] == [(0.0, z.point[0]) for z in located]
         assert [z.sign for z in cert.zeros] == [z.sign for z in located]
         return located
@@ -226,35 +244,35 @@ class TestZerosOfReduced:
 class TestDegreeReduced:
     def test_rotating_example(self):
         prob = load_fixture("rotating_surface")
-        cert = degree_reduced(ROT_M, prob.g, Box.cube(2.0, 3), d2g=prob.g_jac2)
+        cert = degree_reduced(block_map(ROT_M, prob.g, prob.g_jac1, prob.g_jac2), Box.cube(2.0, 3))
         assert cert.degree == 1
         assert cert.boundary_margin > 0
         assert cert.method == "reduced"
 
     def test_identity(self):
-        cert = degree_reduced(np.eye(1), lambda p, q: q, Box.cube(1.0, 2))
+        cert = degree_reduced(block_map(np.eye(1), lambda p, q: q), Box.cube(1.0, 2))
         assert cert.degree == 1
 
     def test_quintic_with_rotation_block(self):
-        cert = degree_reduced(np.array([[0.0, -1.0], [1.0, 0.0]]),
-                              lambda p, q: q**5 + q, Box.cube(2.0, 3))
+        cert = degree_reduced(block_map(np.array([[0.0, -1.0], [1.0, 0.0]]), lambda p, q: q**5 + q),
+                              Box.cube(2.0, 3))
         assert cert.degree == 1
 
     @pytest.mark.parametrize("g", [lambda p, q: q**3 + q, lambda p, q: q**5 + q])
     def test_zero_count_law(self, g):
         # with dg/dq invertible throughout the box, |degree| equals the
         # number of located zeros
-        cert = degree_reduced(np.eye(2), g, Box.cube(2.0, 3))
+        cert = degree_reduced(block_map(np.eye(2), g), Box.cube(2.0, 3))
         assert abs(cert.degree) == len(cert.zeros)
 
     def test_negative_block(self):
         # det < 0 flips the count
-        cert = degree_reduced(np.array([[-1.0]]), lambda p, q: q, Box.cube(1.0, 2))
+        cert = degree_reduced(block_map(np.array([[-1.0]]), lambda p, q: q), Box.cube(1.0, 2))
         assert cert.degree == -1
 
     def test_singular_block_rejected(self):
         with pytest.raises(SingularMatrixError):
-            degree_reduced(np.zeros((1, 1)), lambda p, q: q, Box.cube(1.0, 2))
+            degree_reduced(block_map(np.zeros((1, 1)), lambda p, q: q), Box.cube(1.0, 2))
 
 
 class TestDegreeGeneric:
@@ -331,7 +349,7 @@ class TestCrossMethodAgreement:
             return (q - roots[0]) * (q - roots[1]) * (q - roots[2])
 
         box = Box.cube(2.0, m + 1)
-        red = degree_reduced(d0, g, box, grid=7)
+        red = degree_reduced(block_map(d0, g), box, grid=7)
         gen = degree_generic(
             lambda z: np.concatenate([d0 @ z[:m], np.atleast_1d(g(z[:m], z[m:]))]),
             box, grid=7,
@@ -452,8 +470,10 @@ class TestBatchedSearch:
         def jac(z):
             return np.array([[3.0 * z[0] ** 2 - 1.0, 0.3], [z[1], 2.0 * z[1] + z[0]]])
 
+        if exact:
+            fun.jac = jac
         lattice = Box.cube(2.0, 2).lattice(13)
-        search = degree._search(fun, jac if exact else None)
+        search = degree._search(fun)
         values = np.array([search[0](z) for z in lattice])
         points, converged = degree._newton_all(*search[2:], lattice, values)
         config = linalg.NewtonConfig(max_iters=60, tol_residual=1e-12)
@@ -481,9 +501,7 @@ class TestBatchedSearch:
         for problem in (prob, twin):
             sys_t = fixed_frame(problem)
             cmap = candidate_map(sys_t)
-            certs = (degree_reduced(candidate_block(sys_t), problem.g, box,
-                                    d2g=problem.g_jac2, g_arrays=problem.g_arrays),
-                     degree_generic(cmap, box, jac=cmap.jac, arrays=cmap.arrays))
+            certs = (degree_reduced(cmap, box), degree_generic(cmap, box))
             if problem is prob:
                 expected = certs
                 continue
@@ -502,14 +520,11 @@ class TestBatchedSearch:
         prob = build_problem(parse_problem(text))
         sys_t = fixed_frame(prob)
         cmap = candidate_map(sys_t)
+        # the same map on point forms only: no g_arrays
+        point_map = block_map(candidate_block(sys_t), prob.g, prob.g_jac1, prob.g_jac2)
+        assert cmap.arrays is not None and point_map.arrays is None
         box = Box.cube(2.0, 3)
-        runs = [
-            lambda: degree_reduced(candidate_block(sys_t), prob.g, box, d2g=prob.g_jac2,
-                                   g_arrays=prob.g_arrays),
-            lambda: degree_reduced(candidate_block(sys_t), prob.g, box, d2g=prob.g_jac2),
-            lambda: degree_generic(cmap, box, jac=cmap.jac, arrays=cmap.arrays),
-            lambda: degree_generic(cmap, box, jac=cmap.jac),
-        ]
-        for run in runs:
-            with pytest.raises(NonfiniteResultError):
-                run()
+        for fun in (cmap, point_map):
+            for run in (degree_reduced, degree_generic):
+                with pytest.raises(NonfiniteResultError):
+                    run(fun, box)

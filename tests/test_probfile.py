@@ -70,6 +70,26 @@ class TestParseProblem:
         with pytest.raises(SchemaError):
             parse_problem("[problem]\nkind = dae9\nm = 1\ns = 1\nperiod = 1\n")
 
+    @pytest.mark.parametrize("line", [
+        "period = inf", "period = nan", "period = 0", "period = -1", "period = abc",
+        "period = 6.283185307179586\nfd_step = abc",
+        "period = 6.283185307179586\nfd_step = 0",
+        "period = 6.283185307179586\nfd_step = nan",
+        "period = 6.283185307179586\nfd_step = inf",
+        "period = 6.283185307179586\nfd_step = -1e-6",
+    ])
+    def test_period_and_fd_step_must_be_finite_and_positive(self, line):
+        text = problem_text("rotating_surface").replace("period = 6.283185307179586", line)
+        with pytest.raises(SchemaError):
+            parse_problem(text)
+
+    def test_fd_step_round_trips(self):
+        text = problem_text("rotating_surface").replace(
+            "period = 6.283185307179586", "period = 6.283185307179586\nfd_step = 1e-05")
+        spec = parse_problem(text)
+        assert spec.fd_step == 1e-05
+        assert parse_problem(problem_to_text(spec)).fd_step == 1e-05
+
     def test_comments_and_aliases(self):
         text = """
 # a comment
