@@ -219,12 +219,20 @@ def parse_expr(text: str, variables: Optional[Iterable[str]] = None) -> Expr:
 _UNARY_FN = {"neg": lambda v: -v, "sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 
+def _nonfinite(exc: Exception) -> NonfiniteResultError:
+    # A failed evaluation in words, "OverflowError: Numerical result out of
+    # range": an overflowing float power carries an (errno, text) pair,
+    # whose str() is a tuple.
+    text = exc.args[-1] if exc.args else ""
+    return NonfiniteResultError(f"{type(exc).__name__}: {text}")
+
+
 def eval_expr(ast: Expr, env: Mapping[str, float]) -> float:
     """Evaluate an expression tree against a variable environment."""
     try:
         value = _eval(ast, env)
     except (ArithmeticError, ValueError) as exc:
-        raise NonfiniteResultError(str(exc)) from exc
+        raise _nonfinite(exc) from exc
     if not math.isfinite(value):
         raise NonfiniteResultError(f"expression evaluated to {value}")
     return value
@@ -385,7 +393,7 @@ def _source(ast: Expr, varmap: Mapping[str, str], lib: str = "math") -> str:
 
 
 _COMPILE_GLOBALS = {"math": math, "np": np, "ArithmeticError": ArithmeticError,
-                    "ValueError": ValueError, "NonfiniteResultError": NonfiniteResultError,
+                    "ValueError": ValueError, "_nonfinite": _nonfinite,
                     "float": float, "str": str, "__builtins__": {}}
 
 
@@ -403,7 +411,7 @@ def _compile(args: str, body: str) -> Callable:
             lines.append(f"    {arg} = float({arg})")
     lines += ["    try:", f"        return {body}",
               "    except (ArithmeticError, ValueError) as exc:",
-              "        raise NonfiniteResultError(str(exc)) from exc", ""]
+              "        raise _nonfinite(exc) from exc", ""]
     return _exec(lines)
 
 
@@ -430,7 +438,7 @@ def _compile_arrays(args: str, entries, varmap: Mapping[str, str], dims: tuple) 
               "        try:"]
     lines += [f"            out[..., {index}] = {_source(ast, varmap, 'np')}" for index, ast in entries]
     lines += ["        except ArithmeticError as exc:",
-              "            raise NonfiniteResultError(str(exc)) from exc",
+              "            raise _nonfinite(exc) from exc",
               "    return out", ""]
     compiled = None
 

@@ -56,6 +56,10 @@ class MatrixPath:
         finite differences with step ``fd_step``.
     fd_step : float, optional
         Finite-difference step; defaults to ``1e-4 * max(1, period)``.
+
+    A returned array may be shared between calls (a constant path returns
+    its matrix, an exponential frame the value at the last time it saw),
+    so callers must not write to it.
     """
 
     def __init__(
@@ -93,7 +97,7 @@ class MatrixPath:
                 f"path {self.name or '<anonymous>'} returned shape {a.shape}, "
                 f"expected {(self.dim, self.dim)}"
             )
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise EvaluationError(f"path {self.name or '<anonymous>'} returned non-finite entries")
         return a
 
@@ -157,9 +161,13 @@ class MatrixPath:
         n = s.shape[0]
         a0 = np.eye(n) if a0 is None else np.asarray(a0, dtype=float)
         s2 = s @ s
+        last = [None, None]  # (t, value) of the last time: the orders at one t share one expm
 
         def value(t):
-            return expm(t * s) @ a0
+            if t != last[0]:
+                last[1] = expm(t * s) @ a0
+                last[0] = t
+            return last[1]
 
         return MatrixPath(
             n,

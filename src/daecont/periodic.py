@@ -35,7 +35,11 @@ Every fixed-frame march reads the frame through its system's table (see
 the ``2N + 1`` step and midpoint times it has not seen before.  A
 shooting runner keeps one system, and with it one table, for all the
 marches of a branch; ``integrate`` and the seeding map fill the table of
-the system they are given.
+the system they are given.  A raw march visits each time in one
+consecutive run, so its stepper keeps only the frame of the last time it
+saw: the march evaluates the paths once per time, and the stepper holds
+one frame whatever ``N``.  For order 2, recording the node rates after
+the march evaluates the frame once more at each of the ``N + 1`` nodes.
 """
 
 from __future__ import annotations
@@ -239,8 +243,12 @@ def consistent_init(prob, t0: float, x0: np.ndarray, y_guess: np.ndarray) -> np.
     system's frame table.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    a, b = prob.frame(t0)
-    p = a @ x0
+    return _solve_in_frame(prob, *prob.frame(t0), x0, y_guess)
+
+
+def _solve_in_frame(prob, a, b, x, y_guess):
+    # g(a x, b y) = 0 for y, from y_guess
+    p = a @ x
     return _solve_constraint(
         lambda y: prob.g(p, b @ y),
         lambda y: prob.g_jac2(p, b @ y) @ b,
@@ -296,15 +304,29 @@ class _Stepper:
 
 
 class _RawStepper(_Stepper):
-    # Original coordinates, moving constraint.
+    # Original coordinates, moving constraint.  A march visits each time in
+    # one run (start, midpoint twice, end, the resolve at the end, the next
+    # start), so the stepper keeps the frame of the last time it saw: each
+    # time costs one evaluation of the paths, and nothing grows with N.
+    _t = None
+
+    def _frame(self, t):
+        # (A, B) at t, and for order 2 (dA, dB) too
+        if t != self._t:
+            prob = self.sys
+            a, b = prob.frame(t)
+            self._at = (a, b, prob.A(t, 1), prob.B(t, 1)) if self.order == 2 else (a, b)
+            self._t = t
+        return self._at
+
     def solve(self, t, x, y_guess):
-        return consistent_init(self.sys, t, x, y_guess)
+        a, b = self._frame(t)[:2]
+        return _solve_in_frame(self.sys, a, b, x, y_guess)
 
     def rate(self, t, x, xdot, y):
         # Differentiate g(A x, B y) = 0 in time and solve for dy/dt.
         prob = self.sys
-        a, da = prob.A(t), prob.A(t, 1)
-        b, db = prob.B(t), prob.B(t, 1)
+        a, b, da, db = self._frame(t)
         p, q = a @ x, b @ y
         j1 = prob.g_jac1(p, q)
         j2 = prob.g_jac2(p, q)

@@ -196,6 +196,10 @@ def parse_problem(text: str) -> ProblemSpec:
     if mode not in ("analytic", "fd"):
         raise SchemaError(f"derivatives must be 'analytic' or 'fd', got {mode!r}")
     fd_step = positive("fd_step") if "fd_step" in header else None
+    # The audits difference the paths at times up to 2T; a step that the
+    # float spacing there swallows makes every difference derivative 0.
+    if fd_step is not None and 2 * period + fd_step == 2 * period:
+        raise SchemaError(f"fd_step {fd_step!r} is lost in the float spacing at 2 * period = {2 * period!r}")
 
     spec = ProblemSpec(kind=kind, name=name, period=period,
                        derivative_mode=mode, fd_step=fd_step)
@@ -507,7 +511,7 @@ def reduced_spec(spec: ProblemSpec, p: np.ndarray, sigma: np.ndarray,
 
 
 def _fmt_float(v: float) -> str:
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValueError(f"refusing to serialize non-finite value {v!r}")
     return format(float(v), ".17g")
 
@@ -526,7 +530,10 @@ def _json_value(obj, indent: int, level: int) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        rendered = [_json_value(v, indent, level + 1) for v in obj]
+        if all(type(v) is float for v in obj):  # a row of numbers: one pass, no dispatch
+            rendered = [_fmt_float(v) for v in obj]
+        else:
+            rendered = [_json_value(v, indent, level + 1) for v in obj]
         if sum(len(r) for r in rendered) <= 72 and not any("\n" in r for r in rendered):
             return "[" + ", ".join(rendered) + "]"
         return "[\n" + ",\n".join(pad + r for r in rendered) + "\n" + closing + "]"

@@ -283,6 +283,12 @@ class TestIntegrate:
         assert code == 0 and err == ""
         assert out == (GOLDEN_DIR / "integrate_rotating_surface_fixed.json").read_text()
 
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
+    def test_raw_matches_golden(self, capsys, name):
+        code, out, err = run(capsys, "integrate", name, "--lambda", "0.5", "--raw")
+        assert code == 0 and err == ""
+        assert out == (GOLDEN_DIR / f"integrate_{name}_raw.json").read_text()
+
     def test_negative_lambda_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["integrate", "scalar_linear", "--lambda", "-1"])
@@ -356,7 +362,16 @@ class TestModelFailure:
         # a float product overflows to inf without raising; sin(inf) is a domain error
         prob = overflowing_problem(tmp_path, "sin(x1^300*x1^300) - x1\n-x2")
         code, _, err = run(capsys, "integrate", prob, "--x0", "10,0")
-        assert code == 1 and "daecont: NonfiniteResultError: math domain error" in err
+        assert code == 1 and "daecont: NonfiniteResultError: ValueError: math domain error" in err
+
+    def test_overflow_is_named_in_words(self, capsys, tmp_path):
+        # the steps of a huge period overflow a float power: no errno tuple
+        path = tmp_path / "huge.prob"
+        path.write_text(problem_text("rotating_surface").replace(
+            "period = 6.283185307179586", "period = 1e300"))
+        code, out, err = run(capsys, "integrate", str(path))
+        assert code == 1 and out == ""
+        assert err == "daecont: NonfiniteResultError: OverflowError: Numerical result out of range\n"
 
     @pytest.mark.parametrize("forcing, x0", [("x1^400 - x1\n-x2", "10,0"),
                                              ("1/x2 - x1\n-x2", "1,0")])

@@ -266,6 +266,21 @@ class TestArrayTarget:
         with pytest.raises(NonfiniteResultError):
             compile_vector([ast], "x", vm, arrays=True)(np.array([[0.5], [value]]))
 
+    @pytest.mark.parametrize("text, value, message", [
+        ("x1^400", 10.0, "OverflowError: Numerical result out of range"),
+        ("1/x1", 0.0, "ZeroDivisionError: float division by zero"),
+    ])
+    def test_failure_is_named_in_words(self, text, value, message):
+        # the exception's class and text, not the str() of an (errno, text) pair
+        ast, vm = parse_expr(text), {"x1": "x[0]"}
+        with pytest.raises(NonfiniteResultError) as compiled:
+            compile_vector([ast], "x", vm)(np.array([value]))
+        with pytest.raises(NonfiniteResultError) as interpreted:
+            eval_expr(ast, {"x1": value})
+        assert str(compiled.value) == str(interpreted.value) == message
+        with pytest.raises(NonfiniteResultError, match=r"^FloatingPointError: \w+"):
+            compile_vector([ast], "x", vm, arrays=True)(np.array([[value]]))
+
     def test_underflow_raises_in_neither_target(self):
         ast, vm = parse_expr("exp(-800*x1)"), {"x1": "x[0]"}
         assert compile_vector([ast], "x", vm)(np.array([1.0]))[0] == 0.0

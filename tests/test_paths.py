@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from daecont.errors import SingularMatrixError
+from daecont import paths
+from daecont.errors import EvaluationError, SingularMatrixError
 from daecont.fixtures import path_fixture
 from daecont.linalg import norm_inf
 from daecont.paths import (
@@ -36,6 +37,21 @@ class TestEvalPath:
         s = skew(rng, 3)
         path = MatrixPath.exp_frame(s)
         assert norm_inf(path(0.0, 2) - s @ s) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [-np.inf, 1.0]]),
+        np.eye(3),
+    ])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_bad_values_raise(self, bad, order):
+        # NaN, inf or the wrong shape from the value or from a derivative
+        good = lambda t: np.eye(2)
+        tables = [good, good, good]
+        tables[order] = lambda t: bad
+        path = MatrixPath(2, 1.0, tables[0], d1=tables[1], d2=tables[2], name="P")
+        with pytest.raises(EvaluationError, match="path P returned"):
+            path(0.5, order)
 
     def test_order_limit(self):
         with pytest.raises(Exception):
@@ -103,6 +119,19 @@ class TestSampling:
     def test_lemma_audit_path_calls(self, path_calls):
         lemma_audit(path_fixture("rot2"), 16)
         assert len(path_calls) == 3 * 16
+
+    def test_exp_frame_shares_one_expm_across_orders(self, monkeypatch):
+        # the value and both derivatives at one time come from one expm
+        calls = []
+        expm_ = paths.expm
+        monkeypatch.setattr(paths, "expm", lambda m: calls.append(m) or expm_(m))
+        rng = np.random.default_rng(7)
+        s, a0 = skew(rng, 3), expm(skew(rng, 3))
+        path = MatrixPath.exp_frame(s, a0)
+        lemma_audit(path, 16)
+        assert len(calls) == 16
+        for t in (0.3, 0.7, 0.3):  # a new time evaluates afresh
+            assert np.array_equal(path(t, 1), s @ (expm(t * s) @ a0))
 
 
 class TestLemmaAudit:

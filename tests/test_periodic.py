@@ -656,6 +656,18 @@ class TestFrameTable:
         integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="fixed")
         assert times.count(0.0) == audit + 2 * prob.order
 
+    @pytest.mark.parametrize("name, bound", [("rotating_surface", 1030),
+                                             ("rotating_surface_2nd", 3084)])
+    def test_raw_integration_evaluates_each_march_time_once(self, name, bound, path_calls):
+        # the raw stepper keeps the frame of the last time it saw: A and B
+        # (order 2: and their rates) once at each of the 2N + 1 march times,
+        # plus 4 for the start checks and, for order 2, 4 per node for the
+        # rates recorded after the march; N = 256
+        prob = load_fixture(name)
+        del path_calls[:]
+        integrate(prob, 0.5, np.zeros(prob.m))
+        assert len(path_calls) == bound
+
     def test_second_averaged_map_call_makes_no_path_call(self, path_calls):
         omega = averaged_map_fn(fixed_frame(load_fixture("scalar_linear")))
         del path_calls[:]

@@ -83,6 +83,15 @@ class TestParseProblem:
         with pytest.raises(SchemaError):
             parse_problem(text)
 
+    def test_fd_step_lost_in_the_float_spacing_rejected(self):
+        # 4 pi + 1e-300 == 4 pi: every difference derivative would be 0
+        text = problem_text("rotating_surface").replace(
+            "period = 6.283185307179586",
+            "period = 6.283185307179586\nderivatives = fd\nfd_step = 1e-300")
+        with pytest.raises(SchemaError, match="fd_step"):
+            parse_problem(text)
+        assert parse_problem(text.replace("1e-300", "1e-14")).fd_step == 1e-14
+
     def test_fd_step_round_trips(self):
         text = problem_text("rotating_surface").replace(
             "period = 6.283185307179586", "period = 6.283185307179586\nfd_step = 1e-05")
@@ -156,6 +165,14 @@ class TestJsonOutput:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             to_json({"a": float("inf")})
+        for bad in (float("nan"), float("-inf")):
+            with pytest.raises(ValueError, match="non-finite"):
+                to_json({"rows": [[0.5, 1.0], [2.0, bad]]})
+
+    def test_lists_render_alike_whatever_their_entries(self):
+        assert to_json([1.0, 0.5, -2.0]) == to_json([1, 0.5, np.float64(-2.0)]) == "[1, 0.5, -2]\n"
+        long = to_json({"v": np.arange(20) / 3.0})
+        assert long.count("\n") == 24 and "    0.33333333333333331,\n" in long
 
     def test_reports_serialize(self):
         audit = frame_audit(load_fixture("rotating_surface").A)
