@@ -397,22 +397,30 @@ _COMPILE_GLOBALS = {"math": math, "np": np, "ArithmeticError": ArithmeticError,
                     "float": float, "str": str, "__builtins__": {}}
 
 
-def _compile(args: str, body: str) -> Callable:
+def _compile(args: str, body: str, listed: str) -> Callable:
     # A def rather than a lambda, so that math failures (exp overflow, a
     # domain error) raise NonfiniteResultError as in eval_expr; the try
     # costs nothing on calls that do not raise.  Arguments are read as
     # Python floats, whose powers raise on overflow and whose division
     # raises on zero, where numpy scalars would warn and go on with inf.
+    # ``listed`` is the body of the list target that ``as_list()`` compiles.
     lines = [f"def compiled({args}):"]
     for arg in (a.strip() for a in args.split(",")):
         if re.search(rf"\b{arg}\[", body):
             lines.append(f"    {arg} = np.asarray({arg}, dtype=float).tolist()")
         elif re.search(rf"\b{arg}\b", body):
             lines.append(f"    {arg} = float({arg})")
-    lines += ["    try:", f"        return {body}",
-              "    except (ArithmeticError, ValueError) as exc:",
-              "        raise _nonfinite(exc) from exc", ""]
-    return _exec(lines)
+    compiled = _exec(lines + _returning(body))
+    compiled.as_list = _lazy([f"def compiled({args}):"] + _returning(listed))
+    return compiled
+
+
+def _returning(body: str) -> list:
+    # Function body lines that return ``body``, arithmetic failures raised
+    # as NonfiniteResultError.
+    return ["    try:", f"        return {body}",
+            "    except (ArithmeticError, ValueError) as exc:",
+            "        raise _nonfinite(exc) from exc", ""]
 
 
 def _exec(lines) -> Callable:
@@ -421,13 +429,26 @@ def _exec(lines) -> Callable:
     return namespace["compiled"]
 
 
+def _lazy(lines) -> Callable:
+    # A maker of the function of ``lines``: it compiles the function on the
+    # first request and keeps it, so set-up pays nothing for a target that
+    # a run never calls.
+    compiled = []
+
+    def make():
+        if not compiled:
+            compiled.append(_exec(lines))
+        return compiled[0]
+
+    return make
+
+
 def _compile_arrays(args: str, entries, varmap: Mapping[str, str], dims: tuple) -> Callable:
     # Array target: every argument is a stack of vectors (``x[0]`` reads
     # ``x[..., 0]``), and the entries ``(index, tree)`` fill an array of
     # shape stack + dims.  Overflow, division by zero and invalid
     # operations raise NonfiniteResultError like the float target;
-    # underflow goes to zero as in math.exp.  Compiled on the first call:
-    # most runs never evaluate on stacks.
+    # underflow goes to zero as in math.exp.
     names = [a.strip() for a in args.split(",")]
     varmap = {k: re.sub(r"\[(\d+)\]", r"[..., \1]", v) for k, v in varmap.items()}
     lines = [f"def compiled({args}):"]
@@ -440,15 +461,8 @@ def _compile_arrays(args: str, entries, varmap: Mapping[str, str], dims: tuple) 
     lines += ["        except ArithmeticError as exc:",
               "            raise _nonfinite(exc) from exc",
               "    return out", ""]
-    compiled = None
-
-    def on_first_call(*values):
-        nonlocal compiled
-        if compiled is None:
-            compiled = _exec(lines)
-        return compiled(*values)
-
-    return on_first_call
+    make = _lazy(lines)
+    return lambda *values: make()(*values)
 
 
 def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *,
@@ -460,6 +474,11 @@ def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *
     source is built entirely from the validated tree.  Arithmetic
     failures raise :class:`NonfiniteResultError`.
 
+    The function carries ``as_list()``, which returns the same trees
+    compiled as a function of Python floats and sequences of them, read as
+    they are, that returns a list of floats.  It is compiled on the first
+    request and kept; the fixed-frame march calls it.
+
     With ``arrays=True`` the function evaluates the same trees on stacks:
     every argument is an array of vectors along its last axis
     (``x[..., 1]``), and the result has the broadcast stack shape
@@ -469,14 +488,19 @@ def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *
     """
     if arrays:
         return _compile_arrays(args, list(enumerate(asts)), varmap, (len(asts),))
-    return _compile(args, "np.array([" + ", ".join(_source(a, varmap) for a in asts) + "])")
+    entries = ", ".join(_source(a, varmap) for a in asts)
+    return _compile(args, f"np.array([{entries}])", f"[{entries}]")
 
 
 def compile_matrix(rows: Sequence[Sequence[Expr]], args: str, varmap: Mapping[str, str], *,
                    arrays: bool = False) -> Callable:
-    """Compile a matrix of expressions like :func:`compile_vector`."""
+    """Compile a matrix of expressions like :func:`compile_vector`.
+
+    The function of ``as_list()`` returns the entries row by row, flat.
+    """
     if arrays:
         entries = [(f"{i}, {j}", a) for i, row in enumerate(rows) for j, a in enumerate(row)]
         return _compile_arrays(args, entries, varmap, (len(rows), len(rows[0])))
-    body = ", ".join("[" + ", ".join(_source(a, varmap) for a in row) + "]" for row in rows)
-    return _compile(args, f"np.array([{body}])")
+    sources = [[_source(a, varmap) for a in row] for row in rows]
+    body = ", ".join("[" + ", ".join(row) + "]" for row in sources)
+    return _compile(args, f"np.array([{body}])", "[" + ", ".join(sum(sources, [])) + "]")

@@ -1,0 +1,470 @@
+"""The fixed-frame half-explicit RK4 march on Python floats.
+
+A fixed-frame march spends its time in small-array arithmetic: 2x2
+mat-vecs, 1x1 and 2x2 solves and a scalar constraint Newton per stage.
+On numpy arrays each of those is a dispatch that costs far more than the
+few flops it does, so the march runs on Python floats instead, in
+straight-line code emitted once per ``(order, m, s, sensitivity)`` and
+kept.  Every vector and matrix is unrolled into local names, so the code
+has no loops over ``m`` or ``s``; loops over them in plain Python were
+measured slower than numpy.
+
+The emitted code keeps the rules of the numpy routines it stands for:
+
+- the constraint Newton is ``periodic._solve_constraint``'s, with its
+  polish iteration, stops, typed errors and messages;
+- 1x1 and 2x2 solves are :func:`~daecont.linalg.solve_linear`'s closed
+  forms with their pivot tests, and larger ones call it;
+- a non-finite forcing value is named at the model call, and a
+  non-finite constraint residual at a non-finite state blames the state.
+
+Sums of products are plain float sums, where numpy's BLAS may fuse a
+multiply-add: a value can differ from the numpy march in the last bit
+(the test suite bounds the difference by 1e-13 on every fixture).
+
+The stage calls the model on floats: a callable compiled from expression
+trees through its list target (``as_list()``, see
+:func:`~daecont.expressions.compile_vector`), any other one, and a
+derivative that the problem forms by differences, on numpy arrays through
+an adapter that returns a list.  The frame comes from the system's table,
+as the flat tuple of floats that
+:meth:`~daecont.transform.TransformedSystem.frame_entries` returns.  A
+sensitivity march carries the derivative of the state with respect to
+``(lam, state0)`` in the rows after row 0, which is the plain march's
+arithmetic, bit for bit (see :mod:`daecont.periodic`).
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+
+from .errors import NoConvergenceError, NonfiniteResultError, SingularMatrixError
+from .linalg import PIVOT_REL, solve_linear
+
+__all__ = ["FixedMarch", "CONSTRAINT_SOLVE_TOL", "CONSTRAINT_SOLVE_MAX_ITER"]
+
+CONSTRAINT_SOLVE_TOL = 1e-12
+CONSTRAINT_SOLVE_MAX_ITER = 40
+
+# The names the emitted code reads.  solve_linear's 1x1 pivot test,
+# |a| < PIVOT_REL * max(|a|, 1e-300) or a == 0, is |a| < _TINY.
+_GLOBALS = {
+    "np": np, "solve_linear": solve_linear, "isfinite": math.isfinite,
+    "NoConvergenceError": NoConvergenceError, "NonfiniteResultError": NonfiniteResultError,
+    "SingularMatrixError": SingularMatrixError,
+    "_TOL": CONSTRAINT_SOLVE_TOL, "_MAX_ITER": CONSTRAINT_SOLVE_MAX_ITER,
+    "_PIVOT_REL": PIVOT_REL, "_TINY": PIVOT_REL * 1e-300, "_INF": math.inf, "_NAN": math.nan,
+}
+
+
+class FixedMarch:
+    """One stepper of the fixed-frame march of ``sys`` at ``lam``.
+
+    States are flat sequences of floats: positions first, then (order 2)
+    velocities; with ``sensitivity`` the ``n + 2`` rows of the state and
+    its derivatives by ``lam`` and by the start state follow one another
+    (``n = order * m``).  The algebraic block is a sequence of ``s``
+    floats.
+    """
+
+    def __init__(self, sys, lam, sensitivity: bool = False):
+        build = _build(sys.order, sys.m, sys.s, bool(sensitivity))
+        drifts = [() if d is None else np.asarray(d, dtype=float).ravel().tolist()
+                  for d in (sys.D0, sys.D1)]
+        self.m = sys.m
+        self._resolve, self._march, self._record = build(
+            *_list_models(sys), sys.frame_entries, *drifts, float(lam))
+
+    def resolve(self, t, state, eta_guess) -> tuple:
+        """The algebraic block at ``state``'s positions, from ``eta_guess``."""
+        return self._resolve(t, *state[: self.m], *eta_guess)
+
+    def march(self, state, eta, h, nsteps):
+        """``(nodes, end)`` of ``nsteps`` steps of size ``h`` from ``(state, eta)`` at 0.
+
+        ``nodes`` holds ``(t, state, eta)`` of every node, start first, with
+        the state's row 0 only; ``end`` is the whole end state.  A stage
+        whose constraint solve fails ends the march with its error.
+        """
+        return self._march(0.0, float(h), nsteps, *state, *eta)
+
+    def record(self, t, state, eta) -> tuple:
+        """``(t, x, y, xdot, ydot)`` of a node in original coordinates.
+
+        Velocities are None for order 1; for order 2 the node's ``etadot``
+        is solved from the constraint first.
+        """
+        return self._record(t, *state, *eta)
+
+
+def _list_models(sys):
+    # (f, df, g, d1g, d2g, dgdot) of a fixed-frame system as functions of
+    # Python floats and sequences of them that return a flat list (a matrix
+    # row by row); dgdot is None for order 1.
+    pairs = (("f", sys.f), ("df", sys.f_jac), ("g", sys.g), ("d1g", sys.g_jac1),
+             ("d2g", sys.g_jac2), ("dgdot", sys.gdot_jac))
+    return [_listed(getattr(sys.problem, name, None), model) for name, model in pairs]
+
+
+def _listed(own, model):
+    # ``own``'s list target when it was compiled from trees, else ``model``
+    # called on numpy arrays with its value as a flat list (None stays None).
+    make = getattr(own, "as_list", None)
+    if make is not None:
+        return make()
+    if model is None:
+        return None
+
+    def adapter(*args):
+        args = [np.array(a) if type(a) is list else a for a in args]
+        return np.asarray(model(*args), dtype=float).ravel().tolist()
+
+    return adapter
+
+
+@functools.cache
+def _build(order, m, s, sensitivity):
+    # The emitted build function of one problem shape, compiled once.
+    namespace = dict(_GLOBALS)
+    exec(_source(order, m, s, sensitivity), namespace)
+    return namespace["build"]
+
+
+# -- emitted source ------------------------------------------------------------
+#
+# Vectors are lists of names or parenthesized expressions, matrices lists of
+# rows; the helpers return source fragments or lines of statements.
+
+
+def _vec(name, n):
+    return [f"{name}{i}" for i in range(n)]
+
+
+def _mat(name, rows, cols):
+    return [[f"{name}{i}_{j}" for j in range(cols)] for i in range(rows)]
+
+
+def _unrolled(values):
+    # ``a, b, c`` of a list of names; a trailing comma for one
+    return ", ".join(values) + ("," if len(values) == 1 else "")
+
+
+def _dot(u, v):
+    terms = [f"{a}*{b}" for a, b in zip(u, v)]
+    return terms[0] if len(terms) == 1 else "(" + " + ".join(terms) + ")"
+
+
+def _matvec(rows, v):
+    return [_dot(row, v) for row in rows]
+
+
+def _t(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _matmul(a, b):
+    return [[_dot(row, col) for col in _t(b)] for row in a]
+
+
+def _add(*mats):
+    # entry-wise left-to-right sum of equally shaped matrices
+    return [["(" + " + ".join(entries) + ")" for entries in zip(*rows)] for rows in zip(*mats)]
+
+
+def _let(name, rows):
+    # assign every entry of a matrix to name<i>_<j>: the lines and the names
+    names = _mat(name, len(rows), len(rows[0]))
+    lines = [f"{n} = {e}" for nrow, row in zip(names, rows) for n, e in zip(nrow, row)]
+    return lines, names
+
+
+def _solve(a, cols, name, on_singular=()):
+    """Lines that solve ``a x = c`` for each column ``c`` of ``cols``, and the
+    solution columns' names, ``<name><column>_<entry>``.
+
+    The closed forms and pivot tests of :func:`~daecont.linalg.solve_linear`
+    for 1x1 and 2x2, a call to it otherwise.  ``on_singular`` runs before
+    a singular system raises.
+    """
+    n = len(a)
+    names = [[f"{name}{c}_{i}" for i in range(n)] for c in range(len(cols))]
+    guard = [f"    {line}" for line in on_singular]
+    if n == 1:
+        pivot = a[0][0]
+        lines = [f"if abs({pivot}) < _TINY:", *guard,
+                 "    raise SingularMatrixError('1x1 system is singular')"]
+        lines += [f"{x[0]} = {c[0]} / {pivot}" for x, c in zip(names, cols)]
+        return lines, names
+    if n == 2:
+        (a00, a01), (a10, a11) = a
+        det = f"{name}_det"
+        scale = f"max(abs({a00}), abs({a01}), abs({a10}), abs({a11}), 1e-300)"
+        lines = [f"{det} = {a00}*{a11} - {a01}*{a10}",
+                 f"if abs({det}) < (_PIVOT_REL * {scale})**2 or {det} == 0.0:", *guard,
+                 "    raise SingularMatrixError('2x2 system is singular')"]
+        for x, (c0, c1) in zip(names, cols):
+            lines += [f"{x[0]} = ({a11}*{c0} - {a01}*{c1}) / {det}",
+                      f"{x[1]} = ({a00}*{c1} - {a10}*{c0}) / {det}"]
+        return lines, names
+    matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in a) + "]"
+    rhs = "[" + ", ".join("[" + ", ".join(c[i] for c in cols) + "]" for i in range(n)) + "]"
+    lines = ["try:", f"    {name} = solve_linear(np.array({matrix}), np.array({rhs})).tolist()",
+             "except SingularMatrixError:", *guard, "    raise"]
+    lines += [f"{x[i]} = {name}[{i}][{c}]" for c, x in enumerate(names) for i in range(n)]
+    return lines, names
+
+
+def _newton(xi, s):
+    """Lines that solve ``g(xi, q) = 0`` for ``q0..`` from their warm start.
+
+    ``periodic._solve_constraint``'s rules: a polish iteration even inside
+    the tolerance, the residual norm of numpy's max (NaN if any entry is),
+    a non-finite residual ends the solve, and a singular ``dg/dq`` inside
+    the tolerance keeps the iterate.
+    """
+    q, r = _vec("q", s), _vec("r", s)
+    qs = "[" + ", ".join(q) + "]"
+    norm = ["rn = abs(r0)"]
+    if s > 1:
+        nan = " or ".join(f"{v} != {v}" for v in r)
+        norm = ["rn = max(" + ", ".join(f"abs({v})" for v in r) + ")", f"if {nan}:", "    rn = _NAN"]
+    jac = _mat("j", s, s)
+    solve, (step,) = _solve(jac, [r], "dq", on_singular=["if rn <= _TOL:", "    break"])
+    body = [
+        "if rn == 0.0 or (rn <= _TOL and it > 0):",
+        "    break",
+        "if not rn < _INF:",
+        "    raise NonfiniteResultError(f'constraint residual is {rn}: a model value is not finite')",
+        f"{_unrolled(sum(jac, []))} = d2g(p, {qs})",
+        *solve,
+        *(f"{qi} = {qi} - {d}" for qi, d in zip(q, step)),
+        f"{_unrolled(r)} = g(p, {qs})",
+        *norm,
+    ]
+    return [
+        f"p = [{', '.join(xi)}]",
+        f"{_unrolled(r)} = g(p, {qs})",
+        *norm,
+        "for it in range(_MAX_ITER):",
+        *(f"    {line}" for line in body),
+        "else:",
+        "    if not rn <= _TOL:",
+        "        raise NoConvergenceError(",
+        "            f'constraint solve stalled at residual {rn:.3e} (tol {_TOL:.1e})')",
+    ]
+
+
+def _resolve(xi, s):
+    # _newton, with a non-finite residual at a non-finite state blamed on
+    # the state, where an earlier value overflowed without raising
+    state = "[" + ", ".join(xi) + "]"
+    finite = " and ".join(f"isfinite({v})" for v in xi)
+    return ["try:", *(f"    {line}" for line in _newton(xi, s)),
+            "except NonfiniteResultError:",
+            f"    if {finite}:",
+            "        raise",
+            "    raise NonfiniteResultError(",
+            f"        f'state {{{state}}} at t = {{t!r}} is not finite: a model value overflowed'",
+            "    ) from None"]
+
+
+def _frame_names(order, m, s):
+    a, b = _mat("A", m, m), _mat("B", s, s)
+    da, dbi = (_mat("dA", m, m), _mat("dBi", s, s)) if order == 2 else (None, None)
+    flat = sum(a + b + (da + dbi if order == 2 else []), [])
+    return f"{_unrolled(flat)} = fr", a, b, da, dbi
+
+
+def _rate(order, m, s):
+    """Lines for ``g_p``, ``g_q`` and, for order 2, ``etadot`` (names ``ed*``)
+    at the resolved node: ``solve(g_q, -(g_p @ u))``."""
+    gp, gq = _mat("gp", s, m), _mat("gq", s, s)
+    lines = [f"{_unrolled(sum(gp, []))} = d1g(p, [{', '.join(_vec('q', s))}])",
+             f"{_unrolled(sum(gq, []))} = d2g(p, [{', '.join(_vec('q', s))}])"]
+    if order == 1:
+        return lines, gp, gq
+    u = _vec("u", m)
+    lines += [f"c{k} = -{e}" for k, e in enumerate(_matvec(gp, u))]
+    solve, (ed,) = _solve(gq, [_vec("c", s)], "ed")
+    lines += solve + [f"ed{k} = {v}" for k, v in enumerate(ed)]
+    return lines, gp, gq
+
+
+def _pull_back(order, m, s, a, b, da, dbi):
+    """Lines for the original-coordinate node ``x, y[, xd, yd]`` of the frame
+    node ``xi, q[, u, ed]``: ``x = A.T xi``, ``y = B^-1 q``, and for order 2
+    ``xd = dA.T xi + A.T u``, ``yd = dB^-1 q + B^-1 ed``."""
+    # numpy's matmul sums from +0.0, so a sum of -0.0 products is 0.0
+    # there; adding 0.0 changes only that sign, and nodes print as before
+    matvec = lambda rows, v: [f"({e} + 0.0)" for e in _matvec(rows, v)]
+    xi, q = _vec("xi", m), _vec("q", s)
+    lines = [f"x{i} = {e}" for i, e in enumerate(matvec(_t(a), xi))]
+    cols = [q] if order == 1 else [q, _vec("ed", s)]
+    solve, sol = _solve(b, cols, "bs")
+    lines += solve + [f"y{k} = {v}" for k, v in enumerate(sol[0])]
+    if order == 2:
+        lines += [f"xd{i} = {e} + {f}" for i, (e, f) in
+                  enumerate(zip(matvec(_t(da), xi), matvec(_t(a), _vec("u", m))))]
+        lines += [f"yd{k} = {e} + {v}" for k, (e, v) in enumerate(zip(matvec(dbi, q), sol[1]))]
+    return lines
+
+
+def _node_args(order, m, s):
+    args = [_vec("x", m), _vec("y", s)] + ([_vec("xd", m), _vec("yd", s)] if order == 2 else [])
+    return ", ".join("[" + ", ".join(v) + "]" for v in args)
+
+
+def _stage(order, m, s, sensitivity):
+    """The body of ``stage(t, fr, <state>, <q warm start>)``, returning the
+    rates of every state entry and the resolved ``q``."""
+    n = order * m
+    rows = n + 2 if sensitivity else 1
+    xi, u, q = _vec("xi", m), _vec("u", m), _vec("q", s)
+    unpack, a, b, da, dbi = _frame_names(order, m, s)
+    lines = _resolve(xi, s) + [unpack]
+    rate, gp, gq = _rate(order, m, s) if (order == 2 or sensitivity) else ([], None, None)
+    lines += rate + _pull_back(order, m, s, a, b, da, dbi)
+    v = _vec("v", m)
+    finite = " + ".join(f"{x}*0.0" for x in v)
+    lines += [f"{_unrolled(v)} = f(t, {_node_args(order, m, s)})",
+              f"if not {finite} == 0.0:",
+              f"    raise NonfiniteResultError(f'forcing f at t = {{t!r}} is {{[{', '.join(v)}]}}: "
+              "a model value is not finite')"]
+    lines += [f"F{i} = {e}" for i, e in enumerate(_matvec(a, v))]
+    d0, d1 = _mat("D0_", m, m), _mat("D1_", m, m)
+    drift = _matvec(d0, xi)
+    if order == 2:
+        drift = [f"({e} + {g})" for e, g in zip(drift, _matvec(d1, u))]
+    out = (u if order == 2 else []) + [f"{e} + lam*F{i}" for i, e in enumerate(drift)]
+    lines += [f"k0_{i} = {e}" for i, e in enumerate(out)]
+    if sensitivity:
+        lines += _sensitivity(order, m, s, a, b, da, dbi, gp, gq)
+    ks = [f"k{r}_{i}" for r in range(rows) for i in range(n)]
+    return lines + [f"return {_unrolled(ks + q)}"]
+
+
+def _sensitivity(order, m, s, a, b, da, dbi, gp, gq):
+    """Lines for the rates ``k<r>_<i>`` of the sensitivity rows ``r >= 1``.
+
+    ``dk = K dstate + [F | 0]``: ``K`` is the Jacobian of the stage rate
+    along the constraint, with ``e = d eta / d xi = -g_q^-1 g_p`` (and, for
+    order 2, ``w = d etadot / d xi``) at the resolved node; the forcing
+    ``F`` enters row 1, the derivative by ``lam``.  Products are taken left
+    to right, as numpy's are.
+    """
+    n = order * m
+    lines = []
+
+    def let(name, rows):
+        names_lines, names = _let(name, rows)
+        lines.extend(names_lines)
+        return names
+
+    def solve(matrix, cols, name):
+        # the rows of the solution (one per column of cols)
+        solve_lines, sol = _solve(matrix, cols, name)
+        lines.extend(solve_lines)
+        return sol
+
+    negated = lambda rows: [[f"(-{v})" for v in row] for row in rows]
+    jac = _mat("J", m, n + order * s)  # df by (x, y[, xd, yd])
+    lines.append(f"{_unrolled(sum(jac, []))} = df(t, {_node_args(order, m, s)})")
+    f_x, f_y = [row[:m] for row in jac], [row[m : m + s] for row in jac]
+    e = let("e", negated(_t(solve(gq, _t(gp), "ge"))))
+    fy_b = solve(_t(b), f_y, "fyb")  # f_y B^-1, as the solve of B.T with the rows of f_y
+    if order == 1:
+        f_xi = let("fxi", _matmul(let("af", _matmul(a, f_x)), _t(a)))
+        f_eta = let("feta", _matmul(a, fy_b))
+        k0 = _add(f_xi, _matmul(f_eta, e))
+    else:
+        f_u, f_v = [row[m + s : 2 * m + s] for row in jac], [row[2 * m + s :] for row in jac]
+        fv_b = solve(_t(b), f_v, "fvb")
+        gdot = _mat("gd", s, m + s)
+        lines.append(f"{_unrolled(sum(gdot, []))} = dgdot(p, [{', '.join(_vec('q', s))}], "
+                     f"[{', '.join(_vec('u', m))}], [{', '.join(_vec('ed', s))}])")
+        rhs = let("wr", _add([row[:m] for row in gdot], _matmul([row[m:] for row in gdot], e)))
+        w = let("w", negated(_t(solve(gq, _t(rhs), "gw"))))
+        inner = _add(let("fxa", _matmul(f_x, _t(a))), let("fua", _matmul(f_u, _t(da))))
+        f_xi = let("fxi", _matmul(a, inner))
+        f_eta = let("feta", _matmul(a, _add(fy_b, let("fvd", _matmul(f_v, dbi)))))
+        f_xid = let("fxid", _matmul(let("af", _matmul(a, f_u)), _t(a)))
+        f_etad = let("fetad", _matmul(a, fv_b))
+        k0 = _add(_add(f_xi, _matmul(f_eta, e)), _matmul(f_etad, w))
+        k1 = let("L", [[f"D1_{i}_{j} + lam*{v}" for j, v in enumerate(row)]
+                       for i, row in enumerate(_add(f_xid, _matmul(f_etad, e)))])
+    k0 = let("K", [[f"D0_{i}_{j} + lam*{v}" for j, v in enumerate(row)] for i, row in enumerate(k0)])
+    for r in range(1, n + 2):
+        d = _vec(f"s{r}_", n)
+        force = [f" + F{i}" if r == 1 else "" for i in range(m)]
+        if order == 1:
+            lines += [f"k{r}_{i} = {v}{force[i]}" for i, v in enumerate(_matvec(k0, d))]
+            continue
+        lines += [f"k{r}_{i} = {d[m + i]}" for i in range(m)]
+        acc = [f"{v} + {w}" for v, w in zip(_matvec(k0, d[:m]), _matvec(k1, d[m:]))]
+        lines += [f"k{r}_{m + i} = {v}{force[i]}" for i, v in enumerate(acc)]
+    return lines
+
+
+def _source(order, m, s, sensitivity):
+    n = order * m
+    rows = n + 2 if sensitivity else 1
+    q = _vec("q", s)
+    state = [f"s{r}_{i}" for r in range(rows) for i in range(n)]
+    xi = _vec("s0_", m)
+    # the stage names its row 0 xi, u; the march passes the state entries
+    stage_args = ["t", "fr"] + [f"xi{i}" for i in range(m)] + [f"u{i}" for i in range(n - m)]
+    stage_args += [f"s{r}_{i}" for r in range(1, rows) for i in range(n)] + q
+    d0 = _unrolled(sum(_mat("D0_", m, m), []))
+    d1 = _unrolled(sum(_mat("D1_", m, m), []))
+    src = [f"def build(f, df, g, d1g, d2g, dgdot, frame, D0, D1, lam):",
+           f"    {d0} = D0"]
+    if order == 2:
+        src.append(f"    {d1} = D1")
+    resolve = _resolve(_vec("xi", m), s)
+    src += [f"    def resolve(t, {', '.join(_vec('xi', m) + q)}):",
+            *(f"        {line}" for line in resolve),
+            f"        return {_unrolled(q)}", ""]
+    src += [f"    def stage({', '.join(stage_args)}):",
+            *(f"        {line}" for line in _stage(order, m, s, sensitivity)), ""]
+    # record: row 0 and q of a node, to (t, x, y, xd, yd)
+    unpack, a, b, da, dbi = _frame_names(order, m, s)
+    rec = ["fr = frame(t)", unpack]
+    if order == 2:
+        rec += ["p = [" + ", ".join(_vec("xi", m)) + "]"] + _rate(order, m, s)[0]
+    rec += _pull_back(order, m, s, a, b, da, dbi)
+    tup = lambda names: "(" + _unrolled(names) + ")"
+    velocities = (f"{tup(_vec('xd', m))}, {tup(_vec('yd', s))}" if order == 2 else "None, None")
+    src += [f"    def record(t, {', '.join(_vec('xi', m) + _vec('u', n - m) + q)}):",
+            *(f"        {line}" for line in rec),
+            f"        return t, {tup(_vec('x', m))}, {tup(_vec('y', s))}, {velocities}", ""]
+    # march: RK4 over every state entry, q re-solved per stage from warm starts
+    step = []
+    for j, (time, fr, scale, prev) in enumerate((("t", "fr0", None, None), ("mid", "frm", "hh", 1),
+                                                 ("mid", "frm", "hh", 2), ("end", "fre", "h", 3)), 1):
+        args = state if prev is None else [f"{v} + {scale}*k{prev}_{v[1:]}" for v in state]
+        step.append(f"{_unrolled([f'k{j}_{v[1:]}' for v in state] + q)} = "
+                    f"stage({time}, {fr}, {', '.join(args)}, {', '.join(q)})")
+    step.insert(1, "frm = frame(mid)")
+    step.insert(4, "fre = frame(end)")
+    step += [f"{v} = {v} + h6*(((k1_{v[1:]} + 2.0*k2_{v[1:]}) + 2.0*k3_{v[1:]}) + k4_{v[1:]})"
+             for v in state]
+    step += [f"{_unrolled(q)} = resolve(end, {', '.join(xi + q)})",
+             f"append((end, {tup(state[:n])}, {tup(q)}))",
+             "t = end",
+             "fr0 = fre"]
+    src += [f"    def march(t, h, nsteps, {', '.join(state + q)}):",
+            "        hh = 0.5 * h",
+            "        h6 = h / 6.0",
+            "        fr0 = frame(t)",
+            f"        nodes = [(t, {tup(state[:n])}, {tup(q)})]",
+            "        append = nodes.append",
+            "        for _ in range(nsteps):",
+            "            mid = t + hh",
+            "            end = t + h",
+            *(f"            {line}" for line in step),
+            f"        return nodes, {tup(state)}", ""]
+    src += ["    return resolve, march, record", ""]
+    return "\n".join(src)

@@ -30,16 +30,19 @@ march, bit for bit.  Newton accepts a point on the residual it evaluated
 there, so the corrector's last march gives the residual, the Jacobian,
 the tangent and the accepted pair's nodes: a pair costs no march of its own.
 
-Every fixed-frame march reads the frame through its system's table (see
-:mod:`daecont.transform`), so a march evaluates the frame paths only at
-the ``2N + 1`` step and midpoint times it has not seen before.  A
-shooting runner keeps one system, and with it one table, for all the
-marches of a branch; ``integrate`` and the seeding map fill the table of
-the system they are given.  A raw march visits each time in one
+Fixed-frame marches, plain and sensitivity, run on Python floats in code
+emitted per problem shape (:mod:`daecont.kernel`); a raw march runs on
+numpy arrays, an independent route that the fixed frame is checked
+against.  Every fixed-frame march reads the frame through its system's
+table (see :mod:`daecont.transform`), so a march evaluates the frame
+paths only at the ``2N + 1`` step and midpoint times it has not seen
+before.  A shooting runner keeps one system, and with it one table, for
+all the marches of a branch; ``integrate`` and the seeding map fill the
+table of the system they are given.  A raw march visits each time in one
 consecutive run, so its stepper keeps only the frame of the last time it
 saw: the march evaluates the paths once per time, and the stepper holds
-one frame whatever ``N``.  For order 2, recording the node rates after
-the march evaluates the frame once more at each of the ``N + 1`` nodes.
+one frame whatever ``N``.  An order-2 raw node takes its rate right after
+its resolve, from that same frame.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .errors import (
     SingularMatrixError,
     SingularMonodromyError,
 )
+from .kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL, FixedMarch
 from .linalg import PIVOT_REL, NewtonConfig, newton_solve, norm_inf, solve_linear
 from .transform import fixed_frame
 
@@ -81,8 +85,6 @@ TRIVIAL_TOL = 1e-9
 SEED_TOL = 1e-8
 DEFAULT_STEPS = 256
 MAX_STEPS = 100_000  # per integration span; bounds the work, the nodes and the 2N + 1 frames
-CONSTRAINT_SOLVE_TOL = 1e-12
-CONSTRAINT_SOLVE_MAX_ITER = 40
 LSQ_TOL = 1e-10
 LSQ_MAX_ITER = 30
 _FIRST_STEP = NewtonConfig(max_iters=25, tol_residual=1e-10)
@@ -256,38 +258,42 @@ def _solve_in_frame(prob, a, b, x, y_guess):
     )
 
 
-class _Stepper:
-    """Half-explicit RK4 stages, shared by both coordinate systems.
+class _RawStepper:
+    """Half-explicit RK4 stages in original coordinates, on numpy arrays.
 
-    Positions are ``state[:m]``; order-2 states carry the velocities in
-    ``state[m:]``.  ``sys.drive`` gives the differential right-hand side.
-    A variant supplies ``solve`` (the algebraic block from the
-    constraint), ``rate`` (its time derivative, order 2 only) and ``node``
-    (a recorded node in original coordinates).
+    The moving constraint ``g(A(t) x, B(t) y) = 0`` is solved for ``y`` at
+    every stage.  Positions are ``state[:m]``; order-2 states carry the
+    velocities in ``state[m:]``.  A march visits each time in one run
+    (start, midpoint twice, end, the resolve and the node at the end, the
+    next start), so the stepper keeps the frame of the last time it saw:
+    each time costs one evaluation of the paths, and nothing grows with N.
     """
 
-    def __init__(self, sys, lam):
-        self.sys = sys
+    _t = None
+
+    def __init__(self, prob, lam):
+        self.prob = prob
         self.lam = lam
-        self.m = sys.m
-        self.order = sys.order
+        self.m = prob.m
+        self.order = prob.order
 
-    def stage(self, t, state, y_warm):
-        y = self.resolve(t, state, y_warm)
-        x = state[: self.m]
-        if self.order == 1:
-            return self.sys.drive(t, x, y, self.lam), y
-        xd = state[self.m :]
-        acc = self.sys.drive(t, x, y, xd, self.rate(t, x, xd, y), self.lam)
-        return np.concatenate([xd, acc]), y
+    def _frame(self, t):
+        # (A, B) at t, and for order 2 (dA, dB) too
+        if t != self._t:
+            prob = self.prob
+            a, b = prob.frame(t)
+            self._at = (a, b, prob.A(t, 1), prob.B(t, 1)) if self.order == 2 else (a, b)
+            self._t = t
+        return self._at
 
-    def resolve(self, t, state, y_warm):
+    def resolve(self, t, state, y_guess):
         # The algebraic block at a stage state.  A non-finite residual at a
         # non-finite state blames the state, where an earlier model value
         # overflowed without raising, not the constraint.
         x = state[: self.m]
+        a, b = self._frame(t)[:2]
         try:
-            return self.solve(t, x, y_warm)
+            return _solve_in_frame(self.prob, a, b, x, y_guess)
         except NonfiniteResultError:
             if np.isfinite(x).all():
                 raise
@@ -295,37 +301,9 @@ class _Stepper:
                 f"state {x.tolist()} at t = {t!r} is not finite: a model value overflowed"
             ) from None
 
-    def record(self, t, state, y):
-        x = state[: self.m]
-        if self.order == 1:
-            return self.node(t, x, y)
-        xd = state[self.m :]
-        return self.node(t, x, y, xd, self.rate(t, x, xd, y))
-
-
-class _RawStepper(_Stepper):
-    # Original coordinates, moving constraint.  A march visits each time in
-    # one run (start, midpoint twice, end, the resolve at the end, the next
-    # start), so the stepper keeps the frame of the last time it saw: each
-    # time costs one evaluation of the paths, and nothing grows with N.
-    _t = None
-
-    def _frame(self, t):
-        # (A, B) at t, and for order 2 (dA, dB) too
-        if t != self._t:
-            prob = self.sys
-            a, b = prob.frame(t)
-            self._at = (a, b, prob.A(t, 1), prob.B(t, 1)) if self.order == 2 else (a, b)
-            self._t = t
-        return self._at
-
-    def solve(self, t, x, y_guess):
-        a, b = self._frame(t)[:2]
-        return _solve_in_frame(self.sys, a, b, x, y_guess)
-
     def rate(self, t, x, xdot, y):
         # Differentiate g(A x, B y) = 0 in time and solve for dy/dt.
-        prob = self.sys
+        prob = self.prob
         a, b, da, db = self._frame(t)
         p, q = a @ x, b @ y
         j1 = prob.g_jac1(p, q)
@@ -333,78 +311,22 @@ class _RawStepper(_Stepper):
         rhs = -(j1 @ (da @ x + a @ xdot) + j2 @ (db @ y))
         return solve_linear(j2 @ b, rhs)
 
-    def node(self, t, x, y, xdot=None, ydot=None):
-        return x, y, xdot, ydot
-
-
-class _FixedStepper(_Stepper):
-    # Frame coordinates, autonomous constraint, constant drifts.
-    def solve(self, t, xi, eta_guess):
-        sys = self.sys
-        return _solve_constraint(
-            lambda eta: sys.g(xi, eta),
-            lambda eta: sys.g_jac2(xi, eta),
-            eta_guess,
-        )
-
-    def rate(self, t, xi, xid, eta):
-        sys = self.sys
-        return _eta_rate(sys.g_jac1(xi, eta), np.atleast_2d(sys.g_jac2(xi, eta)), xid)
-
-    def node(self, t, xi, eta, xid=None, etad=None):
-        return self.sys.pull_back(t, xi, eta, xid, etad)
-
-
-def _eta_rate(g_p, g_q, xid):
-    # d eta / dt from d/dt g(xi, eta) = g_p xid + g_q etad = 0
-    return solve_linear(g_q, -(g_p @ xid))
-
-
-class _SensitivityStepper(_FixedStepper):
-    """Fixed-frame stages whose state carries its own sensitivity.
-
-    The state is a matrix: row 0 is the march state and row ``1 + j`` its
-    derivative with respect to parameter ``j`` (``lam``, then the start
-    state).  :func:`_march` advances every row with the same RK4
-    arithmetic, so row 0 keeps the bits of a plain march and the other
-    rows are the derivative of the discrete map itself.  Each stage adds
-    ``dk = K dstate + [F | 0]``: ``K`` is the Jacobian of the stage rate
-    along the constraint, with ``d eta / d xi = -g_q^-1 g_p`` (and, for
-    order 2, the derivative of ``etadot``) taken at the stage's converged
-    ``eta``, and ``F``, the forcing, is the rate's derivative in ``lam``.
-    """
-
-    def resolve(self, t, aug, y_warm):
-        return _FixedStepper.resolve(self, t, aug[0], y_warm)
-
-    def record(self, t, aug, y):
-        return _FixedStepper.record(self, t, aug[0], y)
-
-    def stage(self, t, aug, y_warm):
-        sys, m, lam = self.sys, self.m, self.lam
-        state, dstate = aug[0], aug[1:]
-        xi = state[:m]
-        eta = _FixedStepper.resolve(self, t, state, y_warm)
-        g_p = np.atleast_2d(sys.g_jac1(xi, eta))
-        g_q = np.atleast_2d(sys.g_jac2(xi, eta))
-        e = -solve_linear(g_q, g_p)  # d eta / d xi
-        out = np.empty_like(aug)
+    def stage(self, t, state, y_warm):
+        y = self.resolve(t, state, y_warm)
+        x = state[: self.m]
         if self.order == 1:
-            out[0], force, (f_xi, f_eta) = sys.linear_drive(t, xi, eta, lam)
-            np.matmul(dstate, (sys.D0 + lam * (f_xi + f_eta @ e)).T, out=out[1:])
-            out[1] += force
-            return out, eta
-        xid = state[m:]
-        etad = _eta_rate(g_p, g_q, xid)
-        acc, force, (f_xi, f_eta, f_xid, f_etad) = sys.linear_drive(t, xi, eta, xid, etad, lam)
-        gdot = np.atleast_2d(sys.gdot_jac(xi, eta, xid, etad))
-        w = -solve_linear(g_q, gdot[:, :m] + gdot[:, m:] @ e)  # d etad / d xi; by xid it is e
-        out[0, :m], out[0, m:] = xid, acc
-        out[1:, :m] = dstate[:, m:]
-        out[1:, m:] = (dstate[:, :m] @ (sys.D0 + lam * (f_xi + f_eta @ e + f_etad @ w)).T
-                       + dstate[:, m:] @ (sys.D1 + lam * (f_xid + f_etad @ e)).T)
-        out[1, m:] += force
-        return out, eta
+            return self.prob.drive(t, x, y, self.lam), y
+        xd = state[self.m :]
+        acc = self.prob.drive(t, x, y, xd, self.rate(t, x, xd, y), self.lam)
+        return np.concatenate([xd, acc]), y
+
+    def node(self, t, state, y):
+        # (t, x, y, xdot, ydot) of a resolved node, velocities None for order 1
+        x = state[: self.m]
+        if self.order == 1:
+            return t, x, y, None, None
+        xd = state[self.m :]
+        return t, x, y, xd, self.rate(t, x, xd, y)
 
 
 def _step_times(t0, h, nsteps):
@@ -417,22 +339,23 @@ def _step_times(t0, h, nsteps):
         t = end
 
 
-def _march(stepper, t0, state0, y0, h, nsteps):
+def _raw_march(stepper, state0, y0, h, nsteps):
     # RK4 over the differential block; algebraic block re-solved per stage
     # with warm starts.  A stage whose constraint Newton fails aborts the
     # whole integration (no silent continuation).  Returns the nodes
-    # (t, state, y) of the march, start first: the last holds the end state.
+    # (t, x, y, xdot, ydot), start first, each taken right after its
+    # resolve, while the stepper holds its frame.
     state = np.asarray(state0, dtype=float).copy()
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    nodes = [(t0, state, y)]
-    for t, mid, end in _step_times(t0, h, nsteps):
+    nodes = [stepper.node(0.0, state, y)]
+    for t, mid, end in _step_times(0.0, h, nsteps):
         k1, y1 = stepper.stage(t, state, y)
         k2, y2 = stepper.stage(mid, state + 0.5 * h * k1, y1)
         k3, y3 = stepper.stage(mid, state + 0.5 * h * k2, y2)
         k4, y4 = stepper.stage(end, state + h * k3, y3)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y = stepper.resolve(end, state, y4)
-        nodes.append((end, state, y))
+        nodes.append(stepper.node(end, state, y))
     return nodes
 
 
@@ -483,19 +406,21 @@ def integrate(
     xdot0 = None if prob.order == 1 else np.zeros(prob.m)
 
     if mode == "raw":
-        stepper, start = _RawStepper(prob, lam), (x0, y0, xdot0)
-    else:
-        stepper, start = _FixedStepper(sys, lam), sys.push_forward(0.0, x0, y0, xdot0)
-    pos0, alg0, vel0 = start
-    state0 = pos0 if vel0 is None else np.concatenate([pos0, vel0])
-    return _trajectory(stepper.record, _march(stepper, 0.0, state0, alg0, h, nsteps))
+        state0 = x0 if xdot0 is None else np.concatenate([x0, xdot0])
+        stepper = _RawStepper(prob, lam)
+        return _trajectory(lambda *node: node, _raw_march(stepper, state0, y0, h, nsteps))
+    xi0, eta0, xid0 = sys.push_forward(0.0, x0, y0, xdot0)
+    state0 = xi0 if xid0 is None else np.concatenate([xi0, xid0])
+    stepper = FixedMarch(sys, lam)
+    nodes, _ = stepper.march(state0.tolist(), eta0.tolist(), h, nsteps)
+    return _trajectory(stepper.record, nodes)
 
 
 def _trajectory(record, nodes) -> Trajectory:
-    # March nodes (t, state, y) through record to (x, y, xdot, ydot); None velocities for order 1.
-    records = zip(*(record(*node) for node in nodes))
-    columns = (None if col[0] is None else np.array(col) for col in records)
-    return Trajectory(np.asarray([node[0] for node in nodes], dtype=float), *columns)
+    # Nodes through record to (t, x, y, xdot, ydot); None velocities for order 1.
+    times, *columns = zip(*(record(*node) for node in nodes))
+    columns = (None if col[0] is None else np.array(col) for col in columns)
+    return Trajectory(np.array(times, dtype=float), *columns)
 
 
 class _ShootingRunner:
@@ -521,13 +446,13 @@ class _ShootingRunner:
         self._last = (None,) * 5  # linearize's (key, residual, jacobian, record, nodes)
 
     def _run(self, stepper, start):
-        # The nodes of one period of stepper from start.
-        eta0 = stepper.resolve(0.0, start, np.zeros(self.prob.s))
-        return _march(stepper, 0.0, start, eta0, self.h, self.nsteps)
+        # (nodes, end) of one period of stepper from start, a list of floats.
+        eta0 = stepper.resolve(0.0, start, [0.0] * self.prob.s)
+        return stepper.march(start, eta0, self.h, self.nsteps)
 
     def shoot(self, lam, state0):
         state0 = np.asarray(state0, dtype=float)
-        return self._run(_FixedStepper(self.sys, lam), state0)[-1][1] - state0
+        return np.array(self._run(FixedMarch(self.sys, lam), state0.tolist())[1]) - state0
 
     def linearize(self, lam, state0):
         """Shooting residual and its Jacobian by ``(lam, state0)``.
@@ -542,9 +467,10 @@ class _ShootingRunner:
         key = np.append(lam, state0).tobytes()
         if key != self._last[0]:
             n = self.state_dim
-            stepper = _SensitivityStepper(self.sys, lam)
-            nodes = self._run(stepper, np.vstack([state0, np.zeros(n), np.eye(n)]))
-            end = nodes[-1][1]
+            stepper = FixedMarch(self.sys, lam, sensitivity=True)
+            start = state0.tolist() + [0.0] * n + np.eye(n).ravel().tolist()
+            nodes, end = self._run(stepper, start)
+            end = np.array(end).reshape(n + 2, n)
             jacobian = end[1:].T - np.eye(n, n + 1, 1)
             self._last = (key, end[0] - state0, jacobian, stepper.record, nodes)
         return self._last[1], self._last[2]
@@ -629,7 +555,7 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     vel = () if prob.order == 1 else (np.zeros(m), np.zeros(prob.s))
     # the node times of a march, bit for bit
     times = [0.0] + [end for _, _, end in _step_times(0.0, runner.h, runner.nsteps)]
-    at_rest = lambda t, xi, eta: runner.sys.pull_back(t, xi, eta, *vel)
+    at_rest = lambda t, xi, eta: (t, *runner.sys.pull_back(t, xi, eta, *vel))
     return _tpair(runner.sys, 0.0, _trajectory(at_rest, [(t, xi0, eta0) for t in times]), xi0)
 
 

@@ -13,13 +13,14 @@ built from the audited frame product ``M = mean(A @ dA.T)``:
 with ``F = A(t) f`` the frame-conjugated forcing.  :class:`TransformedSystem`
 owns the change in both directions, node by node: ``push_forward`` and
 its inverse ``pull_back`` (``x = A(t).T xi``, ``y = B(t)^{-1} eta``),
-velocities included for order 2.  One node map serves ``pull_back``,
-``F`` and the linearized forcing that shooting sensitivities need
-(``linear_drive``).  The frame depends on time alone, and every
-fixed-frame computation (a march, the averaged map's quadrature) visits
-the same times again and again, so a system keeps the frame of each time
-it has seen in its table ``frames``: filled on first use, keyed by the
-exact float, and living as long as the system.
+velocities included for order 2; one node map serves ``pull_back`` and
+``F``.  The frame depends on time alone, and every fixed-frame
+computation (a march, the averaged map's quadrature) visits the same
+times again and again, so a system keeps the frame of each time it has
+seen in its table ``frames``: filled on first use, keyed by the exact
+float, held as the flat tuple of floats that the fixed-frame march reads,
+and living as long as the system.  The node map and ``F`` work on arrays
+rebuilt from the table, once per time they are asked for.
 """
 
 from __future__ import annotations
@@ -219,9 +220,11 @@ class TransformedSystem:
     ``D0`` multiplies the state, ``D1`` (order 2 only) the velocity; ``f``
     is the problem's forcing, which :meth:`F` conjugates into the frame.
     The model derivatives (``g_jac1``, ``g_jac2``, ``f_jac`` and, for order
-    2, ``gdot_jac``) are the problem's, and so is ``g_arrays``.  ``frames``
-    maps each time the system has seen to its frame (see :meth:`_frame`);
-    a copy made with :func:`dataclasses.replace` starts with an empty table.
+    2, ``gdot_jac``) are the problem's, and so is ``g_arrays``; ``problem``
+    is the problem itself, whose compiled callables the fixed-frame march
+    calls on floats (see :mod:`daecont.kernel`).  ``frames`` maps each time the system has seen
+    to its frame (see :meth:`frame_entries`); a copy made with
+    :func:`dataclasses.replace` starts with an empty table.
     """
 
     order: int
@@ -240,16 +243,36 @@ class TransformedSystem:
     B: MatrixPath
     M: np.ndarray
     g_arrays: Optional[tuple] = None
+    problem: object = field(default=None, repr=False)
     frames: dict = field(init=False, default_factory=dict, repr=False)
+    _arrays: dict = field(init=False, default_factory=dict, repr=False)
+
+    def frame_entries(self, t: float) -> tuple:
+        """The frame at ``t`` as one flat tuple of floats, from the table.
+
+        The entries are those of ``A(t)`` and ``B(t)`` and, for order 2, of
+        ``dA(t)`` and the derivative of ``B(t)^-1``, each matrix row by row.
+        A time not in the table is evaluated once and stored there.
+        """
+        entries = self.frames.get(t)
+        if entries is None:
+            a, b = self.A(t), self.B(t)
+            mats = (a, b, self.A(t, 1), inverse_derivative(b, self.B(t, 1))) if self.order == 2 else (a, b)
+            entries = self.frames[t] = tuple(np.concatenate([x.ravel() for x in mats]).tolist())
+        return entries
 
     def _frame(self, t: float):
-        # The frame at t, (A, B) and for order 2 (dA, d(B^-1)) too: from the
-        # table, else evaluated once and stored there.
-        frame = self.frames.get(t)
+        # The frame at t as arrays, (A, B) and for order 2 (dA, d(B^-1)) too,
+        # rebuilt from the table's floats on the first request at t and kept:
+        # the averaged map's quadrature asks for its times again and again,
+        # while the node-by-node callers ask only at times a march has seen.
+        frame = self._arrays.get(t)
         if frame is None:
-            a, b = self.A(t), self.B(t)
-            rates = (self.A(t, 1), inverse_derivative(b, self.B(t, 1))) if self.order == 2 else ()
-            frame = self.frames[t] = (a, b, *rates)
+            entries, frame, start = self.frame_entries(t), [], 0
+            for dim in (self.m, self.s) * self.order:
+                frame.append(np.array(entries[start : start + dim * dim]).reshape(dim, dim))
+                start += dim * dim
+            frame = self._arrays[t] = tuple(frame)
         return frame
 
     def frame(self, t: float):
@@ -270,63 +293,21 @@ class TransformedSystem:
         yd = dbinv @ eta + solve_linear(b, etad)
         return frame, (x, y, xd, yd)
 
-    def _forcing(self, t, xi, eta, velocities):
-        # (frame, model arguments, F) at a frame node.  A non-finite model
-        # value is named here: A(t) has zero entries, and 0 * inf in the
-        # product would turn it into a NaN and a numpy warning.
-        frame, node = self._node(t, xi, eta, *velocities)
-        args = node[: 2 * self.order]
-        value = np.asarray(self.f(t, *args), dtype=float)
-        if not all(map(math.isfinite, value.tolist())):
-            raise NonfiniteResultError(
-                f"forcing f at t = {t!r} is {value.tolist()}: a model value is not finite"
-            )
-        return frame, args, frame[0] @ value
-
     def F(self, t: float, xi, eta, *velocities):
         """Frame-conjugated forcing ``A(t) f(t, x, y[, xdot, ydot])``.
 
         Called as ``F(t, xi, eta)`` for order 1 and ``F(t, xi, eta, u, v)``
-        for order 2, where ``u`` and ``v`` are the frame velocities.
+        for order 2, where ``u`` and ``v`` are the frame velocities.  A
+        non-finite model value is named before the product with ``A(t)``,
+        whose zero entries would turn an inf into a NaN.
         """
-        return self._forcing(t, xi, eta, velocities)[2]
-
-    def _drift(self, xi, velocities):
-        return self.D0 @ xi if self.order == 1 else self.D0 @ xi + self.D1 @ velocities[0]
-
-    def drive(self, t, xi, eta, *args):
-        """Right-hand side of the differential part in frame coordinates.
-
-        Called like the problem's ``drive``: ``(t, xi, eta, lam)`` for
-        order 1 and ``(t, xi, eta, xidot, etadot, lam)`` for order 2.
-        """
-        *velocities, lam = args
-        return self._drift(xi, velocities) + lam * self.F(t, xi, eta, *velocities)
-
-    def linear_drive(self, t, xi, eta, *args):
-        """:meth:`drive` with its forcing and the forcing's Jacobian.
-
-        Called like :meth:`drive`; returns ``(rhs, F, dF)``, where ``rhs``
-        is :meth:`drive`'s value bit for bit, ``F`` the forcing and ``dF``
-        the Jacobians of ``F`` with respect to ``xi`` and ``eta`` (order 1)
-        or ``xi``, ``eta``, ``xidot`` and ``etadot`` (order 2), chained
-        through the frame change from the model's ``f_jac``.
-        """
-        *velocities, lam = args
-        frame, node, force = self._forcing(t, xi, eta, velocities)
-        a, b = frame[0], frame[1]
-        m, s = self.m, self.s
-        jac = self.f_jac(t, *node)
-        rhs = self._drift(xi, velocities) + lam * force
-        f_x, f_y = jac[:, :m], jac[:, m : m + s]
-        if self.order == 1:
-            return rhs, force, (a @ f_x @ a.T, a @ _times_inverse(f_y, b))
-        da, dbinv = frame[2], frame[3]
-        f_u, f_v = jac[:, m + s : 2 * m + s], jac[:, 2 * m + s :]
-        return rhs, force, (a @ (f_x @ a.T + f_u @ da.T),
-                            a @ (_times_inverse(f_y, b) + f_v @ dbinv),
-                            a @ f_u @ a.T,
-                            a @ _times_inverse(f_v, b))
+        frame, node = self._node(t, xi, eta, *velocities)
+        value = np.asarray(self.f(t, *node[: 2 * self.order]), dtype=float)
+        if not all(map(math.isfinite, value.tolist())):
+            raise NonfiniteResultError(
+                f"forcing f at t = {t!r} is {value.tolist()}: a model value is not finite"
+            )
+        return frame[0] @ value
 
     def pull_back(self, t: float, xi, eta, xid=None, etad=None):
         """Original-coordinate node ``(x, y, xdot, ydot)`` of a frame node.
@@ -349,11 +330,6 @@ class TransformedSystem:
         if xdot is None:
             return xi, eta, None
         return xi, eta, frame[2] @ x + a @ xdot
-
-
-def _times_inverse(c, b):
-    # c @ inv(b), as a solve with b.T
-    return solve_linear(b.T, c.T).T
 
 
 def _transform(prob, validate, labels, drifts) -> TransformedSystem:
@@ -389,6 +365,7 @@ def _transform(prob, validate, labels, drifts) -> TransformedSystem:
         B=prob.B,
         M=audit.M,
         g_arrays=prob.g_arrays,
+        problem=prob,
     )
 
 

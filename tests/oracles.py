@@ -37,3 +37,99 @@ def lu_determinant_reference(a):
     lu, piv = lu_factor(a)
     swaps = np.count_nonzero(piv != np.arange(len(piv)))
     return float((-1.0) ** swaps * np.prod(np.diag(lu)))
+
+
+def fixed_frame_march(sys, lam, state0, eta0, h, nsteps, sensitivity=False):
+    """The half-explicit RK4 march of a fixed-frame system on numpy arrays.
+
+    The numpy arithmetic that the library's float march replaced: the
+    algebraic block re-solved per stage by the library's numpy constraint
+    Newton, the rate ``D0 xi (+ D1 xidot) + lam F`` and, with
+    ``sensitivity``, the derivative rows of the state by ``lam`` and the
+    start state (state rows ``[state0, 0, I]``).  Frames are evaluated from
+    the paths.  Returns the nodes ``(t, x, y, xdot, ydot)`` in original
+    coordinates and the end state (with its derivative rows).
+    """
+    from daecont.linalg import solve_linear
+    from daecont.periodic import _solve_constraint
+
+    m, order = sys.m, sys.order
+    lam = float(lam)
+
+    def frame(t):
+        a, b = sys.A(t), sys.B(t)
+        return a, b, sys.A(t, 1), -solve_linear(b, sys.B(t, 1)) @ np.linalg.inv(b)
+
+    def resolve(state, eta):
+        xi = state[:m]
+        return _solve_constraint(lambda q: sys.g(xi, q), lambda q: sys.g_jac2(xi, q), eta)
+
+    def node(t, state, eta):
+        a, b, da, dbinv = frame(t)
+        xi, out = state[:m], [t, a.T @ state[:m], solve_linear(b, eta), None, None]
+        if order == 2:
+            xid = state[m:]
+            g_q = np.atleast_2d(sys.g_jac2(xi, eta))
+            etad = solve_linear(g_q, -(sys.g_jac1(xi, eta) @ xid))
+            out[3:] = da.T @ xi + a.T @ xid, dbinv @ eta + solve_linear(b, etad)
+        return out
+
+    def stage(t, aug, eta):
+        state, dstate = aug[0], aug[1:]
+        xi, xid = state[:m], state[m:]
+        eta = resolve(state, eta)
+        g_p = np.atleast_2d(sys.g_jac1(xi, eta))
+        g_q = np.atleast_2d(sys.g_jac2(xi, eta))
+        _, x, y, xd, yd = node(t, state, eta)
+        a, b, da, dbinv = frame(t)
+        velocities = () if order == 1 else (xid, solve_linear(g_q, -(g_p @ xid)))
+        force = a @ np.asarray(sys.f(t, x, y, *(() if order == 1 else (xd, yd))), dtype=float)
+        out = np.empty_like(aug)
+        if order == 1:
+            out[0] = sys.D0 @ xi + lam * force
+        else:
+            out[0, :m], out[0, m:] = xid, sys.D0 @ xi + sys.D1 @ xid + lam * force
+        if not sensitivity:
+            return out, eta
+        e = -solve_linear(g_q, g_p)  # d eta / d xi
+        times_inverse = lambda c: solve_linear(b.T, c.T).T  # c @ inv(b)
+        if order == 1:
+            jac = np.asarray(sys.f_jac(t, x, y), dtype=float)
+            f_xi = a @ jac[:, :m] @ a.T
+            f_eta = a @ times_inverse(jac[:, m:])
+            out[1:] = dstate @ (sys.D0 + lam * (f_xi + f_eta @ e)).T
+            out[1] += force
+            return out, eta
+        s = sys.s
+        jac = np.asarray(sys.f_jac(t, x, y, xd, yd), dtype=float)
+        f_x, f_y, f_u, f_v = (jac[:, :m], jac[:, m : m + s], jac[:, m + s : 2 * m + s],
+                              jac[:, 2 * m + s :])
+        f_xi = a @ (f_x @ a.T + f_u @ da.T)
+        f_eta = a @ (times_inverse(f_y) + f_v @ dbinv)
+        f_xid = a @ f_u @ a.T
+        f_etad = a @ times_inverse(f_v)
+        gdot = np.atleast_2d(sys.gdot_jac(xi, eta, *velocities))
+        w = -solve_linear(g_q, gdot[:, :m] + gdot[:, m:] @ e)  # d etad / d xi
+        out[1:, :m] = dstate[:, m:]
+        out[1:, m:] = (dstate[:, :m] @ (sys.D0 + lam * (f_xi + f_eta @ e + f_etad @ w)).T
+                       + dstate[:, m:] @ (sys.D1 + lam * (f_xid + f_etad @ e)).T)
+        out[1, m:] += force
+        return out, eta
+
+    n = np.size(state0)
+    aug = np.atleast_2d(np.asarray(state0, dtype=float))
+    if sensitivity:
+        aug = np.vstack([aug, np.zeros(n), np.eye(n)])
+    eta = np.atleast_1d(np.asarray(eta0, dtype=float))
+    nodes, t = [node(0.0, aug[0], eta)], 0.0
+    for _ in range(nsteps):
+        mid, end = t + 0.5 * h, t + h
+        k1, e1 = stage(t, aug, eta)
+        k2, e2 = stage(mid, aug + 0.5 * h * k1, e1)
+        k3, e3 = stage(mid, aug + 0.5 * h * k2, e2)
+        k4, e4 = stage(end, aug + h * k3, e3)
+        aug = aug + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        eta = resolve(aug[0], e4)
+        nodes.append(node(end, aug[0], eta))
+        t = end
+    return nodes, aug

@@ -202,6 +202,7 @@ class TestCompile:
             except NonfiniteResultError:
                 continue
             assert fn(env["a"], env["b"], env["c"])[0] == expected
+            assert fn.as_list()(env["a"], env["b"], env["c"]) == [expected]
 
     def test_vector_and_matrix(self):
         vm = {"x1": "x[0]", "x2": "x[1]"}
@@ -211,6 +212,10 @@ class TestCompile:
                               [parse_expr("sin(t)"), parse_expr("cos(t)")]], "t", {"t": "t"})
         t = 0.3
         assert np.allclose(mat(t), [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], atol=0)
+        # the list targets: Python floats in and out, a matrix row by row
+        assert vec.as_list()([2.0, 3.0]) == [5.0, 6.0]
+        assert mat.as_list()(t) == mat(t).ravel().tolist()
+        assert mat.as_list() is mat.as_list()  # compiled once
 
     @pytest.mark.parametrize("text, value", [
         ("exp(1000*x1) - x1", 1.0),  # OverflowError in math.exp
@@ -223,6 +228,8 @@ class TestCompile:
         for fn in fns:
             with pytest.raises(NonfiniteResultError):
                 fn(np.array([value]))
+            with pytest.raises(NonfiniteResultError):
+                fn.as_list()([value])
 
 
 class TestArrayTarget:

@@ -7,6 +7,7 @@ from daecont import periodic
 from daecont.degree import Box, averaged_map_fn
 from daecont.errors import (
     DaecontError,
+    NoConvergenceError,
     NonfiniteResultError,
     SeedRejectedError,
     SingularMatrixError,
@@ -26,7 +27,7 @@ from daecont.periodic import (
     shooting_residual,
 )
 from daecont.transform import DaeProblem1, fixed_frame
-from oracles import central_jacobian
+from oracles import central_jacobian, fixed_frame_march
 
 TWO_PI = 2.0 * np.pi
 
@@ -44,8 +45,8 @@ def scalar_problem(f=None, g=None):
 
 def plain_march(runner, lam, state0):
     # the record and nodes of one plain fixed-frame march over a period
-    stepper = periodic._FixedStepper(runner.sys, lam)
-    return stepper.record, runner._run(stepper, np.asarray(state0, dtype=float))
+    stepper = periodic.FixedMarch(runner.sys, lam)
+    return stepper.record, runner._run(stepper, np.asarray(state0, dtype=float).tolist())[0]
 
 
 def closed_form_scalar(lam, x0, t):
@@ -466,7 +467,7 @@ class TestScalarConstraintNewton:
 
     @staticmethod
     def march_solves(monkeypatch):
-        # every (g, jac, warm start) of the stage solves of a short march
+        # every (g, jac, warm start) of the start and stage solves of a short raw march
         solves = []
         solve = periodic._solve_constraint
 
@@ -475,7 +476,7 @@ class TestScalarConstraintNewton:
             return solve(g, jac, q0)
 
         monkeypatch.setattr(periodic, "_solve_constraint", recorded)
-        shooting_residual(load_fixture("rotating_surface"), 0.5, np.array([0.4, -0.3]), nsteps=16)
+        integrate(load_fixture("rotating_surface"), 0.5, np.array([0.4, -0.3]), h=TWO_PI / 16)
         monkeypatch.undo()
         return solves
 
@@ -549,7 +550,10 @@ class TestFrameTable:
         assert runner.sys.frames == {}
         _, nodes = plain_march(runner, 0.5, np.zeros(runner.state_dim))
         assert len(runner.sys.frames) == 2 * 16 + 1
-        assert all(len(frame) == 2 * runner.sys.order for frame in runner.sys.frames.values())
+        sys = runner.sys
+        size = sys.order * (sys.m**2 + sys.s**2)  # A and B, for order 2 dA and d(B^-1) too
+        assert all(len(frame) == size and {type(v) for v in frame} == {float}
+                   for frame in sys.frames.values())
         assert {t for t, _, _ in nodes} <= set(runner.sys.frames)
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
@@ -620,7 +624,7 @@ class TestFrameTable:
         # order 1: A and B once at each of the 2N + 1 step and midpoint
         # times, and none when the nodes are pulled back; the start frame
         # (t = 0) enters the table before the march, for the start itself
-        march, counts = periodic._march, []
+        march, counts = periodic.FixedMarch.march, []
 
         def counted(*args):
             before = len(path_calls)
@@ -628,7 +632,7 @@ class TestFrameTable:
             counts.append((len(path_calls) - before, len(path_calls)))
             return nodes
 
-        monkeypatch.setattr(periodic, "_march", counted)
+        monkeypatch.setattr(periodic.FixedMarch, "march", counted)
         prob = load_fixture("rotating_surface")
         traj = integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="fixed")
         (in_march, after_march), = counts
@@ -657,12 +661,12 @@ class TestFrameTable:
         assert times.count(0.0) == audit + 2 * prob.order
 
     @pytest.mark.parametrize("name, bound", [("rotating_surface", 1030),
-                                             ("rotating_surface_2nd", 3084)])
+                                             ("rotating_surface_2nd", 2056)])
     def test_raw_integration_evaluates_each_march_time_once(self, name, bound, path_calls):
         # the raw stepper keeps the frame of the last time it saw: A and B
         # (order 2: and their rates) once at each of the 2N + 1 march times,
-        # plus 4 for the start checks and, for order 2, 4 per node for the
-        # rates recorded after the march; N = 256
+        # plus 4 for the start checks; an order-2 node takes its rate right
+        # after its resolve, from the frame the resolve read; N = 256
         prob = load_fixture(name)
         del path_calls[:]
         integrate(prob, 0.5, np.zeros(prob.m))
@@ -678,11 +682,42 @@ class TestFrameTable:
         assert path_calls == [] and omega(np.array([0.3, 0.2])).tobytes() == first.tobytes()
 
 
+THREE_CONSTRAINTS = f"""
+[problem]
+kind = dae1
+m = 2
+s = 3
+period = {TWO_PI!r}
+
+[A]
+cos(t), -sin(t)
+sin(t), cos(t)
+
+[B]
+1, 0.5, 0
+0, 1, 0
+0, 0.2, 1
+
+[g]
+q1^3 + q1 - p1^2
+q2^3 + q2 - p2^2 - q1
+q3^3 + q3 - p1*p2
+
+[f]
+cos(t) - x1 + 0.3*y1
+-x2 + 0.2*y2*y3
+"""
+
+
 def _shooting_problem(name):
     # A problem fixture as the shooting layer sees it (semilinear reduced),
     # or one of the variants that exercise the remaining Jacobian terms.
     if name == "semilinear_4x4":
         return reduce_semilinear(load_fixture(name))
+    if name.startswith("three_constraints"):
+        # s = 3: the march solves its 3x3 systems with solve_linear
+        kind = "dae2" if name.endswith("_2nd") else "dae1"
+        return build_problem(parse_problem(THREE_CONSTRAINTS.replace("dae1", kind)))
     if name == "python_callables":
         # every model piece a Python callable with no derivative: f_jac and
         # the constraint blocks come from forward differences; f sees y
@@ -711,7 +746,7 @@ class TestExactShootingJacobian:
 
     PROBLEMS = ["rotating_surface", "rotating_surface_2nd", "commuting_h", "semilinear_4x4",
                 "scalar_linear", "python_callables", "second_order_rates", "second_order_rates_fd",
-                "second_order_rates_bare"]
+                "second_order_rates_bare", "three_constraints", "three_constraints_2nd"]
 
     @staticmethod
     def point(runner, lam=0.3):
@@ -747,8 +782,8 @@ class TestExactShootingJacobian:
 
     def test_one_march_per_point(self, monkeypatch):
         marches = []
-        march = periodic._march
-        monkeypatch.setattr(periodic, "_march", lambda *args: marches.append(1) or march(*args))
+        march = periodic.FixedMarch.march
+        monkeypatch.setattr(periodic.FixedMarch, "march", lambda *args: marches.append(1) or march(*args))
         runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
         z = self.point(runner)
         fun, jac = runner.newton_maps()
@@ -764,7 +799,7 @@ class TestExactShootingJacobian:
         # from the march that converged it, and find_tpair at lam = 0
         # marches once.
         runner_cls = periodic._ShootingRunner
-        march, linearize, make_tpair = periodic._march, runner_cls.linearize, runner_cls.make_tpair
+        march, linearize, make_tpair = periodic.FixedMarch.march, runner_cls.linearize, runner_cls.make_tpair
         marches, points, in_pairs = [], set(), []
 
         def seen(runner, lam, state0):
@@ -777,7 +812,7 @@ class TestExactShootingJacobian:
             in_pairs.append(len(marches) - before)
             return pair
 
-        monkeypatch.setattr(periodic, "_march", lambda *args: marches.append(1) or march(*args))
+        monkeypatch.setattr(periodic.FixedMarch, "march", lambda *args: marches.append(1) or march(*args))
         monkeypatch.setattr(runner_cls, "linearize", seen)
         monkeypatch.setattr(runner_cls, "make_tpair", counted_pair)
         box = Box(np.array([0.0, -2.0, -2.0]), np.array([5.0, 2.0, 2.0]))
@@ -805,7 +840,7 @@ class TestExactShootingJacobian:
 
     def test_branch_tangent_makes_no_march(self, monkeypatch):
         counts = {"marches": 0, "in_tangent": 0}
-        march, tangent = periodic._march, periodic._branch_tangent
+        march, tangent = periodic.FixedMarch.march, periodic._branch_tangent
 
         def counted_march(*args):
             counts["marches"] += 1
@@ -817,7 +852,7 @@ class TestExactShootingJacobian:
             counts["in_tangent"] += counts["marches"] - before
             return t
 
-        monkeypatch.setattr(periodic, "_march", counted_march)
+        monkeypatch.setattr(periodic.FixedMarch, "march", counted_march)
         monkeypatch.setattr(periodic, "_branch_tangent", counted_tangent)
         box = Box(np.array([0.0, -2.0]), np.array([5.0, 2.0]))
         branch = continue_branch(load_fixture("scalar_linear"), np.zeros(2), 0.2, 4, box,
@@ -839,3 +874,214 @@ class TestExactShootingJacobian:
                                  integration_steps=32)
         assert branch.termination == "budget" and len(branch.pairs) == 4
         assert find_tpair(load_fixture("scalar_linear"), 1.0, np.array([0.0])).lam == 1.0
+
+
+class TestFloatMarch:
+    """The fixed-frame march on floats against the numpy march it replaced.
+
+    Float sums of products may differ from numpy's BLAS products, which
+    fuse multiply-adds, in the last bit; the two marches agree within 1e-13
+    of the values' scale.  Where the model forms a derivative by forward
+    differences (step 1e-7 * (1 + |z|)), a last-bit change of its argument
+    moves the difference by about 1e-9 of the value: such derivatives in
+    the sensitivity rows, and on ``second_order_rates_bare`` the
+    constraint blocks that the march's ``etadot`` solve reads, are held to
+    1e-8 instead.
+    """
+
+    PROBLEMS = TestExactShootingJacobian.PROBLEMS
+    DIFFERENCED = {"python_callables", "second_order_rates_fd", "second_order_rates_bare"}
+
+    @staticmethod
+    def marches(name, sensitivity):
+        # the float march of a shooting runner and the numpy reference, from
+        # one start, on one grid: (float records, float end, numpy records, numpy end)
+        runner = periodic._ShootingRunner(_shooting_problem(name), 64)
+        z = TestExactShootingJacobian.point(runner, lam=0.7)
+        stepper = periodic.FixedMarch(runner.sys, z[0], sensitivity)
+        n = runner.state_dim
+        start = z[1:].tolist() + ([0.0] * n + np.eye(n).ravel().tolist() if sensitivity else [])
+        eta0 = stepper.resolve(0.0, start, [0.0] * runner.prob.s)
+        nodes, end = stepper.march(start, eta0, runner.h, runner.nsteps)
+        ref_nodes, ref_end = fixed_frame_march(fixed_frame(runner.prob), z[0], z[1:], eta0,
+                                               runner.h, runner.nsteps, sensitivity)
+        return [stepper.record(*node) for node in nodes], np.array(end), ref_nodes, ref_end
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_plain_march_matches_numpy_reference(self, name):
+        records, end, ref_records, ref_end = self.marches(name, sensitivity=False)
+        tol = 1e-8 if name == "second_order_rates_bare" else 1e-13
+        assert len(records) == len(ref_records) == 65
+        for column in range(5):
+            got = [r[column] for r in records]
+            if got[0] is None:
+                assert all(r[column] is None for r in ref_records)
+                continue
+            ref = np.array([r[column] for r in ref_records])
+            assert norm_inf(np.array(got) - ref) <= tol * max(1.0, norm_inf(ref)), column
+        assert norm_inf(end - ref_end[0]) <= tol * max(1.0, norm_inf(ref_end[0]))
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_sensitivity_march_matches_numpy_reference(self, name):
+        records, end, ref_records, ref_end = self.marches(name, sensitivity=True)
+        tol = 1e-8 if name in self.DIFFERENCED else 1e-13
+        ref_end = ref_end.ravel()
+        assert norm_inf(end - ref_end) <= tol * max(1.0, norm_inf(ref_end))
+        plain = self.marches(name, sensitivity=False)
+        assert records == plain[0] and end[: plain[1].size].tobytes() == plain[1].tobytes()
+
+
+class TestFloatConstraintNewton:
+    """The float march's constraint Newton keeps _solve_constraint's rules and bits.
+
+    Each case runs the march's solve (FixedMarch.resolve, through the list
+    adapters of Python callables) and the numpy solve on one constraint
+    from one start: the results agree bit for bit, or both raise the same
+    error with the same message.
+    """
+
+    @staticmethod
+    def both(g, jac, q0, xi=0.25):
+        s = len(q0)
+        prob = DaeProblem1(m=1, s=s, period=TWO_PI, f=lambda t, x, y: np.zeros(1), g=g, d2g=jac,
+                           A=MatrixPath.constant(np.eye(1), TWO_PI),
+                           B=MatrixPath.constant(np.eye(s), TWO_PI))
+        sys = fixed_frame(prob)
+        p = np.array([xi])
+        outcomes = []
+        for solve in (lambda: np.array(periodic.FixedMarch(sys, 0.5).resolve(0.0, [xi], q0)),
+                      lambda: periodic._solve_constraint(lambda q: sys.g(p, q),
+                                                         lambda q: sys.g_jac2(p, q), np.array(q0))):
+            try:
+                outcomes.append(solve().tobytes())
+            except DaecontError as exc:
+                outcomes.append((type(exc), str(exc)))
+        return outcomes
+
+    CUBIC = (lambda p, q: q**3 + q - p, lambda p, q: np.array([[3 * q[0] ** 2 + 1]]))
+    PAIR = (lambda p, q: np.array([q[0] ** 3 + q[1] - p[0], q[1] ** 3 - q[0] + 2 * p[0]]),
+            lambda p, q: np.array([[3 * q[0] ** 2, 1.0], [-1.0, 3 * q[1] ** 2]]))
+    TRIPLE = (lambda p, q: np.array([q[0] ** 3 + q[0] - p[0], q[1] + q[0] * q[2], q[2] ** 3 + q[2] - q[1]]),
+              lambda p, q: np.array([[3 * q[0] ** 2 + 1, 0.0, 0.0], [q[2], 1.0, q[0]],
+                                     [0.0, -1.0, 3 * q[2] ** 2 + 1]]))
+
+    @pytest.mark.parametrize("model, starts", [
+        (CUBIC, [[0.0], [2.0], [-3.0], [0.2236]]),
+        (PAIR, [[0.0, 0.0], [1.0, -1.0], [0.3, 0.4]]),
+        (TRIPLE, [[0.0, 0.0, 0.0], [1.0, 0.5, -0.5]]),
+    ], ids=["s1", "s2", "s3"])
+    def test_results_match_bit_for_bit(self, model, starts):
+        for q0 in starts:
+            float_march, numpy_solve = self.both(*model, q0)
+            assert float_march == numpy_solve and isinstance(float_march, bytes), q0
+
+    @pytest.mark.parametrize("g, jac, q0, error", [
+        # a zero (or, for s = 2, a numerically zero) dg/dq outside the tolerance
+        (lambda p, q: q**2 - 1.0, lambda p, q: np.array([[2.0 * q[0]]]), [0.0], "1x1"),
+        (lambda p, q: q - 1.0, lambda p, q: np.array([[1e-320]]), [0.0], "1x1"),
+        (lambda p, q: q - 1.0, lambda p, q: np.diag([1.0, 1e-27]), [0.0, 0.0], "2x2"),
+        # a non-finite residual, NaN wherever an entry is
+        (lambda p, q: np.array([np.inf]), lambda p, q: np.ones((1, 1)), [0.0], "is inf"),
+        (lambda p, q: np.array([1.0, np.nan]), lambda p, q: np.eye(2), [0.0, 0.0], "is nan"),
+        (lambda p, q: np.array([np.nan, 1.0]), lambda p, q: np.eye(2), [0.0, 0.0], "is nan"),
+        # Newton on q^3 - 2 q + 2 cycles between 0 and 1
+        (lambda p, q: q**3 - 2.0 * q + 2.0, lambda p, q: np.array([[3 * q[0] ** 2 - 2.0]]), [0.0],
+         "stalled at residual 2.000e+00"),
+    ], ids=["singular_1x1", "subnormal_1x1", "singular_2x2", "inf", "nan_second", "nan_first",
+            "stalled"])
+    def test_failures_match(self, g, jac, q0, error):
+        float_march, numpy_solve = self.both(g, jac, q0)
+        assert float_march == numpy_solve and error in float_march[1]
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_zero_jacobian_inside_tolerance_returns_the_start(self, s):
+        outcomes = self.both(lambda p, q: np.full(s, 1e-13), lambda p, q: np.zeros((s, s)), [0.25] * s)
+        assert outcomes[0] == outcomes[1] == np.full(s, 0.25).tobytes()
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_warm_start_inside_tolerance_is_polished_once(self, s):
+        calls = []
+
+        def g(p, q):
+            calls.append("g")
+            return q - 0.5
+
+        def jac(p, q):
+            calls.append("jac")
+            return np.eye(s)
+
+        outcomes = self.both(g, jac, [0.5 + 1e-13] * s)
+        assert outcomes[0] == outcomes[1] == np.full(s, 0.5).tobytes()
+        assert calls == ["g", "jac", "g"] * 2
+
+
+    def test_pulled_back_zeros_are_positive(self):
+        # numpy's matmul sums from +0.0: a state at rest at zero pulls back
+        # to the raw march's +0.0, not to a sum of -0.0 products
+        prob = _shooting_problem("semilinear_4x4")
+        fixed = integrate(prob, 0.5, np.zeros(2), mode="fixed")
+        raw = integrate(prob, 0.5, np.zeros(2))
+        assert not fixed.x.any() and fixed.x.tobytes() == raw.x.tobytes()
+        assert fixed.y.tobytes() == raw.y.tobytes()
+
+
+class TestFloatMarchErrors:
+    """Failures inside the float march end as the typed errors of the numpy march."""
+
+    @staticmethod
+    def problem(constraint="q^3 + q - p", forcing="cos(t) - x", name="scalar_linear"):
+        text = problem_text(name).replace("q^3 + q - p", constraint)
+        return build_problem(parse_problem(text.replace("cos(t) - x", forcing, 1)))
+
+    def test_singular_constraint_jacobian(self):
+        # q^3 = p has dg/dq = 0 at q = 0: the start solve returns at once
+        # (zero residual), the sensitivity stage's d eta / d xi hits the
+        # 1x1 pivot, and the plain march's next Newton step does
+        prob = self.problem(constraint="q^3 - p")
+        runner = periodic._ShootingRunner(prob, 16)
+        with pytest.raises(SingularMatrixError, match="1x1 system is singular"):
+            runner.linearize(0.5, np.zeros(1))
+        with pytest.raises(SingularMatrixError, match="1x1 system is singular"):
+            runner.shoot(0.5, np.zeros(1))
+
+    def test_stalled_constraint(self):
+        # Newton on q^3 - 2 q + 2 = 0 from q = 0 cycles between 0 and 1
+        prob = self.problem(constraint="q^3 - 2*q + 2 - p")
+        with pytest.raises(NoConvergenceError,
+                           match=r"constraint solve stalled at residual 2\.000e\+00 \(tol 1\.0e-12\)"):
+            shooting_residual(prob, 0.5, np.zeros(1), nsteps=16)
+
+    def test_overflowing_forcing_is_named(self):
+        # the float product overflows to inf without raising, and the
+        # forcing check names it at the model call, in both marches
+        prob = build_problem(parse_problem(problem_text("rotating_surface").replace(
+            "cos(t) - x1\n-x2", "x1^300*x1^300 - x1\n-x2")))
+        runner = periodic._ShootingRunner(prob, 16)
+        for march in (runner.shoot, lambda lam, z: runner.linearize(lam, z)):
+            with pytest.raises(NonfiniteResultError, match=r"^forcing f at t = 0\.0 is \[inf, -0\.0\]"):
+                march(0.5, np.array([10.0, 0.0]))
+
+    def test_overflowed_state_is_blamed(self):
+        # the forcing is finite, but the RK4 sum 5e307 + 2 (5e307) + 2 (5e307)
+        # overflows to inf without raising; the end-of-step solve meets that
+        # state, whose first entry the constraint scales to a finite size
+        # until it is inf, and blames the state
+        text = problem_text("rotating_surface").replace("cos(t) - x1\n-x2", "1e308\n-x2")
+        prob = build_problem(parse_problem(text.replace("q^3 + q - p1^2 - 2*p2^2", "q - 1e-300*p1")))
+        with pytest.raises(NonfiniteResultError,
+                           match=r"^state \[inf, [^]]*\] at t = [^ ]+ is not finite: a model value overflowed$"):
+            integrate(prob, 0.5, np.zeros(2), mode="fixed")
+
+    def test_python_callable_error_mid_branch_keeps_the_trivial_pair(self):
+        # a ValueError from a Python-callable forcing inside the first
+        # corrector's sensitivity march, through the list adapter
+        def f(t, x, y):
+            if x[0] > 0.05:
+                raise ValueError("injected")
+            return np.array([np.cos(t) - x[0]])
+
+        box = Box(np.array([0.0, -2.0]), np.array([5.0, 2.0]))
+        branch = continue_branch(scalar_problem(f=f), np.zeros(2), 0.5, 3, box,
+                                 integration_steps=32)
+        assert branch.termination == "solver_failure"
+        assert [p.lam for p in branch.pairs] == [0.0] and branch.pairs[0].is_trivial
