@@ -318,13 +318,13 @@ def cmd_reduce(args) -> int:
     kind, payload = _resolve(args.problem)
     if kind != "problem" or payload.kind != "semilinear":
         raise _usage("reduce needs a semilinear problem")
-    dae = build_problem(payload)
-    report = check_conditions(dae, args.grid)
-    reduced = reduce_semilinear(dae, args.grid, report=report)
+    report = check_conditions(build_problem(payload), args.grid)
+    report.require_reducible()
+    # the spec written out is the one the other commands reduce to
     spec_out = reduced_spec(payload, report.P, report.sigma, report.Q)
     problem_text = problem_to_text(spec_out)
     report_dict = report.to_dict()
-    report_dict["frame_suitable"] = frame_audit(reduced.A, args.grid).suitable
+    report_dict["frame_suitable"] = frame_audit(build_problem(spec_out).A, args.grid).suitable
     report_json = to_json(report_dict)
     if args.out is None:
         sys.stdout.write(problem_text)

@@ -344,7 +344,9 @@ def _block_map(block, g, d1g=None, d2g=None, g_arrays=None) -> Callable[[np.ndar
     # as ``jac`` its Jacobian [[block, 0], [d1g, d2g]] when both constraint
     # blocks are given (else None); as ``arrays`` the map and that Jacobian
     # on stacks of points (k, n), built from g_arrays = (g, d1g, d2g) on
-    # stacks, when given (else None).
+    # stacks, when given (else None); as ``eta_jac`` the pair (d2g, stacked
+    # d2g), each None where ``jac`` or ``arrays`` is, so that the section of
+    # degree_reduced evaluates the one block it needs.
     block = np.atleast_2d(np.asarray(block, dtype=float))
     m = block.shape[0]
 
@@ -371,6 +373,8 @@ def _block_map(block, g, d1g=None, d2g=None, g_arrays=None) -> Callable[[np.ndar
     the_map.block = block
     the_map.jac = None if d1g is None or d2g is None else jacobian(d1g, d2g)
     the_map.arrays = None if g_arrays is None else (stacked_map, jacobian(*g_arrays[1:]))
+    the_map.eta_jac = (None if the_map.jac is None else d2g,
+                       None if g_arrays is None else g_arrays[2])
     return the_map
 
 
@@ -399,9 +403,10 @@ def degree_reduced(fun: Callable[[np.ndarray], np.ndarray], box: Box,
     the orientation signs of the zeros of the section
     ``eta -> g(0, eta)``, located on the ``eta`` block of ``box`` like
     :func:`locate_zeros`.  The section is ``fun`` at ``(0, eta)``, its
-    ``eta`` rows, with the ``eta`` block of the map's ``jac`` and
-    ``arrays``.  (The linear block contributes its orientation sign; any
-    nonzero ``|det M|`` scales the map without changing the count.)
+    ``eta`` rows, with the map's ``eta_jac`` (the ``d2g`` block alone, on
+    points and on stacks) as its Jacobian.  (The linear block contributes
+    its orientation sign; any nonzero ``|det M|`` scales the map without
+    changing the count.)
     """
     m_mat = fun.block
     m = m_mat.shape[0]
@@ -413,9 +418,10 @@ def degree_reduced(fun: Callable[[np.ndarray], np.ndarray], box: Box,
     # (0, eta) for a point eta (s,) or a stack (k, s)
     at_zero = lambda q: np.concatenate([np.zeros(q.shape[:-1] + (m,)), q], axis=-1)
     section = lambda q: fun(at_zero(q))[m:]
-    section.jac = None if fun.jac is None else lambda q: fun.jac(at_zero(q))[m:, m:]
+    d2g, stacked_d2g = fun.eta_jac
+    section.jac = None if d2g is None else lambda q: d2g(np.zeros(m), q)
     section.arrays = None if fun.arrays is None else (
-        lambda q: fun.arrays[0](at_zero(q))[:, m:], lambda q: fun.arrays[1](at_zero(q))[:, m:, m:])
+        lambda q: fun.arrays[0](at_zero(q))[:, m:], lambda q: stacked_d2g(np.zeros((len(q), m)), q))
     # not locate_zeros, whose per-call hook in perfbench/tracing.py would count these zeros twice
     zeros = _find_zeros(_search(section), Box(box.lower[m:], box.upper[m:]), grid)
     margin = _boundary_margin(np.array([fun(p) for p in box.lattice(grid)[box.face_mask(grid)]]))

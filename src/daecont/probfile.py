@@ -403,18 +403,14 @@ def _compile_jacobian(asts, names, args: str, varmap):
 
 
 def _build_semilinear(spec: ProblemSpec) -> SemiLinearDae:
-    n = spec.n
+    # The audit's matrices only; the reduction compiles the rest from ``spec``.
     mass = _numeric_matrix(spec.tables["E"])
     f_path = expr_path(spec.tables["F"], spec.period,
                        derivative_mode=spec.derivative_mode, fd_step=spec.fd_step, name="F")
     c_path = expr_path(spec.tables["C"], spec.period,
                        derivative_mode=spec.derivative_mode, fd_step=spec.fd_step, name="C")
-    s_vm = _indexed("x", n)
-    s_asts = [row[0] for row in spec.tables["S"]]
-    s_fun = ex.compile_vector(s_asts, "x", s_vm)
-    ds_fun = _compile_jacobian(s_asts, list(s_vm), "x", s_vm)
-    return SemiLinearDae(n=n, period=spec.period, mass=mass, Fpath=f_path,
-                         Cpath=c_path, S=s_fun, name=spec.name, dS=ds_fun)
+    return SemiLinearDae(n=spec.n, period=spec.period, mass=mass, Fpath=f_path,
+                         Cpath=c_path, spec=spec, name=spec.name)
 
 
 def _scaled(coef: float, ast: ex.Expr):
@@ -454,13 +450,15 @@ def _conjugated_entry(table, p, q, i, j) -> ex.Expr:
 
 def reduced_spec(spec: ProblemSpec, p: np.ndarray, sigma: np.ndarray,
                  q: np.ndarray) -> ProblemSpec:
-    """Symbolic counterpart of the semi-linear reduction, for file output.
+    """The semi-linear reduction as a ``dae1`` problem spec.
 
     Given the orthogonal factors diagonalizing the mass matrix, builds the
     first-order moving-constraint problem as expression tables: frame
     ``A`` and scaling ``B`` are the lower blocks of the conjugated ``F``,
     the constraint is ``p_i + q_i``, and the forcing composes the
-    conjugated ``C`` blocks with the linearly substituted ``S``.
+    conjugated ``C`` blocks with the linearly substituted ``S``.  It is
+    the one reduction: :func:`~daecont.semilinear.reduce_semilinear`
+    builds its result, and ``daecont reduce`` prints it.
     """
     if spec.kind != "semilinear":
         raise SchemaError("reduced_spec needs a semilinear problem spec")

@@ -8,12 +8,18 @@ block for the first ``r`` variables and an algebraic block
 hold (``ker C(t).T = ker E.T`` and ``im F(t) = ker E.T`` for all t).
 The algebraic block then plays the role of the moving constraint with
 frame ``F3`` and scaling ``F4``.
+
+This module audits those conditions numerically; the reduced problem
+itself is written as expression tables by
+:func:`daecont.probfile.reduced_spec` and compiled like any ``dae1``
+problem file, so ``daecont reduce --out`` writes exactly the problem
+that the other commands run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -26,6 +32,9 @@ from .linalg import determinant, norm_inf, svd_small
 from .paths import MatrixPath
 from .transform import DaeProblem1
 
+if TYPE_CHECKING:
+    from .probfile import ProblemSpec
+
 __all__ = ["SemiLinearDae", "ReductionReport", "check_conditions", "reduce_semilinear"]
 
 COND_TOL = 1e-8
@@ -34,13 +43,13 @@ RANK_REL = 1e-10
 
 @dataclass
 class SemiLinearDae:
-    """Semi-linear DAE with separated variables.
+    """Semi-linear DAE with separated variables, built from its problem spec.
 
     ``mass`` is the (singular) constant matrix multiplying dx/dt;
-    ``Fpath`` and ``Cpath`` are T-periodic matrix paths; ``S`` maps
-    state vectors to state vectors, and ``dS``, when given, is its
-    Jacobian (the reduced problem's forcing Jacobian is then exact, and
-    formed by forward differences otherwise).
+    ``Fpath`` and ``Cpath`` are T-periodic matrix paths, which the audit
+    samples.  ``spec`` is the parsed ``semilinear`` problem they were
+    compiled from; the reduction reads the tables of ``F``, ``C`` and
+    ``S`` there, so ``S`` is never compiled on its own.
     """
 
     n: int
@@ -48,9 +57,8 @@ class SemiLinearDae:
     mass: np.ndarray
     Fpath: MatrixPath
     Cpath: MatrixPath
-    S: Callable[[np.ndarray], np.ndarray]
+    spec: ProblemSpec
     name: str = ""
-    dS: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def _numerical_rank(sigma: np.ndarray) -> int:
@@ -113,6 +121,20 @@ class ReductionReport:
             )
             <= self.tol
         )
+
+    def require_reducible(self) -> None:
+        """Raise unless the conditions hold and ``F3``, ``F4`` stay nonsingular."""
+        if not self.conditions_hold:
+            raise ConditionsViolatedError(
+                "reduction conditions failed: "
+                + ", ".join(f"{k}={v:.3e}" for k, v in self.to_dict().items()
+                            if k.endswith("residual") and isinstance(v, float))
+            )
+        if min(self.det_margin_f3, self.det_margin_f4) < 1e-12:
+            raise SingularBlockError(
+                f"transformed blocks are singular on the grid: |det F3| >= {self.det_margin_f3:.3e}, "
+                f"|det F4| >= {self.det_margin_f4:.3e}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -187,17 +209,6 @@ def _check_with(dae, p, sigma, q, r, grid) -> ReductionReport:
     )
 
 
-def _block_path(path: MatrixPath, p: np.ndarray, q: np.ndarray, rows: slice, cols: slice,
-                period: float, name: str) -> MatrixPath:
-    # Constant conjugation commutes with d/dt, so derivatives of the block
-    # are blocks of the derivative.
-    def block(order):
-        return lambda t: (p.T @ path(t, order) @ q)[rows, cols]
-
-    dim = rows.stop - rows.start
-    return MatrixPath(dim, period, block(0), d1=block(1), d2=block(2), name=name)
-
-
 def reduce_semilinear(
     dae: SemiLinearDae,
     grid: int = 64,
@@ -208,57 +219,24 @@ def reduce_semilinear(
 
     The result has ``m = s = r = n/2``, frame path ``F3``, scaling path
     ``F4``, constraint ``g(p, q) = p + q`` and forcing
-    ``f = E1^{-1} (C1(t) S1 + C2(t) S2)`` with ``(S1, S2) = Q.T S(Q ·)``;
-    the constraint's ``g_arrays`` are the same closed forms on stacks.
+    ``f = E1^{-1} (C1(t) S1 + C2(t) S2)`` with ``(S1, S2) = Q.T S(Q ·)``.
+    It is ``build_problem(reduced_spec(dae.spec, P, sigma, Q))``: compiled
+    from expression tables like any ``dae1`` file, with symbolic frame
+    derivatives (or differences, under ``derivatives = fd``), forcing
+    Jacobian and constraint blocks, and the constraint's ``g_arrays``.
     The frame ``F3`` is not audited here: a frame that fails
     ``frame_audit`` is outside the scope of the fixed-frame machinery
     (which then raises), while raw-mode integration still works.
     A given ``report`` supplies ``P``, ``Q``, ``sigma`` and the rank;
-    without one, :func:`check_conditions` runs first.
+    without one, :func:`check_conditions` runs first.  A report whose
+    conditions fail raises :class:`ConditionsViolatedError`, one with a
+    singular ``F3`` or ``F4`` on the grid :class:`SingularBlockError`.
     """
     if report is None:
         report = check_conditions(dae, grid)
-    p, q, sigma, r = report.P, report.Q, report.sigma, report.rank
-    if not report.conditions_hold:
-        raise ConditionsViolatedError(
-            "reduction conditions failed: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in report.to_dict().items()
-                        if k.endswith("residual") and isinstance(v, float))
-        )
-    if min(report.det_margin_f3, report.det_margin_f4) < 1e-12:
-        raise SingularBlockError(
-            f"transformed blocks are singular on the grid: |det F3| >= {report.det_margin_f3:.3e}, "
-            f"|det F4| >= {report.det_margin_f4:.3e}"
-        )
-    period = dae.period
-    a_path = _block_path(dae.Fpath, p, q, slice(r, 2 * r), slice(0, r), period, "F3")
-    b_path = _block_path(dae.Fpath, p, q, slice(r, 2 * r), slice(r, 2 * r), period, "F4")
-    c_top = lambda t: (p.T @ dae.Cpath(t) @ q)[:r, :]
-    inv_e1 = 1.0 / sigma[:r]
-    s_fun = dae.S
-    q_mat = q
+    report.require_reducible()
+    # probfile imports this module for SemiLinearDae, so it is imported
+    # when a reduction runs, not when this module loads.
+    from .probfile import build_problem, reduced_spec
 
-    def forcing(t, x, y):
-        s_vec = q_mat.T @ np.asarray(s_fun(q_mat @ np.concatenate([x, y])), dtype=float)
-        return inv_e1 * (c_top(t) @ s_vec)
-
-    def forcing_jacobian(t, x, y):
-        ds = np.asarray(dae.dS(q_mat @ np.concatenate([x, y])), dtype=float)
-        return inv_e1[:, None] * (c_top(t) @ (q_mat.T @ ds @ q_mat))
-
-    eye_r = np.eye(r)
-    stacked_eye = lambda pp, qq: np.broadcast_to(eye_r, np.shape(pp)[:-1] + (r, r))
-    return DaeProblem1(
-        m=r,
-        s=r,
-        period=period,
-        f=forcing,
-        g=lambda pp, qq: pp + qq,
-        A=a_path,
-        B=b_path,
-        d1g=lambda pp, qq: eye_r,
-        d2g=lambda pp, qq: eye_r,
-        name=(dae.name + "_reduced") if dae.name else "reduced",
-        df=None if dae.dS is None else forcing_jacobian,
-        g_arrays=(lambda pp, qq: pp + qq, stacked_eye, stacked_eye),
-    )
+    return build_problem(reduced_spec(dae.spec, report.P, report.sigma, report.Q))

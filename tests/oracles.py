@@ -133,3 +133,33 @@ def fixed_frame_march(sys, lam, state0, eta0, h, nsteps, sensitivity=False):
         nodes.append(node(end, aug[0], eta))
         t = end
     return nodes, aug
+
+
+def semilinear_reduction(dae, report, S, dS):
+    """The reduction of a semi-linear DAE on numpy arrays, from its sampled paths.
+
+    With ``P, sigma, Q`` and the rank ``r`` of ``report``, returns
+    ``(A, B, f, df)``: ``A(t, order)`` and ``B(t, order)`` are the lower
+    blocks ``F3``, ``F4`` of ``P.T F(t) Q`` (its time derivatives for
+    ``order`` 1 and 2, since ``P`` and ``Q`` are constant); ``f(t, x, y)``
+    is the forcing ``sigma_r^-1 C_top(t) Q.T S(Q z)`` with ``z = (x, y)``
+    and ``C_top`` the upper ``r`` rows of ``P.T C(t) Q``, and ``df`` its
+    Jacobian by ``z``.  ``S`` and ``dS`` are numpy functions of the original
+    state, written out by the caller.
+    """
+    p, q, r = report.P, report.Q, report.rank
+    inv_e1 = 1.0 / report.sigma[:r]
+
+    def block(cols):
+        return lambda t, order=0: (p.T @ dae.Fpath(t, order) @ q)[r:, cols]
+
+    def c_top(t):
+        return inv_e1[:, None] * (p.T @ dae.Cpath(t) @ q)[:r, :]
+
+    def f(t, x, y):
+        return c_top(t) @ (q.T @ S(q @ np.concatenate([x, y])))
+
+    def df(t, x, y):
+        return c_top(t) @ q.T @ dS(q @ np.concatenate([x, y])) @ q
+
+    return block(slice(0, r)), block(slice(r, 2 * r)), f, df

@@ -243,6 +243,19 @@ class TestReduce:
             golden.pop(key)
         assert report == golden
 
+    @pytest.mark.parametrize("command", [
+        ["degree", "--method", "both"],
+        ["integrate", "--lambda", "0.5"],
+        ["continue", "--ds", "0.05", "--steps", "4"],
+    ])
+    def test_written_problem_runs_like_the_source(self, capsys, tmp_path, command):
+        # reduce --out writes exactly the problem the other commands run
+        out_file = tmp_path / "reduced.prob"
+        assert run(capsys, "reduce", "semilinear_4x4", "--out", str(out_file))[0] == 0
+        code, out, _ = run(capsys, command[0], "semilinear_4x4", *command[1:])
+        assert (code, out) == run(capsys, command[0], str(out_file), *command[1:])[:2]
+        assert code == 0 and out
+
     def test_rejects_non_semilinear(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reduce", "scalar_linear"])

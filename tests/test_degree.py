@@ -512,6 +512,29 @@ class TestBatchedSearch:
                     assert zero.sign == ref_zero.sign
                     assert norm_inf(zero.point - ref_zero.point) <= 1e-12
 
+    def test_section_differences_only_the_eta_block(self, monkeypatch):
+        # a plain-callable constraint without d1g/d2g: each Newton step of the
+        # section forms the difference Jacobian by eta alone (43 of them;
+        # 86 when the discarded d1g block was formed too)
+        prob = load_fixture("rotating_surface")
+        twin = DaeProblem1(
+            m=2, s=1, period=prob.period, f=prob.f, A=prob.A, B=prob.B,
+            g=lambda p, q: np.array([q[0] ** 3 + q[0] - p[0] ** 2 - 2.0 * p[1] ** 2]),
+        )
+        cmap = candidate_map(fixed_frame(twin))
+        box = Box.cube(2.0, 3)
+        plain = to_json(degree_reduced(cmap, box).to_dict())
+        columns = []
+        fd = transform.fd_jacobian
+
+        def counted(fun, x, *args, **kwargs):
+            columns.append(np.size(x))
+            return fd(fun, x, *args, **kwargs)
+
+        monkeypatch.setattr(transform, "fd_jacobian", counted)
+        assert to_json(degree_reduced(cmap, box).to_dict()) == plain
+        assert set(columns) == {twin.s} and len(columns) == 43
+
     def test_overflow_at_one_start_raises(self):
         # Newton from q = 1.5 (g' ~ 0.1) tries q ~ -28.8, where exp(q^2)
         # overflows; the lattice itself evaluates finitely

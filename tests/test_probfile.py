@@ -17,6 +17,7 @@ from daecont.probfile import (
     to_json,
 )
 from daecont.semilinear import check_conditions, reduce_semilinear
+from oracles import semilinear_reduction
 
 
 class TestParseProblem:
@@ -209,20 +210,29 @@ class TestBranchCsv:
 
 
 class TestReducedSpec:
-    def test_symbolic_reduction_matches_runtime(self):
+    def test_emitted_reduction_matches_oracle(self):
+        # the emitted text, parsed back, is the numpy reduction of the
+        # sampled paths and integrates exactly like reduce_semilinear's problem
         spec = parse_problem(problem_text("semilinear_4x4"))
         dae = build_problem(spec)
         report = check_conditions(dae)
         red_spec = reduced_spec(spec, report.P, report.sigma, report.Q)
         text = problem_to_text(red_spec)
         emitted = build_problem(parse_problem(text))
-        runtime = reduce_semilinear(dae, report=report)
+        a_ref, b_ref, f_ref, df_ref = semilinear_reduction(dae, report, lambda x: x,
+                                                           lambda x: np.eye(4))
+        x, y = np.array([0.7, -0.2]), np.array([0.4, 1.1])
+        for t in np.linspace(0.0, dae.period, 7):
+            for order in (0, 1, 2):
+                assert norm_inf(emitted.A(t, order) - a_ref(t, order)) <= 1e-13
+                assert norm_inf(emitted.B(t, order) - b_ref(t, order)) <= 1e-13
+            assert norm_inf(emitted.f(t, x, y) - f_ref(t, x, y)) <= 1e-13 * max(1.0, norm_inf(f_ref(t, x, y)))
+            assert norm_inf(emitted.df(t, x, y) - df_ref(t, x, y)) <= 1e-13 * max(1.0, norm_inf(df_ref(t, x, y)))
         h = dae.period / 256
         x0 = np.array([0.4, -0.3])
         tr1 = integrate(emitted, 0.8, x0, h=h)
-        tr2 = integrate(runtime, 0.8, x0, h=h)
-        assert norm_inf(tr1.x - tr2.x) <= 1e-9
-        assert norm_inf(tr1.y - tr2.y) <= 1e-9
+        tr2 = integrate(reduce_semilinear(dae, report=report), 0.8, x0, h=h)
+        assert np.array_equal(tr1.x, tr2.x) and np.array_equal(tr1.y, tr2.y)
 
     def test_rejects_wrong_kind(self):
         spec = parse_problem(problem_text("scalar_linear"))

@@ -1,16 +1,87 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import daecont
 from daecont.errors import ConditionsViolatedError, RankMismatchError, SingularBlockError
-from daecont.fixtures import load_fixture
+from daecont.fixtures import load_fixture, problem_text
 from daecont.linalg import norm_inf, solve_linear
 from daecont.paths import MatrixPath, frame_audit
-from daecont.semilinear import SemiLinearDae, _check_with, _rank_checked_svd, check_conditions, reduce_semilinear
-from oracles import rk4_step
+from daecont.probfile import build_problem, parse_problem
+from daecont.semilinear import _check_with, _rank_checked_svd, check_conditions, reduce_semilinear
+from oracles import rk4_step, semilinear_reduction
 
 
 def worked_example():
     return load_fixture("semilinear_4x4")
+
+
+def _rotation(plane_angles):
+    out = np.eye(4)
+    for i, j, angle in plane_angles:
+        g = np.eye(4)
+        g[i, i] = g[j, j] = np.cos(angle)
+        g[i, j], g[j, i] = -np.sin(angle), np.sin(angle)
+        out = g @ out
+    return out
+
+
+# semilinear_4x4 in the coordinates w = R x, its equations mixed by L, so
+# that the SVD factors of its mass matrix are no permutations
+ROT_L = _rotation([(0, 2, 0.4), (1, 3, -0.7), (0, 1, 0.25)])
+ROT_R = _rotation([(0, 3, 0.3), (1, 2, 0.9)])
+_F = [["0", "0", "0", "0"], ["cos(t)", "1", "0", "-sin(t)"],
+      ["0", "0", "0", "0"], ["sin(t)", "0", "1", "cos(t)"]]
+_C = [["2 + cos(t)", "1", "0", "1"], ["0", "0", "0", "0"],
+      ["1", "3 + sin(t)", "2", "0"], ["0", "0", "0", "0"]]
+_E = np.array([[1.0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+
+
+def rotated_problem(name, s_entries, header=""):
+    """Problem text of the rotated system; ``s_entries`` are S in u1..u4 = R.T w."""
+    def combination(coefs, terms):
+        parts = [f"({float(c)!r})*({x})" for c, x in zip(coefs, terms) if c != 0.0 and x != "0"]
+        return " + ".join(parts) or "0"
+
+    def rows(table):
+        return "\n".join(", ".join(row) for row in table)
+
+    u = ["(" + combination(ROT_R[:, i], ["x1", "x2", "x3", "x4"]) + ")" for i in range(4)]
+    pairs = [(a, b) for a in range(4) for b in range(4)]
+    f_rows = [[combination([ROT_L[i, a] * ROT_R[j, b] for a, b in pairs], [_F[a][b] for a, b in pairs])
+               for j in range(4)] for i in range(4)]
+    c_rows = [[combination(ROT_L[i], [_C[a][j] for a in range(4)]) for j in range(4)]
+              for i in range(4)]
+    mass = [[repr(float(v)) for v in row] for row in ROT_L @ _E @ ROT_R.T]
+    s_rows = [[entry.format(*u)] for entry in s_entries]
+    return (f"[problem]\nkind = semilinear\nname = {name}\nn = 4\nperiod = 6.283185307179586\n{header}"
+            f"\n[E]\n{rows(mass)}\n\n[F]\n{rows(f_rows)}\n\n[C]\n{rows(c_rows)}\n\n[S]\n{rows(s_rows)}\n")
+
+
+def _nonlinear_s(w):
+    x = ROT_R.T @ w
+    return np.array([x[0] + 0.1 * x[0] ** 3, np.sin(x[1]), x[2] * x[3], np.exp(-x[3] ** 2)])
+
+
+def _nonlinear_ds(w):
+    x = ROT_R.T @ w
+    return np.array([[1.0 + 0.3 * x[0] ** 2, 0, 0, 0], [0, np.cos(x[1]), 0, 0],
+                     [0, 0, x[3], x[2]], [0, 0, 0, -2.0 * x[3] * np.exp(-x[3] ** 2)]]) @ ROT_R.T
+
+
+# (problem text, S, dS) of the three problems held to the numpy oracle
+ORACLE_PROBLEMS = {
+    "semilinear_4x4": (problem_text("semilinear_4x4"), lambda x: x, lambda x: np.eye(4)),
+    "nonlinear_s": (rotated_problem("nonlinear_s", ["{0} + 0.1*{0}^3", "sin({1})", "{2}*{3}",
+                                                    "exp(-{3}^2)"]),
+                    _nonlinear_s, _nonlinear_ds),
+    "fd": (rotated_problem("fd", ["{0}", "{1}", "{2}", "{3}"], "derivatives = fd\n"),
+           lambda w: ROT_R.T @ w, lambda w: ROT_R.T),
+}
 
 
 class TestCheckConditions:
@@ -44,13 +115,9 @@ class TestCheckConditions:
 
     def test_two_by_two_hand_computed(self):
         # E = diag(1, 0): ker E.T = span{e2}; F maps onto e2; C kills e2
-        dae = SemiLinearDae(
-            n=2, period=2 * np.pi,
-            mass=np.diag([1.0, 0.0]),
-            Fpath=MatrixPath.constant(np.array([[0.0, 0.0], [1.0, 0.0]]), 2 * np.pi),
-            Cpath=MatrixPath.constant(np.array([[1.0, 0.0], [0.0, 0.0]]), 2 * np.pi),
-            S=lambda x: x,
-        )
+        dae = build_problem(parse_problem(
+            "[problem]\nkind = semilinear\nn = 2\nperiod = 6.283185307179586\n"
+            "[E]\n1, 0\n0, 0\n[F]\n0, 0\n1, 0\n[C]\n1, 0\n0, 0\n[S]\nx1\nx2\n"))
         report = check_conditions(dae)
         assert report.rank == 1
         assert report.conditions_hold
@@ -149,6 +216,48 @@ class TestReduce:
         orig1 = np.array([q @ np.concatenate([tr1.x[k], tr1.y[k]]) for k in range(len(tr1.times))])
         orig2 = np.array([q2 @ np.concatenate([tr2.x[k], tr2.y[k]]) for k in range(len(tr2.times))])
         assert norm_inf(orig1 - orig2) <= 1e-8
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+    def test_compiled_reduction_matches_numpy_reduction(self, name):
+        # the compiled tables against blocks of P.T F(t) Q and the forcing
+        # sigma^-1 C_top(t) Q.T S(Q z) on the paths the audit samples
+        text, s_fun, ds_fun = ORACLE_PROBLEMS[name]
+        dae = build_problem(parse_problem(text))
+        report = check_conditions(dae)
+        red = reduce_semilinear(dae, report=report)
+        a_ref, b_ref, f_ref, df_ref = semilinear_reduction(dae, report, s_fun, ds_fun)
+        # difference derivatives carry the rounding of their values,
+        # amplified by 1/fd_step per order (fd_step = 1e-4 * T here)
+        fd = dae.spec.derivative_mode == "fd"
+        tols = [1e-13] + [8 * np.finfo(float).eps / red.A.fd_step**k if fd else 1e-13 for k in (1, 2)]
+
+        def close(got, ref, tol=1e-13):
+            return norm_inf(np.asarray(got) - ref) <= tol * max(1.0, norm_inf(ref))
+
+        rng = np.random.default_rng(7)
+        for t in np.linspace(0.0, dae.period, 11):
+            for order, tol in enumerate(tols):
+                assert close(red.A(t, order), a_ref(t, order), tol)
+                assert close(red.B(t, order), b_ref(t, order), tol)
+            x, y = rng.uniform(-1.5, 1.5, 2), rng.uniform(-1.5, 1.5, 2)
+            assert close(red.f(t, x, y), f_ref(t, x, y))
+            assert close(red.df(t, x, y), df_ref(t, x, y))
+
+
+def test_semilinear_imported_first_reduces():
+    # probfile imports semilinear at load; semilinear imports probfile only
+    # when a reduction runs, so either import order works
+    src = str(Path(daecont.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import daecont.semilinear as semilinear\n"
+            "from daecont.fixtures import load_fixture\n"
+            "red = semilinear.reduce_semilinear(load_fixture('semilinear_4x4'))\n"
+            "print(type(red).__name__, red.m, red.s)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "DaeProblem1 2 2\n", "")
 
 
 class TestReductionConsistency:
