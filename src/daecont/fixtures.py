@@ -186,10 +186,17 @@ DESCRIPTIONS: Dict[str, str] = {
 
 
 def _semilinear_reference(z: np.ndarray) -> np.ndarray:
-    # Documented reference formula shipped with semilinear_4x4 for the
-    # averaged-map report; compared against, not trusted.
+    # The averaged map of semilinear_4x4, by hand; the report compares the
+    # quadrature against it.  The reduction has A(t) = [[c, -s], [s, c]]
+    # (c = cos t, s = sin t), B = I, g = p + q and, with (X1, X2) = A.T
+    # (x1, x2) = (c x1 + s x2, -s x1 + c x2),
+    #   f1 = (2 + c) X1 + X2 + y1,  f2 = X1 + (3 + s) y1 + 2 y2.
+    # Over a period <c> = <s> = <cs> = <c^3> = <c^2 s> = <c s^2> = 0 and
+    # <c^2> = <s^2> = 1/2, so <c f1> = x1 + x2/2, <s f2> = (x2 + y1)/2,
+    # <s f1> = x2 - x1/2 and <c f2> = x1/2: the mean of A f is
+    # (<c f1> - <s f2>, <s f1> + <c f2>) = (x1 - y1/2, x2).
     x1, x2, y1, y2 = z
-    return np.array([y1, 3.0 * y1 + 2.0 * y2, x1 + y1, x2 + y2])
+    return np.array([x1 - 0.5 * y1, x2, x1 + y1, x2 + y2])
 
 
 AVERAGED_MAP_REFERENCES = {"semilinear_4x4": _semilinear_reference}

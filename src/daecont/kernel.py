@@ -1,37 +1,47 @@
-"""The fixed-frame half-explicit RK4 march on Python floats.
+"""The half-explicit RK4 march on Python floats, in either coordinate system.
 
-A fixed-frame march spends its time in small-array arithmetic: 2x2
-mat-vecs, 1x1 and 2x2 solves and a scalar constraint Newton per stage.
-On numpy arrays each of those is a dispatch that costs far more than the
-few flops it does, so the march runs on Python floats instead, in
-straight-line code emitted once per ``(order, m, s, sensitivity)`` and
-kept.  Every vector and matrix is unrolled into local names, so the code
-has no loops over ``m`` or ``s``; loops over them in plain Python were
-measured slower than numpy.
+A march spends its time in small-array arithmetic: 2x2 mat-vecs, 1x1
+and 2x2 solves and a scalar constraint Newton per stage.  On numpy
+arrays each of those is a dispatch that costs far more than the few
+flops it does, so the march runs on Python floats instead, in
+straight-line code emitted once per ``(order, m, s, sensitivity, raw)``
+and kept.  Every vector and matrix is unrolled into local names, so the
+code has no loops over ``m`` or ``s``; loops over them in plain Python
+were measured slower than numpy.
 
-The emitted code keeps the rules of the numpy routines it stands for:
+The type of the model picks the coordinates (see :class:`March`).  A
+fixed-frame system solves the autonomous constraint for ``eta``, drifts
+by ``D0``/``D1`` and pulls its nodes back; a problem marches raw: it
+solves ``g(A(t) x, B(t) y) = 0`` for ``y`` (Jacobian ``g_q B``), drifts
+by ``H`` (order 2: ``H2``/``H1``) and does not conjugate ``f``.  The
+Newton, the solves and the order-2 rate are one emitter, and the
+coordinate change is the fixed frame's alone, so raw against fixed checks
+it.  The emitted code keeps the rules of the numpy routines it stands for:
 
 - the constraint Newton is ``periodic._solve_constraint``'s, with its
   polish iteration, stops, typed errors and messages;
 - 1x1 and 2x2 solves are :func:`~daecont.linalg.solve_linear`'s closed
   forms with their pivot tests, and larger ones call it;
-- a non-finite forcing value is named at the model call, and a
-  non-finite constraint residual at a non-finite state blames the state.
+- a non-finite constraint residual at a non-finite state blames the
+  state, and in the frame a non-finite forcing value is named at the
+  model call, before ``A(t) f`` would turn an inf into a NaN (raw, it
+  enters the rate, as it did in the numpy raw march).
 
 Sums of products are plain float sums, where numpy's BLAS may fuse a
-multiply-add: a value can differ from the numpy march in the last bit
-(the test suite bounds the difference by 1e-13 on every fixture).
+multiply-add: a value can differ from a numpy march in the last bit (the
+test suite holds both coordinate systems to numpy marches within 1e-13
+on every fixture).
 
 The stage calls the model on floats: a callable compiled from expression
 trees through its list target (``as_list()``, see
 :func:`~daecont.expressions.compile_vector`), any other one, and a
 derivative that the problem forms by differences, on numpy arrays through
-an adapter that returns a list.  The frame comes from the system's table,
-as the flat tuple of floats that
-:meth:`~daecont.transform.TransformedSystem.frame_entries` returns.  A
-sensitivity march carries the derivative of the state with respect to
-``(lam, state0)`` in the rows after row 0, which is the plain march's
-arithmetic, bit for bit (see :mod:`daecont.periodic`).
+an adapter that returns a list.  The frame is the flat tuple of floats
+that the model's ``frame_entries`` returns (a system's from its table),
+once per march time.  A sensitivity march (fixed frame only) carries the
+derivative of the state with respect to ``(lam, state0)`` in the rows
+after row 0, which is the plain march's arithmetic, bit for bit (see
+:mod:`daecont.periodic`).
 """
 
 from __future__ import annotations
@@ -43,8 +53,9 @@ import numpy as np
 
 from .errors import NoConvergenceError, NonfiniteResultError, SingularMatrixError
 from .linalg import PIVOT_REL, solve_linear
+from .transform import TransformedSystem
 
-__all__ = ["FixedMarch", "CONSTRAINT_SOLVE_TOL", "CONSTRAINT_SOLVE_MAX_ITER"]
+__all__ = ["March", "CONSTRAINT_SOLVE_TOL", "CONSTRAINT_SOLVE_MAX_ITER"]
 
 CONSTRAINT_SOLVE_TOL = 1e-12
 CONSTRAINT_SOLVE_MAX_ITER = 40
@@ -60,53 +71,67 @@ _GLOBALS = {
 }
 
 
-class FixedMarch:
-    """One stepper of the fixed-frame march of ``sys`` at ``lam``.
+class March:
+    """One stepper of the half-explicit RK4 march of ``model`` at ``lam``.
 
-    States are flat sequences of floats: positions first, then (order 2)
-    velocities; with ``sensitivity`` the ``n + 2`` rows of the state and
+    A :class:`~daecont.transform.TransformedSystem` marches in its frame,
+    a problem in original coordinates (raw).  States are flat sequences of
+    floats: positions first, then (order 2) velocities; with
+    ``sensitivity`` (fixed frame only) the ``n + 2`` rows of the state and
     its derivatives by ``lam`` and by the start state follow one another
     (``n = order * m``).  The algebraic block is a sequence of ``s``
-    floats.
+    floats, ``eta`` in the frame and ``y`` raw.
     """
 
-    def __init__(self, sys, lam, sensitivity: bool = False):
-        build = _build(sys.order, sys.m, sys.s, bool(sensitivity))
-        drifts = [() if d is None else np.asarray(d, dtype=float).ravel().tolist()
-                  for d in (sys.D0, sys.D1)]
-        self.m = sys.m
+    def __init__(self, model, lam, sensitivity: bool = False):
+        self.raw = not isinstance(model, TransformedSystem)
+        build = _build(model.order, model.m, model.s, bool(sensitivity), self.raw)
+        if not self.raw:
+            drifts = (model.D0, model.D1)
+        else:
+            drifts = (model.H, None) if model.order == 1 else (model.H2, model.H1)
+        # an absent drift is zero (D1 is read for order 2 only)
+        drifts = [np.zeros(model.m**2).tolist() if d is None
+                  else np.asarray(d, dtype=float).ravel().tolist() for d in drifts]
+        self.m = model.m
         self._resolve, self._march, self._record = build(
-            *_list_models(sys), sys.frame_entries, *drifts, float(lam))
+            *_list_models(model), model.frame_entries, *drifts, float(lam))
 
     def resolve(self, t, state, eta_guess) -> tuple:
-        """The algebraic block at ``state``'s positions, from ``eta_guess``."""
+        """The algebraic block at ``state``'s positions, from ``eta_guess`` (fixed frame)."""
         return self._resolve(t, *state[: self.m], *eta_guess)
 
     def march(self, state, eta, h, nsteps):
         """``(nodes, end)`` of ``nsteps`` steps of size ``h`` from ``(state, eta)`` at 0.
 
-        ``nodes`` holds ``(t, state, eta)`` of every node, start first, with
-        the state's row 0 only; ``end`` is the whole end state.  A stage
-        whose constraint solve fails ends the march with its error.
+        ``nodes`` holds every node, start first: ``(t, state, eta)`` with
+        the state's row 0 only in the frame, ``(t, x, y, xdot, ydot)``
+        raw.  ``end`` is the whole end state.  A stage whose constraint
+        solve fails ends the march with its error.
         """
         return self._march(0.0, float(h), nsteps, *state, *eta)
 
-    def record(self, t, state, eta) -> tuple:
+    def record(self, t, *node) -> tuple:
         """``(t, x, y, xdot, ydot)`` of a node in original coordinates.
 
-        Velocities are None for order 1; for order 2 the node's ``etadot``
-        is solved from the constraint first.
+        Velocities are None for order 1.  A frame node ``(t, state, eta)``
+        is pulled back, for order 2 after its ``etadot`` is solved from the
+        constraint; a raw march records its nodes as it goes.
         """
+        if self.raw:
+            return (t, *node)
+        state, eta = node
         return self._record(t, *state, *eta)
 
 
-def _list_models(sys):
-    # (f, df, g, d1g, d2g, dgdot) of a fixed-frame system as functions of
+def _list_models(model):
+    # (f, df, g, d1g, d2g, dgdot) of a system or a problem as functions of
     # Python floats and sequences of them that return a flat list (a matrix
     # row by row); dgdot is None for order 1.
-    pairs = (("f", sys.f), ("df", sys.f_jac), ("g", sys.g), ("d1g", sys.g_jac1),
-             ("d2g", sys.g_jac2), ("dgdot", sys.gdot_jac))
-    return [_listed(getattr(sys.problem, name, None), model) for name, model in pairs]
+    problem = getattr(model, "problem", model)
+    pairs = (("f", model.f), ("df", model.f_jac), ("g", model.g), ("d1g", model.g_jac1),
+             ("d2g", model.g_jac2), ("dgdot", getattr(model, "gdot_jac", None)))
+    return [_listed(getattr(problem, name, None), fn) for name, fn in pairs]
 
 
 def _listed(own, model):
@@ -126,10 +151,11 @@ def _listed(own, model):
 
 
 @functools.cache
-def _build(order, m, s, sensitivity):
-    # The emitted build function of one problem shape, compiled once.
+def _build(order, m, s, sensitivity, raw):
+    # The emitted build function of one problem shape and coordinate
+    # system, compiled once.
     namespace = dict(_GLOBALS)
-    exec(_source(order, m, s, sensitivity), namespace)
+    exec(_source(order, m, s, sensitivity, raw), namespace)
     return namespace["build"]
 
 
@@ -217,35 +243,47 @@ def _solve(a, cols, name, on_singular=()):
     return lines, names
 
 
-def _newton(xi, s):
+def _newton(xi, s, frame=None):
     """Lines that solve ``g(xi, q) = 0`` for ``q0..`` from their warm start.
 
+    Raw (``frame`` the names of ``A`` and ``B``) they solve ``g(A xi, B q)
+    = 0`` with the Jacobian ``g_q B``, and name ``B q`` ``w0..``.
     ``periodic._solve_constraint``'s rules: a polish iteration even inside
     the tolerance, the residual norm of numpy's max (NaN if any entry is),
     a non-finite residual ends the solve, and a singular ``dg/dq`` inside
     the tolerance keeps the iterate.
     """
     q, r = _vec("q", s), _vec("r", s)
-    qs = "[" + ", ".join(q) + "]"
+    p, arg, at_q = xi, q, []
+    if frame is not None:
+        p, arg = _matvec(frame[0], xi), _vec("w", s)
+        at_q = [f"{w} = {e}" for w, e in zip(arg, _matvec(frame[1], q))]
+    qs = "[" + ", ".join(arg) + "]"
     norm = ["rn = abs(r0)"]
     if s > 1:
         nan = " or ".join(f"{v} != {v}" for v in r)
         norm = ["rn = max(" + ", ".join(f"abs({v})" for v in r) + ")", f"if {nan}:", "    rn = _NAN"]
     jac = _mat("j", s, s)
+    jac_lines = [f"{_unrolled(sum(jac, []))} = d2g(p, {qs})"]
+    if frame is not None:
+        gq = _mat("gq", s, s)
+        jac_lines = [f"{_unrolled(sum(gq, []))} = d2g(p, {qs})", *_let("j", _matmul(gq, frame[1]))[0]]
     solve, (step,) = _solve(jac, [r], "dq", on_singular=["if rn <= _TOL:", "    break"])
     body = [
         "if rn == 0.0 or (rn <= _TOL and it > 0):",
         "    break",
         "if not rn < _INF:",
         "    raise NonfiniteResultError(f'constraint residual is {rn}: a model value is not finite')",
-        f"{_unrolled(sum(jac, []))} = d2g(p, {qs})",
+        *jac_lines,
         *solve,
         *(f"{qi} = {qi} - {d}" for qi, d in zip(q, step)),
+        *at_q,
         f"{_unrolled(r)} = g(p, {qs})",
         *norm,
     ]
     return [
-        f"p = [{', '.join(xi)}]",
+        f"p = [{', '.join(p)}]",
+        *at_q,
         f"{_unrolled(r)} = g(p, {qs})",
         *norm,
         "for it in range(_MAX_ITER):",
@@ -257,12 +295,12 @@ def _newton(xi, s):
     ]
 
 
-def _resolve(xi, s):
+def _resolve(xi, s, frame=None):
     # _newton, with a non-finite residual at a non-finite state blamed on
     # the state, where an earlier value overflowed without raising
     state = "[" + ", ".join(xi) + "]"
     finite = " and ".join(f"isfinite({v})" for v in xi)
-    return ["try:", *(f"    {line}" for line in _newton(xi, s)),
+    return ["try:", *(f"    {line}" for line in _newton(xi, s, frame)),
             "except NonfiniteResultError:",
             f"    if {finite}:",
             "        raise",
@@ -271,24 +309,40 @@ def _resolve(xi, s):
             "    ) from None"]
 
 
-def _frame_names(order, m, s):
+def _frame_names(order, m, s, raw=False):
+    # the unpacking line of a frame tuple and the names of A, B and, for
+    # order 2, dA and d(B^-1) (raw: dB)
     a, b = _mat("A", m, m), _mat("B", s, s)
-    da, dbi = (_mat("dA", m, m), _mat("dBi", s, s)) if order == 2 else (None, None)
+    da, dbi = (_mat("dA", m, m), _mat("dB" if raw else "dBi", s, s)) if order == 2 else (None, None)
     flat = sum(a + b + (da + dbi if order == 2 else []), [])
     return f"{_unrolled(flat)} = fr", a, b, da, dbi
 
 
-def _rate(order, m, s):
-    """Lines for ``g_p``, ``g_q`` and, for order 2, ``etadot`` (names ``ed*``)
-    at the resolved node: ``solve(g_q, -(g_p @ u))``."""
+def _rate(order, m, s, frame=None):
+    """Lines for ``g_p``, ``g_q`` and, for order 2, the algebraic block's
+    rate (names ``ed*``) at the resolved node.
+
+    In the frame ``etadot = solve(g_q, -(g_p @ u))``.  Raw (``frame`` the
+    names of ``A``, ``B``, ``dA`` and ``dB``, with ``p = A x`` and ``w = B
+    y`` named), ``ydot = solve(g_q B, -(g_p (dA x + A u) + g_q dB y))``.
+    """
+    at = _vec("q" if frame is None else "w", s)
     gp, gq = _mat("gp", s, m), _mat("gq", s, s)
-    lines = [f"{_unrolled(sum(gp, []))} = d1g(p, [{', '.join(_vec('q', s))}])",
-             f"{_unrolled(sum(gq, []))} = d2g(p, [{', '.join(_vec('q', s))}])"]
+    lines = [f"{_unrolled(sum(gp, []))} = d1g(p, [{', '.join(at)}])",
+             f"{_unrolled(sum(gq, []))} = d2g(p, [{', '.join(at)}])"]
     if order == 1:
         return lines, gp, gq
-    u = _vec("u", m)
-    lines += [f"c{k} = -{e}" for k, e in enumerate(_matvec(gp, u))]
-    solve, (ed,) = _solve(gq, [_vec("c", s)], "ed")
+    u, matrix = _vec("u", m), gq
+    if frame is None:
+        lines += [f"c{k} = -{e}" for k, e in enumerate(_matvec(gp, u))]
+    else:
+        a, b, da, db = frame
+        pd = [f"({e} + {f})" for e, f in zip(_matvec(da, _vec("xi", m)), _matvec(a, u))]
+        bd = [f"({e})" for e in _matvec(db, _vec("q", s))]
+        lines += [f"c{k} = -({e} + {f})" for k, (e, f) in enumerate(zip(_matvec(gp, pd), _matvec(gq, bd)))]
+        jb, matrix = _let("jb", _matmul(gq, b))
+        lines += jb
+    solve, (ed,) = _solve(matrix, [_vec("c", s)], "ed")
     lines += solve + [f"ed{k} = {v}" for k, v in enumerate(ed)]
     return lines, gp, gq
 
@@ -312,33 +366,48 @@ def _pull_back(order, m, s, a, b, da, dbi):
     return lines
 
 
-def _node_args(order, m, s):
-    args = [_vec("x", m), _vec("y", s)] + ([_vec("xd", m), _vec("yd", s)] if order == 2 else [])
+def _node_args(order, m, s, raw=False):
+    # the forcing's arguments: a raw stage's node is its state, q and rate
+    x, y, xd, yd = ("xi", "q", "u", "ed") if raw else ("x", "y", "xd", "yd")
+    args = [_vec(x, m), _vec(y, s)] + ([_vec(xd, m), _vec(yd, s)] if order == 2 else [])
     return ", ".join("[" + ", ".join(v) + "]" for v in args)
 
 
-def _stage(order, m, s, sensitivity):
+def _stage(order, m, s, sensitivity, raw=False):
     """The body of ``stage(t, fr, <state>, <q warm start>)``, returning the
-    rates of every state entry and the resolved ``q``."""
+    rates of every state entry and the resolved ``q``.
+
+    A raw stage is the fixed one without the coordinate change: it solves
+    the moving constraint, its node is its state, and ``f`` enters the rate
+    unconjugated and unchecked (a non-finite value makes the next state
+    non-finite, which the next solve blames).
+    """
     n = order * m
     rows = n + 2 if sensitivity else 1
     xi, u, q = _vec("xi", m), _vec("u", m), _vec("q", s)
-    unpack, a, b, da, dbi = _frame_names(order, m, s)
-    lines = _resolve(xi, s) + [unpack]
-    rate, gp, gq = _rate(order, m, s) if (order == 2 or sensitivity) else ([], None, None)
-    lines += rate + _pull_back(order, m, s, a, b, da, dbi)
-    v = _vec("v", m)
-    finite = " + ".join(f"{x}*0.0" for x in v)
-    lines += [f"{_unrolled(v)} = f(t, {_node_args(order, m, s)})",
-              f"if not {finite} == 0.0:",
-              f"    raise NonfiniteResultError(f'forcing f at t = {{t!r}} is {{[{', '.join(v)}]}}: "
-              "a model value is not finite')"]
-    lines += [f"F{i} = {e}" for i, e in enumerate(_matvec(a, v))]
+    unpack, a, b, da, dbi = _frame_names(order, m, s, raw)
+    if raw:
+        lines = [unpack] + _resolve(xi, s, (a, b))
+        lines += _rate(order, m, s, (a, b, da, dbi))[0] if order == 2 else []
+    else:
+        lines = _resolve(xi, s) + [unpack]
+        rate, gp, gq = _rate(order, m, s) if (order == 2 or sensitivity) else ([], None, None)
+        lines += rate + _pull_back(order, m, s, a, b, da, dbi)
+    v = force = _vec("v", m)
+    lines.append(f"{_unrolled(v)} = f(t, {_node_args(order, m, s, raw)})")
+    if not raw:
+        # named before A(t) f, whose zero entries would turn an inf into a NaN
+        finite = " + ".join(f"{x}*0.0" for x in v)
+        lines += [f"if not {finite} == 0.0:",
+                  f"    raise NonfiniteResultError(f'forcing f at t = {{t!r}} is {{[{', '.join(v)}]}}: "
+                  "a model value is not finite')"]
+        lines += [f"F{i} = {e}" for i, e in enumerate(_matvec(a, v))]
+        force = _vec("F", m)
     d0, d1 = _mat("D0_", m, m), _mat("D1_", m, m)
     drift = _matvec(d0, xi)
     if order == 2:
         drift = [f"({e} + {g})" for e, g in zip(drift, _matvec(d1, u))]
-    out = (u if order == 2 else []) + [f"{e} + lam*F{i}" for i, e in enumerate(drift)]
+    out = (u if order == 2 else []) + [f"{e} + lam*{f}" for e, f in zip(drift, force)]
     lines += [f"k0_{i} = {e}" for i, e in enumerate(out)]
     if sensitivity:
         lines += _sensitivity(order, m, s, a, b, da, dbi, gp, gq)
@@ -408,7 +477,7 @@ def _sensitivity(order, m, s, a, b, da, dbi, gp, gq):
     return lines
 
 
-def _source(order, m, s, sensitivity):
+def _source(order, m, s, sensitivity, raw=False):
     n = order * m
     rows = n + 2 if sensitivity else 1
     q = _vec("q", s)
@@ -423,23 +492,37 @@ def _source(order, m, s, sensitivity):
            f"    {d0} = D0"]
     if order == 2:
         src.append(f"    {d1} = D1")
-    resolve = _resolve(_vec("xi", m), s)
-    src += [f"    def resolve(t, {', '.join(_vec('xi', m) + q)}):",
-            *(f"        {line}" for line in resolve),
-            f"        return {_unrolled(q)}", ""]
-    src += [f"    def stage({', '.join(stage_args)}):",
-            *(f"        {line}" for line in _stage(order, m, s, sensitivity)), ""]
-    # record: row 0 and q of a node, to (t, x, y, xd, yd)
-    unpack, a, b, da, dbi = _frame_names(order, m, s)
-    rec = ["fr = frame(t)", unpack]
-    if order == 2:
-        rec += ["p = [" + ", ".join(_vec("xi", m)) + "]"] + _rate(order, m, s)[0]
-    rec += _pull_back(order, m, s, a, b, da, dbi)
+    unpack, a, b, da, dbi = _frame_names(order, m, s, raw)
     tup = lambda names: "(" + _unrolled(names) + ")"
-    velocities = (f"{tup(_vec('xd', m))}, {tup(_vec('yd', s))}" if order == 2 else "None, None")
-    src += [f"    def record(t, {', '.join(_vec('xi', m) + _vec('u', n - m) + q)}):",
-            *(f"        {line}" for line in rec),
-            f"        return t, {tup(_vec('x', m))}, {tup(_vec('y', s))}, {velocities}", ""]
+    xis = _vec("xi", m)
+    node_args = ", ".join(xis + _vec("u", n - m) + q)
+    # a raw solve reads the frame of its time, which the march passes
+    src += [f"    def resolve(t, {'fr, ' * raw}{', '.join(xis + q)}):",
+            *([f"        {unpack}"] if raw else []),
+            *(f"        {line}" for line in _resolve(xis, s, (a, b) if raw else None)),
+            f"        return {_unrolled(q)}", ""]
+    if raw:
+        # node: (t, x, y, xd, yd) of a resolved node at a frame
+        rate = []
+        if order == 2:
+            rate = [unpack, "p = [" + ", ".join(_matvec(a, xis)) + "]"]
+            rate += [f"w{k} = {e}" for k, e in enumerate(_matvec(b, q))]
+            rate += _rate(order, m, s, (a, b, da, dbi))[0]
+        velocities = (f"{tup(_vec('u', m))}, {tup(_vec('ed', s))}" if order == 2 else "None, None")
+        src += [f"    def node(t, fr, {node_args}):", *(f"        {line}" for line in rate),
+                f"        return t, {tup(xis)}, {tup(q)}, {velocities}", ""]
+    src += [f"    def stage({', '.join(stage_args)}):",
+            *(f"        {line}" for line in _stage(order, m, s, sensitivity, raw)), ""]
+    if not raw:
+        # record: row 0 and q of a node, to (t, x, y, xd, yd)
+        rec = ["fr = frame(t)", unpack]
+        if order == 2:
+            rec += ["p = [" + ", ".join(xis) + "]"] + _rate(order, m, s)[0]
+        rec += _pull_back(order, m, s, a, b, da, dbi)
+        velocities = (f"{tup(_vec('xd', m))}, {tup(_vec('yd', s))}" if order == 2 else "None, None")
+        src += [f"    def record(t, {node_args}):",
+                *(f"        {line}" for line in rec),
+                f"        return t, {tup(_vec('x', m))}, {tup(_vec('y', s))}, {velocities}", ""]
     # march: RK4 over every state entry, q re-solved per stage from warm starts
     step = []
     for j, (time, fr, scale, prev) in enumerate((("t", "fr0", None, None), ("mid", "frm", "hh", 1),
@@ -451,20 +534,23 @@ def _source(order, m, s, sensitivity):
     step.insert(4, "fre = frame(end)")
     step += [f"{v} = {v} + h6*(((k1_{v[1:]} + 2.0*k2_{v[1:]}) + 2.0*k3_{v[1:]}) + k4_{v[1:]})"
              for v in state]
-    step += [f"{_unrolled(q)} = resolve(end, {', '.join(xi + q)})",
-             f"append((end, {tup(state[:n])}, {tup(q)}))",
+    # a raw node is recorded at once, from the frame its solve read
+    node = (lambda t, fr: f"node({t}, {fr}, {', '.join(state[:n] + q)})") if raw else (
+        lambda t, fr: f"({t}, {tup(state[:n])}, {tup(q)})")
+    step += [f"{_unrolled(q)} = resolve(end, {'fre, ' * raw}{', '.join(xi + q)})",
+             f"append({node('end', 'fre')})",
              "t = end",
              "fr0 = fre"]
     src += [f"    def march(t, h, nsteps, {', '.join(state + q)}):",
             "        hh = 0.5 * h",
             "        h6 = h / 6.0",
             "        fr0 = frame(t)",
-            f"        nodes = [(t, {tup(state[:n])}, {tup(q)})]",
+            f"        nodes = [{node('t', 'fr0')}]",
             "        append = nodes.append",
             "        for _ in range(nsteps):",
             "            mid = t + hh",
             "            end = t + h",
             *(f"            {line}" for line in step),
             f"        return nodes, {tup(state)}", ""]
-    src += ["    return resolve, march, record", ""]
+    src += ["    return None, march, None" if raw else "    return resolve, march, record", ""]
     return "\n".join(src)

@@ -85,8 +85,9 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise EvaluationError(f"expected square matrix, got shape {a.shape}")
     if b.shape[0] != n:
         raise EvaluationError(f"dimension mismatch: matrix {a.shape}, rhs {b.shape}")
-    # Closed forms for the 1x1 and 2x2 cases; these dominate the inner
-    # loops of the constraint solver.
+    # Closed forms for the 1x1 and 2x2 cases, kept for bit parity with
+    # solve_stacked and with the solves the marches emit (daecont.kernel),
+    # where the constraint solver's inner loop now runs.
     if n == 1:
         threshold = PIVOT_REL * max(abs(a[0, 0]), 1e-300)
         if abs(a[0, 0]) < threshold or a[0, 0] == 0.0:

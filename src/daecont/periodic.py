@@ -30,24 +30,21 @@ march, bit for bit.  Newton accepts a point on the residual it evaluated
 there, so the corrector's last march gives the residual, the Jacobian,
 the tangent and the accepted pair's nodes: a pair costs no march of its own.
 
-Fixed-frame marches, plain and sensitivity, run on Python floats in code
-emitted per problem shape (:mod:`daecont.kernel`); a raw march runs on
-numpy arrays, an independent route that the fixed frame is checked
-against.  Every fixed-frame march reads the frame through its system's
-table (see :mod:`daecont.transform`), so a march evaluates the frame
-paths only at the ``2N + 1`` step and midpoint times it has not seen
-before.  A shooting runner keeps one system, and with it one table, for
-all the marches of a branch; ``integrate`` and the seeding map fill the
-table of the system they are given.  A raw march visits each time in one
-consecutive run, so its stepper keeps only the frame of the last time it
-saw: the march evaluates the paths once per time, and the stepper holds
-one frame whatever ``N``.  An order-2 raw node takes its rate right after
-its resolve, from that same frame.
+Every march, raw or fixed-frame, plain or sensitivity, runs on Python
+floats in code emitted per problem shape (:mod:`daecont.kernel`), and the
+model it is given picks the coordinates.  A march asks for the frame
+once per step and midpoint time.  A fixed-frame march reads it through
+its system's table (see :mod:`daecont.transform`), so it evaluates the
+frame paths only at the ``2N + 1`` times it has not seen before: a
+shooting runner keeps one system, and with it one table, for all the
+marches of a branch, and ``integrate`` and the seeding map fill the
+table of the system they are given.  A raw march evaluates the problem's
+paths at each of its times, records each node right after its solve,
+from that frame, and keeps no table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -63,8 +60,8 @@ from .errors import (
     SingularMatrixError,
     SingularMonodromyError,
 )
-from .kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL, FixedMarch
-from .linalg import PIVOT_REL, NewtonConfig, newton_solve, norm_inf, solve_linear
+from .kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL, March
+from .linalg import NewtonConfig, newton_solve, norm_inf, solve_linear
 from .transform import fixed_frame
 
 __all__ = [
@@ -171,14 +168,8 @@ def _solve_constraint(g, jac, q0):
     # skipping it leaves an O(tol) error that unstable flows can amplify
     # far past the tolerance of the differential block.  A non-finite
     # residual (a model value overflowed or divided by zero) ends the solve
-    # at once: Newton cannot recover from it.  A scalar block (s = 1)
-    # iterates on Python floats, with the same rules and the same bits.
-    if np.size(q0) == 1:
-        return _scalar_newton(g, jac, q0)
-    return _vector_newton(g, jac, q0)
-
-
-def _vector_newton(g, jac, q0):
+    # at once: Newton cannot recover from it.  The marches emit the same
+    # rules on floats (see :mod:`daecont.kernel`).
     q = np.atleast_1d(np.asarray(q0, dtype=float)).copy()
     r = np.atleast_1d(g(q))
     rn = np.abs(r).max()
@@ -202,42 +193,6 @@ def _vector_newton(g, jac, q0):
     )
 
 
-def _scalar_newton(g, jac, q0):
-    # _vector_newton for s = 1: the step q - r / j and the 1x1 pivot test
-    # of solve_linear, on floats.  The models still see a 1-vector, built
-    # once per iterate and shared by g and jac.
-    q = _one(q0)
-    qa = np.array([q])
-    r = _one(g(qa))
-    rn = abs(r)
-    for iteration in range(CONSTRAINT_SOLVE_MAX_ITER):
-        if rn == 0.0 or (rn <= CONSTRAINT_SOLVE_TOL and iteration > 0):
-            return qa
-        if not rn < math.inf:
-            raise NonfiniteResultError(f"constraint residual is {rn}: a model value is not finite")
-        j = _one(jac(qa))
-        if abs(j) < PIVOT_REL * max(abs(j), 1e-300) or j == 0.0:
-            if rn <= CONSTRAINT_SOLVE_TOL:
-                return qa
-            raise SingularMatrixError("1x1 system is singular")
-        q = q - r / j
-        qa = np.array([q])
-        r = _one(g(qa))
-        rn = abs(r)
-    if rn <= CONSTRAINT_SOLVE_TOL:
-        return qa
-    raise NoConvergenceError(
-        f"constraint solve stalled at residual {rn:.3e} (tol {CONSTRAINT_SOLVE_TOL:.1e})"
-    )
-
-
-def _one(value) -> float:
-    # The entry of a size-1 model value: an array of any shape, a list or a number.
-    if type(value) is not np.ndarray:
-        value = np.asarray(value, dtype=float)
-    return value.item()
-
-
 def consistent_init(prob, t0: float, x0: np.ndarray, y_guess: np.ndarray) -> np.ndarray:
     """Solve ``g(A(t0) x0, B(t0) y) = 0`` for y starting from ``y_guess``.
 
@@ -245,88 +200,9 @@ def consistent_init(prob, t0: float, x0: np.ndarray, y_guess: np.ndarray) -> np.
     system's frame table.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    return _solve_in_frame(prob, *prob.frame(t0), x0, y_guess)
-
-
-def _solve_in_frame(prob, a, b, x, y_guess):
-    # g(a x, b y) = 0 for y, from y_guess
-    p = a @ x
-    return _solve_constraint(
-        lambda y: prob.g(p, b @ y),
-        lambda y: prob.g_jac2(p, b @ y) @ b,
-        y_guess,
-    )
-
-
-class _RawStepper:
-    """Half-explicit RK4 stages in original coordinates, on numpy arrays.
-
-    The moving constraint ``g(A(t) x, B(t) y) = 0`` is solved for ``y`` at
-    every stage.  Positions are ``state[:m]``; order-2 states carry the
-    velocities in ``state[m:]``.  A march visits each time in one run
-    (start, midpoint twice, end, the resolve and the node at the end, the
-    next start), so the stepper keeps the frame of the last time it saw:
-    each time costs one evaluation of the paths, and nothing grows with N.
-    """
-
-    _t = None
-
-    def __init__(self, prob, lam):
-        self.prob = prob
-        self.lam = lam
-        self.m = prob.m
-        self.order = prob.order
-
-    def _frame(self, t):
-        # (A, B) at t, and for order 2 (dA, dB) too
-        if t != self._t:
-            prob = self.prob
-            a, b = prob.frame(t)
-            self._at = (a, b, prob.A(t, 1), prob.B(t, 1)) if self.order == 2 else (a, b)
-            self._t = t
-        return self._at
-
-    def resolve(self, t, state, y_guess):
-        # The algebraic block at a stage state.  A non-finite residual at a
-        # non-finite state blames the state, where an earlier model value
-        # overflowed without raising, not the constraint.
-        x = state[: self.m]
-        a, b = self._frame(t)[:2]
-        try:
-            return _solve_in_frame(self.prob, a, b, x, y_guess)
-        except NonfiniteResultError:
-            if np.isfinite(x).all():
-                raise
-            raise NonfiniteResultError(
-                f"state {x.tolist()} at t = {t!r} is not finite: a model value overflowed"
-            ) from None
-
-    def rate(self, t, x, xdot, y):
-        # Differentiate g(A x, B y) = 0 in time and solve for dy/dt.
-        prob = self.prob
-        a, b, da, db = self._frame(t)
-        p, q = a @ x, b @ y
-        j1 = prob.g_jac1(p, q)
-        j2 = prob.g_jac2(p, q)
-        rhs = -(j1 @ (da @ x + a @ xdot) + j2 @ (db @ y))
-        return solve_linear(j2 @ b, rhs)
-
-    def stage(self, t, state, y_warm):
-        y = self.resolve(t, state, y_warm)
-        x = state[: self.m]
-        if self.order == 1:
-            return self.prob.drive(t, x, y, self.lam), y
-        xd = state[self.m :]
-        acc = self.prob.drive(t, x, y, xd, self.rate(t, x, xd, y), self.lam)
-        return np.concatenate([xd, acc]), y
-
-    def node(self, t, state, y):
-        # (t, x, y, xdot, ydot) of a resolved node, velocities None for order 1
-        x = state[: self.m]
-        if self.order == 1:
-            return t, x, y, None, None
-        xd = state[self.m :]
-        return t, x, y, xd, self.rate(t, x, xd, y)
+    a, b = prob.frame(t0)
+    p = a @ x0
+    return _solve_constraint(lambda y: prob.g(p, b @ y), lambda y: prob.g_jac2(p, b @ y) @ b, y_guess)
 
 
 def _step_times(t0, h, nsteps):
@@ -337,26 +213,6 @@ def _step_times(t0, h, nsteps):
         end = t + h
         yield t, t + 0.5 * h, end
         t = end
-
-
-def _raw_march(stepper, state0, y0, h, nsteps):
-    # RK4 over the differential block; algebraic block re-solved per stage
-    # with warm starts.  A stage whose constraint Newton fails aborts the
-    # whole integration (no silent continuation).  Returns the nodes
-    # (t, x, y, xdot, ydot), start first, each taken right after its
-    # resolve, while the stepper holds its frame.
-    state = np.asarray(state0, dtype=float).copy()
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    nodes = [stepper.node(0.0, state, y)]
-    for t, mid, end in _step_times(0.0, h, nsteps):
-        k1, y1 = stepper.stage(t, state, y)
-        k2, y2 = stepper.stage(mid, state + 0.5 * h * k1, y1)
-        k3, y3 = stepper.stage(mid, state + 0.5 * h * k2, y2)
-        k4, y4 = stepper.stage(end, state + h * k3, y3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y = stepper.resolve(end, state, y4)
-        nodes.append(stepper.node(end, state, y))
-    return nodes
 
 
 def _steps_for(span_len, h):
@@ -404,15 +260,11 @@ def integrate(
             "pass y0=None to solve for a consistent start"
         )
     xdot0 = None if prob.order == 1 else np.zeros(prob.m)
-
-    if mode == "raw":
-        state0 = x0 if xdot0 is None else np.concatenate([x0, xdot0])
-        stepper = _RawStepper(prob, lam)
-        return _trajectory(lambda *node: node, _raw_march(stepper, state0, y0, h, nsteps))
-    xi0, eta0, xid0 = sys.push_forward(0.0, x0, y0, xdot0)
-    state0 = xi0 if xid0 is None else np.concatenate([xi0, xid0])
-    stepper = FixedMarch(sys, lam)
-    nodes, _ = stepper.march(state0.tolist(), eta0.tolist(), h, nsteps)
+    if mode == "fixed":
+        x0, y0, xdot0 = sys.push_forward(0.0, x0, y0, xdot0)
+    state0 = x0 if xdot0 is None else np.concatenate([x0, xdot0])
+    stepper = March(sys, lam)
+    nodes, _ = stepper.march(state0.tolist(), y0.tolist(), h, nsteps)
     return _trajectory(stepper.record, nodes)
 
 
@@ -452,7 +304,7 @@ class _ShootingRunner:
 
     def shoot(self, lam, state0):
         state0 = np.asarray(state0, dtype=float)
-        return np.array(self._run(FixedMarch(self.sys, lam), state0.tolist())[1]) - state0
+        return np.array(self._run(March(self.sys, lam), state0.tolist())[1]) - state0
 
     def linearize(self, lam, state0):
         """Shooting residual and its Jacobian by ``(lam, state0)``.
@@ -467,7 +319,7 @@ class _ShootingRunner:
         key = np.append(lam, state0).tobytes()
         if key != self._last[0]:
             n = self.state_dim
-            stepper = FixedMarch(self.sys, lam, sensitivity=True)
+            stepper = March(self.sys, lam, sensitivity=True)
             start = state0.tolist() + [0.0] * n + np.eye(n).ravel().tolist()
             nodes, end = self._run(stepper, start)
             end = np.array(end).reshape(n + 2, n)

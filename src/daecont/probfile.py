@@ -341,7 +341,7 @@ def build_problem(spec: ProblemSpec):
     generated symbolically.
     """
     if spec.kind == "semilinear":
-        return _build_semilinear(spec)
+        return SemiLinearDae(spec)
     m, s = spec.m, spec.s
     a_path = expr_path(
         spec.tables["A"], spec.period,
@@ -400,17 +400,6 @@ def _jacobian_rows(asts, names):
 
 def _compile_jacobian(asts, names, args: str, varmap):
     return ex.compile_matrix(_jacobian_rows(asts, names), args, varmap)
-
-
-def _build_semilinear(spec: ProblemSpec) -> SemiLinearDae:
-    # The audit's matrices only; the reduction compiles the rest from ``spec``.
-    mass = _numeric_matrix(spec.tables["E"])
-    f_path = expr_path(spec.tables["F"], spec.period,
-                       derivative_mode=spec.derivative_mode, fd_step=spec.fd_step, name="F")
-    c_path = expr_path(spec.tables["C"], spec.period,
-                       derivative_mode=spec.derivative_mode, fd_step=spec.fd_step, name="C")
-    return SemiLinearDae(n=spec.n, period=spec.period, mass=mass, Fpath=f_path,
-                         Cpath=c_path, spec=spec, name=spec.name)
 
 
 def _scaled(coef: float, ast: ex.Expr):

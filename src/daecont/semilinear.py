@@ -18,7 +18,7 @@ that the other commands run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -41,24 +41,39 @@ COND_TOL = 1e-8
 RANK_REL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SemiLinearDae:
     """Semi-linear DAE with separated variables, built from its problem spec.
 
-    ``mass`` is the (singular) constant matrix multiplying dx/dt;
-    ``Fpath`` and ``Cpath`` are T-periodic matrix paths, which the audit
-    samples.  ``spec`` is the parsed ``semilinear`` problem they were
-    compiled from; the reduction reads the tables of ``F``, ``C`` and
-    ``S`` there, so ``S`` is never compiled on its own.
+    ``spec`` is the parsed ``semilinear`` problem, and the only field given
+    at construction: the others are compiled from it then, and the class is
+    frozen, so neither an assignment nor :func:`dataclasses.replace` can
+    make the audit and the reduction read different systems.  ``mass`` is
+    the (singular) constant matrix multiplying dx/dt; ``Fpath`` and
+    ``Cpath`` are T-periodic matrix paths, which the audit samples.  The
+    reduction reads the tables of ``F``, ``C`` and ``S`` in ``spec``, so
+    ``S`` is never compiled on its own.
     """
 
-    n: int
-    period: float
-    mass: np.ndarray
-    Fpath: MatrixPath
-    Cpath: MatrixPath
     spec: ProblemSpec
-    name: str = ""
+    n: int = field(init=False)
+    period: float = field(init=False)
+    name: str = field(init=False)
+    mass: np.ndarray = field(init=False)
+    Fpath: MatrixPath = field(init=False)
+    Cpath: MatrixPath = field(init=False)
+
+    def __post_init__(self):
+        # probfile imports this module for SemiLinearDae, so its compilers
+        # are imported when a system is built, not when this module loads.
+        from .probfile import _numeric_matrix, expr_path
+
+        spec = self.spec
+        paths = [expr_path(spec.tables[label], spec.period, derivative_mode=spec.derivative_mode,
+                           fd_step=spec.fd_step, name=label) for label in ("F", "C")]
+        fields = (spec.n, spec.period, spec.name, _numeric_matrix(spec.tables["E"]), *paths)
+        for label, value in zip(("n", "period", "name", "mass", "Fpath", "Cpath"), fields):
+            object.__setattr__(self, label, value)
 
 
 def _numerical_rank(sigma: np.ndarray) -> int:

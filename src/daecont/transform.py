@@ -103,12 +103,15 @@ class DaeProblem1:
         """``(A(t), B(t))``."""
         return self.A(t), self.B(t)
 
-    def drive(self, t: float, x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-        """Right-hand side of the differential part in original coordinates."""
-        rhs = lam * np.asarray(self.f(t, x, y), dtype=float)
-        if self.H is not None:
-            rhs = rhs + self.H @ x
-        return rhs
+    def frame_entries(self, t: float) -> tuple:
+        """The frame a raw march reads at ``t``, as one flat tuple of floats.
+
+        The entries are those of ``A(t)`` and ``B(t)`` and, for order 2, of
+        ``dA(t)`` and ``dB(t)``, each matrix row by row, evaluated from the
+        paths at every call (see :mod:`daecont.kernel`).
+        """
+        mats = (self.A(t), self.B(t)) + ((self.A(t, 1), self.B(t, 1)) if self.order == 2 else ())
+        return tuple(np.concatenate([x.ravel() for x in mats]).tolist())
 
 
 @dataclass
@@ -146,6 +149,7 @@ class DaeProblem2:
     g_jac2 = DaeProblem1.g_jac2
     f_jac = DaeProblem1.f_jac
     frame = DaeProblem1.frame
+    frame_entries = DaeProblem1.frame_entries
 
     def gdot_jac(self, p, q, u, w) -> np.ndarray:
         """Jacobian of ``g_jac1(p, q) u + g_jac2(p, q) w`` with respect to ``(p, q)``.
@@ -172,14 +176,6 @@ class DaeProblem2:
             out[:, k] = ((g(z + h + d) - g(z + h - d) - g(z - h + d) + g(z - h - d))
                          / (4.0 * h[k] * along))
         return out
-
-    def drive(self, t, x, y, xdot, ydot, lam):
-        rhs = lam * np.asarray(self.f(t, x, y, xdot, ydot), dtype=float)
-        if self.H1 is not None:
-            rhs = rhs + self.H1 @ xdot
-        if self.H2 is not None:
-            rhs = rhs + self.H2 @ x
-        return rhs
 
 
 def _check_frame(prob):

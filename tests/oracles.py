@@ -135,6 +135,66 @@ def fixed_frame_march(sys, lam, state0, eta0, h, nsteps, sensitivity=False):
     return nodes, aug
 
 
+def raw_march(prob, lam, state0, y0, h, nsteps):
+    """The half-explicit RK4 march of a problem in original coordinates, on numpy arrays.
+
+    The numpy arithmetic that the library's float raw march replaced: the
+    moving constraint ``g(A(t) x, B(t) y) = 0`` re-solved for ``y`` per
+    stage by the library's numpy constraint Newton (Jacobian ``g_q B``),
+    the rate ``lam f + H x`` (order 2: ``lam f + H1 xdot + H2 x``, with
+    ``ydot`` from the constraint differentiated in time).  Frames are
+    evaluated from the paths.  Returns the nodes ``(t, x, y, xdot, ydot)``
+    and the end state.
+    """
+    from daecont.linalg import solve_linear
+    from daecont.periodic import _solve_constraint
+
+    m, order = prob.m, prob.order
+    lam = float(lam)
+
+    def resolve(t, state, y):
+        a, b = prob.A(t), prob.B(t)
+        p = a @ state[:m]
+        return _solve_constraint(lambda y: prob.g(p, b @ y), lambda y: prob.g_jac2(p, b @ y) @ b, y)
+
+    def node(t, state, y):
+        x = state[:m]
+        if order == 1:
+            return t, x, y, None, None
+        xd = state[m:]
+        a, b, da, db = prob.A(t), prob.B(t), prob.A(t, 1), prob.B(t, 1)
+        p, q = a @ x, b @ y
+        j1, j2 = prob.g_jac1(p, q), prob.g_jac2(p, q)
+        return t, x, y, xd, solve_linear(j2 @ b, -(j1 @ (da @ x + a @ xd) + j2 @ (db @ y)))
+
+    def stage(t, state, y):
+        y = resolve(t, state, y)
+        _, x, _, xd, yd = node(t, state, y)
+        rhs = lam * np.asarray(prob.f(t, x, y, *(() if order == 1 else (xd, yd))), dtype=float)
+        if order == 1:
+            return rhs if prob.H is None else rhs + prob.H @ x, y
+        if prob.H1 is not None:
+            rhs = rhs + prob.H1 @ xd
+        if prob.H2 is not None:
+            rhs = rhs + prob.H2 @ x
+        return np.concatenate([xd, rhs]), y
+
+    state = np.asarray(state0, dtype=float)
+    y = np.atleast_1d(np.asarray(y0, dtype=float))
+    nodes, t = [node(0.0, state, y)], 0.0
+    for _ in range(nsteps):
+        mid, end = t + 0.5 * h, t + h
+        k1, y1 = stage(t, state, y)
+        k2, y2 = stage(mid, state + 0.5 * h * k1, y1)
+        k3, y3 = stage(mid, state + 0.5 * h * k2, y2)
+        k4, y4 = stage(end, state + h * k3, y3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = resolve(end, state, y4)
+        nodes.append(node(end, state, y))
+        t = end
+    return nodes, state
+
+
 def semilinear_reduction(dae, report, S, dS):
     """The reduction of a semi-linear DAE on numpy arrays, from its sampled paths.
 

@@ -27,7 +27,7 @@ from daecont.periodic import (
     shooting_residual,
 )
 from daecont.transform import DaeProblem1, fixed_frame
-from oracles import central_jacobian, fixed_frame_march
+from oracles import central_jacobian, fixed_frame_march, raw_march
 
 TWO_PI = 2.0 * np.pi
 
@@ -45,7 +45,7 @@ def scalar_problem(f=None, g=None):
 
 def plain_march(runner, lam, state0):
     # the record and nodes of one plain fixed-frame march over a period
-    stepper = periodic.FixedMarch(runner.sys, lam)
+    stepper = periodic.March(runner.sys, lam)
     return stepper.record, runner._run(stepper, np.asarray(state0, dtype=float).tolist())[0]
 
 
@@ -297,6 +297,16 @@ class TestSecondOrder:
         assert norm_inf(raw.xdot - fix.xdot) <= 1e-6
         assert raw.constraint_residual(prob) <= 1e-10
 
+    def test_modes_agree_with_moving_b_and_drifts(self):
+        # the order-2 drift formulas and the d(B^-1) pull-back against the
+        # raw march's H1, H2 and dB
+        prob = _shooting_problem("moving_b_2nd")
+        x0 = np.array([0.2, -0.1])
+        raw = integrate(prob, 0.5, x0, h=prob.period / 512)
+        fix = integrate(prob, 0.5, x0, h=prob.period / 512, mode="fixed")
+        for column in ("x", "y", "xdot", "ydot"):
+            assert norm_inf(getattr(raw, column) - getattr(fix, column)) <= 1e-6, column
+
     def test_velocity_consistency(self):
         # recovered ydot must match the finite-difference slope of y
         prob = load_fixture("rotating_surface_2nd")
@@ -461,62 +471,22 @@ class TestTermination:
 
 
 class TestScalarConstraintNewton:
-    """The s = 1 path of the constraint solve keeps the n x n loop's rules and bits."""
+    """The rules of the numpy constraint solve on a scalar block."""
 
-    SOLVERS = [periodic._scalar_newton, periodic._vector_newton]
-
-    @staticmethod
-    def march_solves(monkeypatch):
-        # every (g, jac, warm start) of the start and stage solves of a short raw march
-        solves = []
-        solve = periodic._solve_constraint
-
-        def recorded(g, jac, q0):
-            solves.append((g, jac, np.array(q0, dtype=float)))
-            return solve(g, jac, q0)
-
-        monkeypatch.setattr(periodic, "_solve_constraint", recorded)
-        integrate(load_fixture("rotating_surface"), 0.5, np.array([0.4, -0.3]), h=TWO_PI / 16)
-        monkeypatch.undo()
-        return solves
-
-    def test_matches_vector_loop_bit_for_bit(self, monkeypatch):
-        solves = self.march_solves(monkeypatch)
-        assert len(solves) == 5 * 16 + 1
-        for g, jac, q0 in solves:
-            for start in (q0, np.zeros(1)):  # the warm start, and a cold one
-                scalar = periodic._scalar_newton(g, jac, start)
-                vector = periodic._vector_newton(g, jac, start)
-                assert scalar.shape == (1,) and scalar.tobytes() == vector.tobytes()
-
-    def test_one_step_matches_vector_loop_bit_for_bit(self):
-        # a linear constraint ends after one step, so the step itself shows:
-        # r / j and r * (1 / j) differ in the last bit for about 1 in 4 of these
-        rng = np.random.default_rng(7)
-        for slope, offset in zip(rng.uniform(0.5, 4.0, 200), rng.uniform(-1.0, 1.0, 200)):
-            g = lambda q: slope * q - offset
-            jac = lambda q: np.array([[slope]])
-            scalar = periodic._scalar_newton(g, jac, np.zeros(1))
-            assert scalar.tobytes() == periodic._vector_newton(g, jac, np.zeros(1)).tobytes()
-
-    @pytest.mark.parametrize("solver", SOLVERS)
-    def test_zero_jacobian_is_singular(self, solver):
+    def test_zero_jacobian_is_singular(self):
         with pytest.raises(SingularMatrixError):
-            solver(lambda q: q**2 - 1.0, lambda q: np.array([[2.0 * q[0]]]), np.zeros(1))
+            periodic._solve_constraint(lambda q: q**2 - 1.0, lambda q: np.array([[2.0 * q[0]]]), np.zeros(1))
 
-    @pytest.mark.parametrize("solver", SOLVERS)
-    def test_zero_jacobian_inside_tolerance_returns_the_start(self, solver):
-        q = solver(lambda q: np.array([1e-13]), lambda q: np.zeros((1, 1)), np.array([0.25]))
+    def test_zero_jacobian_inside_tolerance_returns_the_start(self):
+        q = periodic._solve_constraint(lambda q: np.array([1e-13]), lambda q: np.zeros((1, 1)), np.array([0.25]))
         assert q.tolist() == [0.25]
 
-    @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_nonfinite_residual(self, solver, bad):
+    def test_nonfinite_residual(self, bad):
         with pytest.raises(NonfiniteResultError, match="constraint residual is"):
-            solver(lambda q: np.array([bad]), lambda q: np.ones((1, 1)), np.zeros(1))
+            periodic._solve_constraint(lambda q: np.array([bad]), lambda q: np.ones((1, 1)), np.zeros(1))
 
-    @pytest.mark.parametrize("solver", SOLVERS)
-    def test_warm_start_inside_tolerance_is_polished_once(self, solver):
+    def test_warm_start_inside_tolerance_is_polished_once(self):
         calls = {"g": 0, "jac": 0}
 
         def g(q):
@@ -527,7 +497,7 @@ class TestScalarConstraintNewton:
             calls["jac"] += 1
             return np.ones((1, 1))
 
-        q = solver(g, jac, np.array([0.5 + 1e-13]))
+        q = periodic._solve_constraint(g, jac, np.array([0.5 + 1e-13]))
         assert q.tolist() == [0.5] and calls == {"g": 2, "jac": 1}
 
     @pytest.mark.parametrize("g, jac", [
@@ -624,7 +594,7 @@ class TestFrameTable:
         # order 1: A and B once at each of the 2N + 1 step and midpoint
         # times, and none when the nodes are pulled back; the start frame
         # (t = 0) enters the table before the march, for the start itself
-        march, counts = periodic.FixedMarch.march, []
+        march, counts = periodic.March.march, []
 
         def counted(*args):
             before = len(path_calls)
@@ -632,7 +602,7 @@ class TestFrameTable:
             counts.append((len(path_calls) - before, len(path_calls)))
             return nodes
 
-        monkeypatch.setattr(periodic.FixedMarch, "march", counted)
+        monkeypatch.setattr(periodic.March, "march", counted)
         prob = load_fixture("rotating_surface")
         traj = integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="fixed")
         (in_march, after_march), = counts
@@ -728,6 +698,12 @@ def _shooting_problem(name):
             g=lambda p, q: np.array([q[0] ** 3 + q[0] - p[0] ** 2 - 2.0 * p[1] ** 2]),
             A=rs.A, B=rs.B,
         )
+    if name == "moving_b_2nd":
+        # order 2 with B(t) = 2 + sin(t) and drifts H1, H2 that commute with
+        # the rotation: the rates see dB, and the drifts enter both marches
+        text = problem_text("rotating_surface_2nd").replace("[B]\n1\n", "[B]\n2 + sin(t)\n")
+        text += "\n[H1]\n-0.1, 0.2\n-0.2, -0.1\n\n[H2]\n-0.5, 0\n0, -0.5\n"
+        return build_problem(parse_problem(text))
     if name.startswith("second_order_rates"):
         # f sees y, xdot and ydot, so the eta and etadot sensitivities count;
         # the _fd variant forms f_jac and gdot_jac by differences, and the
@@ -746,7 +722,7 @@ class TestExactShootingJacobian:
 
     PROBLEMS = ["rotating_surface", "rotating_surface_2nd", "commuting_h", "semilinear_4x4",
                 "scalar_linear", "python_callables", "second_order_rates", "second_order_rates_fd",
-                "second_order_rates_bare", "three_constraints", "three_constraints_2nd"]
+                "second_order_rates_bare", "three_constraints", "three_constraints_2nd", "moving_b_2nd"]
 
     @staticmethod
     def point(runner, lam=0.3):
@@ -782,8 +758,8 @@ class TestExactShootingJacobian:
 
     def test_one_march_per_point(self, monkeypatch):
         marches = []
-        march = periodic.FixedMarch.march
-        monkeypatch.setattr(periodic.FixedMarch, "march", lambda *args: marches.append(1) or march(*args))
+        march = periodic.March.march
+        monkeypatch.setattr(periodic.March, "march", lambda *args: marches.append(1) or march(*args))
         runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
         z = self.point(runner)
         fun, jac = runner.newton_maps()
@@ -799,7 +775,7 @@ class TestExactShootingJacobian:
         # from the march that converged it, and find_tpair at lam = 0
         # marches once.
         runner_cls = periodic._ShootingRunner
-        march, linearize, make_tpair = periodic.FixedMarch.march, runner_cls.linearize, runner_cls.make_tpair
+        march, linearize, make_tpair = periodic.March.march, runner_cls.linearize, runner_cls.make_tpair
         marches, points, in_pairs = [], set(), []
 
         def seen(runner, lam, state0):
@@ -812,7 +788,7 @@ class TestExactShootingJacobian:
             in_pairs.append(len(marches) - before)
             return pair
 
-        monkeypatch.setattr(periodic.FixedMarch, "march", lambda *args: marches.append(1) or march(*args))
+        monkeypatch.setattr(periodic.March, "march", lambda *args: marches.append(1) or march(*args))
         monkeypatch.setattr(runner_cls, "linearize", seen)
         monkeypatch.setattr(runner_cls, "make_tpair", counted_pair)
         box = Box(np.array([0.0, -2.0, -2.0]), np.array([5.0, 2.0, 2.0]))
@@ -840,7 +816,7 @@ class TestExactShootingJacobian:
 
     def test_branch_tangent_makes_no_march(self, monkeypatch):
         counts = {"marches": 0, "in_tangent": 0}
-        march, tangent = periodic.FixedMarch.march, periodic._branch_tangent
+        march, tangent = periodic.March.march, periodic._branch_tangent
 
         def counted_march(*args):
             counts["marches"] += 1
@@ -852,7 +828,7 @@ class TestExactShootingJacobian:
             counts["in_tangent"] += counts["marches"] - before
             return t
 
-        monkeypatch.setattr(periodic.FixedMarch, "march", counted_march)
+        monkeypatch.setattr(periodic.March, "march", counted_march)
         monkeypatch.setattr(periodic, "_branch_tangent", counted_tangent)
         box = Box(np.array([0.0, -2.0]), np.array([5.0, 2.0]))
         branch = continue_branch(load_fixture("scalar_linear"), np.zeros(2), 0.2, 4, box,
@@ -898,7 +874,7 @@ class TestFloatMarch:
         # one start, on one grid: (float records, float end, numpy records, numpy end)
         runner = periodic._ShootingRunner(_shooting_problem(name), 64)
         z = TestExactShootingJacobian.point(runner, lam=0.7)
-        stepper = periodic.FixedMarch(runner.sys, z[0], sensitivity)
+        stepper = periodic.March(runner.sys, z[0], sensitivity)
         n = runner.state_dim
         start = z[1:].tolist() + ([0.0] * n + np.eye(n).ravel().tolist() if sensitivity else [])
         eta0 = stepper.resolve(0.0, start, [0.0] * runner.prob.s)
@@ -931,10 +907,43 @@ class TestFloatMarch:
         assert records == plain[0] and end[: plain[1].size].tobytes() == plain[1].tobytes()
 
 
+class TestRawMarch:
+    """The raw march on floats against the numpy raw march it replaced.
+
+    The bounds are the fixed frame's: 1e-13 of the values' scale, and 1e-8
+    where the march reads a constraint block that the problem forms by
+    forward differences (the Newton Jacobian, and for order 2 the rate).
+    """
+
+    PROBLEMS = TestExactShootingJacobian.PROBLEMS
+    DIFFERENCED = {"python_callables", "second_order_rates_bare"}
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_matches_numpy_reference(self, name):
+        prob = _shooting_problem(name)
+        m, nsteps = prob.m, 64
+        x0 = 0.1 * np.array([1.0, -0.5, 0.3, 0.2])[:m]
+        state0 = x0 if prob.order == 1 else np.concatenate([x0, 0.1 * np.array([0.4, -0.2])[:m]])
+        y0 = consistent_init(prob, 0.0, x0, np.zeros(prob.s))
+        h = prob.period / nsteps
+        nodes, end = periodic.March(prob, 0.7).march(state0.tolist(), y0.tolist(), h, nsteps)
+        ref_nodes, ref_end = raw_march(prob, 0.7, state0, y0, h, nsteps)
+        tol = 1e-8 if name in self.DIFFERENCED else 1e-13
+        assert len(nodes) == len(ref_nodes) == nsteps + 1
+        for column in range(5):
+            got = [node[column] for node in nodes]
+            if got[0] is None:
+                assert prob.order == 1 and all(node[column] is None for node in ref_nodes)
+                continue
+            ref = np.array([node[column] for node in ref_nodes])
+            assert norm_inf(np.array(got) - ref) <= tol * max(1.0, norm_inf(ref)), column
+        assert norm_inf(np.array(end) - ref_end) <= tol * max(1.0, norm_inf(ref_end))
+
+
 class TestFloatConstraintNewton:
     """The float march's constraint Newton keeps _solve_constraint's rules and bits.
 
-    Each case runs the march's solve (FixedMarch.resolve, through the list
+    Each case runs the march's solve (March.resolve, through the list
     adapters of Python callables) and the numpy solve on one constraint
     from one start: the results agree bit for bit, or both raise the same
     error with the same message.
@@ -949,7 +958,7 @@ class TestFloatConstraintNewton:
         sys = fixed_frame(prob)
         p = np.array([xi])
         outcomes = []
-        for solve in (lambda: np.array(periodic.FixedMarch(sys, 0.5).resolve(0.0, [xi], q0)),
+        for solve in (lambda: np.array(periodic.March(sys, 0.5).resolve(0.0, [xi], q0)),
                       lambda: periodic._solve_constraint(lambda q: sys.g(p, q),
                                                          lambda q: sys.g_jac2(p, q), np.array(q0))):
             try:
@@ -1026,62 +1035,98 @@ class TestFloatConstraintNewton:
 
 
 class TestFloatMarchErrors:
-    """Failures inside the float march end as the typed errors of the numpy march."""
+    """Failures inside either march end as the typed errors of the numpy marches.
+
+    Each case runs ``integrate`` in the mode it is given; in the frame the
+    shooting runner's plain and sensitivity marches run it too.
+    """
+
+    MODES = ["raw", "fixed"]
 
     @staticmethod
     def problem(constraint="q^3 + q - p", forcing="cos(t) - x", name="scalar_linear"):
         text = problem_text(name).replace("q^3 + q - p", constraint)
         return build_problem(parse_problem(text.replace("cos(t) - x", forcing, 1)))
 
-    def test_singular_constraint_jacobian(self):
+    @staticmethod
+    def marches(mode, prob, state0, lam=0.5):
+        # the marches of one case from state0 (its frames are the identity
+        # at t = 0), on a 16-step grid
+        h = prob.period / 16
+        marches = [lambda: integrate(prob, lam, state0, h=h, mode=mode)]
+        if mode == "fixed":
+            runner = periodic._ShootingRunner(prob, 16)
+            marches += [lambda: runner.shoot(lam, state0), lambda: runner.linearize(lam, state0)]
+        return marches
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_singular_constraint_jacobian(self, mode):
         # q^3 = p has dg/dq = 0 at q = 0: the start solve returns at once
         # (zero residual), the sensitivity stage's d eta / d xi hits the
-        # 1x1 pivot, and the plain march's next Newton step does
+        # 1x1 pivot, and the plain marches' next Newton step does
         prob = self.problem(constraint="q^3 - p")
-        runner = periodic._ShootingRunner(prob, 16)
-        with pytest.raises(SingularMatrixError, match="1x1 system is singular"):
-            runner.linearize(0.5, np.zeros(1))
-        with pytest.raises(SingularMatrixError, match="1x1 system is singular"):
-            runner.shoot(0.5, np.zeros(1))
+        for march in self.marches(mode, prob, np.zeros(1)):
+            with pytest.raises(SingularMatrixError, match="1x1 system is singular"):
+                march()
 
-    def test_stalled_constraint(self):
-        # Newton on q^3 - 2 q + 2 = 0 from q = 0 cycles between 0 and 1
-        prob = self.problem(constraint="q^3 - 2*q + 2 - p")
-        with pytest.raises(NoConvergenceError,
-                           match=r"constraint solve stalled at residual 2\.000e\+00 \(tol 1\.0e-12\)"):
-            shooting_residual(prob, 0.5, np.zeros(1), nsteps=16)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stalled_constraint(self, mode):
+        # q = 0 solves q^3 - 2 q + 2 = p at the start p = 2; the forcing
+        # takes the second stage to p = 0, where Newton from q = 0 cycles
+        # between 0 and 1
+        prob = self.problem(constraint="q^3 - 2*q + 2 - p", forcing=repr(-128.0 / TWO_PI))
+        for march in self.marches(mode, prob, np.array([2.0])):
+            with pytest.raises(NoConvergenceError, match=r"constraint solve stalled at residual "
+                                                         r"2\.000e\+00 \(tol 1\.0e-12\)"):
+                march()
 
-    def test_overflowing_forcing_is_named(self):
-        # the float product overflows to inf without raising, and the
-        # forcing check names it at the model call, in both marches
+    @pytest.mark.parametrize("mode, forcing, error", [
+        # a float power raises at the model call in both marches
+        ("raw", "x1^400 - x1", r"^OverflowError: Numerical result out of range$"),
+        ("fixed", "x1^400 - x1", r"^OverflowError: Numerical result out of range$"),
+        # a float product overflows to inf without raising: the frame's
+        # forcing check names it before A(t) f, while a raw inf enters the
+        # rate, as in the numpy raw march, and the next solve blames the state
+        ("raw", "x1^300*x1^300 - x1", r"^state \[inf, 0\.0\] at t = 0\.19634954084936207 is"),
+        ("fixed", "x1^300*x1^300 - x1", r"^forcing f at t = 0\.0 is \[inf, -0\.0\]"),
+    ], ids=["raw_power", "fixed_power", "raw_product", "fixed_product"])
+    def test_overflowing_forcing_is_named(self, mode, forcing, error):
         prob = build_problem(parse_problem(problem_text("rotating_surface").replace(
-            "cos(t) - x1\n-x2", "x1^300*x1^300 - x1\n-x2")))
-        runner = periodic._ShootingRunner(prob, 16)
-        for march in (runner.shoot, lambda lam, z: runner.linearize(lam, z)):
-            with pytest.raises(NonfiniteResultError, match=r"^forcing f at t = 0\.0 is \[inf, -0\.0\]"):
-                march(0.5, np.array([10.0, 0.0]))
+            "cos(t) - x1\n-x2", f"{forcing}\n-x2")))
+        for march in self.marches(mode, prob, np.array([10.0, 0.0])):
+            with pytest.raises(NonfiniteResultError, match=error):
+                march()
 
-    def test_overflowed_state_is_blamed(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_overflowed_state_is_blamed(self, mode):
         # the forcing is finite, but the RK4 sum 5e307 + 2 (5e307) + 2 (5e307)
         # overflows to inf without raising; the end-of-step solve meets that
         # state, whose first entry the constraint scales to a finite size
-        # until it is inf, and blames the state
+        # until it is inf, and blames the state in the march's coordinates
         text = problem_text("rotating_surface").replace("cos(t) - x1\n-x2", "1e308\n-x2")
         prob = build_problem(parse_problem(text.replace("q^3 + q - p1^2 - 2*p2^2", "q - 1e-300*p1")))
         with pytest.raises(NonfiniteResultError,
                            match=r"^state \[inf, [^]]*\] at t = [^ ]+ is not finite: a model value overflowed$"):
-            integrate(prob, 0.5, np.zeros(2), mode="fixed")
+            integrate(prob, 0.5, np.zeros(2), mode=mode)
+
+    @staticmethod
+    def failing_forcing(t, x, y):
+        # a Python callable, reached through the list adapter
+        if x[0] > 0.05:
+            raise ValueError("injected")
+        return np.array([np.cos(t) - x[0]])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_python_callable_error_reaches_the_caller(self, mode):
+        for march in self.marches(mode, scalar_problem(f=self.failing_forcing), np.zeros(1)):
+            with pytest.raises(ValueError, match="injected"):
+                march()
 
     def test_python_callable_error_mid_branch_keeps_the_trivial_pair(self):
         # a ValueError from a Python-callable forcing inside the first
         # corrector's sensitivity march, through the list adapter
-        def f(t, x, y):
-            if x[0] > 0.05:
-                raise ValueError("injected")
-            return np.array([np.cos(t) - x[0]])
-
         box = Box(np.array([0.0, -2.0]), np.array([5.0, 2.0]))
-        branch = continue_branch(scalar_problem(f=f), np.zeros(2), 0.5, 3, box,
+        branch = continue_branch(scalar_problem(f=self.failing_forcing), np.zeros(2), 0.5, 3, box,
                                  integration_steps=32)
         assert branch.termination == "solver_failure"
         assert [p.lam for p in branch.pairs] == [0.0] and branch.pairs[0].is_trivial

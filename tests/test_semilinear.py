@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import daecont
 from daecont.errors import ConditionsViolatedError, RankMismatchError, SingularBlockError
 from daecont.fixtures import load_fixture, problem_text
 from daecont.linalg import norm_inf, solve_linear
-from daecont.paths import MatrixPath, frame_audit
+from daecont.paths import frame_audit
 from daecont.probfile import build_problem, parse_problem
 from daecont.semilinear import _check_with, _rank_checked_svd, check_conditions, reduce_semilinear
 from oracles import rk4_step, semilinear_reduction
@@ -18,6 +19,15 @@ from oracles import rk4_step, semilinear_reduction
 
 def worked_example():
     return load_fixture("semilinear_4x4")
+
+
+def worked_variant(table, rows):
+    """semilinear_4x4 with the rows of its ``E``, ``F`` or ``C`` table replaced."""
+    text = problem_text("semilinear_4x4")
+    start = text.index(f"[{table}]\n")
+    end = text.index("\n\n", start)
+    body = "\n".join(", ".join(str(entry) for entry in row) for row in rows)
+    return build_problem(parse_problem(f"{text[:start]}[{table}]\n{body}{text[end:]}"))
 
 
 def _rotation(plane_angles):
@@ -126,8 +136,7 @@ class TestCheckConditions:
             reduce_semilinear(dae)
 
     def test_kernel_violation_detected(self):
-        dae = worked_example()
-        dae.Cpath = MatrixPath.constant(np.eye(4), dae.period)  # ker C.T = {0}
+        dae = worked_variant("C", np.eye(4))  # ker C.T = {0}
         report = check_conditions(dae)
         assert report.kernel_residual_c > 1e-3
         assert not report.conditions_hold
@@ -138,16 +147,14 @@ class TestCheckConditions:
         assert path_calls.count(dae.Fpath) == path_calls.count(dae.Cpath) == 16
 
     def test_rank_mismatch(self):
-        dae = worked_example()
-        dae.mass = np.eye(4)
+        dae = worked_variant("E", np.eye(4))
         with pytest.raises(RankMismatchError):
             check_conditions(dae)
 
 
 class TestReduce:
     def test_lower_c_block_rejected(self):
-        dae = worked_example()
-        dae.Cpath = MatrixPath.constant(np.eye(4), dae.period)
+        dae = worked_variant("C", np.eye(4))
         assert check_conditions(dae).c_block_residual > 1e-3
         with pytest.raises(ConditionsViolatedError):
             reduce_semilinear(dae)
@@ -177,18 +184,31 @@ class TestReduce:
         assert norm_inf(red.g(x, y) - (x + y)) <= 1e-15
 
     def test_scaled_mass_halves_field(self):
-        dae = worked_example()
-        dae.mass = 2.0 * dae.mass
+        dae = worked_variant("E", 2.0 * _E)
         red2 = reduce_semilinear(dae)
         red1 = reduce_semilinear(worked_example())
         x, y = np.array([0.7, -0.2]), np.array([0.4, 1.1])
         assert norm_inf(red2.f(1.0, x, y) - 0.5 * red1.f(1.0, x, y)) <= 1e-12
 
     def test_identity_mass_rejected(self):
-        dae = worked_example()
-        dae.mass = np.eye(4)
+        dae = worked_variant("E", np.eye(4))
         with pytest.raises(RankMismatchError):
             reduce_semilinear(dae)
+
+    def test_fields_follow_the_spec(self):
+        # the audit's matrices are compiled from the spec the reduction
+        # reads: a doubled C cannot reach the audit alone
+        dae = worked_example()
+        doubled = worked_variant("C", [[f"2*({entry})" for entry in row] for row in _C])
+        with pytest.raises(FrozenInstanceError):
+            dae.Cpath = doubled.Cpath
+        with pytest.raises(ValueError, match="init=False"):
+            replace(dae, Cpath=doubled.Cpath)
+        twin = replace(dae, spec=doubled.spec)
+        x, y = np.array([0.7, -0.2]), np.array([0.4, 1.1])
+        assert np.array_equal(twin.Cpath(1.0), 2.0 * dae.Cpath(1.0))
+        assert norm_inf(reduce_semilinear(twin).f(1.0, x, y)
+                        - 2.0 * reduce_semilinear(dae).f(1.0, x, y)) <= 1e-12
 
     def test_sign_flips_give_same_trajectories(self):
         # flipping a matched (P, Q) column pair is still a valid SVD; the

@@ -5,7 +5,7 @@ import pytest
 
 from daecont.errors import HypothesisViolatedError
 from daecont.fixtures import load_fixture, path_fixture
-from daecont.kernel import FixedMarch
+from daecont.kernel import March
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath, frame_audit
 from daecont.transform import (
@@ -228,7 +228,7 @@ class TestDispatch:
         # D0 xi + D1 xidot + lam F, up to the last bit of a float sum
         sys_t = fixed_frame(load_fixture("rotating_surface_2nd"))
         state = [0.3, -0.2, 0.05, 0.4]
-        stepper = FixedMarch(sys_t, 0.7)
+        stepper = March(sys_t, 0.7)
         eta = stepper.resolve(0.0, state, [0.1])
         _, end = stepper.march(state, eta, 0.01, 1)
         _, ref = fixed_frame_march(sys_t, 0.7, state, eta, 0.01, 1)
