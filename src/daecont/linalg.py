@@ -6,11 +6,12 @@ Jacobians, an SVD with deterministic signs and periodic quadrature.  The
 LU factorization and its solves call LAPACK ``getrf``/``getrs`` directly
 (``scipy.linalg.lapack.dgetrf``/``dgetrs``, the routines behind
 ``scipy.linalg.lu_factor``/``lu_solve``, without their per-call checks and
-warning filters); the SVD is numpy's.  What this module adds is the
-pivot-threshold singularity test and the sign convention.  1x1 and 2x2
-solves use closed forms.  :func:`solve_stacked` solves a stack of
-systems at once with the same singularity rules.  All functions are
-pure; inputs are never mutated.
+warning filters); they are imported at the first LU of size 3 or more,
+so a process that factors none never loads scipy.  The SVD is numpy's.
+What this module adds is the pivot-threshold singularity test and the
+sign convention.  1x1 and 2x2 solves use closed forms.
+:func:`solve_stacked` solves a stack of systems at once with the same
+singularity rules.  All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     EvaluationError,
@@ -32,6 +32,8 @@ from .errors import (
 PIVOT_REL = 1e-13
 NEWTON_TOL_STEP = 1e-14  # a Newton step this small, residual above tolerance: stagnation
 NEWTON_DAMPING_MIN = 1.0 / 1024.0  # backtracking floor of the Newton step fraction
+
+dgetrf = dgetrs = None  # LAPACK LU and solve, imported at the first _lu
 
 __all__ = [
     "NewtonConfig",
@@ -57,6 +59,9 @@ def _lu(a: np.ndarray):
     # getrf factors on past a zero pivot (info > 0), and an inf entry can
     # turn later pivots into NaN, which would hide a small pivot from a
     # min: every pivot is compared with the threshold (NaN compares false).
+    global dgetrf, dgetrs
+    if dgetrf is None:
+        from scipy.linalg.lapack import dgetrf, dgetrs
     threshold = PIVOT_REL * max(norm_inf(a), 1e-300)
     lu, piv, info = dgetrf(a)
     if info < 0:
@@ -110,7 +115,8 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 (a[0, 0] * b[1] - a[1, 0] * b[0]) / det,
             ]
         )
-    x, info = dgetrs(*_lu(a), b)
+    lu, piv = _lu(a)  # before dgetrs is looked up: it loads it
+    x, info = dgetrs(lu, piv, b)
     if info < 0:
         raise EvaluationError(f"LAPACK getrs rejected argument {-info}")
     if not np.all(np.isfinite(x)):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import EvaluationError
 from .linalg import norm_inf, solve_linear
@@ -36,6 +35,16 @@ DEFAULT_GRID = 64
 MIN_GRID = 8
 ANALYTIC_TOL = 1e-8
 FD_TOL = 1e-5
+
+_expm = None  # scipy.linalg.expm, imported at the first expm call
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by ``scipy.linalg.expm``, imported at the first call."""
+    global _expm
+    if _expm is None:
+        from scipy.linalg import expm as _expm
+    return _expm(a)
 
 
 class MatrixPath:
@@ -155,7 +164,8 @@ class MatrixPath:
         """Path ``t -> expm(t*s) @ a0`` with exact derivatives.
 
         For skew ``s`` and orthogonal ``a0`` the path stays orthogonal and
-        has constant frame products.
+        has constant frame products.  The value and both derivatives at one
+        ``t`` share one :func:`expm`; scipy is loaded at the first one.
         """
         s = np.asarray(s, dtype=float)
         n = s.shape[0]
