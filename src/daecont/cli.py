@@ -368,7 +368,8 @@ def cmd_continue(args) -> int:
     problem = _first_order(build_problem(payload), args.grid)
     nsteps = _integration_steps(problem, args.h)
     seed_box = Box.cube(args.radius, problem.m + problem.s)
-    seeds = branch_seeds(problem, seed_box)
+    system = fixed_frame(problem)  # audited and tabulated once for the seeds and the branch
+    seeds = branch_seeds(system, seed_box)
     if not seeds:
         print("no seeds located in the box", file=sys.stderr)
         return 1
@@ -379,7 +380,7 @@ def cmd_continue(args) -> int:
         np.concatenate([[0.0], -args.radius * np.ones(state_dim)]),
         np.concatenate([[args.lam_max], args.radius * np.ones(state_dim)]),
     )
-    branch = continue_branch(problem, seeds[args.seed_index].point, args.ds,
+    branch = continue_branch(system, seeds[args.seed_index].point, args.ds,
                              args.steps, box, integration_steps=nsteps)
     print(f"branch: {len(branch.pairs)} pairs, termination: {branch.termination}",
           file=sys.stderr)

@@ -10,11 +10,13 @@ Beyond parsing and evaluation the module provides symbolic
 differentiation over the closed operator set (so matrix paths written as
 expressions get exact derivatives), a printer whose output reparses to an
 expression with identical floating-point semantics, and a compiler that
-turns expression vectors/matrices into fast Python callables.
+turns expression vectors/matrices into fast Python callables, into the
+same on stacks of points, and into source fragments to inline.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -41,6 +43,7 @@ __all__ = [
     "substitute_exprs",
     "compile_vector",
     "compile_matrix",
+    "Fragments",
     "FUNCTIONS",
 ]
 
@@ -397,30 +400,72 @@ _COMPILE_GLOBALS = {"math": math, "np": np, "ArithmeticError": ArithmeticError,
                     "float": float, "str": str, "__builtins__": {}}
 
 
-def _compile(args: str, body: str, listed: str) -> Callable:
+def _compile(args: str, body: str, trees, varmap: Mapping[str, str]) -> Callable:
     # A def rather than a lambda, so that math failures (exp overflow, a
     # domain error) raise NonfiniteResultError as in eval_expr; the try
     # costs nothing on calls that do not raise.  Arguments are read as
     # Python floats, whose powers raise on overflow and whose division
     # raises on zero, where numpy scalars would warn and go on with inf.
-    # ``listed`` is the body of the list target that ``as_list()`` compiles.
+    # ``trees`` (flat, a matrix row by row) give the fragment target.
     lines = [f"def compiled({args}):"]
     for arg in (a.strip() for a in args.split(",")):
         if re.search(rf"\b{arg}\[", body):
             lines.append(f"    {arg} = np.asarray({arg}, dtype=float).tolist()")
         elif re.search(rf"\b{arg}\b", body):
             lines.append(f"    {arg} = float({arg})")
-    compiled = _exec(lines + _returning(body))
-    compiled.as_list = _lazy([f"def compiled({args}):"] + _returning(listed))
+    lines += ["    try:", f"        return {body}",
+              "    except (ArithmeticError, ValueError) as exc:",
+              "        raise _nonfinite(exc) from exc", ""]
+    compiled = _exec(lines)
+    compiled.fragments = Fragments(args, trees, varmap)
     return compiled
 
 
-def _returning(body: str) -> list:
-    # Function body lines that return ``body``, arithmetic failures raised
-    # as NonfiniteResultError.
-    return ["    try:", f"        return {body}",
-            "    except (ArithmeticError, ValueError) as exc:",
-            "        raise _nonfinite(exc) from exc", ""]
+class Fragments:
+    """The fragment target of a compiled function: its trees as Python
+    source over names the caller picks, for inlining into emitted code.
+
+    :meth:`statements` binds each argument to local names and assigns
+    every entry (a matrix row by row) to a target.  Fragments compare
+    equal, and hash alike, when they render the same source, so a cache
+    of emitted code keyed by them is shared by every parse of one problem.
+    The templates are rendered from the trees on the first request.
+    """
+
+    GLOBALS = {"math": math, "_nonfinite": _nonfinite}  # the names the statements read
+
+    def __init__(self, args: str, trees, varmap: Mapping[str, str]):
+        self.args = tuple(a.strip() for a in args.split(","))
+        self._trees, self._varmap = tuple(trees), dict(varmap)
+
+    @functools.cached_property
+    def templates(self) -> tuple:
+        """The entries as ``str.format`` templates: the source fragment of
+        each variable, ``x[0]`` or ``t``, becomes the field ``{x[0]}`` or ``{t}``."""
+        braced = {k: "{" + v + "}" for k, v in self._varmap.items()}
+        return tuple(_source(a, braced) for a in self._trees)
+
+    def __eq__(self, other):
+        return (isinstance(other, Fragments) and self.args == other.args
+                and self.templates == other.templates)
+
+    def __hash__(self):
+        return hash((self.args, self.templates))
+
+    def statements(self, targets: Sequence[str], *names) -> list:
+        """Lines that set ``targets`` to the entries at the arguments ``names``.
+
+        Each of ``names`` is a sequence of local names for a vector
+        argument, or one name for a scalar one.  A failed evaluation raises
+        :class:`NonfiniteResultError` as the compiled function does, and
+        the entries are evaluated in order, so the first failure is the
+        function's.  No target may be one of ``names``.
+        """
+        bound = dict(zip(self.args, names))
+        lines = [f"    {target} = {template.format(**bound)}"
+                 for target, template in zip(targets, self.templates)]
+        return ["try:", *lines, "except (ArithmeticError, ValueError) as exc:",
+                "    raise _nonfinite(exc) from exc"]
 
 
 def _exec(lines) -> Callable:
@@ -474,10 +519,9 @@ def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *
     source is built entirely from the validated tree.  Arithmetic
     failures raise :class:`NonfiniteResultError`.
 
-    The function carries ``as_list()``, which returns the same trees
-    compiled as a function of Python floats and sequences of them, read as
-    they are, that returns a list of floats.  It is compiled on the first
-    request and kept; the fixed-frame march calls it.
+    The function carries ``fragments``, a :class:`Fragments` that renders
+    the same trees as statements over local names of the caller's: the
+    float march inlines them (see :mod:`daecont.kernel`).
 
     With ``arrays=True`` the function evaluates the same trees on stacks:
     every argument is an array of vectors along its last axis
@@ -489,18 +533,17 @@ def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *
     if arrays:
         return _compile_arrays(args, list(enumerate(asts)), varmap, (len(asts),))
     entries = ", ".join(_source(a, varmap) for a in asts)
-    return _compile(args, f"np.array([{entries}])", f"[{entries}]")
+    return _compile(args, f"np.array([{entries}])", asts, varmap)
 
 
 def compile_matrix(rows: Sequence[Sequence[Expr]], args: str, varmap: Mapping[str, str], *,
                    arrays: bool = False) -> Callable:
     """Compile a matrix of expressions like :func:`compile_vector`.
 
-    The function of ``as_list()`` returns the entries row by row, flat.
+    Its ``fragments`` render the entries row by row.
     """
     if arrays:
         entries = [(f"{i}, {j}", a) for i, row in enumerate(rows) for j, a in enumerate(row)]
         return _compile_arrays(args, entries, varmap, (len(rows), len(rows[0])))
-    sources = [[_source(a, varmap) for a in row] for row in rows]
-    body = ", ".join("[" + ", ".join(row) + "]" for row in sources)
-    return _compile(args, f"np.array([{body}])", "[" + ", ".join(sum(sources, [])) + "]")
+    body = ", ".join("[" + ", ".join(_source(a, varmap) for a in row) + "]" for row in rows)
+    return _compile(args, f"np.array([{body}])", [a for row in rows for a in row], varmap)

@@ -4,10 +4,12 @@ A march spends its time in small-array arithmetic: 2x2 mat-vecs, 1x1
 and 2x2 solves and a scalar constraint Newton per stage.  On numpy
 arrays each of those is a dispatch that costs far more than the few
 flops it does, so the march runs on Python floats instead, in
-straight-line code emitted once per ``(order, m, s, sensitivity, raw)``
-and kept.  Every vector and matrix is unrolled into local names, so the
-code has no loops over ``m`` or ``s``; loops over them in plain Python
-were measured slower than numpy.
+straight-line code emitted per problem: every vector and matrix is
+unrolled into local names, so the code has no loops over ``m`` or ``s``
+(loops over them in plain Python were measured slower than numpy), and
+the model's expression trees are inlined at every place the march needs
+a model value (``f``, ``df``, ``g``, ``d1g``, ``d2g``, ``dgdot``), with the
+stage's own locals as their variables.
 
 The type of the model picks the coordinates (see :class:`March`).  A
 fixed-frame system solves the autonomous constraint for ``eta``, drifts
@@ -32,16 +34,29 @@ multiply-add: a value can differ from a numpy march in the last bit (the
 test suite holds both coordinate systems to numpy marches within 1e-13
 on every fixture).
 
-The stage calls the model on floats: a callable compiled from expression
-trees through its list target (``as_list()``, see
-:func:`~daecont.expressions.compile_vector`), any other one, and a
-derivative that the problem forms by differences, on numpy arrays through
-an adapter that returns a list.  The frame is the flat tuple of floats
+A model compiled from expression trees carries their fragment target
+(see :class:`~daecont.expressions.Fragments`), whose statements the
+kernel inlines: they evaluate the entries in the order the compiled
+function does and raise its :class:`NonfiniteResultError` on a failed
+evaluation, so inlined and called models give the same bits and errors.
+Any other model (a Python callable, or a derivative that the problem
+forms by differences) is called through an adapter that passes numpy
+arrays and returns a flat list.  The frame is the flat tuple of floats
 that the model's ``frame_entries`` returns (a system's from its table),
 once per march time.  A sensitivity march (fixed frame only) carries the
 derivative of the state with respect to ``(lam, state0)`` in the rows
 after row 0, which is the plain march's arithmetic, bit for bit (see
 :mod:`daecont.periodic`).
+
+A kernel is emitted and compiled at the first march that needs it, never
+at set-up, and kept in a bounded cache keyed by what its source is
+emitted from: the problem's shape, the march kind and the fragments, so
+that every parse of one problem shares one kernel.  One entry keeps the
+compiled code of its build function, 9 to 34 KB on the fixtures
+(measured with tracemalloc: 21 KB for the sensitivity kernel of
+``rotating_surface``, 34 KB for that of ``rotating_surface_2nd``), and
+the fragments of its key with their trees, a few KB more; compiling one
+takes up to 1.6 MB for a moment.
 """
 
 from __future__ import annotations
@@ -52,6 +67,7 @@ import math
 import numpy as np
 
 from .errors import NoConvergenceError, NonfiniteResultError, SingularMatrixError
+from .expressions import Fragments
 from .linalg import PIVOT_REL, solve_linear
 from .transform import TransformedSystem
 
@@ -68,7 +84,11 @@ _GLOBALS = {
     "SingularMatrixError": SingularMatrixError,
     "_TOL": CONSTRAINT_SOLVE_TOL, "_MAX_ITER": CONSTRAINT_SOLVE_MAX_ITER,
     "_PIVOT_REL": PIVOT_REL, "_TINY": PIVOT_REL * 1e-300, "_INF": math.inf, "_NAN": math.nan,
+    **Fragments.GLOBALS,
 }
+
+# the model values a march reads, in the order the build function takes them
+_MODELS = ("f", "df", "g", "d1g", "d2g", "dgdot")
 
 
 class March:
@@ -85,7 +105,8 @@ class March:
 
     def __init__(self, model, lam, sensitivity: bool = False):
         self.raw = not isinstance(model, TransformedSystem)
-        build = _build(model.order, model.m, model.s, bool(sensitivity), self.raw)
+        functions, inlined = _models(model)
+        build = _build(model.order, model.m, model.s, bool(sensitivity), self.raw, inlined)
         if not self.raw:
             drifts = (model.D0, model.D1)
         else:
@@ -95,7 +116,7 @@ class March:
                   else np.asarray(d, dtype=float).ravel().tolist() for d in drifts]
         self.m = model.m
         self._resolve, self._march, self._record = build(
-            *_list_models(model), model.frame_entries, *drifts, float(lam))
+            *functions, model.frame_entries, *drifts, float(lam))
 
     def resolve(self, t, state, eta_guess) -> tuple:
         """The algebraic block at ``state``'s positions, from ``eta_guess`` (fixed frame)."""
@@ -116,7 +137,9 @@ class March:
 
         Velocities are None for order 1.  A frame node ``(t, state, eta)``
         is pulled back, for order 2 after its ``etadot`` is solved from the
-        constraint; a raw march records its nodes as it goes.
+        constraint, and its record ends with the constraint residual
+        ``max|g(A(t) x, B(t) y)|`` of the pulled-back floats; a raw march
+        records its nodes as it goes.
         """
         if self.raw:
             return (t, *node)
@@ -124,25 +147,22 @@ class March:
         return self._record(t, *state, *eta)
 
 
-def _list_models(model):
-    # (f, df, g, d1g, d2g, dgdot) of a system or a problem as functions of
-    # Python floats and sequences of them that return a flat list (a matrix
-    # row by row); dgdot is None for order 1.
+def _models(model):
+    # The functions the build is given and the fragments its source
+    # inlines, for the _MODELS of a system or a problem.  A model compiled
+    # from trees is inlined, and its slot gets None; any other one is called
+    # on numpy arrays through an adapter that returns a flat list (a matrix
+    # row by row).  dgdot is None for order 1.
     problem = getattr(model, "problem", model)
-    pairs = (("f", model.f), ("df", model.f_jac), ("g", model.g), ("d1g", model.g_jac1),
-             ("d2g", model.g_jac2), ("dgdot", getattr(model, "gdot_jac", None)))
-    return [_listed(getattr(problem, name, None), fn) for name, fn in pairs]
+    functions = (model.f, model.f_jac, model.g, model.g_jac1, model.g_jac2,
+                 getattr(model, "gdot_jac", None))
+    inlined = tuple(getattr(getattr(problem, name, None), "fragments", None) for name in _MODELS)
+    return [None if fn is None or own is not None else _adapter(fn)
+            for fn, own in zip(functions, inlined)], inlined
 
 
-def _listed(own, model):
-    # ``own``'s list target when it was compiled from trees, else ``model``
-    # called on numpy arrays with its value as a flat list (None stays None).
-    make = getattr(own, "as_list", None)
-    if make is not None:
-        return make()
-    if model is None:
-        return None
-
+def _adapter(model):
+    # model called on numpy arrays, its value returned as a flat list
     def adapter(*args):
         args = [np.array(a) if type(a) is list else a for a in args]
         return np.asarray(model(*args), dtype=float).ravel().tolist()
@@ -150,13 +170,28 @@ def _listed(own, model):
     return adapter
 
 
-@functools.cache
-def _build(order, m, s, sensitivity, raw):
-    # The emitted build function of one problem shape and coordinate
-    # system, compiled once.
+@functools.lru_cache(maxsize=128)  # a certify pass uses about 75 kernels
+def _build(order, m, s, sensitivity, raw, inlined):
+    # The build function of one kernel, emitted and compiled once.
     namespace = dict(_GLOBALS)
-    exec(_source(order, m, s, sensitivity, raw), namespace)
+    exec(_emit(_caller(inlined), order, m, s, sensitivity, raw), namespace)
     return namespace["build"]
+
+
+def _caller(inlined):
+    """``call(name, targets, *args)``: the lines that set ``targets`` to the
+    flat value of model ``name`` at ``args`` (each a list of local names,
+    or one name).  A model with fragments is inlined, any other is called.
+    """
+    fragments = dict(zip(_MODELS, inlined))
+
+    def call(name, targets, *args):
+        if fragments[name] is not None:
+            return fragments[name].statements(targets, *args)
+        listed = ", ".join(a if isinstance(a, str) else "[" + ", ".join(a) + "]" for a in args)
+        return [f"{_unrolled(targets)} = {name}({listed})"]
+
+    return call
 
 
 # -- emitted source ------------------------------------------------------------
@@ -243,32 +278,37 @@ def _solve(a, cols, name, on_singular=()):
     return lines, names
 
 
-def _newton(xi, s, frame=None):
+def _norm(r):
+    # lines for rn, numpy's max of |r| (NaN if any entry is)
+    if len(r) == 1:
+        return [f"rn = abs({r[0]})"]
+    nan = " or ".join(f"{v} != {v}" for v in r)
+    return ["rn = max(" + ", ".join(f"abs({v})" for v in r) + ")", f"if {nan}:", "    rn = _NAN"]
+
+
+def _newton(call, xi, s, frame=None):
     """Lines that solve ``g(xi, q) = 0`` for ``q0..`` from their warm start.
 
     Raw (``frame`` the names of ``A`` and ``B``) they solve ``g(A xi, B q)
-    = 0`` with the Jacobian ``g_q B``, and name ``B q`` ``w0..``.
-    ``periodic._solve_constraint``'s rules: a polish iteration even inside
-    the tolerance, the residual norm of numpy's max (NaN if any entry is),
-    a non-finite residual ends the solve, and a singular ``dg/dq`` inside
-    the tolerance keeps the iterate.
+    = 0`` with the Jacobian ``g_q B``, and name ``A xi`` ``p0..`` and ``B
+    q`` ``w0..``.  ``periodic._solve_constraint``'s rules: a polish
+    iteration even inside the tolerance, the residual norm of numpy's max
+    (NaN if any entry is), a non-finite residual ends the solve, and a
+    singular ``dg/dq`` inside the tolerance keeps the iterate.
     """
     q, r = _vec("q", s), _vec("r", s)
-    p, arg, at_q = xi, q, []
+    p, arg, at_p, at_q = xi, q, [], []
     if frame is not None:
-        p, arg = _matvec(frame[0], xi), _vec("w", s)
+        p, arg = _vec("p", len(xi)), _vec("w", s)
+        at_p = [f"{v} = {e}" for v, e in zip(p, _matvec(frame[0], xi))]
         at_q = [f"{w} = {e}" for w, e in zip(arg, _matvec(frame[1], q))]
-    qs = "[" + ", ".join(arg) + "]"
-    norm = ["rn = abs(r0)"]
-    if s > 1:
-        nan = " or ".join(f"{v} != {v}" for v in r)
-        norm = ["rn = max(" + ", ".join(f"abs({v})" for v in r) + ")", f"if {nan}:", "    rn = _NAN"]
     jac = _mat("j", s, s)
-    jac_lines = [f"{_unrolled(sum(jac, []))} = d2g(p, {qs})"]
+    jac_lines = call("d2g", sum(jac, []), p, arg)
     if frame is not None:
         gq = _mat("gq", s, s)
-        jac_lines = [f"{_unrolled(sum(gq, []))} = d2g(p, {qs})", *_let("j", _matmul(gq, frame[1]))[0]]
+        jac_lines = call("d2g", sum(gq, []), p, arg) + _let("j", _matmul(gq, frame[1]))[0]
     solve, (step,) = _solve(jac, [r], "dq", on_singular=["if rn <= _TOL:", "    break"])
+    residual = call("g", r, p, arg) + _norm(r)
     body = [
         "if rn == 0.0 or (rn <= _TOL and it > 0):",
         "    break",
@@ -278,14 +318,12 @@ def _newton(xi, s, frame=None):
         *solve,
         *(f"{qi} = {qi} - {d}" for qi, d in zip(q, step)),
         *at_q,
-        f"{_unrolled(r)} = g(p, {qs})",
-        *norm,
+        *residual,
     ]
     return [
-        f"p = [{', '.join(p)}]",
+        *at_p,
         *at_q,
-        f"{_unrolled(r)} = g(p, {qs})",
-        *norm,
+        *residual,
         "for it in range(_MAX_ITER):",
         *(f"    {line}" for line in body),
         "else:",
@@ -295,12 +333,12 @@ def _newton(xi, s, frame=None):
     ]
 
 
-def _resolve(xi, s, frame=None):
+def _resolve(call, xi, s, frame=None):
     # _newton, with a non-finite residual at a non-finite state blamed on
     # the state, where an earlier value overflowed without raising
     state = "[" + ", ".join(xi) + "]"
     finite = " and ".join(f"isfinite({v})" for v in xi)
-    return ["try:", *(f"    {line}" for line in _newton(xi, s, frame)),
+    return ["try:", *(f"    {line}" for line in _newton(call, xi, s, frame)),
             "except NonfiniteResultError:",
             f"    if {finite}:",
             "        raise",
@@ -318,7 +356,7 @@ def _frame_names(order, m, s, raw=False):
     return f"{_unrolled(flat)} = fr", a, b, da, dbi
 
 
-def _rate(order, m, s, frame=None):
+def _rate(call, order, m, s, frame=None):
     """Lines for ``g_p``, ``g_q`` and, for order 2, the algebraic block's
     rate (names ``ed*``) at the resolved node.
 
@@ -326,10 +364,9 @@ def _rate(order, m, s, frame=None):
     names of ``A``, ``B``, ``dA`` and ``dB``, with ``p = A x`` and ``w = B
     y`` named), ``ydot = solve(g_q B, -(g_p (dA x + A u) + g_q dB y))``.
     """
-    at = _vec("q" if frame is None else "w", s)
+    p, at = (_vec("xi", m), _vec("q", s)) if frame is None else (_vec("p", m), _vec("w", s))
     gp, gq = _mat("gp", s, m), _mat("gq", s, s)
-    lines = [f"{_unrolled(sum(gp, []))} = d1g(p, [{', '.join(at)}])",
-             f"{_unrolled(sum(gq, []))} = d2g(p, [{', '.join(at)}])"]
+    lines = call("d1g", sum(gp, []), p, at) + call("d2g", sum(gq, []), p, at)
     if order == 1:
         return lines, gp, gq
     u, matrix = _vec("u", m), gq
@@ -367,13 +404,12 @@ def _pull_back(order, m, s, a, b, da, dbi):
 
 
 def _node_args(order, m, s, raw=False):
-    # the forcing's arguments: a raw stage's node is its state, q and rate
+    # the forcing's vector arguments: a raw stage's node is its state, q and rate
     x, y, xd, yd = ("xi", "q", "u", "ed") if raw else ("x", "y", "xd", "yd")
-    args = [_vec(x, m), _vec(y, s)] + ([_vec(xd, m), _vec(yd, s)] if order == 2 else [])
-    return ", ".join("[" + ", ".join(v) + "]" for v in args)
+    return [_vec(x, m), _vec(y, s)] + ([_vec(xd, m), _vec(yd, s)] if order == 2 else [])
 
 
-def _stage(order, m, s, sensitivity, raw=False):
+def _stage(call, order, m, s, sensitivity, raw=False):
     """The body of ``stage(t, fr, <state>, <q warm start>)``, returning the
     rates of every state entry and the resolved ``q``.
 
@@ -387,14 +423,14 @@ def _stage(order, m, s, sensitivity, raw=False):
     xi, u, q = _vec("xi", m), _vec("u", m), _vec("q", s)
     unpack, a, b, da, dbi = _frame_names(order, m, s, raw)
     if raw:
-        lines = [unpack] + _resolve(xi, s, (a, b))
-        lines += _rate(order, m, s, (a, b, da, dbi))[0] if order == 2 else []
+        lines = [unpack] + _resolve(call, xi, s, (a, b))
+        lines += _rate(call, order, m, s, (a, b, da, dbi))[0] if order == 2 else []
     else:
-        lines = _resolve(xi, s) + [unpack]
-        rate, gp, gq = _rate(order, m, s) if (order == 2 or sensitivity) else ([], None, None)
+        lines = _resolve(call, xi, s) + [unpack]
+        rate, gp, gq = _rate(call, order, m, s) if (order == 2 or sensitivity) else ([], None, None)
         lines += rate + _pull_back(order, m, s, a, b, da, dbi)
     v = force = _vec("v", m)
-    lines.append(f"{_unrolled(v)} = f(t, {_node_args(order, m, s, raw)})")
+    lines += call("f", v, "t", *_node_args(order, m, s, raw))
     if not raw:
         # named before A(t) f, whose zero entries would turn an inf into a NaN
         finite = " + ".join(f"{x}*0.0" for x in v)
@@ -410,12 +446,12 @@ def _stage(order, m, s, sensitivity, raw=False):
     out = (u if order == 2 else []) + [f"{e} + lam*{f}" for e, f in zip(drift, force)]
     lines += [f"k0_{i} = {e}" for i, e in enumerate(out)]
     if sensitivity:
-        lines += _sensitivity(order, m, s, a, b, da, dbi, gp, gq)
+        lines += _sensitivity(call, order, m, s, a, b, da, dbi, gp, gq)
     ks = [f"k{r}_{i}" for r in range(rows) for i in range(n)]
     return lines + [f"return {_unrolled(ks + q)}"]
 
 
-def _sensitivity(order, m, s, a, b, da, dbi, gp, gq):
+def _sensitivity(call, order, m, s, a, b, da, dbi, gp, gq):
     """Lines for the rates ``k<r>_<i>`` of the sensitivity rows ``r >= 1``.
 
     ``dk = K dstate + [F | 0]``: ``K`` is the Jacobian of the stage rate
@@ -440,7 +476,7 @@ def _sensitivity(order, m, s, a, b, da, dbi, gp, gq):
 
     negated = lambda rows: [[f"(-{v})" for v in row] for row in rows]
     jac = _mat("J", m, n + order * s)  # df by (x, y[, xd, yd])
-    lines.append(f"{_unrolled(sum(jac, []))} = df(t, {_node_args(order, m, s)})")
+    lines += call("df", sum(jac, []), "t", *_node_args(order, m, s))
     f_x, f_y = [row[:m] for row in jac], [row[m : m + s] for row in jac]
     e = let("e", negated(_t(solve(gq, _t(gp), "ge"))))
     fy_b = solve(_t(b), f_y, "fyb")  # f_y B^-1, as the solve of B.T with the rows of f_y
@@ -452,8 +488,8 @@ def _sensitivity(order, m, s, a, b, da, dbi, gp, gq):
         f_u, f_v = [row[m + s : 2 * m + s] for row in jac], [row[2 * m + s :] for row in jac]
         fv_b = solve(_t(b), f_v, "fvb")
         gdot = _mat("gd", s, m + s)
-        lines.append(f"{_unrolled(sum(gdot, []))} = dgdot(p, [{', '.join(_vec('q', s))}], "
-                     f"[{', '.join(_vec('u', m))}], [{', '.join(_vec('ed', s))}])")
+        lines += call("dgdot", sum(gdot, []), _vec("xi", m), _vec("q", s), _vec("u", m),
+                      _vec("ed", s))
         rhs = let("wr", _add([row[:m] for row in gdot], _matmul([row[m:] for row in gdot], e)))
         w = let("w", negated(_t(solve(gq, _t(rhs), "gw"))))
         inner = _add(let("fxa", _matmul(f_x, _t(a))), let("fua", _matmul(f_u, _t(da))))
@@ -477,7 +513,9 @@ def _sensitivity(order, m, s, a, b, da, dbi, gp, gq):
     return lines
 
 
-def _source(order, m, s, sensitivity, raw=False):
+def _emit(call, order, m, s, sensitivity, raw):
+    # The source of the build function: the march's model values through
+    # call (see _caller)
     n = order * m
     rows = n + 2 if sensitivity else 1
     q = _vec("q", s)
@@ -499,30 +537,35 @@ def _source(order, m, s, sensitivity, raw=False):
     # a raw solve reads the frame of its time, which the march passes
     src += [f"    def resolve(t, {'fr, ' * raw}{', '.join(xis + q)}):",
             *([f"        {unpack}"] if raw else []),
-            *(f"        {line}" for line in _resolve(xis, s, (a, b) if raw else None)),
+            *(f"        {line}" for line in _resolve(call, xis, s, (a, b) if raw else None)),
             f"        return {_unrolled(q)}", ""]
     if raw:
         # node: (t, x, y, xd, yd) of a resolved node at a frame
         rate = []
         if order == 2:
-            rate = [unpack, "p = [" + ", ".join(_matvec(a, xis)) + "]"]
+            rate = [unpack] + [f"p{i} = {e}" for i, e in enumerate(_matvec(a, xis))]
             rate += [f"w{k} = {e}" for k, e in enumerate(_matvec(b, q))]
-            rate += _rate(order, m, s, (a, b, da, dbi))[0]
+            rate += _rate(call, order, m, s, (a, b, da, dbi))[0]
         velocities = (f"{tup(_vec('u', m))}, {tup(_vec('ed', s))}" if order == 2 else "None, None")
         src += [f"    def node(t, fr, {node_args}):", *(f"        {line}" for line in rate),
                 f"        return t, {tup(xis)}, {tup(q)}, {velocities}", ""]
     src += [f"    def stage({', '.join(stage_args)}):",
-            *(f"        {line}" for line in _stage(order, m, s, sensitivity, raw)), ""]
+            *(f"        {line}" for line in _stage(call, order, m, s, sensitivity, raw)), ""]
     if not raw:
-        # record: row 0 and q of a node, to (t, x, y, xd, yd)
+        # record: row 0 and q of a node, to (t, x, y, xd, yd) and the
+        # constraint residual max|g(A x, B y)| of the pulled-back floats
         rec = ["fr = frame(t)", unpack]
         if order == 2:
-            rec += ["p = [" + ", ".join(xis) + "]"] + _rate(order, m, s)[0]
+            rec += _rate(call, order, m, s)[0]
         rec += _pull_back(order, m, s, a, b, da, dbi)
+        ax, by, r = _vec("ax", m), _vec("by", s), _vec("r", s)
+        rec += [f"{v} = {e}" for v, e in zip(ax, _matvec(a, _vec("x", m)))]
+        rec += [f"{v} = {e}" for v, e in zip(by, _matvec(b, _vec("y", s)))]
+        rec += call("g", r, ax, by) + _norm(r)
         velocities = (f"{tup(_vec('xd', m))}, {tup(_vec('yd', s))}" if order == 2 else "None, None")
         src += [f"    def record(t, {node_args}):",
                 *(f"        {line}" for line in rec),
-                f"        return t, {tup(_vec('x', m))}, {tup(_vec('y', s))}, {velocities}", ""]
+                f"        return t, {tup(_vec('x', m))}, {tup(_vec('y', s))}, {velocities}, rn", ""]
     # march: RK4 over every state entry, q re-solved per stage from warm starts
     step = []
     for j, (time, fr, scale, prev) in enumerate((("t", "fr0", None, None), ("mid", "frm", "hh", 1),

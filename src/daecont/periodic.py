@@ -28,19 +28,21 @@ march (internal differentiation), with ``d eta / d xi = -g_q^-1 g_p``
 taken at each stage's converged algebraic block.  Its row 0 is the plain
 march, bit for bit.  Newton accepts a point on the residual it evaluated
 there, so the corrector's last march gives the residual, the Jacobian,
-the tangent and the accepted pair's nodes: a pair costs no march of its own.
+the tangent and the accepted pair's nodes: a pair costs no march of its
+own, and its constraint residual comes with the nodes' records.
 
 Every march, raw or fixed-frame, plain or sensitivity, runs on Python
-floats in code emitted per problem shape (:mod:`daecont.kernel`), and the
+floats in code emitted per problem (:mod:`daecont.kernel`), and the
 model it is given picks the coordinates.  A march asks for the frame
 once per step and midpoint time.  A fixed-frame march reads it through
 its system's table (see :mod:`daecont.transform`), so it evaluates the
 frame paths only at the ``2N + 1`` times it has not seen before: a
 shooting runner keeps one system, and with it one table, for all the
-marches of a branch, and ``integrate`` and the seeding map fill the
-table of the system they are given.  A raw march evaluates the problem's
-paths at each of its times, records each node right after its solve,
-from that frame, and keeps no table.
+marches of a branch (shared with the seeding map when the caller passes
+the system), and ``integrate`` and the seeding map fill the table of the
+system they are given.  A raw march evaluates the problem's paths at
+each of its times, records each node right after its solve, from that
+frame, and keeps no table.
 """
 
 from __future__ import annotations
@@ -107,20 +109,6 @@ class Trajectory:
     def periodicity_residual(self) -> float:
         columns = (self.x, self.y, self.xdot, self.ydot)
         return max(norm_inf(c[-1] - c[0]) for c in columns if c is not None)
-
-    def constraint_residual(self, model) -> float:
-        """Largest ``|g(A(t) x, B(t) y)|`` over the nodes.
-
-        ``model`` is a problem or its fixed-frame system; a system reads
-        ``A`` and ``B`` through its frame table, so times it has seen cost
-        no path evaluation.
-        """
-        worst = 0.0
-        for k, t in enumerate(self.times):
-            a, b = model.frame(t)
-            val = model.g(a @ self.x[k], b @ self.y[k])
-            worst = max(worst, norm_inf(np.atleast_1d(val)))
-        return worst
 
     def to_dict(self) -> dict:
         out = {"times": self.times, "x": self.x, "y": self.y}
@@ -265,18 +253,21 @@ def integrate(
     state0 = x0 if xdot0 is None else np.concatenate([x0, xdot0])
     stepper = March(sys, lam)
     nodes, _ = stepper.march(state0.tolist(), y0.tolist(), h, nsteps)
-    return _trajectory(stepper.record, nodes)
+    return _trajectory(stepper.record, nodes)[0]
 
 
-def _trajectory(record, nodes) -> Trajectory:
-    # Nodes through record to (t, x, y, xdot, ydot); None velocities for order 1.
+def _trajectory(record, nodes):
+    # Nodes through record to (t, x, y, xdot, ydot), None velocities for
+    # order 1: the Trajectory, and the largest constraint residual that a
+    # fixed-frame record gives with each node (None raw).
     times, *columns = zip(*(record(*node) for node in nodes))
-    columns = (None if col[0] is None else np.array(col) for col in columns)
-    return Trajectory(np.array(times, dtype=float), *columns)
+    arrays = (None if col[0] is None else np.array(col) for col in columns[:4])
+    residual = max((0.0, *columns[4])) if len(columns) > 4 else None
+    return Trajectory(np.array(times, dtype=float), *arrays), residual
 
 
 class _ShootingRunner:
-    """Caches the transformed system and runs fixed-frame marches.
+    """Keeps the fixed-frame system of ``prob`` and runs its marches.
 
     The shooting unknown is the initial frame state (``xi0`` for order 1,
     ``(xi0, xidot0)`` for order 2); the algebraic block is recovered from
@@ -284,9 +275,9 @@ class _ShootingRunner:
     posteriori rather than solved for.
 
     Every march runs the same grid on the runner's one system, whose frame
-    table fills on the first march and serves every later one.  The runner
-    also keeps the nodes of one march, :meth:`linearize`'s last, for
-    :meth:`make_tpair`.
+    table fills on the first march and serves every later one; ``prob``
+    may be that system already.  The runner also keeps the nodes of one
+    march, :meth:`linearize`'s last, for :meth:`make_tpair`.
     """
 
     def __init__(self, prob, nsteps: int = DEFAULT_STEPS):
@@ -342,7 +333,7 @@ class _ShootingRunner:
     def make_tpair(self, lam, state0) -> TPair:
         state0 = np.asarray(state0, dtype=float)
         self.linearize(lam, state0)  # no march right after the corrector that accepted the point
-        pair = _tpair(self.sys, lam, _trajectory(*self._last[3:]), state0[: self.prob.m])
+        pair = _tpair(lam, *_trajectory(*self._last[3:]), state0[: self.prob.m])
         for name, value, tol in (("periodicity", pair.periodicity_residual, PERIODICITY_TOL),
                                  ("constraint", pair.constraint_residual, CONSTRAINT_TOL)):
             if value > tol:
@@ -350,7 +341,7 @@ class _ShootingRunner:
         return pair
 
 
-def _tpair(sys, lam, traj: Trajectory, xi0) -> TPair:
+def _tpair(lam, traj: Trajectory, constraint_residual, xi0) -> TPair:
     # The one TPair assembly: residuals, and triviality at lam = 0.
     dev = max(norm_inf(traj.x - traj.x[0]), norm_inf(traj.y - traj.y[0]))
     return TPair(
@@ -358,7 +349,7 @@ def _tpair(sys, lam, traj: Trajectory, xi0) -> TPair:
         trajectory=traj,
         xi0=np.asarray(xi0, dtype=float).copy(),
         periodicity_residual=traj.periodicity_residual(),
-        constraint_residual=traj.constraint_residual(sys),
+        constraint_residual=constraint_residual,
         is_trivial=bool(lam == 0.0 and dev <= TRIVIAL_TOL),
     )
 
@@ -400,15 +391,14 @@ def find_tpair(prob, lam: float, xi0_guess, nsteps: int = DEFAULT_STEPS) -> TPai
 def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     # The seed is a seeding-map zero: the drift annihilates xi0 (or
     # vanishes, when the averaged map seeds) and the constraint holds, so
-    # the constant frame state is a solution at lam=0.
-    prob = runner.prob
-    m = prob.m
-    xi0, eta0 = seed[:m], seed[m:]
-    vel = () if prob.order == 1 else (np.zeros(m), np.zeros(prob.s))
-    # the node times of a march, bit for bit
+    # the constant frame state is a solution at lam=0.  Its nodes, at the
+    # node times of a march (bit for bit), are recorded as a march's are.
+    m = runner.prob.m
+    xi0, eta0 = seed[:m], seed[m:].tolist()
+    state = xi0.tolist() + [0.0] * (runner.state_dim - m)
     times = [0.0] + [end for _, _, end in _step_times(0.0, runner.h, runner.nsteps)]
-    at_rest = lambda t, xi, eta: (t, *runner.sys.pull_back(t, xi, eta, *vel))
-    return _tpair(runner.sys, 0.0, _trajectory(at_rest, [(t, xi0, eta0) for t in times]), xi0)
+    record = March(runner.sys, 0.0).record
+    return _tpair(0.0, *_trajectory(record, [(t, state, eta0) for t in times]), xi0)
 
 
 def _least_squares_newton(fun, jac, x0):
@@ -477,7 +467,9 @@ def continue_branch(
 ) -> Branch:
     """Trace a branch of T-pairs from a seeding-map zero.
 
-    ``seed`` lives in (xi, eta) space and must be a zero of the
+    ``prob`` is a problem or its fixed-frame system, which the branch's
+    marches then share (with its frame table) with the caller.  ``seed``
+    lives in (xi, eta) space and must be a zero of the
     :func:`~daecont.degree.seeding_map`; the traced polyline lives in
     ``(lam, xi0)`` space, which is what ``box`` bounds.  The first
     corrected point is taken at ``lam = ds`` (not 0) with the trivial state
@@ -533,5 +525,5 @@ def continue_branch(
 
 def branch_seeds(prob, box: Box, grid: int = 5) -> List[ZeroRecord]:
     """Zeros of the :func:`~daecont.degree.seeding_map` inside ``box``, with
-    local degree signs."""
+    local degree signs.  ``prob`` is a problem or its fixed-frame system."""
     return locate_zeros(seeding_map(fixed_frame(prob)), box, grid)

@@ -366,7 +366,9 @@ def _transform(prob, validate, labels, drifts) -> TransformedSystem:
 
 
 def fixed_frame(prob) -> TransformedSystem:
-    """Fixed-frame form of a first- or second-order problem."""
+    """Fixed-frame form of a first- or second-order problem; a system is its own."""
+    if isinstance(prob, TransformedSystem):
+        return prob
     return fixed_frame_first(prob) if prob.order == 1 else fixed_frame_second(prob)
 
 

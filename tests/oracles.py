@@ -135,6 +135,22 @@ def fixed_frame_march(sys, lam, state0, eta0, h, nsteps, sensitivity=False):
     return nodes, aug
 
 
+def constraint_residual(traj, model):
+    """Largest ``|g(A(t) x, B(t) y)|`` over a trajectory's nodes, on numpy arrays.
+
+    The numpy residual that pair assembly replaced with the one the float
+    march records with each node.  ``model`` is a problem or its
+    fixed-frame system; a system reads ``A`` and ``B`` through its frame
+    table.
+    """
+    worst = 0.0
+    for k, t in enumerate(traj.times):
+        a, b = model.frame(t)
+        val = model.g(a @ traj.x[k], b @ traj.y[k])
+        worst = max(worst, float(np.abs(np.atleast_1d(val)).max()))
+    return worst
+
+
 def raw_march(prob, lam, state0, y0, h, nsteps):
     """The half-explicit RK4 march of a problem in original coordinates, on numpy arrays.
 

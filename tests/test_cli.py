@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 import daecont
+from daecont import kernel
 
 from daecont.cli import MAX_BRANCH_STEPS, MAX_LEMMA_PATHS, build_parser, main
 from daecont.degree import Box
 from daecont.fixtures import load_fixture, problem_text
 from daecont.linalg import norm_inf
 from daecont.periodic import branch_seeds
+from daecont.transform import fixed_frame
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "help.txt"
@@ -446,6 +448,24 @@ class TestModelFailure:
 
 
 class TestContinue:
+    H16 = repr(2.0 * np.pi / 16)
+
+    def test_transforms_the_problem_once(self, capsys, path_calls):
+        # the seeds and the branch share one system: one frame audit, and
+        # A and B once at each of the 2N + 1 march times (N = 16)
+        fixed_frame(load_fixture("rotating_surface"))
+        audit = len(path_calls)
+        del path_calls[:]
+        code, _, _ = run(capsys, "continue", "rotating_surface", "--steps", "2", "--h", self.H16)
+        assert code == 0 and len(path_calls) == audit + 2 * (2 * 16 + 1)
+
+    def test_second_continue_builds_no_kernel(self, capsys):
+        argv = ("continue", "rotating_surface_2nd", "--steps", "2", "--h", self.H16)
+        first = run(capsys, *argv)
+        builds = kernel._build.cache_info().misses
+        assert run(capsys, *argv) == first and first[0] == 0
+        assert kernel._build.cache_info().misses == builds
+
     def test_left_box(self, capsys):
         code, out, err = run(capsys, "continue", "rotating_surface", "--ds", "0.5",
                              "--steps", "8", "--radius", "0.3")

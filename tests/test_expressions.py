@@ -11,6 +11,7 @@ from daecont.errors import (
 )
 from daecont.expressions import (
     Binary,
+    Fragments,
     Num,
     Unary,
     Var,
@@ -190,6 +191,19 @@ class TestSubstitution:
         assert eval_expr(ast, {"a": 1.0, "b": 2.0}) == 9.0
 
 
+def inlined(fn, *values):
+    # the entries of fn's fragment target, its statements run on locals
+    # bound to values (a list for a vector argument, a float for a scalar)
+    env, names = {}, []
+    for k, value in enumerate(values):
+        local = [f"a{k}_{i}" for i in range(len(value))] if isinstance(value, list) else f"a{k}"
+        env.update(zip(local, value) if isinstance(value, list) else [(local, value)])
+        names.append(local)
+    targets = [f"out{i}" for i in range(len(fn.fragments.templates))]
+    exec("\n".join(fn.fragments.statements(targets, *names)), dict(Fragments.GLOBALS), env)
+    return [env[target] for target in targets]
+
+
 class TestCompile:
     def test_scalar_matches_eval(self):
         rng = np.random.default_rng(1)
@@ -202,7 +216,7 @@ class TestCompile:
             except NonfiniteResultError:
                 continue
             assert fn(env["a"], env["b"], env["c"])[0] == expected
-            assert fn.as_list()(env["a"], env["b"], env["c"]) == [expected]
+            assert inlined(fn, env["a"], env["b"], env["c"]) == [expected]
 
     def test_vector_and_matrix(self):
         vm = {"x1": "x[0]", "x2": "x[1]"}
@@ -212,10 +226,14 @@ class TestCompile:
                               [parse_expr("sin(t)"), parse_expr("cos(t)")]], "t", {"t": "t"})
         t = 0.3
         assert np.allclose(mat(t), [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], atol=0)
-        # the list targets: Python floats in and out, a matrix row by row
-        assert vec.as_list()([2.0, 3.0]) == [5.0, 6.0]
-        assert mat.as_list()(t) == mat(t).ravel().tolist()
-        assert mat.as_list() is mat.as_list()  # compiled once
+        # the fragment targets: Python floats in and out, a matrix row by row
+        assert inlined(vec, [2.0, 3.0]) == [5.0, 6.0]
+        assert inlined(mat, t) == mat(t).ravel().tolist()
+        assert mat.fragments.templates is mat.fragments.templates  # rendered once
+        # fragments of equal source are equal, whatever parse made them
+        again = compile_vector([parse_expr("x1 + x2"), parse_expr("x1 * x2")], "x", vm)
+        assert again.fragments == vec.fragments and hash(again.fragments) == hash(vec.fragments)
+        assert again.fragments != compile_vector([parse_expr("x2 + x1")], "x", vm).fragments
 
     @pytest.mark.parametrize("text, value", [
         ("exp(1000*x1) - x1", 1.0),  # OverflowError in math.exp
@@ -229,7 +247,7 @@ class TestCompile:
             with pytest.raises(NonfiniteResultError):
                 fn(np.array([value]))
             with pytest.raises(NonfiniteResultError):
-                fn.as_list()([value])
+                inlined(fn, [value])
 
 
 class TestArrayTarget:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,9 +28,14 @@ from daecont.periodic import (
     shooting_residual,
 )
 from daecont.transform import DaeProblem1, fixed_frame
-from oracles import central_jacobian, fixed_frame_march, raw_march
+from oracles import central_jacobian, constraint_residual, fixed_frame_march, raw_march
 
 TWO_PI = 2.0 * np.pi
+# The float record evaluates g at the pulled-back floats where the numpy
+# residual evaluates it at numpy's products A x and B y, which may fuse
+# multiply-adds: the two g values differ by rounding of terms of size
+# O(1) on the fixtures (measured at most 1.4e-17 on their branches).
+RESIDUAL_TOL = 1e-14
 
 
 def scalar_problem(f=None, g=None):
@@ -110,7 +116,7 @@ class TestIntegrate:
     def test_constraint_residual_at_nodes(self):
         prob = load_fixture("rotating_surface")
         traj = integrate(prob, 1.0, np.array([0.3, 0.1]), h=TWO_PI / 128)
-        assert traj.constraint_residual(prob) <= 1e-10
+        assert constraint_residual(traj, prob) <= 1e-10
 
     def test_halving_h_shows_fourth_order(self):
         prob = load_fixture("scalar_linear")
@@ -280,6 +286,21 @@ class TestContinueBranch:
         with pytest.raises(ValueError, match="ds"):
             continue_branch(load_fixture("scalar_linear"), np.zeros(2), ds, 3, box)
 
+    @pytest.mark.parametrize("name", ["commuting_h", "rotating_surface", "rotating_surface_2nd",
+                                      "scalar_linear", "semilinear_4x4"])
+    def test_pair_residuals_match_the_numpy_residual(self, name):
+        # every pair's residual, the trivial pair's included, comes from the
+        # float record, within RESIDUAL_TOL of the numpy residual of its nodes
+        sys = fixed_frame(_shooting_problem(name))
+        n = sys.order * sys.m
+        box = Box(np.concatenate([[0.0], -2.0 * np.ones(n)]), np.concatenate([[5.0], 2.0 * np.ones(n)]))
+        seed = branch_seeds(sys, Box.cube(2.0, sys.m + sys.s))[0].point
+        branch = continue_branch(sys, seed, 0.1, 3, box, integration_steps=32)
+        assert branch.pairs[0].is_trivial and len(branch.pairs) == 4
+        for pair in branch.pairs:
+            reference = constraint_residual(pair.trajectory, sys)
+            assert abs(pair.constraint_residual - reference) <= RESIDUAL_TOL
+
     def test_lambda_stays_nonnegative(self):
         prob = load_fixture("scalar_linear")
         box = Box(np.array([0.0, -2.0]), np.array([10.0, 2.0]))
@@ -295,7 +316,7 @@ class TestSecondOrder:
         fix = integrate(prob, 0.5, x0, h=prob.period / 512, mode="fixed")
         assert norm_inf(raw.x - fix.x) <= 1e-6
         assert norm_inf(raw.xdot - fix.xdot) <= 1e-6
-        assert raw.constraint_residual(prob) <= 1e-10
+        assert constraint_residual(raw, prob) <= 1e-10
 
     def test_modes_agree_with_moving_b_and_drifts(self):
         # the order-2 drift formulas and the d(B^-1) pull-back against the
@@ -542,12 +563,13 @@ class TestFrameTable:
 
     def test_pair_residuals_read_the_table(self, path_calls):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
-        traj = periodic._trajectory(*plain_march(runner, 0.5, np.array([0.3, 0.1])))
+        record, nodes = plain_march(runner, 0.5, np.array([0.3, 0.1]))
         del path_calls[:]
-        from_table = traj.constraint_residual(runner.sys)
+        traj, residual = periodic._trajectory(record, nodes)
         assert path_calls == [] and runner.make_tpair(0.0, np.zeros(2)).constraint_residual == 0.0
         assert path_calls == []
-        assert from_table == traj.constraint_residual(runner.prob) and len(path_calls) == 2 * 17
+        assert abs(residual - constraint_residual(traj, runner.prob)) <= RESIDUAL_TOL
+        assert len(path_calls) == 2 * 17
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
     def test_trivial_pair_reads_the_table(self, name, path_calls):
@@ -806,13 +828,14 @@ class TestExactShootingJacobian:
         config = NewtonConfig(max_iters=30, tol_residual=1e-10)
         state = newton_solve(*runner.newton_maps(0.3), np.zeros(runner.state_dim), config)
         pair = runner.make_tpair(0.3, state)
-        plain = periodic._trajectory(*plain_march(runner, 0.3, state))
+        plain, residual = periodic._trajectory(*plain_march(runner, 0.3, state))
         for column in ("times", "x", "y", "xdot", "ydot"):
             got, ref = getattr(pair.trajectory, column), getattr(plain, column)
             assert (got is ref is None) or got.tobytes() == ref.tobytes(), column
         assert (pair.trajectory.xdot is None) == (runner.prob.order == 1)
         assert pair.periodicity_residual == plain.periodicity_residual()
-        assert pair.constraint_residual == plain.constraint_residual(runner.sys)
+        assert pair.constraint_residual == residual
+        assert abs(residual - constraint_residual(plain, runner.sys)) <= RESIDUAL_TOL
 
     def test_branch_tangent_makes_no_march(self, monkeypatch):
         counts = {"marches": 0, "in_tangent": 0}
@@ -905,6 +928,69 @@ class TestFloatMarch:
         assert norm_inf(end - ref_end) <= tol * max(1.0, norm_inf(ref_end))
         plain = self.marches(name, sensitivity=False)
         assert records == plain[0] and end[: plain[1].size].tobytes() == plain[1].tobytes()
+
+
+def called_through(prob):
+    # a copy of prob whose compiled models are plain callables: they carry
+    # no fragments, so the kernel calls them through its adapter
+    names = ["f", "df", "g", "d1g", "d2g"] + (["dgdot"] if prob.order == 2 else [])
+    plain = lambda fn: lambda *args: fn(*args)
+    return replace(prob, **{name: plain(getattr(prob, name)) for name in names})
+
+
+def bits(values) -> bytes:
+    # the bytes of every float in nested tuples and lists, None skipped
+    flat = []
+
+    def walk(value):
+        if isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+        elif value is not None:
+            flat.append(value)
+
+    walk(values)
+    return np.array(flat, dtype=float).tobytes()
+
+
+class TestInlinedModels:
+    """The kernel inlines compiled trees with their functions' arithmetic.
+
+    Each march runs on a fixture, whose models are inlined, and on a copy
+    whose models are plain callables, which the kernel calls through its
+    adapter: nodes, records and end states agree bit for bit, so inlining
+    reorders no operation.
+    """
+
+    FIXTURES = ["commuting_h", "rotating_surface", "rotating_surface_2nd", "scalar_linear",
+                "semilinear_4x4"]
+
+    @staticmethod
+    def march(prob, kind):
+        # (nodes, end) of a raw march, or (records, end) of a plain or
+        # sensitivity fixed-frame march, over 16 steps
+        lam, nsteps = 0.7, 16
+        h = prob.period / nsteps
+        x0 = 0.1 * np.array([1.0, -0.5, 0.3, 0.2])[: prob.m]
+        state0 = x0 if prob.order == 1 else np.concatenate([x0, 0.1 * np.array([0.4, -0.2])[: prob.m]])
+        if kind == "raw":
+            y0 = consistent_init(prob, 0.0, x0, np.zeros(prob.s))
+            return periodic.March(prob, lam).march(state0.tolist(), y0.tolist(), h, nsteps)
+        stepper = periodic.March(fixed_frame(prob), lam, kind == "sensitivity")
+        n = state0.size
+        start = state0.tolist() + ([0.0] * n + np.eye(n).ravel().tolist() if kind == "sensitivity" else [])
+        nodes, end = stepper.march(start, stepper.resolve(0.0, start, [0.0] * prob.s), h, nsteps)
+        return [stepper.record(*node) for node in nodes], end
+
+    @pytest.mark.parametrize("kind", ["raw", "plain", "sensitivity"])
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_inlined_is_called_through_bit_for_bit(self, name, kind):
+        prob = _shooting_problem(name)
+        copy = called_through(prob)
+        assert hasattr(prob.g, "fragments") and not hasattr(copy.g, "fragments")
+        (nodes, end), (ref_nodes, ref_end) = self.march(prob, kind), self.march(copy, kind)
+        assert len(nodes) == len(ref_nodes) == 17
+        assert bits(nodes) == bits(ref_nodes) and bits(end) == bits(ref_end)
 
 
 class TestRawMarch:
@@ -1108,6 +1194,29 @@ class TestFloatMarchErrors:
         with pytest.raises(NonfiniteResultError,
                            match=r"^state \[inf, [^]]*\] at t = [^ ]+ is not finite: a model value overflowed$"):
             integrate(prob, 0.5, np.zeros(2), mode=mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("state, error", [
+        # at a finite state the float power p1^2 of the inlined g raises,
+        # and the error names it
+        ([1e200, 0.0], "OverflowError: Numerical result out of range"),
+        # the same power (p2^2) at a non-finite state blames the state
+        ([math.inf, 1e200], "state [inf, 1e+200] at t = 0.0 is not finite: a model value overflowed"),
+    ], ids=["finite_state", "nonfinite_state"])
+    def test_power_overflow_in_the_constraint_solve(self, mode, state, error):
+        # g = q^3 + q - p1^2 - 2 p2^2 with A(0) = I: the first solve of a
+        # raw march, or the frame's resolve, inlined and called through
+        prob = load_fixture("rotating_surface")
+        messages = []
+        for model in (prob, called_through(prob)):
+            if mode == "fixed":
+                solve = lambda: periodic.March(fixed_frame(model), 0.5).resolve(0.0, state, [0.0])
+            else:
+                solve = lambda: periodic.March(model, 0.5).march(state, [0.0], model.period / 16, 1)
+            with pytest.raises(NonfiniteResultError) as caught:
+                solve()
+            messages.append(str(caught.value))
+        assert messages == [error, error]
 
     @staticmethod
     def failing_forcing(t, x, y):

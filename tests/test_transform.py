@@ -223,6 +223,11 @@ class TestDispatch:
         assert sys_t.order == prob.order
         assert np.array_equal(sys_t.D0, ref.D0) and np.array_equal(sys_t.M, ref.M)
 
+    def test_a_system_is_its_own_fixed_frame(self, path_calls):
+        sys_t = fixed_frame(load_fixture("rotating_surface"))
+        del path_calls[:]
+        assert fixed_frame(sys_t) is sys_t and path_calls == []  # no second audit
+
     def test_march_rate_is_drift_plus_forcing(self):
         # a step of the fixed-frame march is the RK4 step of the rate
         # D0 xi + D1 xidot + lam F, up to the last bit of a float sum
