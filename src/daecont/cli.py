@@ -3,7 +3,8 @@
 Subcommands wire problem files (or built-in fixtures, by name) into the
 analysis pipeline:
 
-- ``check``      frame audit (problems, paths) or reduction audit (semi-linear)
+- ``check``      frame audit (paths; problems also the fixed-frame hypotheses)
+                 or reduction audit (semi-linear)
 - ``lemmas``     identity audits over built-in and randomized frame paths
 - ``degree``     degree certificate(s) for the map that seeds branches
 - ``reduce``     semi-linear reduction: problem file + JSON report
@@ -241,6 +242,10 @@ def cmd_check(args) -> int:
         _emit(to_json(out), args.out)
         return 0 if ok else 1
     audit = frame_audit(problem.A, args.grid, args.tol)
+    if audit.suitable:
+        # the hypotheses every command that moves to the fixed frame audits:
+        # periodicity, an invertible B and drifts that commute with A
+        fixed_frame(problem)
     _emit(serialize(audit), args.out)
     return 0 if audit.suitable else 1
 

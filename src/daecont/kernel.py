@@ -43,10 +43,14 @@ Any other model (a Python callable, or a derivative that the problem
 forms by differences) is called through an adapter that passes numpy
 arrays and returns a flat list.  The frame is the flat tuple of floats
 that the model's ``frame_entries`` returns (a system's from its table),
-once per march time.  A sensitivity march (fixed frame only) carries the
-derivative of the state with respect to ``(lam, state0)`` in the rows
-after row 0, which is the plain march's arithmetic, bit for bit (see
-:mod:`daecont.periodic`).
+once per march time.  Those tuples come from :func:`frame_function`,
+emitted here too: straight-line code over the fragments of the paths'
+value and derivative functions, with their finiteness test and, for the
+fixed frame's ``d(B^-1)``, the march's solves (paths without fragments
+keep their numpy values).  A sensitivity march (fixed frame only)
+carries the derivative of the state with respect to ``(lam, state0)`` in
+the rows after row 0, which is the plain march's arithmetic, bit for bit
+(see :mod:`daecont.periodic`).
 
 A kernel is emitted and compiled at the first march that needs it, never
 at set-up, and kept in a bounded cache keyed by what its source is
@@ -56,7 +60,8 @@ compiled code of its build function, 9 to 34 KB on the fixtures
 (measured with tracemalloc: 21 KB for the sensitivity kernel of
 ``rotating_surface``, 34 KB for that of ``rotating_surface_2nd``), and
 the fragments of its key with their trees, a few KB more; compiling one
-takes up to 1.6 MB for a moment.
+takes up to 1.6 MB for a moment.  Frame functions are emitted at their
+first use, a few hundred bytes of source each, and cached the same way.
 """
 
 from __future__ import annotations
@@ -66,12 +71,13 @@ import math
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonfiniteResultError, SingularMatrixError
+from .errors import EvaluationError, NoConvergenceError, NonfiniteResultError, SingularMatrixError
 from .expressions import Fragments
 from .linalg import PIVOT_REL, solve_linear
+from .paths import inverse_derivative
 from .transform import TransformedSystem
 
-__all__ = ["March", "CONSTRAINT_SOLVE_TOL", "CONSTRAINT_SOLVE_MAX_ITER"]
+__all__ = ["March", "frame_function", "CONSTRAINT_SOLVE_TOL", "CONSTRAINT_SOLVE_MAX_ITER"]
 
 CONSTRAINT_SOLVE_TOL = 1e-12
 CONSTRAINT_SOLVE_MAX_ITER = 40
@@ -80,8 +86,8 @@ CONSTRAINT_SOLVE_MAX_ITER = 40
 # |a| < PIVOT_REL * max(|a|, 1e-300) or a == 0, is |a| < _TINY.
 _GLOBALS = {
     "np": np, "solve_linear": solve_linear, "isfinite": math.isfinite,
-    "NoConvergenceError": NoConvergenceError, "NonfiniteResultError": NonfiniteResultError,
-    "SingularMatrixError": SingularMatrixError,
+    "EvaluationError": EvaluationError, "NoConvergenceError": NoConvergenceError,
+    "NonfiniteResultError": NonfiniteResultError, "SingularMatrixError": SingularMatrixError,
     "_TOL": CONSTRAINT_SOLVE_TOL, "_MAX_ITER": CONSTRAINT_SOLVE_MAX_ITER,
     "_PIVOT_REL": PIVOT_REL, "_TINY": PIVOT_REL * 1e-300, "_INF": math.inf, "_NAN": math.nan,
     **Fragments.GLOBALS,
@@ -192,6 +198,85 @@ def _caller(inlined):
         return [f"{_unrolled(targets)} = {name}({listed})"]
 
     return call
+
+
+def frame_function(a_path, b_path, order: int, fixed: bool = False):
+    """``t -> tuple``: the frame of the paths at ``t``, one flat tuple of floats.
+
+    The entries of ``A(t)`` and ``B(t)`` and, for order 2, of ``dA(t)`` and
+    of ``dB(t)``, or with ``fixed`` of the derivative ``-B^-1 dB B^-1`` of
+    ``B(t)^-1``, each matrix row by row: the frame a raw march (``fixed``
+    false) or a fixed-frame system's table reads.  Paths compiled from
+    trees get emitted straight-line code over their fragments, kept in a
+    bounded cache keyed by them.  It gives the bits of the paths' numpy
+    values and of :func:`~daecont.paths.inverse_derivative` (by the march's
+    closed-form solves), and their errors: a failed evaluation raises the
+    compiled function's :class:`NonfiniteResultError`, a non-finite entry
+    :class:`EvaluationError` naming the path, and a singular ``B``
+    :class:`SingularMatrixError`.  Other paths (Python callables,
+    differenced derivatives) are called as arrays.
+    """
+    fixed = bool(fixed) and order == 2
+    fragments = _frame_fragments(a_path, b_path, order)
+    if fragments is None:
+        return _numpy_frames(a_path, b_path, order, fixed)
+    build = _frame_build(a_path.dim, b_path.dim, fixed, fragments)
+    return build(a_path.name or "<anonymous>", b_path.name or "<anonymous>")
+
+
+def _frame_fragments(a_path, b_path, order):
+    # the fragments of A and B and, for order 2, of dA and dB; None unless all have them
+    fragments = tuple(path.fragments(k) for k in range(order) for path in (a_path, b_path))
+    return None if any(f is None for f in fragments) else fragments
+
+
+def _numpy_frames(a_path, b_path, order, fixed):
+    # the frame of paths without fragments, from their arrays
+    def frames(t):
+        mats = (a_path(t), b_path(t))
+        if order == 2:
+            da, db = a_path(t, 1), b_path(t, 1)
+            mats += (da, inverse_derivative(mats[1], db) if fixed else db)
+        return tuple(np.concatenate([x.ravel() for x in mats]).tolist())
+
+    return frames
+
+
+@functools.lru_cache(maxsize=128)
+def _frame_build(m, s, fixed, fragments):
+    # build(a_name, b_name) -> frames(t) of one frame function, emitted and
+    # compiled once
+    namespace = dict(_GLOBALS)
+    exec(_emit_frames(m, s, fixed, fragments), namespace)
+    return namespace["build"]
+
+
+def _emit_frames(m, s, fixed, fragments):
+    # The source of a frame function's build: each matrix (A, B, dA, dB) by
+    # its fragments, then MatrixPath's finiteness test of it, in the order
+    # the numpy route evaluates them; d(B^-1) as inverse_derivative solves
+    # it, X = solve(B, dB) and then -solve(B.T, X.T).T.
+    mats = [_mat(name, dim, dim) for name, dim in zip(("A", "B", "dA", "dB"), (m, s, m, s))]
+    mats = mats[: len(fragments)]
+    body = ["t = float(t)"]
+    for rows, fragment, label in zip(mats, fragments, ("a_name", "b_name") * 2):
+        flat = sum(rows, [])
+        finite = " + ".join(f"{v}*0.0" for v in flat)
+        body += fragment.statements(flat, "t")
+        body += [f"if not {finite} == 0.0:",
+                 f"    raise EvaluationError(f'path {{{label}}} returned non-finite entries')"]
+    if fixed:
+        b, db = mats[1], mats[3]
+        solve, x = _solve(b, _t(db), "bx")
+        body += solve
+        solve, y = _solve(_t(b), _t(x), "by")
+        body += solve
+        mats[3] = [[f"(-{v})" for v in row] for row in y]
+    entries = sum(sum(mats, []), [])
+    return "\n".join(["def build(a_name, b_name):", "    def frames(t):",
+                      *(f"        {line}" for line in body),
+                      f"        return ({_unrolled(entries)})",
+                      "    return frames", ""])
 
 
 # -- emitted source ------------------------------------------------------------

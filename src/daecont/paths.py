@@ -99,6 +99,13 @@ class MatrixPath:
         """True when first derivatives are supplied rather than differenced."""
         return self._d1 is not None
 
+    def fragments(self, order: int = 0):
+        """The :class:`~daecont.expressions.Fragments` of the value (order 0)
+        or the first derivative (order 1): None unless that function was
+        compiled from expression trees (a Python callable, a differenced
+        derivative)."""
+        return getattr((self._value, self._d1)[order], "fragments", None)
+
     def _raw(self, fn, t: float) -> np.ndarray:
         a = np.asarray(fn(t), dtype=float)
         if a.shape != (self.dim, self.dim):
@@ -132,12 +139,16 @@ class MatrixPath:
             ) / (h * h)
         raise EvaluationError(f"derivative order {order} not supported (max 2)")
 
-    def periodicity_residual(self, grid: int = 16) -> float:
-        """Max of ``||A(t+T) - A(t)||_inf`` over a uniform grid."""
+    def periodicity_residual(self, grid: int = 16, value: Optional[Callable] = None) -> float:
+        """Max of ``||A(t+T) - A(t)||_inf`` over a uniform grid.
+
+        ``value(t)``, when given, returns ``A(t)`` in place of the path's call.
+        """
+        value = self if value is None else value
         worst = 0.0
         for k in range(grid):
             t = k * self.period / grid
-            worst = max(worst, norm_inf(self(t + self.period) - self(t)))
+            worst = max(worst, norm_inf(value(t + self.period) - value(t)))
         return worst
 
     @staticmethod
@@ -248,11 +259,14 @@ class FrameAudit:
         }
 
 
-def _samples(path: MatrixPath, grid_size: int, order: int) -> list:
-    """``(A, dA[, d2A])`` at each node of a uniform grid: the audits' one sampling pass."""
+def _samples(path: MatrixPath, grid_size: int, order: int, sample=None) -> list:
+    """``(A, dA[, d2A])`` at each node of a uniform grid: the audits' one
+    sampling pass, through ``sample(t)`` when it is given."""
     if grid_size < MIN_GRID:
         raise ValueError(f"audit grid must have at least {MIN_GRID} points")
-    return [tuple(path(t, k) for k in range(order + 1)) for t in _grid_times(path, grid_size)]
+    if sample is None:
+        sample = lambda t: tuple(path(t, k) for k in range(order + 1))
+    return [sample(t) for t in _grid_times(path, grid_size)]
 
 
 def _audit_samples(samples: list, tol: float) -> FrameAudit:
@@ -274,13 +288,16 @@ def _audit_samples(samples: list, tol: float) -> FrameAudit:
     )
 
 
-def frame_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, tol: Optional[float] = None) -> FrameAudit:
+def frame_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, tol: Optional[float] = None,
+                sample: Optional[Callable[[float], tuple]] = None) -> FrameAudit:
     """Audit orthogonality and frame-product constancy on a uniform grid.
 
     Constancy is measured against the grid mean (not against any single
-    time), so no instant is privileged.
+    time), so no instant is privileged.  ``sample(t)``, when given, returns
+    ``(A(t), dA(t))`` in place of the path's calls (a problem's frame
+    function, see :mod:`daecont.transform`); it must give the path's values.
     """
-    samples = _samples(path, grid_size, 1)
+    samples = _samples(path, grid_size, 1, sample)
     return _audit_samples(samples, default_tol(path) if tol is None else tol)
 
 

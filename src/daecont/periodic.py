@@ -40,9 +40,10 @@ frame paths only at the ``2N + 1`` times it has not seen before: a
 shooting runner keeps one system, and with it one table, for all the
 marches of a branch (shared with the seeding map when the caller passes
 the system), and ``integrate`` and the seeding map fill the table of the
-system they are given.  A raw march evaluates the problem's paths at
-each of its times, records each node right after its solve, from that
-frame, and keeps no table.
+system they are given.  A raw march evaluates the problem's frame
+function (:func:`~daecont.kernel.frame_function`) at each of its times,
+records each node right after its solve, from that frame, and keeps no
+table.
 """
 
 from __future__ import annotations

@@ -21,6 +21,15 @@ seen in its table ``frames``: filled on first use, keyed by the exact
 float, held as the flat tuple of floats that the fixed-frame march reads,
 and living as long as the system.  The node map and ``F`` work on arrays
 rebuilt from the table, once per time they are asked for.
+
+Frames come from one function ``t -> tuple`` per problem and coordinate
+system (:func:`~daecont.kernel.frame_function`): emitted float code for
+paths compiled from expression trees, the paths' numpy values otherwise.
+It fills a system's table, gives a raw march its frames (see
+:meth:`DaeProblem1.frame_entries`), and gives the transform's audit its
+samples: orthogonality and constancy of ``A``, periodicity of ``A`` and
+``B``, drifts that commute with ``A`` and, on the audit grid, a ``B`` that
+:func:`~daecont.linalg.solve_linear` does not find singular.
 """
 
 from __future__ import annotations
@@ -31,9 +40,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import HypothesisViolatedError, NonfiniteResultError
+from .errors import HypothesisViolatedError, NonfiniteResultError, SingularMatrixError
 from .linalg import fd_jacobian, norm_inf, solve_linear
-from .paths import DEFAULT_GRID, MatrixPath, frame_audit, inverse_derivative
+from .paths import DEFAULT_GRID, MatrixPath, frame_audit
 
 __all__ = [
     "DaeProblem1",
@@ -80,6 +89,7 @@ class DaeProblem1:
     g_arrays: Optional[tuple] = None
 
     order: int = field(default=1, init=False, repr=False)
+    _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def g_jac1(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         if self.d1g is not None:
@@ -107,11 +117,11 @@ class DaeProblem1:
         """The frame a raw march reads at ``t``, as one flat tuple of floats.
 
         The entries are those of ``A(t)`` and ``B(t)`` and, for order 2, of
-        ``dA(t)`` and ``dB(t)``, each matrix row by row, evaluated from the
-        paths at every call (see :mod:`daecont.kernel`).
+        ``dA(t)`` and ``dB(t)``, each matrix row by row, evaluated at every
+        call by the problem's frame function (see
+        :func:`~daecont.kernel.frame_function`); nothing is kept.
         """
-        mats = (self.A(t), self.B(t)) + ((self.A(t, 1), self.B(t, 1)) if self.order == 2 else ())
-        return tuple(np.concatenate([x.ravel() for x in mats]).tolist())
+        return _frame_function(self, False)(t)
 
 
 @dataclass
@@ -144,6 +154,7 @@ class DaeProblem2:
     g_arrays: Optional[tuple] = None
 
     order: int = field(default=2, init=False, repr=False)
+    _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     g_jac1 = DaeProblem1.g_jac1
     g_jac2 = DaeProblem1.g_jac2
@@ -178,8 +189,53 @@ class DaeProblem2:
         return out
 
 
-def _check_frame(prob):
-    audit = frame_audit(prob.A)
+def _matrices(entries, dims) -> tuple:
+    # the square matrices of sizes dims, read row by row from a flat frame
+    out, start = [], 0
+    for dim in dims:
+        out.append(np.array(entries[start : start + dim * dim]).reshape(dim, dim))
+        start += dim * dim
+    return tuple(out)
+
+
+def _frame_function(model, fixed: bool):
+    # The frame function of a problem's or a system's paths, made at the
+    # first request and kept while the paths are the ones it was made for
+    made = model._frame_fn
+    if made is None or made[0] is not model.A or made[1] is not model.B:
+        from . import kernel  # kernel imports this module
+
+        made = (model.A, model.B, kernel.frame_function(model.A, model.B, model.order, fixed))
+        model._frame_fn = made
+    return made[2]
+
+
+def _frame_samples(prob, fixed: bool):
+    # t -> (A(t), dA(t), B(t)) as arrays, each time evaluated once, from the
+    # order-2 frame function of the problem's paths.  With ``fixed`` that
+    # function solves for d(B^-1), so a B that solve_linear finds singular
+    # raises HypothesisViolatedError naming the time.
+    from . import kernel  # kernel imports this module
+
+    frames = kernel.frame_function(prob.A, prob.B, 2, fixed)
+    m, s, seen = prob.A.dim, prob.B.dim, {}
+
+    def sample(t):
+        mats = seen.get(t)
+        if mats is None:
+            try:
+                entries = frames(t)
+            except SingularMatrixError as exc:
+                raise HypothesisViolatedError(
+                    f"path B is not invertible at t = {float(t)!r}: {exc}") from None
+            a, b, da = _matrices(entries, (m, s, m))
+            mats = seen[t] = (a, da, b)
+        return mats
+
+    return sample
+
+
+def _check_frame(prob, audit, sample):
     if audit.orthogonality > audit.tol:
         raise HypothesisViolatedError(
             f"frame path is not orthogonal: residual {audit.orthogonality:.3e} > {audit.tol:.1e}"
@@ -188,20 +244,18 @@ def _check_frame(prob):
         raise HypothesisViolatedError(
             f"frame product is not constant: residual {audit.right_constancy:.3e} > {audit.tol:.1e}"
         )
-    for path, label in ((prob.A, "A"), (prob.B, "B")):
-        res = path.periodicity_residual()
+    for path, index, label in ((prob.A, 0, "A"), (prob.B, 2, "B")):
+        res = path.periodicity_residual(value=lambda t: sample(t)[index])
         if res > PERIODICITY_TOL:
             raise HypothesisViolatedError(
                 f"path {label} is not {prob.period}-periodic: residual {res:.3e}"
             )
-    return audit
 
 
-def _check_commutation(h: np.ndarray, path: MatrixPath, tol: float, label: str):
+def _check_commutation(h: np.ndarray, sample, period: float, tol: float, label: str):
     worst = 0.0
     for k in range(DEFAULT_GRID):
-        t = k * path.period / DEFAULT_GRID
-        a = path(t)
+        a = sample(k * period / DEFAULT_GRID)[0]
         worst = max(worst, norm_inf(h @ a - a @ h))
     if worst > tol:
         raise HypothesisViolatedError(
@@ -242,19 +296,19 @@ class TransformedSystem:
     problem: object = field(default=None, repr=False)
     frames: dict = field(init=False, default_factory=dict, repr=False)
     _arrays: dict = field(init=False, default_factory=dict, repr=False)
+    _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def frame_entries(self, t: float) -> tuple:
         """The frame at ``t`` as one flat tuple of floats, from the table.
 
         The entries are those of ``A(t)`` and ``B(t)`` and, for order 2, of
         ``dA(t)`` and the derivative of ``B(t)^-1``, each matrix row by row.
-        A time not in the table is evaluated once and stored there.
+        A time not in the table is evaluated once, by the system's frame
+        function (see :func:`~daecont.kernel.frame_function`), and stored.
         """
         entries = self.frames.get(t)
         if entries is None:
-            a, b = self.A(t), self.B(t)
-            mats = (a, b, self.A(t, 1), inverse_derivative(b, self.B(t, 1))) if self.order == 2 else (a, b)
-            entries = self.frames[t] = tuple(np.concatenate([x.ravel() for x in mats]).tolist())
+            entries = self.frames[t] = _frame_function(self, True)(t)
         return entries
 
     def _frame(self, t: float):
@@ -264,11 +318,7 @@ class TransformedSystem:
         # while the node-by-node callers ask only at times a march has seen.
         frame = self._arrays.get(t)
         if frame is None:
-            entries, frame, start = self.frame_entries(t), [], 0
-            for dim in (self.m, self.s) * self.order:
-                frame.append(np.array(entries[start : start + dim * dim]).reshape(dim, dim))
-                start += dim * dim
-            frame = self._arrays[t] = tuple(frame)
+            frame = self._arrays[t] = _matrices(self.frame_entries(t), (self.m, self.s) * self.order)
         return frame
 
     def frame(self, t: float):
@@ -330,9 +380,13 @@ class TransformedSystem:
 
 def _transform(prob, validate, labels, drifts) -> TransformedSystem:
     # Shared body of both transforms: audit the frame and the commutation
-    # of each named drift matrix (zero when absent) with A, then build the
+    # of each named drift matrix (zero when absent) with A, on the samples
+    # of the frame function (B tested only when validated), then build the
     # system with ``drifts(M, *drift_matrices) -> (D0, D1)``.
-    audit = _check_frame(prob) if validate else frame_audit(prob.A)
+    sample = _frame_samples(prob, validate)
+    audit = frame_audit(prob.A, sample=lambda t: sample(t)[:2])
+    if validate:
+        _check_frame(prob, audit, sample)
     mats = []
     for label in labels:
         h = getattr(prob, label)
@@ -341,7 +395,7 @@ def _transform(prob, validate, labels, drifts) -> TransformedSystem:
         else:
             h = np.asarray(h, dtype=float)
             if validate:
-                _check_commutation(h, prob.A, audit.tol, label)
+                _check_commutation(h, sample, prob.A.period, audit.tol, label)
         mats.append(h)
     d0, d1 = drifts(audit.M, *mats)
     return TransformedSystem(

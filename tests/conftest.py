@@ -9,18 +9,48 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import pytest
 
+from daecont import kernel
 from daecont.paths import MatrixPath
+
+
+def _count_frames(monkeypatch, record):
+    # record(path, t) at every evaluation of a path on either route: a call
+    # of the MatrixPath (numpy), or each matrix that an emitted frame
+    # function evaluates (A and B, for order 2 their rates too).
+    call, make = MatrixPath.__call__, kernel.frame_function
+
+    def counted(self, t, order=0):
+        record(self, t)
+        return call(self, t, order)
+
+    def counted_function(a_path, b_path, order, fixed=False):
+        frames = make(a_path, b_path, order, fixed)
+        if kernel._frame_fragments(a_path, b_path, order) is None:
+            return frames  # the numpy route, which calls the paths
+        paths = (a_path, b_path) * order
+
+        def counted_frames(t):
+            for path in paths:
+                record(path, t)
+            return frames(t)
+
+        return counted_frames
+
+    monkeypatch.setattr(MatrixPath, "__call__", counted)
+    monkeypatch.setattr(kernel, "frame_function", counted_function)
 
 
 @pytest.fixture
 def path_calls(monkeypatch):
-    """Every MatrixPath evaluation from here on, as the list of paths called."""
+    """Every path evaluation from here on, as the list of paths evaluated."""
     calls = []
-    call = MatrixPath.__call__
-
-    def counted(self, t, order=0):
-        calls.append(self)
-        return call(self, t, order)
-
-    monkeypatch.setattr(MatrixPath, "__call__", counted)
+    _count_frames(monkeypatch, lambda path, t: calls.append(path))
     return calls
+
+
+@pytest.fixture
+def path_times(monkeypatch):
+    """Every path evaluation from here on, as the list of times evaluated."""
+    times = []
+    _count_frames(monkeypatch, lambda path, t: times.append(t))
+    return times

@@ -134,6 +134,29 @@ class TestCheck:
         assert code == 1
 
 
+    @pytest.mark.parametrize("edit, message", [
+        ("[B]\n2 + t\n", "path B is not 6.283185307179586-periodic: residual 6.283e+00"),
+        ("[B]\n1\n\n[H]\n1, 0\n0, 2\n",
+         "H does not commute with the frame path: residual 1.000e+00 > 1.0e-08"),
+    ])
+    def test_problem_fails_the_transform_audit(self, capsys, tmp_path, edit, message):
+        # the audit A passes; the hypotheses of the fixed-frame transform do not
+        f = tmp_path / "bad.txt"
+        f.write_text(problem_text("rotating_surface").replace("[B]\n1\n", edit))
+        err = f"daecont: HypothesisViolatedError: {message}\n"
+        assert run(capsys, "check", str(f)) == (1, "", err)
+        assert run(capsys, "continue", str(f), "--steps", "2") == (1, "", err)
+
+    @pytest.mark.parametrize("argv", [("check",), ("degree", "--method", "both"),
+                                      ("integrate", "--fixed-frame"), ("continue", "--steps", "2")])
+    def test_singular_b_fails_every_transforming_command(self, capsys, tmp_path, argv):
+        f = tmp_path / "singular_b.txt"
+        f.write_text(problem_text("rotating_surface_2nd").replace("[B]\n1\n", "[B]\n2 + 2*cos(t)\n"))
+        code, _, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert (code, err) == (1, "daecont: HypothesisViolatedError: path B is not invertible at "
+                                  "t = 3.141592653589793: 1x1 system is singular\n")
+
+
 class TestLemmas:
     def test_runs_clean(self, capsys):
         code, out, _ = run(capsys, "lemmas", "--count", "3", "--seed", "5")

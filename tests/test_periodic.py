@@ -633,24 +633,16 @@ class TestFrameTable:
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
     def test_fixed_frame_integration_reads_the_start_frame_from_the_table(self, name,
-                                                                          monkeypatch):
+                                                                          path_times):
         # at t = 0, past the frame audit: one evaluation of each table entry
         # (A and B, and for order 2 their rates), which the start residual,
         # consistent_init, push_forward and the march all read
-        times = []
-        call = MatrixPath.__call__
-
-        def counted(self, t, order=0):
-            times.append(t)
-            return call(self, t, order)
-
-        monkeypatch.setattr(MatrixPath, "__call__", counted)
         prob = load_fixture(name)
         fixed_frame(prob)
-        audit = times.count(0.0)
-        del times[:]
+        audit = path_times.count(0.0)
+        del path_times[:]
         integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="fixed")
-        assert times.count(0.0) == audit + 2 * prob.order
+        assert path_times.count(0.0) == audit + 2 * prob.order
 
     @pytest.mark.parametrize("name, bound", [("rotating_surface", 1030),
                                              ("rotating_surface_2nd", 2056)])

@@ -3,11 +3,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from daecont.errors import HypothesisViolatedError
-from daecont.fixtures import load_fixture, path_fixture
+from daecont import kernel
+from daecont.errors import (
+    DaecontError,
+    EvaluationError,
+    HypothesisViolatedError,
+    NonfiniteResultError,
+    SingularMatrixError,
+)
+from daecont.fixtures import PROBLEMS, load_fixture, path_fixture, problem_text
 from daecont.kernel import March
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath, frame_audit
+from daecont.periodic import integrate
+from daecont.probfile import build_problem, expr_path, parse_problem
+from daecont.semilinear import SemiLinearDae, reduce_semilinear
 from daecont.transform import (
     DaeProblem1,
     c_frame_drifts,
@@ -272,3 +282,165 @@ class TestConstraintRateJacobian:
         bare = replace(load_fixture("rotating_surface_2nd"), dgdot=None, d1g=None, d2g=None)
         out = bare.gdot_jac(np.array([0.4, -0.9]), np.array([0.7]), np.zeros(2), np.zeros(1))
         assert out.shape == (1, 3) and not out.any()
+
+
+def fixture_problem(name):
+    # the problem a fixture marches: semilinear_4x4 reduced (m = s = 2)
+    prob = load_fixture(name)
+    return reduce_semilinear(prob) if isinstance(prob, SemiLinearDae) else prob
+
+
+def march_times(period, n=256):
+    # the 2n + 1 step and midpoint times of an n-step march, accumulated as the march does
+    t, h, times = 0.0, period / n, [0.0]
+    for _ in range(n):
+        times += [t + 0.5 * h, t + h]
+        t = t + h
+    return times
+
+
+def path(rows, name, period=2 * np.pi):
+    return expr_path(rows, period, name=name)
+
+
+ROTATION = [["cos(t)", "-sin(t)"], ["sin(t)", "cos(t)"]]
+
+
+def frame_error(frames, t):
+    with pytest.raises(DaecontError) as exc:
+        frames(t)
+    return type(exc.value), str(exc.value)
+
+
+class TestFrameFunction:
+    """The emitted frame function gives the numpy route's bits and errors."""
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_bits_equal_the_numpy_route(self, name, fixed):
+        prob = fixture_problem(name)
+        # the problem's own order, and order 2 (the transform's audit) for order 1
+        for order in sorted({prob.order, 2}):
+            assert kernel._frame_fragments(prob.A, prob.B, order) is not None
+            emitted = kernel.frame_function(prob.A, prob.B, order, fixed)
+            numpy_route = kernel._numpy_frames(prob.A, prob.B, order, fixed and order == 2)
+            for t in march_times(prob.period):
+                got, want = emitted(t), numpy_route(t)
+                assert {type(v) for v in got} == {float}
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        [["2 + cos(t)", "sin(t)"], ["t", "3 - sin(2*t)"]],
+        # s >= 3 solves by solve_linear, as inverse_derivative does
+        [["2 + cos(t)", "sin(t)", "0"], ["0", "3", "t"], ["1", "0", "2 + sin(2*t)"]],
+    ])
+    def test_bits_of_a_time_varying_b(self, rows):
+        a, b = path(ROTATION, "A"), path(rows, "B")
+        emitted, numpy_route = kernel.frame_function(a, b, 2, True), kernel._numpy_frames(a, b, 2, True)
+        for t in march_times(2 * np.pi, 16):
+            assert np.array(emitted(t)).tobytes() == np.array(numpy_route(t)).tobytes()
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_problem_and_system_read_the_emitted_function(self, fixed, path_calls):
+        prob = load_fixture("rotating_surface_2nd")
+        model = fixed_frame(prob) if fixed else prob
+        del path_calls[:]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MatrixPath, "__call__", None)  # any numpy path call fails
+            entries = model.frame_entries(0.3)
+        assert path_calls == [prob.A, prob.B, prob.A, prob.B]
+        assert entries == kernel._numpy_frames(prob.A, prob.B, 2, fixed)(0.3)
+
+    def test_fd_problem_takes_the_numpy_route(self):
+        text = problem_text("rotating_surface_2nd").replace(
+            "period = 6.283185307179586", "period = 6.283185307179586\nderivatives = fd")
+        prob = build_problem(parse_problem(text))
+        assert kernel._frame_fragments(prob.A, prob.B, 2) is None
+        sys_t = fixed_frame(prob)
+        x0 = np.array([0.3, 0.1])
+        for mode, model in (("raw", prob), ("fixed", sys_t)):
+            traj = integrate(model, 0.5, x0, h=prob.period / 16, mode=mode)
+            assert np.isfinite(traj.x).all()
+            want = kernel._numpy_frames(prob.A, prob.B, 2, mode == "fixed")(0.25)
+            assert model.frame_entries(0.25) == want
+
+    def test_python_callable_path_takes_the_numpy_route(self, path_calls):
+        prob = load_fixture("rotating_surface")
+        rotation = lambda t: np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        prob.A = MatrixPath(2, prob.period, rotation,
+                            d1=lambda t: rotation(t) @ J, name="A")
+        sys_t = fixed_frame(prob)
+        del path_calls[:]
+        entries = sys_t.frame_entries(0.4)
+        assert path_calls == [prob.A, prob.B]
+        assert entries == tuple(rotation(0.4).ravel().tolist()) + (1.0,)
+        traj = integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="raw")
+        assert np.isfinite(traj.x).all()
+
+    def test_replaced_path_is_read(self):
+        prob = load_fixture("rotating_surface")
+        assert prob.frame_entries(0.0) == (1.0, -0.0, 0.0, 1.0, 1.0)
+        prob.B = path([["2"]], "B")
+        assert prob.frame_entries(0.0) == (1.0, -0.0, 0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("order, fixed", [(1, False), (2, False), (2, True)])
+    @pytest.mark.parametrize("entry, t, error", [
+        ("1e308 * (t + 10)", 0.0, EvaluationError),  # an inf entry that raises nowhere
+        ("exp(1000*t)", 1.0, NonfiniteResultError),  # overflow
+        ("1/t", 0.0, NonfiniteResultError),  # division by zero
+        ("(t + 10)^400", np.float64(0.0), NonfiniteResultError),  # a float power, also at a numpy time
+    ])
+    def test_errors_equal_the_numpy_route(self, order, fixed, entry, t, error):
+        a = path([[entry, "0"], ["0", "1"]], "A")
+        b = path([["1"]], "B")
+        emitted = kernel.frame_function(a, b, order, fixed)
+        numpy_route = kernel._numpy_frames(a, b, order, fixed)
+        assert frame_error(emitted, t) == frame_error(numpy_route, t)
+        assert frame_error(emitted, t)[0] is error
+        # B's errors name B, after A has passed
+        b = path([[entry]], "B")
+        emitted = kernel.frame_function(path(ROTATION, "A"), b, order, fixed)
+        assert frame_error(emitted, t) == (error, frame_error(kernel._numpy_frames(
+            path(ROTATION, "A"), b, order, fixed), t)[1])
+
+    @pytest.mark.parametrize("rows, t, message", [
+        ([["2 + 2*cos(t)"]], np.pi, "1x1 system is singular"),
+        ([["1", "cos(t)"], ["cos(t)", "1"]], 0.0, "2x2 system is singular"),
+        ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "cos(t)"]], np.pi / 2,
+         "pivot 6.123e-17 below threshold 1.000e-13 at column 2"),
+    ])
+    def test_singular_b_raises_as_the_numpy_route(self, rows, t, message):
+        a, b = path(ROTATION, "A"), path(rows, "B")
+        emitted = kernel.frame_function(a, b, 2, True)
+        assert frame_error(emitted, t) == (SingularMatrixError, message)
+        assert frame_error(kernel._numpy_frames(a, b, 2, True), t) == (SingularMatrixError, message)
+        assert len(kernel.frame_function(a, b, 2, False)(t)) == 8 + 2 * len(rows) ** 2  # raw: no solve
+
+    def test_two_parses_share_one_function(self):
+        first, second = (fixture_problem("semilinear_4x4") for _ in range(2))
+        assert first.A is not second.A
+        builds = kernel._frame_build.cache_info().misses
+        one, other = (kernel.frame_function(p.A, p.B, 1, True) for p in (first, second))
+        assert one.__code__ is other.__code__
+        assert kernel._frame_build.cache_info().misses <= builds + 1
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_audit_keeps_the_bits_of_the_path_audit(self, name):
+        prob = fixture_problem(name)
+        audit, sys_t = frame_audit(prob.A), fixed_frame(prob)
+        assert sys_t.M.tobytes() == audit.M.tobytes()
+
+
+class TestInvertibleB:
+    def test_singular_b_is_a_hypothesis_violation(self):
+        text = problem_text("rotating_surface_2nd").replace("[B]\n1\n", "[B]\n2 + 2*cos(t)\n")
+        prob = build_problem(parse_problem(text))
+        with pytest.raises(HypothesisViolatedError,
+                           match=r"^path B is not invertible at t = 3\.141592653589793: "
+                                 r"1x1 system is singular$"):
+            fixed_frame(prob)
+
+    def test_unvalidated_transform_does_not_test_b(self):
+        text = problem_text("rotating_surface").replace("[B]\n1\n", "[B]\n2 + 2*cos(t)\n")
+        sys_t = fixed_frame_first(build_problem(parse_problem(text)), validate=False)
+        assert sys_t.M.tobytes() == frame_audit(sys_t.A).M.tobytes()
