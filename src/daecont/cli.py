@@ -36,7 +36,7 @@ from .degree import (
     seeding_map,
 )
 from .errors import DaecontError
-from .paths import DEFAULT_GRID, MIN_GRID, MatrixPath, expm, frame_audit, lemma_audit
+from .paths import DEFAULT_GRID, MIN_GRID, MatrixPath, frame_audit, lemma_audit
 from .periodic import DEFAULT_STEPS, _steps_for, branch_seeds, continue_branch, integrate
 from .probfile import (
     branch_to_csv,
@@ -258,7 +258,7 @@ def _random_skew(rng, dim):
 def random_exp_frame(rng, dim):
     """Random exponential-frame path: skew generator, orthogonal offset."""
     s = _random_skew(rng, dim)
-    a0 = expm(_random_skew(rng, dim))
+    a0 = MatrixPath.exp_frame(_random_skew(rng, dim))(1.0)  # exp of a skew matrix
     return MatrixPath.exp_frame(s, a0)
 
 

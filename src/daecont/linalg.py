@@ -2,16 +2,14 @@
 
 Everything here works on small (desk-scale) dense float64 arrays: linear
 solves and determinants, damped Newton iteration, finite-difference
-Jacobians, an SVD with deterministic signs and periodic quadrature.  The
-LU factorization and its solves call LAPACK ``getrf``/``getrs`` directly
-(``scipy.linalg.lapack.dgetrf``/``dgetrs``, the routines behind
-``scipy.linalg.lu_factor``/``lu_solve``, without their per-call checks and
-warning filters); they are imported at the first LU of size 3 or more,
-so a process that factors none never loads scipy.  The SVD is numpy's.
-What this module adds is the pivot-threshold singularity test and the
-sign convention.  1x1 and 2x2 solves use closed forms.
-:func:`solve_stacked` solves a stack of systems at once with the same
-singularity rules.  All functions are pure; inputs are never mutated.
+Jacobians, an SVD with deterministic signs and periodic quadrature.  One
+partial-pivot elimination on stacks of systems serves every LU of size 3
+or more: :func:`solve_stacked` runs it on its stack, :func:`solve_linear`
+and :func:`determinant` on a stack of one (one copy of the matrix per
+right-hand side column).  1x1 and 2x2 solves use closed forms.  The SVD
+is numpy's.  What this module adds is the pivot-threshold singularity
+test and the sign convention.  All functions are pure; inputs are never
+mutated.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ PIVOT_REL = 1e-13
 NEWTON_TOL_STEP = 1e-14  # a Newton step this small, residual above tolerance: stagnation
 NEWTON_DAMPING_MIN = 1.0 / 1024.0  # backtracking floor of the Newton step fraction
 
-dgetrf = dgetrs = None  # LAPACK LU and solve, imported at the first _lu
-
 __all__ = [
     "NewtonConfig",
     "solve_linear",
@@ -52,28 +48,6 @@ def norm_inf(a) -> float:
     """Max absolute entry of a vector or matrix (0.0 for empty input)."""
     a = np.asarray(a, dtype=float)
     return float(np.abs(a).max()) if a.size else 0.0
-
-
-def _lu(a: np.ndarray):
-    # LAPACK LU with partial pivoting, (lu, piv) as scipy.linalg.lu_factor.
-    # getrf factors on past a zero pivot (info > 0), and an inf entry can
-    # turn later pivots into NaN, which would hide a small pivot from a
-    # min: every pivot is compared with the threshold (NaN compares false).
-    global dgetrf, dgetrs
-    if dgetrf is None:
-        from scipy.linalg.lapack import dgetrf, dgetrs
-    threshold = PIVOT_REL * max(norm_inf(a), 1e-300)
-    lu, piv, info = dgetrf(a)
-    if info < 0:
-        raise EvaluationError(f"LAPACK getrf rejected argument {-info}")
-    pivots = np.abs(np.diag(lu))
-    small = pivots < threshold
-    if np.any(small):
-        k = int(np.argmax(small))
-        raise SingularMatrixError(
-            f"pivot {pivots[k]:.3e} below threshold {threshold:.3e} at column {k}"
-        )
-    return lu, piv
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,26 +76,24 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
         if abs(det) < (PIVOT_REL * max(norm_inf(a), 1e-300)) ** 2 or det == 0.0:
             raise SingularMatrixError("2x2 system is singular")
-        if b.ndim == 1:
-            return np.array(
-                [
-                    (a[1, 1] * b[0] - a[0, 1] * b[1]) / det,
-                    (a[0, 0] * b[1] - a[1, 0] * b[0]) / det,
-                ]
-            )
-        return np.stack(
+        return np.array(  # rows of x: entries for a vector b, rows for a matrix
             [
                 (a[1, 1] * b[0] - a[0, 1] * b[1]) / det,
                 (a[0, 0] * b[1] - a[1, 0] * b[0]) / det,
             ]
         )
-    lu, piv = _lu(a)  # before dgetrs is looked up: it loads it
-    x, info = dgetrs(lu, piv, b)
-    if info < 0:
-        raise EvaluationError(f"LAPACK getrs rejected argument {-info}")
+    # one system per right-hand side column, so that each column is
+    # solve_stacked's solve of it, bit for bit
+    rhs = b[None] if b.ndim == 1 else b.T
+    x, pivots, singular, threshold = _eliminate(np.broadcast_to(a, (len(rhs), n, n)), rhs)
+    if singular.any():
+        k = int(np.argmax(np.abs(pivots[0]) < threshold[0]))
+        raise SingularMatrixError(
+            f"pivot {abs(pivots[0, k]):.3e} below threshold {threshold[0]:.3e} at column {k}"
+        )
     if not np.all(np.isfinite(x)):
         raise EvaluationError("linear solve produced non-finite entries")
-    return x
+    return x[0] if b.ndim == 1 else x.T
 
 
 def solve_stacked(a: np.ndarray, b: np.ndarray):
@@ -130,10 +102,10 @@ def solve_stacked(a: np.ndarray, b: np.ndarray):
     Returns ``(x, singular)``: ``singular[k]`` flags the systems that
     :func:`solve_linear` rejects, and their rows of ``x`` are
     meaningless.  1x1 and 2x2 stacks use :func:`solve_linear`'s closed
-    forms, bit for bit; larger ones partial-pivot elimination with its
-    ``PIVOT_REL * ||a||_inf`` pivot test.  A non-finite solution of a
-    nonsingular system of size 3 or more raises
-    :class:`EvaluationError`, as :func:`solve_linear` does.
+    forms, bit for bit; larger ones the partial-pivot elimination that
+    :func:`solve_linear` runs, with its ``PIVOT_REL * ||a||_inf`` pivot
+    test.  A non-finite solution of a nonsingular system of size 3 or
+    more raises :class:`EvaluationError`, as :func:`solve_linear` does.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -144,23 +116,41 @@ def solve_stacked(a: np.ndarray, b: np.ndarray):
         pivot = a[:, 0, 0]
         singular = (np.abs(pivot) < PIVOT_REL * np.maximum(np.abs(pivot), 1e-300)) | (pivot == 0.0)
         return b / np.where(singular, 1.0, pivot)[:, None], singular
-    scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)  # ||a||_inf of each system
     if n == 2:
+        scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)  # ||a||_inf of each system
         det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
         singular = (np.abs(det) < (PIVOT_REL * scale) ** 2) | (det == 0.0)
         det = np.where(singular, 1.0, det)
         return np.stack([(a[:, 1, 1] * b[:, 0] - a[:, 0, 1] * b[:, 1]) / det,
                          (a[:, 0, 0] * b[:, 1] - a[:, 1, 0] * b[:, 0]) / det], axis=-1), singular
+    x, _, singular, _ = _eliminate(a, b)
+    if not np.all(np.isfinite(x[~singular])):
+        raise EvaluationError("linear solve produced non-finite entries")
+    return x, singular
+
+
+def _eliminate(a: np.ndarray, b: np.ndarray):
+    # Partial-pivot elimination of the stack a[k] @ x[k] = b[k], n >= 3:
+    # the one LU of that size.  Returns (x, pivots, singular, threshold):
+    # pivots[k] in column order, each negated where its column swapped
+    # rows, so that their product is the determinant; singular[k] when a
+    # pivot falls below threshold[k] = PIVOT_REL * ||a[k]||_inf (NaN
+    # compares false), after which the system's pivots and x are
+    # meaningless.  No warnings: a non-finite entry shows in x.
+    k, n = b.shape
     u, x = a.copy(), b.copy()
     rows = np.arange(k)
-    threshold = PIVOT_REL * scale
+    threshold = PIVOT_REL * np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
+    pivots = np.empty((k, n))
     singular = np.zeros(k, dtype=bool)
-    # like getrf, no warnings: a non-finite entry shows in the solution
     with np.errstate(all="ignore"):
         for j in range(n):
             p = j + np.argmax(np.abs(u[:, j:, j]), axis=1)
-            u[rows, j], u[rows, p] = u[rows, p], u[rows, j]
-            x[rows, j], x[rows, p] = x[rows, p], x[rows, j]
+            swap = p != j
+            if swap.any():  # a fancy-indexed swap costs even where it moves nothing
+                u[rows, j], u[rows, p] = u[rows, p], u[rows, j]
+                x[rows, j], x[rows, p] = x[rows, p], x[rows, j]
+            pivots[:, j] = np.where(swap, -u[:, j, j], u[:, j, j])
             singular |= np.abs(u[:, j, j]) < threshold
             pivot = u[:, j, j] = np.where(singular, 1.0, u[:, j, j])
             factor = u[:, j + 1 :, j] / pivot[:, None]
@@ -168,9 +158,7 @@ def solve_stacked(a: np.ndarray, b: np.ndarray):
             x[:, j + 1 :] -= factor * x[:, j, None]
         for j in range(n - 1, -1, -1):
             x[:, j] = (x[:, j] - np.einsum("ki,ki->k", u[:, j, j + 1 :], x[:, j + 1 :])) / u[:, j, j]
-    if not np.all(np.isfinite(x[~singular])):
-        raise EvaluationError("linear solve produced non-finite entries")
-    return x, singular
+    return x, pivots, singular, threshold
 
 
 def determinant(a: np.ndarray) -> float:
@@ -181,12 +169,8 @@ def determinant(a: np.ndarray) -> float:
         return float(a[0, 0])
     if n == 2:
         return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    try:
-        lu, piv = _lu(a)
-    except SingularMatrixError:
-        return 0.0
-    swaps = np.count_nonzero(piv != np.arange(n))
-    return float((-1.0) ** swaps * np.prod(np.diag(lu)))
+    _, pivots, singular, _ = _eliminate(a[None], np.zeros((1, n)))
+    return 0.0 if singular[0] else float(np.prod(pivots[0]))
 
 
 def fd_jacobian(

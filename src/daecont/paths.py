@@ -3,7 +3,9 @@
 A :class:`MatrixPath` is a T-periodic map ``t -> A(t)`` into square
 matrices with derivative access up to order 2, either analytic (supplied
 callables, exact for expression-table and exponential-frame paths) or by
-central finite differences.
+central finite differences.  An exponential frame ``exp(t S) A0`` takes a
+skew generator ``S`` and is evaluated from one Hermitian eigendecomposition
+of ``i S`` (numpy's ``eigh``), the only matrix exponential the package needs.
 
 The audits quantify, as grid residuals, the structural hypotheses the
 rest of the package relies on: orthogonality of ``A(t)``, constancy of
@@ -36,15 +38,7 @@ MIN_GRID = 8
 ANALYTIC_TOL = 1e-8
 FD_TOL = 1e-5
 
-_expm = None  # scipy.linalg.expm, imported at the first expm call
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by ``scipy.linalg.expm``, imported at the first call."""
-    global _expm
-    if _expm is None:
-        from scipy.linalg import expm as _expm
-    return _expm(a)
+SKEW_REL = 1e-12  # an exp_frame generator with ||s + s.T||_inf > SKEW_REL * ||s||_inf is not skew
 
 
 class MatrixPath:
@@ -172,21 +166,29 @@ class MatrixPath:
         period: Optional[float] = None,
         name: str = "",
     ) -> "MatrixPath":
-        """Path ``t -> expm(t*s) @ a0`` with exact derivatives.
+        """Path ``t -> exp(t*s) @ a0`` with exact derivatives, ``s`` skew.
 
-        For skew ``s`` and orthogonal ``a0`` the path stays orthogonal and
-        has constant frame products.  The value and both derivatives at one
-        ``t`` share one :func:`expm`; scipy is loaded at the first one.
+        A generator ``s`` that is not skew (``||s + s.T||_inf`` above
+        ``SKEW_REL * ||s||_inf``) raises :class:`EvaluationError`.  For
+        orthogonal ``a0`` the path stays orthogonal and has constant frame
+        products.  ``i s`` is Hermitian: one ``eigh`` here factors it as
+        ``V diag(w) V^H``, and ``exp(t s) = Re(V diag(e^{-i t w}) V^H)``.
+        The value and both derivatives at one ``t`` share one evaluation.
         """
         s = np.asarray(s, dtype=float)
         n = s.shape[0]
+        gap = norm_inf(s + s.T)
+        if not gap <= SKEW_REL * norm_inf(s):  # NaN is not skew either
+            raise EvaluationError(f"exp_frame generator is not skew: ||s + s.T||_inf = {gap:.3e}")
         a0 = np.eye(n) if a0 is None else np.asarray(a0, dtype=float)
+        w, v = np.linalg.eigh(1j * s)
+        vh_a0 = v.conj().T @ a0
         s2 = s @ s
-        last = [None, None]  # (t, value) of the last time: the orders at one t share one expm
+        last = [None, None]  # (t, value) of the last time: the orders at one t share one evaluation
 
         def value(t):
             if t != last[0]:
-                last[1] = expm(t * s) @ a0
+                last[1] = ((v * np.exp(-1j * t * w)) @ vh_a0).real
                 last[0] = t
             return last[1]
 

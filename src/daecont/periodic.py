@@ -65,7 +65,8 @@ from .errors import (
 )
 from .kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL, March
 from .linalg import NewtonConfig, newton_solve, norm_inf, solve_linear
-from .transform import fixed_frame
+from .paths import DEFAULT_GRID, _grid_times
+from .transform import _frame_samples, fixed_frame
 
 __all__ = [
     "Trajectory",
@@ -238,6 +239,12 @@ def integrate(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     # the fixed-frame march reads the start frame from its system's table
     sys = fixed_frame(prob) if mode == "fixed" else prob
+    if mode == "raw":
+        # the transform's test of B on the audit grid, which names the time
+        # of a singular B; an A that fails the frame audit still marches
+        sample = _frame_samples(prob, True)
+        for t in _grid_times(prob.A, DEFAULT_GRID):
+            sample(t)
     if y0 is None:
         y0 = consistent_init(sys, 0.0, x0, np.zeros(prob.s))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))

@@ -1,9 +1,10 @@
 import os
 
 # One BLAS/OpenMP thread, set before numpy is first imported: the small
-# expm and LU calls of the suite gain nothing from threads, and threaded
-# OpenBLAS stalls when other processes compete for the cores.  The fresh
-# interpreters of test_imports.py inherit the setting.
+# matrix products, eigendecompositions and reference scipy factorizations
+# of the suite gain nothing from threads, and threaded OpenBLAS stalls
+# when other processes compete for the cores.  The fresh interpreters of
+# test_imports.py inherit the setting.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

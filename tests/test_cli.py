@@ -132,6 +132,8 @@ class TestCheck:
         f.write_text(text)
         code, out, _ = run(capsys, "check", str(f))
         assert code == 1
+        # the raw march takes a frame A that fails the audit
+        assert run(capsys, "integrate", str(f), "--raw")[0] == 0
 
 
     @pytest.mark.parametrize("edit, message", [
@@ -148,7 +150,8 @@ class TestCheck:
         assert run(capsys, "continue", str(f), "--steps", "2") == (1, "", err)
 
     @pytest.mark.parametrize("argv", [("check",), ("degree", "--method", "both"),
-                                      ("integrate", "--fixed-frame"), ("continue", "--steps", "2")])
+                                      ("integrate", "--fixed-frame"), ("continue", "--steps", "2"),
+                                      ("integrate", "--raw")])
     def test_singular_b_fails_every_transforming_command(self, capsys, tmp_path, argv):
         f = tmp_path / "singular_b.txt"
         f.write_text(problem_text("rotating_surface_2nd").replace("[B]\n1\n", "[B]\n2 + 2*cos(t)\n"))

@@ -89,20 +89,37 @@ class TestSolveLinear:
         x = solve_linear(a, np.array([5.0, 7.0, 9.0]))
         assert np.allclose(x, [7.0, 5.0, 9.0], atol=0)
 
-    # LAPACK getrf/getrs called directly: the routines lu_factor/lu_solve call
+    # scipy's LAPACK LU as the independent reference: two partial-pivot
+    # eliminations of a random normal matrix agree to about cond * eps
+    # (up to 4e-13 relative on 8,000 such matrices of sizes 3 to 6)
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_matches_scipy_lu_bit_for_bit(self, n):
+    def test_matches_scipy_lu(self, n):
         rng = np.random.default_rng(10 + n)
         a = rng.normal(size=(n, n))
         for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
             x = solve_linear(a, b)
             assert x.shape == b.shape
-            assert x.tobytes() == lu_solve_reference(a, b).tobytes()
-        assert determinant(a) == lu_determinant_reference(a)
+            ref = lu_solve_reference(a, b)
+            assert norm_inf(x - ref) <= 1e-12 * norm_inf(ref)
+        assert determinant(a) == pytest.approx(lu_determinant_reference(a), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_is_the_stacked_elimination(self, n):
+        # one elimination: a system solved alone, and each column of a
+        # matrix right-hand side, is its solve in a stack, bit for bit
+        rng = np.random.default_rng(20 + n)
+        stack, rhs = rng.normal(size=(8, n, n)), rng.normal(size=(8, n))
+        x, singular = solve_stacked(stack, rhs)
+        assert not singular.any()
+        for k in range(len(stack)):
+            assert solve_linear(stack[k], rhs[k]).tobytes() == x[k].tobytes()
+        b = rng.normal(size=(n, 3))
+        columns, _ = solve_stacked(np.repeat(stack[:1], 3, axis=0), b.T)
+        assert solve_linear(stack[0], b).tobytes() == columns.T.tobytes()
 
     def test_exact_zero_pivot_raises_without_a_warning(self):
-        # getrf reports the exact zero pivot through info and warns of
-        # nothing; the pivot test turns it into SingularMatrixError
+        # the elimination divides by no zero pivot and warns of nothing;
+        # the pivot test turns it into SingularMatrixError
         a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -120,18 +120,48 @@ class TestSampling:
         lemma_audit(path_fixture("rot2"), 16)
         assert len(path_calls) == 3 * 16
 
-    def test_exp_frame_shares_one_expm_across_orders(self, monkeypatch):
-        # the value and both derivatives at one time come from one expm
-        calls = []
-        expm_ = paths.expm
-        monkeypatch.setattr(paths, "expm", lambda m: calls.append(m) or expm_(m))
+    def test_exp_frame_shares_one_evaluation_across_orders(self, monkeypatch):
+        # the value and both derivatives at one time come from one
+        # exponential, and the generator is factored once, at construction
         rng = np.random.default_rng(7)
         s, a0 = skew(rng, 3), expm(skew(rng, 3))
         path = MatrixPath.exp_frame(s, a0)
+        calls = []
+        exp_, eigh_ = np.exp, np.linalg.eigh
+        monkeypatch.setattr(np, "exp", lambda z: calls.append("exp") or exp_(z))
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append("eigh") or eigh_(m))
         lemma_audit(path, 16)
-        assert len(calls) == 16
+        assert calls == ["exp"] * 16
+        monkeypatch.undo()
         for t in (0.3, 0.7, 0.3):  # a new time evaluates afresh
-            assert np.array_equal(path(t, 1), s @ (expm(t * s) @ a0))
+            assert np.array_equal(path(t, 1), s @ MatrixPath.exp_frame(s, a0)(t))
+
+
+class TestSkewExponential:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_orthogonal_and_matches_scipy_expm(self, n):
+        # Re(V diag(e^{-itw}) V^H) against scipy's Pade expm: at most
+        # 1.6e-13 apart on these sizes, orthogonal to a few eps (the
+        # offset is exponentiated the same way, as `lemmas` does)
+        rng = np.random.default_rng(40 + n)
+        for _ in range(5):
+            s, a0 = skew(rng, n), MatrixPath.exp_frame(skew(rng, n))(1.0)
+            path = MatrixPath.exp_frame(s, a0)
+            for t in rng.uniform(0.0, 2 * np.pi, size=4):
+                a = path(t)
+                assert norm_inf(a @ a.T - np.eye(n)) <= 1e-14
+                assert norm_inf(a - expm(t * s) @ a0) <= 1e-12
+
+    def test_generator_that_is_not_skew_raises(self):
+        s = skew(np.random.default_rng(3), 4)
+        scale = norm_inf(s)
+        near = s.copy()
+        near[0, 1] += 0.5 * paths.SKEW_REL * scale
+        MatrixPath.exp_frame(near)  # within the stated tolerance
+        for bad in (s + 2.0 * paths.SKEW_REL * scale * np.eye(4), np.eye(4),
+                    np.full((4, 4), np.nan)):
+            with pytest.raises(EvaluationError, match="not skew"):
+                MatrixPath.exp_frame(bad)
 
 
 class TestLemmaAudit:

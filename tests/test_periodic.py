@@ -650,11 +650,13 @@ class TestFrameTable:
         # the raw stepper keeps the frame of the last time it saw: A and B
         # (order 2: and their rates) once at each of the 2N + 1 march times,
         # plus 4 for the start checks; an order-2 node takes its rate right
-        # after its resolve, from the frame the resolve read; N = 256
+        # after its resolve, from the frame the resolve read; N = 256.
+        # Before the march, the test of B samples the order-2 frame (A, B
+        # and their rates) at the 64 audit-grid times.
         prob = load_fixture(name)
         del path_calls[:]
         integrate(prob, 0.5, np.zeros(prob.m))
-        assert len(path_calls) == bound
+        assert len(path_calls) == bound + 4 * 64
 
     def test_second_averaged_map_call_makes_no_path_call(self, path_calls):
         omega = averaged_map_fn(fixed_frame(load_fixture("scalar_linear")))
