@@ -48,7 +48,7 @@ from .probfile import (
     to_json,
 )
 from .semilinear import COND_TOL, SemiLinearDae, check_conditions, reduce_semilinear
-from .transform import fixed_frame, fixed_frame_first
+from .transform import _frame_samples, fixed_frame, fixed_frame_first
 
 MAX_GRID = 10_000  # audit grid points
 MAX_ZERO_STARTS = 100_000  # multistart lattice points of the degree zero search
@@ -212,6 +212,14 @@ def _resolve(source: str):
     )
 
 
+def _frame_audit(problem, grid, tol=None):
+    # frame_audit of the problem's A on the samples of its frame function,
+    # which give the path's bits without a numpy path call when A and B
+    # are compiled from expression trees
+    sample = _frame_samples(problem, False)
+    return frame_audit(problem.A, grid, tol, sample=lambda t: sample(t)[:2])
+
+
 def _first_order(obj, grid=64):
     return reduce_semilinear(obj, grid) if isinstance(obj, SemiLinearDae) else obj
 
@@ -238,10 +246,10 @@ def cmd_check(args) -> int:
             # the reduced frame may fail the audit; the map is reported anyway
             sys_t = fixed_frame_first(reduced, validate=False)
             out["averaged_map_audit"] = averaged_map_audit(sys_t, probes, reference)
-            out["frame_suitable"] = frame_audit(reduced.A, args.grid).suitable
+            out["frame_suitable"] = _frame_audit(reduced, args.grid).suitable
         _emit(to_json(out), args.out)
         return 0 if ok else 1
-    audit = frame_audit(problem.A, args.grid, args.tol)
+    audit = _frame_audit(problem, args.grid, args.tol)
     if audit.suitable:
         # the hypotheses every command that moves to the fixed frame audits:
         # periodicity, an invertible B and drifts that commute with A
@@ -327,7 +335,7 @@ def cmd_reduce(args) -> int:
     spec_out = reduced_spec(payload, report.P, report.sigma, report.Q)
     problem_text = problem_to_text(spec_out)
     report_dict = report.to_dict()
-    report_dict["frame_suitable"] = frame_audit(build_problem(spec_out).A, args.grid).suitable
+    report_dict["frame_suitable"] = _frame_audit(build_problem(spec_out), args.grid).suitable
     report_json = to_json(report_dict)
     if args.out is None:
         sys.stdout.write(problem_text)

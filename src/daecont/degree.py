@@ -51,6 +51,7 @@ from .linalg import (
     solve_linear,
     solve_stacked,
 )
+from .kernel import March
 from .transform import TransformedSystem
 
 __all__ = [
@@ -468,19 +469,22 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
 
     ``F`` is the fixed-frame forcing at the constant frame state
     ``(xi, eta)``, frame velocities zero for order 2 (so the original
-    velocities are those of the moving frame).  The branch-seeding map
-    when the drift ``D0`` vanishes (see :func:`seeding_map`).  Its ``jac``
-    and ``arrays`` are absent: its Jacobian is formed by forward
-    differences, and the zero search calls it point by point.
+    velocities are those of the moving frame): the emitted forcing of the
+    system's march (:meth:`~daecont.kernel.March.forcing`), which reads the
+    frame at the quadrature times from the system's table.  The
+    branch-seeding map when the drift ``D0`` vanishes (see
+    :func:`seeding_map`).  Its ``jac`` and ``arrays`` are absent: its
+    Jacobian is formed by forward differences, and the zero search calls
+    it point by point.
     """
     m = sys.m
-    velocities = () if sys.order == 1 else (np.zeros(sys.m), np.zeros(sys.s))
+    forcing = March(sys, 0.0).forcing
 
     def omega(z):
         z = np.asarray(z, dtype=float)
-        xi, eta = z[:m], z[m:]
-        first = quadrature_periodic(lambda t: sys.F(t, xi, eta, *velocities), sys.period, quad_n)
-        return np.concatenate([np.atleast_1d(first), np.atleast_1d(sys.g(xi, eta))])
+        xi, eta = z[:m].tolist(), z[m:].tolist()
+        first = quadrature_periodic(lambda t: forcing(t, xi, eta), sys.period, quad_n)
+        return np.concatenate([first, np.atleast_1d(sys.g(z[:m], z[m:]))])
 
     return omega
 

@@ -18,10 +18,11 @@ solves ``g(A(t) x, B(t) y) = 0`` for ``y`` (Jacobian ``g_q B``), drifts
 by ``H`` (order 2: ``H2``/``H1``) and does not conjugate ``f``.  The
 Newton, the solves and the order-2 rate are one emitter, and the
 coordinate change is the fixed frame's alone, so raw against fixed checks
-it.  The emitted code keeps the rules of the numpy routines it stands for:
+it.  The emitted code keeps these rules:
 
-- the constraint Newton is ``periodic._solve_constraint``'s, with its
-  polish iteration, stops, typed errors and messages;
+- the constraint Newton (:func:`_newton`, with its polish iteration,
+  stops, typed errors and messages) is the package's only one: the
+  stages and ``integrate``'s start solve (:func:`resolve_raw`) run it;
 - 1x1 and 2x2 solves are :func:`~daecont.linalg.solve_linear`'s closed
   forms with their pivot tests, and larger ones call it;
 - a non-finite constraint residual at a non-finite state blames the
@@ -29,10 +30,15 @@ it.  The emitted code keeps the rules of the numpy routines it stands for:
   model call, before ``A(t) f`` would turn an inf into a NaN (raw, it
   enters the rate, as it did in the numpy raw march).
 
+The fixed-frame forcing ``F = A(t) f`` of a node has one emitter too: the
+stage's lines, and the plain build's ``forcing`` at a constant frame node
+(frame velocities zero), which the averaged map of :mod:`daecont.degree`
+reads.
+
 Sums of products are plain float sums, where numpy's BLAS may fuse a
 multiply-add: a value can differ from a numpy march in the last bit (the
-test suite holds both coordinate systems to numpy marches within 1e-13
-on every fixture).
+test suite holds both coordinate systems to numpy marches, and the
+averaged map to a numpy forcing, within 1e-13).
 
 A model compiled from expression trees carries their fragment target
 (see :class:`~daecont.expressions.Fragments`), whose statements the
@@ -52,8 +58,8 @@ carries the derivative of the state with respect to ``(lam, state0)`` in
 the rows after row 0, which is the plain march's arithmetic, bit for bit
 (see :mod:`daecont.periodic`).
 
-A kernel is emitted and compiled at the first march that needs it, never
-at set-up, and kept in a bounded cache keyed by what its source is
+A kernel is emitted and compiled at the first march, start solve or
+averaged map that needs it, never at set-up, and kept in a bounded cache keyed by what its source is
 emitted from: the problem's shape, the march kind and the fragments, so
 that every parse of one problem shares one kernel.  One entry keeps the
 compiled code of its build function, 9 to 34 KB on the fixtures
@@ -77,7 +83,8 @@ from .linalg import PIVOT_REL, solve_linear
 from .paths import inverse_derivative
 from .transform import TransformedSystem
 
-__all__ = ["March", "frame_function", "CONSTRAINT_SOLVE_TOL", "CONSTRAINT_SOLVE_MAX_ITER"]
+__all__ = ["March", "resolve_raw", "frame_function", "CONSTRAINT_SOLVE_TOL",
+           "CONSTRAINT_SOLVE_MAX_ITER"]
 
 CONSTRAINT_SOLVE_TOL = 1e-12
 CONSTRAINT_SOLVE_MAX_ITER = 40
@@ -121,12 +128,23 @@ class March:
         drifts = [np.zeros(model.m**2).tolist() if d is None
                   else np.asarray(d, dtype=float).ravel().tolist() for d in drifts]
         self.m = model.m
-        self._resolve, self._march, self._record = build(
+        self._resolve, self._march, self._record, self._forcing = build(
             *functions, model.frame_entries, *drifts, float(lam))
 
     def resolve(self, t, state, eta_guess) -> tuple:
         """The algebraic block at ``state``'s positions, from ``eta_guess`` (fixed frame)."""
         return self._resolve(t, *state[: self.m], *eta_guess)
+
+    def forcing(self, t, xi, eta) -> tuple:
+        """``F(t, xi, eta) = A(t) f(t, x, y[, xdot, ydot])`` of a constant frame node.
+
+        Plain fixed-frame march only: the stage's forcing at the frame
+        node ``(xi, eta)``, pulled back with frame velocities zero for order
+        2 (so the original velocities are those of the moving frame), on
+        the frame the model's table gives at ``t``.  A non-finite ``f``
+        raises :class:`NonfiniteResultError` naming ``t`` and the value.
+        """
+        return self._forcing(t, *xi, *eta)
 
     def march(self, state, eta, h, nsteps):
         """``(nodes, end)`` of ``nsteps`` steps of size ``h`` from ``(state, eta)`` at 0.
@@ -151,6 +169,21 @@ class March:
             return (t, *node)
         state, eta = node
         return self._record(t, *state, *eta)
+
+
+def resolve_raw(model, t, x, y_guess) -> tuple:
+    """``y`` with ``g(A(t) x, B(t) y) = 0``, by the raw march's Newton from ``y_guess``.
+
+    The frame is ``model.frame_entries(t)``: a problem's frame function, or
+    a transformed system's table.  ``x`` and ``y_guess`` are sequences of
+    floats; the Newton's rules and errors are the march's (see
+    :func:`_newton`).
+    """
+    functions, inlined = _models(model)
+    build = _build(model.order, model.m, model.s, False, True, inlined)
+    zero = [0.0] * model.m**2  # the drifts, which a solve does not read
+    resolve = build(*functions, model.frame_entries, zero, zero, 0.0)[0]
+    return resolve(t, model.frame_entries(t), *x, *y_guess)
 
 
 def _models(model):
@@ -376,10 +409,15 @@ def _newton(call, xi, s, frame=None):
 
     Raw (``frame`` the names of ``A`` and ``B``) they solve ``g(A xi, B q)
     = 0`` with the Jacobian ``g_q B``, and name ``A xi`` ``p0..`` and ``B
-    q`` ``w0..``.  ``periodic._solve_constraint``'s rules: a polish
-    iteration even inside the tolerance, the residual norm of numpy's max
-    (NaN if any entry is), a non-finite residual ends the solve, and a
-    singular ``dg/dq`` inside the tolerance keeps the iterate.
+    q`` ``w0..``.  A plain Newton: the algebraic block is locally unique,
+    so a warm start on the right branch needs no globalization.  The
+    rules: a warm start inside the tolerance still gets one polish
+    iteration (skipping it leaves an O(tol) error that unstable flows can
+    amplify far past the tolerance of the differential block), the
+    residual norm is numpy's max (NaN if any entry is), a non-finite
+    residual ends the solve (Newton cannot recover from a model value that
+    overflowed), and a singular ``dg/dq`` inside the tolerance keeps the
+    iterate.
     """
     q, r = _vec("q", s), _vec("r", s)
     p, arg, at_p, at_q = xi, q, [], []
@@ -494,6 +532,21 @@ def _node_args(order, m, s, raw=False):
     return [_vec(x, m), _vec(y, s)] + ([_vec(xd, m), _vec(yd, s)] if order == 2 else [])
 
 
+def _forcing(call, order, m, s, a, b, da, dbi):
+    """Lines for the frame forcing ``F0..`` of the frame node ``xi, q[, u,
+    ed]``: the node pulled back, ``v = f(t, x, y[, xd, yd])``, and ``F = A
+    v``.  A non-finite ``v`` raises before ``A v``, whose zero entries
+    would turn an inf into a NaN."""
+    v = _vec("v", m)
+    finite = " + ".join(f"{x}*0.0" for x in v)
+    return [*_pull_back(order, m, s, a, b, da, dbi),
+            *call("f", v, "t", *_node_args(order, m, s)),
+            f"if not {finite} == 0.0:",
+            f"    raise NonfiniteResultError(f'forcing f at t = {{t!r}} is {{[{', '.join(v)}]}}: "
+            "a model value is not finite')",
+            *(f"F{i} = {e}" for i, e in enumerate(_matvec(a, v)))]
+
+
 def _stage(call, order, m, s, sensitivity, raw=False):
     """The body of ``stage(t, fr, <state>, <q warm start>)``, returning the
     rates of every state entry and the resolved ``q``.
@@ -510,19 +563,12 @@ def _stage(call, order, m, s, sensitivity, raw=False):
     if raw:
         lines = [unpack] + _resolve(call, xi, s, (a, b))
         lines += _rate(call, order, m, s, (a, b, da, dbi))[0] if order == 2 else []
+        force = _vec("v", m)
+        lines += call("f", force, "t", *_node_args(order, m, s, raw))
     else:
         lines = _resolve(call, xi, s) + [unpack]
         rate, gp, gq = _rate(call, order, m, s) if (order == 2 or sensitivity) else ([], None, None)
-        lines += rate + _pull_back(order, m, s, a, b, da, dbi)
-    v = force = _vec("v", m)
-    lines += call("f", v, "t", *_node_args(order, m, s, raw))
-    if not raw:
-        # named before A(t) f, whose zero entries would turn an inf into a NaN
-        finite = " + ".join(f"{x}*0.0" for x in v)
-        lines += [f"if not {finite} == 0.0:",
-                  f"    raise NonfiniteResultError(f'forcing f at t = {{t!r}} is {{[{', '.join(v)}]}}: "
-                  "a model value is not finite')"]
-        lines += [f"F{i} = {e}" for i, e in enumerate(_matvec(a, v))]
+        lines += rate + _forcing(call, order, m, s, a, b, da, dbi)
         force = _vec("F", m)
     d0, d1 = _mat("D0_", m, m), _mat("D1_", m, m)
     drift = _matvec(d0, xi)
@@ -651,6 +697,15 @@ def _emit(call, order, m, s, sensitivity, raw):
         src += [f"    def record(t, {node_args}):",
                 *(f"        {line}" for line in rec),
                 f"        return t, {tup(_vec('x', m))}, {tup(_vec('y', s))}, {velocities}, rn", ""]
+    forcing = not raw and not sensitivity
+    if forcing:
+        # forcing: F at a constant frame node, frame velocities zero (a
+        # plain build's alone: the averaged map builds no sensitivity kernel)
+        rest = [f"{v} = 0.0" for v in _vec("u", m) + _vec("ed", s)] if order == 2 else []
+        src += [f"    def forcing(t, {', '.join(xis + q)}):",
+                *(f"        {line}" for line in
+                  ["fr = frame(t)", unpack, *rest, *_forcing(call, order, m, s, a, b, da, dbi)]),
+                f"        return {tup(_vec('F', m))}", ""]
     # march: RK4 over every state entry, q re-solved per stage from warm starts
     step = []
     for j, (time, fr, scale, prev) in enumerate((("t", "fr0", None, None), ("mid", "frm", "hh", 1),
@@ -680,5 +735,5 @@ def _emit(call, order, m, s, sensitivity, raw):
             "            end = t + h",
             *(f"            {line}" for line in step),
             f"        return nodes, {tup(state)}", ""]
-    src += ["    return None, march, None" if raw else "    return resolve, march, record", ""]
+    src += [f"    return resolve, march, {'None' if raw else 'record'}, {'forcing' if forcing else 'None'}", ""]
     return "\n".join(src)

@@ -9,10 +9,13 @@ and its rate are solved and in how a node maps to original coordinates:
 
 - raw: original coordinates, moving constraint ``g(A(t) x, B(t) y) = 0``;
 - fixed: frame coordinates, autonomous constraint and constant drifts;
-  the coordinate change both ways belongs to
-  :class:`~daecont.transform.TransformedSystem`.
+  the start is pushed into the frame by
+  :class:`~daecont.transform.TransformedSystem` and the nodes are pulled
+  back by the march's records.
 
-Both modes return original-coordinate trajectories.
+Both modes return original-coordinate trajectories.  Both take the
+algebraic start from :func:`consistent_init`, which runs the raw march's
+constraint Newton, the one constraint Newton of the package.
 
 Periodic orbits are zeros of the shooting residual
 ``xi(T; lam, xi0) - xi0`` posed in the fixed frame, where the constraint
@@ -57,16 +60,15 @@ from .degree import Box, ZeroRecord, locate_zeros, seeding_map
 from .errors import (
     DaecontError,
     NoConvergenceError,
-    NonfiniteResultError,
     SeedRejectedError,
     SingularJacobianError,
     SingularMatrixError,
     SingularMonodromyError,
 )
-from .kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL, March
+from .kernel import March, resolve_raw
 from .linalg import NewtonConfig, newton_solve, norm_inf, solve_linear
 from .paths import DEFAULT_GRID, _grid_times
-from .transform import _frame_samples, fixed_frame
+from .transform import _frame_samples, _matrices, fixed_frame
 
 __all__ = [
     "Trajectory",
@@ -151,48 +153,16 @@ class Branch:
     termination: str
 
 
-def _solve_constraint(g, jac, q0):
-    # Plain warm-started Newton; the algebraic block is locally unique, so
-    # no globalization is needed once seeded on the right branch.  A warm
-    # start inside the absolute tolerance still gets one polish iteration:
-    # skipping it leaves an O(tol) error that unstable flows can amplify
-    # far past the tolerance of the differential block.  A non-finite
-    # residual (a model value overflowed or divided by zero) ends the solve
-    # at once: Newton cannot recover from it.  The marches emit the same
-    # rules on floats (see :mod:`daecont.kernel`).
-    q = np.atleast_1d(np.asarray(q0, dtype=float)).copy()
-    r = np.atleast_1d(g(q))
-    rn = np.abs(r).max()
-    for iteration in range(CONSTRAINT_SOLVE_MAX_ITER):
-        if rn == 0.0 or (rn <= CONSTRAINT_SOLVE_TOL and iteration > 0):
-            return q
-        if not rn < np.inf:
-            raise NonfiniteResultError(f"constraint residual is {rn}: a model value is not finite")
-        try:
-            q = q - solve_linear(np.atleast_2d(jac(q)), r)
-        except SingularMatrixError:
-            if rn <= CONSTRAINT_SOLVE_TOL:
-                return q
-            raise
-        r = np.atleast_1d(g(q))
-        rn = np.abs(r).max()
-    if rn <= CONSTRAINT_SOLVE_TOL:
-        return q
-    raise NoConvergenceError(
-        f"constraint solve stalled at residual {rn:.3e} (tol {CONSTRAINT_SOLVE_TOL:.1e})"
-    )
-
-
 def consistent_init(prob, t0: float, x0: np.ndarray, y_guess: np.ndarray) -> np.ndarray:
     """Solve ``g(A(t0) x0, B(t0) y) = 0`` for y starting from ``y_guess``.
 
-    The frame is ``prob.frame(t0)``: a problem's paths, or a transformed
-    system's frame table.
+    The raw march's constraint Newton (:func:`~daecont.kernel.resolve_raw`)
+    on ``prob.frame_entries(t0)``: a problem's frame function, or a
+    transformed system's frame table.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    a, b = prob.frame(t0)
-    p = a @ x0
-    return _solve_constraint(lambda y: prob.g(p, b @ y), lambda y: prob.g_jac2(p, b @ y) @ b, y_guess)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
+    y_guess = np.atleast_1d(np.asarray(y_guess, dtype=float)).tolist()
+    return np.array(resolve_raw(prob, float(t0), x0, y_guess))
 
 
 def _step_times(t0, h, nsteps):
@@ -248,7 +218,7 @@ def integrate(
     if y0 is None:
         y0 = consistent_init(sys, 0.0, x0, np.zeros(prob.s))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    a0, b0 = sys.frame(0.0)
+    a0, b0 = _matrices(sys.frame_entries(0.0), (prob.m, prob.s))
     start_residual = norm_inf(np.atleast_1d(prob.g(a0 @ x0, b0 @ y0)))
     if start_residual > 1e-8:
         raise ValueError(

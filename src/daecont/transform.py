@@ -11,16 +11,16 @@ built from the audited frame product ``M = mean(A @ dA.T)``:
 - order 2: ``d2xi/dt2 = (H1 M + H2 - M^2) xi + (H1 - 2M) dxi/dt + lam * F``
 
 with ``F = A(t) f`` the frame-conjugated forcing.  :class:`TransformedSystem`
-owns the change in both directions, node by node: ``push_forward`` and
-its inverse ``pull_back`` (``x = A(t).T xi``, ``y = B(t)^{-1} eta``),
-velocities included for order 2; one node map serves ``pull_back`` and
-``F``.  The frame depends on time alone, and every fixed-frame
+holds the drifts and maps an original-coordinate node into the frame
+(``push_forward``: ``xi = A(t) x``, ``eta = B(t) y``); the way back (``x =
+A(t).T xi``, ``y = B(t)^{-1} eta``, velocities included for order 2) and
+``F`` are emitted code of :mod:`daecont.kernel`, which the marches and the
+averaged map run.  The frame depends on time alone, and every fixed-frame
 computation (a march, the averaged map's quadrature) visits the same
 times again and again, so a system keeps the frame of each time it has
 seen in its table ``frames``: filled on first use, keyed by the exact
-float, held as the flat tuple of floats that the fixed-frame march reads,
-and living as long as the system.  The node map and ``F`` work on arrays
-rebuilt from the table, once per time they are asked for.
+float, held as the flat tuple of floats that the emitted code reads, and
+living as long as the system.
 
 Frames come from one function ``t -> tuple`` per problem and coordinate
 system (:func:`~daecont.kernel.frame_function`): emitted float code for
@@ -34,14 +34,13 @@ samples: orthogonality and constancy of ``A``, periodicity of ``A`` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import HypothesisViolatedError, NonfiniteResultError, SingularMatrixError
-from .linalg import fd_jacobian, norm_inf, solve_linear
+from .errors import HypothesisViolatedError, SingularMatrixError
+from .linalg import fd_jacobian, norm_inf
 from .paths import DEFAULT_GRID, MatrixPath, frame_audit
 
 __all__ = [
@@ -109,10 +108,6 @@ class DaeProblem1:
         return fd_jacobian(lambda z: np.asarray(self.f(t, *np.split(z, cuts)), dtype=float),
                            np.concatenate(node))
 
-    def frame(self, t: float):
-        """``(A(t), B(t))``."""
-        return self.A(t), self.B(t)
-
     def frame_entries(self, t: float) -> tuple:
         """The frame a raw march reads at ``t``, as one flat tuple of floats.
 
@@ -159,7 +154,6 @@ class DaeProblem2:
     g_jac1 = DaeProblem1.g_jac1
     g_jac2 = DaeProblem1.g_jac2
     f_jac = DaeProblem1.f_jac
-    frame = DaeProblem1.frame
     frame_entries = DaeProblem1.frame_entries
 
     def gdot_jac(self, p, q, u, w) -> np.ndarray:
@@ -268,11 +262,12 @@ class TransformedSystem:
     """Fixed-frame form of a problem: autonomous constraint, constant drifts.
 
     ``D0`` multiplies the state, ``D1`` (order 2 only) the velocity; ``f``
-    is the problem's forcing, which :meth:`F` conjugates into the frame.
-    The model derivatives (``g_jac1``, ``g_jac2``, ``f_jac`` and, for order
-    2, ``gdot_jac``) are the problem's, and so is ``g_arrays``; ``problem``
-    is the problem itself, whose compiled callables the fixed-frame march
-    calls on floats (see :mod:`daecont.kernel`).  ``frames`` maps each time the system has seen
+    is the problem's forcing, which the emitted stage and ``forcing``
+    conjugate into the frame.  The model derivatives (``g_jac1``,
+    ``g_jac2``, ``f_jac`` and, for order 2, ``gdot_jac``) are the
+    problem's, and so is ``g_arrays``; ``problem`` is the problem itself,
+    whose compiled callables the emitted code inlines (see
+    :mod:`daecont.kernel`).  ``frames`` maps each time the system has seen
     to its frame (see :meth:`frame_entries`); a copy made with
     :func:`dataclasses.replace` starts with an empty table.
     """
@@ -295,7 +290,6 @@ class TransformedSystem:
     g_arrays: Optional[tuple] = None
     problem: object = field(default=None, repr=False)
     frames: dict = field(init=False, default_factory=dict, repr=False)
-    _arrays: dict = field(init=False, default_factory=dict, repr=False)
     _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def frame_entries(self, t: float) -> tuple:
@@ -311,58 +305,9 @@ class TransformedSystem:
             entries = self.frames[t] = _frame_function(self, True)(t)
         return entries
 
-    def _frame(self, t: float):
-        # The frame at t as arrays, (A, B) and for order 2 (dA, d(B^-1)) too,
-        # rebuilt from the table's floats on the first request at t and kept:
-        # the averaged map's quadrature asks for its times again and again,
-        # while the node-by-node callers ask only at times a march has seen.
-        frame = self._arrays.get(t)
-        if frame is None:
-            frame = self._arrays[t] = _matrices(self.frame_entries(t), (self.m, self.s) * self.order)
-        return frame
-
     def frame(self, t: float):
         """``(A(t), B(t))``, read through the frame table."""
-        return self._frame(t)[:2]
-
-    def _node(self, t: float, xi, eta, xid=None, etad=None):
-        # The frame at t and the original-coordinate node (x, y, xdot, ydot)
-        # of a frame node, velocities None unless xid and etad are given.
-        frame = self._frame(t)
-        a, b = frame[0], frame[1]
-        x = a.T @ xi
-        y = solve_linear(b, eta)
-        if xid is None:
-            return frame, (x, y, None, None)
-        da, dbinv = frame[2], frame[3]
-        xd = da.T @ xi + a.T @ xid
-        yd = dbinv @ eta + solve_linear(b, etad)
-        return frame, (x, y, xd, yd)
-
-    def F(self, t: float, xi, eta, *velocities):
-        """Frame-conjugated forcing ``A(t) f(t, x, y[, xdot, ydot])``.
-
-        Called as ``F(t, xi, eta)`` for order 1 and ``F(t, xi, eta, u, v)``
-        for order 2, where ``u`` and ``v`` are the frame velocities.  A
-        non-finite model value is named before the product with ``A(t)``,
-        whose zero entries would turn an inf into a NaN.
-        """
-        frame, node = self._node(t, xi, eta, *velocities)
-        value = np.asarray(self.f(t, *node[: 2 * self.order]), dtype=float)
-        if not all(map(math.isfinite, value.tolist())):
-            raise NonfiniteResultError(
-                f"forcing f at t = {t!r} is {value.tolist()}: a model value is not finite"
-            )
-        return frame[0] @ value
-
-    def pull_back(self, t: float, xi, eta, xid=None, etad=None):
-        """Original-coordinate node ``(x, y, xdot, ydot)`` of a frame node.
-
-        ``x = A(t).T xi`` and ``y = B(t)^{-1} eta``; the velocities are
-        differentiated through the same change when ``xid`` and ``etad``
-        are given, and are None otherwise.
-        """
-        return self._node(t, xi, eta, xid, etad)[1]
+        return _matrices(self.frame_entries(t), (self.m, self.s))
 
     def push_forward(self, t: float, x, y, xdot=None):
         """Frame node ``(xi, eta, xidot)`` of an original-coordinate node.
@@ -370,12 +315,12 @@ class TransformedSystem:
         ``xi = A(t) x`` and ``eta = B(t) y``; ``xidot`` is None unless
         ``xdot`` is given (order 2).  The frame is read through the table.
         """
-        frame = self._frame(t)
-        a = frame[0]
-        xi, eta = a @ x, frame[1] @ y
+        dims = (self.m, self.s) if xdot is None else (self.m, self.s, self.m)
+        a, b, *da = _matrices(self.frame_entries(t), dims)
+        xi, eta = a @ x, b @ y
         if xdot is None:
             return xi, eta, None
-        return xi, eta, frame[2] @ x + a @ xdot
+        return xi, eta, da[0] @ x + a @ xdot
 
 
 def _transform(prob, validate, labels, drifts) -> TransformedSystem:

@@ -1,7 +1,14 @@
 """Reference integrators, derivatives and factorizations the tests check the library against."""
 
+import math
+
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+
+from daecont.errors import NoConvergenceError, NonfiniteResultError, SingularMatrixError
+from daecont.kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL
+from daecont.linalg import quadrature_periodic, solve_linear
+from daecont.transform import TransformedSystem, _matrices
 
 
 def rk4_step(field, t, u, h):
@@ -39,20 +46,100 @@ def lu_determinant_reference(a):
     return float((-1.0) ** swaps * np.prod(np.diag(lu)))
 
 
+def solve_constraint(g, jac, q0):
+    """Warm-started Newton for ``g(q) = 0`` on numpy arrays, by the rules of the emitted one.
+
+    The numpy constraint Newton that the library's emitted Newton replaced:
+    a warm start inside the absolute tolerance still gets one polish
+    iteration, a non-finite residual ends the solve at once, and a
+    singular ``jac`` inside the tolerance keeps the iterate.  ``g`` and
+    ``jac`` may return bare floats or lists.
+    """
+    q = np.atleast_1d(np.asarray(q0, dtype=float)).copy()
+    r = np.atleast_1d(g(q))
+    rn = np.abs(r).max()
+    for iteration in range(CONSTRAINT_SOLVE_MAX_ITER):
+        if rn == 0.0 or (rn <= CONSTRAINT_SOLVE_TOL and iteration > 0):
+            return q
+        if not rn < np.inf:
+            raise NonfiniteResultError(f"constraint residual is {rn}: a model value is not finite")
+        try:
+            q = q - solve_linear(np.atleast_2d(jac(q)), r)
+        except SingularMatrixError:
+            if rn <= CONSTRAINT_SOLVE_TOL:
+                return q
+            raise
+        r = np.atleast_1d(g(q))
+        rn = np.abs(r).max()
+    if rn <= CONSTRAINT_SOLVE_TOL:
+        return q
+    raise NoConvergenceError(
+        f"constraint solve stalled at residual {rn:.3e} (tol {CONSTRAINT_SOLVE_TOL:.1e})"
+    )
+
+
+def frame_node(sys, t, xi, eta, xid=None, etad=None):
+    """The frame at ``t`` as arrays and the original-coordinate node of a frame node.
+
+    Returns ``((A, B[, dA, d(B^-1)]), (x, y, xdot, ydot))`` for a
+    fixed-frame system, with the frame read from its table: ``x = A.T
+    xi``, ``y = B^-1 eta`` and, when ``xid`` and ``etad`` are given,
+    ``xdot = dA.T xi + A.T xid``, ``ydot = d(B^-1) eta + B^-1 etad``
+    (None otherwise).  The numpy node map that the emitted pull-back
+    replaced.
+    """
+    frame = _matrices(sys.frame_entries(t), (sys.m, sys.s) * sys.order)
+    a, b = frame[0], frame[1]
+    x, y = a.T @ xi, solve_linear(b, eta)
+    if xid is None:
+        return frame, (x, y, None, None)
+    xd = frame[2].T @ xi + a.T @ xid
+    yd = frame[3] @ eta + solve_linear(b, etad)
+    return frame, (x, y, xd, yd)
+
+
+def forcing(sys, t, xi, eta, *velocities):
+    """Frame-conjugated forcing ``A(t) f(t, x, y[, xdot, ydot])`` on numpy arrays.
+
+    ``velocities`` are the frame velocities ``(u, v)`` for order 2.  The
+    numpy forcing that the emitted one replaced; a non-finite ``f`` raises
+    its :class:`NonfiniteResultError` before the product with ``A(t)``.
+    """
+    frame, node = frame_node(sys, t, xi, eta, *velocities)
+    value = np.asarray(sys.f(t, *node[: 2 * sys.order]), dtype=float)
+    if not all(map(math.isfinite, value.tolist())):
+        raise NonfiniteResultError(
+            f"forcing f at t = {t!r} is {value.tolist()}: a model value is not finite"
+        )
+    return frame[0] @ value
+
+
+def averaged_map(sys, z, quad_n=64):
+    """The averaged map ``(mean_t F(t, xi, eta), g(xi, eta))`` through :func:`forcing`."""
+    z = np.asarray(z, dtype=float)
+    xi, eta = z[: sys.m], z[sys.m :]
+    velocities = () if sys.order == 1 else (np.zeros(sys.m), np.zeros(sys.s))
+    first = quadrature_periodic(lambda t: forcing(sys, t, xi, eta, *velocities), sys.period, quad_n)
+    return np.concatenate([np.atleast_1d(first), np.atleast_1d(sys.g(xi, eta))])
+
+
+def frame_arrays(model, t):
+    """``(A(t), B(t))``: a problem's path values, or a system's frame table."""
+    if isinstance(model, TransformedSystem):
+        return model.frame(t)
+    return model.A(t), model.B(t)
+
+
 def fixed_frame_march(sys, lam, state0, eta0, h, nsteps, sensitivity=False):
     """The half-explicit RK4 march of a fixed-frame system on numpy arrays.
 
     The numpy arithmetic that the library's float march replaced: the
-    algebraic block re-solved per stage by the library's numpy constraint
-    Newton, the rate ``D0 xi (+ D1 xidot) + lam F`` and, with
+    algebraic block re-solved per stage by :func:`solve_constraint`, the rate ``D0 xi (+ D1 xidot) + lam F`` and, with
     ``sensitivity``, the derivative rows of the state by ``lam`` and the
     start state (state rows ``[state0, 0, I]``).  Frames are evaluated from
     the paths.  Returns the nodes ``(t, x, y, xdot, ydot)`` in original
     coordinates and the end state (with its derivative rows).
     """
-    from daecont.linalg import solve_linear
-    from daecont.periodic import _solve_constraint
-
     m, order = sys.m, sys.order
     lam = float(lam)
 
@@ -62,7 +149,7 @@ def fixed_frame_march(sys, lam, state0, eta0, h, nsteps, sensitivity=False):
 
     def resolve(state, eta):
         xi = state[:m]
-        return _solve_constraint(lambda q: sys.g(xi, q), lambda q: sys.g_jac2(xi, q), eta)
+        return solve_constraint(lambda q: sys.g(xi, q), lambda q: sys.g_jac2(xi, q), eta)
 
     def node(t, state, eta):
         a, b, da, dbinv = frame(t)
@@ -145,7 +232,7 @@ def constraint_residual(traj, model):
     """
     worst = 0.0
     for k, t in enumerate(traj.times):
-        a, b = model.frame(t)
+        a, b = frame_arrays(model, t)
         val = model.g(a @ traj.x[k], b @ traj.y[k])
         worst = max(worst, float(np.abs(np.atleast_1d(val)).max()))
     return worst
@@ -156,22 +243,19 @@ def raw_march(prob, lam, state0, y0, h, nsteps):
 
     The numpy arithmetic that the library's float raw march replaced: the
     moving constraint ``g(A(t) x, B(t) y) = 0`` re-solved for ``y`` per
-    stage by the library's numpy constraint Newton (Jacobian ``g_q B``),
+    stage by :func:`solve_constraint` (Jacobian ``g_q B``),
     the rate ``lam f + H x`` (order 2: ``lam f + H1 xdot + H2 x``, with
     ``ydot`` from the constraint differentiated in time).  Frames are
     evaluated from the paths.  Returns the nodes ``(t, x, y, xdot, ydot)``
     and the end state.
     """
-    from daecont.linalg import solve_linear
-    from daecont.periodic import _solve_constraint
-
     m, order = prob.m, prob.order
     lam = float(lam)
 
     def resolve(t, state, y):
         a, b = prob.A(t), prob.B(t)
         p = a @ state[:m]
-        return _solve_constraint(lambda y: prob.g(p, b @ y), lambda y: prob.g_jac2(p, b @ y) @ b, y)
+        return solve_constraint(lambda y: prob.g(p, b @ y), lambda y: prob.g_jac2(p, b @ y) @ b, y)
 
     def node(t, state, y):
         x = state[:m]

@@ -16,6 +16,7 @@ from daecont.cli import MAX_BRANCH_STEPS, MAX_LEMMA_PATHS, build_parser, main
 from daecont.degree import Box
 from daecont.fixtures import load_fixture, problem_text
 from daecont.linalg import norm_inf
+from daecont.paths import MatrixPath
 from daecont.periodic import branch_seeds
 from daecont.transform import fixed_frame
 
@@ -64,6 +65,21 @@ x6
 """
 
 
+# The averaged map sums the products of its emitted forcing where numpy's
+# matvec, which recorded the check golden, may fuse a multiply-add: its
+# values and gaps may move in the last bits (1e-16 measured).
+AVERAGED_MAP_TOL = 1e-14
+JSON_NUMBER = r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?"
+
+
+def averaged_map_numbers(audit):
+    # pop the values and gaps of an averaged-map audit and return them
+    numbers = [audit.pop("quadrature_gap"), audit.pop("reference_gap")]
+    for probe in audit["probes"]:
+        numbers += probe.pop("value") + [probe.pop("reference_gap")]
+    return numbers
+
+
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -98,10 +114,18 @@ class TestCheck:
         assert data["frame_suitable"] is True
 
     def test_semilinear_report_matches_golden(self, capsys):
-        # the averaged-map audit reads the frame at its quadrature times
+        # the averaged-map audit reads the frame at its quadrature times;
+        # its values and gaps hold within AVERAGED_MAP_TOL of their scale,
+        # and every other byte is the golden's
         code, out, err = run(capsys, "check", "semilinear_4x4")
         assert (code, err) == (0, "")
-        assert out == (GOLDEN_DIR / "check_semilinear_4x4.json").read_text()
+        golden = (GOLDEN_DIR / "check_semilinear_4x4.json").read_text()
+        assert re.sub(JSON_NUMBER, "#", out) == re.sub(JSON_NUMBER, "#", golden)
+        got, ref = json.loads(out), json.loads(golden)
+        moved, ref_moved = (averaged_map_numbers(data["averaged_map_audit"]) for data in (got, ref))
+        assert got == ref and len(moved) == len(ref_moved) == 17
+        scale = max(1.0, max(map(abs, ref_moved)))
+        assert max(abs(a - b) for a, b in zip(moved, ref_moved)) <= AVERAGED_MAP_TOL * scale
 
     def test_semilinear_rank_three(self, capsys, tmp_path):
         # the audit's probes have 2 * rank = 6 entries
@@ -158,6 +182,25 @@ class TestCheck:
         code, _, err = run(capsys, argv[0], str(f), *argv[1:])
         assert (code, err) == (1, "daecont: HypothesisViolatedError: path B is not invertible at "
                                   "t = 3.141592653589793: 1x1 system is singular\n")
+
+
+@pytest.mark.parametrize("argv", [("check", "rotating_surface"), ("check", "rotating_surface_2nd"),
+                                  ("check", "semilinear_4x4"), ("reduce", "semilinear_4x4")],
+                         ids=lambda argv: "_".join(argv))
+def test_frame_audits_make_no_numpy_path_call(capsys, monkeypatch, argv):
+    # check's printed audit, check's and reduce's frame_suitable and the
+    # transform's audit read the samples of the frame function: the paths
+    # of a compiled problem are not called as arrays, and only the
+    # semi-linear audit samples its F and C paths
+    names, call = [], MatrixPath.__call__
+
+    def counted(self, t, order=0):
+        names.append(self.name)
+        return call(self, t, order)
+
+    monkeypatch.setattr(MatrixPath, "__call__", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert set(names) <= {"F", "C"} and (argv[1] == "semilinear_4x4") == bool(names)
 
 
 class TestLemmas:
@@ -553,9 +596,20 @@ def test_branch_of_criterion_8_fixture_matches_golden(capsys):
                                  "continue", "rotating_surface", "--steps", "6")
 
 
-def test_branch_output_is_byte_stable(capsys):
-    first = run(capsys, "continue", "rotating_surface", "--steps", "3")
-    assert run(capsys, "continue", "rotating_surface", "--steps", "3") == first
+@pytest.mark.parametrize("argv", [
+    ("continue", "rotating_surface", "--steps", "3"),
+    # the averaged map's emitted forcing, in the degree and as a seeding map
+    ("degree", "scalar_linear", "--method", "generic"),
+    ("check", "semilinear_4x4"),
+    ("continue", "scalar_linear", "--steps", "2"),
+], ids=lambda argv: "_".join(argv[:2]))
+def test_output_is_byte_stable(capsys, argv):
+    # a run that emits its kernels and frame functions, then a run on the cached ones
+    kernel._build.cache_clear()
+    kernel._frame_build.cache_clear()
+    cold = run(capsys, *argv)
+    assert kernel._build.cache_info().currsize > 0 and cold[0] == 0
+    assert run(capsys, *argv) == cold
 
 
 def test_python_m_daecont_runs_the_cli():

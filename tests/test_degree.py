@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from daecont.transform import (
     fixed_frame_first,
     fixed_frame_second,
 )
-from oracles import central_jacobian
+from oracles import averaged_map, central_jacobian
 
 ROT_M = np.array([[0.0, 1.0], [-1.0, 0.0]])
 block_map = degree._block_map
@@ -369,6 +370,18 @@ class TestSkewFrameDeterminant:
         assert determinant(m_mat) >= 0
 
 
+def moving_b_second_order():
+    # order 2, m = s = 1: A = 1, B = 2 + sin(t), f = ydot B^2 cos(t) - x
+    b = MatrixPath(1, 2 * np.pi, lambda t: np.array([[2.0 + np.sin(t)]]),
+                   d1=lambda t: np.array([[np.cos(t)]]))
+    return DaeProblem2(
+        m=1, s=1, period=2 * np.pi,
+        f=lambda t, x, y, u, v: np.array([v[0] * (2.0 + np.sin(t)) ** 2 * np.cos(t) - x[0]]),
+        g=lambda p, q: q - p,
+        A=MatrixPath.constant(np.eye(1), 2 * np.pi), B=b,
+    )
+
+
 class TestAveragedMap:
     def test_constant_forcing(self):
         prob = DaeProblem1(
@@ -408,19 +421,75 @@ class TestAveragedMap:
         # A = 1, B = 2 + sin(t): the constant frame state (0.5, 0.5) has
         # y = eta / B and ydot = -cos(t) eta / B^2, so f = ydot B^2 cos(t) - x
         # averages to -eta/2 - xi = -0.75 (zero velocities would give -0.5)
-        b = MatrixPath(1, 2 * np.pi, lambda t: np.array([[2.0 + np.sin(t)]]),
-                       d1=lambda t: np.array([[np.cos(t)]]))
-        prob = DaeProblem2(
-            m=1, s=1, period=2 * np.pi,
-            f=lambda t, x, y, u, v: np.array([v[0] * (2.0 + np.sin(t)) ** 2 * np.cos(t) - x[0]]),
-            g=lambda p, q: q - p,
-            A=MatrixPath.constant(np.eye(1), 2 * np.pi), B=b,
-        )
-        sys_t = fixed_frame(prob)
+        sys_t = fixed_frame(moving_b_second_order())
         assert norm_inf(sys_t.D0) == 0.0
         val = seeding_map(sys_t)(np.array([0.5, 0.5]))
         assert abs(val[0] + 0.75) <= 1e-12
         assert val[1] == 0.0
+
+
+def _scalar_linear(forcing="cos(t) - x"):
+    return build_problem(parse_problem(problem_text("scalar_linear").replace("cos(t) - x", forcing)))
+
+
+def _called_through(prob):
+    # a copy whose forcing is a plain callable: the kernel calls it through
+    # its adapter instead of inlining its trees
+    return replace(prob, f=lambda *args: prob.f(*args))
+
+
+# check's probes of the reduced semilinear_4x4 (rank 2)
+CHECK_PROBES = [np.array(p) for p in ([0.7, -0.3, 0.2, 0.5], [1.0, 1.0, 1.0, 0.0], [0.0] * 4)]
+LINE_PROBES = [np.array(p) for p in ([0.3, 0.2], [-1.5, 0.7], [0.0, 0.0], [1.9, -1.9])]
+
+
+class TestEmittedAveragedMap:
+    """The averaged map runs the kernel's emitted forcing, on the inlined
+    route of compiled trees and on the adapter route of Python callables;
+    the numpy forcing of the test oracles is its reference."""
+
+    CASES = {
+        "scalar_linear": lambda: (fixed_frame(_scalar_linear()), LINE_PROBES),
+        "semilinear_4x4": lambda: (fixed_frame_first(reduce_semilinear(load_fixture("semilinear_4x4")),
+                                                     validate=False), CHECK_PROBES),
+        "second_order": lambda: (fixed_frame(moving_b_second_order()),
+                                 [np.array([0.5, 0.5]), np.array([-0.3, 1.2])]),
+        "python_callables": lambda: (fixed_frame(_called_through(_scalar_linear())), LINE_PROBES),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_the_numpy_forcing(self, name):
+        sys_t, probes = self.CASES[name]()
+        inlined = getattr(sys_t.problem.f, "fragments", None) is not None
+        assert inlined == (name in ("scalar_linear", "semilinear_4x4"))
+        omega = averaged_map_fn(sys_t)
+        for z in probes:
+            got, want = omega(z), averaged_map(sys_t, z)
+            assert got.shape == want.shape
+            assert norm_inf(got - want) <= 1e-13 * max(1.0, norm_inf(want)), z
+
+    @pytest.mark.parametrize("route", ["inlined", "python_callables"])
+    def test_nonfinite_forcing_is_named(self, route):
+        # x^300 * x^300 overflows to inf without raising; the forcing check
+        # names it at the model call, before A(t) f
+        prob = _scalar_linear("x^300*x^300")
+        sys_t = fixed_frame(prob if route == "inlined" else _called_through(prob))
+        messages = []
+        for evaluate in (averaged_map_fn(sys_t), lambda z: averaged_map(sys_t, z)):
+            with pytest.raises(NonfiniteResultError, match=r"^forcing f at t = 0\.0 is \[inf\]: ") as caught:
+                evaluate(np.array([10.0, 0.5]))
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_degree_certificate_of_the_numpy_forcing(self):
+        # degree, signs, zero count and boundary margin exact, points within 1e-12
+        sys_t, box = fixed_frame(load_fixture("scalar_linear")), Box.cube(2.0, 2)
+        got = degree_generic(averaged_map_fn(sys_t), box)
+        want = degree_generic(lambda z: averaged_map(sys_t, z), box)
+        assert (got.degree, got.boundary_margin) == (want.degree, want.boundary_margin)
+        assert [z.sign for z in got.zeros] == [z.sign for z in want.zeros] and got.zeros
+        for z, ref in zip(got.zeros, want.zeros):
+            assert norm_inf(z.point - ref.point) <= 1e-12
 
 
 class TestLocateZeros:

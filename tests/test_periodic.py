@@ -28,7 +28,13 @@ from daecont.periodic import (
     shooting_residual,
 )
 from daecont.transform import DaeProblem1, fixed_frame
-from oracles import central_jacobian, constraint_residual, fixed_frame_march, raw_march
+from oracles import (
+    central_jacobian,
+    constraint_residual,
+    fixed_frame_march,
+    raw_march,
+    solve_constraint,
+)
 
 TWO_PI = 2.0 * np.pi
 # The float record evaluates g at the pulled-back floats where the numpy
@@ -491,47 +497,6 @@ class TestTermination:
                             integration_steps=32)
 
 
-class TestScalarConstraintNewton:
-    """The rules of the numpy constraint solve on a scalar block."""
-
-    def test_zero_jacobian_is_singular(self):
-        with pytest.raises(SingularMatrixError):
-            periodic._solve_constraint(lambda q: q**2 - 1.0, lambda q: np.array([[2.0 * q[0]]]), np.zeros(1))
-
-    def test_zero_jacobian_inside_tolerance_returns_the_start(self):
-        q = periodic._solve_constraint(lambda q: np.array([1e-13]), lambda q: np.zeros((1, 1)), np.array([0.25]))
-        assert q.tolist() == [0.25]
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_nonfinite_residual(self, bad):
-        with pytest.raises(NonfiniteResultError, match="constraint residual is"):
-            periodic._solve_constraint(lambda q: np.array([bad]), lambda q: np.ones((1, 1)), np.zeros(1))
-
-    def test_warm_start_inside_tolerance_is_polished_once(self):
-        calls = {"g": 0, "jac": 0}
-
-        def g(q):
-            calls["g"] += 1
-            return q - 0.5
-
-        def jac(q):
-            calls["jac"] += 1
-            return np.ones((1, 1))
-
-        q = periodic._solve_constraint(g, jac, np.array([0.5 + 1e-13]))
-        assert q.tolist() == [0.5] and calls == {"g": 2, "jac": 1}
-
-    @pytest.mark.parametrize("g, jac", [
-        (lambda q: float(q[0] ** 3 + q[0] - 2.0), lambda q: 3.0 * q[0] ** 2 + 1.0),
-        (lambda q: [q[0] ** 3 + q[0] - 2.0], lambda q: [[3.0 * q[0] ** 2 + 1.0]]),
-    ], ids=["bare_float", "list"])
-    def test_python_callable_model_values(self, g, jac):
-        for start in (0.0, [0.0], np.zeros(1)):
-            q = periodic._solve_constraint(g, jac, start)
-            assert isinstance(q, np.ndarray) and q.shape == (1,)
-            assert abs(q[0] - 1.0) <= 1e-12
-
-
 class TestFrameTable:
     """A fixed-frame system evaluates the frame once per time, on first use, and keeps it."""
 
@@ -583,21 +548,22 @@ class TestFrameTable:
     def test_new_times_are_evaluated_once_and_stored(self, path_calls):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
         del path_calls[:]
-        args = (0.123, np.array([0.3, 0.1]), np.array([0.2]))
-        x = runner.sys.pull_back(*args)[0]
+        xi = np.array([0.3, 0.1])
+        x = runner.sys.frame(0.123)[0].T @ xi
         assert len(path_calls) == 2 and list(runner.sys.frames) == [0.123]
-        assert runner.sys.pull_back(*args)[0].tobytes() == x.tobytes() and len(path_calls) == 2
+        assert (runner.sys.frame(0.123)[0].T @ xi).tobytes() == x.tobytes() and len(path_calls) == 2
         prob = runner.prob
-        assert np.array_equal(x, prob.A(0.123).T @ np.array([0.3, 0.1]))
+        assert np.array_equal(x, prob.A(0.123).T @ xi)
 
     def test_tabulated_node_equals_evaluated_node(self):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface_2nd"), 16)
         plain_march(runner, 0.5, np.zeros(runner.state_dim))
         t = sorted(runner.sys.frames)[7]  # the midpoint of the fourth step
         fresh = fixed_frame(runner.prob)
-        args = (t, np.array([0.3, 0.1]), np.array([0.2]), np.array([-0.1, 0.4]), np.array([0.05]))
-        for a, b in zip(runner.sys.pull_back(*args), fresh.pull_back(*args)):
-            assert a.tobytes() == b.tobytes()
+        assert bits(runner.sys.frame_entries(t)) == bits(fresh.frame_entries(t))
+        node = ([0.3, 0.1, -0.1, 0.4], [0.2])
+        tabulated, evaluated = (periodic.March(sys, 0.5).record(t, *node) for sys in (runner.sys, fresh))
+        assert bits(tabulated) == bits(evaluated)
 
     def test_each_system_has_its_own_table(self):
         prob = load_fixture("rotating_surface")
@@ -607,7 +573,7 @@ class TestFrameTable:
 
     def test_replaced_system_starts_with_an_empty_table(self):
         sys = fixed_frame(load_fixture("rotating_surface"))
-        sys.pull_back(0.5, np.array([0.3, 0.1]), np.array([0.2]))
+        sys.frame_entries(0.5)
         copy = replace(sys, D0=np.zeros((2, 2)))
         assert list(sys.frames) == [0.5] and copy.frames == {}
 
@@ -645,12 +611,14 @@ class TestFrameTable:
         assert path_times.count(0.0) == audit + 2 * prob.order
 
     @pytest.mark.parametrize("name, bound", [("rotating_surface", 1030),
-                                             ("rotating_surface_2nd", 2056)])
+                                             ("rotating_surface_2nd", 2060)])
     def test_raw_integration_evaluates_each_march_time_once(self, name, bound, path_calls):
         # the raw stepper keeps the frame of the last time it saw: A and B
         # (order 2: and their rates) once at each of the 2N + 1 march times,
-        # plus 4 for the start checks; an order-2 node takes its rate right
-        # after its resolve, from the frame the resolve read; N = 256.
+        # plus the start checks, where the start solve and the start
+        # residual each read the frame at t = 0 (4 evaluations for order 1,
+        # 8 for order 2); an order-2 node takes its rate right after its
+        # resolve, from the frame the resolve read; N = 256.
         # Before the march, the test of B samples the order-2 frame (A, B
         # and their rates) at the 64 audit-grid times.
         prob = load_fixture(name)
@@ -1021,26 +989,34 @@ class TestRawMarch:
 
 
 class TestFloatConstraintNewton:
-    """The float march's constraint Newton keeps _solve_constraint's rules and bits.
+    """The emitted constraint Newton keeps the numpy Newton's rules and bits.
 
-    Each case runs the march's solve (March.resolve, through the list
-    adapters of Python callables) and the numpy solve on one constraint
-    from one start: the results agree bit for bit, or both raise the same
-    error with the same message.
+    Each case runs the package's one constraint Newton on one constraint
+    from one start, through the list adapters of Python callables: as the
+    fixed-frame march's solve (March.resolve) and as the raw march's solve
+    (consistent_init, on a problem's frame function and on a system's
+    frame table), against the numpy Newton of the test oracles.  With
+    identity frames the raw solve's products are exact, so the results
+    agree bit for bit, or all raise the same error with the same message.
     """
 
     @staticmethod
-    def both(g, jac, q0, xi=0.25):
-        s = len(q0)
-        prob = DaeProblem1(m=1, s=s, period=TWO_PI, f=lambda t, x, y: np.zeros(1), g=g, d2g=jac,
+    def problem(g, jac, s):
+        return DaeProblem1(m=1, s=s, period=TWO_PI, f=lambda t, x, y: np.zeros(1), g=g, d2g=jac,
                            A=MatrixPath.constant(np.eye(1), TWO_PI),
                            B=MatrixPath.constant(np.eye(s), TWO_PI))
+
+    @classmethod
+    def both(cls, g, jac, q0, xi=0.25):
+        prob = cls.problem(g, jac, len(q0))
         sys = fixed_frame(prob)
         p = np.array([xi])
         outcomes = []
         for solve in (lambda: np.array(periodic.March(sys, 0.5).resolve(0.0, [xi], q0)),
-                      lambda: periodic._solve_constraint(lambda q: sys.g(p, q),
-                                                         lambda q: sys.g_jac2(p, q), np.array(q0))):
+                      lambda: consistent_init(prob, 0.0, [xi], q0),
+                      lambda: consistent_init(sys, 0.0, [xi], q0),
+                      lambda: solve_constraint(lambda q: sys.g(p, q), lambda q: sys.g_jac2(p, q),
+                                               np.array(q0))):
             try:
                 outcomes.append(solve().tobytes())
             except DaecontError as exc:
@@ -1061,8 +1037,8 @@ class TestFloatConstraintNewton:
     ], ids=["s1", "s2", "s3"])
     def test_results_match_bit_for_bit(self, model, starts):
         for q0 in starts:
-            float_march, numpy_solve = self.both(*model, q0)
-            assert float_march == numpy_solve and isinstance(float_march, bytes), q0
+            outcomes = self.both(*model, q0)
+            assert len(set(outcomes)) == 1 and isinstance(outcomes[0], bytes), q0
 
     @pytest.mark.parametrize("g, jac, q0, error", [
         # a zero (or, for s = 2, a numerically zero) dg/dq outside the tolerance
@@ -1071,21 +1047,24 @@ class TestFloatConstraintNewton:
         (lambda p, q: q - 1.0, lambda p, q: np.diag([1.0, 1e-27]), [0.0, 0.0], "2x2"),
         # a non-finite residual, NaN wherever an entry is
         (lambda p, q: np.array([np.inf]), lambda p, q: np.ones((1, 1)), [0.0], "is inf"),
+        (lambda p, q: np.array([-np.inf]), lambda p, q: np.ones((1, 1)), [0.0], "is inf"),
         (lambda p, q: np.array([1.0, np.nan]), lambda p, q: np.eye(2), [0.0, 0.0], "is nan"),
         (lambda p, q: np.array([np.nan, 1.0]), lambda p, q: np.eye(2), [0.0, 0.0], "is nan"),
         # Newton on q^3 - 2 q + 2 cycles between 0 and 1
         (lambda p, q: q**3 - 2.0 * q + 2.0, lambda p, q: np.array([[3 * q[0] ** 2 - 2.0]]), [0.0],
          "stalled at residual 2.000e+00"),
-    ], ids=["singular_1x1", "subnormal_1x1", "singular_2x2", "inf", "nan_second", "nan_first",
-            "stalled"])
+    ], ids=["singular_1x1", "subnormal_1x1", "singular_2x2", "inf", "minus_inf", "nan_second",
+            "nan_first", "stalled"])
     def test_failures_match(self, g, jac, q0, error):
-        float_march, numpy_solve = self.both(g, jac, q0)
-        assert float_march == numpy_solve and error in float_march[1]
+        outcomes = self.both(g, jac, q0)
+        assert len(set(outcomes)) == 1 and error in outcomes[0][1]
+        if "residual is" in error:
+            assert outcomes[0][0] is NonfiniteResultError
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_zero_jacobian_inside_tolerance_returns_the_start(self, s):
         outcomes = self.both(lambda p, q: np.full(s, 1e-13), lambda p, q: np.zeros((s, s)), [0.25] * s)
-        assert outcomes[0] == outcomes[1] == np.full(s, 0.25).tobytes()
+        assert set(outcomes) == {np.full(s, 0.25).tobytes()}
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_warm_start_inside_tolerance_is_polished_once(self, s):
@@ -1100,9 +1079,21 @@ class TestFloatConstraintNewton:
             return np.eye(s)
 
         outcomes = self.both(g, jac, [0.5 + 1e-13] * s)
-        assert outcomes[0] == outcomes[1] == np.full(s, 0.5).tobytes()
-        assert calls == ["g", "jac", "g"] * 2
+        assert set(outcomes) == {np.full(s, 0.5).tobytes()}
+        assert calls == ["g", "jac", "g"] * 4
 
+    @pytest.mark.parametrize("g, jac", [
+        (lambda p, q: float(q[0] ** 3 + q[0] - 2.0), lambda p, q: 3.0 * q[0] ** 2 + 1.0),
+        (lambda p, q: [q[0] ** 3 + q[0] - 2.0], lambda p, q: [[3.0 * q[0] ** 2 + 1.0]]),
+    ], ids=["bare_float", "list"])
+    def test_python_callable_model_values(self, g, jac):
+        outcomes = self.both(g, jac, [0.0])
+        assert len(set(outcomes)) == 1 and isinstance(outcomes[0], bytes)
+        assert abs(np.frombuffer(outcomes[0])[0] - 1.0) <= 1e-12
+        prob = self.problem(g, jac, 1)
+        for start in (0.0, [0.0], np.zeros(1)):
+            q = consistent_init(prob, 0.0, 0.25, start)
+            assert isinstance(q, np.ndarray) and q.shape == (1,) and q.tobytes() == outcomes[0]
 
     def test_pulled_back_zeros_are_positive(self):
         # numpy's matmul sums from +0.0: a state at rest at zero pulls back

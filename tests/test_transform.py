@@ -25,7 +25,7 @@ from daecont.transform import (
     fixed_frame_first,
     fixed_frame_second,
 )
-from oracles import fixed_frame_march
+from oracles import fixed_frame_march, forcing, frame_node
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -59,7 +59,7 @@ class TestFixedFrameFirst:
         sys_t = fixed_frame_first(prob)
         assert norm_inf(sys_t.D0) == 0.0
         xi, eta = np.array([0.2, 0.4]), np.array([0.2])
-        assert norm_inf(sys_t.F(0.7, xi, eta) - f(0.7, xi, eta)) <= 1e-14
+        assert norm_inf(np.array(March(sys_t, 0.0).forcing(0.7, xi, eta)) - f(0.7, xi, eta)) <= 1e-14
 
     def test_commuting_drift_arithmetic(self):
         # D0 = H - M with the audited M, H = diag(1, 0); this H does not
@@ -114,7 +114,10 @@ class TestFixedFrameSecond:
         assert norm_inf(sys_t.D0) == 0.0 and norm_inf(sys_t.D1) == 0.0
         args = (0.3, np.array([1.0, 2.0]), np.array([0.5]), np.array([0.1, 0.2]),
                 np.array([0.4]))
-        assert norm_inf(sys_t.F(*args) - f(*args)) <= 1e-12
+        assert norm_inf(forcing(sys_t, *args) - f(*args)) <= 1e-12
+        # the emitted forcing, at zero frame velocities
+        at_rest = args[:3] + (np.zeros(2), np.zeros(1))
+        assert norm_inf(np.array(March(sys_t, 0.0).forcing(*args[:3])) - f(*at_rest)) <= 1e-12
 
     def test_velocity_drift_cancellation(self):
         # H1 = 2M, H2 = 0 gives D1 = 0 and D0 = 2M^2 - M^2 = M^2
@@ -165,12 +168,19 @@ def frame_system(a_path, b_path):
     return fixed_frame_first(prob, validate=False)
 
 
+def pull_back(sys_t, t, xi, eta):
+    # (x, y, xdot, ydot) of a first-order frame node, by the march's emitted record
+    return March(sys_t, 0.0).record(t, list(xi), list(eta))[1:5]
+
+
 def pull_back_nodes(sys_t, times, xi, eta):
-    nodes = [sys_t.pull_back(t, xi[k], eta[k]) for k, t in enumerate(times)]
+    nodes = [pull_back(sys_t, t, xi[k], eta[k]) for k, t in enumerate(times)]
     return np.array([n[0] for n in nodes]), np.array([n[1] for n in nodes])
 
 
 class TestPullBack:
+    """The march's records pull frame nodes back; push_forward maps them into the frame."""
+
     def test_identity(self):
         times = np.linspace(0, 1, 5)
         xi = np.random.default_rng(0).normal(size=(5, 2))
@@ -179,7 +189,7 @@ class TestPullBack:
                              MatrixPath.constant(np.eye(1), 1.0))
         x, y = pull_back_nodes(sys_t, times, xi, eta)
         assert np.array_equal(x, xi) and np.array_equal(y, eta)
-        assert sys_t.pull_back(0.5, xi[0], eta[0])[2:] == (None, None)
+        assert pull_back(sys_t, 0.5, xi[0], eta[0])[2:] == (None, None)
 
     def test_constant_frame_state_rotates_back(self):
         # x = A(t).T xi picks the first row of A when xi = e1
@@ -202,13 +212,13 @@ class TestPullBack:
             x, y = rng.normal(size=2), rng.normal(size=2)
             xi, eta, xid = sys_t.push_forward(t, x, y)
             assert xid is None
-            x2, y2, _, _ = sys_t.pull_back(t, xi, eta)
+            x2, y2, _, _ = pull_back(sys_t, t, xi, eta)
             assert norm_inf(x2 - x) <= 1e-12
             assert norm_inf(y2 - y) <= 1e-12
 
     def test_round_trip_with_velocities(self):
         # xidot = dA x + A xdot and etadot = dB y + B ydot map back to the
-        # original velocities
+        # original velocities by the numpy node map of the test oracles
         prob = load_fixture("rotating_surface_2nd")
         sys_t = fixed_frame(prob)
         rng = np.random.default_rng(4)
@@ -217,7 +227,7 @@ class TestPullBack:
             y, ydot = rng.normal(size=prob.s), rng.normal(size=prob.s)
             xi, eta, xid = sys_t.push_forward(t, x, y, xdot)
             etad = prob.B(t, 1) @ y + prob.B(t) @ ydot
-            x2, y2, xd2, yd2 = sys_t.pull_back(t, xi, eta, xid, etad)
+            x2, y2, xd2, yd2 = frame_node(sys_t, t, xi, eta, xid, etad)[1]
             for got, want in ((x2, x), (y2, y), (xd2, xdot), (yd2, ydot)):
                 assert norm_inf(got - want) <= 1e-12
 
