@@ -17,13 +17,15 @@ exact Jacobian ``[[C, 0], [d1g, d2g]]`` there, and its linear block
 ``jac`` (the averaged map, or any plain callable) the Jacobian is formed
 by forward differences.
 
-The zero search runs one damped Newton over all lattice nodes at once,
+The zero search runs the package's damped Newton
+(:func:`~daecont.linalg.newton_stacked`) over all lattice nodes at once,
 on stacks of points.  A problem compiled from a problem file (or reduced
 from a semi-linear one) carries its constraint on stacks (``g_arrays``),
 and the candidate map built from it carries the stacked map and
 Jacobian as its ``arrays`` attribute; any other map enters the same
-iteration point by point.  The survey of the lattice, the boundary
-margin and the classification of each located zero use the point forms.
+iteration point by point (:func:`~daecont.linalg.stacked_maps`).  The
+survey of the lattice, the boundary margin and the classification of
+each located zero use the point forms.
 """
 
 from __future__ import annotations
@@ -36,20 +38,18 @@ import numpy as np
 from .errors import (
     BoundaryZeroError,
     DegenerateZeroError,
-    EvaluationError,
     SingularMatrixError,
     SuspectIncompleteError,
 )
 from .linalg import (
-    NEWTON_DAMPING_MIN,
-    NEWTON_TOL_STEP,
     NewtonConfig,
     determinant,
     fd_jacobian,
+    newton_stacked,
     norm_inf,
     quadrature_periodic,
     solve_linear,
-    solve_stacked,
+    stacked_maps,
 )
 from .kernel import March
 from .transform import TransformedSystem
@@ -73,6 +73,7 @@ BOUNDARY_TOL = 1e-6
 DET_TOL = 1e-10
 DEFAULT_GRID = 9
 NEWTON_BATCH = 1024  # lattice starts per batched Newton run: bounds its working arrays
+ZERO_NEWTON = NewtonConfig(max_iters=60, tol_residual=1e-12)  # each lattice start's Newton
 SEEDING_DRIFT_TOL = 1e-8  # ||D0||_inf at or below which the averaged map seeds
 AUDIT_QUAD_NS = (64, 256)  # the two quadrature resolutions of the averaged-map audit
 
@@ -199,54 +200,15 @@ def _survey(fun, box: Box, grid: int):
     return lattice, np.array([fun(p) for p in lattice])
 
 
-def _newton_all(fun, jac, starts: np.ndarray, values: np.ndarray):
-    # newton_solve's damped Newton (60 iterations, residual 1e-12) from
-    # every start at once: ``fun`` maps a stack of points (k, n) to their
-    # values, ``jac(x, r)`` to their Jacobians (k, n, n), given the values
-    # r at x; ``values`` are the starts' values.  Each start keeps its own
-    # backtracking, stagnation test and budget, and a start whose Jacobian
-    # is singular is dropped.  Returns (points, converged).
-    cfg = NewtonConfig(max_iters=60, tol_residual=1e-12)
-    x, r = starts.copy(), values.copy()
-    rnorm = np.abs(r).max(axis=1)
-    live = np.arange(len(x))  # starts still iterating
-    converged = np.zeros(len(x), dtype=bool)
-    for _ in range(cfg.max_iters):
-        done = rnorm[live] <= cfg.tol_residual
-        converged[live[done]] = True
-        live = live[~done]
-        if live.size == 0:
-            break
-        step, singular = solve_stacked(jac(x[live], r[live]), -r[live])
-        live, step = live[~singular], step[~singular]
-        alpha = np.ones(len(live))
-        x_new, r_new = x[live], r[live]
-        rnorm_new = rnorm[live]
-        todo = np.arange(len(live))  # halve the step until the residual drops
-        while todo.size:
-            x_new[todo] = x[live[todo]] + alpha[todo, None] * step[todo]
-            r_new[todo] = fun(x_new[todo])
-            rnorm_new[todo] = np.abs(r_new[todo]).max(axis=1)
-            better = rnorm_new[todo] < rnorm[live[todo]]
-            todo = todo[~(better | (alpha[todo] <= NEWTON_DAMPING_MIN))]
-            alpha[todo] *= 0.5
-        moved = np.abs(alpha[:, None] * step).max(axis=1)
-        going = ~((moved <= NEWTON_TOL_STEP) & (rnorm_new > cfg.tol_residual))
-        live = live[going]
-        x[live], r[live], rnorm[live] = x_new[going], r_new[going], rnorm_new[going]
-    converged[live[rnorm[live] <= cfg.tol_residual]] = True
-    if not np.all(np.isfinite(x[converged])):
-        raise EvaluationError("newton iterate is non-finite")
-    return x, converged
-
-
 def _find_zeros(search, box: Box, grid: int, survey=None):
     # ``search`` is (map, Jacobian, stacked map, stacked Jacobian), see _search
     fun, jac, stacked_fun, stacked_jac = search
     lattice, values = _survey(fun, box, grid) if survey is None else survey
-    runs = [_newton_all(stacked_fun, stacked_jac, lattice[k : k + NEWTON_BATCH],
-                        values[k : k + NEWTON_BATCH]) for k in range(0, len(lattice), NEWTON_BATCH)]
-    points, converged = (np.concatenate(part) for part in zip(*runs))
+    runs = [newton_stacked(stacked_fun, stacked_jac, lattice[k : k + NEWTON_BATCH],
+                           values[k : k + NEWTON_BATCH], ZERO_NEWTON)
+            for k in range(0, len(lattice), NEWTON_BATCH)]
+    points = np.concatenate([x for x, _ in runs])
+    converged = np.array([error is None for _, errors in runs for error in errors])
     # Dedup in lattice order: the first point left is a zero, and the
     # points within DEDUP_TOL of it are its copies.
     found: List[np.ndarray] = []
@@ -300,15 +262,12 @@ def _search(fun):
     jac, arrays = getattr(fun, "jac", None), getattr(fun, "arrays", None)
     wrapped = lambda z: np.atleast_1d(np.asarray(fun(z), dtype=float))
     if jac is None:
-        # a point's value doubles as its difference base point
-        jac_at = lambda z, v: fd_jacobian(wrapped, z, f0=v)
-        jac = lambda z: fd_jacobian(wrapped, z)
+        point_jac = lambda z: fd_jacobian(wrapped, z)
     else:
-        jac_at = lambda z, v: np.atleast_2d(np.asarray(jac(z), dtype=float))
+        point_jac = lambda z: np.atleast_2d(np.asarray(jac(z), dtype=float))
     if arrays is None:
-        return (wrapped, jac, lambda x: np.array([wrapped(z) for z in x]),
-                lambda x, r: np.array([jac_at(z, v) for z, v in zip(x, r)]))
-    return wrapped, jac, arrays[0], lambda x, r: arrays[1](x)
+        return (wrapped, point_jac, *stacked_maps(fun, jac))
+    return wrapped, point_jac, arrays[0], lambda x, r: arrays[1](x)
 
 
 def locate_zeros(fun: Callable[[np.ndarray], np.ndarray], box: Box,

@@ -2,14 +2,15 @@
 
 Everything here works on small (desk-scale) dense float64 arrays: linear
 solves and determinants, damped Newton iteration, finite-difference
-Jacobians, an SVD with deterministic signs and periodic quadrature.  One
-partial-pivot elimination on stacks of systems serves every LU of size 3
-or more: :func:`solve_stacked` runs it on its stack, :func:`solve_linear`
-and :func:`determinant` on a stack of one (one copy of the matrix per
-right-hand side column).  1x1 and 2x2 solves use closed forms.  The SVD
-is numpy's.  What this module adds is the pivot-threshold singularity
-test and the sign convention.  All functions are pure; inputs are never
-mutated.
+Jacobians, an SVD with deterministic signs and periodic quadrature.
+Solves and Newton run on stacks, a point being a stack of one:
+:func:`solve_stacked` (closed forms for 1x1 and 2x2, one partial-pivot
+elimination for every LU of size 3 or more) serves :func:`solve_linear`,
+one copy of the matrix per right-hand side column, and
+:func:`newton_stacked`, the one damped Newton, serves :func:`newton_solve`.
+The SVD is numpy's.  What this module adds is the pivot-threshold
+singularity test and the sign convention.  All functions are pure;
+inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = [
     "determinant",
     "fd_jacobian",
     "newton_solve",
+    "newton_stacked",
+    "stacked_maps",
     "svd_small",
     "quadrature_periodic",
     "norm_inf",
@@ -64,48 +67,25 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise EvaluationError(f"expected square matrix, got shape {a.shape}")
     if b.shape[0] != n:
         raise EvaluationError(f"dimension mismatch: matrix {a.shape}, rhs {b.shape}")
-    # Closed forms for the 1x1 and 2x2 cases, kept for bit parity with
-    # solve_stacked and with the solves the marches emit (daecont.kernel),
-    # where the constraint solver's inner loop now runs.
-    if n == 1:
-        threshold = PIVOT_REL * max(abs(a[0, 0]), 1e-300)
-        if abs(a[0, 0]) < threshold or a[0, 0] == 0.0:
-            raise SingularMatrixError("1x1 system is singular")
-        return b / a[0, 0]
-    if n == 2:
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        if abs(det) < (PIVOT_REL * max(norm_inf(a), 1e-300)) ** 2 or det == 0.0:
-            raise SingularMatrixError("2x2 system is singular")
-        return np.array(  # rows of x: entries for a vector b, rows for a matrix
-            [
-                (a[1, 1] * b[0] - a[0, 1] * b[1]) / det,
-                (a[0, 0] * b[1] - a[1, 0] * b[0]) / det,
-            ]
-        )
     # one system per right-hand side column, so that each column is
     # solve_stacked's solve of it, bit for bit
     rhs = b[None] if b.ndim == 1 else b.T
-    x, pivots, singular, threshold = _eliminate(np.broadcast_to(a, (len(rhs), n, n)), rhs)
+    x, singular = solve_stacked(np.broadcast_to(a, (len(rhs), n, n)), rhs)
     if singular.any():
-        k = int(np.argmax(np.abs(pivots[0]) < threshold[0]))
-        raise SingularMatrixError(
-            f"pivot {abs(pivots[0, k]):.3e} below threshold {threshold[0]:.3e} at column {k}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise EvaluationError("linear solve produced non-finite entries")
+        raise SingularMatrixError(_singular_messages(a[None])[0])
     return x[0] if b.ndim == 1 else x.T
 
 
 def solve_stacked(a: np.ndarray, b: np.ndarray):
     """Solve ``a[k] @ x[k] = b[k]`` for a stack of ``(n, n)`` systems.
 
-    Returns ``(x, singular)``: ``singular[k]`` flags the systems that
-    :func:`solve_linear` rejects, and their rows of ``x`` are
-    meaningless.  1x1 and 2x2 stacks use :func:`solve_linear`'s closed
-    forms, bit for bit; larger ones the partial-pivot elimination that
-    :func:`solve_linear` runs, with its ``PIVOT_REL * ||a||_inf`` pivot
+    Returns ``(x, singular)``: ``singular[k]`` flags the systems whose
+    pivot test fails, and their rows of ``x`` are meaningless.  1x1 and
+    2x2 stacks use closed forms (the pivot test of a 2x2 system is on its
+    determinant, against ``(PIVOT_REL * ||a||_inf)**2``), larger ones the
+    partial-pivot elimination with its ``PIVOT_REL * ||a||_inf`` pivot
     test.  A non-finite solution of a nonsingular system of size 3 or
-    more raises :class:`EvaluationError`, as :func:`solve_linear` does.
+    more raises :class:`EvaluationError`.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -161,6 +141,18 @@ def _eliminate(a: np.ndarray, b: np.ndarray):
     return x, pivots, singular, threshold
 
 
+def _singular_messages(a: np.ndarray):
+    # solve_linear's message for each system of a stack of singular ones:
+    # for n >= 3 the first pivot below the threshold and its column
+    k, n = a.shape[:2]
+    if n <= 2:
+        return [f"{n}x{n} system is singular"] * k
+    _, pivots, _, threshold = _eliminate(a, np.zeros((k, n)))
+    columns = np.argmax(np.abs(pivots) < threshold[:, None], axis=1)
+    return [f"pivot {abs(p[j]):.3e} below threshold {t:.3e} at column {j}"
+            for p, t, j in zip(pivots, threshold, columns)]
+
+
 def determinant(a: np.ndarray) -> float:
     """Determinant via LU; returns 0.0 for numerically singular input."""
     a = np.asarray(a, dtype=float)
@@ -197,7 +189,8 @@ def fd_jacobian(
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Iteration budget and residual tolerance for :func:`newton_solve`."""
+    """Iteration budget and residual tolerance of each start of the damped
+    Newton (:func:`newton_stacked`, and :func:`newton_solve` on one start)."""
 
     max_iters: int = 50
     tol_residual: float = 1e-12
@@ -207,6 +200,79 @@ class NewtonConfig:
             raise ValueError("max_iters must be >= 1")
         if self.tol_residual <= 0:
             raise ValueError("tol_residual must be positive")
+
+
+def stacked_maps(
+    fun: Callable[[np.ndarray], np.ndarray],
+    jac: Optional[Callable[[np.ndarray], np.ndarray]],
+):
+    """A point map and its Jacobian as :func:`newton_stacked` takes them,
+    called at each point of a stack.
+
+    With ``jac`` None the Jacobian is :func:`fd_jacobian` of ``fun``, the
+    point's value doubling as its base point.
+    """
+    point = lambda z: np.atleast_1d(np.asarray(fun(z), dtype=float))
+    if jac is None:
+        jac_at = lambda z, v: fd_jacobian(fun, z, f0=v)
+    else:
+        jac_at = lambda z, v: np.atleast_2d(np.asarray(jac(z), dtype=float))
+    return (lambda x: np.array([point(z) for z in x]),
+            lambda x, r: np.array([jac_at(z, v) for z, v in zip(x, r)]))
+
+
+def newton_stacked(fun, jac, x0: np.ndarray, r0: np.ndarray, cfg: NewtonConfig):
+    """Damped Newton for ``fun(x) = 0`` from a stack of starts at once.
+
+    ``fun`` maps points ``(k, n)`` to their values, ``jac(x, r)`` to their
+    Jacobians ``(k, n, n)`` given the values ``r`` at ``x``; ``r0`` is
+    ``fun(x0)``.  Each start backtracks on its own, halving its step until
+    its residual norm drops, down to ``NEWTON_DAMPING_MIN`` (where the step
+    is taken anyway), and converges when that norm is at most
+    ``cfg.tol_residual`` within ``cfg.max_iters`` iterations.  Returns
+    ``(x, errors)``: the last iterates, and per start None if it converged,
+    else the error that stopped it, :class:`SingularJacobianError` with
+    :func:`solve_linear`'s message or :class:`NoConvergenceError` (a step
+    below ``NEWTON_TOL_STEP``, or the budget spent).  A non-finite
+    converged iterate raises :class:`EvaluationError`.
+    """
+    x, r = np.array(x0, dtype=float), np.array(r0, dtype=float)
+    rnorm = np.abs(r).max(axis=1)
+    errors = [None] * len(x)
+    live = np.arange(len(x))  # starts still iterating
+    for _ in range(cfg.max_iters):
+        live = live[~(rnorm[live] <= cfg.tol_residual)]
+        if live.size == 0:
+            break
+        j = jac(x[live], r[live])
+        step, singular = solve_stacked(j, -r[live])
+        if singular.any():
+            for k, message in zip(live[singular], _singular_messages(j[singular])):
+                errors[k] = SingularJacobianError(message)
+            live, step = live[~singular], step[~singular]
+        alpha = np.ones(len(live))
+        x_new, r_new = x[live], r[live]
+        rnorm_new = rnorm[live]
+        todo = np.arange(len(live))  # halve the step until the residual drops
+        while todo.size:
+            x_new[todo] = x[live[todo]] + alpha[todo, None] * step[todo]
+            r_new[todo] = fun(x_new[todo])
+            rnorm_new[todo] = np.abs(r_new[todo]).max(axis=1)
+            better = rnorm_new[todo] < rnorm[live[todo]]
+            todo = todo[~(better | (alpha[todo] <= NEWTON_DAMPING_MIN))]
+            alpha[todo] *= 0.5
+        moved = np.abs(alpha[:, None] * step).max(axis=1)
+        stalled = (moved <= NEWTON_TOL_STEP) & (rnorm_new > cfg.tol_residual)
+        for k, size, norm in zip(live[stalled], moved[stalled], rnorm_new[stalled]):
+            errors[k] = NoConvergenceError(f"newton stagnated: step {size:.3e}, residual {norm:.3e}")
+        live = live[~stalled]
+        x[live], r[live], rnorm[live] = x_new[~stalled], r_new[~stalled], rnorm_new[~stalled]
+    for k in live[~(rnorm[live] <= cfg.tol_residual)]:
+        errors[k] = NoConvergenceError(f"newton used {cfg.max_iters} iterations, "
+                                       f"residual {rnorm[k]:.3e} > {cfg.tol_residual:.3e}")
+    if not np.all(np.isfinite(x[[error is None for error in errors]])):
+        raise EvaluationError("newton iterate is non-finite")
+    return x, errors
 
 
 def newton_solve(
@@ -232,48 +298,16 @@ def newton_solve(
     -------
     x : array with ``||residual(x)||_inf <= cfg.tol_residual``.
 
-    Backtracking halves the step until the residual norm decreases, down
-    to ``NEWTON_DAMPING_MIN``; a step that cannot improve at the floor is
-    taken anyway (the next iteration may recover), and failure to reach
-    the residual tolerance within the budget raises
-    :class:`NoConvergenceError`.  Success is decided by the residual
-    alone, never by the iteration count or step size.
+    The iteration is :func:`newton_stacked` on one start, and raises its
+    error: :class:`SingularJacobianError`, :class:`NoConvergenceError` or,
+    for a non-finite converged iterate, :class:`EvaluationError`.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    r = np.atleast_1d(np.asarray(residual(x), dtype=float))
-    rnorm = norm_inf(r)
-    for _ in range(cfg.max_iters):
-        if rnorm <= cfg.tol_residual:
-            if not np.all(np.isfinite(x)):
-                raise EvaluationError("newton iterate is non-finite")
-            return x
-        if jacobian is None:
-            # the current residual doubles as the difference base point
-            j = fd_jacobian(residual, x, f0=r)
-        else:
-            j = np.atleast_2d(np.asarray(jacobian(x), dtype=float))
-        try:
-            step = solve_linear(j, -r)
-        except SingularMatrixError as exc:
-            raise SingularJacobianError(str(exc)) from exc
-        alpha = 1.0
-        while True:
-            x_new = x + alpha * step
-            r_new = np.atleast_1d(np.asarray(residual(x_new), dtype=float))
-            rnorm_new = norm_inf(r_new)
-            if rnorm_new < rnorm or alpha <= NEWTON_DAMPING_MIN:
-                break
-            alpha *= 0.5
-        if norm_inf(alpha * step) <= NEWTON_TOL_STEP and rnorm_new > cfg.tol_residual:
-            raise NoConvergenceError(
-                f"newton stagnated: step {norm_inf(alpha * step):.3e}, residual {rnorm_new:.3e}"
-            )
-        x, r, rnorm = x_new, r_new, rnorm_new
-    if rnorm <= cfg.tol_residual:
-        return x
-    raise NoConvergenceError(
-        f"newton used {cfg.max_iters} iterations, residual {rnorm:.3e} > {cfg.tol_residual:.3e}"
-    )
+    fun, jac = stacked_maps(residual, jacobian)
+    start = np.array(x0, dtype=float, ndmin=2)
+    x, (error,) = newton_stacked(fun, jac, start, fun(start), cfg)
+    if error is not None:
+        raise error
+    return x[0]
 
 
 def svd_small(e: np.ndarray):

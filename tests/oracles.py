@@ -5,9 +5,22 @@ import math
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from daecont.errors import NoConvergenceError, NonfiniteResultError, SingularMatrixError
+from daecont.errors import (
+    EvaluationError,
+    NoConvergenceError,
+    NonfiniteResultError,
+    SingularJacobianError,
+    SingularMatrixError,
+)
 from daecont.kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL
-from daecont.linalg import quadrature_periodic, solve_linear
+from daecont.linalg import (
+    NEWTON_DAMPING_MIN,
+    NEWTON_TOL_STEP,
+    fd_jacobian,
+    norm_inf,
+    quadrature_periodic,
+    solve_linear,
+)
 from daecont.transform import TransformedSystem, _matrices
 
 
@@ -44,6 +57,53 @@ def lu_determinant_reference(a):
     lu, piv = lu_factor(a)
     swaps = np.count_nonzero(piv != np.arange(len(piv)))
     return float((-1.0) ** swaps * np.prod(np.diag(lu)))
+
+
+def newton_point(residual, jacobian, x0, cfg):
+    """Damped Newton for ``residual(x) = 0`` from one start, on numpy arrays.
+
+    The per-point loop that the library's stacked Newton replaced, by its
+    rules: backtracking halves the step until the residual norm drops,
+    down to ``NEWTON_DAMPING_MIN``; a step below ``NEWTON_TOL_STEP`` with
+    the residual above tolerance stagnates; ``jacobian`` None selects
+    forward differences based at the current residual.  Raises
+    :class:`SingularJacobianError`, :class:`NoConvergenceError` or, for a
+    non-finite converged iterate, :class:`EvaluationError`.
+    """
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    r = np.atleast_1d(np.asarray(residual(x), dtype=float))
+    rnorm = norm_inf(r)
+    for _ in range(cfg.max_iters):
+        if rnorm <= cfg.tol_residual:
+            if not np.all(np.isfinite(x)):
+                raise EvaluationError("newton iterate is non-finite")
+            return x
+        if jacobian is None:
+            j = fd_jacobian(residual, x, f0=r)
+        else:
+            j = np.atleast_2d(np.asarray(jacobian(x), dtype=float))
+        try:
+            step = solve_linear(j, -r)
+        except SingularMatrixError as exc:
+            raise SingularJacobianError(str(exc)) from exc
+        alpha = 1.0
+        while True:
+            x_new = x + alpha * step
+            r_new = np.atleast_1d(np.asarray(residual(x_new), dtype=float))
+            rnorm_new = norm_inf(r_new)
+            if rnorm_new < rnorm or alpha <= NEWTON_DAMPING_MIN:
+                break
+            alpha *= 0.5
+        if norm_inf(alpha * step) <= NEWTON_TOL_STEP and rnorm_new > cfg.tol_residual:
+            raise NoConvergenceError(
+                f"newton stagnated: step {norm_inf(alpha * step):.3e}, residual {rnorm_new:.3e}"
+            )
+        x, r, rnorm = x_new, r_new, rnorm_new
+    if rnorm <= cfg.tol_residual:
+        return x
+    raise NoConvergenceError(
+        f"newton used {cfg.max_iters} iterations, residual {rnorm:.3e} > {cfg.tol_residual:.3e}"
+    )
 
 
 def solve_constraint(g, jac, q0):

@@ -42,7 +42,7 @@ from daecont.transform import (
     fixed_frame_first,
     fixed_frame_second,
 )
-from oracles import averaged_map, central_jacobian
+from oracles import averaged_map, central_jacobian, newton_point
 
 ROT_M = np.array([[0.0, 1.0], [-1.0, 0.0]])
 block_map = degree._block_map
@@ -531,29 +531,42 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_newton_from_each_start_matches_newton_solve(self, exact):
-        # the per-start loop the batched Newton replaced is the reference:
-        # same iterates bit for bit (2x2 closed-form solves), same starts dropped
-        def fun(z):
+        # the per-start loop the stacked Newton replaced is the reference:
+        # same iterates bit for bit, same starts dropped with the same
+        # errors; 2 unknowns take the closed-form solves, 3 the elimination
+        def fun2(z):
             return np.array([z[0] ** 3 - z[0] + 0.3 * z[1], z[1] ** 2 + z[0] * z[1] - 0.5])
 
-        def jac(z):
+        def jac2(z):
             return np.array([[3.0 * z[0] ** 2 - 1.0, 0.3], [z[1], 2.0 * z[1] + z[0]]])
 
-        if exact:
-            fun.jac = jac
-        lattice = Box.cube(2.0, 2).lattice(13)
-        search = degree._search(fun)
-        values = np.array([search[0](z) for z in lattice])
-        points, converged = degree._newton_all(*search[2:], lattice, values)
-        config = linalg.NewtonConfig(max_iters=60, tol_residual=1e-12)
-        for start, point, ok in zip(lattice, points, converged):
-            try:
-                ref = linalg.newton_solve(fun, jac if exact else None, start, config)
-            except (NoConvergenceError, SingularJacobianError):
-                assert not ok
-                continue
-            assert ok and point.tobytes() == ref.tobytes()
-        assert converged.any()
+        def fun3(z):
+            return np.array([z[0] ** 3 - z[0] + 0.3 * z[1], z[1] ** 2 + z[0] * z[1] - 0.5 + 0.1 * z[2],
+                             z[2] ** 2 - z[0] * z[1] - 0.2])
+
+        def jac3(z):
+            return np.array([[3.0 * z[0] ** 2 - 1.0, 0.3, 0.0], [z[1], 2.0 * z[1] + z[0], 0.1],
+                             [-z[1], -z[0], 2.0 * z[2]]])
+
+        # fun3 has no zero where z0 z1 < -0.2: starts there exhaust the budget
+        starts = failed = 0
+        for fun, jac, dim, grid in ((fun2, jac2, 2, 13), (fun3, jac3, 3, 5)):
+            if exact:
+                fun.jac = jac
+            lattice = Box.cube(2.0, dim).lattice(grid)
+            search = degree._search(fun)
+            values = np.array([search[0](z) for z in lattice])
+            points, errors = linalg.newton_stacked(*search[2:], lattice, values, degree.ZERO_NEWTON)
+            starts += len(lattice)
+            for start, point, error in zip(lattice, points, errors):
+                try:
+                    ref = newton_point(fun, jac if exact else None, start, degree.ZERO_NEWTON)
+                except (NoConvergenceError, SingularJacobianError) as exc:
+                    assert type(error) is type(exc) and str(error) == str(exc)
+                    failed += 1
+                    continue
+                assert error is None and point.tobytes() == ref.tobytes()
+        assert 0 < failed < starts
 
     def test_plain_callable_twin_certifies_the_same(self):
         # rotating_surface with Python callables: no stacked forms, so the

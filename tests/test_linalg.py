@@ -103,10 +103,11 @@ class TestSolveLinear:
             assert norm_inf(x - ref) <= 1e-12 * norm_inf(ref)
         assert determinant(a) == pytest.approx(lu_determinant_reference(a), rel=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_is_the_stacked_elimination(self, n):
-        # one elimination: a system solved alone, and each column of a
-        # matrix right-hand side, is its solve in a stack, bit for bit
+        # one solve: a system solved alone, and each column of a matrix
+        # right-hand side, is its solve in a stack, bit for bit (the closed
+        # forms for 1x1 and 2x2, the elimination from 3x3)
         rng = np.random.default_rng(20 + n)
         stack, rhs = rng.normal(size=(8, n, n)), rng.normal(size=(8, n))
         x, singular = solve_stacked(stack, rhs)
@@ -222,6 +223,36 @@ class TestNewton:
     def test_singular_jacobian_raises(self):
         with pytest.raises(SingularJacobianError):
             newton_solve(lambda q: np.array([1.0 + 0.0 * q[0]]), None, np.array([0.0]))
+
+    @pytest.mark.parametrize("a, message", [
+        ([[0.0]], "^1x1 system is singular$"),
+        ([[1.0, 2.0], [2.0, 4.0]], "^2x2 system is singular$"),
+        ([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 1.0, 3.0]],
+         r"^pivot 0\.000e\+00 below threshold 3\.000e-13 at column 1$"),
+    ])
+    def test_singular_jacobian_carries_the_solve_message(self, a, message):
+        a = np.array(a)
+        with pytest.raises(SingularJacobianError, match=message):
+            newton_solve(lambda q: a @ q - 1.0, lambda q: a, np.zeros(len(a)))
+
+    def test_stagnation_raises(self):
+        # a Jacobian 1e20 times too steep: the step of 1e-20 cannot lower
+        # the residual, and at the damping floor it is below NEWTON_TOL_STEP
+        with pytest.raises(NoConvergenceError,
+                           match=r"^newton stagnated: step 9\.766e-24, residual 1\.000e\+00$"):
+            newton_solve(lambda q: q - 1.0, lambda q: np.array([[1e20]]), np.zeros(1))
+
+    def test_exhausted_budget_raises(self):
+        # a Jacobian twice too steep halves the residual per iteration
+        with pytest.raises(NoConvergenceError,
+                           match=r"^newton used 3 iterations, residual 1\.250e-01 > 1\.000e-12$"):
+            newton_solve(lambda q: q - 1.0, lambda q: np.array([[2.0]]), np.zeros(1),
+                         NewtonConfig(max_iters=3))
+
+    def test_non_finite_converged_iterate_raises(self):
+        # 1/q vanishes only at q = inf
+        with pytest.raises(EvaluationError, match="^newton iterate is non-finite$"):
+            newton_solve(lambda q: 1.0 / q, None, np.array([np.inf]))
 
     def test_backtracking_helps_on_steep_residual(self):
         # atan has a tiny derivative far out; the full step overshoots badly
