@@ -20,6 +20,7 @@ for sizes above ``MAX_GRID``, ``MAX_ZERO_STARTS``, ``MAX_LEMMA_PATHS``,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -409,9 +410,14 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built once per process: parsing leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DaecontError as exc:

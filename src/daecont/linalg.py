@@ -153,16 +153,23 @@ def _singular_messages(a: np.ndarray):
             for p, t, j in zip(pivots, threshold, columns)]
 
 
-def determinant(a: np.ndarray) -> float:
-    """Determinant via LU; returns 0.0 for numerically singular input."""
+def determinant(a: np.ndarray):
+    """Determinant via LU; returns 0.0 for numerically singular input.
+
+    A stack ``(k, n, n)`` gives the array of its ``k`` determinants, each
+    the bits of its own 2D call.
+    """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
+    stack = a if a.ndim == 3 else a[None]
+    k, n = stack.shape[:2]
     if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    _, pivots, singular, _ = _eliminate(a[None], np.zeros((1, n)))
-    return 0.0 if singular[0] else float(np.prod(pivots[0]))
+        det = stack[:, 0, 0]
+    elif n == 2:
+        det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
+    else:
+        _, pivots, singular, _ = _eliminate(stack, np.zeros((k, n)))
+        det = np.where(singular, 0.0, np.prod(pivots, axis=1))
+    return det if a.ndim == 3 else float(det[0])
 
 
 def fd_jacobian(
@@ -311,32 +318,32 @@ def newton_solve(
 
 
 def svd_small(e: np.ndarray):
-    """SVD of a small square matrix with deterministic signs.
+    """SVD of a small square matrix, or of each of a stack ``(..., n, n)``,
+    with deterministic signs.
 
     Returns ``(P, sigma, Q)`` with ``P.T @ e @ Q`` diagonal, ``sigma``
-    nonnegative and nonincreasing, and both factors orthogonal to 1e-12.
-    Singular values below ``1e-13 * sigma[0]`` are set to zero.  Signs are
-    fixed so that the largest-magnitude entry of each column of ``Q``, and
-    of each column of ``P`` past the rank, is positive; columns of ``P``
-    inside the rank follow their ``Q`` column.
+    nonnegative and nonincreasing, and both factors orthogonal to 1e-12
+    (for a stack, stacks of these, slice by slice).  Singular values below
+    ``1e-13 * sigma[0]`` are set to zero.  Signs are fixed per slice so
+    that the largest-magnitude entry of each column of ``Q``, and of each
+    column of ``P`` past the rank, is positive; columns of ``P`` inside
+    the rank follow their ``Q`` column.  Each slice of a stack gets the
+    bits of its own 2D call.
     """
     e = np.asarray(e, dtype=float)
-    n = e.shape[0]
-    if e.shape != (n, n):
+    if e.ndim < 2 or e.shape[-1] != e.shape[-2]:
         raise EvaluationError(f"expected square matrix, got shape {e.shape}")
-    if not 1 <= n <= 32:
+    if not 1 <= e.shape[-1] <= 32:
         raise EvaluationError("svd_small handles matrices from 1x1 up to 32x32")
     if not np.all(np.isfinite(e)):
         raise EvaluationError("svd_small input has non-finite entries")
     p, sigma, qt = np.linalg.svd(e)
-    q = qt.T
-    cutoff = 1e-13 * max(sigma[0], 1e-300)
-    rank = int(np.count_nonzero(sigma > cutoff))
-    sigma[rank:] = 0.0
-    cols = np.arange(n)
-    q_sign = np.sign(q[np.argmax(np.abs(q), axis=0), cols])
-    p_sign = np.sign(p[np.argmax(np.abs(p), axis=0), cols])
-    p_sign[:rank] = q_sign[:rank]
+    q = qt.swapaxes(-1, -2)
+    inside = sigma > 1e-13 * np.maximum(sigma[..., :1], 1e-300)  # the rank, a prefix
+    sigma[~inside] = 0.0
+    lead = lambda f: np.take_along_axis(f, np.argmax(np.abs(f), axis=-2)[..., None, :], axis=-2)
+    q_sign = np.sign(lead(q))
+    p_sign = np.where(inside[..., None, :], q_sign, np.sign(lead(p)))
     # + 0.0 turns the -0.0 of a flipped zero entry into 0.0
     return p * p_sign + 0.0, sigma, q * q_sign + 0.0
 

@@ -11,7 +11,11 @@ The audits quantify, as grid residuals, the structural hypotheses the
 rest of the package relies on: orthogonality of ``A(t)``, constancy of
 the frame products ``A(t) @ dA(t).T`` and ``A(t).T @ dA(t)``, and a family
 of second-derivative identities that hold for orthogonal paths with a
-constant frame product.
+constant frame product.  An audit samples its grid one time at a time,
+stacks the nodes as ``(grid, n, n)`` arrays and computes each quantity
+with one stacked expression; a residual is the max absolute entry of its
+stack, and one that is not finite (a product overflowed, a NaN at any
+node) raises :class:`EvaluationError` naming it.
 """
 
 from __future__ import annotations
@@ -137,13 +141,13 @@ class MatrixPath:
         """Max of ``||A(t+T) - A(t)||_inf`` over a uniform grid.
 
         ``value(t)``, when given, returns ``A(t)`` in place of the path's call.
+        A residual that is not finite raises :class:`EvaluationError`.
         """
         value = self if value is None else value
-        worst = 0.0
-        for k in range(grid):
-            t = k * self.period / grid
-            worst = max(worst, norm_inf(value(t + self.period) - value(t)))
-        return worst
+        times = [k * self.period / grid for k in range(grid)]
+        ends, starts = map(np.array, zip(*[(value(t + self.period), value(t)) for t in times]))
+        with np.errstate(all="ignore"):
+            return _sup(ends - starts, "periodicity_residual")
 
     @staticmethod
     def constant(mat: np.ndarray, period: float = 1.0, name: str = "") -> "MatrixPath":
@@ -261,33 +265,51 @@ class FrameAudit:
         }
 
 
-def _samples(path: MatrixPath, grid_size: int, order: int, sample=None) -> list:
-    """``(A, dA[, d2A])`` at each node of a uniform grid: the audits' one
-    sampling pass, through ``sample(t)`` when it is given."""
+def _samples(path: MatrixPath, grid_size: int, order: int, sample=None) -> tuple:
+    """The stacks ``(A, dA[, d2A])``, each ``(grid_size, n, n)``, of a
+    uniform grid: the audits' one sampling pass, one time at a time,
+    through ``sample(t)`` when it is given."""
     if grid_size < MIN_GRID:
         raise ValueError(f"audit grid must have at least {MIN_GRID} points")
     if sample is None:
         sample = lambda t: tuple(path(t, k) for k in range(order + 1))
-    return [sample(t) for t in _grid_times(path, grid_size)]
+    return tuple(map(np.array, zip(*[sample(t) for t in _grid_times(path, grid_size)])))
 
 
-def _audit_samples(samples: list, tol: float) -> FrameAudit:
-    eye = np.eye(samples[0][0].shape[0])
-    orth = max(norm_inf(a @ a.T - eye) for a, *_ in samples)
-    rights = [a @ da.T for a, da, *_ in samples]
-    lefts = [a.T @ da for a, da, *_ in samples]
-    m_mean = np.mean(rights, axis=0)
-    k_mean = np.mean(lefts, axis=0)
-    return FrameAudit(
-        orthogonality=orth,
-        right_constancy=max(norm_inf(r - m_mean) for r in rights),
-        M=m_mean,
-        left_constancy=max(norm_inf(l - k_mean) for l in lefts),
-        K=k_mean,
-        skewness=norm_inf(m_mean + m_mean.T),
-        tol=tol,
-        grid_size=len(samples),
-    )
+def _t(stack: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack (of a matrix, its transpose)."""
+    return stack.swapaxes(-1, -2)
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a float, or :class:`EvaluationError` naming the audit
+    quantity when it is not finite."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise EvaluationError(f"audit quantity {name} is not finite: {value}")
+    return value
+
+
+def _sup(stack: np.ndarray, name: str) -> float:
+    """Max absolute entry of a stack of node residuals; a NaN at any node
+    propagates, so it raises like an overflow does."""
+    return _finite(np.abs(stack).max(), name)
+
+
+def _audit_samples(a: np.ndarray, da: np.ndarray, tol: float) -> FrameAudit:
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite quantity
+        rights, lefts = a @ _t(da), _t(a) @ da
+        m_mean, k_mean = rights.mean(axis=0), lefts.mean(axis=0)
+        return FrameAudit(
+            orthogonality=_sup(a @ _t(a) - np.eye(a.shape[1]), "orthogonality_residual"),
+            right_constancy=_sup(rights - m_mean, "right_constancy_residual"),
+            M=m_mean,
+            left_constancy=_sup(lefts - k_mean, "left_constancy_residual"),
+            K=k_mean,
+            skewness=_sup(m_mean + m_mean.T, "skewness_residual"),
+            tol=tol,
+            grid_size=len(a),
+        )
 
 
 def frame_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, tol: Optional[float] = None,
@@ -299,21 +321,21 @@ def frame_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, tol: Optional[f
     ``(A(t), dA(t))`` in place of the path's calls (a problem's frame
     function, see :mod:`daecont.transform`); it must give the path's values.
     """
-    samples = _samples(path, grid_size, 1, sample)
-    return _audit_samples(samples, default_tol(path) if tol is None else tol)
+    return _audit_samples(*_samples(path, grid_size, 1, sample),
+                          default_tol(path) if tol is None else tol)
 
 
-# The second-derivative identities, name -> residual matrix at one node
-# from (A, dA, d2A) and M^2 (M the grid mean of A @ dA.T).  For an
+# The second-derivative identities, name -> residual matrices at the nodes
+# from the stacks (A, dA, d2A) and M^2 (M the grid mean of A @ dA.T).  For an
 # orthogonal path with constant right product every one vanishes.
 IDENTITIES = {
-    "accel_symmetry": lambda a, da, dda, m2: dda @ a.T - a @ dda.T,
-    "accel_velocity": lambda a, da, dda, m2: dda @ a.T + da @ da.T,
-    "velocity_square": lambda a, da, dda, m2: da @ da.T + (a @ da.T) @ (a @ da.T),
-    "accel_drift_square": lambda a, da, dda, m2: dda @ a.T - m2,
-    "left_accel_velocity": lambda a, da, dda, m2: dda.T @ a + da.T @ da,
-    "left_velocity_square": lambda a, da, dda, m2: da.T @ da + (a.T @ da) @ (a.T @ da),
-    "left_accel_square": lambda a, da, dda, m2: dda.T @ a - (a.T @ da) @ (a.T @ da),
+    "accel_symmetry": lambda a, da, dda, m2: dda @ _t(a) - a @ _t(dda),
+    "accel_velocity": lambda a, da, dda, m2: dda @ _t(a) + da @ _t(da),
+    "velocity_square": lambda a, da, dda, m2: da @ _t(da) + (a @ _t(da)) @ (a @ _t(da)),
+    "accel_drift_square": lambda a, da, dda, m2: dda @ _t(a) - m2,
+    "left_accel_velocity": lambda a, da, dda, m2: _t(dda) @ a + _t(da) @ da,
+    "left_velocity_square": lambda a, da, dda, m2: _t(da) @ da + (_t(a) @ da) @ (_t(a) @ da),
+    "left_accel_square": lambda a, da, dda, m2: _t(dda) @ a - (_t(a) @ da) @ (_t(a) @ da),
 }
 
 
@@ -350,19 +372,18 @@ def lemma_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID) -> LemmaReport:
     right product (``frame_audit(path).suitable``); when those
     preconditions fail, only the constancy pair is meaningful.
     """
-    samples = _samples(path, grid_size, 2)
-    audit = _audit_samples(samples, default_tol(path))
+    a, da, dda = _samples(path, grid_size, 2)
+    audit = _audit_samples(a, da, default_tol(path))
     m2 = audit.M @ audit.M
-    return LemmaReport(
-        residuals={
-            name: max(norm_inf(formula(a, da, dda, m2)) for a, da, dda in samples)
-            for name, formula in IDENTITIES.items()
-        },
-        constancy_pair=(audit.right_constancy, audit.left_constancy),
-        second_mean=np.mean([a @ dda.T for a, _, dda in samples], axis=0),
-        one_sided_gap=max(norm_inf(a.T @ da - a @ da.T) for a, da, _ in samples),
-        grid_size=grid_size,
-    )
+    with np.errstate(all="ignore"):
+        return LemmaReport(
+            residuals={name: _sup(formula(a, da, dda, m2), name)
+                       for name, formula in IDENTITIES.items()},
+            constancy_pair=(audit.right_constancy, audit.left_constancy),
+            second_mean=(a @ _t(dda)).mean(axis=0),
+            one_sided_gap=_sup(_t(a) @ da - a @ _t(da), "one_sided_gap"),
+            grid_size=grid_size,
+        )
 
 
 def inverse_derivative(b: np.ndarray, db: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .errors import (
     SingularBlockError,
 )
 from .linalg import determinant, norm_inf, svd_small
-from .paths import MatrixPath
+from .paths import MatrixPath, _finite, _sup
 from .transform import DaeProblem1
 
 if TYPE_CHECKING:
@@ -76,28 +76,18 @@ class SemiLinearDae:
             object.__setattr__(self, label, value)
 
 
-def _numerical_rank(sigma: np.ndarray) -> int:
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > RANK_REL * sigma[0]))
+def _numerical_rank(sigma: np.ndarray):
+    # of each slice of a stack of singular values: those above RANK_REL * sigma[0]
+    return np.count_nonzero(sigma > RANK_REL * sigma[..., :1], axis=-1)
 
 
-def _kernel_basis(mat: np.ndarray) -> np.ndarray:
-    # Orthonormal basis of ker(mat.T): left singular vectors past the rank.
-    p, sigma, _ = svd_small(mat)
-    return p[:, _numerical_rank(sigma) :]
-
-
-def _image_basis(mat: np.ndarray) -> np.ndarray:
-    p, sigma, _ = svd_small(mat)
-    return p[:, : _numerical_rank(sigma)]
-
-
-def _subspace_residual(u: np.ndarray, v: np.ndarray) -> float:
-    # 0 iff span(u) == span(v); dimension mismatch counts as maximal.
-    if u.shape[1] != v.shape[1]:
-        return 1.0
-    return norm_inf(u @ u.T - v @ v.T)
+def _subspace_residual(bases: np.ndarray, matches: np.ndarray, v: np.ndarray, name: str) -> float:
+    # Max over the nodes of ||u u.T - v v.T||_inf, 0 iff span(u) == span(v):
+    # u the node's basis, whose dimension is v's where ``matches`` holds; a
+    # node where it is not counts as maximal.
+    u = bases[matches]
+    residual = _sup(u @ u.swapaxes(1, 2) - v @ v.T, name) if len(u) else 0.0
+    return residual if matches.all() else max(1.0, residual)
 
 
 @dataclass(frozen=True)
@@ -172,7 +162,7 @@ class ReductionReport:
 
 def _rank_checked_svd(dae: SemiLinearDae):
     p, sigma, q = svd_small(dae.mass)
-    r = _numerical_rank(sigma)
+    r = int(_numerical_rank(sigma))
     if dae.n % 2 != 0 or r != dae.n // 2:
         raise RankMismatchError(
             f"mass matrix rank {r} must equal n/2 = {dae.n / 2:g} (n = {dae.n})"
@@ -186,6 +176,15 @@ def check_conditions(dae: SemiLinearDae, grid: int = 64) -> ReductionReport:
 
 
 def _check_with(dae, p, sigma, q, r, grid) -> ReductionReport:
+    """The reduction audit with the mass matrix's factors ``p, sigma, q``
+    and rank ``r`` given.
+
+    ``F`` and ``C`` are sampled one time at a time and stacked as
+    ``(grid, n, n)``; the transformed stacks ``P.T @ F @ Q`` and
+    ``P.T @ C @ Q``, their block residuals, one stacked :func:`svd_small`
+    per path (its sign rule applied per slice) and the determinants of
+    the ``F3``, ``F4`` blocks are each one stacked expression.
+    """
     n = dae.n
     e_t = p.T @ dae.mass @ q
     e_res = max(
@@ -194,34 +193,29 @@ def _check_with(dae, p, sigma, q, r, grid) -> ReductionReport:
         norm_inf(e_t[r:, r:]),
     )
     ker_e = p[:, r:]
-    f_res = c_res = 0.0
-    ker_c_res = ker_f_res = 0.0
-    det3 = det4 = np.inf
-    for k in range(grid):
-        t = k * dae.period / grid
-        f_raw, c_raw = dae.Fpath(t), dae.Cpath(t)
-        f_t = p.T @ f_raw @ q
-        c_t = p.T @ c_raw @ q
-        f_res = max(f_res, norm_inf(f_t[:r, :]))
-        c_res = max(c_res, norm_inf(c_t[r:, :]))
-        ker_c_res = max(ker_c_res, _subspace_residual(_kernel_basis(c_raw), ker_e))
-        ker_f_res = max(ker_f_res, _subspace_residual(_image_basis(f_raw), ker_e))
-        det3 = min(det3, abs(determinant(f_t[r:, :r])))
-        det4 = min(det4, abs(determinant(f_t[r:, r:])))
-    return ReductionReport(
-        P=p,
-        Q=q,
-        sigma=sigma,
-        rank=r,
-        e_block_residual=e_res,
-        f_block_residual=f_res,
-        c_block_residual=c_res,
-        kernel_residual_c=ker_c_res,
-        kernel_residual_f=ker_f_res,
-        det_margin_f3=det3,
-        det_margin_f4=det4,
-        grid_size=grid,
-    )
+    times = [k * dae.period / grid for k in range(grid)]
+    f_raw, c_raw = map(np.array, zip(*[(dae.Fpath(t), dae.Cpath(t)) for t in times]))
+    (p_f, sigma_f, _), (p_c, sigma_c, _) = svd_small(f_raw), svd_small(c_raw)
+    with np.errstate(all="ignore"):
+        f_t, c_t = p.T @ f_raw @ q, p.T @ c_raw @ q
+        return ReductionReport(
+            P=p,
+            Q=q,
+            sigma=sigma,
+            rank=r,
+            e_block_residual=e_res,
+            f_block_residual=_sup(f_t[:, :r, :], "f_block_residual"),
+            c_block_residual=_sup(c_t[:, r:, :], "c_block_residual"),
+            # ker C(t).T against ker E.T, im F(t) against ker E.T
+            kernel_residual_c=_subspace_residual(p_c[:, :, r:], _numerical_rank(sigma_c) == r,
+                                                 ker_e, "kernel_residual_c"),
+            kernel_residual_f=_subspace_residual(p_f[:, :, : n - r],
+                                                 _numerical_rank(sigma_f) == n - r,
+                                                 ker_e, "kernel_residual_f"),
+            det_margin_f3=_finite(np.abs(determinant(f_t[:, r:, :r])).min(), "det_margin_f3"),
+            det_margin_f4=_finite(np.abs(determinant(f_t[:, r:, r:])).min(), "det_margin_f4"),
+            grid_size=grid,
+        )
 
 
 def reduce_semilinear(

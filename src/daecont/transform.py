@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import HypothesisViolatedError, SingularMatrixError
 from .linalg import fd_jacobian, norm_inf
-from .paths import DEFAULT_GRID, MatrixPath, frame_audit
+from .paths import DEFAULT_GRID, MatrixPath, _sup, frame_audit
 
 __all__ = [
     "DaeProblem1",
@@ -247,10 +247,9 @@ def _check_frame(prob, audit, sample):
 
 
 def _check_commutation(h: np.ndarray, sample, period: float, tol: float, label: str):
-    worst = 0.0
-    for k in range(DEFAULT_GRID):
-        a = sample(k * period / DEFAULT_GRID)[0]
-        worst = max(worst, norm_inf(h @ a - a @ h))
+    a = np.array([sample(k * period / DEFAULT_GRID)[0] for k in range(DEFAULT_GRID)])
+    with np.errstate(all="ignore"):
+        worst = _sup(h @ a - a @ h, f"commutation residual of {label}")
     if worst > tol:
         raise HypothesisViolatedError(
             f"{label} does not commute with the frame path: residual {worst:.3e} > {tol:.1e}"

@@ -16,11 +16,14 @@ from daecont.kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL
 from daecont.linalg import (
     NEWTON_DAMPING_MIN,
     NEWTON_TOL_STEP,
+    _eliminate,
     fd_jacobian,
     norm_inf,
     quadrature_periodic,
     solve_linear,
 )
+from daecont.paths import MIN_GRID, FrameAudit, LemmaReport, _grid_times, default_tol
+from daecont.semilinear import RANK_REL, ReductionReport
 from daecont.transform import TransformedSystem, _matrices
 
 
@@ -383,3 +386,141 @@ def semilinear_reduction(dae, report, S, dS):
         return c_top(t) @ q.T @ dS(q @ np.concatenate([x, y])) @ q
 
     return block(slice(0, r)), block(slice(r, 2 * r)), f, df
+
+
+# -- grid audits, node by node ------------------------------------------------
+#
+# The per-node loops that the stacked audits of daecont.paths and
+# daecont.semilinear replaced: one norm_inf per node and quantity, the max
+# taken by Python (so, unlike a stacked max, a NaN after the first node is
+# dropped).  Finite inputs give the stacked audits' bits.
+
+
+def audit_nodes(path, grid_size, order, sample=None):
+    """``(A, dA[, d2A])`` at each node of the audit grid, one tuple per node."""
+    if grid_size < MIN_GRID:
+        raise ValueError(f"audit grid must have at least {MIN_GRID} points")
+    if sample is None:
+        sample = lambda t: tuple(path(t, k) for k in range(order + 1))
+    return [sample(t) for t in _grid_times(path, grid_size)]
+
+
+def frame_audit_of_nodes(samples, tol):
+    """The :class:`FrameAudit` of a list of ``(A, dA, ...)`` nodes."""
+    eye = np.eye(samples[0][0].shape[0])
+    orth = max(norm_inf(a @ a.T - eye) for a, *_ in samples)
+    rights = [a @ da.T for a, da, *_ in samples]
+    lefts = [a.T @ da for a, da, *_ in samples]
+    m_mean = np.mean(rights, axis=0)
+    k_mean = np.mean(lefts, axis=0)
+    return FrameAudit(
+        orthogonality=orth,
+        right_constancy=max(norm_inf(r - m_mean) for r in rights),
+        M=m_mean,
+        left_constancy=max(norm_inf(l - k_mean) for l in lefts),
+        K=k_mean,
+        skewness=norm_inf(m_mean + m_mean.T),
+        tol=tol,
+        grid_size=len(samples),
+    )
+
+
+NODE_IDENTITIES = {
+    "accel_symmetry": lambda a, da, dda, m2: dda @ a.T - a @ dda.T,
+    "accel_velocity": lambda a, da, dda, m2: dda @ a.T + da @ da.T,
+    "velocity_square": lambda a, da, dda, m2: da @ da.T + (a @ da.T) @ (a @ da.T),
+    "accel_drift_square": lambda a, da, dda, m2: dda @ a.T - m2,
+    "left_accel_velocity": lambda a, da, dda, m2: dda.T @ a + da.T @ da,
+    "left_velocity_square": lambda a, da, dda, m2: da.T @ da + (a.T @ da) @ (a.T @ da),
+    "left_accel_square": lambda a, da, dda, m2: dda.T @ a - (a.T @ da) @ (a.T @ da),
+}
+
+
+def lemma_audit_of_nodes(path, grid_size=64):
+    """:func:`daecont.paths.lemma_audit`, node by node."""
+    samples = audit_nodes(path, grid_size, 2)
+    audit = frame_audit_of_nodes(samples, default_tol(path))
+    m2 = audit.M @ audit.M
+    return LemmaReport(
+        residuals={
+            name: max(norm_inf(formula(a, da, dda, m2)) for a, da, dda in samples)
+            for name, formula in NODE_IDENTITIES.items()
+        },
+        constancy_pair=(audit.right_constancy, audit.left_constancy),
+        second_mean=np.mean([a @ dda.T for a, _, dda in samples], axis=0),
+        one_sided_gap=max(norm_inf(a.T @ da - a @ da.T) for a, da, _ in samples),
+        grid_size=grid_size,
+    )
+
+
+def svd_of_matrix(e):
+    """:func:`daecont.linalg.svd_small` of one square matrix, by its sign rule."""
+    e = np.asarray(e, dtype=float)
+    n = e.shape[0]
+    p, sigma, qt = np.linalg.svd(e)
+    q = qt.T
+    cutoff = 1e-13 * max(sigma[0], 1e-300)
+    rank = int(np.count_nonzero(sigma > cutoff))
+    sigma[rank:] = 0.0
+    cols = np.arange(n)
+    q_sign = np.sign(q[np.argmax(np.abs(q), axis=0), cols])
+    p_sign = np.sign(p[np.argmax(np.abs(p), axis=0), cols])
+    p_sign[:rank] = q_sign[:rank]
+    return p * p_sign + 0.0, sigma, q * q_sign + 0.0
+
+
+def determinant_of_matrix(a):
+    """:func:`daecont.linalg.determinant` of one matrix: 0.0 where singular."""
+    n = a.shape[0]
+    if n == 1:
+        return float(a[0, 0])
+    if n == 2:
+        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    _, pivots, singular, _ = _eliminate(a[None], np.zeros((1, n)))
+    return 0.0 if singular[0] else float(np.prod(pivots[0]))
+
+
+def _numerical_rank(sigma):
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return 0
+    return int(np.sum(sigma > RANK_REL * sigma[0]))
+
+
+def _subspace_residual(u, v):
+    if u.shape[1] != v.shape[1]:
+        return 1.0
+    return norm_inf(u @ u.T - v @ v.T)
+
+
+def check_with_nodes(dae, p, sigma, q, r, grid):
+    """:func:`daecont.semilinear._check_with`, node by node."""
+    e_t = p.T @ dae.mass @ q
+    e_res = max(norm_inf(e_t[:r, r:]), norm_inf(e_t[r:, :r]), norm_inf(e_t[r:, r:]))
+    ker_e = p[:, r:]
+    f_res = c_res = 0.0
+    ker_c_res = ker_f_res = 0.0
+    det3 = det4 = np.inf
+    for k in range(grid):
+        t = k * dae.period / grid
+        f_raw, c_raw = dae.Fpath(t), dae.Cpath(t)
+        f_t = p.T @ f_raw @ q
+        c_t = p.T @ c_raw @ q
+        f_res = max(f_res, norm_inf(f_t[:r, :]))
+        c_res = max(c_res, norm_inf(c_t[r:, :]))
+        p_c, sigma_c, _ = svd_of_matrix(c_raw)
+        p_f, sigma_f, _ = svd_of_matrix(f_raw)
+        ker_c_res = max(ker_c_res, _subspace_residual(p_c[:, _numerical_rank(sigma_c):], ker_e))
+        ker_f_res = max(ker_f_res, _subspace_residual(p_f[:, : _numerical_rank(sigma_f)], ker_e))
+        det3 = min(det3, abs(determinant_of_matrix(f_t[r:, :r])))
+        det4 = min(det4, abs(determinant_of_matrix(f_t[r:, r:])))
+    return ReductionReport(
+        P=p, Q=q, sigma=sigma, rank=r,
+        e_block_residual=e_res, f_block_residual=f_res, c_block_residual=c_res,
+        kernel_residual_c=ker_c_res, kernel_residual_f=ker_f_res,
+        det_margin_f3=det3, det_margin_f4=det4, grid_size=grid,
+    )
+
+
+def report_bits(report):
+    """A report's ``to_dict`` as ``name -> (type name, bytes)``: equal iff bit for bit."""
+    return {k: (type(v).__name__, np.asarray(v).tobytes()) for k, v in report.to_dict().items()}

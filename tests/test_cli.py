@@ -173,6 +173,25 @@ class TestCheck:
         assert run(capsys, "check", str(f)) == (1, "", err)
         assert run(capsys, "continue", str(f), "--steps", "2") == (1, "", err)
 
+    @pytest.mark.parametrize("argv", [("check",), ("continue", "--steps", "2"),
+                                      ("integrate", "--fixed-frame")])
+    def test_overflowing_audit_products_fail_cleanly(self, capsys, tmp_path, argv):
+        # A = [[1e200 cos t, -sin t], [sin t, cos t]]: A @ A.T overflows;
+        # one daecont line on stderr, no numpy warning (they are errors here)
+        f = tmp_path / "overflow.txt"
+        f.write_text(problem_text("rotating_surface").replace("cos(t), -sin(t)",
+                                                              "1e200*cos(t), -sin(t)"))
+        assert run(capsys, argv[0], str(f), *argv[1:]) == (
+            1, "", "daecont: EvaluationError: audit quantity orthogonality_residual "
+                   "is not finite: inf\n")
+
+    def test_finite_non_orthogonal_frame_keeps_its_message(self, capsys, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text(problem_text("rotating_surface").replace("sin(t), cos(t)", "sin(t), 2*cos(t)"))
+        assert run(capsys, "continue", str(f), "--steps", "2") == (
+            1, "", "daecont: HypothesisViolatedError: frame path is not orthogonal: "
+                   "residual 3.000e+00 > 1.0e-08\n")
+
     @pytest.mark.parametrize("argv", [("check",), ("degree", "--method", "both"),
                                       ("integrate", "--fixed-frame"), ("continue", "--steps", "2"),
                                       ("integrate", "--raw")])
@@ -216,6 +235,11 @@ class TestLemmas:
         _, out1, _ = run(capsys, "lemmas", "--count", "2", "--seed", "9")
         _, out2, _ = run(capsys, "lemmas", "--count", "2", "--seed", "9")
         assert out1 == out2
+
+    def test_matches_golden(self, capsys):
+        # recorded by the per-node audits the stacked ones replaced
+        golden = (GOLDEN_DIR / "lemmas_count_10_seed_0.json").read_text()
+        assert run(capsys, "lemmas", "--count", "10", "--seed", "0") == (0, golden, "")
 
 
 class TestDegree:
@@ -654,6 +678,19 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        from daecont import cli
+
+        assert build_parser() is not build_parser()  # public: a fresh parser per call
+        main(["fixtures"])
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert main(["fixtures"]) == 0 and cli._parser() is cli._parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", "--count", "-1"])
+        assert exc.value.code == 2
+        assert main(["lemmas", "--count", "0"]) == 0  # a failed parse leaves the parser usable
+        capsys.readouterr()
 
 
 class TestByteStability:

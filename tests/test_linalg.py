@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -21,7 +22,14 @@ from daecont.linalg import (
     solve_stacked,
     svd_small,
 )
-from oracles import central_jacobian, lu_determinant_reference, lu_solve_reference, rk4_step
+from oracles import (
+    central_jacobian,
+    determinant_of_matrix,
+    lu_determinant_reference,
+    lu_solve_reference,
+    rk4_step,
+    svd_of_matrix,
+)
 
 
 class TestSolveLinear:
@@ -337,6 +345,71 @@ class TestSvdSmall:
         p, s, q = svd_small(np.zeros((3, 3)))
         assert np.array_equal(s, np.zeros(3))
         assert norm_inf(p.T @ p - np.eye(3)) <= 1e-12
+
+
+def mixed_stack(rng, n):
+    """Twelve n x n matrices: full rank, rank deficient, a zero slice, a
+    negated identity and entries of mixed scale."""
+    mats = [rng.normal(size=(n, n)) for _ in range(6)]
+    for k in (1, 3):
+        mats[k][:, -1] = mats[k][:, 0]  # rank deficiency (none for 1x1)
+    mats[2] = np.outer(rng.normal(size=n), rng.normal(size=n))  # rank one
+    mats += [np.zeros((n, n)), -np.eye(n), 1e-200 * rng.normal(size=(n, n)),
+             1e200 * rng.normal(size=(n, n)), np.diag(np.arange(n, 0, -1.0))]
+    mats.append(np.triu(rng.normal(size=(n, n))))
+    return np.array(mats)
+
+
+class TestSvdSmallStacks:
+    # each slice of a stack gets the bits of its own 2D call and of the
+    # per-matrix oracle (tests/oracles.py)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_slices_match_the_2d_call(self, n):
+        stack = mixed_stack(np.random.default_rng(n), n)
+        p, sigma, q = svd_small(stack)
+        assert p.shape == q.shape == stack.shape and sigma.shape == stack.shape[:2]
+        for k, e in enumerate(stack):
+            for ref in (svd_small(e), svd_of_matrix(e)):
+                assert [f[k].tobytes() for f in (p, sigma, q)] == [f.tobytes() for f in ref]
+
+    def test_leading_dimensions(self):
+        stack = mixed_stack(np.random.default_rng(9), 3)
+        flat = svd_small(stack)
+        nested = svd_small(stack.reshape(3, 4, 3, 3))
+        for f, g in zip(flat, nested):
+            assert g.reshape(f.shape).tobytes() == f.tobytes()
+
+    def test_zero_slice_has_rank_zero_and_positive_leading_entries(self):
+        p, sigma, q = svd_small(np.zeros((2, 3, 3)))
+        assert not sigma.any()
+        for f in (p, q):
+            assert np.all(np.take_along_axis(f, np.argmax(np.abs(f), axis=1)[:, None, :], 1) > 0)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 2), (4, 2, 3), ()])
+    def test_not_square_raises(self, shape):
+        with pytest.raises(EvaluationError, match=rf"expected square matrix, got shape {re.escape(str(shape))}"):
+            svd_small(np.ones(shape))
+
+    def test_non_finite_slice_raises(self):
+        stack = np.array([np.eye(3)] * 4)
+        stack[2, 1, 0] = np.inf
+        with pytest.raises(EvaluationError, match="svd_small input has non-finite entries"):
+            svd_small(stack)
+
+    def test_size_limit_applies_to_stacks(self):
+        with pytest.raises(EvaluationError, match="from 1x1 up to 32x32"):
+            svd_small(np.zeros((2, 33, 33)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_stacked_determinants_match_the_2d_call(n):
+    stack = mixed_stack(np.random.default_rng(20 + n), n)
+    with np.errstate(over="ignore", invalid="ignore"):  # the 1e200 slice overflows to inf
+        dets = determinant(stack)
+        assert dets.shape == (len(stack),)
+        for det, e in zip(dets, stack):
+            assert det.tobytes() == np.float64(determinant(e)).tobytes()
+            assert det.tobytes() == np.float64(determinant_of_matrix(e)).tobytes()
 
 
 class TestQuadrature:

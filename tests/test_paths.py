@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from daecont import paths
+from daecont.cli import random_exp_frame
 from daecont.errors import EvaluationError, SingularMatrixError
-from daecont.fixtures import path_fixture
+from daecont.fixtures import PATHS, PROBLEMS, load_fixture, path_fixture
 from daecont.linalg import norm_inf
 from daecont.paths import (
     MatrixPath,
@@ -13,6 +16,9 @@ from daecont.paths import (
     lemma_audit,
 )
 from daecont.probfile import expr_path
+from daecont.semilinear import SemiLinearDae, reduce_semilinear
+from daecont.transform import _frame_samples
+from oracles import audit_nodes, frame_audit_of_nodes, lemma_audit_of_nodes, report_bits
 
 ROT_GEN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -282,3 +288,77 @@ class TestExplicitDerivativeTables:
         path = expr_path(table, 2 * np.pi, d1_table=d1)
         audit = frame_audit(path)
         assert norm_inf(audit.M) <= 1e-15
+
+
+class TestStackedAudits:
+    # the stacked audits give the per-node loops' bits (tests/oracles.py)
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_lemma_audit_of_path_fixtures(self, name):
+        path = path_fixture(name)
+        assert report_bits(lemma_audit(path)) == report_bits(lemma_audit_of_nodes(path))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_lemma_audit_of_random_exp_frames(self, seed):
+        rng = np.random.default_rng(seed)
+        path = random_exp_frame(rng, int(rng.integers(2, 7)))
+        assert report_bits(lemma_audit(path)) == report_bits(lemma_audit_of_nodes(path))
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_frame_audit_through_frame_samples(self, name):
+        problem = load_fixture(name)
+        if isinstance(problem, SemiLinearDae):
+            problem = reduce_semilinear(problem)
+        sample = _frame_samples(problem, False)
+        audit = frame_audit(problem.A, sample=lambda t: sample(t)[:2])
+        nodes = audit_nodes(problem.A, paths.DEFAULT_GRID, 1, lambda t: sample(t)[:2])
+        assert report_bits(audit) == report_bits(frame_audit_of_nodes(nodes, audit.tol))
+
+    def test_periodicity_residual_is_the_max_over_the_nodes(self):
+        path = MatrixPath(2, 1.0, lambda t: np.array([[np.exp(t), t], [0.0, np.cos(t)]]),
+                          d1=lambda t: np.eye(2))
+        worst = max(norm_inf(path(k / 16 + 1.0) - path(k / 16)) for k in range(16))
+        assert path.periodicity_residual() == worst
+
+
+def _rot2_with_node(value=None, accel=None, k_bad=3, grid=16):
+    # the rotation frame with, at grid node k_bad, its value replaced (and
+    # its rate zeroed) or its second derivative replaced
+    rot = path_fixture("rot2")
+    t_bad = k_bad * rot.period / grid
+    bad = {0: value, 1: None if value is None else np.zeros((2, 2)), 2: accel}
+    order = lambda k: lambda t: bad[k] if t == t_bad and bad[k] is not None else rot(t, k)
+    return MatrixPath(2, rot.period, order(0), d1=order(1), d2=order(2))
+
+
+class TestNonFiniteAudits:
+    def test_overflowing_products_raise_without_warnings(self):
+        big = MatrixPath(2, 2 * np.pi, lambda t: np.array([[1e200 * np.cos(t), -np.sin(t)],
+                                                           [np.sin(t), np.cos(t)]]),
+                         d1=lambda t: np.array([[-1e200 * np.sin(t), -np.cos(t)],
+                                                [np.cos(t), -np.sin(t)]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for audit in (frame_audit, lemma_audit):
+                with pytest.raises(EvaluationError,
+                                   match="orthogonality_residual is not finite: inf"):
+                    audit(big, 16)
+
+    def test_nan_residual_after_the_first_node_is_kept(self):
+        # at node 3, d2A @ A.T has an infinite diagonal entry, so the
+        # accel_symmetry residual there is inf - inf = NaN: Python's
+        # max(0.0, nan) drops it, a stacked max keeps it
+        path = _rot2_with_node(accel=np.full((2, 2), 1.5e308))
+        with np.errstate(all="ignore"):
+            dropped = lemma_audit_of_nodes(path, 16).residuals["accel_symmetry"]
+        assert np.isfinite(dropped)
+        with pytest.raises(EvaluationError, match="accel_symmetry is not finite: nan"):
+            lemma_audit(path, 16)
+
+    def test_finite_non_orthogonal_frame_is_reported(self):
+        audit = frame_audit(_rot2_with_node(value=2.0 * np.eye(2)), 16)
+        assert audit.orthogonality == 3.0 and not audit.is_orthogonal
+
+    def test_non_finite_periodicity_residual_raises(self):
+        path = MatrixPath(1, 1.0, lambda t: np.array([[1e308 if t >= 1.0 else -1e308]]))
+        with pytest.raises(EvaluationError, match="periodicity_residual is not finite"):
+            path.periodicity_residual()

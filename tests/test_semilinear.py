@@ -3,18 +3,24 @@ import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import daecont
-from daecont.errors import ConditionsViolatedError, RankMismatchError, SingularBlockError
+from daecont.errors import (
+    ConditionsViolatedError,
+    EvaluationError,
+    RankMismatchError,
+    SingularBlockError,
+)
 from daecont.fixtures import load_fixture, problem_text
 from daecont.linalg import norm_inf, solve_linear
-from daecont.paths import frame_audit
+from daecont.paths import MatrixPath, frame_audit
 from daecont.probfile import build_problem, parse_problem
 from daecont.semilinear import _check_with, _rank_checked_svd, check_conditions, reduce_semilinear
-from oracles import rk4_step, semilinear_reduction
+from oracles import check_with_nodes, report_bits, rk4_step, semilinear_reduction
 
 
 def worked_example():
@@ -323,3 +329,68 @@ class TestReductionConsistency:
         traj = integrate(red, lam, np.array([0.4, -0.3]), h=h)
         mine = np.column_stack([traj.x, traj.y])
         assert norm_inf(mine - direct) <= 1e-6
+
+
+def coefficient_copy(seed):
+    """semilinear_4x4 with seeded coefficients in its F and C tables."""
+    a, b, c, d = (repr(float(v)) for v in np.random.default_rng(seed).uniform(0.5, 2.0, size=4))
+    tables = {"F": [["0"] * 4, [f"{a}*cos(t)", b, "0", f"-{a}*sin(t)"],
+                    ["0"] * 4, [f"{c}*sin(t)", "0", d, f"{c}*cos(t)"]],
+              "C": [[f"{b} + {c}*cos(t)", a, "0", d], ["0"] * 4,
+                    [d, f"{a} + sin(t)", b, "0"], ["0"] * 4]}
+    text = problem_text("semilinear_4x4")
+    for table, rows in tables.items():
+        start = text.index(f"[{table}]\n")
+        end = text.index("\n\n", start)
+        text = f"{text[:start]}[{table}]\n" + "\n".join(", ".join(row) for row in rows) + text[end:]
+    return build_problem(parse_problem(text))
+
+
+def _check_both(dae, grid=64):
+    p, sigma, q, r = _rank_checked_svd(dae)
+    return _check_with(dae, p, sigma, q, r, grid), check_with_nodes(dae, p, sigma, q, r, grid)
+
+
+class TestStackedCheck:
+    # the stacked reduction audit gives the per-node loop's bits (tests/oracles.py)
+    @pytest.mark.parametrize("name", ["semilinear_4x4", "nonlinear_s", "fd"])
+    def test_fixture_and_rotated_systems(self, name):
+        dae = build_problem(parse_problem(ORACLE_PROBLEMS[name][0]))
+        stacked, nodes = _check_both(dae)
+        assert report_bits(stacked) == report_bits(nodes) and stacked.conditions_hold
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coefficient_copies(self, seed):
+        stacked, nodes = _check_both(coefficient_copy(seed), 16 + 8 * seed)
+        assert report_bits(stacked) == report_bits(nodes)
+
+    def test_violated_conditions(self):
+        dae = worked_variant("C", np.eye(4))
+        stacked, nodes = _check_both(dae)
+        assert report_bits(stacked) == report_bits(nodes) and not stacked.conditions_hold
+        assert report_bits(check_conditions(dae)) == report_bits(nodes)
+
+    def test_ranks_that_change_over_the_grid(self):
+        # C(t) and F(t) lose rank at every other node: those nodes count
+        # as maximal, the others are compared to ker E.T
+        dae = worked_example()
+        p, sigma, q, r = _rank_checked_svd(dae)
+        grid, period = 16, dae.period
+        odd = lambda t: round(t * grid / period) % 2 == 1
+        lose = lambda path, row: MatrixPath(4, period, lambda t: path(t) * np.where(
+            odd(t) & (np.arange(4) == row), 0.0, 1.0)[:, None])
+        stub = SimpleNamespace(n=4, period=period, mass=dae.mass,
+                               Fpath=lose(dae.Fpath, 1), Cpath=lose(dae.Cpath, 0))
+        stacked = _check_with(stub, p, sigma, q, r, grid)
+        nodes = check_with_nodes(stub, p, sigma, q, r, grid)
+        assert report_bits(stacked) == report_bits(nodes)
+        assert stacked.kernel_residual_c == stacked.kernel_residual_f == 1.0
+
+    def test_overflowing_blocks_raise(self):
+        dae = worked_example()
+        p, sigma, q, r = _rank_checked_svd(dae)
+        # finite blocks of F whose 2x2 determinants are inf - inf
+        huge = MatrixPath(4, dae.period, lambda t: np.full((4, 4), 1.6e308) * [1, -1, 1, -1])
+        stub = SimpleNamespace(n=4, period=dae.period, mass=dae.mass, Fpath=huge, Cpath=dae.Cpath)
+        with pytest.raises(EvaluationError, match="audit quantity det_margin_f3 is not finite: nan"):
+            _check_with(stub, p, sigma, q, r, 16)

@@ -75,6 +75,14 @@ class TestFixedFrameFirst:
         with pytest.raises(HypothesisViolatedError):
             fixed_frame_first(prob)
 
+    def test_overflowing_commutation_residual_raises(self):
+        # H @ A overflows: the stacked residual keeps the NaN that a
+        # per-node max could drop, and no numpy warning escapes
+        prob = load_fixture("commuting_h")
+        prob.H = np.full((2, 2), 1.5e308)
+        with pytest.raises(EvaluationError, match="commutation residual of H is not finite"):
+            fixed_frame_first(prob)
+
     def test_commuting_fixture_passes(self):
         prob = load_fixture("commuting_h")
         sys_t = fixed_frame_first(prob)
