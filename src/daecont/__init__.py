@@ -38,7 +38,6 @@ from .periodic import (
     continue_branch,
     find_tpair,
     integrate,
-    shooting_residual,
 )
 from .probfile import ProblemSpec, build_problem, parse_problem, serialize
 from .semilinear import ReductionReport, SemiLinearDae, check_conditions, reduce_semilinear

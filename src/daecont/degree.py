@@ -9,23 +9,20 @@ the reduction shortcut available when the map has the block form
 The generic route refuses to certify anything it cannot defend: zeros on
 the boundary, zeros with (near-)singular Jacobians, and sign patterns
 that suggest an unlocated zero all raise instead of returning a number.
-Every entry point takes only ``(map, box, grid)`` and reads what the
-search needs from the map itself.  Its Newton steps and orientation
-signs use the map's ``jac`` attribute: the candidate map carries its
-exact Jacobian ``[[C, 0], [d1g, d2g]]`` there, and its linear block
-``C`` as ``block`` (which :func:`degree_reduced` reads).  Without a
-``jac`` (the averaged map, or any plain callable) the Jacobian is formed
-by forward differences.
-
-The zero search runs the package's damped Newton
-(:func:`~daecont.linalg.newton_stacked`) over all lattice nodes at once,
-on stacks of points.  A problem compiled from a problem file (or reduced
-from a semi-linear one) carries its constraint on stacks (``g_arrays``),
-and the candidate map built from it carries the stacked map and
-Jacobian as its ``arrays`` attribute; any other map enters the same
-iteration point by point (:func:`~daecont.linalg.stacked_maps`).  The
-survey of the lattice, the boundary margin and the classification of
-each located zero use the point forms.
+Every entry point takes only ``(map, box, grid)`` and turns the map
+once into its stacked pair: the map and its Jacobian on stacks of
+points.  The search reads nothing else: the survey of the lattice and
+the boundary margin are one call each, the package's damped Newton
+(:func:`~daecont.linalg.newton_stacked`) runs over all lattice nodes at
+once, and the located zeros are classified as one stack.  A problem
+compiled from a problem file (or reduced from a semi-linear one) carries
+its constraint on stacks (``g_arrays``), and the candidate map built
+from it carries the pair as ``arrays``, with the exact Jacobian
+``[[C, 0], [d1g, d2g]]``, and its linear block ``C`` as ``block``
+(which :func:`degree_reduced` reads).  Any other map (the averaged map,
+a Python-callable model, a plain callable) is called point by point
+(:func:`~daecont.linalg.stacked_maps`), with its ``jac`` attribute as
+the Jacobian, else forward differences.
 """
 
 from __future__ import annotations
@@ -43,12 +40,12 @@ from .errors import (
 )
 from .linalg import (
     NewtonConfig,
+    _singular_messages,
     determinant,
-    fd_jacobian,
     newton_stacked,
     norm_inf,
     quadrature_periodic,
-    solve_linear,
+    solve_stacked,
     stacked_maps,
 )
 from .kernel import March
@@ -165,63 +162,72 @@ def _boundary_margin(face_values: np.ndarray) -> float:
     return margin
 
 
-def _polish_and_classify(fun, jac, x: np.ndarray, box: Box):
-    # Converged Newton iterate -> (point, sign, det, residual), or raise.
-    r = np.atleast_1d(np.asarray(fun(x), dtype=float))
-    j = np.atleast_2d(np.asarray(jac(x), dtype=float))
+def _stacked(fun):
+    # The map (k, n) -> (k, n) and its Jacobian (k, n, n), given the values,
+    # on stacks of points as newton_stacked takes them: the map's ``arrays``,
+    # else its point forms called at each point (see stacked_maps).
+    arrays = getattr(fun, "arrays", None)
+    if arrays is None:
+        return stacked_maps(fun, getattr(fun, "jac", None))
+    return arrays[0], lambda x, r: arrays[1](x)
+
+
+def _classify(maps, points: np.ndarray, box: Box) -> List[ZeroRecord]:
+    # Converged Newton iterates (k, n), in lattice order -> their records,
+    # or raise for the first zero, in that order, that lies on the boundary
+    # or is degenerate.
+    if not len(points):
+        return []
+    r = maps[0](points)
+    j = maps[1](points, r)
     det = determinant(j)
-    if box.boundary_distance(x) < BOUNDARY_TOL:
-        raise BoundaryZeroError(
-            f"zero at {np.array2string(x, precision=6)} lies within {BOUNDARY_TOL:g} of the boundary"
-        )
-    if abs(det) < DET_TOL:
-        raise DegenerateZeroError(
-            f"zero at {np.array2string(x, precision=6)} has |det J| = {abs(det):.3e} < {DET_TOL:g}"
-        )
+    distance = np.minimum((points - box.lower).min(axis=1), (box.upper - points).min(axis=1))
     # Residual already tiny; if a full Newton step still moves far, the
     # Jacobian at the true zero is singular (flat zero) even though det
-    # at the iterate cleared the absolute threshold.
-    try:
-        step = solve_linear(j, -r)
-    except SingularMatrixError as exc:
-        raise DegenerateZeroError(str(exc)) from exc
-    if norm_inf(step) > 1e-8 * (1.0 + norm_inf(x)):
-        raise DegenerateZeroError(
-            f"zero at {np.array2string(x, precision=6)} is degenerate: residual "
-            f"{norm_inf(r):.3e} but Newton step {norm_inf(step):.3e}"
-        )
-    return ZeroRecord(point=x.copy(), sign=1 if det > 0 else -1, det=float(det),
-                      residual=float(norm_inf(r)))
+    # at the iterate cleared the absolute threshold.  The steps are solved
+    # for the zeros before the first that fails the tests above.
+    passed = np.logical_and.accumulate((distance >= BOUNDARY_TOL) & ~(np.abs(det) < DET_TOL))
+    step, singular = solve_stacked(j[passed], -r[passed])
+    moved, rnorm = np.abs(step).max(axis=1), np.abs(r).max(axis=1)
+    for k, x in enumerate(points):
+        where = np.array2string(x, precision=6)
+        if distance[k] < BOUNDARY_TOL:
+            raise BoundaryZeroError(f"zero at {where} lies within {BOUNDARY_TOL:g} of the boundary")
+        if abs(det[k]) < DET_TOL:
+            raise DegenerateZeroError(
+                f"zero at {where} has |det J| = {abs(det[k]):.3e} < {DET_TOL:g}")
+        if singular[k]:
+            raise DegenerateZeroError(_singular_messages(j[k : k + 1])[0])
+        if moved[k] > 1e-8 * (1.0 + norm_inf(x)):
+            raise DegenerateZeroError(f"zero at {where} is degenerate: residual {rnorm[k]:.3e} "
+                                      f"but Newton step {moved[k]:.3e}")
+    return [ZeroRecord(point=x.copy(), sign=1 if d > 0 else -1, det=float(d), residual=float(n))
+            for x, d, n in zip(points, det, rnorm)]
 
 
-def _survey(fun, box: Box, grid: int):
-    # The seed lattice and the map values on it, evaluated once.
+def _find_zeros(maps, box: Box, grid: int, values=None):
+    # ``maps`` is the map's stacked pair (see _stacked), ``values`` the map
+    # on box.lattice(grid) when the caller has it.
     lattice = box.lattice(grid)
-    return lattice, np.array([fun(p) for p in lattice])
-
-
-def _find_zeros(search, box: Box, grid: int, survey=None):
-    # ``search`` is (map, Jacobian, stacked map, stacked Jacobian), see _search
-    fun, jac, stacked_fun, stacked_jac = search
-    lattice, values = _survey(fun, box, grid) if survey is None else survey
-    runs = [newton_stacked(stacked_fun, stacked_jac, lattice[k : k + NEWTON_BATCH],
-                           values[k : k + NEWTON_BATCH], ZERO_NEWTON)
+    values = maps[0](lattice) if values is None else values
+    runs = [newton_stacked(*maps, lattice[k : k + NEWTON_BATCH], values[k : k + NEWTON_BATCH],
+                           ZERO_NEWTON)
             for k in range(0, len(lattice), NEWTON_BATCH)]
     points = np.concatenate([x for x, _ in runs])
     converged = np.array([error is None for _, errors in runs for error in errors])
     # Dedup in lattice order: the first point left is a zero, and the
     # points within DEDUP_TOL of it are its copies.
-    found: List[np.ndarray] = []
+    found = []
     left = points[converged & box.contains(points, slack=BOUNDARY_TOL)]
     while len(left):
         found.append(left[0])
         left = left[np.abs(left - left[0]).max(axis=1) > DEDUP_TOL]
-    records = [_polish_and_classify(fun, jac, x, box) for x in found]
-    _check_sign_coverage(box, grid, lattice, values, [rec.point for rec in records])
+    records = _classify(maps, np.reshape(found, (-1, box.dim)), box)
+    _check_sign_coverage(box, grid, values, [rec.point for rec in records])
     return records
 
 
-def _check_sign_coverage(box: Box, grid: int, lattice, values, zeros):
+def _check_sign_coverage(box: Box, grid: int, values, zeros):
     # Two adjacent lattice nodes whose sign patterns are fully opposite
     # indicate a zero crossing on the edge between them; every such edge
     # must lie near a located zero, else the degree is not certified.
@@ -254,36 +260,21 @@ def _check_sign_coverage(box: Box, grid: int, lattice, values, zeros):
                 )
 
 
-def _search(fun):
-    # (map, Jacobian, stacked map, stacked Jacobian) for the zero search.
-    # The Jacobian is the map's ``jac``, else forward differences of the
-    # map; the stacked pair is its ``arrays`` (the map and its Jacobian on
-    # stacks of points), else the point forms called at each point.
-    jac, arrays = getattr(fun, "jac", None), getattr(fun, "arrays", None)
-    wrapped = lambda z: np.atleast_1d(np.asarray(fun(z), dtype=float))
-    if jac is None:
-        point_jac = lambda z: fd_jacobian(wrapped, z)
-    else:
-        point_jac = lambda z: np.atleast_2d(np.asarray(jac(z), dtype=float))
-    if arrays is None:
-        return (wrapped, point_jac, *stacked_maps(fun, jac))
-    return wrapped, point_jac, arrays[0], lambda x, r: arrays[1](x)
-
-
 def locate_zeros(fun: Callable[[np.ndarray], np.ndarray], box: Box,
                  grid: int = DEFAULT_GRID) -> List[ZeroRecord]:
     """All regular zeros of ``fun`` inside ``box`` with orientation signs.
 
     Same machinery as :func:`degree_generic` without forming the degree:
     Newton from every node of a uniform lattice, dedup, regularity and
-    coverage checks.  The search reads the map's own ``jac`` (its
-    Jacobian) and ``arrays`` (the pair ``(fun, jac)`` on stacks of points,
-    ``(k, n) -> (k, n)`` and ``(k, n) -> (k, n, n)``) attributes, as the
-    maps of :func:`candidate_map` and :func:`seeding_map` carry them;
-    without them the Jacobian is formed by forward differences and the
-    Newton iteration calls ``fun`` point by point.
+    coverage checks.  Every step of the search (the lattice values, Newton
+    and the check of the located zeros) reads the map's ``arrays``
+    attribute, the pair ``(fun, jac)`` on stacks of points, ``(k, n) ->
+    (k, n)`` and ``(k, n) -> (k, n, n)``, as the maps of
+    :func:`candidate_map` and :func:`seeding_map` carry it.  A map without
+    it is called point by point (:func:`~daecont.linalg.stacked_maps`),
+    with its ``jac`` as the Jacobian, else forward differences.
     """
-    return _find_zeros(_search(fun), box, grid)
+    return _find_zeros(_stacked(fun), box, grid)
 
 
 def candidate_block(sys: TransformedSystem) -> np.ndarray:
@@ -304,9 +295,9 @@ def _block_map(block, g, d1g=None, d2g=None, g_arrays=None) -> Callable[[np.ndar
     # as ``jac`` its Jacobian [[block, 0], [d1g, d2g]] when both constraint
     # blocks are given (else None); as ``arrays`` the map and that Jacobian
     # on stacks of points (k, n), built from g_arrays = (g, d1g, d2g) on
-    # stacks, when given (else None); as ``eta_jac`` the pair (d2g, stacked
-    # d2g), each None where ``jac`` or ``arrays`` is, so that the section of
-    # degree_reduced evaluates the one block it needs.
+    # stacks, when given (else None); as ``eta_jac`` the Jacobian of the
+    # section eta -> g(0, eta) of degree_reduced on stacks (k, s), as
+    # newton_stacked takes it: d2g, else forward differences by eta.
     block = np.atleast_2d(np.asarray(block, dtype=float))
     m = block.shape[0]
 
@@ -333,8 +324,11 @@ def _block_map(block, g, d1g=None, d2g=None, g_arrays=None) -> Callable[[np.ndar
     the_map.block = block
     the_map.jac = None if d1g is None or d2g is None else jacobian(d1g, d2g)
     the_map.arrays = None if g_arrays is None else (stacked_map, jacobian(*g_arrays[1:]))
-    the_map.eta_jac = (None if the_map.jac is None else d2g,
-                       None if g_arrays is None else g_arrays[2])
+    if g_arrays is None:
+        the_map.eta_jac = stacked_maps(lambda q: g(np.zeros(m), q), None if the_map.jac is None
+                                       else lambda q: d2g(np.zeros(m), q))[1]
+    else:
+        the_map.eta_jac = lambda q, r: g_arrays[2](np.zeros((len(q), m)), q)
     return the_map
 
 
@@ -344,11 +338,12 @@ def candidate_map(sys: TransformedSystem) -> Callable[[np.ndarray], np.ndarray]:
     The map is ``(C xi, g(xi, eta))`` with ``C`` the
     :func:`candidate_block` of the transformed system (see
     :func:`~daecont.transform.fixed_frame`).  The returned callable carries
-    what the degree layer reads from it: ``C`` as its ``block``, its
-    Jacobian ``[[C, 0], [g_jac1, g_jac2]]`` as ``jac``, exact wherever the
-    model's constraint blocks are, and as ``arrays`` the map and that
-    Jacobian on stacks of points, built from the system's ``g_arrays``
-    (None when the system has none).
+    what the degree layer reads from it: ``C`` as its ``block``, and as
+    ``arrays`` the map and its Jacobian ``[[C, 0], [g_jac1, g_jac2]]`` on
+    stacks of points, built from the system's ``g_arrays`` (None when the
+    system has none).  Its point Jacobian is its ``jac``, exact wherever
+    the model's constraint blocks are; the degree layer calls the point
+    forms only for a map without ``arrays``.
     """
     return _block_map(candidate_block(sys), sys.g, sys.g_jac1, sys.g_jac2, sys.g_arrays)
 
@@ -362,9 +357,11 @@ def degree_reduced(fun: Callable[[np.ndarray], np.ndarray], box: Box,
     ``xi = 0`` and the degree factors as ``sign(det M)`` times the sum of
     the orientation signs of the zeros of the section
     ``eta -> g(0, eta)``, located on the ``eta`` block of ``box`` like
-    :func:`locate_zeros`.  The section is ``fun`` at ``(0, eta)``, its
-    ``eta`` rows, with the map's ``eta_jac`` (the ``d2g`` block alone, on
-    points and on stacks) as its Jacobian.  (The linear block contributes
+    :func:`locate_zeros`.  The section runs on stacks only: its values are
+    the ``eta`` rows of the map's stacked form (see :func:`locate_zeros`)
+    at ``(0, eta)``, its Jacobian the map's ``eta_jac`` (the ``d2g`` block
+    alone).  The boundary margin is one stacked call of the map on the
+    lattice nodes on the faces of ``box``.  (The linear block contributes
     its orientation sign; any nonzero ``|det M|`` scales the map without
     changing the count.)
     """
@@ -377,14 +374,11 @@ def degree_reduced(fun: Callable[[np.ndarray], np.ndarray], box: Box,
         raise ValueError("box must cover both state blocks")
     # (0, eta) for a point eta (s,) or a stack (k, s)
     at_zero = lambda q: np.concatenate([np.zeros(q.shape[:-1] + (m,)), q], axis=-1)
-    section = lambda q: fun(at_zero(q))[m:]
-    d2g, stacked_d2g = fun.eta_jac
-    section.jac = None if d2g is None else lambda q: d2g(np.zeros(m), q)
-    section.arrays = None if fun.arrays is None else (
-        lambda q: fun.arrays[0](at_zero(q))[:, m:], lambda q: stacked_d2g(np.zeros((len(q), m)), q))
+    values = _stacked(fun)[0]
+    section = (lambda q: values(at_zero(q))[:, m:], fun.eta_jac)
     # not locate_zeros, whose per-call hook in perfbench/tracing.py would count these zeros twice
-    zeros = _find_zeros(_search(section), Box(box.lower[m:], box.upper[m:]), grid)
-    margin = _boundary_margin(np.array([fun(p) for p in box.lattice(grid)[box.face_mask(grid)]]))
+    zeros = _find_zeros(section, Box(box.lower[m:], box.upper[m:]), grid)
+    margin = _boundary_margin(values(box.lattice(grid)[box.face_mask(grid)]))
     sign_m = 1 if det_m > 0 else -1
     full_zeros = [
         ZeroRecord(
@@ -405,16 +399,15 @@ def degree_generic(fun: Callable[[np.ndarray], np.ndarray], box: Box,
 
     Locates all zeros by Newton from every node of a uniform lattice,
     verifies each is regular and interior, and sums orientation signs.
-    One pass over the lattice gives both the seeds' sign pattern and the
-    boundary margin (its nodes on the faces of the box).  Raises rather
-    than guessing whenever the evidence is inconclusive.  The map's own
-    ``jac`` and ``arrays`` serve the Newton steps and the signs, as in
-    :func:`locate_zeros`.
+    One stacked call of the map on the lattice gives both the seeds' sign
+    pattern and the boundary margin (its nodes on the faces of the box).
+    Raises rather than guessing whenever the evidence is inconclusive.
+    The map's stacked form serves every step, as in :func:`locate_zeros`.
     """
-    search = _search(fun)
-    survey = _survey(search[0], box, grid)
-    margin = _boundary_margin(survey[1][box.face_mask(grid)])
-    zeros = _find_zeros(search, box, grid, survey)
+    maps = _stacked(fun)
+    values = maps[0](box.lattice(grid))
+    margin = _boundary_margin(values[box.face_mask(grid)])
+    zeros = _find_zeros(maps, box, grid, values)
     return DegreeCertificate(
         degree=int(sum(z.sign for z in zeros)),
         zeros=zeros,

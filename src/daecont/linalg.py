@@ -217,7 +217,9 @@ def stacked_maps(
     called at each point of a stack.
 
     With ``jac`` None the Jacobian is :func:`fd_jacobian` of ``fun``, the
-    point's value doubling as its base point.
+    point's value doubling as its base point.  It serves :func:`newton_solve`
+    and every step of the degree search of a map that has no stacked form
+    of its own (see :mod:`daecont.degree`).  The stack must not be empty.
     """
     point = lambda z: np.atleast_1d(np.asarray(fun(z), dtype=float))
     if jac is None:

@@ -138,11 +138,13 @@ class MatrixPath:
         raise EvaluationError(f"derivative order {order} not supported (max 2)")
 
     def periodicity_residual(self, grid: int = 16, value: Optional[Callable] = None) -> float:
-        """Max of ``||A(t+T) - A(t)||_inf`` over a uniform grid.
+        """Max of ``||A(t+T) - A(t)||_inf`` over a uniform grid of ``grid >= 1`` times.
 
         ``value(t)``, when given, returns ``A(t)`` in place of the path's call.
         A residual that is not finite raises :class:`EvaluationError`.
         """
+        if grid < 1:
+            raise ValueError(f"periodicity grid must have at least 1 point, got {grid}")
         value = self if value is None else value
         times = [k * self.period / grid for k in range(grid)]
         ends, starts = map(np.array, zip(*[(value(t + self.period), value(t)) for t in times]))
@@ -296,9 +298,8 @@ def _sup(stack: np.ndarray, name: str) -> float:
     return _finite(np.abs(stack).max(), name)
 
 
-def _audit_samples(a: np.ndarray, da: np.ndarray, tol: float) -> FrameAudit:
+def _audit_samples(a: np.ndarray, rights: np.ndarray, lefts: np.ndarray, tol: float) -> FrameAudit:
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite quantity
-        rights, lefts = a @ _t(da), _t(a) @ da
         m_mean, k_mean = rights.mean(axis=0), lefts.mean(axis=0)
         return FrameAudit(
             orthogonality=_sup(a @ _t(a) - np.eye(a.shape[1]), "orthogonality_residual"),
@@ -321,21 +322,23 @@ def frame_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, tol: Optional[f
     ``(A(t), dA(t))`` in place of the path's calls (a problem's frame
     function, see :mod:`daecont.transform`); it must give the path's values.
     """
-    return _audit_samples(*_samples(path, grid_size, 1, sample),
-                          default_tol(path) if tol is None else tol)
+    a, da = _samples(path, grid_size, 1, sample)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite quantity
+        return _audit_samples(a, a @ _t(da), _t(a) @ da, default_tol(path) if tol is None else tol)
 
 
 # The second-derivative identities, name -> residual matrices at the nodes
-# from the stacks (A, dA, d2A) and M^2 (M the grid mean of A @ dA.T).  For an
-# orthogonal path with constant right product every one vanishes.
+# from the stacked products p of lemma_audit, named by their formulas (' is
+# the transpose), and M^2 (M the grid mean of A dA').  For an orthogonal path
+# with constant right product every one vanishes.
 IDENTITIES = {
-    "accel_symmetry": lambda a, da, dda, m2: dda @ _t(a) - a @ _t(dda),
-    "accel_velocity": lambda a, da, dda, m2: dda @ _t(a) + da @ _t(da),
-    "velocity_square": lambda a, da, dda, m2: da @ _t(da) + (a @ _t(da)) @ (a @ _t(da)),
-    "accel_drift_square": lambda a, da, dda, m2: dda @ _t(a) - m2,
-    "left_accel_velocity": lambda a, da, dda, m2: _t(dda) @ a + _t(da) @ da,
-    "left_velocity_square": lambda a, da, dda, m2: _t(da) @ da + (_t(a) @ da) @ (_t(a) @ da),
-    "left_accel_square": lambda a, da, dda, m2: _t(dda) @ a - (_t(a) @ da) @ (_t(a) @ da),
+    "accel_symmetry": lambda p, m2: p["d2A A'"] - p["A d2A'"],
+    "accel_velocity": lambda p, m2: p["d2A A'"] + p["dA dA'"],
+    "velocity_square": lambda p, m2: p["dA dA'"] + p["(A dA')^2"],
+    "accel_drift_square": lambda p, m2: p["d2A A'"] - m2,
+    "left_accel_velocity": lambda p, m2: p["d2A' A"] + p["dA' dA"],
+    "left_velocity_square": lambda p, m2: p["dA' dA"] + p["(A' dA)^2"],
+    "left_accel_square": lambda p, m2: p["d2A' A"] - p["(A' dA)^2"],
 }
 
 
@@ -373,15 +376,19 @@ def lemma_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID) -> LemmaReport:
     preconditions fail, only the constancy pair is meaningful.
     """
     a, da, dda = _samples(path, grid_size, 2)
-    audit = _audit_samples(a, da, default_tol(path))
+    with np.errstate(all="ignore"):  # each distinct stacked product once
+        right, left = a @ _t(da), _t(a) @ da
+        p = {"d2A A'": dda @ _t(a), "A d2A'": a @ _t(dda), "dA dA'": da @ _t(da),
+             "dA' dA": _t(da) @ da, "d2A' A": _t(dda) @ a, "(A dA')^2": right @ right,
+             "(A' dA)^2": left @ left}
+    audit = _audit_samples(a, right, left, default_tol(path))
     m2 = audit.M @ audit.M
     with np.errstate(all="ignore"):
         return LemmaReport(
-            residuals={name: _sup(formula(a, da, dda, m2), name)
-                       for name, formula in IDENTITIES.items()},
+            residuals={name: _sup(formula(p, m2), name) for name, formula in IDENTITIES.items()},
             constancy_pair=(audit.right_constancy, audit.left_constancy),
-            second_mean=(a @ _t(dda)).mean(axis=0),
-            one_sided_gap=_sup(_t(a) @ da - a @ _t(da), "one_sided_gap"),
+            second_mean=p["A d2A'"].mean(axis=0),
+            one_sided_gap=_sup(left - right, "one_sided_gap"),
             grid_size=grid_size,
         )
 

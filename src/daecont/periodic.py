@@ -76,7 +76,6 @@ __all__ = [
     "Branch",
     "consistent_init",
     "integrate",
-    "shooting_residual",
     "find_tpair",
     "continue_branch",
     "branch_seeds",
@@ -330,15 +329,6 @@ def _tpair(lam, traj: Trajectory, constraint_residual, xi0) -> TPair:
         constraint_residual=constraint_residual,
         is_trivial=bool(lam == 0.0 and dev <= TRIVIAL_TOL),
     )
-
-
-def shooting_residual(prob, lam: float, xi0, nsteps: int = DEFAULT_STEPS) -> np.ndarray:
-    """Fixed-frame period-map mismatch ``state(T) - state(0)``.
-
-    For order-1 problems the unknown is ``xi0``; order-2 problems take the
-    stacked ``(xi0, xidot0)``.
-    """
-    return _ShootingRunner(prob, nsteps).shoot(lam, np.atleast_1d(np.asarray(xi0, dtype=float)))
 
 
 def find_tpair(prob, lam: float, xi0_guess, nsteps: int = DEFAULT_STEPS) -> TPair:

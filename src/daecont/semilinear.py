@@ -171,7 +171,10 @@ def _rank_checked_svd(dae: SemiLinearDae):
 
 
 def check_conditions(dae: SemiLinearDae, grid: int = 64) -> ReductionReport:
-    """Audit the reduction hypotheses of a semi-linear DAE on a grid."""
+    """Audit the reduction hypotheses of a semi-linear DAE on a grid of
+    ``grid >= 1`` times."""
+    if grid < 1:
+        raise ValueError(f"reduction audit grid must have at least 1 point, got {grid}")
     return _check_with(dae, *_rank_checked_svd(dae), grid)
 
 

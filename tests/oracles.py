@@ -5,7 +5,11 @@ import math
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from daecont import degree
+from daecont.degree import Box, DegreeCertificate, ZeroRecord
 from daecont.errors import (
+    BoundaryZeroError,
+    DegenerateZeroError,
     EvaluationError,
     NoConvergenceError,
     NonfiniteResultError,
@@ -17,11 +21,15 @@ from daecont.linalg import (
     NEWTON_DAMPING_MIN,
     NEWTON_TOL_STEP,
     _eliminate,
+    determinant,
     fd_jacobian,
+    newton_stacked,
     norm_inf,
     quadrature_periodic,
     solve_linear,
+    stacked_maps,
 )
+from daecont.periodic import DEFAULT_STEPS, _ShootingRunner
 from daecont.paths import MIN_GRID, FrameAudit, LemmaReport, _grid_times, default_tol
 from daecont.semilinear import RANK_REL, ReductionReport
 from daecont.transform import TransformedSystem, _matrices
@@ -285,6 +293,16 @@ def fixed_frame_march(sys, lam, state0, eta0, h, nsteps, sensitivity=False):
     return nodes, aug
 
 
+def shooting_residual(prob, lam, xi0, nsteps=DEFAULT_STEPS):
+    """Fixed-frame period-map mismatch ``state(T) - state(0)``, from one march.
+
+    For order-1 problems the unknown is ``xi0``; order-2 problems take the
+    stacked ``(xi0, xidot0)``.  The library's shooting runner evaluates it
+    inside :func:`~daecont.periodic.find_tpair` and continuation.
+    """
+    return _ShootingRunner(prob, nsteps).shoot(lam, np.atleast_1d(np.asarray(xi0, dtype=float)))
+
+
 def constraint_residual(traj, model):
     """Largest ``|g(A(t) x, B(t) y)|`` over a trajectory's nodes, on numpy arrays.
 
@@ -524,3 +542,123 @@ def check_with_nodes(dae, p, sigma, q, r, grid):
 def report_bits(report):
     """A report's ``to_dict`` as ``name -> (type name, bytes)``: equal iff bit for bit."""
     return {k: (type(v).__name__, np.asarray(v).tobytes()) for k, v in report.to_dict().items()}
+
+
+# -- the degree layer, point by point -----------------------------------------
+#
+# The survey, boundary margin and zero classification that the stacked
+# degree layer replaced: the map called at each lattice node, each face
+# node and each located zero, with its point Jacobian (``jac``, else
+# forward differences).  Newton runs as in the library, on the map's
+# stacked pair (its ``arrays``, else its point forms at each point).
+
+
+def point_forms(fun):
+    """``fun`` and its Jacobian at one point: its ``jac``, else forward differences."""
+    point = lambda z: np.atleast_1d(np.asarray(fun(z), dtype=float))
+    jac = getattr(fun, "jac", None)
+    if jac is None:
+        return point, lambda z: fd_jacobian(point, z)
+    return point, lambda z: np.atleast_2d(np.asarray(jac(z), dtype=float))
+
+
+def classify_point(fun, jac, x, box):
+    """A converged Newton iterate -> its :class:`ZeroRecord`, or raise."""
+    r, j = fun(x), jac(x)
+    det = determinant(j)
+    if box.boundary_distance(x) < degree.BOUNDARY_TOL:
+        raise BoundaryZeroError(f"zero at {np.array2string(x, precision=6)} lies within "
+                                f"{degree.BOUNDARY_TOL:g} of the boundary")
+    if abs(det) < degree.DET_TOL:
+        raise DegenerateZeroError(f"zero at {np.array2string(x, precision=6)} has |det J| = "
+                                  f"{abs(det):.3e} < {degree.DET_TOL:g}")
+    try:
+        step = solve_linear(j, -r)
+    except SingularMatrixError as exc:
+        raise DegenerateZeroError(str(exc)) from exc
+    if norm_inf(step) > 1e-8 * (1.0 + norm_inf(x)):
+        raise DegenerateZeroError(
+            f"zero at {np.array2string(x, precision=6)} is degenerate: residual "
+            f"{norm_inf(r):.3e} but Newton step {norm_inf(step):.3e}"
+        )
+    return ZeroRecord(point=x.copy(), sign=1 if det > 0 else -1, det=float(det),
+                      residual=float(norm_inf(r)))
+
+
+def zeros_by_points(fun, jac, maps, box, grid, values=None):
+    """Zeros of ``fun`` from every lattice node: the point forms ``fun``
+    and ``jac`` survey and classify, ``maps`` is the pair Newton runs on."""
+    lattice = box.lattice(grid)
+    if values is None:
+        values = np.array([fun(p) for p in lattice])
+    batch = degree.NEWTON_BATCH
+    runs = [newton_stacked(*maps, lattice[k : k + batch], values[k : k + batch], degree.ZERO_NEWTON)
+            for k in range(0, len(lattice), batch)]
+    points = np.concatenate([x for x, _ in runs])
+    converged = np.array([error is None for _, errors in runs for error in errors])
+    found = []
+    left = points[converged & box.contains(points, slack=degree.BOUNDARY_TOL)]
+    while len(left):
+        found.append(left[0])
+        left = left[np.abs(left - left[0]).max(axis=1) > degree.DEDUP_TOL]
+    records = [classify_point(fun, jac, x, box) for x in found]
+    degree._check_sign_coverage(box, grid, values, [rec.point for rec in records])
+    return records
+
+
+def stacked_pair(fun):
+    """The pair Newton runs on: ``fun.arrays``, else the point forms at each point."""
+    arrays = getattr(fun, "arrays", None)
+    if arrays is None:
+        return stacked_maps(fun, getattr(fun, "jac", None))
+    return arrays[0], lambda x, r: arrays[1](x)
+
+
+def degree_generic_points(fun, box, grid=degree.DEFAULT_GRID):
+    """:func:`daecont.degree.degree_generic`, surveyed and classified point by point."""
+    point, jac = point_forms(fun)
+    values = np.array([point(p) for p in box.lattice(grid)])
+    margin = degree._boundary_margin(values[box.face_mask(grid)])
+    zeros = zeros_by_points(point, jac, stacked_pair(fun), box, grid, values)
+    return DegreeCertificate(degree=int(sum(z.sign for z in zeros)), zeros=zeros,
+                             boundary_margin=margin, method="generic")
+
+
+def degree_reduced_points(fun, box, grid=degree.DEFAULT_GRID):
+    """:func:`daecont.degree.degree_reduced` with the section and the margin point by point.
+
+    The section ``q -> fun(0, q)[m:]`` takes the ``eta`` block of the
+    map's ``jac`` (forward differences of the section without one), and
+    of its ``arrays`` when it has them.
+    """
+    m_mat = fun.block
+    m = m_mat.shape[0]
+    det_m = determinant(m_mat)
+    if det_m == 0.0:
+        raise SingularMatrixError("reduction shortcut needs a nonsingular linear block")
+    at_zero = lambda q: np.concatenate([np.zeros(q.shape[:-1] + (m,)), q], axis=-1)
+    section = lambda q: np.atleast_1d(np.asarray(fun(at_zero(q))[m:], dtype=float))
+    if fun.jac is None:
+        section_jac = lambda q: fd_jacobian(section, q)
+    else:
+        section_jac = lambda q: fun.jac(at_zero(q))[m:, m:]
+    if fun.arrays is None:
+        maps = stacked_maps(section, None if fun.jac is None else section_jac)
+    else:
+        maps = (lambda q: fun.arrays[0](at_zero(q))[:, m:],
+                lambda q, r: fun.arrays[1](at_zero(q))[:, m:, m:])
+    zeros = zeros_by_points(section, section_jac, maps, Box(box.lower[m:], box.upper[m:]), grid)
+    margin = degree._boundary_margin(
+        np.array([fun(p) for p in box.lattice(grid)[box.face_mask(grid)]]))
+    sign_m = 1 if det_m > 0 else -1
+    full = [ZeroRecord(point=at_zero(z.point), sign=sign_m * z.sign, det=det_m * z.det,
+                       residual=z.residual) for z in zeros]
+    return DegreeCertificate(degree=int(sign_m * sum(z.sign for z in zeros)), zeros=full,
+                             boundary_margin=margin, method="reduced")
+
+
+def certificate_bits(cert):
+    """A degree certificate as bytes: equal iff degree, margin and every zero's fields are."""
+    return (cert.degree, cert.method, np.float64(cert.boundary_margin).tobytes(),
+            [(z.point.tobytes(), z.sign, np.float64(z.det).tobytes(), np.float64(z.residual).tobytes())
+             for z in cert.zeros])

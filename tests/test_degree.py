@@ -42,7 +42,14 @@ from daecont.transform import (
     fixed_frame_first,
     fixed_frame_second,
 )
-from oracles import averaged_map, central_jacobian, newton_point
+from oracles import (
+    averaged_map,
+    central_jacobian,
+    certificate_bits,
+    degree_generic_points,
+    degree_reduced_points,
+    newton_point,
+)
 
 ROT_M = np.array([[0.0, 1.0], [-1.0, 0.0]])
 block_map = degree._block_map
@@ -174,7 +181,7 @@ class TestSeedingMapJacobian:
             calls.append(1)
             return fd(*args, **kwargs)
 
-        for module in (linalg, degree, transform):
+        for module in (linalg, transform):
             monkeypatch.setattr(module, "fd_jacobian", counted)
         return calls
 
@@ -554,9 +561,8 @@ class TestBatchedSearch:
             if exact:
                 fun.jac = jac
             lattice = Box.cube(2.0, dim).lattice(grid)
-            search = degree._search(fun)
-            values = np.array([search[0](z) for z in lattice])
-            points, errors = linalg.newton_stacked(*search[2:], lattice, values, degree.ZERO_NEWTON)
+            maps = degree._stacked(fun)
+            points, errors = linalg.newton_stacked(*maps, lattice, maps[0](lattice), degree.ZERO_NEWTON)
             starts += len(lattice)
             for start, point, error in zip(lattice, points, errors):
                 try:
@@ -633,3 +639,172 @@ class TestBatchedSearch:
             for run in (degree_reduced, degree_generic):
                 with pytest.raises(NonfiniteResultError):
                     run(fun, box)
+
+
+def _rotating_twin():
+    # rotating_surface with its constraint and its blocks as Python
+    # callables: the map has no stacked forms
+    prob = load_fixture("rotating_surface")
+    return DaeProblem1(
+        m=2, s=1, period=prob.period, f=prob.f, A=prob.A, B=prob.B,
+        g=lambda p, q: np.array([q[0] ** 3 + q[0] - p[0] ** 2 - 2.0 * p[1] ** 2]),
+        d1g=lambda p, q: np.array([[-2.0 * p[0], -4.0 * p[1]]]),
+        d2g=lambda p, q: np.array([[3.0 * q[0] ** 2 + 1.0]]),
+    )
+
+
+def _with_constraint(expr):
+    # rotating_surface compiled with another constraint g(p, q)
+    text = problem_text("rotating_surface").replace("q^3 + q - p1^2 - 2*p2^2", expr)
+    return build_problem(parse_problem(text))
+
+
+def _both_methods(prob):
+    # (method, map, library call, point-by-point reference) as the CLI pairs them
+    sys_t = fixed_frame(prob)
+    return sys_t, Box.cube(2.0, sys_t.m + sys_t.s), [
+        ("generic", seeding_map(sys_t), degree_generic, degree_generic_points),
+        ("reduced", candidate_map(sys_t), degree_reduced, degree_reduced_points),
+    ]
+
+
+class TestStackedLayer:
+    """The lattice survey, both boundary margins and the classification of
+    the located zeros run on the map's stacked pair; the point-by-point
+    layer they replaced (tests/oracles.py) is the reference."""
+
+    PROBLEMS = {**{name: (lambda name=name: _seeding_problem(name))
+                   for name in TestBatchedSearch.FIXTURES + ["python_callables"]},
+                "rotating_twin": _rotating_twin}
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_certificates_are_the_point_layers_bit_for_bit(self, name):
+        _, box, methods = _both_methods(self.PROBLEMS[name]())
+        for method, fun, run, reference in methods:
+            if name == "python_callables" and method == "reduced":
+                continue  # its averaged map seeds: no linear block
+            got = run(fun, box)
+            assert got.zeros and certificate_bits(got) == certificate_bits(reference(fun, box)), method
+
+    def test_averaged_map_is_the_point_layers_bit_for_bit(self):
+        sys_t = fixed_frame(load_fixture("scalar_linear"))
+        fun, box = seeding_map(sys_t), Box.cube(2.0, 2)
+        assert getattr(fun, "arrays", None) is None
+        got = degree_generic(fun, box)
+        assert got.zeros and certificate_bits(got) == certificate_bits(degree_generic_points(fun, box))
+
+    @pytest.mark.parametrize("grid", [9, 17])
+    def test_transcendental_constraint_within_tolerance(self, grid):
+        # np.cos/np.exp and math.cos/math.exp may round apart in the last
+        # bit: at one zero the residual reads 0.0 on stacks and 5.6e-17 on
+        # points.  Degree, signs and zero count stay exact; points, det,
+        # residual and margin move at most within the stated tolerances.
+        prob = _with_constraint("q^3 - 2*q + 0.1*cos(5*q) + 0.3*exp(q/3) - 0.3 - p1^2 - 2*p2^2")
+        _, box, methods = _both_methods(prob)
+        for method, fun, run, reference in methods:
+            got, ref = run(fun, box, grid), reference(fun, box, grid)
+            assert (got.degree, [z.sign for z in got.zeros]) == (ref.degree, [z.sign for z in ref.zeros])
+            assert len(got.zeros) == 3
+            assert abs(got.boundary_margin - ref.boundary_margin) <= 1e-15 * ref.boundary_margin
+            for z, z_ref in zip(got.zeros, ref.zeros):
+                assert norm_inf(z.point - z_ref.point) <= 1e-12
+                assert abs(z.det - z_ref.det) <= 1e-12 * abs(z_ref.det)
+                assert abs(z.residual - z_ref.residual) <= 1e-15
+
+    @pytest.fixture
+    def point_calls(self, monkeypatch):
+        # every call of a candidate map's point forms, the map or its jac
+        calls = []
+        build = degree._block_map
+
+        def counted(*args):
+            the_map = build(*args)
+
+            def point(z):
+                calls.append("map")
+                return the_map(z)
+
+            point.__dict__.update(the_map.__dict__)
+            if the_map.jac is not None:
+                point.jac = lambda z: calls.append("jac") or the_map.jac(z)
+            return point
+
+        monkeypatch.setattr(degree, "_block_map", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", TestBatchedSearch.FIXTURES)
+    def test_degree_both_calls_no_point_form(self, name, point_calls, capsys):
+        assert main(["degree", name, "--method", "both"]) == 0
+        assert json.loads(capsys.readouterr().out)["agree"] is True
+        assert point_calls == []
+
+    def test_branch_seeds_calls_no_point_form(self, point_calls):
+        prob = load_fixture("rotating_surface")
+        (seed,) = branch_seeds(prob, Box.cube(2.0, 3))
+        assert point_calls == []
+        # the hook sees a point call: continue_branch's seed test makes one
+        assert norm_inf(seeding_map(fixed_frame(prob))(seed.point)) <= 1e-12
+        assert point_calls == ["map"]
+
+    @pytest.mark.parametrize("flip", [1.0, -1.0])
+    def test_first_failing_zero_in_lattice_order_raises(self, flip):
+        # q^2 (q - 1): a flat zero at 0 and a zero at 1, 1e-7 inside a face
+        # (no lattice node lies on it); flipped, that zero comes first
+        fun = lambda q: (flip * q) ** 2 * (flip * q - 1.0)
+        box = Box(np.array([-1.0 - 1e-7 * (flip < 0)]), np.array([1.0 + 1e-7 * (flip > 0)]))
+        raised = []
+        for run in (degree_generic, degree_generic_points):
+            with pytest.raises((BoundaryZeroError, DegenerateZeroError)) as caught:
+                run(fun, box)
+            raised.append((type(caught.value), str(caught.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] is (DegenerateZeroError if flip > 0 else BoundaryZeroError)
+
+    def test_singular_step_is_degenerate(self):
+        # |det J| = 1e12 clears DET_TOL, but not the 2x2 pivot test
+        # (1e-13 ||J||)^2 = 1e14: the zero at the lattice node 0 (every
+        # other start stops singular) is degenerate
+        fun = lambda z: np.array([1e20 * z[0], 1e-8 * z[1]])
+        raised = []
+        for run in (degree_generic, degree_generic_points):
+            with pytest.raises(DegenerateZeroError, match=r"^2x2 system is singular$") as caught:
+                run(fun, Box.cube(1.0, 2))
+            raised.append(str(caught.value))
+        assert raised[0] == raised[1]
+
+    def test_no_zero_located(self):
+        box = Box.cube(1.0, 2)
+        for fun, run, reference in ((lambda z: z + 5.0, degree_generic, degree_generic_points),
+                                    (block_map(np.eye(1), lambda p, q: q + 5.0), degree_reduced,
+                                     degree_reduced_points)):
+            got = run(fun, box)
+            assert (got.degree, got.zeros) == (0, [])
+            assert certificate_bits(got) == certificate_bits(reference(fun, box))
+
+    def test_empty_face_set_and_empty_zero_stack(self):
+        # every lattice has face nodes (its corners); an empty face set has
+        # no least norm, and an empty stack of zeros evaluates nothing
+        assert degree._boundary_margin(np.empty((0, 3))) == np.inf
+
+        def never(*args):
+            raise AssertionError("an empty stack is not evaluated")
+
+        assert degree._classify((never, never), np.empty((0, 2)), Box.cube(1.0, 2)) == []
+
+    def test_overflow_at_lattice_nodes_raises(self):
+        # 1e-300 * p1^1000 * p1^1000 overflows where |p1| >= 1.5: the float
+        # target gives inf there without raising, the array target raises.
+        # The point layer certified the reduced degree from the finite face
+        # nodes; the stacked margin and survey raise.  The generic point
+        # layer raised already, from its Newton on the stacked pair.
+        prob = _with_constraint("q^3 + q - p1^2 - 2*p2^2 + 1e-300*(p1^1000*p1^1000)")
+        _, box, methods = _both_methods(prob)
+        assert np.isinf(candidate_map(fixed_frame(prob))(np.array([2.0, 0.0, 0.0]))[2])
+        for method, fun, run, reference in methods:
+            with pytest.raises(NonfiniteResultError, match="overflow encountered in multiply"):
+                run(fun, box)
+            if method == "reduced":
+                assert reference(fun, box).degree == 1
+            else:
+                with pytest.raises(NonfiniteResultError, match="overflow encountered in multiply"):
+                    reference(fun, box)

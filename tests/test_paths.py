@@ -253,6 +253,11 @@ class TestPeriodicity:
     def test_periodic_path(self):
         assert path_fixture("rot2").periodicity_residual() <= 1e-12
 
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_grid_below_one_is_rejected(self, grid):
+        with pytest.raises(ValueError, match=rf"^periodicity grid must have at least 1 point, got {grid}$"):
+            path_fixture("rot2").periodicity_residual(grid=grid)
+
     def test_non_periodic_path_reports(self):
         path = MatrixPath(1, 1.0, lambda t: np.array([[np.exp(t)]]),
                           d1=lambda t: np.array([[np.exp(t)]]))

@@ -25,7 +25,6 @@ from daecont.periodic import (
     continue_branch,
     find_tpair,
     integrate,
-    shooting_residual,
 )
 from daecont.transform import DaeProblem1, fixed_frame
 from oracles import (
@@ -33,6 +32,7 @@ from oracles import (
     constraint_residual,
     fixed_frame_march,
     raw_march,
+    shooting_residual,
     solve_constraint,
 )
 

@@ -101,6 +101,12 @@ ORACLE_PROBLEMS = {
 
 
 class TestCheckConditions:
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_grid_below_one_is_rejected(self, grid):
+        with pytest.raises(ValueError, match=rf"^reduction audit grid must have at least 1 point, "
+                                             rf"got {grid}$"):
+            check_conditions(load_fixture("semilinear_4x4"), grid)
+
     def test_worked_example_blocks(self):
         report = check_conditions(worked_example())
         assert report.rank == 2
@@ -159,6 +165,10 @@ class TestCheckConditions:
 
 
 class TestReduce:
+    def test_grid_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^reduction audit grid must have at least 1 point, got 0$"):
+            reduce_semilinear(load_fixture("semilinear_4x4"), 0)
+
     def test_lower_c_block_rejected(self):
         dae = worked_variant("C", np.eye(4))
         assert check_conditions(dae).c_block_residual > 1e-3
