@@ -104,9 +104,11 @@ class Box:
         inside = np.all((x >= self.lower - slack) & (x <= self.upper + slack), axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
-    def boundary_distance(self, x: np.ndarray) -> float:
+    def boundary_distance(self, x: np.ndarray):
+        """Least distance of ``x`` to a face (negative outside); an array for a stack (k, n)."""
         x = np.asarray(x, dtype=float)
-        return float(min((x - self.lower).min(), (self.upper - x).min()))
+        distance = np.minimum((x - self.lower).min(axis=-1), (self.upper - x).min(axis=-1))
+        return float(distance) if distance.ndim == 0 else distance
 
     def lattice(self, grid: int) -> np.ndarray:
         """Uniform grid of seed points, ``grid >= 2`` per axis, corners included."""
@@ -181,7 +183,7 @@ def _classify(maps, points: np.ndarray, box: Box) -> List[ZeroRecord]:
     r = maps[0](points)
     j = maps[1](points, r)
     det = determinant(j)
-    distance = np.minimum((points - box.lower).min(axis=1), (box.upper - points).min(axis=1))
+    distance = box.boundary_distance(points)
     # Residual already tiny; if a full Newton step still moves far, the
     # Jacobian at the true zero is singular (flat zero) even though det
     # at the iterate cleared the absolute threshold.  The steps are solved

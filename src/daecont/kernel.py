@@ -22,7 +22,7 @@ it.  The emitted code keeps these rules:
 
 - the constraint Newton (:func:`_newton`, with its polish iteration,
   stops, typed errors and messages) is the package's only one: the
-  stages and ``integrate``'s start solve (:func:`resolve_raw`) run it;
+  stages and every start solve (:meth:`March.resolve`) run it;
 - 1x1 and 2x2 solves are :func:`~daecont.linalg.solve_linear`'s closed
   forms with their pivot tests, and larger ones call it;
 - a non-finite constraint residual at a non-finite state blames the
@@ -83,8 +83,7 @@ from .linalg import PIVOT_REL, solve_linear
 from .paths import inverse_derivative
 from .transform import TransformedSystem
 
-__all__ = ["March", "resolve_raw", "frame_function", "CONSTRAINT_SOLVE_TOL",
-           "CONSTRAINT_SOLVE_MAX_ITER"]
+__all__ = ["March", "frame_function", "CONSTRAINT_SOLVE_TOL", "CONSTRAINT_SOLVE_MAX_ITER"]
 
 CONSTRAINT_SOLVE_TOL = 1e-12
 CONSTRAINT_SOLVE_MAX_ITER = 40
@@ -127,13 +126,20 @@ class March:
         # an absent drift is zero (D1 is read for order 2 only)
         drifts = [np.zeros(model.m**2).tolist() if d is None
                   else np.asarray(d, dtype=float).ravel().tolist() for d in drifts]
-        self.m = model.m
+        self.m, self._frame = model.m, model.frame_entries
         self._resolve, self._march, self._record, self._forcing = build(
             *functions, model.frame_entries, *drifts, float(lam))
 
     def resolve(self, t, state, eta_guess) -> tuple:
-        """The algebraic block at ``state``'s positions, from ``eta_guess`` (fixed frame)."""
-        return self._resolve(t, *state[: self.m], *eta_guess)
+        """The algebraic block at ``state``'s positions, from ``eta_guess``.
+
+        In the frame it solves ``g(xi, eta) = 0`` for ``eta``; raw it solves
+        ``g(A(t) x, B(t) y) = 0`` for ``y`` on the frame
+        ``model.frame_entries(t)``.  The Newton's rules and errors are the
+        march's (see :func:`_newton`).
+        """
+        frame = (self._frame(t),) if self.raw else ()
+        return self._resolve(t, *frame, *state[: self.m], *eta_guess)
 
     def forcing(self, t, xi, eta) -> tuple:
         """``F(t, xi, eta) = A(t) f(t, x, y[, xdot, ydot])`` of a constant frame node.
@@ -171,31 +177,15 @@ class March:
         return self._record(t, *state, *eta)
 
 
-def resolve_raw(model, t, x, y_guess) -> tuple:
-    """``y`` with ``g(A(t) x, B(t) y) = 0``, by the raw march's Newton from ``y_guess``.
-
-    The frame is ``model.frame_entries(t)``: a problem's frame function, or
-    a transformed system's table.  ``x`` and ``y_guess`` are sequences of
-    floats; the Newton's rules and errors are the march's (see
-    :func:`_newton`).
-    """
-    functions, inlined = _models(model)
-    build = _build(model.order, model.m, model.s, False, True, inlined)
-    zero = [0.0] * model.m**2  # the drifts, which a solve does not read
-    resolve = build(*functions, model.frame_entries, zero, zero, 0.0)[0]
-    return resolve(t, model.frame_entries(t), *x, *y_guess)
-
-
 def _models(model):
     # The functions the build is given and the fragments its source
     # inlines, for the _MODELS of a system or a problem.  A model compiled
     # from trees is inlined, and its slot gets None; any other one is called
     # on numpy arrays through an adapter that returns a flat list (a matrix
     # row by row).  dgdot is None for order 1.
-    problem = getattr(model, "problem", model)
     functions = (model.f, model.f_jac, model.g, model.g_jac1, model.g_jac2,
                  getattr(model, "gdot_jac", None))
-    inlined = tuple(getattr(getattr(problem, name, None), "fragments", None) for name in _MODELS)
+    inlined = tuple(getattr(getattr(model, name, None), "fragments", None) for name in _MODELS)
     return [None if fn is None or own is not None else _adapter(fn)
             for fn, own in zip(functions, inlined)], inlined
 

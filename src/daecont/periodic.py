@@ -13,9 +13,10 @@ and its rate are solved and in how a node maps to original coordinates:
   :class:`~daecont.transform.TransformedSystem` and the nodes are pulled
   back by the march's records.
 
-Both modes return original-coordinate trajectories.  Both take the
-algebraic start from :func:`consistent_init`, which runs the raw march's
-constraint Newton, the one constraint Newton of the package.
+Both modes return original-coordinate trajectories.  Each solves the
+algebraic start with its own stepper (:meth:`~daecont.kernel.March.resolve`,
+the one constraint Newton of the package): raw for ``y``, in the frame
+for ``eta`` at the pushed-forward start.
 
 Periodic orbits are zeros of the shooting residual
 ``xi(T; lam, xi0) - xi0`` posed in the fixed frame, where the constraint
@@ -65,7 +66,7 @@ from .errors import (
     SingularMatrixError,
     SingularMonodromyError,
 )
-from .kernel import March, resolve_raw
+from .kernel import March
 from .linalg import NewtonConfig, newton_solve, norm_inf, solve_linear
 from .paths import DEFAULT_GRID, _grid_times
 from .transform import _frame_samples, _matrices, fixed_frame
@@ -155,13 +156,12 @@ class Branch:
 def consistent_init(prob, t0: float, x0: np.ndarray, y_guess: np.ndarray) -> np.ndarray:
     """Solve ``g(A(t0) x0, B(t0) y) = 0`` for y starting from ``y_guess``.
 
-    The raw march's constraint Newton (:func:`~daecont.kernel.resolve_raw`)
-    on ``prob.frame_entries(t0)``: a problem's frame function, or a
-    transformed system's frame table.
+    The raw march's constraint Newton (:meth:`~daecont.kernel.March.resolve`)
+    on the frame of the problem, or of a transformed system's problem.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
     y_guess = np.atleast_1d(np.asarray(y_guess, dtype=float)).tolist()
-    return np.array(resolve_raw(prob, float(t0), x0, y_guess))
+    return np.array(March(getattr(prob, "problem", prob), 0.0).resolve(float(t0), x0, y_guess))
 
 
 def _step_times(t0, h, nsteps):
@@ -214,22 +214,22 @@ def integrate(
         sample = _frame_samples(prob, True)
         for t in _grid_times(prob.A, DEFAULT_GRID):
             sample(t)
-    if y0 is None:
-        y0 = consistent_init(sys, 0.0, x0, np.zeros(prob.s))
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    a0, b0 = _matrices(sys.frame_entries(0.0), (prob.m, prob.s))
-    start_residual = norm_inf(np.atleast_1d(prob.g(a0 @ x0, b0 @ y0)))
-    if start_residual > 1e-8:
-        raise ValueError(
-            f"initial state violates the constraint (residual {start_residual:.3e}); "
-            "pass y0=None to solve for a consistent start"
-        )
+    if y0 is not None:
+        y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+        a0, b0 = _matrices(sys.frame_entries(0.0), (prob.m, prob.s))
+        start_residual = norm_inf(np.atleast_1d(prob.g(a0 @ x0, b0 @ y0)))
+        if start_residual > 1e-8:
+            raise ValueError(
+                f"initial state violates the constraint (residual {start_residual:.3e}); "
+                "pass y0=None to solve for a consistent start"
+            )
     xdot0 = None if prob.order == 1 else np.zeros(prob.m)
     if mode == "fixed":
         x0, y0, xdot0 = sys.push_forward(0.0, x0, y0, xdot0)
-    state0 = x0 if xdot0 is None else np.concatenate([x0, xdot0])
+    state0 = (x0 if xdot0 is None else np.concatenate([x0, xdot0])).tolist()
     stepper = March(sys, lam)
-    nodes, _ = stepper.march(state0.tolist(), y0.tolist(), h, nsteps)
+    y0 = stepper.resolve(0.0, state0, [0.0] * prob.s) if y0 is None else y0.tolist()
+    nodes, _ = stepper.march(state0, y0, h, nsteps)
     return _trajectory(stepper.record, nodes)[0]
 
 

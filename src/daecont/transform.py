@@ -10,8 +10,10 @@ built from the audited frame product ``M = mean(A @ dA.T)``:
 - order 1: ``dxi/dt  = (H - M) xi + lam * F(t, xi, eta)``
 - order 2: ``d2xi/dt2 = (H1 M + H2 - M^2) xi + (H1 - 2M) dxi/dt + lam * F``
 
-with ``F = A(t) f`` the frame-conjugated forcing.  :class:`TransformedSystem`
-holds the drifts and maps an original-coordinate node into the frame
+with ``F = A(t) f`` the frame-conjugated forcing.  The change of variables
+rewrites the same DAE, so a :class:`TransformedSystem` has no model of its
+own: it is its problem plus the drifts, reads every model attribute from
+the problem, and maps an original-coordinate node into the frame
 (``push_forward``: ``xi = A(t) x``, ``eta = B(t) y``); the way back (``x =
 A(t).T xi``, ``y = B(t)^{-1} eta``, velocities included for order 2) and
 ``F`` are emitted code of :mod:`daecont.kernel`, which the marches and the
@@ -34,6 +36,7 @@ samples: orthogonality and constancy of ``A``, periodicity of ``A`` and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -260,34 +263,22 @@ def _check_commutation(h: np.ndarray, sample, period: float, tol: float, label: 
 class TransformedSystem:
     """Fixed-frame form of a problem: autonomous constraint, constant drifts.
 
-    ``D0`` multiplies the state, ``D1`` (order 2 only) the velocity; ``f``
-    is the problem's forcing, which the emitted stage and ``forcing``
-    conjugate into the frame.  The model derivatives (``g_jac1``,
-    ``g_jac2``, ``f_jac`` and, for order 2, ``gdot_jac``) are the
-    problem's, and so is ``g_arrays``; ``problem`` is the problem itself,
-    whose compiled callables the emitted code inlines (see
-    :mod:`daecont.kernel`).  ``frames`` maps each time the system has seen
-    to its frame (see :meth:`frame_entries`); a copy made with
-    :func:`dataclasses.replace` starts with an empty table.
+    A system is its ``problem`` plus the drifts: ``D0`` multiplies the
+    state, ``D1`` (order 2 only) the velocity, and ``M`` is the audited
+    frame product they are built from.  Every model attribute (``order``,
+    ``m``, ``s``, ``period``, the paths ``A`` and ``B``, the model callables
+    and their derivatives, ``g_arrays``) is read from the problem when it
+    is asked for, so a change to the problem is the system's change; the
+    forcing ``f`` is the problem's, which the emitted stage and ``forcing``
+    conjugate into the frame (see :mod:`daecont.kernel`).  ``frames`` maps
+    each time the system has seen to its frame (see :meth:`frame_entries`);
+    a copy made with :func:`dataclasses.replace` starts with an empty table.
     """
 
-    order: int
-    m: int
-    s: int
-    period: float
+    problem: DaeProblem1 | DaeProblem2
     D0: np.ndarray
     D1: Optional[np.ndarray]
-    f: Callable
-    g: Callable
-    g_jac1: Callable
-    g_jac2: Callable
-    f_jac: Callable
-    gdot_jac: Optional[Callable]
-    A: MatrixPath
-    B: MatrixPath
     M: np.ndarray
-    g_arrays: Optional[tuple] = None
-    problem: object = field(default=None, repr=False)
     frames: dict = field(init=False, default_factory=dict, repr=False)
     _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
@@ -304,22 +295,26 @@ class TransformedSystem:
             entries = self.frames[t] = _frame_function(self, True)(t)
         return entries
 
-    def frame(self, t: float):
-        """``(A(t), B(t))``, read through the frame table."""
-        return _matrices(self.frame_entries(t), (self.m, self.s))
-
     def push_forward(self, t: float, x, y, xdot=None):
         """Frame node ``(xi, eta, xidot)`` of an original-coordinate node.
 
-        ``xi = A(t) x`` and ``eta = B(t) y``; ``xidot`` is None unless
-        ``xdot`` is given (order 2).  The frame is read through the table.
+        ``xi = A(t) x`` and ``eta = B(t) y``; ``eta`` is None when ``y`` is,
+        and ``xidot`` unless ``xdot`` is given (order 2).  The frame is read
+        through the table.
         """
         dims = (self.m, self.s) if xdot is None else (self.m, self.s, self.m)
         a, b, *da = _matrices(self.frame_entries(t), dims)
-        xi, eta = a @ x, b @ y
+        xi, eta = a @ x, None if y is None else b @ y
         if xdot is None:
             return xi, eta, None
         return xi, eta, da[0] @ x + a @ xdot
+
+
+# Read-only views of the problem's model, as properties: a __getattr__
+# fallback would make every A and B lookup of a table fill a Python call.
+for _name in ("order m s period A B f df g d1g d2g dgdot g_arrays g_jac1 g_jac2 f_jac "
+              "gdot_jac").split():
+    setattr(TransformedSystem, _name, property(operator.attrgetter(f"problem.{_name}")))
 
 
 def _transform(prob, validate, labels, drifts) -> TransformedSystem:
@@ -342,25 +337,7 @@ def _transform(prob, validate, labels, drifts) -> TransformedSystem:
                 _check_commutation(h, sample, prob.A.period, audit.tol, label)
         mats.append(h)
     d0, d1 = drifts(audit.M, *mats)
-    return TransformedSystem(
-        order=prob.order,
-        m=prob.m,
-        s=prob.s,
-        period=prob.period,
-        D0=d0,
-        D1=d1,
-        f=prob.f,
-        g=prob.g,
-        g_jac1=prob.g_jac1,
-        g_jac2=prob.g_jac2,
-        f_jac=prob.f_jac,
-        gdot_jac=getattr(prob, "gdot_jac", None),
-        A=prob.A,
-        B=prob.B,
-        M=audit.M,
-        g_arrays=prob.g_arrays,
-        problem=prob,
-    )
+    return TransformedSystem(prob, d0, d1, audit.M)
 
 
 def fixed_frame(prob) -> TransformedSystem:

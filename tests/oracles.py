@@ -197,7 +197,7 @@ def averaged_map(sys, z, quad_n=64):
 def frame_arrays(model, t):
     """``(A(t), B(t))``: a problem's path values, or a system's frame table."""
     if isinstance(model, TransformedSystem):
-        return model.frame(t)
+        return _matrices(model.frame_entries(t), (model.m, model.s))
     return model.A(t), model.B(t)
 
 

@@ -1,12 +1,15 @@
-"""numpy is the only runtime dependency: no command needs scipy.
+"""Imports: every exported name resolves, and numpy is the only runtime
+dependency: no command needs scipy.
 
 The suite's own process has scipy loaded already (the oracles use it), so
 the commands run again in a fresh interpreter whose import system refuses
 scipy, and print what they printed there for the suite to compare.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -92,3 +95,9 @@ def test_no_command_needs_scipy(fresh, capsys):
             code = exc.code
         out, err = capsys.readouterr()
         assert fresh["runs"][" ".join(argv)] == [code, out, err], argv
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(daecont.__path__)))
+def test_every_exported_name_resolves(module):
+    module = importlib.import_module(f"daecont.{module}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from daecont import periodic
+from daecont import kernel, periodic
 from daecont.degree import Box, averaged_map_fn
 from daecont.errors import (
     DaecontError,
@@ -26,7 +26,7 @@ from daecont.periodic import (
     find_tpair,
     integrate,
 )
-from daecont.transform import DaeProblem1, fixed_frame
+from daecont.transform import DaeProblem1, _matrices, fixed_frame
 from oracles import (
     central_jacobian,
     constraint_residual,
@@ -549,9 +549,10 @@ class TestFrameTable:
         runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
         del path_calls[:]
         xi = np.array([0.3, 0.1])
-        x = runner.sys.frame(0.123)[0].T @ xi
+        frame = lambda: _matrices(runner.sys.frame_entries(0.123), (2, 1))[0]
+        x = frame().T @ xi
         assert len(path_calls) == 2 and list(runner.sys.frames) == [0.123]
-        assert (runner.sys.frame(0.123)[0].T @ xi).tobytes() == x.tobytes() and len(path_calls) == 2
+        assert (frame().T @ xi).tobytes() == x.tobytes() and len(path_calls) == 2
         prob = runner.prob
         assert np.array_equal(x, prob.A(0.123).T @ xi)
 
@@ -601,8 +602,8 @@ class TestFrameTable:
     def test_fixed_frame_integration_reads_the_start_frame_from_the_table(self, name,
                                                                           path_times):
         # at t = 0, past the frame audit: one evaluation of each table entry
-        # (A and B, and for order 2 their rates), which the start residual,
-        # consistent_init, push_forward and the march all read
+        # (A and B, and for order 2 their rates), which push_forward and the
+        # march both read
         prob = load_fixture(name)
         fixed_frame(prob)
         audit = path_times.count(0.0)
@@ -610,15 +611,24 @@ class TestFrameTable:
         integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="fixed")
         assert path_times.count(0.0) == audit + 2 * prob.order
 
-    @pytest.mark.parametrize("name, bound", [("rotating_surface", 1030),
-                                             ("rotating_surface_2nd", 2060)])
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
+    def test_fixed_frame_integration_builds_no_raw_kernel(self, name, monkeypatch):
+        # the start is solved in the frame, by the march's own stepper
+        build, raw = kernel._build, []
+        monkeypatch.setattr(kernel, "_build", lambda *args: raw.append(args[4]) or build(*args))
+        prob = load_fixture(name)
+        integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="fixed")
+        assert raw == [False]
+
+    @pytest.mark.parametrize("name, bound", [("rotating_surface", 1028),
+                                             ("rotating_surface_2nd", 2056)])
     def test_raw_integration_evaluates_each_march_time_once(self, name, bound, path_calls):
         # the raw stepper keeps the frame of the last time it saw: A and B
         # (order 2: and their rates) once at each of the 2N + 1 march times,
-        # plus the start checks, where the start solve and the start
-        # residual each read the frame at t = 0 (4 evaluations for order 1,
-        # 8 for order 2); an order-2 node takes its rate right after its
-        # resolve, from the frame the resolve read; N = 256.
+        # plus the start solve, which reads the frame at t = 0 (2
+        # evaluations for order 1, 4 for order 2); an order-2 node takes its
+        # rate right after its resolve, from the frame the resolve read;
+        # N = 256.
         # Before the march, the test of B samples the order-2 frame (A, B
         # and their rates) at the 64 audit-grid times.
         prob = load_fixture(name)
@@ -994,10 +1004,10 @@ class TestFloatConstraintNewton:
     Each case runs the package's one constraint Newton on one constraint
     from one start, through the list adapters of Python callables: as the
     fixed-frame march's solve (March.resolve) and as the raw march's solve
-    (consistent_init, on a problem's frame function and on a system's
-    frame table), against the numpy Newton of the test oracles.  With
-    identity frames the raw solve's products are exact, so the results
-    agree bit for bit, or all raise the same error with the same message.
+    (consistent_init, given a problem and given its system), against the
+    numpy Newton of the test oracles.  With identity frames the raw solve's
+    products are exact, so the results agree bit for bit, or all raise the
+    same error with the same message.
     """
 
     @staticmethod

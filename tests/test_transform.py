@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from daecont import kernel
+from daecont.degree import candidate_map
 from daecont.errors import (
     DaecontError,
     EvaluationError,
@@ -255,6 +256,22 @@ class TestDispatch:
         sys_t = fixed_frame(load_fixture("rotating_surface"))
         del path_calls[:]
         assert fixed_frame(sys_t) is sys_t and path_calls == []  # no second audit
+
+    def test_a_system_reads_its_model_from_its_problem(self):
+        # a system has no model of its own, so no copy can change one, and a
+        # forcing or constraint set on the problem after the transform (as a
+        # tracer wraps them) is what the march's forcing and the candidate
+        # map read; doubling a value doubles it exactly
+        prob = load_fixture("rotating_surface")
+        sys_t = fixed_frame(prob)
+        with pytest.raises(TypeError):
+            replace(sys_t, f=prob.f)
+        z = np.array([0.3, 0.1, 0.2])
+        before = March(sys_t, 0.0).forcing(0.5, [0.3, 0.1], [0.2]), candidate_map(sys_t)(z)
+        f, g = prob.f, prob.g
+        prob.f, prob.g = (lambda *args: 2.0 * f(*args)), (lambda p, q: 2.0 * g(p, q))
+        assert March(sys_t, 0.0).forcing(0.5, [0.3, 0.1], [0.2]) == tuple(2.0 * v for v in before[0])
+        assert candidate_map(sys_t)(z).tolist() == [*before[1][:2], 2.0 * before[1][2]]
 
     def test_march_rate_is_drift_plus_forcing(self):
         # a step of the fixed-frame march is the RK4 step of the rate
