@@ -12,6 +12,12 @@ expressions get exact derivatives), a printer whose output reparses to an
 expression with identical floating-point semantics, and a compiler that
 turns expression vectors/matrices into fast Python callables, into the
 same on stacks of points, and into source fragments to inline.
+
+Compiling checks that every variable is bound and returns at once: the
+function's source is rendered and ``exec``-ed at its first call, so a
+command pays only for the functions it calls (on one pass of the
+benchmark's ``certify`` workload, 138 of the 1,258 functions its problems
+build), while its fragments are available from the start.
 """
 
 from __future__ import annotations
@@ -400,23 +406,27 @@ _COMPILE_GLOBALS = {"math": math, "np": np, "ArithmeticError": ArithmeticError,
                     "float": float, "str": str, "__builtins__": {}}
 
 
-def _compile(args: str, body: str, trees, varmap: Mapping[str, str]) -> Callable:
+def _compile(args: str, body: Callable[[], str], trees, varmap: Mapping[str, str]) -> Callable:
     # A def rather than a lambda, so that math failures (exp overflow, a
     # domain error) raise NonfiniteResultError as in eval_expr; the try
     # costs nothing on calls that do not raise.  Arguments are read as
     # Python floats, whose powers raise on overflow and whose division
     # raises on zero, where numpy scalars would warn and go on with inf.
+    # ``body()`` renders the returned expression at the first call;
     # ``trees`` (flat, a matrix row by row) give the fragment target.
-    lines = [f"def compiled({args}):"]
-    for arg in (a.strip() for a in args.split(",")):
-        if re.search(rf"\b{arg}\[", body):
-            lines.append(f"    {arg} = np.asarray({arg}, dtype=float).tolist()")
-        elif re.search(rf"\b{arg}\b", body):
-            lines.append(f"    {arg} = float({arg})")
-    lines += ["    try:", f"        return {body}",
-              "    except (ArithmeticError, ValueError) as exc:",
-              "        raise _nonfinite(exc) from exc", ""]
-    compiled = _exec(lines)
+    def render():
+        text = body()
+        lines = [f"def compiled({args}):"]
+        for arg in (a.strip() for a in args.split(",")):
+            if re.search(rf"\b{arg}\[", text):
+                lines.append(f"    {arg} = np.asarray({arg}, dtype=float).tolist()")
+            elif re.search(rf"\b{arg}\b", text):
+                lines.append(f"    {arg} = float({arg})")
+        return lines + ["    try:", f"        return {text}",
+                        "    except (ArithmeticError, ValueError) as exc:",
+                        "        raise _nonfinite(exc) from exc", ""]
+
+    compiled = _lazy(trees, varmap, render)
     compiled.fragments = Fragments(args, trees, varmap)
     return compiled
 
@@ -474,18 +484,37 @@ def _exec(lines) -> Callable:
     return namespace["compiled"]
 
 
-def _lazy(lines) -> Callable:
-    # A maker of the function of ``lines``: it compiles the function on the
-    # first request and keeps it, so set-up pays nothing for a target that
-    # a run never calls.
-    compiled = []
+def _check_bound(trees, varmap: Mapping[str, str]) -> None:
+    # Raise for the first variable of the trees, in the order _source
+    # renders them, that ``varmap`` does not bind: the error _source would
+    # raise, without rendering.
+    stack = list(reversed(trees))
+    while stack:
+        ast = stack.pop()
+        kind = type(ast)
+        if kind is Binary:
+            stack += (ast.right, ast.left)
+        elif kind is Unary:
+            stack.append(ast.arg)
+        elif kind is Var and ast.name not in varmap:
+            raise UnboundVariableError(f"variable {ast.name!r} is not bound")
 
-    def make():
-        if not compiled:
-            compiled.append(_exec(lines))
-        return compiled[0]
 
-    return make
+def _lazy(trees, varmap: Mapping[str, str], render: Callable[[], list]) -> Callable:
+    # The function whose source lines ``render()`` gives, rendered and
+    # compiled at its first call and kept, so set-up pays nothing for a
+    # function that a run never calls.  A variable of the ``trees`` that
+    # ``varmap`` does not bind still fails here, at compile time.
+    _check_bound(trees, varmap)
+    fn = None
+
+    def compiled(*values):
+        nonlocal fn
+        if fn is None:
+            fn = _exec(render())
+        return fn(*values)
+
+    return compiled
 
 
 def _compile_arrays(args: str, entries, varmap: Mapping[str, str], dims: tuple) -> Callable:
@@ -494,20 +523,22 @@ def _compile_arrays(args: str, entries, varmap: Mapping[str, str], dims: tuple) 
     # shape stack + dims.  Overflow, division by zero and invalid
     # operations raise NonfiniteResultError like the float target;
     # underflow goes to zero as in math.exp.
-    names = [a.strip() for a in args.split(",")]
-    varmap = {k: re.sub(r"\[(\d+)\]", r"[..., \1]", v) for k, v in varmap.items()}
-    lines = [f"def compiled({args}):"]
-    lines += [f"    {n} = np.asarray({n}, dtype=float)" for n in names]
-    shapes = ", ".join(f"{n}.shape[:-1]" for n in names)
-    lines += [f"    out = np.empty(np.broadcast_shapes({shapes}) + {dims!r})",
-              "    with np.errstate(over='raise', divide='raise', invalid='raise'):",
-              "        try:"]
-    lines += [f"            out[..., {index}] = {_source(ast, varmap, 'np')}" for index, ast in entries]
-    lines += ["        except ArithmeticError as exc:",
-              "            raise _nonfinite(exc) from exc",
-              "    return out", ""]
-    make = _lazy(lines)
-    return lambda *values: make()(*values)
+    def render():
+        names = [a.strip() for a in args.split(",")]
+        stacked = {k: re.sub(r"\[(\d+)\]", r"[..., \1]", v) for k, v in varmap.items()}
+        lines = [f"def compiled({args}):"]
+        lines += [f"    {n} = np.asarray({n}, dtype=float)" for n in names]
+        shapes = ", ".join(f"{n}.shape[:-1]" for n in names)
+        lines += [f"    out = np.empty(np.broadcast_shapes({shapes}) + {dims!r})",
+                  "    with np.errstate(over='raise', divide='raise', invalid='raise'):",
+                  "        try:"]
+        lines += [f"            out[..., {index}] = {_source(ast, stacked, 'np')}"
+                  for index, ast in entries]
+        return lines + ["        except ArithmeticError as exc:",
+                        "            raise _nonfinite(exc) from exc",
+                        "    return out", ""]
+
+    return _lazy([ast for _, ast in entries], varmap, render)
 
 
 def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *,
@@ -523,6 +554,11 @@ def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *
     the same trees as statements over local names of the caller's: the
     float march inlines them (see :mod:`daecont.kernel`).
 
+    A variable that ``varmap`` does not bind raises
+    :class:`UnboundVariableError` here; the source is rendered and
+    compiled at the function's first call, once, from copies of the trees
+    and ``varmap``, and ``fragments`` need no compile.
+
     With ``arrays=True`` the function evaluates the same trees on stacks:
     every argument is an array of vectors along its last axis
     (``x[..., 1]``), and the result has the broadcast stack shape
@@ -530,20 +566,30 @@ def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *
     :class:`NonfiniteResultError` on overflow, division by zero and
     invalid operations, not on underflow.
     """
+    asts, varmap = tuple(asts), dict(varmap)  # rendered at the first call, from copies
     if arrays:
         return _compile_arrays(args, list(enumerate(asts)), varmap, (len(asts),))
-    entries = ", ".join(_source(a, varmap) for a in asts)
-    return _compile(args, f"np.array([{entries}])", asts, varmap)
+
+    def body():
+        return "np.array([" + ", ".join(_source(a, varmap) for a in asts) + "])"
+
+    return _compile(args, body, asts, varmap)
 
 
 def compile_matrix(rows: Sequence[Sequence[Expr]], args: str, varmap: Mapping[str, str], *,
                    arrays: bool = False) -> Callable:
     """Compile a matrix of expressions like :func:`compile_vector`.
 
-    Its ``fragments`` render the entries row by row.
+    Its ``fragments`` render the entries row by row.  It too checks the
+    variables here and renders and compiles its source at its first call.
     """
+    rows, varmap = tuple(map(tuple, rows)), dict(varmap)  # rendered at the first call, from copies
     if arrays:
         entries = [(f"{i}, {j}", a) for i, row in enumerate(rows) for j, a in enumerate(row)]
         return _compile_arrays(args, entries, varmap, (len(rows), len(rows[0])))
-    body = ", ".join("[" + ", ".join(_source(a, varmap) for a in row) + "]" for row in rows)
-    return _compile(args, f"np.array([{body}])", [a for row in rows for a in row], varmap)
+
+    def body():
+        return "np.array([" + ", ".join(
+            "[" + ", ".join(_source(a, varmap) for a in row) + "]" for row in rows) + "])"
+
+    return _compile(args, body, [a for row in rows for a in row], varmap)

@@ -504,26 +504,25 @@ def _fmt_float(v: float) -> str:
 
 
 def _json_value(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        pad = " " * (indent * (level + 1))
         items = [
             f'{pad}{_json.dumps(str(k))}: {_json_value(v, indent, level + 1)}'
             for k, v in obj.items()
         ]
-        return "{\n" + ",\n".join(items) + "\n" + closing + "}"
+        return "{\n" + ",\n".join(items) + "\n" + " " * (indent * level) + "}"
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim in (1, 2) and np.isfinite(obj).all():
+            return _float_array(obj, indent, level)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if all(type(v) is float for v in obj):  # a row of numbers: one pass, no dispatch
             rendered = [_fmt_float(v) for v in obj]
         else:
             rendered = [_json_value(v, indent, level + 1) for v in obj]
-        if sum(len(r) for r in rendered) <= 72 and not any("\n" in r for r in rendered):
-            return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(pad + r for r in rendered) + "\n" + closing + "]"
+        return _bracket(rendered, indent, level)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -535,6 +534,31 @@ def _json_value(obj, indent: int, level: int) -> str:
     if isinstance(obj, str):
         return _json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _bracket(rendered, indent: int, level: int) -> str:
+    # A list of rendered items: on one line while the items take at most
+    # 72 characters and none spans lines, else one item a line.
+    if sum(len(r) for r in rendered) <= 72 and not any("\n" in r for r in rendered):
+        return "[" + ", ".join(rendered) + "]"
+    pad = " " * (indent * (level + 1))
+    return "[\n" + ",\n".join(pad + r for r in rendered) + "\n" + " " * (indent * level) + "]"
+
+
+def _float_array(a: np.ndarray, indent: int, level: int) -> str:
+    # A finite 1-D or 2-D float array as _bracket renders the _fmt_float
+    # strings of its entries, a 2-D array row by row; one % call formats a
+    # row, as '%.17g' % v is format(v, ".17g").
+    n = a.shape[-1]
+    fmt, inline = ", ".join(["%.17g"] * n), 72 + 2 * (n - 1)  # the items' 72 plus separators
+    rendered = []
+    for row in (a[None] if a.ndim == 1 else a).tolist():
+        text = fmt % tuple(row)
+        if len(text) <= inline:
+            rendered.append("[" + text + "]")
+        else:
+            rendered.append(_bracket(text.split(", "), indent, level + a.ndim - 1))
+    return rendered[0] if a.ndim == 1 else _bracket(rendered, indent, level)
 
 
 def to_json(obj, indent: int = 2) -> str:

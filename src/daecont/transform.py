@@ -259,7 +259,7 @@ def _check_commutation(h: np.ndarray, sample, period: float, tol: float, label: 
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class TransformedSystem:
     """Fixed-frame form of a problem: autonomous constraint, constant drifts.
 
@@ -273,6 +273,7 @@ class TransformedSystem:
     conjugate into the frame (see :mod:`daecont.kernel`).  ``frames`` maps
     each time the system has seen to its frame (see :meth:`frame_entries`);
     a copy made with :func:`dataclasses.replace` starts with an empty table.
+    Systems compare by identity: each keeps its own frame table.
     """
 
     problem: DaeProblem1 | DaeProblem2
@@ -280,7 +281,7 @@ class TransformedSystem:
     D1: Optional[np.ndarray]
     M: np.ndarray
     frames: dict = field(init=False, default_factory=dict, repr=False)
-    _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def frame_entries(self, t: float) -> tuple:
         """The frame at ``t`` as one flat tuple of floats, from the table.

@@ -10,7 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import pytest
 
-from daecont import kernel
+from daecont import expressions, kernel
 from daecont.paths import MatrixPath
 
 
@@ -55,3 +55,16 @@ def path_times(monkeypatch):
     times = []
     _count_frames(monkeypatch, lambda path, t: times.append(t))
     return times
+
+
+@pytest.fixture
+def exec_calls(monkeypatch):
+    """The number of expression functions compiled from here on, as a one-item list."""
+    calls, run = [0], expressions._exec
+
+    def counted(lines):
+        calls[0] += 1
+        return run(lines)
+
+    monkeypatch.setattr(expressions, "_exec", counted)
+    return calls

@@ -250,6 +250,69 @@ class TestCompile:
                 inlined(fn, [value])
 
 
+class TestCompileOnFirstCall:
+    """A function is rendered and compiled at its first call, and only then."""
+
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
+    def test_model_functions_compile_at_their_first_call(self, name, exec_calls):
+        prob = load_fixture(name)
+        assert exec_calls == [0]
+        x, y = np.array([0.3, 0.1]), np.array([0.2])
+        f_args = (0.5, x, y) if prob.order == 1 else (0.5, x, y, 0.5 * x, 0.5 * y)
+        for fn, args in ((prob.f, f_args), (prob.g, (x, y)), (prob.d1g, (x, y)),
+                         (prob.A._value, (0.5,)), (prob.g_arrays[0], (x[None], y[None]))):
+            before = exec_calls[0]
+            first = fn(*args)
+            assert exec_calls[0] == before + 1  # compiled once, at the first call
+            assert np.array_equal(fn(*args), first) and exec_calls[0] == before + 1
+
+    def test_fragments_need_no_compile(self, exec_calls):
+        fn = compile_vector([parse_expr("x1 * t")], "t, x", {"t": "t", "x1": "x[0]"})
+        assert inlined(fn, 2.0, [3.0]) == [6.0] and exec_calls == [0]
+
+    @pytest.mark.parametrize("arrays", [False, True])
+    def test_unbound_variable_fails_at_compile_time(self, arrays, exec_calls):
+        # the first unbound variable in the order the entries are written
+        vm = {"x1": "x[0]"}
+        ast = parse_expr("x1 + z2 * z1")
+        with pytest.raises(UnboundVariableError) as interpreted:
+            eval_expr(ast, {"x1": 1.0})
+        for compile_, trees in ((compile_vector, [parse_expr("x1"), ast]),
+                                (compile_matrix, [[parse_expr("x1")], [ast]])):
+            with pytest.raises(UnboundVariableError) as compiled:
+                compile_(trees, "x", vm, arrays=arrays)
+            assert str(compiled.value) == str(interpreted.value) == "variable 'z2' is not bound"
+        assert exec_calls == [0]
+
+    def test_later_changes_to_the_inputs_do_not_reach_the_function(self):
+        trees, vm = [parse_expr("x1 + 1")], {"x1": "x[0]"}
+        vec = compile_vector(trees, "x", vm)
+        rows = [[parse_expr("x1 + 1")]]
+        mat = compile_matrix(rows, "x", vm)
+        trees[0], rows[0][0], vm["x1"] = parse_expr("x1 - 1"), parse_expr("x1 - 1"), "x[1]"
+        assert vec([2.0, 5.0]).tolist() == [3.0] and mat([2.0, 5.0]).tolist() == [[3.0]]
+
+    @pytest.mark.parametrize("text, value", [
+        ("exp(1000*x1)", 1.0),  # exp overflow
+        ("1/x1", 0.0),  # division by zero
+        ("x1^400", 10.0),  # float power overflow
+        ("sin(x1)^3 - 2/x1", 0.7),  # a value
+    ])
+    def test_values_and_failures_are_those_of_eval_expr(self, text, value, exec_calls):
+        ast, vm = parse_expr(text), {"x1": "x[0]"}
+        fns = compile_vector([ast], "x", vm), compile_matrix([[ast]], "x", vm)
+        try:
+            expected = eval_expr(ast, {"x1": value})
+        except NonfiniteResultError as exc:
+            for fn in fns * 2:  # a failed call keeps its compiled function
+                with pytest.raises(NonfiniteResultError) as compiled:
+                    fn(np.array([value]))
+                assert str(compiled.value) == str(exc)
+        else:
+            assert [fn(np.array([value])).ravel().tolist() for fn in fns] == [[expected]] * 2
+        assert exec_calls == [2]
+
+
 class TestArrayTarget:
     """The same trees on stacks of points: a few ULP from the float target."""
 

@@ -8,6 +8,8 @@ from daecont.linalg import norm_inf
 from daecont.paths import frame_audit
 from daecont.periodic import Branch, TPair, Trajectory, integrate
 from daecont.probfile import (
+    _fmt_float,
+    _json_value,
     branch_to_csv,
     build_problem,
     parse_problem,
@@ -26,6 +28,17 @@ class TestParseProblem:
             spec = parse_problem(text)
             assert spec.name == name
             build_problem(spec)
+
+    def test_building_compiles_no_function(self, exec_calls):
+        # model functions are compiled at their first call, not by the build
+        for text in PROBLEMS.values():
+            build_problem(parse_problem(text))
+        assert exec_calls == [0]
+        dae = load_fixture("semilinear_4x4")
+        report = check_conditions(dae)  # samples F and C: compiles their values
+        before = exec_calls[0]
+        build_problem(reduced_spec(dae.spec, report.P, report.sigma, report.Q))
+        assert exec_calls[0] == before
 
     def test_rotating_surface_fields(self):
         spec = parse_problem(problem_text("rotating_surface"))
@@ -166,14 +179,39 @@ class TestJsonOutput:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             to_json({"a": float("inf")})
-        for bad in (float("nan"), float("-inf")):
-            with pytest.raises(ValueError, match="non-finite"):
-                to_json({"rows": [[0.5, 1.0], [2.0, bad]]})
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            for rows in ([[0.5, 1.0], [2.0, bad]], np.array([[0.5, 1.0], [2.0, bad]]),
+                         np.array([0.5, bad])):
+                with pytest.raises(ValueError,
+                                   match=f"^refusing to serialize non-finite value {bad!r}$"):
+                    to_json({"rows": rows})
 
     def test_lists_render_alike_whatever_their_entries(self):
         assert to_json([1.0, 0.5, -2.0]) == to_json([1, 0.5, np.float64(-2.0)]) == "[1, 0.5, -2]\n"
         long = to_json({"v": np.arange(20) / 3.0})
         assert long.count("\n") == 24 and "    0.33333333333333331,\n" in long
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e17, -1.5e-7, 0.1, 3.0],  # 113 characters
+        [-0.0, 5e-324, 1e16, 1e17, 1.5e-7],  # 69 characters
+        [0.5] * 24,  # 72 characters: inline
+        [0.5] * 23 + [0.25],  # 73 characters: one past the inline rule
+        [],
+    ])
+    def test_float_arrays_render_as_value_by_value(self, values):
+        # a finite float array is formatted a row at a time, into the bytes
+        # of the per-value route (its entries as Python floats, each through
+        # _fmt_float) in 1-D, in 2-D (empty ones too) and at any depth
+        a = np.array(values, dtype=float)
+        rows = [_fmt_float(v) for v in values]
+        inline = sum(len(r) for r in rows) <= 72
+        assert _json_value(a, 2, 1) == ("[" + ", ".join(rows) + "]" if inline else
+                                        "[\n" + ",\n".join("    " + r for r in rows) + "\n  ]")
+        rng = np.random.default_rng(5)
+        wide = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3))
+        for arr in (a, a.reshape(1, -1), a.reshape(-1, 1), np.resize(a, (3, a.size)), wide):
+            for level in (0, 1, 3):
+                assert _json_value(arr, 2, level) == _json_value(arr.tolist(), 2, level)
 
     def test_reports_serialize(self):
         audit = frame_audit(load_fixture("rotating_surface").A)

@@ -257,6 +257,12 @@ class TestDispatch:
         del path_calls[:]
         assert fixed_frame(sys_t) is sys_t and path_calls == []  # no second audit
 
+    def test_systems_compare_by_identity(self):
+        # each system keeps its own frame table, so two of one problem are two
+        prob = load_fixture("rotating_surface")
+        first, second = fixed_frame(prob), fixed_frame(prob)
+        assert first == first and first != second and len({first, second}) == 2
+
     def test_a_system_reads_its_model_from_its_problem(self):
         # a system has no model of its own, so no copy can change one, and a
         # forcing or constraint set on the problem after the transform (as a
