@@ -221,8 +221,14 @@ def _frame_audit(problem, grid, tol=None):
     return frame_audit(problem.A, grid, tol, sample=lambda t: sample(t)[:2])
 
 
-def _first_order(obj, grid=64):
-    return reduce_semilinear(obj, grid) if isinstance(obj, SemiLinearDae) else obj
+def _first_order_problem(args, command: str):
+    # The problem a transforming command runs on, a semilinear one reduced
+    # on the audit grid; a path fixture is a usage error.
+    kind, payload = _resolve(args.problem)
+    if kind != "problem":
+        raise _usage(f"{command} needs a problem, not a path fixture")
+    problem = build_problem(payload)
+    return reduce_semilinear(problem, args.grid) if isinstance(problem, SemiLinearDae) else problem
 
 
 def cmd_check(args) -> int:
@@ -295,10 +301,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_degree(args) -> int:
-    kind, payload = _resolve(args.problem)
-    if kind != "problem":
-        raise _usage("degree needs a problem, not a path fixture")
-    problem = _first_order(build_problem(payload), args.grid)
+    problem = _first_order_problem(args, "degree")
     dim = problem.m + problem.s
     if args.zero_grid**dim > MAX_ZERO_STARTS:
         raise _usage(f"--zero-grid {args.zero_grid} gives more than {MAX_ZERO_STARTS} seed points")
@@ -356,10 +359,7 @@ def _integration_steps(problem, h) -> int:
 
 
 def cmd_integrate(args) -> int:
-    kind, payload = _resolve(args.problem)
-    if kind != "problem":
-        raise _usage("integrate needs a problem, not a path fixture")
-    problem = _first_order(build_problem(payload), args.grid)
+    problem = _first_order_problem(args, "integrate")
     try:
         x0 = (np.zeros(problem.m) if args.x0 is None
               else np.array([float(v) for v in args.x0.split(",")]))
@@ -376,10 +376,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_continue(args) -> int:
-    kind, payload = _resolve(args.problem)
-    if kind != "problem":
-        raise _usage("continue needs a problem, not a path fixture")
-    problem = _first_order(build_problem(payload), args.grid)
+    problem = _first_order_problem(args, "continue")
     nsteps = _integration_steps(problem, args.h)
     seed_box = Box.cube(args.radius, problem.m + problem.s)
     system = fixed_frame(problem)  # audited and tabulated once for the seeds and the branch

@@ -15,14 +15,14 @@ points.  The search reads nothing else: the survey of the lattice and
 the boundary margin are one call each, the package's damped Newton
 (:func:`~daecont.linalg.newton_stacked`) runs over all lattice nodes at
 once, and the located zeros are classified as one stack.  A problem
-compiled from a problem file (or reduced from a semi-linear one) carries
-its constraint on stacks (``g_arrays``), and the candidate map built
-from it carries the pair as ``arrays``, with the exact Jacobian
-``[[C, 0], [d1g, d2g]]``, and its linear block ``C`` as ``block``
-(which :func:`degree_reduced` reads).  Any other map (the averaged map,
-a Python-callable model, a plain callable) is called point by point
-(:func:`~daecont.linalg.stacked_maps`), with its ``jac`` attribute as
-the Jacobian, else forward differences.
+compiled from a problem file (or reduced from a semi-linear one) has a
+``g``, ``d1g`` and ``d2g`` that carry their forms on stacks as
+``arrays``, and the candidate map built from them carries the pair as
+``arrays``, with the exact Jacobian ``[[C, 0], [d1g, d2g]]``, and its
+linear block ``C`` as ``block`` (which :func:`degree_reduced` reads).
+Any other map (the averaged map, a Python-callable model, a plain
+callable) is called point by point (:func:`~daecont.linalg.stacked_maps`),
+with its ``jac`` attribute as the Jacobian, else forward differences.
 """
 
 from __future__ import annotations
@@ -292,16 +292,17 @@ def candidate_block(sys: TransformedSystem) -> np.ndarray:
     return -m2 if np.array_equal(sys.D0, -m2) else sys.D0
 
 
-def _block_map(block, g, d1g=None, d2g=None, g_arrays=None) -> Callable[[np.ndarray], np.ndarray]:
+def _block_map(block, g, d1g=None, d2g=None) -> Callable[[np.ndarray], np.ndarray]:
     # z = (xi, eta) -> (block @ xi, g(xi, eta)).  The map carries ``block``;
     # as ``jac`` its Jacobian [[block, 0], [d1g, d2g]] when both constraint
     # blocks are given (else None); as ``arrays`` the map and that Jacobian
-    # on stacks of points (k, n), built from g_arrays = (g, d1g, d2g) on
-    # stacks, when given (else None); as ``eta_jac`` the Jacobian of the
+    # on stacks of points (k, n), from the ``arrays`` of g, d1g and d2g when
+    # all three carry one (else None); as ``eta_jac`` the Jacobian of the
     # section eta -> g(0, eta) of degree_reduced on stacks (k, s), as
     # newton_stacked takes it: d2g, else forward differences by eta.
     block = np.atleast_2d(np.asarray(block, dtype=float))
     m = block.shape[0]
+    stacked = [getattr(fn, "arrays", None) for fn in (g, d1g, d2g)]
 
     def the_map(z):
         z = np.asarray(z, dtype=float)
@@ -309,7 +310,7 @@ def _block_map(block, g, d1g=None, d2g=None, g_arrays=None) -> Callable[[np.ndar
 
     def stacked_map(z):
         return np.concatenate([np.matmul(block, z[:, :m, None])[..., 0],
-                               g_arrays[0](z[:, :m], z[:, m:])], axis=1)
+                               stacked[0](z[:, :m], z[:, m:])], axis=1)
 
     def jacobian(d1, d2):
         # on a point (n,) or a stack (k, n), with d1/d2 of the same form
@@ -325,12 +326,12 @@ def _block_map(block, g, d1g=None, d2g=None, g_arrays=None) -> Callable[[np.ndar
 
     the_map.block = block
     the_map.jac = None if d1g is None or d2g is None else jacobian(d1g, d2g)
-    the_map.arrays = None if g_arrays is None else (stacked_map, jacobian(*g_arrays[1:]))
-    if g_arrays is None:
+    the_map.arrays = None if None in stacked else (stacked_map, jacobian(*stacked[1:]))
+    if the_map.arrays is None:
         the_map.eta_jac = stacked_maps(lambda q: g(np.zeros(m), q), None if the_map.jac is None
                                        else lambda q: d2g(np.zeros(m), q))[1]
     else:
-        the_map.eta_jac = lambda q, r: g_arrays[2](np.zeros((len(q), m)), q)
+        the_map.eta_jac = lambda q, r: stacked[2](np.zeros((len(q), m)), q)
     return the_map
 
 
@@ -342,12 +343,14 @@ def candidate_map(sys: TransformedSystem) -> Callable[[np.ndarray], np.ndarray]:
     :func:`~daecont.transform.fixed_frame`).  The returned callable carries
     what the degree layer reads from it: ``C`` as its ``block``, and as
     ``arrays`` the map and its Jacobian ``[[C, 0], [g_jac1, g_jac2]]`` on
-    stacks of points, built from the system's ``g_arrays`` (None when the
-    system has none).  Its point Jacobian is its ``jac``, exact wherever
-    the model's constraint blocks are; the degree layer calls the point
-    forms only for a map without ``arrays``.
+    stacks of points, from the ``arrays`` of the system's ``g``, ``d1g``
+    and ``d2g`` (None unless all three carry one).  Its point Jacobian is
+    its ``jac``, exact wherever the model's constraint blocks are; the
+    degree layer calls the point forms only for a map without ``arrays``.
     """
-    return _block_map(candidate_block(sys), sys.g, sys.g_jac1, sys.g_jac2, sys.g_arrays)
+    d1g = sys.g_jac1 if sys.d1g is None else sys.d1g  # else differences of g
+    d2g = sys.g_jac2 if sys.d2g is None else sys.d2g
+    return _block_map(candidate_block(sys), sys.g, d1g, d2g)
 
 
 def degree_reduced(fun: Callable[[np.ndarray], np.ndarray], box: Box,

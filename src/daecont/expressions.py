@@ -10,8 +10,9 @@ Beyond parsing and evaluation the module provides symbolic
 differentiation over the closed operator set (so matrix paths written as
 expressions get exact derivatives), a printer whose output reparses to an
 expression with identical floating-point semantics, and a compiler that
-turns expression vectors/matrices into fast Python callables, into the
-same on stacks of points, and into source fragments to inline.
+turns expression vectors/matrices into fast Python callables that carry
+the same trees on stacks of points (``arrays``) and as source fragments
+to inline (``fragments``).
 
 Compiling checks that every variable is bound and returns at once: the
 function's source is rendered and ``exec``-ed at its first call, so a
@@ -382,9 +383,13 @@ def expr_to_text(ast: Expr) -> str:
     return f"({expr_to_text(ast.left)} {ast.op} {expr_to_text(ast.right)})"
 
 
-def _source(ast: Expr, varmap: Mapping[str, str], lib: str = "math") -> str:
+def _source(ast: Expr, varmap: Mapping[str, str], lib: str = "math", bare: bool = False) -> str:
     # Python source of a tree; ``lib`` names the module of sin/cos/exp:
-    # ``math`` for floats, ``np`` for arrays.
+    # ``math`` for floats, ``np`` for arrays.  A left-associated chain of
+    # + and - (or of * and /) takes one pair of parentheses, its left
+    # operands rendered ``bare``: a pair per operator would pass the
+    # parser's nesting limit on a long sum.  Python evaluates the chain
+    # left to right, as the tree does.
     if isinstance(ast, Num):
         return f"({float(ast.value)!r})"
     if isinstance(ast, Var):
@@ -398,7 +403,10 @@ def _source(ast: Expr, varmap: Mapping[str, str], lib: str = "math") -> str:
         return f"{lib}.{ast.op}({_source(ast.arg, varmap, lib)})"
     if ast.op == "^":
         return f"({_source(ast.left, varmap, lib)})**{int(ast.right.value)}"
-    return f"({_source(ast.left, varmap, lib)} {ast.op} {_source(ast.right, varmap, lib)})"
+    left = ast.left
+    chain = type(left) is Binary and left.op != "^" and (left.op in "+-") == (ast.op in "+-")
+    text = f"{_source(left, varmap, lib, chain)} {ast.op} {_source(ast.right, varmap, lib)}"
+    return text if bare else f"({text})"
 
 
 _COMPILE_GLOBALS = {"math": math, "np": np, "ArithmeticError": ArithmeticError,
@@ -406,14 +414,19 @@ _COMPILE_GLOBALS = {"math": math, "np": np, "ArithmeticError": ArithmeticError,
                     "float": float, "str": str, "__builtins__": {}}
 
 
-def _compile(args: str, body: Callable[[], str], trees, varmap: Mapping[str, str]) -> Callable:
+def _compile(args: str, body: Callable[[], str], trees, varmap: Mapping[str, str], dims: tuple,
+             arrays: bool) -> Callable:
     # A def rather than a lambda, so that math failures (exp overflow, a
     # domain error) raise NonfiniteResultError as in eval_expr; the try
     # costs nothing on calls that do not raise.  Arguments are read as
     # Python floats, whose powers raise on overflow and whose division
     # raises on zero, where numpy scalars would warn and go on with inf.
     # ``body()`` renders the returned expression at the first call;
-    # ``trees`` (flat, a matrix row by row) give the fragment target.
+    # ``trees`` (flat, a matrix of shape ``dims`` row by row) give the
+    # fragment target and, with ``arrays``, the array target.  A variable
+    # of the trees that ``varmap`` does not bind fails here.
+    _check_bound(trees, varmap)
+
     def render():
         text = body()
         lines = [f"def compiled({args}):"]
@@ -426,8 +439,10 @@ def _compile(args: str, body: Callable[[], str], trees, varmap: Mapping[str, str
                         "    except (ArithmeticError, ValueError) as exc:",
                         "        raise _nonfinite(exc) from exc", ""]
 
-    compiled = _lazy(trees, varmap, render)
+    compiled = _lazy(render)
     compiled.fragments = Fragments(args, trees, varmap)
+    if arrays:
+        compiled.arrays = _compile_arrays(args, trees, varmap, dims)
     return compiled
 
 
@@ -500,12 +515,10 @@ def _check_bound(trees, varmap: Mapping[str, str]) -> None:
             raise UnboundVariableError(f"variable {ast.name!r} is not bound")
 
 
-def _lazy(trees, varmap: Mapping[str, str], render: Callable[[], list]) -> Callable:
+def _lazy(render: Callable[[], list]) -> Callable:
     # The function whose source lines ``render()`` gives, rendered and
     # compiled at its first call and kept, so set-up pays nothing for a
-    # function that a run never calls.  A variable of the ``trees`` that
-    # ``varmap`` does not bind still fails here, at compile time.
-    _check_bound(trees, varmap)
+    # function that a run never calls.
     fn = None
 
     def compiled(*values):
@@ -517,12 +530,12 @@ def _lazy(trees, varmap: Mapping[str, str], render: Callable[[], list]) -> Calla
     return compiled
 
 
-def _compile_arrays(args: str, entries, varmap: Mapping[str, str], dims: tuple) -> Callable:
+def _compile_arrays(args: str, trees, varmap: Mapping[str, str], dims: tuple) -> Callable:
     # Array target: every argument is a stack of vectors (``x[0]`` reads
-    # ``x[..., 0]``), and the entries ``(index, tree)`` fill an array of
-    # shape stack + dims.  Overflow, division by zero and invalid
-    # operations raise NonfiniteResultError like the float target;
-    # underflow goes to zero as in math.exp.
+    # ``x[..., 0]``), and the trees fill an array of shape stack + dims,
+    # row by row.  Overflow, division by zero and invalid operations raise
+    # NonfiniteResultError like the float target; underflow goes to zero
+    # as in math.exp.
     def render():
         names = [a.strip() for a in args.split(",")]
         stacked = {k: re.sub(r"\[(\d+)\]", r"[..., \1]", v) for k, v in varmap.items()}
@@ -532,13 +545,13 @@ def _compile_arrays(args: str, entries, varmap: Mapping[str, str], dims: tuple) 
         lines += [f"    out = np.empty(np.broadcast_shapes({shapes}) + {dims!r})",
                   "    with np.errstate(over='raise', divide='raise', invalid='raise'):",
                   "        try:"]
-        lines += [f"            out[..., {index}] = {_source(ast, stacked, 'np')}"
-                  for index, ast in entries]
+        lines += [f"            out[..., {', '.join(map(str, index))}] = "
+                  f"{_source(ast, stacked, 'np')}" for index, ast in zip(np.ndindex(dims), trees)]
         return lines + ["        except ArithmeticError as exc:",
                         "            raise _nonfinite(exc) from exc",
                         "    return out", ""]
 
-    return _lazy([ast for _, ast in entries], varmap, render)
+    return _lazy(render)
 
 
 def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *,
@@ -559,21 +572,20 @@ def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *
     compiled at the function's first call, once, from copies of the trees
     and ``varmap``, and ``fragments`` need no compile.
 
-    With ``arrays=True`` the function evaluates the same trees on stacks:
-    every argument is an array of vectors along its last axis
-    (``x[..., 1]``), and the result has the broadcast stack shape
-    followed by the vector's length.  It raises
-    :class:`NonfiniteResultError` on overflow, division by zero and
-    invalid operations, not on underflow.
+    With ``arrays=True`` the function also carries ``arrays``, the same
+    trees on stacks, compiled at its own first call: every argument is an
+    array of vectors along its last axis (``x[..., 1]``), and the result
+    has the broadcast stack shape followed by the vector's length.  It
+    raises :class:`NonfiniteResultError` on overflow, division by zero and
+    invalid operations, not on underflow.  Every form of the trees lives
+    on the one function, so whatever replaces it replaces them all.
     """
     asts, varmap = tuple(asts), dict(varmap)  # rendered at the first call, from copies
-    if arrays:
-        return _compile_arrays(args, list(enumerate(asts)), varmap, (len(asts),))
 
     def body():
         return "np.array([" + ", ".join(_source(a, varmap) for a in asts) + "])"
 
-    return _compile(args, body, asts, varmap)
+    return _compile(args, body, asts, varmap, (len(asts),), arrays)
 
 
 def compile_matrix(rows: Sequence[Sequence[Expr]], args: str, varmap: Mapping[str, str], *,
@@ -581,15 +593,14 @@ def compile_matrix(rows: Sequence[Sequence[Expr]], args: str, varmap: Mapping[st
     """Compile a matrix of expressions like :func:`compile_vector`.
 
     Its ``fragments`` render the entries row by row.  It too checks the
-    variables here and renders and compiles its source at its first call.
+    variables here and renders and compiles its source at its first call,
+    and with ``arrays=True`` carries its stacked form as ``arrays``.
     """
     rows, varmap = tuple(map(tuple, rows)), dict(varmap)  # rendered at the first call, from copies
-    if arrays:
-        entries = [(f"{i}, {j}", a) for i, row in enumerate(rows) for j, a in enumerate(row)]
-        return _compile_arrays(args, entries, varmap, (len(rows), len(rows[0])))
 
     def body():
         return "np.array([" + ", ".join(
             "[" + ", ".join(_source(a, varmap) for a in row) + "]" for row in rows) + "])"
 
-    return _compile(args, body, [a for row in rows for a in row], varmap)
+    return _compile(args, body, [a for row in rows for a in row], varmap,
+                    (len(rows), len(rows[0])), arrays)

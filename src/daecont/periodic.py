@@ -164,16 +164,6 @@ def consistent_init(prob, t0: float, x0: np.ndarray, y_guess: np.ndarray) -> np.
     return np.array(March(getattr(prob, "problem", prob), 0.0).resolve(float(t0), x0, y_guess))
 
 
-def _step_times(t0, h, nsteps):
-    # (start, midpoint, end) of each RK4 step of a march from t0: the exact
-    # floats its stages see.
-    t = t0
-    for _ in range(nsteps):
-        end = t + h
-        yield t, t + 0.5 * h, end
-        t = end
-
-
 def _steps_for(span_len, h):
     # ValueError unless h divides the span into 1..MAX_STEPS steps (the cap first: inf has no int)
     if not span_len / h < MAX_STEPS + 0.5:
@@ -364,7 +354,9 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     m = runner.prob.m
     xi0, eta0 = seed[:m], seed[m:].tolist()
     state = xi0.tolist() + [0.0] * (runner.state_dim - m)
-    times = [0.0] + [end for _, _, end in _step_times(0.0, runner.h, runner.nsteps)]
+    times = [0.0]
+    for _ in range(runner.nsteps):  # the running sum t + h, as a march steps
+        times.append(times[-1] + runner.h)
     record = March(runner.sys, 0.0).record
     return _tpair(0.0, *_trajectory(record, [(t, state, eta0) for t in times]), xi0)
 

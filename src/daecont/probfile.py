@@ -338,7 +338,7 @@ def build_problem(spec: ProblemSpec):
     Returns :class:`DaeProblem1`, :class:`DaeProblem2` or
     :class:`SemiLinearDae` depending on the kind; the model Jacobians
     (constraint blocks, forcing, and for ``dae2`` the constraint rate) are
-    generated symbolically.
+    generated symbolically; ``g``, ``d1g`` and ``d2g`` carry ``arrays``.
     """
     if spec.kind == "semilinear":
         return SemiLinearDae(spec)
@@ -356,11 +356,9 @@ def build_problem(spec: ProblemSpec):
     g_vm = _indexed("p", m) | _indexed("q", s)
     g_asts = [row[0] for row in spec.tables["g"]]
     g_jacs = [_jacobian_rows(g_asts, list(g_vm)[:m]), _jacobian_rows(g_asts, list(g_vm)[m:])]
-    g = ex.compile_vector(g_asts, "p, q", g_vm)
-    d1g, d2g = (ex.compile_matrix(rows, "p, q", g_vm) for rows in g_jacs)
-    # the same trees on stacks of points, for the batched degree zero search
-    g_arrays = (ex.compile_vector(g_asts, "p, q", g_vm, arrays=True),
-                *(ex.compile_matrix(rows, "p, q", g_vm, arrays=True) for rows in g_jacs))
+    # each carries its stacked form, for the batched degree zero search
+    g = ex.compile_vector(g_asts, "p, q", g_vm, arrays=True)
+    d1g, d2g = (ex.compile_matrix(rows, "p, q", g_vm, arrays=True) for rows in g_jacs)
     f_vm = {"t": "t"} | _indexed("x", m) | _indexed("y", s)
     f_asts = [row[0] for row in spec.tables["f"]]
     if spec.kind == "dae1":
@@ -369,7 +367,7 @@ def build_problem(spec: ProblemSpec):
         h = _numeric_matrix(spec.tables["H"]) if "H" in spec.tables else None
         return DaeProblem1(
             m=m, s=s, period=spec.period, f=f, g=g, A=a_path, B=b_path,
-            d1g=d1g, d2g=d2g, H=h, name=spec.name, df=df, g_arrays=g_arrays,
+            d1g=d1g, d2g=d2g, H=h, name=spec.name, df=df,
         )
     f_vm |= _indexed("u", m) | _indexed("v", s)
     f = ex.compile_vector(f_asts, "t, x, y, u, v", f_vm)
@@ -384,7 +382,6 @@ def build_problem(spec: ProblemSpec):
     return DaeProblem2(
         m=m, s=s, period=spec.period, f=f, g=g, A=a_path, B=b_path,
         d1g=d1g, d2g=d2g, H1=h1, H2=h2, name=spec.name, df=df, dgdot=dgdot,
-        g_arrays=g_arrays,
     )
 
 
@@ -518,11 +515,7 @@ def _json_value(obj, indent: int, level: int) -> str:
             return _float_array(obj, indent, level)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if all(type(v) is float for v in obj):  # a row of numbers: one pass, no dispatch
-            rendered = [_fmt_float(v) for v in obj]
-        else:
-            rendered = [_json_value(v, indent, level + 1) for v in obj]
-        return _bracket(rendered, indent, level)
+        return _bracket([_json_value(v, indent, level + 1) for v in obj], indent, level)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):

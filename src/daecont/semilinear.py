@@ -235,7 +235,7 @@ def reduce_semilinear(
     It is ``build_problem(reduced_spec(dae.spec, P, sigma, Q))``: compiled
     from expression tables like any ``dae1`` file, with symbolic frame
     derivatives (or differences, under ``derivatives = fd``), forcing
-    Jacobian and constraint blocks, and the constraint's ``g_arrays``.
+    Jacobian and constraint blocks, ``g`` and its blocks with ``arrays``.
     The frame ``F3`` is not audited here: a frame that fails
     ``frame_audit`` is outside the scope of the fixed-frame machinery
     (which then raises), while raw-mode integration still works.

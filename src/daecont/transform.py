@@ -69,11 +69,11 @@ class DaeProblem1:
     frame path with constant right product, ``B`` invertible.  ``d1g`` and
     ``d2g`` are the constraint Jacobian blocks and ``df(t, x, y)`` the
     Jacobian of ``f`` with respect to ``(x, y)``; each one that is omitted
-    is formed by forward differences.  ``g_arrays``, when given, holds
-    ``(g, d1g, d2g)`` evaluated on stacks of points (arrays ``(..., m)``
-    and ``(..., s)``; see :func:`~daecont.expressions.compile_vector`), for
-    the batched degree zero search; it must agree with ``g``, so replace
-    it (or set it to None) together with ``g``.
+    is formed by forward differences.  When ``g``, ``d1g`` and ``d2g`` each
+    carry their form on stacks of points as ``arrays`` (arrays ``(..., m)``
+    and ``(..., s)``, as compiled from a problem file; see
+    :func:`~daecont.expressions.compile_vector`), the batched degree zero
+    search evaluates those; a replaced ``g`` takes its own with it.
     """
 
     m: int
@@ -88,7 +88,6 @@ class DaeProblem1:
     H: Optional[np.ndarray] = None
     name: str = ""
     df: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
-    g_arrays: Optional[tuple] = None
 
     order: int = field(default=1, init=False, repr=False)
     _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
@@ -131,8 +130,8 @@ class DaeProblem2:
     respect to ``(p, q)``, the time derivative of the constraint along a
     motion with rates ``(u, w)``.  An omitted ``df`` is formed by forward
     differences, an omitted ``dgdot`` by central second differences of
-    ``g`` (see :meth:`gdot_jac`).  ``g_arrays`` is as in
-    :class:`DaeProblem1`.
+    ``g`` (see :meth:`gdot_jac`).  The stacked forms of ``g``, ``d1g`` and
+    ``d2g`` are as in :class:`DaeProblem1`.
     """
 
     m: int
@@ -149,7 +148,6 @@ class DaeProblem2:
     name: str = ""
     df: Optional[Callable] = None
     dgdot: Optional[Callable] = None
-    g_arrays: Optional[tuple] = None
 
     order: int = field(default=2, init=False, repr=False)
     _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
@@ -267,13 +265,14 @@ class TransformedSystem:
     state, ``D1`` (order 2 only) the velocity, and ``M`` is the audited
     frame product they are built from.  Every model attribute (``order``,
     ``m``, ``s``, ``period``, the paths ``A`` and ``B``, the model callables
-    and their derivatives, ``g_arrays``) is read from the problem when it
-    is asked for, so a change to the problem is the system's change; the
-    forcing ``f`` is the problem's, which the emitted stage and ``forcing``
-    conjugate into the frame (see :mod:`daecont.kernel`).  ``frames`` maps
-    each time the system has seen to its frame (see :meth:`frame_entries`);
-    a copy made with :func:`dataclasses.replace` starts with an empty table.
-    Systems compare by identity: each keeps its own frame table.
+    and their derivatives, with the stacked forms they carry) is read from
+    the problem when it is asked for, so a change to the problem is the
+    system's change; the forcing ``f`` is the problem's, which the emitted
+    stage and ``forcing`` conjugate into the frame (see
+    :mod:`daecont.kernel`).  ``frames`` maps each time the system has seen
+    to its frame (see :meth:`frame_entries`); a copy made with
+    :func:`dataclasses.replace` starts with an empty table.  Systems
+    compare by identity: each keeps its own frame table.
     """
 
     problem: DaeProblem1 | DaeProblem2
@@ -313,7 +312,7 @@ class TransformedSystem:
 
 # Read-only views of the problem's model, as properties: a __getattr__
 # fallback would make every A and B lookup of a table fill a Python call.
-for _name in ("order m s period A B f df g d1g d2g dgdot g_arrays g_jac1 g_jac2 f_jac "
+for _name in ("order m s period A B f df g d1g d2g dgdot g_jac1 g_jac2 f_jac "
               "gdot_jac").split():
     setattr(TransformedSystem, _name, property(operator.attrgetter(f"problem.{_name}")))
 

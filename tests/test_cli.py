@@ -447,6 +447,19 @@ def test_bad_input_is_usage_error(capsys, argv, needle):
     assert needle in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, message", [
+    ("degree", "degree needs a problem, not a path fixture"),
+    ("integrate", "integrate needs a problem, not a path fixture"),
+    ("continue", "continue needs a problem, not a path fixture"),
+    ("reduce", "reduce needs a semilinear problem"),
+])
+def test_path_fixture_is_usage_error(capsys, command, message):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "rot2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"daecont: {message}\n"
+
+
 def test_lam_max_may_be_infinite():
     args = build_parser().parse_args(["continue", "rotating_surface", "--lam-max", "inf"])
     assert args.lam_max == float("inf")
@@ -634,6 +647,20 @@ def test_output_is_byte_stable(capsys, argv):
     cold = run(capsys, *argv)
     assert kernel._build.cache_info().currsize > 0 and cold[0] == 0
     assert run(capsys, *argv) == cold
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate",),
+    ("integrate", "--fixed-frame"),
+    ("degree", "--method", "both"),
+    ("continue", "--steps", "3"),
+], ids="_".join)
+def test_long_sum_runs_as_its_short_form(capsys, tmp_path, argv):
+    # 300 more terms than Python's parser takes nested parentheses
+    path = tmp_path / "padded.prob"
+    path.write_text(problem_text("rotating_surface").replace("2*p2^2", "2*p2^2" + " + 0*q" * 300))
+    padded = run(capsys, argv[0], str(path), *argv[1:])
+    assert padded[0] == 0 and padded == run(capsys, argv[0], "rotating_surface", *argv[1:])
 
 
 def test_python_m_daecont_runs_the_cli():

@@ -140,6 +140,31 @@ class TestCandidateMap:
         assert abs(val[0] - 0.5) <= 1e-10 and abs(val[1] - 0.25) <= 1e-10
 
 
+class TestReplacedConstraint:
+    """A problem whose ``g`` is replaced certifies the new constraint: every
+    form of ``g`` the degree layer evaluates goes with it."""
+
+    @staticmethod
+    def certified(prob):
+        box = Box.cube(2.0, 3)
+        cmap = candidate_map(fixed_frame(prob))
+        certs = (degree_generic(cmap, box), degree_reduced(cmap, box))
+        seeds = branch_seeds(prob, box)
+        for zero in [z for cert in certs for z in cert.zeros] + seeds:
+            assert norm_inf(cmap(zero.point)) <= 1e-12  # a zero of the map itself
+        return to_json([cert.to_dict() for cert in certs] + [seed.to_dict() for seed in seeds])
+
+    @pytest.mark.parametrize("how", ["assignment", "dataclasses.replace"])
+    def test_shifted_constraint_certifies_as_its_own_problem(self, how):
+        shifted = _with_constraint("q^3 + q - p1^2 - 2*p2^2 - 0.5")
+        prob = load_fixture("rotating_surface")
+        if how == "assignment":
+            prob.g = shifted.g
+        else:
+            prob = replace(prob, g=shifted.g)
+        assert self.certified(prob) == self.certified(shifted)
+
+
 def _seeding_problem(name):
     # A degree fixture as the degree layer sees it (semilinear reduced), or
     # a Python-callable problem with no constraint derivatives
@@ -584,7 +609,7 @@ class TestBatchedSearch:
             d1g=lambda p, q: np.array([[-2.0 * p[0], -4.0 * p[1]]]),
             d2g=lambda p, q: np.array([[3.0 * q[0] ** 2 + 1.0]]),
         )
-        assert prob.g_arrays is not None and twin.g_arrays is None
+        assert hasattr(prob.g, "arrays") and not hasattr(twin.g, "arrays")
         box = Box.cube(2.0, 3)
         for problem in (prob, twin):
             sys_t = fixed_frame(problem)
@@ -631,7 +656,7 @@ class TestBatchedSearch:
         prob = build_problem(parse_problem(text))
         sys_t = fixed_frame(prob)
         cmap = candidate_map(sys_t)
-        # the same map on point forms only: no g_arrays
+        # the same map on point forms only: g_jac1 and g_jac2 carry no arrays
         point_map = block_map(candidate_block(sys_t), prob.g, prob.g_jac1, prob.g_jac2)
         assert cmap.arrays is not None and point_map.arrays is None
         box = Box.cube(2.0, 3)

@@ -235,6 +235,18 @@ class TestCompile:
         assert again.fragments == vec.fragments and hash(again.fragments) == hash(vec.fragments)
         assert again.fragments != compile_vector([parse_expr("x2 + x1")], "x", vm).fragments
 
+    @pytest.mark.parametrize("text", [
+        "x1" + " - 0.25*x1 + 0.5/x1" * 150,  # a chain of + and -, each term a product
+        "x1" + " * 1.5 / x1" * 150,  # a chain of * and /
+    ])
+    def test_long_chain_compiles_in_every_target(self, text):
+        # 300 operators: more than Python's parser takes nested parentheses
+        ast, vm = parse_expr(text), {"x1": "x[0]"}
+        fn = compile_vector([ast], "x", vm, arrays=True)
+        expected = eval_expr(ast, {"x1": 1.25})
+        assert fn([1.25]).tolist() == inlined(fn, [1.25]) == [expected]
+        assert fn.arrays(np.array([[1.25]])).tolist() == [[expected]]
+
     @pytest.mark.parametrize("text, value", [
         ("exp(1000*x1) - x1", 1.0),  # OverflowError in math.exp
         ("sin(x1^400) - x1", 10.0),  # OverflowError in the float power
@@ -259,8 +271,9 @@ class TestCompileOnFirstCall:
         assert exec_calls == [0]
         x, y = np.array([0.3, 0.1]), np.array([0.2])
         f_args = (0.5, x, y) if prob.order == 1 else (0.5, x, y, 0.5 * x, 0.5 * y)
+        # the stacked form of g compiles apart from g, at its own first call
         for fn, args in ((prob.f, f_args), (prob.g, (x, y)), (prob.d1g, (x, y)),
-                         (prob.A._value, (0.5,)), (prob.g_arrays[0], (x[None], y[None]))):
+                         (prob.A._value, (0.5,)), (prob.g.arrays, (x[None], y[None]))):
             before = exec_calls[0]
             first = fn(*args)
             assert exec_calls[0] == before + 1  # compiled once, at the first call
@@ -327,8 +340,8 @@ class TestArrayTarget:
         rng = np.random.default_rng(11)
         p = rng.uniform(-2.0, 2.0, (200, prob.m))
         q = rng.uniform(-2.0, 2.0, (200, prob.s))
-        for point_fn, array_fn in zip((prob.g, prob.d1g, prob.d2g), prob.g_arrays):
-            got = array_fn(p, q)
+        for point_fn in (prob.g, prob.d1g, prob.d2g):
+            got = point_fn.arrays(p, q)
             ref = np.array([point_fn(pi, qi) for pi, qi in zip(p, q)])
             assert got.shape == ref.shape
             # sin, cos, exp and powers may round differently on arrays
@@ -336,7 +349,7 @@ class TestArrayTarget:
 
     def test_stack_shape_broadcasts_constant_entries(self):
         vm = {"p1": "p[0]", "q1": "q[0]"}
-        fn = compile_matrix([[parse_expr("1"), parse_expr("2*q1")]], "p, q", vm, arrays=True)
+        fn = compile_matrix([[parse_expr("1"), parse_expr("2*q1")]], "p, q", vm, arrays=True).arrays
         out = fn(np.zeros((3, 1)), np.arange(3.0)[:, None])
         assert out.shape == (3, 1, 2)
         assert np.array_equal(out[:, 0, 0], [1.0, 1.0, 1.0])
@@ -352,7 +365,7 @@ class TestArrayTarget:
         with pytest.raises(NonfiniteResultError):
             compile_vector([ast], "x", vm)(np.array([value]))
         with pytest.raises(NonfiniteResultError):
-            compile_vector([ast], "x", vm, arrays=True)(np.array([[0.5], [value]]))
+            compile_vector([ast], "x", vm, arrays=True).arrays(np.array([[0.5], [value]]))
 
     @pytest.mark.parametrize("text, value, message", [
         ("x1^400", 10.0, "OverflowError: Numerical result out of range"),
@@ -367,10 +380,10 @@ class TestArrayTarget:
             eval_expr(ast, {"x1": value})
         assert str(compiled.value) == str(interpreted.value) == message
         with pytest.raises(NonfiniteResultError, match=r"^FloatingPointError: \w+"):
-            compile_vector([ast], "x", vm, arrays=True)(np.array([[value]]))
+            compile_vector([ast], "x", vm, arrays=True).arrays(np.array([[value]]))
 
     def test_underflow_raises_in_neither_target(self):
         ast, vm = parse_expr("exp(-800*x1)"), {"x1": "x[0]"}
         assert compile_vector([ast], "x", vm)(np.array([1.0]))[0] == 0.0
-        out = compile_vector([ast], "x", vm, arrays=True)(np.array([[1.0], [2.0]]))
+        out = compile_vector([ast], "x", vm, arrays=True).arrays(np.array([[1.0], [2.0]]))
         assert np.array_equal(out, [[0.0], [0.0]])

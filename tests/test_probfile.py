@@ -201,12 +201,14 @@ class TestJsonOutput:
     def test_float_arrays_render_as_value_by_value(self, values):
         # a finite float array is formatted a row at a time, into the bytes
         # of the per-value route (its entries as Python floats, each through
-        # _fmt_float) in 1-D, in 2-D (empty ones too) and at any depth
+        # _fmt_float) in 1-D, in 2-D (empty ones too) and at any depth; a
+        # Python list of floats takes the per-value route
         a = np.array(values, dtype=float)
         rows = [_fmt_float(v) for v in values]
         inline = sum(len(r) for r in rows) <= 72
-        assert _json_value(a, 2, 1) == ("[" + ", ".join(rows) + "]" if inline else
-                                        "[\n" + ",\n".join("    " + r for r in rows) + "\n  ]")
+        assert _json_value(a, 2, 1) == _json_value(values, 2, 1) == (
+            "[" + ", ".join(rows) + "]" if inline else
+            "[\n" + ",\n".join("    " + r for r in rows) + "\n  ]")
         rng = np.random.default_rng(5)
         wide = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3))
         for arr in (a, a.reshape(1, -1), a.reshape(-1, 1), np.resize(a, (3, a.size)), wide):
