@@ -214,10 +214,11 @@ def _resolve(source: str):
 
 
 def _frame_audit(problem, grid, tol=None):
-    # frame_audit of the problem's A on the samples of its frame function,
-    # which give the path's bits without a numpy path call when A and B
-    # are compiled from expression trees
-    sample = _frame_samples(problem, False)
+    # frame_audit of the problem's A on the samples the transform's audit
+    # reads (the raw order-2 frame function of its paths), which give the
+    # path's bits without a numpy path call when A and B are compiled
+    # from expression trees
+    sample = _frame_samples(problem)
     return frame_audit(problem.A, grid, tol, sample=lambda t: sample(t)[:2])
 
 

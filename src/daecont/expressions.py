@@ -414,8 +414,8 @@ _COMPILE_GLOBALS = {"math": math, "np": np, "ArithmeticError": ArithmeticError,
                     "float": float, "str": str, "__builtins__": {}}
 
 
-def _compile(args: str, body: Callable[[], str], trees, varmap: Mapping[str, str], dims: tuple,
-             arrays: bool) -> Callable:
+def _compile(args: str, body: Callable[[], str], trees, varmap: Mapping[str, str],
+             dims: tuple) -> Callable:
     # A def rather than a lambda, so that math failures (exp overflow, a
     # domain error) raise NonfiniteResultError as in eval_expr; the try
     # costs nothing on calls that do not raise.  Arguments are read as
@@ -423,8 +423,8 @@ def _compile(args: str, body: Callable[[], str], trees, varmap: Mapping[str, str
     # raises on zero, where numpy scalars would warn and go on with inf.
     # ``body()`` renders the returned expression at the first call;
     # ``trees`` (flat, a matrix of shape ``dims`` row by row) give the
-    # fragment target and, with ``arrays``, the array target.  A variable
-    # of the trees that ``varmap`` does not bind fails here.
+    # fragment target and the array target.  A variable of the trees that
+    # ``varmap`` does not bind fails here.
     _check_bound(trees, varmap)
 
     def render():
@@ -441,8 +441,7 @@ def _compile(args: str, body: Callable[[], str], trees, varmap: Mapping[str, str
 
     compiled = _lazy(render)
     compiled.fragments = Fragments(args, trees, varmap)
-    if arrays:
-        compiled.arrays = _compile_arrays(args, trees, varmap, dims)
+    compiled.arrays = _compile_arrays(args, trees, varmap, dims)
     return compiled
 
 
@@ -554,8 +553,7 @@ def _compile_arrays(args: str, trees, varmap: Mapping[str, str], dims: tuple) ->
     return _lazy(render)
 
 
-def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *,
-                   arrays: bool = False) -> Callable:
+def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str]) -> Callable:
     """Compile a list of expressions to a function ``(<args>) -> np.ndarray``.
 
     ``varmap`` maps language variables to Python source fragments over
@@ -572,8 +570,8 @@ def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *
     compiled at the function's first call, once, from copies of the trees
     and ``varmap``, and ``fragments`` need no compile.
 
-    With ``arrays=True`` the function also carries ``arrays``, the same
-    trees on stacks, compiled at its own first call: every argument is an
+    The function also carries ``arrays``, the same trees on stacks,
+    rendered and compiled at its own first call: every argument is an
     array of vectors along its last axis (``x[..., 1]``), and the result
     has the broadcast stack shape followed by the vector's length.  It
     raises :class:`NonfiniteResultError` on overflow, division by zero and
@@ -585,16 +583,15 @@ def compile_vector(asts: Sequence[Expr], args: str, varmap: Mapping[str, str], *
     def body():
         return "np.array([" + ", ".join(_source(a, varmap) for a in asts) + "])"
 
-    return _compile(args, body, asts, varmap, (len(asts),), arrays)
+    return _compile(args, body, asts, varmap, (len(asts),))
 
 
-def compile_matrix(rows: Sequence[Sequence[Expr]], args: str, varmap: Mapping[str, str], *,
-                   arrays: bool = False) -> Callable:
+def compile_matrix(rows: Sequence[Sequence[Expr]], args: str, varmap: Mapping[str, str]) -> Callable:
     """Compile a matrix of expressions like :func:`compile_vector`.
 
     Its ``fragments`` render the entries row by row.  It too checks the
     variables here and renders and compiles its source at its first call,
-    and with ``arrays=True`` carries its stacked form as ``arrays``.
+    and carries its stacked form as ``arrays``.
     """
     rows, varmap = tuple(map(tuple, rows)), dict(varmap)  # rendered at the first call, from copies
 
@@ -603,4 +600,4 @@ def compile_matrix(rows: Sequence[Sequence[Expr]], args: str, varmap: Mapping[st
             "[" + ", ".join(_source(a, varmap) for a in row) + "]" for row in rows) + "])"
 
     return _compile(args, body, [a for row in rows for a in row], varmap,
-                    (len(rows), len(rows[0])), arrays)
+                    (len(rows), len(rows[0])))

@@ -47,16 +47,16 @@ function does and raise its :class:`NonfiniteResultError` on a failed
 evaluation, so inlined and called models give the same bits and errors.
 Any other model (a Python callable, or a derivative that the problem
 forms by differences) is called through an adapter that passes numpy
-arrays and returns a flat list.  The frame is the flat tuple of floats
-that the model's ``frame_entries`` returns (a system's from its table),
-once per march time.  Those tuples come from :func:`frame_function`,
-emitted here too: straight-line code over the fragments of the paths'
-value and derivative functions, with their finiteness test and, for the
-fixed frame's ``d(B^-1)``, the march's solves (paths without fragments
-keep their numpy values).  A sensitivity march (fixed frame only)
-carries the derivative of the state with respect to ``(lam, state0)`` in
-the rows after row 0, which is the plain march's arithmetic, bit for bit
-(see :mod:`daecont.periodic`).
+arrays and returns a flat list.  The frame is one flat tuple of floats
+per march time, read through the march's ``frame``: a system's table, or
+for a problem the raw frame function of its paths.  Those tuples come
+from :func:`frame_function`, emitted here too: straight-line code over
+the fragments of the paths' value and derivative functions, with their
+finiteness test and, for the fixed frame's ``d(B^-1)``, the march's
+solves (paths without fragments keep their numpy values).  A sensitivity
+march (fixed frame only) carries the derivative of the state with
+respect to ``(lam, state0)`` in the rows after row 0, which is the plain
+march's arithmetic, bit for bit (see :mod:`daecont.periodic`).
 
 A kernel is emitted and compiled at the first march, start solve or
 averaged map that needs it, never at set-up, and kept in a bounded cache keyed by what its source is
@@ -113,6 +113,10 @@ class March:
     its derivatives by ``lam`` and by the start state follow one another
     (``n = order * m``).  The algebraic block is a sequence of ``s``
     floats, ``eta`` in the frame and ``y`` raw.
+
+    ``frame(t)`` is the flat frame every solve and stage reads: the
+    system's ``frame_entries`` (its table), or for a problem
+    :func:`frame_function` of its paths at its order, which keeps nothing.
     """
 
     def __init__(self, model, lam, sensitivity: bool = False):
@@ -126,19 +130,20 @@ class March:
         # an absent drift is zero (D1 is read for order 2 only)
         drifts = [np.zeros(model.m**2).tolist() if d is None
                   else np.asarray(d, dtype=float).ravel().tolist() for d in drifts]
-        self.m, self._frame = model.m, model.frame_entries
+        self.m = model.m
+        self.frame = (frame_function(model.A, model.B, model.order) if self.raw
+                      else model.frame_entries)
         self._resolve, self._march, self._record, self._forcing = build(
-            *functions, model.frame_entries, *drifts, float(lam))
+            *functions, self.frame, *drifts, float(lam))
 
     def resolve(self, t, state, eta_guess) -> tuple:
         """The algebraic block at ``state``'s positions, from ``eta_guess``.
 
         In the frame it solves ``g(xi, eta) = 0`` for ``eta``; raw it solves
-        ``g(A(t) x, B(t) y) = 0`` for ``y`` on the frame
-        ``model.frame_entries(t)``.  The Newton's rules and errors are the
-        march's (see :func:`_newton`).
+        ``g(A(t) x, B(t) y) = 0`` for ``y`` on the frame ``frame(t)``.  The
+        Newton's rules and errors are the march's (see :func:`_newton`).
         """
-        frame = (self._frame(t),) if self.raw else ()
+        frame = (self.frame(t),) if self.raw else ()
         return self._resolve(t, *frame, *state[: self.m], *eta_guess)
 
     def forcing(self, t, xi, eta) -> tuple:
@@ -228,16 +233,17 @@ def frame_function(a_path, b_path, order: int, fixed: bool = False):
 
     The entries of ``A(t)`` and ``B(t)`` and, for order 2, of ``dA(t)`` and
     of ``dB(t)``, or with ``fixed`` of the derivative ``-B^-1 dB B^-1`` of
-    ``B(t)^-1``, each matrix row by row: the frame a raw march (``fixed``
-    false) or a fixed-frame system's table reads.  Paths compiled from
+    ``B(t)^-1``, each matrix row by row: the frame a raw march and the
+    transform's audit (``fixed`` false) or a fixed-frame system's table
+    reads.  The caller keeps the function it needs.  Paths compiled from
     trees get emitted straight-line code over their fragments, kept in a
     bounded cache keyed by them.  It gives the bits of the paths' numpy
     values and of :func:`~daecont.paths.inverse_derivative` (by the march's
     closed-form solves), and their errors: a failed evaluation raises the
     compiled function's :class:`NonfiniteResultError`, a non-finite entry
-    :class:`EvaluationError` naming the path, and a singular ``B``
-    :class:`SingularMatrixError`.  Other paths (Python callables,
-    differenced derivatives) are called as arrays.
+    :class:`EvaluationError` naming the path, and with ``fixed`` a
+    singular ``B`` :class:`SingularMatrixError`.  Other paths (Python
+    callables, differenced derivatives) are called as arrays.
     """
     fixed = bool(fixed) and order == 2
     fragments = _frame_fragments(a_path, b_path, order)

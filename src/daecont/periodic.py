@@ -44,10 +44,11 @@ frame paths only at the ``2N + 1`` times it has not seen before: a
 shooting runner keeps one system, and with it one table, for all the
 marches of a branch (shared with the seeding map when the caller passes
 the system), and ``integrate`` and the seeding map fill the table of the
-system they are given.  A raw march evaluates the problem's frame
-function (:func:`~daecont.kernel.frame_function`) at each of its times,
-records each node right after its solve, from that frame, and keeps no
-table.
+system they are given.  A raw march evaluates its problem's raw frame
+function (:func:`~daecont.kernel.frame_function`, the march's ``frame``)
+at each of its times, records each node right after its solve, from that
+frame, and keeps no table; before it marches, ``integrate`` tests ``B``
+on the audit grid through the same function.
 """
 
 from __future__ import annotations
@@ -68,8 +69,7 @@ from .errors import (
 )
 from .kernel import March
 from .linalg import NewtonConfig, newton_solve, norm_inf, solve_linear
-from .paths import DEFAULT_GRID, _grid_times
-from .transform import _frame_samples, _matrices, fixed_frame
+from .transform import _check_invertible, _matrices, fixed_frame
 
 __all__ = [
     "Trajectory",
@@ -196,17 +196,17 @@ def integrate(
     h = prob.period / DEFAULT_STEPS if h is None else h
     nsteps = _steps_for(prob.period, h)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    # the fixed-frame march reads the start frame from its system's table
+    # the fixed-frame march reads its frames, the start's too, from its
+    # system's table, the raw one from its problem's frame function
     sys = fixed_frame(prob) if mode == "fixed" else prob
+    stepper = March(sys, lam)
     if mode == "raw":
-        # the transform's test of B on the audit grid, which names the time
-        # of a singular B; an A that fails the frame audit still marches
-        sample = _frame_samples(prob, True)
-        for t in _grid_times(prob.A, DEFAULT_GRID):
-            sample(t)
+        # the transform's test of B, which names the time of a singular B;
+        # an A that fails the frame audit still marches
+        _check_invertible(prob, lambda t: _matrices(stepper.frame(t), (prob.m, prob.s))[1])
     if y0 is not None:
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        a0, b0 = _matrices(sys.frame_entries(0.0), (prob.m, prob.s))
+        a0, b0 = _matrices(stepper.frame(0.0), (prob.m, prob.s))
         start_residual = norm_inf(np.atleast_1d(prob.g(a0 @ x0, b0 @ y0)))
         if start_residual > 1e-8:
             raise ValueError(
@@ -217,7 +217,6 @@ def integrate(
     if mode == "fixed":
         x0, y0, xdot0 = sys.push_forward(0.0, x0, y0, xdot0)
     state0 = (x0 if xdot0 is None else np.concatenate([x0, xdot0])).tolist()
-    stepper = March(sys, lam)
     y0 = stepper.resolve(0.0, state0, [0.0] * prob.s) if y0 is None else y0.tolist()
     nodes, _ = stepper.march(state0, y0, h, nsteps)
     return _trajectory(stepper.record, nodes)[0]
@@ -260,18 +259,15 @@ class _ShootingRunner:
         eta0 = stepper.resolve(0.0, start, [0.0] * self.prob.s)
         return stepper.march(start, eta0, self.h, self.nsteps)
 
-    def shoot(self, lam, state0):
-        state0 = np.asarray(state0, dtype=float)
-        return np.array(self._run(March(self.sys, lam), state0.tolist())[1]) - state0
-
     def linearize(self, lam, state0):
         """Shooting residual and its Jacobian by ``(lam, state0)``.
 
-        One sensitivity march gives both; the residual is :meth:`shoot`'s,
-        bit for bit.  The result for the last point is kept, keyed by the
-        exact bytes of ``(lam, state0)`` with its march's nodes: one Newton
-        iterate's residual and Jacobian, and the tangent and pair at a
-        converged point, share one march.  Do not modify the arrays.
+        One sensitivity march gives both; the residual is its row 0, the
+        plain march's arithmetic, bit for bit.  The result for the last
+        point is kept, keyed by the exact bytes of ``(lam, state0)`` with
+        its march's nodes: one Newton iterate's residual and Jacobian, and
+        the tangent and pair at a converged point, share one march.  Do not
+        modify the arrays.
         """
         state0 = np.asarray(state0, dtype=float)
         key = np.append(lam, state0).tobytes()

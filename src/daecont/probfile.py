@@ -356,9 +356,9 @@ def build_problem(spec: ProblemSpec):
     g_vm = _indexed("p", m) | _indexed("q", s)
     g_asts = [row[0] for row in spec.tables["g"]]
     g_jacs = [_jacobian_rows(g_asts, list(g_vm)[:m]), _jacobian_rows(g_asts, list(g_vm)[m:])]
-    # each carries its stacked form, for the batched degree zero search
-    g = ex.compile_vector(g_asts, "p, q", g_vm, arrays=True)
-    d1g, d2g = (ex.compile_matrix(rows, "p, q", g_vm, arrays=True) for rows in g_jacs)
+    # each carries its stacked form, which the batched degree zero search reads
+    g = ex.compile_vector(g_asts, "p, q", g_vm)
+    d1g, d2g = (ex.compile_matrix(rows, "p, q", g_vm) for rows in g_jacs)
     f_vm = {"t": "t"} | _indexed("x", m) | _indexed("y", s)
     f_asts = [row[0] for row in spec.tables["f"]]
     if spec.kind == "dae1":

@@ -24,14 +24,16 @@ seen in its table ``frames``: filled on first use, keyed by the exact
 float, held as the flat tuple of floats that the emitted code reads, and
 living as long as the system.
 
-Frames come from one function ``t -> tuple`` per problem and coordinate
-system (:func:`~daecont.kernel.frame_function`): emitted float code for
-paths compiled from expression trees, the paths' numpy values otherwise.
-It fills a system's table, gives a raw march its frames (see
-:meth:`DaeProblem1.frame_entries`), and gives the transform's audit its
-samples: orthogonality and constancy of ``A``, periodicity of ``A`` and
-``B``, drifts that commute with ``A`` and, on the audit grid, a ``B`` that
-:func:`~daecont.linalg.solve_linear` does not find singular.
+Frames come from one function ``t -> tuple`` per pair of paths, order
+and coordinate system (:func:`~daecont.kernel.frame_function`): emitted
+float code for paths compiled from expression trees, the paths' numpy
+values otherwise.  No problem keeps one.  A system builds its fixed-frame
+function at the first time its table lacks, a raw march binds the raw one
+(see :class:`~daecont.kernel.March`), and the transform's audit samples
+the raw order-2 frame ``(A, B, dA, dB)``: orthogonality and constancy of
+``A``, periodicity of ``A`` and ``B``, drifts that commute with ``A`` and
+a ``B`` that is invertible at every audit-grid time, by one stacked test
+(:func:`~daecont.linalg.solve_stacked`'s pivot flags).
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import HypothesisViolatedError, SingularMatrixError
-from .linalg import fd_jacobian, norm_inf
-from .paths import DEFAULT_GRID, MatrixPath, _sup, frame_audit
+from .errors import HypothesisViolatedError
+from .linalg import _singular_messages, fd_jacobian, norm_inf, solve_stacked
+from .paths import DEFAULT_GRID, MatrixPath, _grid_times, _sup, frame_audit
 
 __all__ = [
     "DaeProblem1",
@@ -90,7 +92,6 @@ class DaeProblem1:
     df: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
 
     order: int = field(default=1, init=False, repr=False)
-    _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def g_jac1(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         if self.d1g is not None:
@@ -109,16 +110,6 @@ class DaeProblem1:
         cuts = np.cumsum([np.size(v) for v in node])[:-1]
         return fd_jacobian(lambda z: np.asarray(self.f(t, *np.split(z, cuts)), dtype=float),
                            np.concatenate(node))
-
-    def frame_entries(self, t: float) -> tuple:
-        """The frame a raw march reads at ``t``, as one flat tuple of floats.
-
-        The entries are those of ``A(t)`` and ``B(t)`` and, for order 2, of
-        ``dA(t)`` and ``dB(t)``, each matrix row by row, evaluated at every
-        call by the problem's frame function (see
-        :func:`~daecont.kernel.frame_function`); nothing is kept.
-        """
-        return _frame_function(self, False)(t)
 
 
 @dataclass
@@ -150,12 +141,10 @@ class DaeProblem2:
     dgdot: Optional[Callable] = None
 
     order: int = field(default=2, init=False, repr=False)
-    _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     g_jac1 = DaeProblem1.g_jac1
     g_jac2 = DaeProblem1.g_jac2
     f_jac = DaeProblem1.f_jac
-    frame_entries = DaeProblem1.frame_entries
 
     def gdot_jac(self, p, q, u, w) -> np.ndarray:
         """Jacobian of ``g_jac1(p, q) u + g_jac2(p, q) w`` with respect to ``(p, q)``.
@@ -193,41 +182,34 @@ def _matrices(entries, dims) -> tuple:
     return tuple(out)
 
 
-def _frame_function(model, fixed: bool):
-    # The frame function of a problem's or a system's paths, made at the
-    # first request and kept while the paths are the ones it was made for
-    made = model._frame_fn
-    if made is None or made[0] is not model.A or made[1] is not model.B:
-        from . import kernel  # kernel imports this module
-
-        made = (model.A, model.B, kernel.frame_function(model.A, model.B, model.order, fixed))
-        model._frame_fn = made
-    return made[2]
-
-
-def _frame_samples(prob, fixed: bool):
+def _frame_samples(prob):
     # t -> (A(t), dA(t), B(t)) as arrays, each time evaluated once, from the
-    # order-2 frame function of the problem's paths.  With ``fixed`` that
-    # function solves for d(B^-1), so a B that solve_linear finds singular
-    # raises HypothesisViolatedError naming the time.
+    # raw order-2 frame function (A, B, dA, dB) of the problem's paths
     from . import kernel  # kernel imports this module
 
-    frames = kernel.frame_function(prob.A, prob.B, 2, fixed)
+    frames = kernel.frame_function(prob.A, prob.B, 2)
     m, s, seen = prob.A.dim, prob.B.dim, {}
 
     def sample(t):
         mats = seen.get(t)
         if mats is None:
-            try:
-                entries = frames(t)
-            except SingularMatrixError as exc:
-                raise HypothesisViolatedError(
-                    f"path B is not invertible at t = {float(t)!r}: {exc}") from None
-            a, b, da = _matrices(entries, (m, s, m))
+            a, b, da = _matrices(frames(t), (m, s, m))
             mats = seen[t] = (a, da, b)
         return mats
 
     return sample
+
+
+def _check_invertible(prob, b_at):
+    # B(t) = b_at(t) at the audit-grid times, one stacked solve's pivot
+    # flags, and the first singular time named with solve_linear's message
+    times = _grid_times(prob.A, DEFAULT_GRID)
+    b = np.array([b_at(t) for t in times])
+    singular = solve_stacked(b, np.zeros(b.shape[:2]))[1]
+    if singular.any():
+        k = int(np.argmax(singular))
+        raise HypothesisViolatedError(f"path B is not invertible at t = {float(times[k])!r}: "
+                                      f"{_singular_messages(b[k : k + 1])[0]}")
 
 
 def _check_frame(prob, audit, sample):
@@ -287,12 +269,20 @@ class TransformedSystem:
 
         The entries are those of ``A(t)`` and ``B(t)`` and, for order 2, of
         ``dA(t)`` and the derivative of ``B(t)^-1``, each matrix row by row.
-        A time not in the table is evaluated once, by the system's frame
-        function (see :func:`~daecont.kernel.frame_function`), and stored.
+        A time not in the table is evaluated once, by the fixed-frame
+        function of the problem's paths (see
+        :func:`~daecont.kernel.frame_function`), built at the first such
+        time and again after a path of the problem is replaced, and stored.
         """
         entries = self.frames.get(t)
         if entries is None:
-            entries = self.frames[t] = _frame_function(self, True)(t)
+            made = self._frame_fn
+            if made is None or made[0] is not self.A or made[1] is not self.B:
+                from . import kernel  # kernel imports this module
+
+                made = self._frame_fn = (self.A, self.B, kernel.frame_function(
+                    self.A, self.B, self.order, fixed=True))
+            entries = self.frames[t] = made[2](t)
         return entries
 
     def push_forward(self, t: float, x, y, xdot=None):
@@ -318,11 +308,14 @@ for _name in ("order m s period A B f df g d1g d2g dgdot g_jac1 g_jac2 f_jac "
 
 
 def _transform(prob, validate, labels, drifts) -> TransformedSystem:
-    # Shared body of both transforms: audit the frame and the commutation
-    # of each named drift matrix (zero when absent) with A, on the samples
-    # of the frame function (B tested only when validated), then build the
-    # system with ``drifts(M, *drift_matrices) -> (D0, D1)``.
-    sample = _frame_samples(prob, validate)
+    # Shared body of both transforms: test B, audit the frame and the
+    # commutation of each named drift matrix (zero when absent) with A, on
+    # the samples of the frame function, then build the system with
+    # ``drifts(M, *drift_matrices) -> (D0, D1)``.  Unvalidated, only the
+    # audit's M is computed.
+    sample = _frame_samples(prob)
+    if validate:  # a singular B is named before a failing A
+        _check_invertible(prob, lambda t: sample(t)[2])
     audit = frame_audit(prob.A, sample=lambda t: sample(t)[:2])
     if validate:
         _check_frame(prob, audit, sample)

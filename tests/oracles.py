@@ -16,7 +16,7 @@ from daecont.errors import (
     SingularJacobianError,
     SingularMatrixError,
 )
-from daecont.kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL
+from daecont.kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL, March
 from daecont.linalg import (
     NEWTON_DAMPING_MIN,
     NEWTON_TOL_STEP,
@@ -293,6 +293,17 @@ def fixed_frame_march(sys, lam, state0, eta0, h, nsteps, sensitivity=False):
     return nodes, aug
 
 
+def shoot(runner, lam, state0):
+    """The shooting residual ``state(T) - state0`` of one plain march on the runner's system.
+
+    The plain-march reference that the runner's :meth:`linearize` gives as
+    row 0 of its sensitivity march, bit for bit; the march reads, and
+    fills, the runner's frame table.
+    """
+    state0 = np.asarray(state0, dtype=float)
+    return np.array(runner._run(March(runner.sys, lam), state0.tolist())[1]) - state0
+
+
 def shooting_residual(prob, lam, xi0, nsteps=DEFAULT_STEPS):
     """Fixed-frame period-map mismatch ``state(T) - state(0)``, from one march.
 
@@ -300,7 +311,7 @@ def shooting_residual(prob, lam, xi0, nsteps=DEFAULT_STEPS):
     stacked ``(xi0, xidot0)``.  The library's shooting runner evaluates it
     inside :func:`~daecont.periodic.find_tpair` and continuation.
     """
-    return _ShootingRunner(prob, nsteps).shoot(lam, np.atleast_1d(np.asarray(xi0, dtype=float)))
+    return shoot(_ShootingRunner(prob, nsteps), lam, np.atleast_1d(np.asarray(xi0, dtype=float)))
 
 
 def constraint_residual(traj, model):

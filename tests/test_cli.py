@@ -19,9 +19,35 @@ from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath
 from daecont.periodic import branch_seeds
 from daecont.transform import fixed_frame
+from test_periodic import THREE_CONSTRAINTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "help.txt"
+
+# rotating_surface with a second constraint and a 2x2 B, singular at t = 0
+TWO_CONSTRAINTS = """
+[problem]
+kind = dae1
+m = 2
+s = 2
+period = 6.283185307179586
+
+[A]
+cos(t), -sin(t)
+sin(t), cos(t)
+
+[B]
+1, cos(t)
+cos(t), 1
+
+[g]
+q1^3 + q1 - p1^2
+q2^3 + q2 - p2^2 - q1
+
+[f]
+cos(t) - x1 + 0.3*y1
+-x2 + 0.2*y2
+"""
 
 
 # semilinear_4x4 plus a decoupled pair (x5, x6): n = 6, rank E = 3
@@ -192,15 +218,39 @@ class TestCheck:
             1, "", "daecont: HypothesisViolatedError: frame path is not orthogonal: "
                    "residual 3.000e+00 > 1.0e-08\n")
 
+    # size of B -> (an order-1 problem text, B's first singular time and the solve's message)
+    SINGULAR_B = {
+        "1x1": (problem_text("rotating_surface").replace("[B]\n1\n", "[B]\n2 + 2*cos(t)\n"),
+                "t = 3.141592653589793: 1x1 system is singular"),
+        "2x2": (TWO_CONSTRAINTS, "t = 0.0: 2x2 system is singular"),
+        "3x3": (THREE_CONSTRAINTS.replace("0, 0.2, 1\n", "0, 0.2, cos(t)\n"),
+                "t = 1.5707963267948966: pivot 6.123e-17 below threshold 1.000e-13 at column 2"),
+    }
+
     @pytest.mark.parametrize("argv", [("check",), ("degree", "--method", "both"),
                                       ("integrate", "--fixed-frame"), ("continue", "--steps", "2"),
                                       ("integrate", "--raw")])
-    def test_singular_b_fails_every_transforming_command(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("size", sorted(SINGULAR_B))
+    def test_singular_b_fails_every_transforming_command(self, capsys, tmp_path, argv, order, size):
+        text, where = self.SINGULAR_B[size]
         f = tmp_path / "singular_b.txt"
-        f.write_text(problem_text("rotating_surface_2nd").replace("[B]\n1\n", "[B]\n2 + 2*cos(t)\n"))
+        f.write_text(text.replace("kind = dae1", f"kind = dae{order}"))
         code, _, err = run(capsys, argv[0], str(f), *argv[1:])
         assert (code, err) == (1, "daecont: HypothesisViolatedError: path B is not invertible at "
-                                  "t = 3.141592653589793: 1x1 system is singular\n")
+                                  f"{where}\n")
+
+
+@pytest.mark.parametrize("argv", [("check", "rotating_surface"), ("check", "rotating_surface_2nd"),
+                                  ("integrate", "rotating_surface", "--raw"),
+                                  ("integrate", "rotating_surface_2nd", "--raw")],
+                         ids=lambda argv: "_".join(argv))
+def test_audits_and_raw_march_build_one_frame_function(capsys, argv):
+    # check's printed audit and the transform's read one raw frame
+    # function, and a raw integration tests B on its march's own
+    kernel._frame_build.cache_clear()
+    assert run(capsys, *argv)[0] == 0
+    assert kernel._frame_build.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv", [("check", "rotating_surface"), ("check", "rotating_surface_2nd"),

@@ -242,7 +242,7 @@ class TestCompile:
     def test_long_chain_compiles_in_every_target(self, text):
         # 300 operators: more than Python's parser takes nested parentheses
         ast, vm = parse_expr(text), {"x1": "x[0]"}
-        fn = compile_vector([ast], "x", vm, arrays=True)
+        fn = compile_vector([ast], "x", vm)
         expected = eval_expr(ast, {"x1": 1.25})
         assert fn([1.25]).tolist() == inlined(fn, [1.25]) == [expected]
         assert fn.arrays(np.array([[1.25]])).tolist() == [[expected]]
@@ -283,8 +283,7 @@ class TestCompileOnFirstCall:
         fn = compile_vector([parse_expr("x1 * t")], "t, x", {"t": "t", "x1": "x[0]"})
         assert inlined(fn, 2.0, [3.0]) == [6.0] and exec_calls == [0]
 
-    @pytest.mark.parametrize("arrays", [False, True])
-    def test_unbound_variable_fails_at_compile_time(self, arrays, exec_calls):
+    def test_unbound_variable_fails_at_compile_time(self, exec_calls):
         # the first unbound variable in the order the entries are written
         vm = {"x1": "x[0]"}
         ast = parse_expr("x1 + z2 * z1")
@@ -293,7 +292,7 @@ class TestCompileOnFirstCall:
         for compile_, trees in ((compile_vector, [parse_expr("x1"), ast]),
                                 (compile_matrix, [[parse_expr("x1")], [ast]])):
             with pytest.raises(UnboundVariableError) as compiled:
-                compile_(trees, "x", vm, arrays=arrays)
+                compile_(trees, "x", vm)
             assert str(compiled.value) == str(interpreted.value) == "variable 'z2' is not bound"
         assert exec_calls == [0]
 
@@ -349,7 +348,7 @@ class TestArrayTarget:
 
     def test_stack_shape_broadcasts_constant_entries(self):
         vm = {"p1": "p[0]", "q1": "q[0]"}
-        fn = compile_matrix([[parse_expr("1"), parse_expr("2*q1")]], "p, q", vm, arrays=True).arrays
+        fn = compile_matrix([[parse_expr("1"), parse_expr("2*q1")]], "p, q", vm).arrays
         out = fn(np.zeros((3, 1)), np.arange(3.0)[:, None])
         assert out.shape == (3, 1, 2)
         assert np.array_equal(out[:, 0, 0], [1.0, 1.0, 1.0])
@@ -365,7 +364,7 @@ class TestArrayTarget:
         with pytest.raises(NonfiniteResultError):
             compile_vector([ast], "x", vm)(np.array([value]))
         with pytest.raises(NonfiniteResultError):
-            compile_vector([ast], "x", vm, arrays=True).arrays(np.array([[0.5], [value]]))
+            compile_vector([ast], "x", vm).arrays(np.array([[0.5], [value]]))
 
     @pytest.mark.parametrize("text, value, message", [
         ("x1^400", 10.0, "OverflowError: Numerical result out of range"),
@@ -380,10 +379,10 @@ class TestArrayTarget:
             eval_expr(ast, {"x1": value})
         assert str(compiled.value) == str(interpreted.value) == message
         with pytest.raises(NonfiniteResultError, match=r"^FloatingPointError: \w+"):
-            compile_vector([ast], "x", vm, arrays=True).arrays(np.array([[value]]))
+            compile_vector([ast], "x", vm).arrays(np.array([[value]]))
 
     def test_underflow_raises_in_neither_target(self):
         ast, vm = parse_expr("exp(-800*x1)"), {"x1": "x[0]"}
         assert compile_vector([ast], "x", vm)(np.array([1.0]))[0] == 0.0
-        out = compile_vector([ast], "x", vm, arrays=True).arrays(np.array([[1.0], [2.0]]))
+        out = compile_vector([ast], "x", vm).arrays(np.array([[1.0], [2.0]]))
         assert np.array_equal(out, [[0.0], [0.0]])

@@ -101,3 +101,14 @@ def test_no_command_needs_scipy(fresh, capsys):
 def test_every_exported_name_resolves(module):
     module = importlib.import_module(f"daecont.{module}")
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def test_benchmark_setup_probe_runs():
+    # perfbench's set-up probe imports the transform's entry points by name
+    # (fixed_frame_first, fixed_frame_second, reduce_semilinear, ...): a
+    # renamed or dropped one fails here, not only in a benchmark run
+    probe = Path(__file__).resolve().parent.parent / "perfbench" / "setup_probe.py"
+    done = subprocess.run([sys.executable, str(probe), SRC, "rotating_surface",
+                           "rotating_surface_2nd", "semilinear_4x4"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

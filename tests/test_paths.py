@@ -313,7 +313,7 @@ class TestStackedAudits:
         problem = load_fixture(name)
         if isinstance(problem, SemiLinearDae):
             problem = reduce_semilinear(problem)
-        sample = _frame_samples(problem, False)
+        sample = _frame_samples(problem)
         audit = frame_audit(problem.A, sample=lambda t: sample(t)[:2])
         nodes = audit_nodes(problem.A, paths.DEFAULT_GRID, 1, lambda t: sample(t)[:2])
         assert report_bits(audit) == report_bits(frame_audit_of_nodes(nodes, audit.tol))

@@ -32,6 +32,7 @@ from oracles import (
     constraint_residual,
     fixed_frame_march,
     raw_march,
+    shoot,
     shooting_residual,
     solve_constraint,
 )
@@ -517,13 +518,13 @@ class TestFrameTable:
         runner = periodic._ShootingRunner(load_fixture(name), 16)
         del path_calls[:]
         state0 = np.full(runner.state_dim, 0.1)
-        first = runner.shoot(0.5, state0)
+        first = shoot(runner, 0.5, state0)
         # one evaluation of the frame (and, for order 2, its rates) per march time
         assert len(path_calls) == 2 * runner.sys.order * (2 * 16 + 1)
         del path_calls[:]
         periodic._trajectory(*plain_march(runner, 0.5, state0))  # pulled back at seen times too
         runner.linearize(0.7, state0)
-        second = runner.shoot(0.5, state0)
+        second = shoot(runner, 0.5, state0)
         assert path_calls == [] and first.tobytes() == second.tobytes()
 
     def test_pair_residuals_read_the_table(self, path_calls):
@@ -629,12 +630,12 @@ class TestFrameTable:
         # evaluations for order 1, 4 for order 2); an order-2 node takes its
         # rate right after its resolve, from the frame the resolve read;
         # N = 256.
-        # Before the march, the test of B samples the order-2 frame (A, B
-        # and their rates) at the 64 audit-grid times.
+        # Before the march, the test of B samples the march's own frame (A
+        # and B, for order 2 their rates too) at the 64 audit-grid times.
         prob = load_fixture(name)
         del path_calls[:]
         integrate(prob, 0.5, np.zeros(prob.m))
-        assert len(path_calls) == bound + 4 * 64
+        assert len(path_calls) == bound + 2 * prob.order * 64
 
     def test_second_averaged_map_call_makes_no_path_call(self, path_calls):
         omega = averaged_map_fn(fixed_frame(load_fixture("scalar_linear")))
@@ -728,7 +729,7 @@ class TestExactShootingJacobian:
         runner = periodic._ShootingRunner(_shooting_problem(name), 32)
         z = self.point(runner)
         _, jac = runner.linearize(z[0], z[1:])
-        ref = central_jacobian(lambda w: runner.shoot(w[0], w[1:]), z)
+        ref = central_jacobian(lambda w: shoot(runner, w[0], w[1:]), z)
         assert jac.shape == (runner.state_dim, 1 + runner.state_dim)
         assert norm_inf(jac - ref) <= 1e-6 * max(1.0, norm_inf(ref))
 
@@ -737,7 +738,7 @@ class TestExactShootingJacobian:
         runner = periodic._ShootingRunner(_shooting_problem(name), 16)
         z = self.point(runner)
         residual, _ = runner.linearize(z[0], z[1:])
-        assert residual.tobytes() == runner.shoot(z[0], z[1:]).tobytes()
+        assert residual.tobytes() == shoot(runner, z[0], z[1:]).tobytes()
 
     @pytest.mark.parametrize("lam, x0", [(1.0, 0.0), (0.5, 0.3), (2.0, -0.7)])
     def test_scalar_linear_closed_form(self, lam, x0):
@@ -1137,7 +1138,7 @@ class TestFloatMarchErrors:
         marches = [lambda: integrate(prob, lam, state0, h=h, mode=mode)]
         if mode == "fixed":
             runner = periodic._ShootingRunner(prob, 16)
-            marches += [lambda: runner.shoot(lam, state0), lambda: runner.linearize(lam, state0)]
+            marches += [lambda: shoot(runner, lam, state0), lambda: runner.linearize(lam, state0)]
         return marches
 
     @pytest.mark.parametrize("mode", MODES)

@@ -384,11 +384,11 @@ class TestFrameFunction:
     @pytest.mark.parametrize("fixed", [False, True])
     def test_problem_and_system_read_the_emitted_function(self, fixed, path_calls):
         prob = load_fixture("rotating_surface_2nd")
-        model = fixed_frame(prob) if fixed else prob
+        stepper = March(fixed_frame(prob) if fixed else prob, 0.5)
         del path_calls[:]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(MatrixPath, "__call__", None)  # any numpy path call fails
-            entries = model.frame_entries(0.3)
+            entries = stepper.frame(0.3)
         assert path_calls == [prob.A, prob.B, prob.A, prob.B]
         assert entries == kernel._numpy_frames(prob.A, prob.B, 2, fixed)(0.3)
 
@@ -403,7 +403,7 @@ class TestFrameFunction:
             traj = integrate(model, 0.5, x0, h=prob.period / 16, mode=mode)
             assert np.isfinite(traj.x).all()
             want = kernel._numpy_frames(prob.A, prob.B, 2, mode == "fixed")(0.25)
-            assert model.frame_entries(0.25) == want
+            assert March(model, 0.5).frame(0.25) == want
 
     def test_python_callable_path_takes_the_numpy_route(self, path_calls):
         prob = load_fixture("rotating_surface")
@@ -419,10 +419,14 @@ class TestFrameFunction:
         assert np.isfinite(traj.x).all()
 
     def test_replaced_path_is_read(self):
+        # a raw march reads the paths its problem has when it is made, and
+        # a system's table reads them at each time it fills
         prob = load_fixture("rotating_surface")
-        assert prob.frame_entries(0.0) == (1.0, -0.0, 0.0, 1.0, 1.0)
+        sys_t = fixed_frame(prob)
+        assert March(prob, 0.5).frame(0.0) == sys_t.frame_entries(0.0) == (1.0, -0.0, 0.0, 1.0, 1.0)
         prob.B = path([["2"]], "B")
-        assert prob.frame_entries(0.0) == (1.0, -0.0, 0.0, 1.0, 2.0)
+        assert March(prob, 0.5).frame(0.0) == (1.0, -0.0, 0.0, 1.0, 2.0)
+        assert sys_t.frame_entries(0.0)[-1] == 1.0 and sys_t.frame_entries(0.5)[-1] == 2.0
 
     @pytest.mark.parametrize("order, fixed", [(1, False), (2, False), (2, True)])
     @pytest.mark.parametrize("entry, t, error", [
