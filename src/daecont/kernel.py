@@ -103,6 +103,20 @@ _GLOBALS = {
 _MODELS = ("f", "df", "g", "d1g", "d2g", "dgdot")
 
 
+def _model_errors(method):
+    # The boundary of a march and its start solve: a model's ValueError or
+    # ArithmeticError (a Python callable's, numpy's) leaves as
+    # EvaluationError naming its class and message, chained to it.
+    @functools.wraps(method)
+    def guarded(*args):
+        try:
+            return method(*args)
+        except (ValueError, ArithmeticError) as exc:
+            raise EvaluationError(f"model raised {type(exc).__name__}: {exc}") from exc
+
+    return guarded
+
+
 class March:
     """One stepper of the half-explicit RK4 march of ``model`` at ``lam``.
 
@@ -117,6 +131,11 @@ class March:
     ``frame(t)`` is the flat frame every solve and stage reads: the
     system's ``frame_entries`` (its table), or for a problem
     :func:`frame_function` of its paths at its order, which keeps nothing.
+
+    A ``ValueError`` or ``ArithmeticError`` that a model raises in
+    :meth:`resolve`, :meth:`march` or :meth:`record` (a Python callable's
+    own, or numpy's) becomes :class:`EvaluationError` naming its class and
+    message, chained with ``from``.
     """
 
     def __init__(self, model, lam, sensitivity: bool = False):
@@ -136,6 +155,7 @@ class March:
         self._resolve, self._march, self._record, self._forcing = build(
             *functions, self.frame, *drifts, float(lam))
 
+    @_model_errors
     def resolve(self, t, state, eta_guess) -> tuple:
         """The algebraic block at ``state``'s positions, from ``eta_guess``.
 
@@ -157,6 +177,7 @@ class March:
         """
         return self._forcing(t, *xi, *eta)
 
+    @_model_errors
     def march(self, state, eta, h, nsteps):
         """``(nodes, end)`` of ``nsteps`` steps of size ``h`` from ``(state, eta)`` at 0.
 
@@ -167,6 +188,7 @@ class March:
         """
         return self._march(0.0, float(h), nsteps, *state, *eta)
 
+    @_model_errors
     def record(self, t, *node) -> tuple:
         """``(t, x, y, xdot, ydot)`` of a node in original coordinates.
 

@@ -11,11 +11,11 @@ The audits quantify, as grid residuals, the structural hypotheses the
 rest of the package relies on: orthogonality of ``A(t)``, constancy of
 the frame products ``A(t) @ dA(t).T`` and ``A(t).T @ dA(t)``, and a family
 of second-derivative identities that hold for orthogonal paths with a
-constant frame product.  An audit samples its grid one time at a time,
-stacks the nodes as ``(grid, n, n)`` arrays and computes each quantity
-with one stacked expression; a residual is the max absolute entry of its
-stack, and one that is not finite (a product overflowed, a NaN at any
-node) raises :class:`EvaluationError` naming it.
+constant frame product.  An audit reads its grid as ``(grid, n, n)``
+stacks, one per derivative order (:meth:`MatrixPath.stack`), and computes
+each quantity with one stacked expression; a residual is the max absolute
+entry of its stack, and one that is not finite (a product overflowed, a
+NaN at any node) raises :class:`EvaluationError` naming it.
 """
 
 from __future__ import annotations
@@ -64,9 +64,8 @@ class MatrixPath:
     fd_step : float, optional
         Finite-difference step; defaults to ``1e-4 * max(1, period)``.
 
-    A returned array may be shared between calls (a constant path returns
-    its matrix, an exponential frame the value at the last time it saw),
-    so callers must not write to it.
+    A call returns a fresh array; the stacks of a constant path are
+    read-only broadcasts of its matrix.
     """
 
     def __init__(
@@ -91,6 +90,7 @@ class MatrixPath:
         self._d2 = d2
         self.fd_step = float(fd_step) if fd_step is not None else 1e-4 * max(1.0, period)
         self.name = name
+        self._closed = None  # (times, order) -> the stacks of a constant or exponential frame
 
     @property
     def analytic(self) -> bool:
@@ -104,59 +104,89 @@ class MatrixPath:
         derivative)."""
         return getattr((self._value, self._d1)[order], "fragments", None)
 
-    def _raw(self, fn, t: float) -> np.ndarray:
-        a = np.asarray(fn(t), dtype=float)
-        if a.shape != (self.dim, self.dim):
+    def _checked(self, a: np.ndarray) -> np.ndarray:
+        # a stack of values, after its one shape test and finiteness test
+        if a.shape[1:] != (self.dim, self.dim):
             raise EvaluationError(
-                f"path {self.name or '<anonymous>'} returned shape {a.shape}, "
+                f"path {self.name or '<anonymous>'} returned shape {a.shape[1:]}, "
                 f"expected {(self.dim, self.dim)}"
             )
         if not np.isfinite(a).all():
             raise EvaluationError(f"path {self.name or '<anonymous>'} returned non-finite entries")
         return a
 
-    def __call__(self, t: float, order: int = 0) -> np.ndarray:
-        if order == 0:
-            return self._raw(self._value, t)
-        if order == 1:
-            if self._d1 is not None:
-                return self._raw(self._d1, t)
-            h = self.fd_step
-            return (self._raw(self._value, t + h) - self._raw(self._value, t - h)) / (2.0 * h)
-        if order == 2:
-            if self._d2 is not None:
-                return self._raw(self._d2, t)
-            if self._d1 is not None:
-                h = self.fd_step
-                return (self._raw(self._d1, t + h) - self._raw(self._d1, t - h)) / (2.0 * h)
-            h = self.fd_step
-            return (
-                self._raw(self._value, t + h)
-                - 2.0 * self._raw(self._value, t)
-                + self._raw(self._value, t - h)
-            ) / (h * h)
-        raise EvaluationError(f"derivative order {order} not supported (max 2)")
+    def _gather(self, fn, times) -> np.ndarray:
+        # fn at each time, as one tested stack; when the nodes have different
+        # shapes, the first one that is wrong is named
+        values = [fn(t) for t in times]
+        try:
+            a = np.array(values, dtype=float)
+        except ValueError:
+            for value in values:
+                self._checked(np.array([value], dtype=float))
+            raise
+        return self._checked(a)
 
-    def periodicity_residual(self, grid: int = 16, value: Optional[Callable] = None) -> float:
+    def _order(self, order: int, at) -> np.ndarray:
+        # Order ``order`` from ``at(fn, dt)``, fn's tested value at the
+        # time(s) shifted by dt: a supplied function, else central differences.
+        if order == 0:
+            return at(self._value, 0.0)
+        if order not in (1, 2):
+            raise EvaluationError(f"derivative order {order} not supported (max 2)")
+        supplied = (self._d1, self._d2)[order - 1]
+        if supplied is not None:
+            return at(supplied, 0.0)
+        h = self.fd_step
+        if order == 1:
+            return (at(self._value, h) - at(self._value, -h)) / (2.0 * h)
+        if self._d1 is not None:
+            return (at(self._d1, h) - at(self._d1, -h)) / (2.0 * h)
+        return (at(self._value, h) - 2.0 * at(self._value, 0.0) + at(self._value, -h)) / (h * h)
+
+    def __call__(self, t: float, order: int = 0) -> np.ndarray:
+        return self._order(order, lambda fn, dt: self._gather(fn, (t + dt if dt else t,)))[0]
+
+    def stack(self, times, order: int = 0) -> tuple:
+        """The stacks ``(A, dA[, d2A])`` of orders ``0..order`` at ``times``.
+
+        Each is a ``(len(times), dim, dim)`` array whose node ``k`` has the
+        bits of ``self(times[k], order)``, with its errors: each stack gets
+        one shape test and one finiteness test.  A constant path broadcasts
+        its matrix and an exponential frame exponentiates all times at
+        once; any other function (compiled from expressions or a Python
+        callable) is called once per node, and a differenced order applies
+        its formula to the value stacks at ``times +- fd_step``.
+        """
+        if order not in (0, 1, 2):
+            raise EvaluationError(f"derivative order {order} not supported (max 2)")
+        times = np.asarray(times, dtype=float)
+        if self._closed is not None:
+            return tuple(map(self._checked, self._closed(times, order)))
+        at = lambda fn, dt: self._gather(fn, times + dt if dt else times)
+        return tuple(self._order(k, at) for k in range(order + 1))
+
+    def periodicity_residual(self, grid: int = 16, stack: Optional[Callable] = None) -> float:
         """Max of ``||A(t+T) - A(t)||_inf`` over a uniform grid of ``grid >= 1`` times.
 
-        ``value(t)``, when given, returns ``A(t)`` in place of the path's call.
-        A residual that is not finite raises :class:`EvaluationError`.
+        ``stack(times)``, when given, returns the path's values at an array
+        of times as one stack in place of :meth:`stack`.  A residual that is
+        not finite raises :class:`EvaluationError`.
         """
         if grid < 1:
             raise ValueError(f"periodicity grid must have at least 1 point, got {grid}")
-        value = self if value is None else value
-        times = [k * self.period / grid for k in range(grid)]
-        ends, starts = map(np.array, zip(*[(value(t + self.period), value(t)) for t in times]))
+        stack = (lambda times: self.stack(times)[0]) if stack is None else stack
+        times = np.array([k * self.period / grid for k in range(grid)])
+        values = stack(np.concatenate([times + self.period, times]))
         with np.errstate(all="ignore"):
-            return _sup(ends - starts, "periodicity_residual")
+            return _sup(values[:grid] - values[grid:], "periodicity_residual")
 
     @staticmethod
     def constant(mat: np.ndarray, period: float = 1.0, name: str = "") -> "MatrixPath":
         """Path that is constantly equal to ``mat``."""
         mat = np.asarray(mat, dtype=float)
         zero = np.zeros_like(mat)
-        return MatrixPath(
+        path = MatrixPath(
             mat.shape[0],
             period,
             lambda t: mat,
@@ -164,6 +194,10 @@ class MatrixPath:
             d2=lambda t: zero,
             name=name or "constant",
         )
+        path._closed = lambda times, order: (
+            np.broadcast_to(mat, times.shape + mat.shape),
+            *[np.broadcast_to(zero, times.shape + mat.shape)] * order)
+        return path
 
     @staticmethod
     def exp_frame(
@@ -179,7 +213,8 @@ class MatrixPath:
         orthogonal ``a0`` the path stays orthogonal and has constant frame
         products.  ``i s`` is Hermitian: one ``eigh`` here factors it as
         ``V diag(w) V^H``, and ``exp(t s) = Re(V diag(e^{-i t w}) V^H)``.
-        The value and both derivatives at one ``t`` share one evaluation.
+        The value and both derivatives at one ``t`` share one evaluation, and
+        a stack of times takes one exponential of all of them.
         """
         s = np.asarray(s, dtype=float)
         n = s.shape[0]
@@ -198,7 +233,12 @@ class MatrixPath:
                 last[0] = t
             return last[1]
 
-        return MatrixPath(
+        def stacked(times, order):
+            # the value's strides are value(t)'s, so s @ a multiplies as s @ value(t) does
+            a = ((v * np.exp(-1j * times[:, None, None] * w)) @ vh_a0).real
+            return (np.ascontiguousarray(a), *[d @ a for d in (s, s2)[:order]])
+
+        path = MatrixPath(
             n,
             period if period is not None else 2.0 * np.pi,
             value,
@@ -206,9 +246,14 @@ class MatrixPath:
             d2=lambda t: s2 @ value(t),
             name=name or "exp_frame",
         )
+        path._closed = stacked
+        return path
 
 
 def _grid_times(path: MatrixPath, grid: int) -> np.ndarray:
+    # the audit grid of grid >= MIN_GRID uniform times
+    if grid < MIN_GRID:
+        raise ValueError(f"audit grid must have at least {MIN_GRID} points")
     return np.arange(grid) * (path.period / grid)
 
 
@@ -267,17 +312,6 @@ class FrameAudit:
         }
 
 
-def _samples(path: MatrixPath, grid_size: int, order: int, sample=None) -> tuple:
-    """The stacks ``(A, dA[, d2A])``, each ``(grid_size, n, n)``, of a
-    uniform grid: the audits' one sampling pass, one time at a time,
-    through ``sample(t)`` when it is given."""
-    if grid_size < MIN_GRID:
-        raise ValueError(f"audit grid must have at least {MIN_GRID} points")
-    if sample is None:
-        sample = lambda t: tuple(path(t, k) for k in range(order + 1))
-    return tuple(map(np.array, zip(*[sample(t) for t in _grid_times(path, grid_size)])))
-
-
 def _t(stack: np.ndarray) -> np.ndarray:
     """Transpose of each matrix of a stack (of a matrix, its transpose)."""
     return stack.swapaxes(-1, -2)
@@ -314,15 +348,17 @@ def _audit_samples(a: np.ndarray, rights: np.ndarray, lefts: np.ndarray, tol: fl
 
 
 def frame_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, tol: Optional[float] = None,
-                sample: Optional[Callable[[float], tuple]] = None) -> FrameAudit:
+                stacks: Optional[tuple] = None) -> FrameAudit:
     """Audit orthogonality and frame-product constancy on a uniform grid.
 
     Constancy is measured against the grid mean (not against any single
-    time), so no instant is privileged.  ``sample(t)``, when given, returns
-    ``(A(t), dA(t))`` in place of the path's calls (a problem's frame
-    function, see :mod:`daecont.transform`); it must give the path's values.
+    time), so no instant is privileged.  ``stacks``, when given, are the
+    stacks ``(A, dA)`` at the grid's times in place of the path's own (a
+    problem's frame function, see :mod:`daecont.transform`); they must
+    give the path's values.
     """
-    a, da = _samples(path, grid_size, 1, sample)
+    times = _grid_times(path, grid_size)
+    a, da = path.stack(times, 1) if stacks is None else stacks
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite quantity
         return _audit_samples(a, a @ _t(da), _t(a) @ da, default_tol(path) if tol is None else tol)
 
@@ -375,7 +411,7 @@ def lemma_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID) -> LemmaReport:
     right product (``frame_audit(path).suitable``); when those
     preconditions fail, only the constancy pair is meaningful.
     """
-    a, da, dda = _samples(path, grid_size, 2)
+    a, da, dda = path.stack(_grid_times(path, grid_size), 2)
     with np.errstate(all="ignore"):  # each distinct stacked product once
         right, left = a @ _t(da), _t(a) @ da
         p = {"d2A A'": dda @ _t(a), "A d2A'": a @ _t(dda), "dA dA'": da @ _t(da),

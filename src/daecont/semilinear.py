@@ -182,8 +182,9 @@ def _check_with(dae, p, sigma, q, r, grid) -> ReductionReport:
     """The reduction audit with the mass matrix's factors ``p, sigma, q``
     and rank ``r`` given.
 
-    ``F`` and ``C`` are sampled one time at a time and stacked as
-    ``(grid, n, n)``; the transformed stacks ``P.T @ F @ Q`` and
+    ``F`` and ``C`` are read as ``(grid, n, n)`` stacks at the times
+    ``k * period / grid`` (:meth:`~daecont.paths.MatrixPath.stack`); the
+    transformed stacks ``P.T @ F @ Q`` and
     ``P.T @ C @ Q``, their block residuals, one stacked :func:`svd_small`
     per path (its sign rule applied per slice) and the determinants of
     the ``F3``, ``F4`` blocks are each one stacked expression.
@@ -196,8 +197,8 @@ def _check_with(dae, p, sigma, q, r, grid) -> ReductionReport:
         norm_inf(e_t[r:, r:]),
     )
     ker_e = p[:, r:]
-    times = [k * dae.period / grid for k in range(grid)]
-    f_raw, c_raw = map(np.array, zip(*[(dae.Fpath(t), dae.Cpath(t)) for t in times]))
+    times = np.array([k * dae.period / grid for k in range(grid)])
+    (f_raw,), (c_raw,) = dae.Fpath.stack(times), dae.Cpath.stack(times)
     (p_f, sigma_f, _), (p_c, sigma_c, _) = svd_small(f_raw), svd_small(c_raw)
     with np.errstate(all="ignore"):
         f_t, c_t = p.T @ f_raw @ q, p.T @ c_raw @ q

@@ -29,10 +29,12 @@ and coordinate system (:func:`~daecont.kernel.frame_function`): emitted
 float code for paths compiled from expression trees, the paths' numpy
 values otherwise.  No problem keeps one.  A system builds its fixed-frame
 function at the first time its table lacks, a raw march binds the raw one
-(see :class:`~daecont.kernel.March`), and the transform's audit samples
-the raw order-2 frame ``(A, B, dA, dB)``: orthogonality and constancy of
-``A``, periodicity of ``A`` and ``B``, drifts that commute with ``A`` and
-a ``B`` that is invertible at every audit-grid time, by one stacked test
+(see :class:`~daecont.kernel.March`), and the transform's audit reads
+the raw order-2 frame ``(A, B, dA, dB)`` as stacks, one fill of the frame
+function per set of times (the audit grid; for periodicity, ``t`` and
+``t + T``): orthogonality and constancy of ``A``, periodicity of ``A``
+and ``B``, drifts that commute with ``A`` and a ``B`` that is invertible
+at every audit-grid time, by one stacked test
 (:func:`~daecont.linalg.solve_stacked`'s pivot flags).
 """
 
@@ -174,37 +176,37 @@ class DaeProblem2:
 
 
 def _matrices(entries, dims) -> tuple:
-    # the square matrices of sizes dims, read row by row from a flat frame
+    # the square matrices of sizes dims, read row by row from a flat frame;
+    # from a stack of flat frames (rows), the stack of each matrix
+    entries = np.asarray(entries)
     out, start = [], 0
     for dim in dims:
-        out.append(np.array(entries[start : start + dim * dim]).reshape(dim, dim))
+        out.append(entries[..., start : start + dim * dim].reshape(*entries.shape[:-1], dim, dim))
         start += dim * dim
     return tuple(out)
 
 
 def _frame_samples(prob):
-    # t -> (A(t), dA(t), B(t)) as arrays, each time evaluated once, from the
-    # raw order-2 frame function (A, B, dA, dB) of the problem's paths
+    # times -> the stacks (A, B, dA, dB) at an array of times, from one
+    # fill of the raw order-2 frame function of the problem's paths; the
+    # last set of times is kept (A's and B's periodicity read one fill)
     from . import kernel  # kernel imports this module
 
     frames = kernel.frame_function(prob.A, prob.B, 2)
-    m, s, seen = prob.A.dim, prob.B.dim, {}
+    dims = (prob.A.dim, prob.B.dim) * 2
+    last = [None, None]
 
-    def sample(t):
-        mats = seen.get(t)
-        if mats is None:
-            a, b, da = _matrices(frames(t), (m, s, m))
-            mats = seen[t] = (a, da, b)
-        return mats
+    def samples(times):
+        if last[0] is None or not np.array_equal(last[0], times):
+            last[:] = times, _matrices([frames(t) for t in times], dims)
+        return last[1]
 
-    return sample
+    return samples
 
 
-def _check_invertible(prob, b_at):
-    # B(t) = b_at(t) at the audit-grid times, one stacked solve's pivot
-    # flags, and the first singular time named with solve_linear's message
-    times = _grid_times(prob.A, DEFAULT_GRID)
-    b = np.array([b_at(t) for t in times])
+def _check_invertible(b, times):
+    # B at the audit-grid times, one stacked solve's pivot flags, and the
+    # first singular time named with solve_linear's message
     singular = solve_stacked(b, np.zeros(b.shape[:2]))[1]
     if singular.any():
         k = int(np.argmax(singular))
@@ -212,7 +214,7 @@ def _check_invertible(prob, b_at):
                                       f"{_singular_messages(b[k : k + 1])[0]}")
 
 
-def _check_frame(prob, audit, sample):
+def _check_frame(prob, audit, samples):
     if audit.orthogonality > audit.tol:
         raise HypothesisViolatedError(
             f"frame path is not orthogonal: residual {audit.orthogonality:.3e} > {audit.tol:.1e}"
@@ -221,16 +223,15 @@ def _check_frame(prob, audit, sample):
         raise HypothesisViolatedError(
             f"frame product is not constant: residual {audit.right_constancy:.3e} > {audit.tol:.1e}"
         )
-    for path, index, label in ((prob.A, 0, "A"), (prob.B, 2, "B")):
-        res = path.periodicity_residual(value=lambda t: sample(t)[index])
+    for path, index, label in ((prob.A, 0, "A"), (prob.B, 1, "B")):
+        res = path.periodicity_residual(stack=lambda times: samples(times)[index])
         if res > PERIODICITY_TOL:
             raise HypothesisViolatedError(
                 f"path {label} is not {prob.period}-periodic: residual {res:.3e}"
             )
 
 
-def _check_commutation(h: np.ndarray, sample, period: float, tol: float, label: str):
-    a = np.array([sample(k * period / DEFAULT_GRID)[0] for k in range(DEFAULT_GRID)])
+def _check_commutation(h: np.ndarray, a: np.ndarray, tol: float, label: str):
     with np.errstate(all="ignore"):
         worst = _sup(h @ a - a @ h, f"commutation residual of {label}")
     if worst > tol:
@@ -310,15 +311,17 @@ for _name in ("order m s period A B f df g d1g d2g dgdot g_jac1 g_jac2 f_jac "
 def _transform(prob, validate, labels, drifts) -> TransformedSystem:
     # Shared body of both transforms: test B, audit the frame and the
     # commutation of each named drift matrix (zero when absent) with A, on
-    # the samples of the frame function, then build the system with
-    # ``drifts(M, *drift_matrices) -> (D0, D1)``.  Unvalidated, only the
-    # audit's M is computed.
-    sample = _frame_samples(prob)
+    # the stacks of the frame function at the audit grid, then build the
+    # system with ``drifts(M, *drift_matrices) -> (D0, D1)``.  Unvalidated,
+    # only the audit's M is computed.
+    samples = _frame_samples(prob)
+    times = _grid_times(prob.A, DEFAULT_GRID)
+    a, b, da, _ = samples(times)
     if validate:  # a singular B is named before a failing A
-        _check_invertible(prob, lambda t: sample(t)[2])
-    audit = frame_audit(prob.A, sample=lambda t: sample(t)[:2])
+        _check_invertible(b, times)
+    audit = frame_audit(prob.A, stacks=(a, da))
     if validate:
-        _check_frame(prob, audit, sample)
+        _check_frame(prob, audit, samples)
     mats = []
     for label in labels:
         h = getattr(prob, label)
@@ -327,7 +330,7 @@ def _transform(prob, validate, labels, drifts) -> TransformedSystem:
         else:
             h = np.asarray(h, dtype=float)
             if validate:
-                _check_commutation(h, sample, prob.A.period, audit.tol, label)
+                _check_commutation(h, a, audit.tol, label)
         mats.append(h)
     d0, d1 = drifts(audit.M, *mats)
     return TransformedSystem(prob, d0, d1, audit.M)

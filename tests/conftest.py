@@ -15,14 +15,21 @@ from daecont.paths import MatrixPath
 
 
 def _count_frames(monkeypatch, record):
-    # record(path, t) at every evaluation of a path on either route: a call
-    # of the MatrixPath (numpy), or each matrix that an emitted frame
-    # function evaluates (A and B, for order 2 their rates too).
-    call, make = MatrixPath.__call__, kernel.frame_function
+    # record(path, t) at every evaluation of a path on any route: a call
+    # of the MatrixPath (numpy), each node and order of a MatrixPath stack,
+    # or each matrix that an emitted frame function evaluates (A and B, for
+    # order 2 their rates too).
+    call, stack, make = MatrixPath.__call__, MatrixPath.stack, kernel.frame_function
 
     def counted(self, t, order=0):
         record(self, t)
         return call(self, t, order)
+
+    def counted_stack(self, times, order=0):
+        for t in times:
+            for _ in range(order + 1):
+                record(self, t)
+        return stack(self, times, order)
 
     def counted_function(a_path, b_path, order, fixed=False):
         frames = make(a_path, b_path, order, fixed)
@@ -38,6 +45,7 @@ def _count_frames(monkeypatch, record):
         return counted_frames
 
     monkeypatch.setattr(MatrixPath, "__call__", counted)
+    monkeypatch.setattr(MatrixPath, "stack", counted_stack)
     monkeypatch.setattr(kernel, "frame_function", counted_function)
 
 

@@ -425,13 +425,11 @@ def semilinear_reduction(dae, report, S, dS):
 # dropped).  Finite inputs give the stacked audits' bits.
 
 
-def audit_nodes(path, grid_size, order, sample=None):
+def audit_nodes(path, grid_size, order):
     """``(A, dA[, d2A])`` at each node of the audit grid, one tuple per node."""
     if grid_size < MIN_GRID:
         raise ValueError(f"audit grid must have at least {MIN_GRID} points")
-    if sample is None:
-        sample = lambda t: tuple(path(t, k) for k in range(order + 1))
-    return [sample(t) for t in _grid_times(path, grid_size)]
+    return [tuple(path(t, k) for k in range(order + 1)) for t in _grid_times(path, grid_size)]
 
 
 def frame_audit_of_nodes(samples, tol):

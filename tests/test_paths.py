@@ -116,18 +116,47 @@ class TestFrameAudit:
         assert not audit.is_orthogonal
 
 
+@pytest.fixture
+def numpy_path_calls(monkeypatch):
+    """Every call of a MatrixPath from here on, as the list of paths called."""
+    calls, call = [], MatrixPath.__call__
+    monkeypatch.setattr(MatrixPath, "__call__", lambda self, *args: calls.append(self)
+                        or call(self, *args))
+    return calls
+
+
+def counted_rotation(calls, fd=False):
+    # the rotation frame as Python callables, each call appended to calls
+    rot = lambda t: np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    order = lambda k: lambda t: calls.append(k) or np.linalg.matrix_power(ROT_GEN, k) @ rot(t)
+    if fd:
+        return MatrixPath(2, 2 * np.pi, order(0), fd_step=1e-4)
+    return MatrixPath(2, 2 * np.pi, order(0), d1=order(1), d2=order(2))
+
+
 class TestSampling:
-    # each audit samples every grid node once, at each derivative order it reads
-    def test_frame_audit_path_calls(self, path_calls):
-        frame_audit(path_fixture("rot2"), 16)
-        assert len(path_calls) == 2 * 16
+    # an audit reads one stack per path and derivative order
+    @pytest.mark.parametrize("audit", [frame_audit, lemma_audit])
+    def test_compiled_and_exp_frame_paths_make_no_path_call(self, numpy_path_calls, audit):
+        rng = np.random.default_rng(5)
+        for path in (path_fixture("rot2"), MatrixPath.exp_frame(skew(rng, 3), expm(skew(rng, 3)))):
+            audit(path, 16)
+        assert numpy_path_calls == []
 
-    def test_lemma_audit_path_calls(self, path_calls):
-        lemma_audit(path_fixture("rot2"), 16)
-        assert len(path_calls) == 3 * 16
+    @pytest.mark.parametrize("audit, orders", [(frame_audit, 2), (lemma_audit, 3)])
+    def test_python_callable_is_called_once_per_node_and_order(self, numpy_path_calls, audit,
+                                                               orders):
+        calls = []
+        audit(counted_rotation(calls), 16)
+        assert sorted(calls) == sorted(list(range(orders)) * 16) and numpy_path_calls == []
 
-    def test_exp_frame_shares_one_evaluation_across_orders(self, monkeypatch):
-        # the value and both derivatives at one time come from one
+    def test_differenced_orders_call_the_value_at_shifted_times(self):
+        calls = []
+        frame_audit(counted_rotation(calls, fd=True), 16)
+        assert calls == [0] * 3 * 16  # A at t, then at t + h and t - h
+
+    def test_exp_frame_exponentiates_all_nodes_at_once(self, monkeypatch):
+        # the value and both derivatives at every node come from one
         # exponential, and the generator is factored once, at construction
         rng = np.random.default_rng(7)
         s, a0 = skew(rng, 3), expm(skew(rng, 3))
@@ -137,10 +166,82 @@ class TestSampling:
         monkeypatch.setattr(np, "exp", lambda z: calls.append("exp") or exp_(z))
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append("eigh") or eigh_(m))
         lemma_audit(path, 16)
-        assert calls == ["exp"] * 16
+        assert calls == ["exp"]
         monkeypatch.undo()
-        for t in (0.3, 0.7, 0.3):  # a new time evaluates afresh
+        for t in (0.3, 0.7, 0.3):  # a call at a new time evaluates afresh
             assert np.array_equal(path(t, 1), s @ MatrixPath.exp_frame(s, a0)(t))
+
+
+def stack_kinds():
+    # (name, path) of every kind of path that MatrixPath.stack evaluates
+    rng = np.random.default_rng(12)
+    table = [["exp(t/7)*cos(t)", "-sin(t)"], ["sin(t)^2", "exp(-t)"]]
+    trig = lambda t: np.array([[np.cos(t), t * np.sin(t)], [np.exp(0.1 * t), 1.0 + t * t]])
+    rate = lambda t: np.array([[-np.sin(t), np.sin(t) + t * np.cos(t)],
+                               [0.1 * np.exp(0.1 * t), 2.0 * t]])
+    return [
+        ("expression", expr_path(table, 2 * np.pi)),
+        ("expression_fd", expr_path(table, 2 * np.pi, derivative_mode="fd", fd_step=1e-3)),
+        ("exp_frame", MatrixPath.exp_frame(skew(rng, 4), expm(skew(rng, 4)))),
+        ("constant", MatrixPath.constant(rng.normal(size=(3, 3)), period=2.0)),
+        ("callable", MatrixPath(2, 2 * np.pi, trig, d1=rate, d2=lambda t: t * rate(t))),
+        ("callable_d1", MatrixPath(2, 2 * np.pi, trig, d1=rate)),
+        ("callable_fd", MatrixPath(2, 2 * np.pi, trig)),
+    ]
+
+
+class TestStack:
+    # a stack has the bits and the errors of the path's calls, node by node
+    TIMES = np.array([0.0, 0.37, -1.25, 3.0, 9.871, 1e-9, 2.5])
+
+    @pytest.mark.parametrize("name, path", stack_kinds(), ids=[name for name, _ in stack_kinds()])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_bits_of_the_calls(self, name, path, order):
+        stacks = path.stack(self.TIMES, order)
+        assert len(stacks) == order + 1
+        for k, stack in enumerate(stacks):
+            nodes = np.array([path(t, k) for t in self.TIMES])
+            assert stack.shape == nodes.shape and stack.tobytes() == nodes.tobytes()
+
+    def test_order_limit(self):
+        with pytest.raises(EvaluationError, match=r"^derivative order 3 not supported \(max 2\)$"):
+            path_fixture("rot2").stack(self.TIMES, 3)
+
+    @staticmethod
+    def _same_error(path, order=0):
+        with pytest.raises(Exception) as call:
+            for t in TestStack.TIMES:
+                for k in range(order + 1):
+                    path(t, k)
+        with pytest.raises(Exception) as stack:
+            path.stack(TestStack.TIMES, order)
+        assert type(stack.value) is type(call.value) and str(stack.value) == str(call.value)
+        return stack.value
+
+    @pytest.mark.parametrize("bad", [np.eye(3), np.ones(2), np.array([[1.0, np.inf], [0.0, 1.0]])])
+    @pytest.mark.parametrize("everywhere", [True, False])
+    def test_a_bad_node_raises_as_its_call(self, bad, everywhere):
+        # the wrong shape or a non-finite entry at every node, or at one
+        value = lambda t: bad if everywhere or t == 3.0 else np.eye(2)
+        error = self._same_error(MatrixPath(2, 1.0, value, name="P"))
+        assert isinstance(error, EvaluationError) and str(error).startswith("path P returned")
+
+    def test_a_bad_derivative_raises_as_its_call(self):
+        value = lambda t: np.eye(2)
+        rate = lambda t: np.full((2, 2), np.nan) if t == 9.871 else np.zeros((2, 2))
+        error = self._same_error(MatrixPath(2, 1.0, value, d1=rate, name="P"), 1)
+        assert str(error) == "path P returned non-finite entries"
+
+    def test_bad_constant_raises_as_its_call(self):
+        assert "shape (2, 3)" in str(self._same_error(MatrixPath.constant(np.zeros((2, 3)))))
+        assert "non-finite" in str(self._same_error(MatrixPath.constant(np.full((2, 2), np.nan))))
+
+    def test_compiled_failure_raises_as_its_call(self):
+        # exp overflows at t = 9.871 only: the compiled function's
+        # NonfiniteResultError, raised at that node
+        path = expr_path([["exp(100*t)", "0"], ["0", "1"]], 2 * np.pi)
+        error = self._same_error(path)
+        assert type(error).__name__ == "NonfiniteResultError"
 
 
 class TestSkewExponential:
@@ -313,9 +414,10 @@ class TestStackedAudits:
         problem = load_fixture(name)
         if isinstance(problem, SemiLinearDae):
             problem = reduce_semilinear(problem)
-        sample = _frame_samples(problem)
-        audit = frame_audit(problem.A, sample=lambda t: sample(t)[:2])
-        nodes = audit_nodes(problem.A, paths.DEFAULT_GRID, 1, lambda t: sample(t)[:2])
+        # one fill of the frame function gives the bits of the path's calls
+        a, _, da, _ = _frame_samples(problem)(paths._grid_times(problem.A, paths.DEFAULT_GRID))
+        audit = frame_audit(problem.A, stacks=(a, da))
+        nodes = audit_nodes(problem.A, paths.DEFAULT_GRID, 1)
         assert report_bits(audit) == report_bits(frame_audit_of_nodes(nodes, audit.tol))
 
     def test_periodicity_residual_is_the_max_over_the_nodes(self):

@@ -8,6 +8,7 @@ from daecont import kernel, periodic
 from daecont.degree import Box, averaged_map_fn
 from daecont.errors import (
     DaecontError,
+    EvaluationError,
     NoConvergenceError,
     NonfiniteResultError,
     SeedRejectedError,
@@ -1223,9 +1224,32 @@ class TestFloatMarchErrors:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_python_callable_error_reaches_the_caller(self, mode):
-        for march in self.marches(mode, scalar_problem(f=self.failing_forcing), np.zeros(1)):
-            with pytest.raises(ValueError, match="injected"):
+        # as EvaluationError naming the model's error, chained to it
+        prob = scalar_problem(f=self.failing_forcing)
+        marches = self.marches(mode, prob, np.zeros(1))
+        if mode == "fixed":
+            marches.append(lambda: find_tpair(prob, 0.5, np.zeros(1), nsteps=16))
+        for march in marches:
+            with pytest.raises(EvaluationError, match=r"^model raised ValueError: injected$") as caught:
                 march()
+            assert type(caught.value.__cause__) is ValueError
+
+    def test_python_callable_error_in_the_start_solve(self):
+        # g raises while integrate solves for the algebraic start
+        def failing_constraint(p, q):
+            raise ArithmeticError("injected")
+
+        prob = scalar_problem(g=failing_constraint)
+        with pytest.raises(EvaluationError, match=r"^model raised ArithmeticError: injected$"):
+            integrate(prob, 0.5, np.zeros(1), h=prob.period / 16)
+
+    def test_argument_errors_stay_value_errors(self):
+        prob = scalar_problem()
+        for kwargs, message in (({"mode": "both"}, "unknown integration mode"),
+                                ({"h": 1e-9}, "gives more than"),
+                                ({"y0": np.array([5.0])}, "initial state violates the constraint")):
+            with pytest.raises(ValueError, match=message):
+                integrate(prob, 0.5, np.array([0.1]), **kwargs)
 
     def test_python_callable_error_mid_branch_keeps_the_trivial_pair(self):
         # a ValueError from a Python-callable forcing inside the first

@@ -369,6 +369,14 @@ class TestStackedCheck:
         stacked, nodes = _check_both(dae)
         assert report_bits(stacked) == report_bits(nodes) and stacked.conditions_hold
 
+    @pytest.mark.parametrize("grid", [1, 7, 64])
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+    def test_check_conditions_of_path_calls(self, name, grid):
+        # F and C read as stacks give the bits of one call per node
+        dae = build_problem(parse_problem(ORACLE_PROBLEMS[name][0]))
+        nodes = check_with_nodes(dae, *_rank_checked_svd(dae), grid)
+        assert report_bits(check_conditions(dae, grid)) == report_bits(nodes)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_coefficient_copies(self, seed):
         stacked, nodes = _check_both(coefficient_copy(seed), 16 + 8 * seed)
