@@ -37,7 +37,7 @@ from .degree import (
     seeding_map,
 )
 from .errors import DaecontError
-from .paths import DEFAULT_GRID, MIN_GRID, MatrixPath, _grid_times, frame_audit, lemma_audit
+from .paths import DEFAULT_GRID, MIN_GRID, MatrixPath, frame_audit, lemma_audit
 from .periodic import DEFAULT_STEPS, _steps_for, branch_seeds, continue_branch, integrate
 from .probfile import (
     branch_to_csv,
@@ -217,7 +217,7 @@ def _frame_audit(problem, grid, tol=None):
     # frame_audit of the problem's A on the stacks the transform's audit
     # reads (one fill of the raw order-2 frame function of its paths),
     # which give the path's bits
-    a, _, da, _ = _frame_samples(problem)(_grid_times(problem.A, grid))
+    _, a, _, da, _ = _frame_samples(problem, grid)
     return frame_audit(problem.A, grid, tol, stacks=(a, da))
 
 

@@ -64,8 +64,9 @@ class MatrixPath:
     fd_step : float, optional
         Finite-difference step; defaults to ``1e-4 * max(1, period)``.
 
-    A call returns a fresh array; the stacks of a constant path are
-    read-only broadcasts of its matrix.
+    A returned array may be shared between calls (a constant path returns
+    its matrix, an exponential frame the value at the last time it saw),
+    so callers must not write to it.
     """
 
     def __init__(
@@ -90,7 +91,7 @@ class MatrixPath:
         self._d2 = d2
         self.fd_step = float(fd_step) if fd_step is not None else 1e-4 * max(1.0, period)
         self.name = name
-        self._closed = None  # (times, order) -> the stacks of a constant or exponential frame
+        self._closed = None  # (times, order) -> the stacks of an exponential frame
 
     @property
     def analytic(self) -> bool:
@@ -114,6 +115,10 @@ class MatrixPath:
         if not np.isfinite(a).all():
             raise EvaluationError(f"path {self.name or '<anonymous>'} returned non-finite entries")
         return a
+
+    def _at(self, fn, t: float) -> np.ndarray:
+        # fn at one time, after the shape and finiteness tests of a stack
+        return self._checked(np.asarray(fn(t), dtype=float)[None])[0]
 
     def _gather(self, fn, times) -> np.ndarray:
         # fn at each time, as one tested stack; when the nodes have different
@@ -145,18 +150,18 @@ class MatrixPath:
         return (at(self._value, h) - 2.0 * at(self._value, 0.0) + at(self._value, -h)) / (h * h)
 
     def __call__(self, t: float, order: int = 0) -> np.ndarray:
-        return self._order(order, lambda fn, dt: self._gather(fn, (t + dt if dt else t,)))[0]
+        return self._order(order, lambda fn, dt: self._at(fn, t + dt if dt else t))
 
     def stack(self, times, order: int = 0) -> tuple:
         """The stacks ``(A, dA[, d2A])`` of orders ``0..order`` at ``times``.
 
         Each is a ``(len(times), dim, dim)`` array whose node ``k`` has the
         bits of ``self(times[k], order)``, with its errors: each stack gets
-        one shape test and one finiteness test.  A constant path broadcasts
-        its matrix and an exponential frame exponentiates all times at
-        once; any other function (compiled from expressions or a Python
-        callable) is called once per node, and a differenced order applies
-        its formula to the value stacks at ``times +- fd_step``.
+        one shape test and one finiteness test.  An exponential frame
+        exponentiates all times at once; any other function (compiled from
+        expressions, a constant's or a Python callable) is called once per
+        node, and a differenced order applies its formula to the value
+        stacks at ``times +- fd_step``.
         """
         if order not in (0, 1, 2):
             raise EvaluationError(f"derivative order {order} not supported (max 2)")
@@ -166,18 +171,23 @@ class MatrixPath:
         at = lambda fn, dt: self._gather(fn, times + dt if dt else times)
         return tuple(self._order(k, at) for k in range(order + 1))
 
-    def periodicity_residual(self, grid: int = 16, stack: Optional[Callable] = None) -> float:
-        """Max of ``||A(t+T) - A(t)||_inf`` over a uniform grid of ``grid >= 1`` times.
-
-        ``stack(times)``, when given, returns the path's values at an array
-        of times as one stack in place of :meth:`stack`.  A residual that is
-        not finite raises :class:`EvaluationError`.
-        """
+    def periodicity_times(self, grid: int = 16) -> np.ndarray:
+        """The times ``t + T``, then ``t``, of a uniform grid of ``grid >= 1``
+        times ``t``: where :meth:`periodicity_residual` reads the path."""
         if grid < 1:
             raise ValueError(f"periodicity grid must have at least 1 point, got {grid}")
-        stack = (lambda times: self.stack(times)[0]) if stack is None else stack
         times = np.array([k * self.period / grid for k in range(grid)])
-        values = stack(np.concatenate([times + self.period, times]))
+        return np.concatenate([times + self.period, times])
+
+    def periodicity_residual(self, grid: int = 16, values: Optional[np.ndarray] = None) -> float:
+        """Max of ``||A(t+T) - A(t)||_inf`` over a uniform grid of ``grid >= 1`` times.
+
+        ``values``, when given, is the stack of the path's values at
+        :meth:`periodicity_times` in place of its own :meth:`stack`.  A
+        residual that is not finite raises :class:`EvaluationError`.
+        """
+        times = self.periodicity_times(grid)
+        values = self.stack(times)[0] if values is None else values
         with np.errstate(all="ignore"):
             return _sup(values[:grid] - values[grid:], "periodicity_residual")
 
@@ -186,7 +196,7 @@ class MatrixPath:
         """Path that is constantly equal to ``mat``."""
         mat = np.asarray(mat, dtype=float)
         zero = np.zeros_like(mat)
-        path = MatrixPath(
+        return MatrixPath(
             mat.shape[0],
             period,
             lambda t: mat,
@@ -194,10 +204,6 @@ class MatrixPath:
             d2=lambda t: zero,
             name=name or "constant",
         )
-        path._closed = lambda times, order: (
-            np.broadcast_to(mat, times.shape + mat.shape),
-            *[np.broadcast_to(zero, times.shape + mat.shape)] * order)
-        return path
 
     @staticmethod
     def exp_frame(
@@ -355,10 +361,9 @@ def frame_audit(path: MatrixPath, grid_size: int = DEFAULT_GRID, tol: Optional[f
     time), so no instant is privileged.  ``stacks``, when given, are the
     stacks ``(A, dA)`` at the grid's times in place of the path's own (a
     problem's frame function, see :mod:`daecont.transform`); they must
-    give the path's values.
+    give the path's values, and their length is the grid's size.
     """
-    times = _grid_times(path, grid_size)
-    a, da = path.stack(times, 1) if stacks is None else stacks
+    a, da = path.stack(_grid_times(path, grid_size), 1) if stacks is None else stacks
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite quantity
         return _audit_samples(a, a @ _t(da), _t(a) @ da, default_tol(path) if tol is None else tol)
 

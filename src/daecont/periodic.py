@@ -69,8 +69,7 @@ from .errors import (
 )
 from .kernel import March
 from .linalg import NewtonConfig, newton_solve, norm_inf, solve_linear
-from .paths import DEFAULT_GRID, _grid_times
-from .transform import _check_invertible, _matrices, fixed_frame
+from .transform import _check_invertible, _frame_samples, _matrices, fixed_frame
 
 __all__ = [
     "Trajectory",
@@ -204,8 +203,8 @@ def integrate(
     if mode == "raw":
         # the transform's test of B, which names the time of a singular B;
         # an A that fails the frame audit still marches
-        times = _grid_times(prob.A, DEFAULT_GRID)
-        _check_invertible(_matrices([stepper.frame(t) for t in times], (prob.m, prob.s))[1], times)
+        times, _, b = _frame_samples(prob, frames=stepper.frame)[:3]
+        _check_invertible(b, times)
     if y0 is not None:
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
         a0, b0 = _matrices(stepper.frame(0.0), (prob.m, prob.s))

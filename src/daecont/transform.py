@@ -186,22 +186,17 @@ def _matrices(entries, dims) -> tuple:
     return tuple(out)
 
 
-def _frame_samples(prob):
-    # times -> the stacks (A, B, dA, dB) at an array of times, from one
-    # fill of the raw order-2 frame function of the problem's paths; the
-    # last set of times is kept (A's and B's periodicity read one fill)
+def _frame_samples(prob, grid=DEFAULT_GRID, times=None, frames=None) -> tuple:
+    # (times, A, B[, dA, dB]): the matrices of a flat frame function of the
+    # problem's paths (by default the raw order-2 one) as stacks at times
+    # (by default the audit grid of grid nodes), from one fill
     from . import kernel  # kernel imports this module
 
-    frames = kernel.frame_function(prob.A, prob.B, 2)
-    dims = (prob.A.dim, prob.B.dim) * 2
-    last = [None, None]
-
-    def samples(times):
-        if last[0] is None or not np.array_equal(last[0], times):
-            last[:] = times, _matrices([frames(t) for t in times], dims)
-        return last[1]
-
-    return samples
+    times = _grid_times(prob.A, grid) if times is None else times
+    frames = kernel.frame_function(prob.A, prob.B, 2) if frames is None else frames
+    entries = np.array([frames(t) for t in times])
+    dims = (prob.A.dim, prob.B.dim)
+    return (times, *_matrices(entries, dims * (entries.shape[-1] // sum(d * d for d in dims))))
 
 
 def _check_invertible(b, times):
@@ -214,7 +209,7 @@ def _check_invertible(b, times):
                                       f"{_singular_messages(b[k : k + 1])[0]}")
 
 
-def _check_frame(prob, audit, samples):
+def _check_frame(prob, audit):
     if audit.orthogonality > audit.tol:
         raise HypothesisViolatedError(
             f"frame path is not orthogonal: residual {audit.orthogonality:.3e} > {audit.tol:.1e}"
@@ -223,8 +218,12 @@ def _check_frame(prob, audit, samples):
         raise HypothesisViolatedError(
             f"frame product is not constant: residual {audit.right_constancy:.3e} > {audit.tol:.1e}"
         )
-    for path, index, label in ((prob.A, 0, "A"), (prob.B, 1, "B")):
-        res = path.periodicity_residual(stack=lambda times: samples(times)[index])
+    # A's and B's periodicity read one fill, at both paths' times when
+    # their periods differ
+    ta, tb = prob.A.periodicity_times(), prob.B.periodicity_times()
+    _, a, b = _frame_samples(prob, times=ta if np.array_equal(ta, tb) else np.concatenate([ta, tb]))[:3]
+    for path, values, label in ((prob.A, a[: len(ta)], "A"), (prob.B, b[-len(tb) :], "B")):
+        res = path.periodicity_residual(values=values)
         if res > PERIODICITY_TOL:
             raise HypothesisViolatedError(
                 f"path {label} is not {prob.period}-periodic: residual {res:.3e}"
@@ -314,14 +313,12 @@ def _transform(prob, validate, labels, drifts) -> TransformedSystem:
     # the stacks of the frame function at the audit grid, then build the
     # system with ``drifts(M, *drift_matrices) -> (D0, D1)``.  Unvalidated,
     # only the audit's M is computed.
-    samples = _frame_samples(prob)
-    times = _grid_times(prob.A, DEFAULT_GRID)
-    a, b, da, _ = samples(times)
+    times, a, b, da, _ = _frame_samples(prob)
     if validate:  # a singular B is named before a failing A
         _check_invertible(b, times)
     audit = frame_audit(prob.A, stacks=(a, da))
     if validate:
-        _check_frame(prob, audit, samples)
+        _check_frame(prob, audit)
     mats = []
     for label in labels:
         h = getattr(prob, label)

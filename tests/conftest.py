@@ -15,19 +15,27 @@ from daecont.paths import MatrixPath
 
 
 def _count_frames(monkeypatch, record):
-    # record(path, t) at every evaluation of a path on any route: a call
-    # of the MatrixPath (numpy), each node and order of a MatrixPath stack,
-    # or each matrix that an emitted frame function evaluates (A and B, for
+    # record(path, t) at every evaluation of a path on any route: each call
+    # of one of its functions at one time (a MatrixPath call, each
+    # differenced sample of it) or at each node of a stack, each node of an
+    # exponential frame's stack (one exponential for all its orders), or
+    # each matrix that an emitted frame function evaluates (A and B, for
     # order 2 their rates too).
-    call, stack, make = MatrixPath.__call__, MatrixPath.stack, kernel.frame_function
+    at, gather, stack = MatrixPath._at, MatrixPath._gather, MatrixPath.stack
+    make = kernel.frame_function
 
-    def counted(self, t, order=0):
+    def counted_at(self, fn, t):
         record(self, t)
-        return call(self, t, order)
+        return at(self, fn, t)
+
+    def counted_gather(self, fn, times):
+        for t in times:
+            record(self, t)
+        return gather(self, fn, times)
 
     def counted_stack(self, times, order=0):
-        for t in times:
-            for _ in range(order + 1):
+        if self._closed is not None:
+            for t in times:
                 record(self, t)
         return stack(self, times, order)
 
@@ -44,7 +52,8 @@ def _count_frames(monkeypatch, record):
 
         return counted_frames
 
-    monkeypatch.setattr(MatrixPath, "__call__", counted)
+    monkeypatch.setattr(MatrixPath, "_at", counted_at)
+    monkeypatch.setattr(MatrixPath, "_gather", counted_gather)
     monkeypatch.setattr(MatrixPath, "stack", counted_stack)
     monkeypatch.setattr(kernel, "frame_function", counted_function)
 

@@ -415,7 +415,7 @@ class TestStackedAudits:
         if isinstance(problem, SemiLinearDae):
             problem = reduce_semilinear(problem)
         # one fill of the frame function gives the bits of the path's calls
-        a, _, da, _ = _frame_samples(problem)(paths._grid_times(problem.A, paths.DEFAULT_GRID))
+        _, a, _, da, _ = _frame_samples(problem)
         audit = frame_audit(problem.A, stacks=(a, da))
         nodes = audit_nodes(problem.A, paths.DEFAULT_GRID, 1)
         assert report_bits(audit) == report_bits(frame_audit_of_nodes(nodes, audit.tol))

@@ -105,6 +105,23 @@ class TestFixedFrameFirst:
         with pytest.raises(HypothesisViolatedError):
             fixed_frame_first(prob)
 
+    @pytest.mark.parametrize("label", ["A", "B"])
+    def test_each_path_is_periodic_at_its_own_period(self, label):
+        # a 1-periodic path beside a 2 pi-periodic one passes, and the same
+        # function declared 2 pi-periodic fails
+        turn = lambda t: np.array([[np.cos(2 * np.pi * t), -np.sin(2 * np.pi * t)],
+                                   [np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)]])
+        paths = {"A": lambda period: MatrixPath(2, period, turn, d1=lambda t: 2 * np.pi * J @ turn(t)),
+                 "B": lambda period: MatrixPath(1, period, lambda t: 2.0 + turn(t)[:1, :1])}
+        prob = identity_problem()
+        for period, fails in ((1.0, False), (2 * np.pi, True)):
+            setattr(prob, label, paths[label](period))
+            if fails:
+                with pytest.raises(HypothesisViolatedError, match=f"^path {label} is not"):
+                    fixed_frame_first(prob)
+            else:
+                fixed_frame_first(prob)
+
 
 class TestFixedFrameSecond:
     def test_rotating_second_order_drifts(self):
