@@ -11,6 +11,21 @@ the model's expression trees are inlined at every place the march needs
 a model value (``f``, ``df``, ``g``, ``d1g``, ``d2g``, ``dgdot``), with the
 stage's own locals as their variables.
 
+The march makes no call per stage.  Each RK step is one loop over its
+four stages that runs the one stage body inline: stage 1's inputs and
+the first term of the RK sum ``((k1 + 2 k2) + 2 k3) + k4`` are assigned,
+later stages add theirs, and the constraint re-solve that ends a step
+(and, raw, the node's record) is inline too.  Work that depends on the
+stage time alone forms the time-only block: the frame's unpacking, the
+pivot tests of ``B`` (a solve is split into factor and apply lines) and,
+when an inlined ``df`` reads only ``t``, the Jacobian ``J`` and all its
+products with the frame.  A step has two new stage times (stage 1 has
+the time of the step before's stage 4, stages 2 and 3 share the
+midpoint), and the block's lines run only when the stage time is not
+the previous stage's, each in its place among the node's lines, so the
+bits and the first error raised are those of a stage that does all its
+work.  A model called through the adapter keeps all its work per node.
+
 The type of the model picks the coordinates (see :class:`March`).  A
 fixed-frame system solves the autonomous constraint for ``eta``, drifts
 by ``D0``/``D1`` and pulls its nodes back; a problem marches raw: it
@@ -59,20 +74,23 @@ respect to ``(lam, state0)`` in the rows after row 0, which is the plain
 march's arithmetic, bit for bit (see :mod:`daecont.periodic`).
 
 A kernel is emitted and compiled at the first march, start solve or
-averaged map that needs it, never at set-up, and kept in a bounded cache keyed by what its source is
-emitted from: the problem's shape, the march kind and the fragments, so
-that every parse of one problem shares one kernel.  One entry keeps the
-compiled code of its build function, 9 to 34 KB on the fixtures
-(measured with tracemalloc: 21 KB for the sensitivity kernel of
-``rotating_surface``, 34 KB for that of ``rotating_surface_2nd``), and
-the fragments of its key with their trees, a few KB more; compiling one
-takes up to 1.6 MB for a moment.  Frame functions are emitted at their
-first use, a few hundred bytes of source each, and cached the same way.
+averaged map that needs it, never at set-up, and kept in a bounded cache
+keyed by what its source is emitted from: the problem's shape, the march
+kind and the fragments, so that every parse of one problem shares one
+kernel.  Its source is 165 to 414 lines on the fixtures.  One entry
+keeps the compiled code of its build function, 9 to 24 KB on the
+fixtures (measured with tracemalloc as what compiling and running the
+build source leaves allocated: 14 KB for the sensitivity kernel of
+``rotating_surface``, 24 KB for that of ``rotating_surface_2nd``), and the
+fragments of its key with their trees, a few KB more; compiling one
+peaks at 1.6 MB.  Frame functions are emitted at their first use, a few
+hundred bytes of source each, and cached the same way.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -83,7 +101,7 @@ from .linalg import PIVOT_REL, solve_linear
 from .paths import inverse_derivative
 from .transform import TransformedSystem
 
-__all__ = ["March", "frame_function", "CONSTRAINT_SOLVE_TOL", "CONSTRAINT_SOLVE_MAX_ITER"]
+__all__ = ["March", "frame_function", "model_errors", "CONSTRAINT_SOLVE_TOL", "CONSTRAINT_SOLVE_MAX_ITER"]
 
 CONSTRAINT_SOLVE_TOL = 1e-12
 CONSTRAINT_SOLVE_MAX_ITER = 40
@@ -103,10 +121,11 @@ _GLOBALS = {
 _MODELS = ("f", "df", "g", "d1g", "d2g", "dgdot")
 
 
-def _model_errors(method):
-    # The boundary of a march and its start solve: a model's ValueError or
-    # ArithmeticError (a Python callable's, numpy's) leaves as
-    # EvaluationError naming its class and message, chained to it.
+def model_errors(method):
+    """``method`` inside the error boundary of a march and its start solve:
+    a model's ``ValueError`` or ``ArithmeticError`` (a Python callable's,
+    numpy's) leaves as :class:`EvaluationError` naming its class and
+    message, chained to it."""
     @functools.wraps(method)
     def guarded(*args):
         try:
@@ -155,7 +174,7 @@ class March:
         self._resolve, self._march, self._record, self._forcing = build(
             *functions, self.frame, *drifts, float(lam))
 
-    @_model_errors
+    @model_errors
     def resolve(self, t, state, eta_guess) -> tuple:
         """The algebraic block at ``state``'s positions, from ``eta_guess``.
 
@@ -177,7 +196,7 @@ class March:
         """
         return self._forcing(t, *xi, *eta)
 
-    @_model_errors
+    @model_errors
     def march(self, state, eta, h, nsteps):
         """``(nodes, end)`` of ``nsteps`` steps of size ``h`` from ``(state, eta)`` at 0.
 
@@ -188,7 +207,7 @@ class March:
         """
         return self._march(0.0, float(h), nsteps, *state, *eta)
 
-    @_model_errors
+    @model_errors
     def record(self, t, *node) -> tuple:
         """``(t, x, y, xdot, ydot)`` of a node in original coordinates.
 
@@ -230,7 +249,8 @@ def _adapter(model):
 def _build(order, m, s, sensitivity, raw, inlined):
     # The build function of one kernel, emitted and compiled once.
     namespace = dict(_GLOBALS)
-    exec(_emit(_caller(inlined), order, m, s, sensitivity, raw), namespace)
+    hoist = _reads_t_only(inlined[_MODELS.index("df")])
+    exec(_emit(_caller(inlined), order, m, s, sensitivity, raw, hoist), namespace)
     return namespace["build"]
 
 
@@ -336,6 +356,16 @@ def _emit_frames(m, s, fixed, fragments):
 # rows; the helpers return source fragments or lines of statements.
 
 
+class _Once(str):
+    """A line of time-only work, which the march runs once per stage time."""
+
+    __slots__ = ()
+
+
+def _once(lines):
+    return [_Once(line) for line in lines]
+
+
 def _vec(name, n):
     return [f"{name}{i}" for i in range(n)]
 
@@ -378,30 +408,32 @@ def _let(name, rows):
     return lines, names
 
 
-def _solve(a, cols, name, on_singular=()):
+def _solve(a, cols, name, on_singular=(), factor=list):
     """Lines that solve ``a x = c`` for each column ``c`` of ``cols``, and the
     solution columns' names, ``<name><column>_<entry>``.
 
     The closed forms and pivot tests of :func:`~daecont.linalg.solve_linear`
-    for 1x1 and 2x2, a call to it otherwise.  ``on_singular`` runs before
-    a singular system raises.
+    for 1x1 and 2x2, a call to it otherwise.  The factor lines, which read
+    ``a`` alone (the pivot test, and the 2x2 determinant), come first,
+    through ``factor``.  ``on_singular`` runs before a singular system
+    raises.
     """
     n = len(a)
     names = [[f"{name}{c}_{i}" for i in range(n)] for c in range(len(cols))]
     guard = [f"    {line}" for line in on_singular]
     if n == 1:
         pivot = a[0][0]
-        lines = [f"if abs({pivot}) < _TINY:", *guard,
-                 "    raise SingularMatrixError('1x1 system is singular')"]
+        lines = factor([f"if abs({pivot}) < _TINY:", *guard,
+                        "    raise SingularMatrixError('1x1 system is singular')"])
         lines += [f"{x[0]} = {c[0]} / {pivot}" for x, c in zip(names, cols)]
         return lines, names
     if n == 2:
         (a00, a01), (a10, a11) = a
         det = f"{name}_det"
         scale = f"max(abs({a00}), abs({a01}), abs({a10}), abs({a11}), 1e-300)"
-        lines = [f"{det} = {a00}*{a11} - {a01}*{a10}",
-                 f"if abs({det}) < (_PIVOT_REL * {scale})**2 or {det} == 0.0:", *guard,
-                 "    raise SingularMatrixError('2x2 system is singular')"]
+        lines = factor([f"{det} = {a00}*{a11} - {a01}*{a10}",
+                        f"if abs({det}) < (_PIVOT_REL * {scale})**2 or {det} == 0.0:", *guard,
+                        "    raise SingularMatrixError('2x2 system is singular')"])
         for x, (c0, c1) in zip(names, cols):
             lines += [f"{x[0]} = ({a11}*{c0} - {a01}*{c1}) / {det}",
                       f"{x[1]} = ({a00}*{c1} - {a10}*{c0}) / {det}"]
@@ -533,10 +565,10 @@ def _pull_back(order, m, s, a, b, da, dbi):
     # there; adding 0.0 changes only that sign, and nodes print as before
     matvec = lambda rows, v: [f"({e} + 0.0)" for e in _matvec(rows, v)]
     xi, q = _vec("xi", m), _vec("q", s)
-    lines = [f"x{i} = {e}" for i, e in enumerate(matvec(_t(a), xi))]
     cols = [q] if order == 1 else [q, _vec("ed", s)]
-    solve, sol = _solve(b, cols, "bs")
-    lines += solve + [f"y{k} = {v}" for k, v in enumerate(sol[0])]
+    lines, sol = _solve(b, cols, "bs", factor=_once)
+    lines += [f"x{i} = {e}" for i, e in enumerate(matvec(_t(a), xi))]
+    lines += [f"y{k} = {v}" for k, v in enumerate(sol[0])]
     if order == 2:
         lines += [f"xd{i} = {e} + {f}" for i, (e, f) in
                   enumerate(zip(matvec(_t(da), xi), matvec(_t(a), _vec("u", m))))]
@@ -565,28 +597,30 @@ def _forcing(call, order, m, s, a, b, da, dbi):
             *(f"F{i} = {e}" for i, e in enumerate(_matvec(a, v)))]
 
 
-def _stage(call, order, m, s, sensitivity, raw=False):
-    """The body of ``stage(t, fr, <state>, <q warm start>)``, returning the
-    rates of every state entry and the resolved ``q``.
+def _stage(call, order, m, s, sensitivity, raw=False, hoist=False):
+    """The lines of one stage at ``t`` from the inputs ``xi, u`` (row 0),
+    ``z<r>_`` (rows ``r >= 1``) and the warm start ``q``: the rates
+    ``k<r>_<i>`` of every state entry, and ``q`` resolved.
 
-    A raw stage is the fixed one without the coordinate change: it solves
-    the moving constraint, its node is its state, and ``f`` enters the rate
+    The time-only lines are :class:`_Once`: the frame's unpacking from
+    ``fr``, the pivot tests of ``B`` and, with ``hoist`` (``df`` reads ``t``
+    alone), ``J`` and its products with the frame.  A raw stage is the
+    fixed one without the coordinate change: it solves the moving
+    constraint, its node is its state, and ``f`` enters the rate
     unconjugated and unchecked (a non-finite value makes the next state
     non-finite, which the next solve blames).
     """
-    n = order * m
-    rows = n + 2 if sensitivity else 1
-    xi, u, q = _vec("xi", m), _vec("u", m), _vec("q", s)
+    xi, u = _vec("xi", m), _vec("u", m)
     unpack, a, b, da, dbi = _frame_names(order, m, s, raw)
     if raw:
-        lines = [unpack] + _resolve(call, xi, s, (a, b))
+        lines = [_Once(unpack)] + _resolve(call, xi, s, (a, b))
         lines += _rate(call, order, m, s, (a, b, da, dbi))[0] if order == 2 else []
         force = _vec("v", m)
         lines += call("f", force, "t", *_node_args(order, m, s, raw))
     else:
-        lines = _resolve(call, xi, s) + [unpack]
         rate, gp, gq = _rate(call, order, m, s) if (order == 2 or sensitivity) else ([], None, None)
-        lines += rate + _forcing(call, order, m, s, a, b, da, dbi)
+        lines = _resolve(call, xi, s) + rate + [_Once(unpack)]
+        lines += _forcing(call, order, m, s, a, b, da, dbi)
         force = _vec("F", m)
     d0, d1 = _mat("D0_", m, m), _mat("D1_", m, m)
     drift = _matvec(d0, xi)
@@ -595,63 +629,65 @@ def _stage(call, order, m, s, sensitivity, raw=False):
     out = (u if order == 2 else []) + [f"{e} + lam*{f}" for e, f in zip(drift, force)]
     lines += [f"k0_{i} = {e}" for i, e in enumerate(out)]
     if sensitivity:
-        lines += _sensitivity(call, order, m, s, a, b, da, dbi, gp, gq)
-    ks = [f"k{r}_{i}" for r in range(rows) for i in range(n)]
-    return lines + [f"return {_unrolled(ks + q)}"]
+        lines += _sensitivity(call, order, m, s, a, b, da, dbi, gp, gq, hoist)
+    return lines
 
 
-def _sensitivity(call, order, m, s, a, b, da, dbi, gp, gq):
-    """Lines for the rates ``k<r>_<i>`` of the sensitivity rows ``r >= 1``.
+def _sensitivity(call, order, m, s, a, b, da, dbi, gp, gq, hoist):
+    """Lines for the rates ``k<r>_<i>`` of the sensitivity rows ``r >= 1``
+    from their inputs ``z<r>_<i>``.
 
     ``dk = K dstate + [F | 0]``: ``K`` is the Jacobian of the stage rate
     along the constraint, with ``e = d eta / d xi = -g_q^-1 g_p`` (and, for
     order 2, ``w = d etadot / d xi``) at the resolved node; the forcing
     ``F`` enters row 1, the derivative by ``lam``.  Products are taken left
-    to right, as numpy's are.
+    to right, as numpy's are.  With ``hoist``, ``J = df`` and its products
+    with the frame are :class:`_Once`, as are ``B``'s pivot tests always.
     """
     n = order * m
     lines = []
+    of_j = _once if hoist else list  # marks the lines that J and the frame alone feed
 
-    def let(name, rows):
+    def let(name, rows, mark=list):
         names_lines, names = _let(name, rows)
-        lines.extend(names_lines)
+        lines.extend(mark(names_lines))
         return names
 
-    def solve(matrix, cols, name):
+    def solve(matrix, cols, name, factor=list, mark=list):
         # the rows of the solution (one per column of cols)
-        solve_lines, sol = _solve(matrix, cols, name)
-        lines.extend(solve_lines)
+        solve_lines, sol = _solve(matrix, cols, name, factor=factor)
+        lines.extend(mark(solve_lines))
         return sol
 
     negated = lambda rows: [[f"(-{v})" for v in row] for row in rows]
     jac = _mat("J", m, n + order * s)  # df by (x, y[, xd, yd])
-    lines += call("df", sum(jac, []), "t", *_node_args(order, m, s))
+    lines += of_j(call("df", sum(jac, []), "t", *_node_args(order, m, s)))
     f_x, f_y = [row[:m] for row in jac], [row[m : m + s] for row in jac]
     e = let("e", negated(_t(solve(gq, _t(gp), "ge"))))
-    fy_b = solve(_t(b), f_y, "fyb")  # f_y B^-1, as the solve of B.T with the rows of f_y
+    fy_b = solve(_t(b), f_y, "fyb", _once, of_j)  # f_y B^-1: B.T solved for the rows of f_y
     if order == 1:
-        f_xi = let("fxi", _matmul(let("af", _matmul(a, f_x)), _t(a)))
-        f_eta = let("feta", _matmul(a, fy_b))
+        f_xi = let("fxi", _matmul(let("af", _matmul(a, f_x), of_j), _t(a)), of_j)
+        f_eta = let("feta", _matmul(a, fy_b), of_j)
         k0 = _add(f_xi, _matmul(f_eta, e))
     else:
         f_u, f_v = [row[m + s : 2 * m + s] for row in jac], [row[2 * m + s :] for row in jac]
-        fv_b = solve(_t(b), f_v, "fvb")
+        fv_b = solve(_t(b), f_v, "fvb", _once, of_j)
         gdot = _mat("gd", s, m + s)
         lines += call("dgdot", sum(gdot, []), _vec("xi", m), _vec("q", s), _vec("u", m),
                       _vec("ed", s))
         rhs = let("wr", _add([row[:m] for row in gdot], _matmul([row[m:] for row in gdot], e)))
         w = let("w", negated(_t(solve(gq, _t(rhs), "gw"))))
-        inner = _add(let("fxa", _matmul(f_x, _t(a))), let("fua", _matmul(f_u, _t(da))))
-        f_xi = let("fxi", _matmul(a, inner))
-        f_eta = let("feta", _matmul(a, _add(fy_b, let("fvd", _matmul(f_v, dbi)))))
-        f_xid = let("fxid", _matmul(let("af", _matmul(a, f_u)), _t(a)))
-        f_etad = let("fetad", _matmul(a, fv_b))
+        inner = _add(let("fxa", _matmul(f_x, _t(a)), of_j), let("fua", _matmul(f_u, _t(da)), of_j))
+        f_xi = let("fxi", _matmul(a, inner), of_j)
+        f_eta = let("feta", _matmul(a, _add(fy_b, let("fvd", _matmul(f_v, dbi), of_j))), of_j)
+        f_xid = let("fxid", _matmul(let("af", _matmul(a, f_u), of_j), _t(a)), of_j)
+        f_etad = let("fetad", _matmul(a, fv_b), of_j)
         k0 = _add(_add(f_xi, _matmul(f_eta, e)), _matmul(f_etad, w))
         k1 = let("L", [[f"D1_{i}_{j} + lam*{v}" for j, v in enumerate(row)]
                        for i, row in enumerate(_add(f_xid, _matmul(f_etad, e)))])
     k0 = let("K", [[f"D0_{i}_{j} + lam*{v}" for j, v in enumerate(row)] for i, row in enumerate(k0)])
     for r in range(1, n + 2):
-        d = _vec(f"s{r}_", n)
+        d = _vec(f"z{r}_", n)
         force = [f" + F{i}" if r == 1 else "" for i in range(m)]
         if order == 1:
             lines += [f"k{r}_{i} = {v}{force[i]}" for i, v in enumerate(_matvec(k0, d))]
@@ -662,17 +698,36 @@ def _sensitivity(call, order, m, s, a, b, da, dbi, gp, gq):
     return lines
 
 
-def _emit(call, order, m, s, sensitivity, raw):
+def _reads_t_only(fragments):
+    # whether no entry of a fragment target has a field but {t}
+    return fragments is not None and not any(
+        "{" in template.replace("{t}", "") for template in fragments.templates)
+
+
+def _at_new_times(lines):
+    """The lines of a stage, each run of time-only ones under ``if fresh:``.
+
+    ``fresh`` holds when the stage time ``t`` is not the time of the stage
+    before (``t_seen``), so the time-only work runs once per stage time, in
+    its place among the node's lines: the first error is the same.
+    """
+    out = ["fresh = t is not t_seen", "t_seen = t"]
+    for once, run in itertools.groupby(lines, lambda line: isinstance(line, _Once)):
+        out += ["if fresh:", *(f"    {line}" for line in run)] if once else list(run)
+    return out
+
+
+def _emit(call, order, m, s, sensitivity, raw, hoist):
     # The source of the build function: the march's model values through
-    # call (see _caller)
+    # call (see _caller); hoist when df reads t alone (see _stage)
     n = order * m
     rows = n + 2 if sensitivity else 1
     q = _vec("q", s)
     state = [f"s{r}_{i}" for r in range(rows) for i in range(n)]
-    xi = _vec("s0_", m)
-    # the stage names its row 0 xi, u; the march passes the state entries
-    stage_args = ["t", "fr"] + [f"xi{i}" for i in range(m)] + [f"u{i}" for i in range(n - m)]
-    stage_args += [f"s{r}_{i}" for r in range(1, rows) for i in range(n)] + q
+    # a stage's inputs: row 0 is xi, u; row r >= 1 is z<r>_
+    inputs = _vec("xi", m) + _vec("u", n - m) + [f"z{r}_{i}" for r in range(1, rows) for i in range(n)]
+    rates = [f"k{r}_{i}" for r in range(rows) for i in range(n)]
+    sums = [f"ks{r}_{i}" for r in range(rows) for i in range(n)]
     d0 = _unrolled(sum(_mat("D0_", m, m), []))
     d1 = _unrolled(sum(_mat("D1_", m, m), []))
     src = [f"def build(f, df, g, d1g, d2g, dgdot, frame, D0, D1, lam):",
@@ -682,24 +737,11 @@ def _emit(call, order, m, s, sensitivity, raw):
     unpack, a, b, da, dbi = _frame_names(order, m, s, raw)
     tup = lambda names: "(" + _unrolled(names) + ")"
     xis = _vec("xi", m)
-    node_args = ", ".join(xis + _vec("u", n - m) + q)
     # a raw solve reads the frame of its time, which the march passes
     src += [f"    def resolve(t, {'fr, ' * raw}{', '.join(xis + q)}):",
             *([f"        {unpack}"] if raw else []),
             *(f"        {line}" for line in _resolve(call, xis, s, (a, b) if raw else None)),
             f"        return {_unrolled(q)}", ""]
-    if raw:
-        # node: (t, x, y, xd, yd) of a resolved node at a frame
-        rate = []
-        if order == 2:
-            rate = [unpack] + [f"p{i} = {e}" for i, e in enumerate(_matvec(a, xis))]
-            rate += [f"w{k} = {e}" for k, e in enumerate(_matvec(b, q))]
-            rate += _rate(call, order, m, s, (a, b, da, dbi))[0]
-        velocities = (f"{tup(_vec('u', m))}, {tup(_vec('ed', s))}" if order == 2 else "None, None")
-        src += [f"    def node(t, fr, {node_args}):", *(f"        {line}" for line in rate),
-                f"        return t, {tup(xis)}, {tup(q)}, {velocities}", ""]
-    src += [f"    def stage({', '.join(stage_args)}):",
-            *(f"        {line}" for line in _stage(call, order, m, s, sensitivity, raw)), ""]
     if not raw:
         # record: row 0 and q of a node, to (t, x, y, xd, yd) and the
         # constraint residual max|g(A x, B y)| of the pulled-back floats
@@ -712,7 +754,7 @@ def _emit(call, order, m, s, sensitivity, raw):
         rec += [f"{v} = {e}" for v, e in zip(by, _matvec(b, _vec("y", s)))]
         rec += call("g", r, ax, by) + _norm(r)
         velocities = (f"{tup(_vec('xd', m))}, {tup(_vec('yd', s))}" if order == 2 else "None, None")
-        src += [f"    def record(t, {node_args}):",
+        src += [f"    def record(t, {', '.join(inputs[:n] + q)}):",
                 *(f"        {line}" for line in rec),
                 f"        return t, {tup(_vec('x', m))}, {tup(_vec('y', s))}, {velocities}, rn", ""]
     forcing = not raw and not sensitivity
@@ -724,34 +766,47 @@ def _emit(call, order, m, s, sensitivity, raw):
                 *(f"        {line}" for line in
                   ["fr = frame(t)", unpack, *rest, *_forcing(call, order, m, s, a, b, da, dbi)]),
                 f"        return {tup(_vec('F', m))}", ""]
-    # march: RK4 over every state entry, q re-solved per stage from warm starts
-    step = []
-    for j, (time, fr, scale, prev) in enumerate((("t", "fr0", None, None), ("mid", "frm", "hh", 1),
-                                                 ("mid", "frm", "hh", 2), ("end", "fre", "h", 3)), 1):
-        args = state if prev is None else [f"{v} + {scale}*k{prev}_{v[1:]}" for v in state]
-        step.append(f"{_unrolled([f'k{j}_{v[1:]}' for v in state] + q)} = "
-                    f"stage({time}, {fr}, {', '.join(args)}, {', '.join(q)})")
-    step.insert(1, "frm = frame(mid)")
-    step.insert(4, "fre = frame(end)")
-    step += [f"{v} = {v} + h6*(((k1_{v[1:]} + 2.0*k2_{v[1:]}) + 2.0*k3_{v[1:]}) + k4_{v[1:]})"
-             for v in state]
-    # a raw node is recorded at once, from the frame its solve read
-    node = (lambda t, fr: f"node({t}, {fr}, {', '.join(state[:n] + q)})") if raw else (
-        lambda t, fr: f"({t}, {tup(state[:n])}, {tup(q)})")
-    step += [f"{_unrolled(q)} = resolve(end, {'fre, ' * raw}{', '.join(xi + q)})",
-             f"append({node('end', 'fre')})",
-             "t = end",
-             "fr0 = fre"]
+    # march: a step loops over its stages, each advancing the RK sum and
+    # the next stage's inputs (stage 4: the new state, which is the next
+    # stage 1's), then re-solves q; a raw node's rate reads the frame the
+    # solve read
+    node_rate = []
+    if raw and order == 2:
+        node_rate = [f"p{i} = {e}" for i, e in enumerate(_matvec(a, xis))]
+        node_rate += [f"w{k} = {e}" for k, e in enumerate(_matvec(b, q))]
+        node_rate += _rate(call, order, m, s, (a, b, da, dbi))[0]
+    velocities = (f"{tup(_vec('u', m))}, {tup(_vec('ed', s))}" if order == 2 else "None, None")
+    node = f"(t, {tup(xis)}, {tup(q)}, {velocities})" if raw else f"(t, {tup(inputs[:n])}, {tup(q)})"
+    entries = list(zip(state, inputs, rates, sums))
+    advance = ["if stage == 4:",
+               *(f"    {v} = {x} = {v} + h6*({acc} + {k})" for v, x, k, acc in entries),
+               "    break",
+               "if stage == 1:", *(f"    {acc} = {k}" for _, _, k, acc in entries),
+               "    t = mid",
+               "    fr = frame(mid)",
+               "else:", *(f"    {acc} = {acc} + 2.0*{k}" for _, _, k, acc in entries),
+               "    if stage == 3:",
+               "        t = end",
+               "        fr = frame(end)",
+               *(f"{x} = {v} + c*{k}" for v, x, k, _ in entries)]
+    body = [*_at_new_times(_stage(call, order, m, s, sensitivity, raw, hoist)), *advance]
     src += [f"    def march(t, h, nsteps, {', '.join(state + q)}):",
             "        hh = 0.5 * h",
             "        h6 = h / 6.0",
-            "        fr0 = frame(t)",
-            f"        nodes = [{node('t', 'fr0')}]",
+            "        stages = ((1, hh), (2, hh), (3, h), (4, None))",
+            "        fr = frame(t)",
+            *(f"        {line}" for line in
+              [f"{_unrolled(inputs)} = {_unrolled(state)}"] + ([unpack] if node_rate else []) + node_rate),
+            f"        nodes = [{node}]",
             "        append = nodes.append",
+            "        t_seen = None",
             "        for _ in range(nsteps):",
             "            mid = t + hh",
             "            end = t + h",
-            *(f"            {line}" for line in step),
+            "            for stage, c in stages:",
+            *(f"                {line}" for line in body),
+            *(f"            {line}" for line in _resolve(call, xis, s, (a, b) if raw else None) + node_rate),
+            f"            append({node})",
             f"        return nodes, {tup(state)}", ""]
     src += [f"    return resolve, march, {'None' if raw else 'record'}, {'forcing' if forcing else 'None'}", ""]
     return "\n".join(src)

@@ -67,7 +67,7 @@ from .errors import (
     SingularMatrixError,
     SingularMonodromyError,
 )
-from .kernel import March
+from .kernel import March, model_errors
 from .linalg import NewtonConfig, newton_solve, norm_inf, solve_linear
 from .transform import _check_invertible, _frame_samples, _matrices, fixed_frame
 
@@ -165,7 +165,10 @@ def consistent_init(prob, t0: float, x0: np.ndarray, y_guess: np.ndarray) -> np.
 
 
 def _steps_for(span_len, h):
-    # ValueError unless h divides the span into 1..MAX_STEPS steps (the cap first: inf has no int)
+    # ValueError unless h is positive and divides the span into 1..MAX_STEPS
+    # steps (the cap before the rounding: inf has no int)
+    if not h > 0:
+        raise ValueError(f"step {h!r} is not positive")
     if not span_len / h < MAX_STEPS + 0.5:
         raise ValueError(f"step {h!r} gives more than {MAX_STEPS} steps over {span_len!r}")
     nsteps = int(round(span_len / h))
@@ -208,7 +211,8 @@ def integrate(
     if y0 is not None:
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
         a0, b0 = _matrices(stepper.frame(0.0), (prob.m, prob.s))
-        start_residual = norm_inf(np.atleast_1d(prob.g(a0 @ x0, b0 @ y0)))
+        # a model error here leaves as the march's would
+        start_residual = norm_inf(np.atleast_1d(model_errors(prob.g)(a0 @ x0, b0 @ y0)))
         if start_residual > 1e-8:
             raise ValueError(
                 f"initial state violates the constraint (residual {start_residual:.3e}); "

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from daecont import kernel
 from daecont.cli import main
 from daecont.degree import Box, _block_map, candidate_map, degree_generic, degree_reduced
 from daecont.expressions import eval_expr, expr_to_text, parse_expr
@@ -231,6 +232,18 @@ def test_criterion_8_branch_tracing(tmp_path):
         deviation = norm_inf(tp.trajectory.x - tp.trajectory.x[0])
         assert deviation > 1e-3
         assert not tp.is_trivial
+
+
+def test_criterion_8_march_count(tmp_path, monkeypatch):
+    # the work of criterion 8 in marches, all of them sensitivity marches:
+    # the regression signal of its run time, which a change of the
+    # predictor or corrector moves on purpose
+    marches, march = [], kernel.March.march
+    monkeypatch.setattr(kernel.March, "march",
+                        lambda self, *args: marches.append(self) or march(self, *args))
+    code = main(["continue", "rotating_surface", "--ds", "0.05", "--steps", "40",
+                 "--out", str(tmp_path / "branch.csv")])
+    assert code == 0 and len(marches) == 118
 
 
 def test_criterion_9_averaged_map_report(capsys):

@@ -689,6 +689,28 @@ def test_branch_of_criterion_8_fixture_matches_golden(capsys):
                                  "continue", "rotating_surface", "--steps", "6")
 
 
+# Recorded at the per-stage-call march: the step loop's march keeps every
+# float operation and its order, so branches stay byte for byte.
+EXACT_BRANCHES = [("rotating_surface", "4"), ("rotating_surface_2nd", "2"), ("commuting_h", "3"),
+                  ("semilinear_4x4", "4"), ("scalar_linear", "2")]
+
+
+@pytest.mark.parametrize("problem, steps", EXACT_BRANCHES)
+def test_branch_matches_golden_byte_for_byte(capsys, problem, steps):
+    golden = GOLDEN_DIR / "branch" / f"{problem}_{steps}"
+    assert run(capsys, "continue", problem, "--steps", steps) == (
+        0, golden.with_suffix(".csv").read_text(), golden.with_suffix(".err").read_text())
+
+
+def test_branch_dump_matches_golden_byte_for_byte(capsys, tmp_path):
+    # the accepted pairs' nodes, on 32 steps per period
+    dump = tmp_path / "pairs.json"
+    code, _, err = run(capsys, "continue", "rotating_surface_2nd", "--steps", "2",
+                       "--h", repr(2.0 * np.pi / 32), "--dump", str(dump))
+    assert code == 0 and err == "branch: 3 pairs, termination: budget\n"
+    assert dump.read_bytes() == (GOLDEN_DIR / "branch" / "rotating_surface_2nd_2_h32.dump.json").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ("continue", "rotating_surface", "--steps", "3"),
     # the averaged map's emitted forcing, in the degree and as a seeding map

@@ -115,6 +115,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(prob, 1.0, np.array([0.0]), h=1.0)
 
+    @pytest.mark.parametrize("h", [0.0, -0.0, -TWO_PI / 16])
+    def test_step_must_be_positive(self, h):
+        with pytest.raises(ValueError, match=f"^step {h!r} is not positive$"):
+            integrate(scalar_problem(), 1.0, np.array([0.0]), h=h)
+
     @pytest.mark.parametrize("h", [1e-300, 5e-324, TWO_PI / (periodic.MAX_STEPS + 1)])
     def test_step_count_is_capped(self, h):
         with pytest.raises(ValueError, match="more than"):
@@ -937,7 +942,7 @@ class TestInlinedModels:
     """
 
     FIXTURES = ["commuting_h", "rotating_surface", "rotating_surface_2nd", "scalar_linear",
-                "semilinear_4x4"]
+                "semilinear_4x4", "second_order_rates", "moving_b_2nd", "three_constraints"]
 
     @staticmethod
     def march(prob, kind):
@@ -965,6 +970,16 @@ class TestInlinedModels:
         (nodes, end), (ref_nodes, ref_end) = self.march(prob, kind), self.march(copy, kind)
         assert len(nodes) == len(ref_nodes) == 17
         assert bits(nodes) == bits(ref_nodes) and bits(end) == bits(ref_end)
+
+    def test_models_cover_both_sides_of_the_split(self):
+        # an inlined df that reads t alone makes J's stage work time-only
+        # (the fixtures, and a moving B), one that reads the node keeps it
+        # per node (y, xdot and ydot; y with a 3x3 B), and so does a called df
+        hoisted = {name: kernel._reads_t_only(_shooting_problem(name).df.fragments)
+                   for name in self.FIXTURES}
+        assert [name for name, once in hoisted.items() if not once] == ["second_order_rates",
+                                                                        "three_constraints"]
+        assert not hasattr(called_through(_shooting_problem("moving_b_2nd")).df, "fragments")
 
 
 class TestRawMarch:
@@ -1242,6 +1257,16 @@ class TestFloatMarchErrors:
         prob = scalar_problem(g=failing_constraint)
         with pytest.raises(EvaluationError, match=r"^model raised ArithmeticError: injected$"):
             integrate(prob, 0.5, np.zeros(1), h=prob.period / 16)
+
+    def test_python_callable_error_in_the_start_check(self):
+        # g raises while integrate checks a given algebraic start
+        def failing_constraint(p, q):
+            raise ValueError("injected")
+
+        prob = scalar_problem(g=failing_constraint)
+        with pytest.raises(EvaluationError, match=r"^model raised ValueError: injected$") as caught:
+            integrate(prob, 0.5, np.zeros(1), np.zeros(1), h=prob.period / 16)
+        assert type(caught.value.__cause__) is ValueError
 
     def test_argument_errors_stay_value_errors(self):
         prob = scalar_problem()
