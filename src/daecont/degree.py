@@ -48,7 +48,7 @@ from .linalg import (
     solve_stacked,
     stacked_maps,
 )
-from .kernel import March
+from .kernel import March, model_errors
 from .transform import TransformedSystem
 
 __all__ = [
@@ -167,11 +167,15 @@ def _boundary_margin(face_values: np.ndarray) -> float:
 def _stacked(fun):
     # The map (k, n) -> (k, n) and its Jacobian (k, n, n), given the values,
     # on stacks of points as newton_stacked takes them: the map's ``arrays``,
-    # else its point forms called at each point (see stacked_maps).
+    # else its point forms called at each point (see stacked_maps).  A
+    # model's ValueError or ArithmeticError leaves them as EvaluationError,
+    # as a march's does (see kernel.model_errors).
     arrays = getattr(fun, "arrays", None)
     if arrays is None:
-        return stacked_maps(fun, getattr(fun, "jac", None))
-    return arrays[0], lambda x, r: arrays[1](x)
+        maps = stacked_maps(fun, getattr(fun, "jac", None))
+    else:
+        maps = arrays[0], lambda x, r: arrays[1](x)
+    return tuple(model_errors(f) for f in maps)
 
 
 def _classify(maps, points: np.ndarray, box: Box) -> List[ZeroRecord]:
@@ -380,7 +384,7 @@ def degree_reduced(fun: Callable[[np.ndarray], np.ndarray], box: Box,
     # (0, eta) for a point eta (s,) or a stack (k, s)
     at_zero = lambda q: np.concatenate([np.zeros(q.shape[:-1] + (m,)), q], axis=-1)
     values = _stacked(fun)[0]
-    section = (lambda q: values(at_zero(q))[:, m:], fun.eta_jac)
+    section = (lambda q: values(at_zero(q))[:, m:], model_errors(fun.eta_jac))
     # not locate_zeros, whose per-call hook in perfbench/tracing.py would count these zeros twice
     zeros = _find_zeros(section, Box(box.lower[m:], box.upper[m:]), grid)
     margin = _boundary_margin(values(box.lattice(grid)[box.face_mask(grid)]))

@@ -15,16 +15,25 @@ The march makes no call per stage.  Each RK step is one loop over its
 four stages that runs the one stage body inline: stage 1's inputs and
 the first term of the RK sum ``((k1 + 2 k2) + 2 k3) + k4`` are assigned,
 later stages add theirs, and the constraint re-solve that ends a step
-(and, raw, the node's record) is inline too.  Work that depends on the
-stage time alone forms the time-only block: the frame's unpacking, the
-pivot tests of ``B`` (a solve is split into factor and apply lines) and,
-when an inlined ``df`` reads only ``t``, the Jacobian ``J`` and all its
-products with the frame.  A step has two new stage times (stage 1 has
-the time of the step before's stage 4, stages 2 and 3 share the
-midpoint), and the block's lines run only when the stage time is not
-the previous stage's, each in its place among the node's lines, so the
-bits and the first error raised are those of a stage that does all its
-work.  A model called through the adapter keeps all its work per node.
+(and, raw, the node's record) is inline too.
+
+Each value a stage sets has a level: *march* when it reads no stage
+input, *time* when it reads the stage time or the frame, and *node*
+otherwise (the constraint Newton, its Jacobian too).  An inlined model
+takes the level of the arguments its trees read (none: march, ``t``
+alone: time), a model called through the adapter is node-level, and any
+other value takes the highest level of the values it reads.  On the
+reduced ``semilinear_4x4``, ``g_p``, ``g_q`` and ``e = -g_q^-1 g_p`` are
+march-level, ``J = df`` and the sensitivity matrix ``K`` time-level.
+March-level lines run in a march's first stage (under ``if first:``),
+time-level ones only when the stage time is not the previous stage's
+(under ``if fresh:``: a step has two new stage times, since stage 1 has
+the time of the step before's stage 4 and stages 2 and 3 share the
+midpoint), each in its place among the node's lines, so the bits and the
+first error raised are those of a stage that does all its work.  A solve
+is split into factor lines (the pivot test, and the 2x2 determinant) and
+apply lines, and a stage factors each matrix once: a later solve with it
+or its transpose reads its determinant.
 
 The type of the model picks the coordinates (see :class:`March`).  A
 fixed-frame system solves the autonomous constraint for ``eta``, drifts
@@ -77,11 +86,11 @@ A kernel is emitted and compiled at the first march, start solve or
 averaged map that needs it, never at set-up, and kept in a bounded cache
 keyed by what its source is emitted from: the problem's shape, the march
 kind and the fragments, so that every parse of one problem shares one
-kernel.  Its source is 165 to 414 lines on the fixtures.  One entry
-keeps the compiled code of its build function, 9 to 24 KB on the
+kernel.  Its source is 165 to 408 lines on the fixtures.  One entry
+keeps the compiled code of its build function, 8 to 23 KB on the
 fixtures (measured with tracemalloc as what compiling and running the
 build source leaves allocated: 14 KB for the sensitivity kernel of
-``rotating_surface``, 24 KB for that of ``rotating_surface_2nd``), and the
+``rotating_surface``, 23 KB for that of ``rotating_surface_2nd``), and the
 fragments of its key with their trees, a few KB more; compiling one
 peaks at 1.6 MB.  Frame functions are emitted at their first use, a few
 hundred bytes of source each, and cached the same way.
@@ -92,6 +101,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -249,25 +259,8 @@ def _adapter(model):
 def _build(order, m, s, sensitivity, raw, inlined):
     # The build function of one kernel, emitted and compiled once.
     namespace = dict(_GLOBALS)
-    hoist = _reads_t_only(inlined[_MODELS.index("df")])
-    exec(_emit(_caller(inlined), order, m, s, sensitivity, raw, hoist), namespace)
+    exec(_emit(_Models(inlined), order, m, s, sensitivity, raw), namespace)
     return namespace["build"]
-
-
-def _caller(inlined):
-    """``call(name, targets, *args)``: the lines that set ``targets`` to the
-    flat value of model ``name`` at ``args`` (each a list of local names,
-    or one name).  A model with fragments is inlined, any other is called.
-    """
-    fragments = dict(zip(_MODELS, inlined))
-
-    def call(name, targets, *args):
-        if fragments[name] is not None:
-            return fragments[name].statements(targets, *args)
-        listed = ", ".join(a if isinstance(a, str) else "[" + ", ".join(a) + "]" for a in args)
-        return [f"{_unrolled(targets)} = {name}({listed})"]
-
-    return call
 
 
 def frame_function(a_path, b_path, order: int, fixed: bool = False):
@@ -338,10 +331,10 @@ def _emit_frames(m, s, fixed, fragments):
                  f"    raise EvaluationError(f'path {{{label}}} returned non-finite entries')"]
     if fixed:
         b, db = mats[1], mats[3]
-        solve, x = _solve(b, _t(db), "bx")
-        body += solve
-        solve, y = _solve(_t(b), _t(x), "by")
-        body += solve
+        factor, apply, x = _solve(b, _t(db), "bx")
+        body += factor + apply
+        factor, apply, y = _solve(_t(b), _t(x), "by")
+        body += factor + apply
         mats[3] = [[f"(-{v})" for v in row] for row in y]
     entries = sum(sum(mats, []), [])
     return "\n".join(["def build(a_name, b_name):", "    def frames(t):",
@@ -355,15 +348,103 @@ def _emit_frames(m, s, fixed, fragments):
 # Vectors are lists of names or parenthesized expressions, matrices lists of
 # rows; the helpers return source fragments or lines of statements.
 
+# The levels of the values a stage sets (see _at_levels): a march-level
+# value reads no stage input, a time-level one reads the stage time or the
+# frame, a node-level one the stage's node.
+MARCH, TIME, NODE = 0, 1, 2
+_NAME = re.compile(r"\b[A-Za-z_]\w*")
+_FIELD = re.compile(r"\{(\w+)")  # the argument of a field of a Fragments template
 
-class _Once(str):
-    """A line of time-only work, which the march runs once per stage time."""
 
-    __slots__ = ()
+class _Models:
+    """The march's model values as lines: a model with fragments is inlined,
+    any other is called."""
+
+    def __init__(self, inlined):
+        self.fragments = dict(zip(_MODELS, inlined))
+
+    def __call__(self, name, targets, *args):
+        """The lines that set ``targets`` to the flat value of model ``name``
+        at ``args`` (each a list of local names, or one name)."""
+        if self.fragments[name] is not None:
+            return self.fragments[name].statements(targets, *args)
+        listed = ", ".join(a if isinstance(a, str) else "[" + ", ".join(a) + "]" for a in args)
+        return [f"{_unrolled(targets)} = {name}({listed})"]
+
+    def read(self, name, args):
+        """The local names of the ones of ``args`` that model ``name`` reads:
+        those a template of its fragments has a field of, or all of a called
+        model."""
+        fragments = self.fragments[name]
+        if fragments is not None:
+            fields = {field for template in fragments.templates for field in _FIELD.findall(template)}
+            args = [arg for arg, bound in zip(args, fragments.args) if bound in fields]
+        return [v for arg in args for v in ([arg] if isinstance(arg, str) else arg)]
 
 
-def _once(lines):
-    return [_Once(line) for line in lines]
+class _Lines:
+    """The lines of one emitted body, each with its level, and the level of
+    every name they set.
+
+    A value takes the highest level of the names it reads, and a model value
+    that of the arguments it reads (see :meth:`_Models.read`): a name that
+    no line here has set is node-level (the stage's inputs, and what the
+    constraint Newton sets), but for the stage time ``t`` (time) and the
+    march's constants ``lam``, ``D0_`` and ``D1_`` (march).  A matrix is
+    factored once (see :meth:`solve`).
+    """
+
+    def __init__(self, models, m):
+        self.models = models
+        self.lines = []  # (level, line)
+        constants = sum(_mat("D0_", m, m) + _mat("D1_", m, m), ["lam"])
+        self.levels = {"t": TIME, **dict.fromkeys(constants, MARCH)}
+        self.dets = {}  # a matrix factored here, and its transpose -> its determinant's name
+
+    @property
+    def text(self):
+        return [line for _, line in self.lines]
+
+    def level(self, *exprs):
+        return max((self.levels.get(name, NODE) for e in exprs for name in _NAME.findall(e)),
+                   default=MARCH)
+
+    def add(self, level, lines, names=()):
+        self.lines += [(level, line) for line in lines]
+        self.levels.update(dict.fromkeys(names, level))
+
+    def set(self, names, exprs):
+        # name = expr for each pair, at the level of all of exprs
+        self.add(self.level(*exprs), [f"{n} = {e}" for n, e in zip(names, exprs)], names)
+        return names
+
+    def let(self, name, rows):
+        # set every entry of a matrix to name<i>_<j>: its names
+        names = _mat(name, len(rows), len(rows[0]))
+        self.set(sum(names, []), sum(rows, []))
+        return names
+
+    def model(self, name, targets, *args):
+        self.add(self.level(*self.models.read(name, args)), self.models(name, targets, *args), targets)
+
+    def solve(self, a, cols, name):
+        """The rows of the solution of ``a x = c`` for each column ``c`` of
+        ``cols`` (see :func:`_solve`).
+
+        The factor lines come with the first solve of ``a`` or ``a.T`` here,
+        at ``a``'s level, and later ones read its determinant (the 2x2
+        determinant of ``a.T`` is that of ``a``, bit for bit); the apply
+        lines take the level of ``a`` and ``cols``.
+        """
+        key = min(tuple(map(tuple, a)), tuple(map(tuple, _t(a))))
+        det = self.dets.get(key)
+        factor, apply, sol = _solve(a, cols, name, det=det)
+        level = self.level(*sum(a, []))
+        if det is None:
+            self.dets[key] = f"{name}_det"
+            self.add(level, factor)
+        self.add(max(level, self.level(*sum(cols, []))), apply, sum(sol, []))
+        return sol
 
 
 def _vec(name, n):
@@ -401,49 +482,41 @@ def _add(*mats):
     return [["(" + " + ".join(entries) + ")" for entries in zip(*rows)] for rows in zip(*mats)]
 
 
-def _let(name, rows):
-    # assign every entry of a matrix to name<i>_<j>: the lines and the names
-    names = _mat(name, len(rows), len(rows[0]))
-    lines = [f"{n} = {e}" for nrow, row in zip(names, rows) for n, e in zip(nrow, row)]
-    return lines, names
-
-
-def _solve(a, cols, name, on_singular=(), factor=list):
-    """Lines that solve ``a x = c`` for each column ``c`` of ``cols``, and the
-    solution columns' names, ``<name><column>_<entry>``.
+def _solve(a, cols, name, on_singular=(), det=None):
+    """The factor lines, the apply lines and the solution columns' names
+    ``<name><column>_<entry>`` of ``a x = c`` for each column ``c`` of ``cols``.
 
     The closed forms and pivot tests of :func:`~daecont.linalg.solve_linear`
-    for 1x1 and 2x2, a call to it otherwise.  The factor lines, which read
-    ``a`` alone (the pivot test, and the 2x2 determinant), come first,
-    through ``factor``.  ``on_singular`` runs before a singular system
-    raises.
+    for 1x1 and 2x2, a call to it otherwise (all apply lines).  The factor
+    lines read ``a`` alone: the pivot test, and the 2x2 determinant, named
+    ``det`` (default ``<name>_det``).  ``on_singular`` runs before a
+    singular system raises.
     """
     n = len(a)
+    det = det or f"{name}_det"
     names = [[f"{name}{c}_{i}" for i in range(n)] for c in range(len(cols))]
     guard = [f"    {line}" for line in on_singular]
     if n == 1:
         pivot = a[0][0]
-        lines = factor([f"if abs({pivot}) < _TINY:", *guard,
-                        "    raise SingularMatrixError('1x1 system is singular')"])
-        lines += [f"{x[0]} = {c[0]} / {pivot}" for x, c in zip(names, cols)]
-        return lines, names
+        factor = [f"if abs({pivot}) < _TINY:", *guard, "    raise SingularMatrixError('1x1 system is singular')"]
+        return factor, [f"{x[0]} = {c[0]} / {pivot}" for x, c in zip(names, cols)], names
     if n == 2:
         (a00, a01), (a10, a11) = a
-        det = f"{name}_det"
         scale = f"max(abs({a00}), abs({a01}), abs({a10}), abs({a11}), 1e-300)"
-        lines = factor([f"{det} = {a00}*{a11} - {a01}*{a10}",
-                        f"if abs({det}) < (_PIVOT_REL * {scale})**2 or {det} == 0.0:", *guard,
-                        "    raise SingularMatrixError('2x2 system is singular')"])
+        factor = [f"{det} = {a00}*{a11} - {a01}*{a10}",
+                  f"if abs({det}) < (_PIVOT_REL * {scale})**2 or {det} == 0.0:", *guard,
+                  "    raise SingularMatrixError('2x2 system is singular')"]
+        apply = []
         for x, (c0, c1) in zip(names, cols):
-            lines += [f"{x[0]} = ({a11}*{c0} - {a01}*{c1}) / {det}",
+            apply += [f"{x[0]} = ({a11}*{c0} - {a01}*{c1}) / {det}",
                       f"{x[1]} = ({a00}*{c1} - {a10}*{c0}) / {det}"]
-        return lines, names
+        return factor, apply, names
     matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in a) + "]"
     rhs = "[" + ", ".join("[" + ", ".join(c[i] for c in cols) + "]" for i in range(n)) + "]"
-    lines = ["try:", f"    {name} = solve_linear(np.array({matrix}), np.array({rhs})).tolist()",
+    apply = ["try:", f"    {name} = solve_linear(np.array({matrix}), np.array({rhs})).tolist()",
              "except SingularMatrixError:", *guard, "    raise"]
-    lines += [f"{x[i]} = {name}[{i}][{c}]" for c, x in enumerate(names) for i in range(n)]
-    return lines, names
+    apply += [f"{x[i]} = {name}[{i}][{c}]" for c, x in enumerate(names) for i in range(n)]
+    return [], apply, names
 
 
 def _norm(r):
@@ -479,8 +552,9 @@ def _newton(call, xi, s, frame=None):
     jac_lines = call("d2g", sum(jac, []), p, arg)
     if frame is not None:
         gq = _mat("gq", s, s)
-        jac_lines = call("d2g", sum(gq, []), p, arg) + _let("j", _matmul(gq, frame[1]))[0]
-    solve, (step,) = _solve(jac, [r], "dq", on_singular=["if rn <= _TOL:", "    break"])
+        jac_lines = call("d2g", sum(gq, []), p, arg)
+        jac_lines += [f"{v} = {e}" for v, e in zip(sum(jac, []), sum(_matmul(gq, frame[1]), []))]
+    factor, apply, (step,) = _solve(jac, [r], "dq", on_singular=["if rn <= _TOL:", "    break"])
     residual = call("g", r, p, arg) + _norm(r)
     body = [
         "if rn == 0.0 or (rn <= _TOL and it > 0):",
@@ -488,7 +562,8 @@ def _newton(call, xi, s, frame=None):
         "if not rn < _INF:",
         "    raise NonfiniteResultError(f'constraint residual is {rn}: a model value is not finite')",
         *jac_lines,
-        *solve,
+        *factor,
+        *apply,
         *(f"{qi} = {qi} - {d}" for qi, d in zip(q, step)),
         *at_q,
         *residual,
@@ -521,59 +596,58 @@ def _resolve(call, xi, s, frame=None):
 
 
 def _frame_names(order, m, s, raw=False):
-    # the unpacking line of a frame tuple and the names of A, B and, for
-    # order 2, dA and d(B^-1) (raw: dB)
+    # the unpacking line of a frame tuple, its names, and the names of A, B
+    # and, for order 2, dA and d(B^-1) (raw: dB)
     a, b = _mat("A", m, m), _mat("B", s, s)
     da, dbi = (_mat("dA", m, m), _mat("dB" if raw else "dBi", s, s)) if order == 2 else (None, None)
     flat = sum(a + b + (da + dbi if order == 2 else []), [])
-    return f"{_unrolled(flat)} = fr", a, b, da, dbi
+    return f"{_unrolled(flat)} = fr", flat, a, b, da, dbi
 
 
-def _rate(call, order, m, s, frame=None):
-    """Lines for ``g_p``, ``g_q`` and, for order 2, the algebraic block's
-    rate (names ``ed*``) at the resolved node.
+def _rate(body, order, m, s, frame=None):
+    """Set ``g_p``, ``g_q`` and, for order 2, the algebraic block's rate
+    (names ``ed*``) at the resolved node in ``body``; return ``g_p, g_q``.
 
     In the frame ``etadot = solve(g_q, -(g_p @ u))``.  Raw (``frame`` the
     names of ``A``, ``B``, ``dA`` and ``dB``, with ``p = A x`` and ``w = B
-    y`` named), ``ydot = solve(g_q B, -(g_p (dA x + A u) + g_q dB y))``.
+    y`` named), ``ydot = solve(g_q B, -(g_p (dA x + A u) + g_q dB y))``; the
+    raw Newton sets ``g_q`` too, at its iterates, which is the same value
+    where ``g_q`` is march-level.
     """
     p, at = (_vec("xi", m), _vec("q", s)) if frame is None else (_vec("p", m), _vec("w", s))
     gp, gq = _mat("gp", s, m), _mat("gq", s, s)
-    lines = call("d1g", sum(gp, []), p, at) + call("d2g", sum(gq, []), p, at)
+    body.model("d1g", sum(gp, []), p, at)
+    body.model("d2g", sum(gq, []), p, at)
     if order == 1:
-        return lines, gp, gq
-    u, matrix = _vec("u", m), gq
+        return gp, gq
+    u, c, matrix = _vec("u", m), _vec("c", s), gq
     if frame is None:
-        lines += [f"c{k} = -{e}" for k, e in enumerate(_matvec(gp, u))]
+        body.set(c, [f"-{e}" for e in _matvec(gp, u)])
     else:
         a, b, da, db = frame
         pd = [f"({e} + {f})" for e, f in zip(_matvec(da, _vec("xi", m)), _matvec(a, u))]
         bd = [f"({e})" for e in _matvec(db, _vec("q", s))]
-        lines += [f"c{k} = -({e} + {f})" for k, (e, f) in enumerate(zip(_matvec(gp, pd), _matvec(gq, bd)))]
-        jb, matrix = _let("jb", _matmul(gq, b))
-        lines += jb
-    solve, (ed,) = _solve(matrix, [_vec("c", s)], "ed")
-    lines += solve + [f"ed{k} = {v}" for k, v in enumerate(ed)]
-    return lines, gp, gq
+        body.set(c, [f"-({e} + {f})" for e, f in zip(_matvec(gp, pd), _matvec(gq, bd))])
+        matrix = body.let("jb", _matmul(gq, b))
+    (ed,) = body.solve(matrix, [c], "ed")
+    body.set(_vec("ed", s), ed)
+    return gp, gq
 
 
-def _pull_back(order, m, s, a, b, da, dbi):
-    """Lines for the original-coordinate node ``x, y[, xd, yd]`` of the frame
-    node ``xi, q[, u, ed]``: ``x = A.T xi``, ``y = B^-1 q``, and for order 2
-    ``xd = dA.T xi + A.T u``, ``yd = dB^-1 q + B^-1 ed``."""
+def _pull_back(body, order, m, s, a, b, da, dbi):
+    """Set the original-coordinate node ``x, y[, xd, yd]`` of the frame node
+    ``xi, q[, u, ed]`` in ``body``: ``x = A.T xi``, ``y = B^-1 q``, and for
+    order 2 ``xd = dA.T xi + A.T u``, ``yd = dB^-1 q + B^-1 ed``."""
     # numpy's matmul sums from +0.0, so a sum of -0.0 products is 0.0
     # there; adding 0.0 changes only that sign, and nodes print as before
     matvec = lambda rows, v: [f"({e} + 0.0)" for e in _matvec(rows, v)]
     xi, q = _vec("xi", m), _vec("q", s)
-    cols = [q] if order == 1 else [q, _vec("ed", s)]
-    lines, sol = _solve(b, cols, "bs", factor=_once)
-    lines += [f"x{i} = {e}" for i, e in enumerate(matvec(_t(a), xi))]
-    lines += [f"y{k} = {v}" for k, v in enumerate(sol[0])]
+    sol = body.solve(b, [q] if order == 1 else [q, _vec("ed", s)], "bs")
+    body.set(_vec("x", m), matvec(_t(a), xi))
+    body.set(_vec("y", s), sol[0])
     if order == 2:
-        lines += [f"xd{i} = {e} + {f}" for i, (e, f) in
-                  enumerate(zip(matvec(_t(da), xi), matvec(_t(a), _vec("u", m))))]
-        lines += [f"yd{k} = {e} + {v}" for k, (e, v) in enumerate(zip(matvec(dbi, q), sol[1]))]
-    return lines
+        body.set(_vec("xd", m), [f"{e} + {f}" for e, f in zip(matvec(_t(da), xi), matvec(_t(a), _vec("u", m)))])
+        body.set(_vec("yd", s), [f"{e} + {v}" for e, v in zip(matvec(dbi, q), sol[1])])
 
 
 def _node_args(order, m, s, raw=False):
@@ -582,144 +656,135 @@ def _node_args(order, m, s, raw=False):
     return [_vec(x, m), _vec(y, s)] + ([_vec(xd, m), _vec(yd, s)] if order == 2 else [])
 
 
-def _forcing(call, order, m, s, a, b, da, dbi):
-    """Lines for the frame forcing ``F0..`` of the frame node ``xi, q[, u,
-    ed]``: the node pulled back, ``v = f(t, x, y[, xd, yd])``, and ``F = A
-    v``.  A non-finite ``v`` raises before ``A v``, whose zero entries
+def _forcing(body, order, m, s, a, b, da, dbi):
+    """Set the frame forcing ``F0..`` of the frame node ``xi, q[, u, ed]`` in
+    ``body``: the node pulled back, ``v = f(t, x, y[, xd, yd])``, and ``F =
+    A v``.  A non-finite ``v`` raises before ``A v``, whose zero entries
     would turn an inf into a NaN."""
     v = _vec("v", m)
     finite = " + ".join(f"{x}*0.0" for x in v)
-    return [*_pull_back(order, m, s, a, b, da, dbi),
-            *call("f", v, "t", *_node_args(order, m, s)),
-            f"if not {finite} == 0.0:",
-            f"    raise NonfiniteResultError(f'forcing f at t = {{t!r}} is {{[{', '.join(v)}]}}: "
-            "a model value is not finite')",
-            *(f"F{i} = {e}" for i, e in enumerate(_matvec(a, v)))]
+    _pull_back(body, order, m, s, a, b, da, dbi)
+    body.model("f", v, "t", *_node_args(order, m, s))
+    body.add(body.level(*v), [
+        f"if not {finite} == 0.0:",
+        f"    raise NonfiniteResultError(f'forcing f at t = {{t!r}} is {{[{', '.join(v)}]}}: "
+        "a model value is not finite')"])
+    body.set(_vec("F", m), _matvec(a, v))
 
 
-def _stage(call, order, m, s, sensitivity, raw=False, hoist=False):
+def _stage(models, order, m, s, sensitivity, raw=False):
     """The lines of one stage at ``t`` from the inputs ``xi, u`` (row 0),
-    ``z<r>_`` (rows ``r >= 1``) and the warm start ``q``: the rates
-    ``k<r>_<i>`` of every state entry, and ``q`` resolved.
+    ``z<r>_`` (rows ``r >= 1``) and the warm start ``q``, with their levels
+    (a :class:`_Lines`): the rates ``k<r>_<i>`` of every state entry, and
+    ``q`` resolved.
 
-    The time-only lines are :class:`_Once`: the frame's unpacking from
-    ``fr``, the pivot tests of ``B`` and, with ``hoist`` (``df`` reads ``t``
-    alone), ``J`` and its products with the frame.  A raw stage is the
+    The frame's unpacking from ``fr`` is time-level.  A raw stage is the
     fixed one without the coordinate change: it solves the moving
     constraint, its node is its state, and ``f`` enters the rate
     unconjugated and unchecked (a non-finite value makes the next state
     non-finite, which the next solve blames).
     """
+    body = _Lines(models, m)
     xi, u = _vec("xi", m), _vec("u", m)
-    unpack, a, b, da, dbi = _frame_names(order, m, s, raw)
+    unpack, flat, a, b, da, dbi = _frame_names(order, m, s, raw)
     if raw:
-        lines = [_Once(unpack)] + _resolve(call, xi, s, (a, b))
-        lines += _rate(call, order, m, s, (a, b, da, dbi))[0] if order == 2 else []
+        body.add(TIME, [unpack], flat)
+        body.add(NODE, _resolve(models, xi, s, (a, b)))
+        if order == 2:
+            _rate(body, order, m, s, (a, b, da, dbi))
         force = _vec("v", m)
-        lines += call("f", force, "t", *_node_args(order, m, s, raw))
+        body.model("f", force, "t", *_node_args(order, m, s, raw))
     else:
-        rate, gp, gq = _rate(call, order, m, s) if (order == 2 or sensitivity) else ([], None, None)
-        lines = _resolve(call, xi, s) + rate + [_Once(unpack)]
-        lines += _forcing(call, order, m, s, a, b, da, dbi)
+        body.add(NODE, _resolve(models, xi, s))
+        gp, gq = _rate(body, order, m, s) if (order == 2 or sensitivity) else (None, None)
+        body.add(TIME, [unpack], flat)
+        _forcing(body, order, m, s, a, b, da, dbi)
         force = _vec("F", m)
     d0, d1 = _mat("D0_", m, m), _mat("D1_", m, m)
     drift = _matvec(d0, xi)
     if order == 2:
         drift = [f"({e} + {g})" for e, g in zip(drift, _matvec(d1, u))]
     out = (u if order == 2 else []) + [f"{e} + lam*{f}" for e, f in zip(drift, force)]
-    lines += [f"k0_{i} = {e}" for i, e in enumerate(out)]
+    body.set(_vec("k0_", len(out)), out)
     if sensitivity:
-        lines += _sensitivity(call, order, m, s, a, b, da, dbi, gp, gq, hoist)
-    return lines
+        _sensitivity(body, order, m, s, a, b, da, dbi, gp, gq)
+    return body
 
 
-def _sensitivity(call, order, m, s, a, b, da, dbi, gp, gq, hoist):
-    """Lines for the rates ``k<r>_<i>`` of the sensitivity rows ``r >= 1``
-    from their inputs ``z<r>_<i>``.
+def _sensitivity(body, order, m, s, a, b, da, dbi, gp, gq):
+    """Set the rates ``k<r>_<i>`` of the sensitivity rows ``r >= 1`` from
+    their inputs ``z<r>_<i>`` in ``body``.
 
     ``dk = K dstate + [F | 0]``: ``K`` is the Jacobian of the stage rate
     along the constraint, with ``e = d eta / d xi = -g_q^-1 g_p`` (and, for
     order 2, ``w = d etadot / d xi``) at the resolved node; the forcing
     ``F`` enters row 1, the derivative by ``lam``.  Products are taken left
-    to right, as numpy's are.  With ``hoist``, ``J = df`` and its products
-    with the frame are :class:`_Once`, as are ``B``'s pivot tests always.
+    to right, as numpy's are.
     """
     n = order * m
-    lines = []
-    of_j = _once if hoist else list  # marks the lines that J and the frame alone feed
-
-    def let(name, rows, mark=list):
-        names_lines, names = _let(name, rows)
-        lines.extend(mark(names_lines))
-        return names
-
-    def solve(matrix, cols, name, factor=list, mark=list):
-        # the rows of the solution (one per column of cols)
-        solve_lines, sol = _solve(matrix, cols, name, factor=factor)
-        lines.extend(mark(solve_lines))
-        return sol
-
     negated = lambda rows: [[f"(-{v})" for v in row] for row in rows]
     jac = _mat("J", m, n + order * s)  # df by (x, y[, xd, yd])
-    lines += of_j(call("df", sum(jac, []), "t", *_node_args(order, m, s)))
+    body.model("df", sum(jac, []), "t", *_node_args(order, m, s))
     f_x, f_y = [row[:m] for row in jac], [row[m : m + s] for row in jac]
-    e = let("e", negated(_t(solve(gq, _t(gp), "ge"))))
-    fy_b = solve(_t(b), f_y, "fyb", _once, of_j)  # f_y B^-1: B.T solved for the rows of f_y
+    e = body.let("e", negated(_t(body.solve(gq, _t(gp), "ge"))))
+    fy_b = body.solve(_t(b), f_y, "fyb")  # f_y B^-1: B.T solved for the rows of f_y
     if order == 1:
-        f_xi = let("fxi", _matmul(let("af", _matmul(a, f_x), of_j), _t(a)), of_j)
-        f_eta = let("feta", _matmul(a, fy_b), of_j)
+        f_xi = body.let("fxi", _matmul(body.let("af", _matmul(a, f_x)), _t(a)))
+        f_eta = body.let("feta", _matmul(a, fy_b))
         k0 = _add(f_xi, _matmul(f_eta, e))
     else:
         f_u, f_v = [row[m + s : 2 * m + s] for row in jac], [row[2 * m + s :] for row in jac]
-        fv_b = solve(_t(b), f_v, "fvb", _once, of_j)
+        fv_b = body.solve(_t(b), f_v, "fvb")
         gdot = _mat("gd", s, m + s)
-        lines += call("dgdot", sum(gdot, []), _vec("xi", m), _vec("q", s), _vec("u", m),
-                      _vec("ed", s))
-        rhs = let("wr", _add([row[:m] for row in gdot], _matmul([row[m:] for row in gdot], e)))
-        w = let("w", negated(_t(solve(gq, _t(rhs), "gw"))))
-        inner = _add(let("fxa", _matmul(f_x, _t(a)), of_j), let("fua", _matmul(f_u, _t(da)), of_j))
-        f_xi = let("fxi", _matmul(a, inner), of_j)
-        f_eta = let("feta", _matmul(a, _add(fy_b, let("fvd", _matmul(f_v, dbi), of_j))), of_j)
-        f_xid = let("fxid", _matmul(let("af", _matmul(a, f_u), of_j), _t(a)), of_j)
-        f_etad = let("fetad", _matmul(a, fv_b), of_j)
+        body.model("dgdot", sum(gdot, []), _vec("xi", m), _vec("q", s), _vec("u", m), _vec("ed", s))
+        rhs = body.let("wr", _add([row[:m] for row in gdot], _matmul([row[m:] for row in gdot], e)))
+        w = body.let("w", negated(_t(body.solve(gq, _t(rhs), "gw"))))
+        inner = _add(body.let("fxa", _matmul(f_x, _t(a))), body.let("fua", _matmul(f_u, _t(da))))
+        f_xi = body.let("fxi", _matmul(a, inner))
+        f_eta = body.let("feta", _matmul(a, _add(fy_b, body.let("fvd", _matmul(f_v, dbi)))))
+        f_xid = body.let("fxid", _matmul(body.let("af", _matmul(a, f_u)), _t(a)))
+        f_etad = body.let("fetad", _matmul(a, fv_b))
         k0 = _add(_add(f_xi, _matmul(f_eta, e)), _matmul(f_etad, w))
-        k1 = let("L", [[f"D1_{i}_{j} + lam*{v}" for j, v in enumerate(row)]
-                       for i, row in enumerate(_add(f_xid, _matmul(f_etad, e)))])
-    k0 = let("K", [[f"D0_{i}_{j} + lam*{v}" for j, v in enumerate(row)] for i, row in enumerate(k0)])
+        k1 = body.let("L", [[f"D1_{i}_{j} + lam*{v}" for j, v in enumerate(row)]
+                            for i, row in enumerate(_add(f_xid, _matmul(f_etad, e)))])
+    k0 = body.let("K", [[f"D0_{i}_{j} + lam*{v}" for j, v in enumerate(row)] for i, row in enumerate(k0)])
     for r in range(1, n + 2):
         d = _vec(f"z{r}_", n)
         force = [f" + F{i}" if r == 1 else "" for i in range(m)]
         if order == 1:
-            lines += [f"k{r}_{i} = {v}{force[i]}" for i, v in enumerate(_matvec(k0, d))]
+            body.set(_vec(f"k{r}_", m), [f"{v}{force[i]}" for i, v in enumerate(_matvec(k0, d))])
             continue
-        lines += [f"k{r}_{i} = {d[m + i]}" for i in range(m)]
         acc = [f"{v} + {w}" for v, w in zip(_matvec(k0, d[:m]), _matvec(k1, d[m:]))]
-        lines += [f"k{r}_{m + i} = {v}{force[i]}" for i, v in enumerate(acc)]
-    return lines
+        body.set(_vec(f"k{r}_", n), d[m:] + [f"{v}{force[i]}" for i, v in enumerate(acc)])
 
 
-def _reads_t_only(fragments):
-    # whether no entry of a fragment target has a field but {t}
-    return fragments is not None and not any(
-        "{" in template.replace("{t}", "") for template in fragments.templates)
-
-
-def _at_new_times(lines):
-    """The lines of a stage, each run of time-only ones under ``if fresh:``.
+def _at_levels(lines):
+    """The lines of a stage, each run of march-level ones under ``if
+    first:`` and each run of time-level ones under ``if fresh:``.
 
     ``fresh`` holds when the stage time ``t`` is not the time of the stage
-    before (``t_seen``), so the time-only work runs once per stage time, in
-    its place among the node's lines: the first error is the same.
+    before (``t_seen``), and ``first`` in a march's first stage (its last
+    march-level run clears it): time-level work runs once per stage time
+    and march-level work once per march, each in its place among the
+    node's lines, so the bits and the first error are those of a stage
+    that does all its work.
     """
+    runs = [(level, [line for _, line in run])
+            for level, run in itertools.groupby(lines, key=lambda line: line[0])]
+    last = max((k for k, (level, _) in enumerate(runs) if level == MARCH), default=None)
     out = ["fresh = t is not t_seen", "t_seen = t"]
-    for once, run in itertools.groupby(lines, lambda line: isinstance(line, _Once)):
-        out += ["if fresh:", *(f"    {line}" for line in run)] if once else list(run)
+    for k, (level, run) in enumerate(runs):
+        if level == NODE:
+            out += run
+            continue
+        out += ["if first:" if level == MARCH else "if fresh:", *(f"    {line}" for line in run)]
+        out += ["    first = False"] if k == last else []
     return out
 
 
-def _emit(call, order, m, s, sensitivity, raw, hoist):
+def _emit(models, order, m, s, sensitivity, raw):
     # The source of the build function: the march's model values through
-    # call (see _caller); hoist when df reads t alone (see _stage)
+    # models (see _Models)
     n = order * m
     rows = n + 2 if sensitivity else 1
     q = _vec("q", s)
@@ -734,47 +799,55 @@ def _emit(call, order, m, s, sensitivity, raw, hoist):
            f"    {d0} = D0"]
     if order == 2:
         src.append(f"    {d1} = D1")
-    unpack, a, b, da, dbi = _frame_names(order, m, s, raw)
+    unpack, _, a, b, da, dbi = _frame_names(order, m, s, raw)
     tup = lambda names: "(" + _unrolled(names) + ")"
     xis = _vec("xi", m)
     # a raw solve reads the frame of its time, which the march passes
     src += [f"    def resolve(t, {'fr, ' * raw}{', '.join(xis + q)}):",
             *([f"        {unpack}"] if raw else []),
-            *(f"        {line}" for line in _resolve(call, xis, s, (a, b) if raw else None)),
+            *(f"        {line}" for line in _resolve(models, xis, s, (a, b) if raw else None)),
             f"        return {_unrolled(q)}", ""]
     if not raw:
         # record: row 0 and q of a node, to (t, x, y, xd, yd) and the
         # constraint residual max|g(A x, B y)| of the pulled-back floats
-        rec = ["fr = frame(t)", unpack]
+        rec = _Lines(models, m)
+        rec.add(NODE, ["fr = frame(t)", unpack])
         if order == 2:
-            rec += _rate(call, order, m, s)[0]
-        rec += _pull_back(order, m, s, a, b, da, dbi)
+            _rate(rec, order, m, s)
+        _pull_back(rec, order, m, s, a, b, da, dbi)
         ax, by, r = _vec("ax", m), _vec("by", s), _vec("r", s)
-        rec += [f"{v} = {e}" for v, e in zip(ax, _matvec(a, _vec("x", m)))]
-        rec += [f"{v} = {e}" for v, e in zip(by, _matvec(b, _vec("y", s)))]
-        rec += call("g", r, ax, by) + _norm(r)
+        rec.set(ax, _matvec(a, _vec("x", m)))
+        rec.set(by, _matvec(b, _vec("y", s)))
+        rec.add(NODE, models("g", r, ax, by) + _norm(r))
         velocities = (f"{tup(_vec('xd', m))}, {tup(_vec('yd', s))}" if order == 2 else "None, None")
         src += [f"    def record(t, {', '.join(inputs[:n] + q)}):",
-                *(f"        {line}" for line in rec),
+                *(f"        {line}" for line in rec.text),
                 f"        return t, {tup(_vec('x', m))}, {tup(_vec('y', s))}, {velocities}, rn", ""]
     forcing = not raw and not sensitivity
     if forcing:
         # forcing: F at a constant frame node, frame velocities zero (a
         # plain build's alone: the averaged map builds no sensitivity kernel)
-        rest = [f"{v} = 0.0" for v in _vec("u", m) + _vec("ed", s)] if order == 2 else []
+        force = _Lines(models, m)
+        force.add(NODE, ["fr = frame(t)", unpack])
+        if order == 2:
+            force.add(NODE, [f"{v} = 0.0" for v in _vec("u", m) + _vec("ed", s)])
+        _forcing(force, order, m, s, a, b, da, dbi)
         src += [f"    def forcing(t, {', '.join(xis + q)}):",
-                *(f"        {line}" for line in
-                  ["fr = frame(t)", unpack, *rest, *_forcing(call, order, m, s, a, b, da, dbi)]),
+                *(f"        {line}" for line in force.text),
                 f"        return {tup(_vec('F', m))}", ""]
     # march: a step loops over its stages, each advancing the RK sum and
     # the next stage's inputs (stage 4: the new state, which is the next
     # stage 1's), then re-solves q; a raw node's rate reads the frame the
-    # solve read
+    # solve read, and sets the stage's march- and time-level names to the
+    # values they hold (the node has stage 4's time, which the next stage
+    # 1 keeps)
     node_rate = []
     if raw and order == 2:
-        node_rate = [f"p{i} = {e}" for i, e in enumerate(_matvec(a, xis))]
-        node_rate += [f"w{k} = {e}" for k, e in enumerate(_matvec(b, q))]
-        node_rate += _rate(call, order, m, s, (a, b, da, dbi))[0]
+        rate = _Lines(models, m)
+        rate.set(_vec("p", m), _matvec(a, xis))
+        rate.set(_vec("w", s), _matvec(b, q))
+        _rate(rate, order, m, s, (a, b, da, dbi))
+        node_rate = rate.text
     velocities = (f"{tup(_vec('u', m))}, {tup(_vec('ed', s))}" if order == 2 else "None, None")
     node = f"(t, {tup(xis)}, {tup(q)}, {velocities})" if raw else f"(t, {tup(inputs[:n])}, {tup(q)})"
     entries = list(zip(state, inputs, rates, sums))
@@ -789,7 +862,8 @@ def _emit(call, order, m, s, sensitivity, raw, hoist):
                "        t = end",
                "        fr = frame(end)",
                *(f"{x} = {v} + c*{k}" for v, x, k, _ in entries)]
-    body = [*_at_new_times(_stage(call, order, m, s, sensitivity, raw, hoist)), *advance]
+    stage = _stage(models, order, m, s, sensitivity, raw).lines
+    first = ["first = True"] if any(level == MARCH for level, _ in stage) else []
     src += [f"    def march(t, h, nsteps, {', '.join(state + q)}):",
             "        hh = 0.5 * h",
             "        h6 = h / 6.0",
@@ -800,12 +874,13 @@ def _emit(call, order, m, s, sensitivity, raw, hoist):
             f"        nodes = [{node}]",
             "        append = nodes.append",
             "        t_seen = None",
+            *(f"        {line}" for line in first),
             "        for _ in range(nsteps):",
             "            mid = t + hh",
             "            end = t + h",
             "            for stage, c in stages:",
-            *(f"                {line}" for line in body),
-            *(f"            {line}" for line in _resolve(call, xis, s, (a, b) if raw else None) + node_rate),
+            *(f"                {line}" for line in [*_at_levels(stage), *advance]),
+            *(f"            {line}" for line in _resolve(models, xis, s, (a, b) if raw else None) + node_rate),
             f"            append({node})",
             f"        return nodes, {tup(state)}", ""]
     src += [f"    return resolve, march, {'None' if raw else 'record'}, {'forcing' if forcing else 'None'}", ""]

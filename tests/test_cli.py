@@ -19,7 +19,7 @@ from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath
 from daecont.periodic import branch_seeds
 from daecont.transform import fixed_frame
-from test_periodic import THREE_CONSTRAINTS
+from test_periodic import MARCH_LEVEL_FAILURES, THREE_CONSTRAINTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "help.txt"
@@ -540,6 +540,23 @@ class TestModelFailure:
         prob = overflowing_problem(tmp_path, "sin(x1^300*x1^300) - x1\n-x2")
         code, _, err = run(capsys, "integrate", prob, "--x0", "10,0")
         assert code == 1 and "daecont: NonfiniteResultError: ValueError: math domain error" in err
+
+    @pytest.mark.parametrize("case, argv, message", [
+        ("nonfinite_g_p", ("integrate", "--lambda", "0.5", "--fixed-frame"),
+         "NonfiniteResultError: constraint residual is nan: a model value is not finite"),
+        ("nonfinite_g_p", ("continue", "--steps", "2"),
+         "NonfiniteResultError: FloatingPointError: invalid value encountered in multiply"),
+        ("singular_g_q", ("integrate", "--lambda", "0.5", "--fixed-frame"),
+         "SingularMatrixError: 2x2 system is singular"),
+        ("singular_g_q", ("continue", "--steps", "2"),
+         "BoundaryZeroError: zero at [ 0.  0. -2.  2.] lies within 1e-06 of the boundary"),
+    ])
+    def test_failing_march_level_blocks_keep_their_error(self, capsys, tmp_path, case, argv, message):
+        # g_p not finite, or g_q constant and singular: each command ends
+        # with the error of a march that runs its every stage in full
+        path = tmp_path / f"{case}.prob"
+        path.write_text(MARCH_LEVEL_FAILURES[case][0])
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (1, "", f"daecont: {message}\n")
 
     def test_overflow_is_named_in_words(self, capsys, tmp_path):
         # the steps of a huge period overflow a float power: no errno tuple

@@ -23,6 +23,7 @@ from daecont.degree import (
 from daecont.errors import (
     BoundaryZeroError,
     DegenerateZeroError,
+    EvaluationError,
     NoConvergenceError,
     NonfiniteResultError,
     SingularJacobianError,
@@ -522,6 +523,49 @@ class TestEmittedAveragedMap:
         assert [z.sign for z in got.zeros] == [z.sign for z in want.zeros] and got.zeros
         for z, ref in zip(got.zeros, want.zeros):
             assert norm_inf(z.point - ref.point) <= 1e-12
+
+
+class TestModelErrors:
+    """A Python callable model's ValueError leaves the degree layer as
+    EvaluationError naming it, chained to it, as it leaves a march."""
+
+    def certify(self, certify, the_map, box):
+        with pytest.raises(EvaluationError, match=r"^model raised ValueError: injected$") as caught:
+            certify(the_map, box)
+        assert type(caught.value.__cause__) is ValueError
+
+    def test_forcing_of_the_averaged_map(self):
+        # the map's forcing runs through March.forcing
+        def forcing(t, x, y):
+            if x[0] > 0.5:
+                raise ValueError("injected")
+            return np.array([np.cos(t) - x[0]])
+
+        prob = DaeProblem1(m=1, s=1, period=2 * np.pi, f=forcing, g=lambda p, q: q**3 + q - p,
+                           A=MatrixPath.constant(np.eye(1), 2 * np.pi),
+                           B=MatrixPath.constant(np.eye(1), 2 * np.pi))
+        self.certify(degree_generic, seeding_map(fixed_frame(prob)), Box.cube(1.0, 2))
+
+    @pytest.mark.parametrize("certify", [degree_generic, degree_reduced])
+    @pytest.mark.parametrize("raising", ["g", "d2g"])
+    def test_constraint_of_the_candidate_map(self, certify, raising):
+        # g on the lattice, or d2g in the Jacobian (degree_reduced's eta_jac)
+        rs = load_fixture("rotating_surface")
+
+        def injected(model):
+            def raising(p, q):
+                if q[0] > 0.5:
+                    raise ValueError("injected")
+                return model(p, q)
+
+            return raising
+
+        models = {"g": lambda p, q: np.array([q[0] ** 3 + q[0] - p[0] ** 2 - 2.0 * p[1] ** 2]),
+                  "d1g": lambda p, q: np.array([[-2.0 * p[0], -4.0 * p[1]]]),
+                  "d2g": lambda p, q: np.array([[3.0 * q[0] ** 2 + 1.0]])}
+        models[raising] = injected(models[raising])
+        prob = DaeProblem1(m=2, s=1, period=2 * np.pi, f=rs.f, A=rs.A, B=rs.B, **models)
+        self.certify(certify, candidate_map(fixed_frame(prob)), Box.cube(1.0, 3))
 
 
 class TestLocateZeros:

@@ -680,6 +680,21 @@ cos(t) - x1 + 0.3*y1
 """
 
 
+# constraints whose march-level blocks fail, and the error each march
+# raises, which running those blocks once per march must keep: g_q
+# constant and singular (the start at 0 is consistent), and g_p not finite
+MARCH_LEVEL_FAILURES = {
+    "singular_g_q": (problem_text("rotating_surface").replace("s = 1", "s = 2")
+                     .replace("[B]\n1\n", "[B]\n1, 0\n0, 1\n")
+                     .replace("q^3 + q - p1^2 - 2*p2^2", "p1 + q1 + q2\np2 + q1 + q2")
+                     .replace("cos(t) - x1\n-x2", "cos(t) - x1 + y1\n-x2 + y2"),
+                     SingularMatrixError, "2x2 system is singular"),
+    "nonfinite_g_p": (problem_text("rotating_surface").replace("q^3 + q - p1^2 - 2*p2^2",
+                                                               "q^3 + q - 1e200*1e200*p1"),
+                      NonfiniteResultError, "constraint residual is nan: a model value is not finite"),
+}
+
+
 def _shooting_problem(name):
     # A problem fixture as the shooting layer sees it (semilinear reduced),
     # or one of the variants that exercise the remaining Jacobian terms.
@@ -705,6 +720,16 @@ def _shooting_problem(name):
         text = problem_text("rotating_surface_2nd").replace("[B]\n1\n", "[B]\n2 + sin(t)\n")
         text += "\n[H1]\n-0.1, 0.2\n-0.2, -0.1\n\n[H2]\n-0.5, 0\n0, -0.5\n"
         return build_problem(parse_problem(text))
+    if name == "linear_constraint_2nd":
+        # order 2 with the linear constraint q - p1 + 0.5 p2 (g_p, g_q and
+        # the rate's blocks constant), a moving B, and f that sees y
+        text = problem_text("rotating_surface_2nd").replace("[B]\n1\n", "[B]\n2 + sin(t)\n")
+        text = text.replace("q^3 + q - p1^2 - 2*p2^2", "q - p1 + 0.5*p2")
+        return build_problem(parse_problem(text.replace("cos(t) - x1", "cos(t) - x1 + 0.3*y1")))
+    if name == "graph_constraint":
+        # q = p1^2: g_q constant, g_p not; f sees y
+        text = problem_text("rotating_surface").replace("q^3 + q - p1^2 - 2*p2^2", "q - p1^2")
+        return build_problem(parse_problem(text.replace("cos(t) - x1", "cos(t) - x1 + 0.3*y1")))
     if name.startswith("second_order_rates"):
         # f sees y, xdot and ydot, so the eta and etadot sensitivities count;
         # the _fd variant forms f_jac and gdot_jac by differences, and the
@@ -942,7 +967,8 @@ class TestInlinedModels:
     """
 
     FIXTURES = ["commuting_h", "rotating_surface", "rotating_surface_2nd", "scalar_linear",
-                "semilinear_4x4", "second_order_rates", "moving_b_2nd", "three_constraints"]
+                "semilinear_4x4", "second_order_rates", "moving_b_2nd", "three_constraints",
+                "linear_constraint_2nd", "graph_constraint"]
 
     @staticmethod
     def march(prob, kind):
@@ -971,15 +997,59 @@ class TestInlinedModels:
         assert len(nodes) == len(ref_nodes) == 17
         assert bits(nodes) == bits(ref_nodes) and bits(end) == bits(ref_end)
 
-    def test_models_cover_both_sides_of_the_split(self):
-        # an inlined df that reads t alone makes J's stage work time-only
-        # (the fixtures, and a moving B), one that reads the node keeps it
-        # per node (y, xdot and ydot; y with a 3x3 B), and so does a called df
-        hoisted = {name: kernel._reads_t_only(_shooting_problem(name).df.fragments)
-                   for name in self.FIXTURES}
-        assert [name for name, once in hoisted.items() if not once] == ["second_order_rates",
-                                                                        "three_constraints"]
-        assert not hasattr(called_through(_shooting_problem("moving_b_2nd")).df, "fragments")
+    # the levels of J = df, g_p, g_q, e = -g_q^-1 g_p and K in each
+    # fixture's sensitivity stage: a model's is that of the arguments its
+    # trees read, a value's the highest of the values it reads
+    LEVELS = {
+        "commuting_h": ("march", "march", "node", "node", "node"),
+        "rotating_surface": ("march", "node", "node", "node", "node"),
+        "rotating_surface_2nd": ("march", "node", "node", "node", "node"),
+        "scalar_linear": ("march", "march", "node", "node", "node"),
+        "semilinear_4x4": ("time", "march", "march", "march", "time"),
+        "second_order_rates": ("node", "node", "node", "node", "node"),
+        "moving_b_2nd": ("march", "node", "node", "node", "node"),
+        "three_constraints": ("node", "node", "node", "node", "node"),
+        "linear_constraint_2nd": ("march", "march", "march", "march", "time"),
+        "graph_constraint": ("march", "node", "march", "node", "node"),
+    }
+
+    @staticmethod
+    def levels(prob):
+        # the levels of J, gp, gq, e and K in the sensitivity stage of prob's system
+        sys = fixed_frame(prob)
+        stage = kernel._stage(kernel._Models(kernel._models(sys)[1]), sys.order, sys.m, sys.s, True)
+        names = {kernel.MARCH: "march", kernel.TIME: "time", kernel.NODE: "node"}
+        return tuple(names[stage.levels[f"{value}0_0"]] for value in ("J", "gp", "gq", "e", "K"))
+
+    def test_levels_of_the_sensitivity_values(self):
+        assert sorted(self.LEVELS) == sorted(self.FIXTURES)
+        for name, levels in self.LEVELS.items():
+            assert self.levels(_shooting_problem(name)) == levels, name
+        # a model called through the adapter is node-level
+        assert self.levels(called_through(_shooting_problem("semilinear_4x4"))) == ("node",) * 5
+
+
+class TestKernelSize:
+    """The emitted source of every kernel of the problem fixtures, in lines:
+    a change of the emitter that unrolls or repeats code shows here."""
+
+    LINES = {  # raw, plain, sensitivity
+        "commuting_h": (174, 207, 262),
+        "rotating_surface": (174, 207, 261),
+        "rotating_surface_2nd": (237, 261, 408),
+        "scalar_linear": (165, 194, 214),
+        "semilinear_4x4": (225, 256, 325),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LINES))
+    def test_source_lines(self, name):
+        prob = _shooting_problem(name)
+        sys = fixed_frame(prob)
+        sizes = tuple(
+            len(kernel._emit(kernel._Models(kernel._models(model)[1]), model.order, model.m, model.s,
+                             sensitivity, model is prob).splitlines())
+            for model, sensitivity in ((prob, False), (sys, False), (sys, True)))
+        assert sizes == self.LINES[name]
 
 
 class TestRawMarch:
@@ -1166,6 +1236,15 @@ class TestFloatMarchErrors:
         for march in self.marches(mode, prob, np.zeros(1)):
             with pytest.raises(SingularMatrixError, match="1x1 system is singular"):
                 march()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", sorted(MARCH_LEVEL_FAILURES))
+    def test_failing_march_level_blocks_keep_their_error(self, mode, case):
+        text, error, message = MARCH_LEVEL_FAILURES[case]
+        for march in self.marches(mode, build_problem(parse_problem(text)), np.zeros(2)):
+            with pytest.raises(error) as caught:
+                march()
+            assert str(caught.value) == message
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stalled_constraint(self, mode):
