@@ -44,7 +44,6 @@ from .linalg import (
     determinant,
     newton_stacked,
     norm_inf,
-    quadrature_periodic,
     solve_stacked,
     stacked_maps,
 )
@@ -430,21 +429,25 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
 
     ``F`` is the fixed-frame forcing at the constant frame state
     ``(xi, eta)``, frame velocities zero for order 2 (so the original
-    velocities are those of the moving frame): the emitted forcing of the
-    system's march (:meth:`~daecont.kernel.March.forcing`), which reads the
-    frame at the quadrature times from the system's table.  The
+    velocities are those of the moving frame), averaged over the
+    ``quad_n >= 8`` uniform times of :func:`~daecont.linalg.quadrature_periodic`,
+    with its bits: each value is one call of the emitted loop of the
+    system's plain march (:meth:`~daecont.kernel.March.mean_forcing`),
+    which reads the frame at those times from the system's table.  The
     branch-seeding map when the drift ``D0`` vanishes (see
     :func:`seeding_map`).  Its ``jac`` and ``arrays`` are absent: its
     Jacobian is formed by forward differences, and the zero search calls
     it point by point.
     """
+    if quad_n < 8:
+        raise ValueError("need at least 8 quadrature nodes")
     m = sys.m
-    forcing = March(sys, 0.0).forcing
+    mean_forcing = March(sys, 0.0).mean_forcing
+    times = [k * sys.period / quad_n for k in range(quad_n)]
 
     def omega(z):
         z = np.asarray(z, dtype=float)
-        xi, eta = z[:m].tolist(), z[m:].tolist()
-        first = quadrature_periodic(lambda t: forcing(t, xi, eta), sys.period, quad_n)
+        first = mean_forcing(times, z[:m].tolist(), z[m:].tolist())
         return np.concatenate([first, np.atleast_1d(sys.g(z[:m], z[m:]))])
 
     return omega

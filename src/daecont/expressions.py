@@ -440,7 +440,7 @@ def _compile(args: str, body: Callable[[], str], trees, varmap: Mapping[str, str
                         "        raise _nonfinite(exc) from exc", ""]
 
     compiled = _lazy(render)
-    compiled.fragments = Fragments(args, trees, varmap)
+    compiled.fragments = Fragments(args, trees, varmap, dims)
     compiled.arrays = _compile_arrays(args, trees, varmap, dims)
     return compiled
 
@@ -450,17 +450,19 @@ class Fragments:
     source over names the caller picks, for inlining into emitted code.
 
     :meth:`statements` binds each argument to local names and assigns
-    every entry (a matrix row by row) to a target.  Fragments compare
-    equal, and hash alike, when they render the same source, so a cache
-    of emitted code keyed by them is shared by every parse of one problem.
-    The templates are rendered from the trees on the first request.
+    every entry (a matrix row by row) to a target; ``shape`` is the shape
+    of the function's value.  Fragments compare equal, and hash alike,
+    when they render the same source, so a cache of emitted code keyed by
+    them is shared by every parse of one problem.  The templates are
+    rendered from the trees on the first request.
     """
 
     GLOBALS = {"math": math, "_nonfinite": _nonfinite}  # the names the statements read
 
-    def __init__(self, args: str, trees, varmap: Mapping[str, str]):
+    def __init__(self, args: str, trees, varmap: Mapping[str, str], shape: tuple):
         self.args = tuple(a.strip() for a in args.split(","))
         self._trees, self._varmap = tuple(trees), dict(varmap)
+        self.shape = shape
 
     @functools.cached_property
     def templates(self) -> tuple:

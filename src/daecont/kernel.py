@@ -55,9 +55,15 @@ it.  The emitted code keeps these rules:
   enters the rate, as it did in the numpy raw march).
 
 The fixed-frame forcing ``F = A(t) f`` of a node has one emitter too: the
-stage's lines, and the plain build's ``forcing`` at a constant frame node
-(frame velocities zero), which the averaged map of :mod:`daecont.degree`
-reads.
+stage's lines, and the plain build's ``forcing``, one loop over a list of
+times at a constant frame node (frame velocities zero) that sums each
+component of ``F`` in order and divides by the count: the mean that the
+averaged map of :mod:`daecont.degree` reads, one call per map value.  A
+fixed-frame build's ``records`` pulls the nodes of a march back in one
+loop too, with a record's lines per node (for order 2 the ``etadot``
+solve, the pull-back and the constraint residual of the pulled-back
+floats), so a trajectory costs one call and comes back as flat lists of
+floats.
 
 Sums of products are plain float sums, where numpy's BLAS may fuse a
 multiply-add: a value can differ from a numpy march in the last bit (the
@@ -86,7 +92,7 @@ A kernel is emitted and compiled at the first march, start solve or
 averaged map that needs it, never at set-up, and kept in a bounded cache
 keyed by what its source is emitted from: the problem's shape, the march
 kind and the fragments, so that every parse of one problem shares one
-kernel.  Its source is 165 to 408 lines on the fixtures.  One entry
+kernel.  Its source is 165 to 416 lines on the fixtures.  One entry
 keeps the compiled code of its build function, 8 to 23 KB on the
 fixtures (measured with tracemalloc as what compiling and running the
 build source leaves allocated: 14 KB for the sensitivity kernel of
@@ -162,7 +168,7 @@ class March:
     :func:`frame_function` of its paths at its order, which keeps nothing.
 
     A ``ValueError`` or ``ArithmeticError`` that a model raises in
-    :meth:`resolve`, :meth:`march` or :meth:`record` (a Python callable's
+    :meth:`resolve`, :meth:`march` or :meth:`records` (a Python callable's
     own, or numpy's) becomes :class:`EvaluationError` naming its class and
     message, chained with ``from``.
     """
@@ -181,7 +187,7 @@ class March:
         self.m = model.m
         self.frame = (frame_function(model.A, model.B, model.order) if self.raw
                       else model.frame_entries)
-        self._resolve, self._march, self._record, self._forcing = build(
+        self._resolve, self._march, self._records, self._forcing = build(
             *functions, self.frame, *drifts, float(lam))
 
     @model_errors
@@ -195,16 +201,20 @@ class March:
         frame = (self.frame(t),) if self.raw else ()
         return self._resolve(t, *frame, *state[: self.m], *eta_guess)
 
-    def forcing(self, t, xi, eta) -> tuple:
-        """``F(t, xi, eta) = A(t) f(t, x, y[, xdot, ydot])`` of a constant frame node.
+    def mean_forcing(self, times, xi, eta) -> tuple:
+        """The mean over ``times`` of ``F(t, xi, eta) = A(t) f(t, x, y[, xdot, ydot])``.
 
-        Plain fixed-frame march only: the stage's forcing at the frame
-        node ``(xi, eta)``, pulled back with frame velocities zero for order
-        2 (so the original velocities are those of the moving frame), on
-        the frame the model's table gives at ``t``.  A non-finite ``f``
-        raises :class:`NonfiniteResultError` naming ``t`` and the value.
+        Plain fixed-frame march only: the stage's forcing at the constant
+        frame node ``(xi, eta)``, pulled back with frame velocities zero for
+        order 2 (so the original velocities are those of the moving frame),
+        on the frame the model's table gives at each time, in one call that
+        loops over ``times``.  Each component is the float sum of its values
+        in the order of ``times`` divided by their count, the bits of
+        :func:`~daecont.linalg.quadrature_periodic` at its nodes.  A
+        non-finite ``f`` raises :class:`NonfiniteResultError` naming ``t``
+        and the value.
         """
-        return self._forcing(t, *xi, *eta)
+        return self._forcing(times, *xi, *eta)
 
     @model_errors
     def march(self, state, eta, h, nsteps):
@@ -218,19 +228,18 @@ class March:
         return self._march(0.0, float(h), nsteps, *state, *eta)
 
     @model_errors
-    def record(self, t, *node) -> tuple:
-        """``(t, x, y, xdot, ydot)`` of a node in original coordinates.
+    def records(self, nodes) -> tuple:
+        """``(times, x, y, xdot, ydot, residuals)`` of frame nodes in original coordinates.
 
-        Velocities are None for order 1.  A frame node ``(t, state, eta)``
-        is pulled back, for order 2 after its ``etadot`` is solved from the
-        constraint, and its record ends with the constraint residual
-        ``max|g(A(t) x, B(t) y)|`` of the pulled-back floats; a raw march
-        records its nodes as it goes.
+        Fixed frame only (a raw march's nodes are their records): one call
+        pulls back every node ``(t, state, eta)`` (the state's row 0), for
+        order 2 after its ``etadot`` is solved from the constraint.  Each
+        column is one flat list, node after node: the times, the entries
+        of ``x``, ``y`` and, for order 2, ``xdot`` and ``ydot`` (None for
+        order 1), and the constraint residual ``max|g(A(t) x, B(t) y)|`` of
+        each node's pulled-back floats.  The first node that fails raises.
         """
-        if self.raw:
-            return (t, *node)
-        state, eta = node
-        return self._record(t, *state, *eta)
+        return self._records(nodes)
 
 
 def _models(model):
@@ -808,8 +817,9 @@ def _emit(models, order, m, s, sensitivity, raw):
             *(f"        {line}" for line in _resolve(models, xis, s, (a, b) if raw else None)),
             f"        return {_unrolled(q)}", ""]
     if not raw:
-        # record: row 0 and q of a node, to (t, x, y, xd, yd) and the
-        # constraint residual max|g(A x, B y)| of the pulled-back floats
+        # records: row 0 and q of each node to its time, x, y[, xd, yd] and
+        # the constraint residual max|g(A x, B y)| of the pulled-back
+        # floats, one loop over the nodes; each column is one flat list
         rec = _Lines(models, m)
         rec.add(NODE, ["fr = frame(t)", unpack])
         if order == 2:
@@ -819,22 +829,33 @@ def _emit(models, order, m, s, sensitivity, raw):
         rec.set(ax, _matvec(a, _vec("x", m)))
         rec.set(by, _matvec(b, _vec("y", s)))
         rec.add(NODE, models("g", r, ax, by) + _norm(r))
-        velocities = (f"{tup(_vec('xd', m))}, {tup(_vec('yd', s))}" if order == 2 else "None, None")
-        src += [f"    def record(t, {', '.join(inputs[:n] + q)}):",
-                *(f"        {line}" for line in rec.text),
-                f"        return t, {tup(_vec('x', m))}, {tup(_vec('y', s))}, {velocities}, rn", ""]
+        columns = dict(zip(("xs", "ys", "xds", "yds"), _node_args(order, m, s)))
+        src += ["    def records(nodes):",
+                f"        times, rns, {', '.join(columns)} = {', '.join(['[]'] * (len(columns) + 2))}",
+                f"        for t, ({_unrolled(inputs[:n])}), ({_unrolled(q)}) in nodes:",
+                *(f"            {line}" for line in rec.text),
+                "            times.append(t)",
+                *(f"            {col} += ({_unrolled(v)})" for col, v in columns.items()),
+                "            rns.append(rn)",
+                f"        return times, {', '.join(columns)}{', None, None' if order == 1 else ''}, rns", ""]
     forcing = not raw and not sensitivity
     if forcing:
-        # forcing: F at a constant frame node, frame velocities zero (a
-        # plain build's alone: the averaged map builds no sensitivity kernel)
+        # forcing: the mean of F at a constant frame node over times, frame
+        # velocities zero (a plain build's alone: the averaged map builds no
+        # sensitivity kernel); each component is summed in order from -0.0,
+        # the identity of float addition, then divided by the count
         force = _Lines(models, m)
         force.add(NODE, ["fr = frame(t)", unpack])
-        if order == 2:
-            force.add(NODE, [f"{v} = 0.0" for v in _vec("u", m) + _vec("ed", s)])
         _forcing(force, order, m, s, a, b, da, dbi)
-        src += [f"    def forcing(t, {', '.join(xis + q)}):",
-                *(f"        {line}" for line in force.text),
-                f"        return {tup(_vec('F', m))}", ""]
+        means = _vec("Fm", m)
+        zero = _vec("u", m) + _vec("ed", s) if order == 2 else []
+        src += [f"    def forcing(times, {', '.join(xis + q)}):",
+                *(f"        {v} = 0.0" for v in zero),
+                f"        {' = '.join(means)} = -0.0",
+                "        for t in times:",
+                *(f"            {line}" for line in force.text),
+                *(f"            {v} = {v} + {f}" for v, f in zip(means, _vec("F", m))),
+                f"        return {tup([f'{v} / len(times)' for v in means])}", ""]
     # march: a step loops over its stages, each advancing the RK sum and
     # the next stage's inputs (stage 4: the new state, which is the next
     # stage 1's), then re-solves q; a raw node's rate reads the frame the
@@ -883,5 +904,5 @@ def _emit(models, order, m, s, sensitivity, raw):
             *(f"            {line}" for line in _resolve(models, xis, s, (a, b) if raw else None) + node_rate),
             f"            append({node})",
             f"        return nodes, {tup(state)}", ""]
-    src += [f"    return resolve, march, {'None' if raw else 'record'}, {'forcing' if forcing else 'None'}", ""]
+    src += [f"    return resolve, march, {'None' if raw else 'records'}, {'forcing' if forcing else 'None'}", ""]
     return "\n".join(src)

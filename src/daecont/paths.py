@@ -20,12 +20,14 @@ NaN at any node) raises :class:`EvaluationError` naming it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import EvaluationError
+from .expressions import Fragments
 from .linalg import norm_inf, solve_linear
 
 __all__ = [
@@ -121,8 +123,13 @@ class MatrixPath:
         return self._checked(np.asarray(fn(t), dtype=float)[None])[0]
 
     def _gather(self, fn, times) -> np.ndarray:
-        # fn at each time, as one tested stack; when the nodes have different
-        # shapes, the first one that is wrong is named
+        # fn at each time, as one tested stack: a compiled fn by one call of
+        # its fill (see _fill), any other node by node; when the nodes have
+        # different shapes, the first one that is wrong is named
+        fragments = getattr(fn, "fragments", None)
+        if fragments is not None:
+            flat = _fill(fragments)(times.tolist())
+            return self._checked(np.array(flat, dtype=float).reshape(len(times), *fragments.shape))
         values = [fn(t) for t in times]
         try:
             a = np.array(values, dtype=float)
@@ -158,10 +165,13 @@ class MatrixPath:
         Each is a ``(len(times), dim, dim)`` array whose node ``k`` has the
         bits of ``self(times[k], order)``, with its errors: each stack gets
         one shape test and one finiteness test.  An exponential frame
-        exponentiates all times at once; any other function (compiled from
-        expressions, a constant's or a Python callable) is called once per
-        node, and a differenced order applies its formula to the value
-        stacks at ``times +- fd_step``.
+        exponentiates all times at once, and a function compiled from
+        expressions fills the stack in one call of emitted code that loops
+        over the times with its statements (see
+        :class:`~daecont.expressions.Fragments`); any other function (a
+        constant's or a Python callable) is called once per node.  A
+        differenced order applies its formula to the value stacks at
+        ``times +- fd_step``.
         """
         if order not in (0, 1, 2):
             raise EvaluationError(f"derivative order {order} not supported (max 2)")
@@ -254,6 +264,21 @@ class MatrixPath:
         )
         path._closed = stacked
         return path
+
+
+@functools.lru_cache(maxsize=128)
+def _fill(fragments):
+    # fill(times) -> the entries of the compiled function of ``fragments``
+    # at each of ``times``, node after node in one flat list: one loop over
+    # its statements, with their NonfiniteResultError, emitted and compiled
+    # once per fragments
+    entries = [f"v{i}" for i in range(len(fragments.templates))]
+    lines = ["def fill(times):", "    out = []", "    for t in times:",
+             *(f"        {line}" for line in fragments.statements(entries, "t")),
+             f"        out += ({', '.join(entries)},)", "    return out", ""]
+    namespace = dict(Fragments.GLOBALS)
+    exec("\n".join(lines), namespace)
+    return namespace["fill"]
 
 
 def _grid_times(path: MatrixPath, grid: int) -> np.ndarray:

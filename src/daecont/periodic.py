@@ -111,8 +111,10 @@ class Trajectory:
         return norm_inf(self.y)
 
     def periodicity_residual(self) -> float:
+        """Largest ``|last node - first node|`` entry of ``x``, ``y`` and the
+        velocities; NaN if any is."""
         columns = (self.x, self.y, self.xdot, self.ydot)
-        return max(norm_inf(c[-1] - c[0]) for c in columns if c is not None)
+        return _max([norm_inf(c[-1] - c[0]) for c in columns if c is not None])
 
     def to_dict(self) -> dict:
         out = {"times": self.times, "x": self.x, "y": self.y}
@@ -224,17 +226,26 @@ def integrate(
     state0 = (x0 if xdot0 is None else np.concatenate([x0, xdot0])).tolist()
     y0 = stepper.resolve(0.0, state0, [0.0] * prob.s) if y0 is None else y0.tolist()
     nodes, _ = stepper.march(state0, y0, h, nsteps)
-    return _trajectory(stepper.record, nodes)[0]
+    return _trajectory(stepper, nodes)[0]
 
 
-def _trajectory(record, nodes):
-    # Nodes through record to (t, x, y, xdot, ydot), None velocities for
-    # order 1: the Trajectory, and the largest constraint residual that a
-    # fixed-frame record gives with each node (None raw).
-    times, *columns = zip(*(record(*node) for node in nodes))
-    arrays = (None if col[0] is None else np.array(col) for col in columns[:4])
-    residual = max((0.0, *columns[4])) if len(columns) > 4 else None
-    return Trajectory(np.array(times, dtype=float), *arrays), residual
+def _trajectory(stepper, nodes):
+    # The Trajectory of the nodes of stepper's march, None velocities for
+    # order 1, and the largest constraint residual of a fixed-frame march's
+    # records (NaN if any is; None raw).  Raw nodes are their own records,
+    # (t, x, y, xdot, ydot); the frame's come from one records call.
+    if stepper.raw:
+        times, *columns = zip(*nodes)
+        arrays = (None if col[0] is None else np.array(col) for col in columns)
+        return Trajectory(np.array(times, dtype=float), *arrays), None
+    times, *columns, residuals = stepper.records(nodes)
+    arrays = (None if col is None else np.array(col).reshape(len(times), -1) for col in columns)
+    return Trajectory(np.array(times, dtype=float), *arrays), _max(residuals)
+
+
+def _max(values) -> float:
+    # the largest of values, NaN if any is (Python's max keeps a NaN only first)
+    return float(np.max(values))
 
 
 class _ShootingRunner:
@@ -257,7 +268,7 @@ class _ShootingRunner:
         self.h = prob.period / self.nsteps
         self.state_dim = prob.order * prob.m
         self.sys = fixed_frame(prob)
-        self._last = (None,) * 5  # linearize's (key, residual, jacobian, record, nodes)
+        self._last = (None,) * 5  # linearize's (key, residual, jacobian, stepper, nodes)
 
     def _run(self, stepper, start):
         # (nodes, end) of one period of stepper from start, a list of floats.
@@ -283,7 +294,7 @@ class _ShootingRunner:
             nodes, end = self._run(stepper, start)
             end = np.array(end).reshape(n + 2, n)
             jacobian = end[1:].T - np.eye(n, n + 1, 1)
-            self._last = (key, end[0] - state0, jacobian, stepper.record, nodes)
+            self._last = (key, end[0] - state0, jacobian, stepper, nodes)
         return self._last[1], self._last[2]
 
     def newton_maps(self, lam=None):
@@ -304,7 +315,7 @@ class _ShootingRunner:
         pair = _tpair(lam, *_trajectory(*self._last[3:]), state0[: self.prob.m])
         for name, value, tol in (("periodicity", pair.periodicity_residual, PERIODICITY_TOL),
                                  ("constraint", pair.constraint_residual, CONSTRAINT_TOL)):
-            if value > tol:
+            if not value <= tol:  # a NaN residual fails too
                 raise NoConvergenceError(f"{name} residual {value:.3e} exceeds {tol:g}")
         return pair
 
@@ -358,8 +369,8 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     times = [0.0]
     for _ in range(runner.nsteps):  # the running sum t + h, as a march steps
         times.append(times[-1] + runner.h)
-    record = March(runner.sys, 0.0).record
-    return _tpair(0.0, *_trajectory(record, [(t, state, eta0) for t in times]), xi0)
+    stepper = March(runner.sys, 0.0)
+    return _tpair(0.0, *_trajectory(stepper, [(t, state, eta0) for t in times]), xi0)
 
 
 def _least_squares_newton(fun, jac, x0):

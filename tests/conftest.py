@@ -8,6 +8,8 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import collections
+
 import pytest
 
 from daecont import expressions, kernel
@@ -84,4 +86,25 @@ def exec_calls(monkeypatch):
         return run(lines)
 
     monkeypatch.setattr(expressions, "_exec", counted)
+    return calls
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every call of an emitted kernel function (``resolve``, ``march``,
+    ``records`` or ``forcing``) from here on, counted by name."""
+    calls, build = collections.Counter(), kernel._build
+
+    def counted(fn):
+        def call(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return call
+
+    def counted_build(*key):
+        made = build(*key)
+        return lambda *args: tuple(fn and counted(fn) for fn in made(*args))
+
+    monkeypatch.setattr(kernel, "_build", counted_build)
     return calls

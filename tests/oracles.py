@@ -293,6 +293,19 @@ def fixed_frame_march(sys, lam, state0, eta0, h, nsteps, sensitivity=False):
     return nodes, aug
 
 
+def node_records(stepper, nodes):
+    """The records of a fixed-frame march's nodes, one tuple per node.
+
+    ``(t, x, y, xdot, ydot, residual)``, velocities None for order 1: the
+    flat columns of one :meth:`~daecont.kernel.March.records` call, cut at
+    the nodes, as the per-node record of the float march gave them.
+    """
+    times, *columns, residuals = stepper.records(nodes)
+    rows = [[None] * len(times) if col is None
+            else list(map(tuple, np.reshape(col, (len(times), -1)).tolist())) for col in columns]
+    return list(zip(times, *rows, residuals))
+
+
 def shoot(runner, lam, state0):
     """The shooting residual ``state(T) - state0`` of one plain march on the runner's system.
 

@@ -14,11 +14,14 @@ from daecont import kernel
 
 from daecont.cli import MAX_BRANCH_STEPS, MAX_LEMMA_PATHS, build_parser, main
 from daecont.degree import Box
+from daecont.errors import SingularMatrixError
 from daecont.fixtures import load_fixture, problem_text
+from daecont.kernel import March
 from daecont.linalg import norm_inf
 from daecont.paths import MatrixPath
 from daecont.periodic import branch_seeds
-from daecont.transform import fixed_frame
+from daecont.probfile import build_problem, parse_problem
+from daecont.transform import fixed_frame, fixed_frame_first
 from test_periodic import MARCH_LEVEL_FAILURES, THREE_CONSTRAINTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -726,6 +729,39 @@ def test_branch_dump_matches_golden_byte_for_byte(capsys, tmp_path):
                        "--h", repr(2.0 * np.pi / 32), "--dump", str(dump))
     assert code == 0 and err == "branch: 3 pairs, termination: budget\n"
     assert dump.read_bytes() == (GOLDEN_DIR / "branch" / "rotating_surface_2nd_2_h32.dump.json").read_bytes()
+
+
+def test_first_order_branch_dump_matches_golden_byte_for_byte(capsys, tmp_path):
+    # an order-1 branch's pulled-back nodes, on 32 steps per period
+    dump = tmp_path / "pairs.json"
+    golden = GOLDEN_DIR / "branch" / "rotating_surface_2_h32"
+    assert run(capsys, "continue", "rotating_surface", "--ds", "0.05", "--steps", "2",
+               "--h", repr(2.0 * np.pi / 32), "--dump", str(dump)) == (
+        0, golden.with_suffix(".csv").read_text(), golden.with_suffix(".err").read_text())
+    assert dump.read_bytes() == golden.with_suffix(".dump.json").read_bytes()
+
+
+def test_reduced_fixed_frame_trajectory_matches_golden(capsys):
+    # an s = 2 pull-back with a time-varying B
+    assert run(capsys, "integrate", "semilinear_4x4", "--lambda", "0.5", "--fixed-frame") == (
+        0, (GOLDEN_DIR / "integrate_semilinear_4x4_fixed.json").read_text(), "")
+
+
+def test_a_record_that_fails_at_one_node_raises_its_error():
+    # B = [[1, cos t], [cos t, 1]] is singular at t = pi: the nodes before it
+    # are pulled back with the bits, and the node raises the error, that
+    # the per-node record gave
+    sys_t = fixed_frame_first(build_problem(parse_problem(TWO_CONSTRAINTS)), validate=False)
+    stepper = March(sys_t, 0.0)
+    nodes = [(t, [0.3, 0.1], [0.2, 0.1]) for t in (0.5, 1.0, np.pi, 4.0)]
+    times, x, y, xdot, ydot, residuals = stepper.records(nodes[:2])
+    assert (times, xdot, ydot) == ([0.5, 1.0], None, None)
+    assert x == [0.3112173224275321, -0.05606940539222362, 0.24623779024123157, -0.19841106485555496]
+    assert y == [0.4883285047706468, -0.32854858026071937, 0.2061506132642155, -0.01138365170278672]
+    assert residuals == [0.11799999999999997, 0.11800000000000005]
+    with pytest.raises(SingularMatrixError) as error:
+        stepper.records(nodes)
+    assert str(error.value) == "2x2 system is singular" and error.value.__cause__ is None
 
 
 @pytest.mark.parametrize("argv", [

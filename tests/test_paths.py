@@ -244,6 +244,103 @@ class TestStack:
         assert type(error).__name__ == "NonfiniteResultError"
 
 
+def compiled_paths():
+    # (name, path) of every compiled path of the fixtures: the path
+    # fixtures, the problem fixtures' A and B (a semi-linear system's F and
+    # C, and its reduction's A and B)
+    out = [(name, path_fixture(name)) for name in sorted(PATHS)]
+    for name in sorted(PROBLEMS):
+        prob = load_fixture(name)
+        if isinstance(prob, SemiLinearDae):
+            out += [(f"{name}.F", prob.Fpath), (f"{name}.C", prob.Cpath)]
+            prob = reduce_semilinear(prob)
+        out += [(f"{name}.A", prob.A), (f"{name}.B", prob.B)]
+    return out
+
+
+def differenced(path, keep_d1=False):
+    # the path with its derivatives (or its second alone) by differences
+    return MatrixPath(path.dim, path.period, path._value, d1=path._d1 if keep_d1 else None,
+                      fd_step=1e-3, name=path.name)
+
+
+def counted_fragments(fn, calls):
+    # fn with its fragments, each call appended to calls
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+
+    counted.fragments = fn.fragments
+    return counted
+
+
+class TestCompiledFill:
+    """A compiled function fills a stack in one call of emitted code, with
+    the bits and the errors of its calls node by node."""
+
+    TIMES = TestStack.TIMES
+    PATHS = compiled_paths()
+
+    @pytest.mark.parametrize("kind", ["analytic", "differenced", "differenced_d2"])
+    @pytest.mark.parametrize("name, path", PATHS, ids=[name for name, _ in PATHS])
+    def test_bits_of_the_calls(self, name, path, kind):
+        assert all(path.fragments(k) is not None for k in (0, 1))
+        if kind != "analytic":
+            path = differenced(path, keep_d1=kind == "differenced_d2")
+        for order in (0, 1, 2):
+            stacks = path.stack(self.TIMES, order)
+            for k, stack in enumerate(stacks):
+                nodes = np.array([path(t, k) for t in self.TIMES])
+                assert stack.shape == nodes.shape and stack.tobytes() == nodes.tobytes(), (order, k)
+
+    @pytest.mark.parametrize("times", [TIMES, TIMES[::-1]], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_the_first_failing_node_raises_as_its_call(self, times, order):
+        # 1/(t - 3) divides by zero at t = 3.0 and exp(100 t) overflows at
+        # t = 9.871: the stack raises the error of the first failing call,
+        # in the order of times
+        path = expr_path([["1/(t - 3)", "0"], ["exp(100*t)", "1"]], 2 * np.pi, name="P")
+        with pytest.raises(Exception) as call:
+            for k in range(order + 1):
+                for t in times:
+                    path(t, k)
+        with pytest.raises(Exception) as stack:
+            path.stack(times, order)
+        assert type(stack.value) is type(call.value) and str(stack.value) == str(call.value)
+
+    def test_an_inf_entry_raises_as_its_call(self):
+        # inf without raising, at every node but t = 0: the stack's finiteness test
+        path = expr_path([["(1e200*t)*1e200", "0"], ["0", "1"]], 2 * np.pi, name="P")
+        with pytest.raises(EvaluationError, match="^path P returned non-finite entries$"):
+            path.stack(self.TIMES)
+        with pytest.raises(EvaluationError, match="^path P returned non-finite entries$"):
+            path(0.37)
+
+    def test_a_wrong_shape_raises_as_its_call(self):
+        path = MatrixPath(3, 1.0, path_fixture("rot2")._value, name="P")
+        with pytest.raises(EvaluationError, match=r"^path P returned shape \(2, 2\), expected \(3, 3\)$"):
+            path.stack(self.TIMES)
+        with pytest.raises(EvaluationError, match=r"^path P returned shape \(2, 2\), expected \(3, 3\)$"):
+            path(0.37)
+
+    @pytest.mark.parametrize("keep_d1", [True, False])
+    def test_a_stack_makes_no_call_of_the_function(self, keep_d1):
+        # the work pin: every order of a compiled path, analytic or
+        # differenced, is filled by emitted code that calls nothing
+        rot2, calls = path_fixture("rot2"), []
+        value, d1, d2 = (counted_fragments(fn, calls) for fn in (rot2._value, rot2._d1, rot2._d2))
+        for path in (MatrixPath(2, rot2.period, value, d1=d1, d2=d2),
+                     MatrixPath(2, rot2.period, value, d1=d1 if keep_d1 else None, fd_step=1e-3)):
+            path.stack(self.TIMES, 2)
+        assert calls == []
+
+    def test_one_fill_per_fragments(self):
+        # every parse of one table shares one emitted fill
+        a, b = path_fixture("rot2"), path_fixture("rot2")
+        assert a._value is not b._value and a.fragments(0) == b.fragments(0)
+        assert paths._fill(a.fragments(0)) is paths._fill(b.fragments(0))
+
+
 class TestSkewExponential:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_orthogonal_and_matches_scipy_expm(self, n):

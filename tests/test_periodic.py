@@ -16,7 +16,7 @@ from daecont.errors import (
     SingularMonodromyError,
 )
 from daecont.fixtures import load_fixture, problem_text
-from daecont.linalg import NewtonConfig, newton_solve, norm_inf
+from daecont.linalg import NewtonConfig, newton_solve, norm_inf, quadrature_periodic
 from daecont.paths import MatrixPath
 from daecont.probfile import build_problem, parse_problem
 from daecont.semilinear import reduce_semilinear
@@ -32,6 +32,7 @@ from oracles import (
     central_jacobian,
     constraint_residual,
     fixed_frame_march,
+    node_records,
     raw_march,
     shoot,
     shooting_residual,
@@ -58,9 +59,9 @@ def scalar_problem(f=None, g=None):
 
 
 def plain_march(runner, lam, state0):
-    # the record and nodes of one plain fixed-frame march over a period
+    # the stepper and nodes of one plain fixed-frame march over a period
     stepper = periodic.March(runner.sys, lam)
-    return stepper.record, runner._run(stepper, np.asarray(state0, dtype=float).tolist())[0]
+    return stepper, runner._run(stepper, np.asarray(state0, dtype=float).tolist())[0]
 
 
 def closed_form_scalar(lam, x0, t):
@@ -535,9 +536,9 @@ class TestFrameTable:
 
     def test_pair_residuals_read_the_table(self, path_calls):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
-        record, nodes = plain_march(runner, 0.5, np.array([0.3, 0.1]))
+        stepper, nodes = plain_march(runner, 0.5, np.array([0.3, 0.1]))
         del path_calls[:]
-        traj, residual = periodic._trajectory(record, nodes)
+        traj, residual = periodic._trajectory(stepper, nodes)
         assert path_calls == [] and runner.make_tpair(0.0, np.zeros(2)).constraint_residual == 0.0
         assert path_calls == []
         assert abs(residual - constraint_residual(traj, runner.prob)) <= RESIDUAL_TOL
@@ -570,7 +571,8 @@ class TestFrameTable:
         fresh = fixed_frame(runner.prob)
         assert bits(runner.sys.frame_entries(t)) == bits(fresh.frame_entries(t))
         node = ([0.3, 0.1, -0.1, 0.4], [0.2])
-        tabulated, evaluated = (periodic.March(sys, 0.5).record(t, *node) for sys in (runner.sys, fresh))
+        tabulated, evaluated = (node_records(periodic.March(sys, 0.5), [(t, *node)])
+                                for sys in (runner.sys, fresh))
         assert bits(tabulated) == bits(evaluated)
 
     def test_each_system_has_its_own_table(self):
@@ -908,7 +910,7 @@ class TestFloatMarch:
         nodes, end = stepper.march(start, eta0, runner.h, runner.nsteps)
         ref_nodes, ref_end = fixed_frame_march(fixed_frame(runner.prob), z[0], z[1:], eta0,
                                                runner.h, runner.nsteps, sensitivity)
-        return [stepper.record(*node) for node in nodes], np.array(end), ref_nodes, ref_end
+        return node_records(stepper, nodes), np.array(end), ref_nodes, ref_end
 
     @pytest.mark.parametrize("name", PROBLEMS)
     def test_plain_march_matches_numpy_reference(self, name):
@@ -985,7 +987,7 @@ class TestInlinedModels:
         n = state0.size
         start = state0.tolist() + ([0.0] * n + np.eye(n).ravel().tolist() if kind == "sensitivity" else [])
         nodes, end = stepper.march(start, stepper.resolve(0.0, start, [0.0] * prob.s), h, nsteps)
-        return [stepper.record(*node) for node in nodes], end
+        return node_records(stepper, nodes), end
 
     @pytest.mark.parametrize("kind", ["raw", "plain", "sensitivity"])
     @pytest.mark.parametrize("name", FIXTURES)
@@ -1029,16 +1031,100 @@ class TestInlinedModels:
         assert self.levels(called_through(_shooting_problem("semilinear_4x4"))) == ("node",) * 5
 
 
+class TestOneCallPerLoop:
+    """A loop over nodes runs inside the emitted code: a trajectory is one
+    records call, an averaged-map value one forcing call (the work pins of
+    the loops; the march is one call per march)."""
+
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd", "semilinear_4x4"])
+    def test_a_fixed_frame_trajectory_is_one_records_call(self, name, kernel_calls):
+        prob = _shooting_problem(name)
+        integrate(prob, 0.5, np.zeros(prob.m), mode="fixed")
+        assert kernel_calls == {"resolve": 1, "march": 1, "records": 1}
+
+    def test_a_pair_is_one_records_call(self, kernel_calls):
+        runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
+        runner.make_tpair(0.0, np.zeros(2))
+        assert kernel_calls == {"resolve": 1, "march": 1, "records": 1}
+        periodic._trivial_tpair(runner, np.zeros(3))
+        assert kernel_calls == {"resolve": 1, "march": 1, "records": 2}
+
+    @pytest.mark.parametrize("name", ["scalar_linear", "rotating_surface_2nd"])
+    def test_an_averaged_map_value_is_one_forcing_call(self, name, kernel_calls):
+        prob = load_fixture(name)
+        omega = averaged_map_fn(fixed_frame(prob))
+        omega(np.full(prob.m + prob.s, 0.1))
+        assert kernel_calls == {"forcing": 1}
+        omega(np.full(prob.m + prob.s, 0.2))
+        assert kernel_calls == {"forcing": 2}
+
+    @pytest.mark.parametrize("name", ["scalar_linear", "rotating_surface_2nd", "semilinear_4x4"])
+    def test_the_mean_forcing_is_the_quadrature_bit_for_bit(self, name):
+        sys = fixed_frame(_shooting_problem(name))
+        stepper = periodic.March(sys, 0.0)
+        xi, eta = [0.3, -0.2][: sys.m], [0.1, 0.4][: sys.s]
+        ref = quadrature_periodic(lambda t: stepper.mean_forcing((t,), xi, eta), sys.period, 64)
+        times = [k * sys.period / 64 for k in range(64)]
+        assert np.array(stepper.mean_forcing(times, xi, eta)).tobytes() == ref.tobytes()
+
+    def test_the_mean_of_negative_zeros_is_negative_zero(self):
+        # the sum starts at the first value, as the quadrature's does
+        stepper = periodic.March(fixed_frame(scalar_problem(f=lambda t, x, y: np.array([-0.0]))), 0.0)
+        (mean,) = stepper.mean_forcing([0.0, 1.0, 2.0], [0.0], [0.0])
+        assert math.copysign(1.0, mean) == -1.0
+
+
+class TestNanResiduals:
+    """A NaN residual propagates to the pair's residuals, and the pair
+    checks reject it."""
+
+    class Stepper:
+        # a fixed-frame stepper whose records are given
+        raw = False
+
+        def __init__(self, records):
+            self.records = lambda nodes: records
+
+    @pytest.mark.parametrize("residuals", [[math.nan, 1.0], [1.0, math.nan], [0.0, math.nan]])
+    def test_a_nan_node_residual_is_the_constraint_residual(self, residuals):
+        records = ([0.0, 1.0], [0.1, 0.2], [0.3, 0.4], None, None, residuals)
+        traj, residual = periodic._trajectory(self.Stepper(records), None)
+        assert math.isnan(residual) and traj.y.tolist() == [[0.3], [0.4]]
+
+    @pytest.mark.parametrize("column", ["x", "y", "xdot", "ydot"])
+    def test_a_nan_column_is_the_periodicity_residual(self, column):
+        columns = {name: np.zeros((3, 2)) for name in ("x", "y", "xdot", "ydot")}
+        columns[column][-1, 1] = math.nan
+        columns["x"][-1, 0] = 1.0  # a larger residual in another column
+        assert math.isnan(periodic.Trajectory(np.arange(3.0), **columns).periodicity_residual())
+
+    @pytest.mark.parametrize("which", ["periodicity", "constraint"])
+    def test_a_pair_with_a_nan_residual_is_rejected(self, which, monkeypatch):
+        trajectory = periodic._trajectory
+
+        def with_nan(stepper, nodes):
+            traj, residual = trajectory(stepper, nodes)
+            if which == "periodicity":
+                traj.y[-1] = math.nan
+                return traj, residual
+            return traj, math.nan
+
+        runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
+        monkeypatch.setattr(periodic, "_trajectory", with_nan)
+        with pytest.raises(NoConvergenceError, match=f"^{which} residual nan exceeds "):
+            runner.make_tpair(0.0, np.zeros(2))
+
+
 class TestKernelSize:
     """The emitted source of every kernel of the problem fixtures, in lines:
     a change of the emitter that unrolls or repeats code shows here."""
 
     LINES = {  # raw, plain, sensitivity
-        "commuting_h": (174, 207, 262),
-        "rotating_surface": (174, 207, 261),
-        "rotating_surface_2nd": (237, 261, 408),
-        "scalar_linear": (165, 194, 214),
-        "semilinear_4x4": (225, 256, 325),
+        "commuting_h": (174, 217, 268),
+        "rotating_surface": (174, 217, 267),
+        "rotating_surface_2nd": (237, 273, 416),
+        "scalar_linear": (165, 203, 220),
+        "semilinear_4x4": (225, 266, 331),
     }
 
     @pytest.mark.parametrize("name", sorted(LINES))

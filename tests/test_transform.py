@@ -26,7 +26,7 @@ from daecont.transform import (
     fixed_frame_first,
     fixed_frame_second,
 )
-from oracles import fixed_frame_march, forcing, frame_node
+from oracles import fixed_frame_march, forcing, frame_node, node_records
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -60,7 +60,8 @@ class TestFixedFrameFirst:
         sys_t = fixed_frame_first(prob)
         assert norm_inf(sys_t.D0) == 0.0
         xi, eta = np.array([0.2, 0.4]), np.array([0.2])
-        assert norm_inf(np.array(March(sys_t, 0.0).forcing(0.7, xi, eta)) - f(0.7, xi, eta)) <= 1e-14
+        forcing_at = March(sys_t, 0.0).mean_forcing((0.7,), xi, eta)  # the mean over one time
+        assert norm_inf(np.array(forcing_at) - f(0.7, xi, eta)) <= 1e-14
 
     def test_commuting_drift_arithmetic(self):
         # D0 = H - M with the audited M, H = diag(1, 0); this H does not
@@ -143,7 +144,8 @@ class TestFixedFrameSecond:
         assert norm_inf(forcing(sys_t, *args) - f(*args)) <= 1e-12
         # the emitted forcing, at zero frame velocities
         at_rest = args[:3] + (np.zeros(2), np.zeros(1))
-        assert norm_inf(np.array(March(sys_t, 0.0).forcing(*args[:3])) - f(*at_rest)) <= 1e-12
+        forcing_at = March(sys_t, 0.0).mean_forcing(args[:1], *args[1:3])  # the mean over one time
+        assert norm_inf(np.array(forcing_at) - f(*at_rest)) <= 1e-12
 
     def test_velocity_drift_cancellation(self):
         # H1 = 2M, H2 = 0 gives D1 = 0 and D0 = 2M^2 - M^2 = M^2
@@ -195,8 +197,8 @@ def frame_system(a_path, b_path):
 
 
 def pull_back(sys_t, t, xi, eta):
-    # (x, y, xdot, ydot) of a first-order frame node, by the march's emitted record
-    return March(sys_t, 0.0).record(t, list(xi), list(eta))[1:5]
+    # (x, y, xdot, ydot) of a first-order frame node, by the march's emitted records
+    return node_records(March(sys_t, 0.0), [(t, list(xi), list(eta))])[0][1:5]
 
 
 def pull_back_nodes(sys_t, times, xi, eta):
@@ -290,10 +292,11 @@ class TestDispatch:
         with pytest.raises(TypeError):
             replace(sys_t, f=prob.f)
         z = np.array([0.3, 0.1, 0.2])
-        before = March(sys_t, 0.0).forcing(0.5, [0.3, 0.1], [0.2]), candidate_map(sys_t)(z)
+        forcing_at = lambda: March(sys_t, 0.0).mean_forcing((0.5,), [0.3, 0.1], [0.2])
+        before = forcing_at(), candidate_map(sys_t)(z)
         f, g = prob.f, prob.g
         prob.f, prob.g = (lambda *args: 2.0 * f(*args)), (lambda p, q: 2.0 * g(p, q))
-        assert March(sys_t, 0.0).forcing(0.5, [0.3, 0.1], [0.2]) == tuple(2.0 * v for v in before[0])
+        assert forcing_at() == tuple(2.0 * v for v in before[0])
         assert candidate_map(sys_t)(z).tolist() == [*before[1][:2], 2.0 * before[1][2]]
 
     def test_march_rate_is_drift_plus_forcing(self):
