@@ -49,7 +49,7 @@ from .probfile import (
     to_json,
 )
 from .semilinear import COND_TOL, SemiLinearDae, check_conditions, reduce_semilinear
-from .transform import _frame_samples, fixed_frame, fixed_frame_first
+from .transform import _fixed_frame, _frame_samples, fixed_frame
 
 MAX_GRID = 10_000  # audit grid points
 MAX_ZERO_STARTS = 100_000  # multistart lattice points of the degree zero search
@@ -213,11 +213,11 @@ def _resolve(source: str):
     )
 
 
-def _frame_audit(problem, grid, tol=None):
+def _frame_audit(problem, grid, tol=None, samples=None):
     # frame_audit of the problem's A on the stacks the transform's audit
-    # reads (one fill of the raw order-2 frame function of its paths),
-    # which give the path's bits
-    _, a, _, da, _ = _frame_samples(problem, grid)
+    # reads (one fill of the raw order-2 frame function of its paths, or
+    # the caller's samples of it at grid), which give the path's bits
+    _, a, _, da, _ = _frame_samples(problem, grid) if samples is None else samples
     return frame_audit(problem.A, grid, tol, stacks=(a, da))
 
 
@@ -250,17 +250,22 @@ def cmd_check(args) -> int:
             probes = [np.resize(probe, 2 * report.rank)
                       for probe in ([0.7, -0.3, 0.2, 0.5], [1.0, 1.0, 1.0, 0.0], [0.0])]
             reference = fixtures.AVERAGED_MAP_REFERENCES.get(payload.name)
-            # the reduced frame may fail the audit; the map is reported anyway
-            sys_t = fixed_frame_first(reduced, validate=False)
+            # one fill at --grid, which is the transform's when it is the
+            # default; the reduced frame may fail the audit, and the map is
+            # reported anyway
+            samples = _frame_samples(reduced, args.grid)
+            sys_t = _fixed_frame(reduced, False, samples if args.grid == DEFAULT_GRID else None)
             out["averaged_map_audit"] = averaged_map_audit(sys_t, probes, reference)
-            out["frame_suitable"] = _frame_audit(reduced, args.grid).suitable
+            out["frame_suitable"] = _frame_audit(reduced, args.grid, samples=samples).suitable
         _emit(to_json(out), args.out)
         return 0 if ok else 1
-    audit = _frame_audit(problem, args.grid, args.tol)
+    samples = _frame_samples(problem, args.grid)
+    audit = _frame_audit(problem, args.grid, args.tol, samples)
     if audit.suitable:
-        # the hypotheses every command that moves to the fixed frame audits:
-        # periodicity, an invertible B and drifts that commute with A
-        fixed_frame(problem)
+        # the hypotheses every command that moves to the fixed frame audits
+        # (periodicity, an invertible B and drifts that commute with A), on
+        # the printed audit's samples when --grid is the transform's grid
+        _fixed_frame(problem, samples=samples if args.grid == DEFAULT_GRID else None)
     _emit(serialize(audit), args.out)
     return 0 if audit.suitable else 1
 

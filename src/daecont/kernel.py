@@ -78,12 +78,16 @@ evaluation, so inlined and called models give the same bits and errors.
 Any other model (a Python callable, or a derivative that the problem
 forms by differences) is called through an adapter that passes numpy
 arrays and returns a flat list.  The frame is one flat tuple of floats
-per march time, read through the march's ``frame``: a system's table, or
-for a problem the raw frame function of its paths.  Those tuples come
-from :func:`frame_function`, emitted here too: straight-line code over
-the fragments of the paths' value and derivative functions, with their
-finiteness test and, for the fixed frame's ``d(B^-1)``, the march's
-solves (paths without fragments keep their numpy values).  A sensitivity
+per march time.  A raw march calls the raw frame function of its
+problem's paths at each step and midpoint time; a fixed-frame march reads
+the list of its grid's frames, which its system fills from its table and
+one call for the times the table lacks (see
+:meth:`~daecont.transform.TransformedSystem.frame_grid`).  Those tuples
+come from :func:`frame_function`, emitted here too: straight-line code
+over the fragments of the paths' value and derivative functions, with
+their finiteness test and, for the fixed frame's ``d(B^-1)``, the march's
+solves (paths without fragments keep their numpy values), once for one
+time and once as ``fill``, a loop over a list of times.  A sensitivity
 march (fixed frame only) carries the derivative of the state with
 respect to ``(lam, state0)`` in the rows after row 0, which is the plain
 march's arithmetic, bit for bit (see :mod:`daecont.periodic`).
@@ -163,9 +167,11 @@ class March:
     (``n = order * m``).  The algebraic block is a sequence of ``s``
     floats, ``eta`` in the frame and ``y`` raw.
 
-    ``frame(t)`` is the flat frame every solve and stage reads: the
-    system's ``frame_entries`` (its table), or for a problem
-    :func:`frame_function` of its paths at its order, which keeps nothing.
+    ``frame(t)`` is the flat frame at ``t``: the system's
+    ``frame_entries`` (its table), which the records and the forcing read,
+    or for a problem :func:`frame_function` of its paths at its order,
+    which every raw solve and stage reads and which keeps nothing.  A
+    fixed-frame march reads its system's ``frame_grid`` instead.
 
     A ``ValueError`` or ``ArithmeticError`` that a model raises in
     :meth:`resolve`, :meth:`march` or :meth:`records` (a Python callable's
@@ -187,6 +193,7 @@ class March:
         self.m = model.m
         self.frame = (frame_function(model.A, model.B, model.order) if self.raw
                       else model.frame_entries)
+        self.grid = None if self.raw else model.frame_grid
         self._resolve, self._march, self._records, self._forcing = build(
             *functions, self.frame, *drifts, float(lam))
 
@@ -223,9 +230,15 @@ class March:
         ``nodes`` holds every node, start first: ``(t, state, eta)`` with
         the state's row 0 only in the frame, ``(t, x, y, xdot, ydot)``
         raw.  ``end`` is the whole end state.  A stage whose constraint
-        solve fails ends the march with its error.
+        solve fails ends the march with its error.  A raw march calls
+        ``frame`` at each step and midpoint time; a fixed-frame one first
+        asks its system for the frames of all of them (see
+        :meth:`~daecont.transform.TransformedSystem.frame_grid`), so a
+        frame that fails raises before the first step.
         """
-        return self._march(0.0, float(h), nsteps, *state, *eta)
+        h = float(h)
+        steps = nsteps if self.raw else self.grid(h, nsteps)
+        return self._march(0.0, h, steps, *state, *eta)
 
     @model_errors
     def records(self, nodes) -> tuple:
@@ -279,15 +292,19 @@ def frame_function(a_path, b_path, order: int, fixed: bool = False):
     of ``dB(t)``, or with ``fixed`` of the derivative ``-B^-1 dB B^-1`` of
     ``B(t)^-1``, each matrix row by row: the frame a raw march and the
     transform's audit (``fixed`` false) or a fixed-frame system's table
-    reads.  The caller keeps the function it needs.  Paths compiled from
-    trees get emitted straight-line code over their fragments, kept in a
-    bounded cache keyed by them.  It gives the bits of the paths' numpy
-    values and of :func:`~daecont.paths.inverse_derivative` (by the march's
+    reads.  The function carries ``fill(times)``, the list of the frames at
+    ``times`` from one call: ``[frames(t) for t in times]``, bit for bit,
+    whose first failing time raises its error.  The caller keeps the
+    function it needs.  Paths compiled from trees get emitted
+    straight-line code over their fragments, kept in a bounded cache keyed
+    by them, in which each distinct call on the time alone (``cos(t)``)
+    runs once per time.  It gives the bits of the paths' numpy values and
+    of :func:`~daecont.paths.inverse_derivative` (by the march's
     closed-form solves), and their errors: a failed evaluation raises the
     compiled function's :class:`NonfiniteResultError`, a non-finite entry
     :class:`EvaluationError` naming the path, and with ``fixed`` a
     singular ``B`` :class:`SingularMatrixError`.  Other paths (Python
-    callables, differenced derivatives) are called as arrays.
+    callables, differenced derivatives) are called as arrays, time by time.
     """
     fixed = bool(fixed) and order == 2
     fragments = _frame_fragments(a_path, b_path, order)
@@ -312,6 +329,7 @@ def _numpy_frames(a_path, b_path, order, fixed):
             mats += (da, inverse_derivative(mats[1], db) if fixed else db)
         return tuple(np.concatenate([x.ravel() for x in mats]).tolist())
 
+    frames.fill = lambda times: [frames(t) for t in times]
     return frames
 
 
@@ -328,7 +346,8 @@ def _emit_frames(m, s, fixed, fragments):
     # The source of a frame function's build: each matrix (A, B, dA, dB) by
     # its fragments, then MatrixPath's finiteness test of it, in the order
     # the numpy route evaluates them; d(B^-1) as inverse_derivative solves
-    # it, X = solve(B, dB) and then -solve(B.T, X.T).T.
+    # it, X = solve(B, dB) and then -solve(B.T, X.T).T.  frames(t) runs
+    # these lines once, and its fill(times) once per time in one loop.
     mats = [_mat(name, dim, dim) for name, dim in zip(("A", "B", "dA", "dB"), (m, s, m, s))]
     mats = mats[: len(fragments)]
     body = ["t = float(t)"]
@@ -345,11 +364,38 @@ def _emit_frames(m, s, fixed, fragments):
         factor, apply, y = _solve(_t(b), _t(x), "by")
         body += factor + apply
         mats[3] = [[f"(-{v})" for v in row] for row in y]
-    entries = sum(sum(mats, []), [])
+    body, entries = _once_per_time(body), f"({_unrolled(sum(sum(mats, []), []))})"
     return "\n".join(["def build(a_name, b_name):", "    def frames(t):",
                       *(f"        {line}" for line in body),
-                      f"        return ({_unrolled(entries)})",
+                      f"        return {entries}",
+                      "    def fill(times):",
+                      "        out = []",
+                      "        for t in times:",
+                      *(f"            {line}" for line in body),
+                      f"            out.append({entries})",
+                      "        return out",
+                      "    frames.fill = fill",
                       "    return frames", ""])
+
+
+_TIME_CALL = re.compile(r"\bmath\.\w+\(t\)")  # a call on the time alone
+
+
+def _once_per_time(lines):
+    # Each distinct call on the time alone evaluated once: at its first
+    # place in the lines, where an assignment expression names it, and read
+    # by that name after.  The statements run in order, left to right, so
+    # the bits, and the first call that raises, stay where they were.
+    names = {}
+
+    def once(match):
+        call = match.group()
+        if call in names:
+            return names[call]
+        names[call] = f"tc{len(names)}"
+        return f"({names[call]} := {call})"
+
+    return [_TIME_CALL.sub(once, line) for line in lines]
 
 
 # -- emitted source ------------------------------------------------------------
@@ -872,31 +918,34 @@ def _emit(models, order, m, s, sensitivity, raw):
     velocities = (f"{tup(_vec('u', m))}, {tup(_vec('ed', s))}" if order == 2 else "None, None")
     node = f"(t, {tup(xis)}, {tup(q)}, {velocities})" if raw else f"(t, {tup(inputs[:n])}, {tup(q)})"
     entries = list(zip(state, inputs, rates, sums))
+    # a raw march calls its frame function at each time, a fixed-frame one
+    # reads its grid's frames (see March.march) in order
+    frame_at = (lambda time: f"frame({time})") if raw else (lambda time: f"fr_{time}")
     advance = ["if stage == 4:",
                *(f"    {v} = {x} = {v} + h6*({acc} + {k})" for v, x, k, acc in entries),
                "    break",
                "if stage == 1:", *(f"    {acc} = {k}" for _, _, k, acc in entries),
                "    t = mid",
-               "    fr = frame(mid)",
+               f"    fr = {frame_at('mid')}",
                "else:", *(f"    {acc} = {acc} + 2.0*{k}" for _, _, k, acc in entries),
                "    if stage == 3:",
                "        t = end",
-               "        fr = frame(end)",
+               f"        fr = {frame_at('end')}",
                *(f"{x} = {v} + c*{k}" for v, x, k, _ in entries)]
     stage = _stage(models, order, m, s, sensitivity, raw).lines
     first = ["first = True"] if any(level == MARCH for level, _ in stage) else []
-    src += [f"    def march(t, h, nsteps, {', '.join(state + q)}):",
+    src += [f"    def march(t, h, {'nsteps' if raw else 'grid'}, {', '.join(state + q)}):",
             "        hh = 0.5 * h",
             "        h6 = h / 6.0",
             "        stages = ((1, hh), (2, hh), (3, h), (4, None))",
-            "        fr = frame(t)",
+            *(["        fr = frame(t)"] if raw else ["        grid = iter(grid)", "        fr = next(grid)"]),
             *(f"        {line}" for line in
               [f"{_unrolled(inputs)} = {_unrolled(state)}"] + ([unpack] if node_rate else []) + node_rate),
             f"        nodes = [{node}]",
             "        append = nodes.append",
             "        t_seen = None",
             *(f"        {line}" for line in first),
-            "        for _ in range(nsteps):",
+            "        for _ in range(nsteps):" if raw else "        for fr_mid, fr_end in zip(grid, grid):",
             "            mid = t + hh",
             "            end = t + h",
             "            for stage, c in stages:",

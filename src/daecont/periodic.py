@@ -37,18 +37,20 @@ own, and its constraint residual comes with the nodes' records.
 
 Every march, raw or fixed-frame, plain or sensitivity, runs on Python
 floats in code emitted per problem (:mod:`daecont.kernel`), and the
-model it is given picks the coordinates.  A march asks for the frame
-once per step and midpoint time.  A fixed-frame march reads it through
-its system's table (see :mod:`daecont.transform`), so it evaluates the
-frame paths only at the ``2N + 1`` times it has not seen before: a
-shooting runner keeps one system, and with it one table, for all the
-marches of a branch (shared with the seeding map when the caller passes
-the system), and ``integrate`` and the seeding map fill the table of the
-system they are given.  A raw march evaluates its problem's raw frame
-function (:func:`~daecont.kernel.frame_function`, the march's ``frame``)
-at each of its times, records each node right after its solve, from that
-frame, and keeps no table; before it marches, ``integrate`` tests ``B``
-on the audit grid through the same function.
+model it is given picks the coordinates.  A march reads the frame at
+each step and midpoint time.  A fixed-frame march first asks its system
+for the frames of those ``2N + 1`` times (see :mod:`daecont.transform`),
+which evaluates the frame paths, in one call, only at the times its
+table has not seen before: a shooting runner keeps one system, and with
+it one table and one grid, for all the marches of a branch (shared with
+the seeding map when the caller passes the system; the trivial pair
+fills the grid), and ``integrate`` and the seeding map fill the table of
+the system they are given.  A raw march evaluates its problem's raw
+frame function (:func:`~daecont.kernel.frame_function`, the march's
+``frame``) at each of its times, records each node right after its
+solve, from that frame, and keeps no table; before it marches,
+``integrate`` tests ``B`` on the audit grid through one fill of the same
+function.
 """
 
 from __future__ import annotations
@@ -257,9 +259,9 @@ class _ShootingRunner:
     posteriori rather than solved for.
 
     Every march runs the same grid on the runner's one system, whose frame
-    table fills on the first march and serves every later one; ``prob``
-    may be that system already.  The runner also keeps the nodes of one
-    march, :meth:`linearize`'s last, for :meth:`make_tpair`.
+    grid fills on the first march (or the trivial pair) and serves every
+    later one; ``prob`` may be that system already.  The runner also keeps
+    the nodes of one march, :meth:`linearize`'s last, for :meth:`make_tpair`.
     """
 
     def __init__(self, prob, nsteps: int = DEFAULT_STEPS):
@@ -362,7 +364,9 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     # The seed is a seeding-map zero: the drift annihilates xi0 (or
     # vanishes, when the averaged map seeds) and the constraint holds, so
     # the constant frame state is a solution at lam=0.  Its nodes, at the
-    # node times of a march (bit for bit), are recorded as a march's are.
+    # node times of a march (bit for bit), are recorded as a march's are,
+    # on the frames of the grid that the branch's marches read.
+    runner.sys.frame_grid(runner.h, runner.nsteps)
     m = runner.prob.m
     xi0, eta0 = seed[:m], seed[m:].tolist()
     state = xi0.tolist() + [0.0] * (runner.state_dim - m)

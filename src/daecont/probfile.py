@@ -541,8 +541,16 @@ def _bracket(rendered, indent: int, level: int) -> str:
 def _float_array(a: np.ndarray, indent: int, level: int) -> str:
     # A finite 1-D or 2-D float array as _bracket renders the _fmt_float
     # strings of its entries, a 2-D array row by row; one % call formats a
-    # row, as '%.17g' % v is format(v, ".17g").
+    # row, as '%.17g' % v is format(v, ".17g").  An entry takes 1 to 24
+    # characters, so an array of more than 72 entries, or of 25 or more
+    # rows of 1 to 3 entries (each row inline), is never inline: one %
+    # call over a template of the whole array formats it.
     n = a.shape[-1]
+    if (a.size > 72) if a.ndim == 1 else (1 <= n <= 3 and len(a) >= 25):
+        pad, sep = " " * (indent * (level + 1)), ", ".join(["%.17g"] * n)
+        item = "%.17g" if a.ndim == 1 else "[" + sep + "]"
+        body = (",\n" + pad).join([item] * len(a))
+        return f"[\n{pad}{body}\n{' ' * (indent * level)}]" % tuple(a.ravel().tolist())
     fmt, inline = ", ".join(["%.17g"] * n), 72 + 2 * (n - 1)  # the items' 72 plus separators
     rendered = []
     for row in (a[None] if a.ndim == 1 else a).tolist():

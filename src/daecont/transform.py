@@ -22,19 +22,24 @@ computation (a march, the averaged map's quadrature) visits the same
 times again and again, so a system keeps the frame of each time it has
 seen in its table ``frames``: filled on first use, keyed by the exact
 float, held as the flat tuple of floats that the emitted code reads, and
-living as long as the system.
+living as long as the system.  A march asks for the frames of its whole
+grid at once (:meth:`TransformedSystem.frame_grid`): the times the table
+lacks are filled by one call, and the system keeps the list of the
+grid's frames, which the march reads in order.
 
 Frames come from one function ``t -> tuple`` per pair of paths, order
-and coordinate system (:func:`~daecont.kernel.frame_function`): emitted
-float code for paths compiled from expression trees, the paths' numpy
-values otherwise.  No problem keeps one.  A system builds its fixed-frame
-function at the first time its table lacks, a raw march binds the raw one
-(see :class:`~daecont.kernel.March`), and the transform's audit reads
-the raw order-2 frame ``(A, B, dA, dB)`` as stacks, one fill of the frame
-function per set of times (the audit grid; for periodicity, ``t`` and
-``t + T``): orthogonality and constancy of ``A``, periodicity of ``A``
-and ``B``, drifts that commute with ``A`` and a ``B`` that is invertible
-at every audit-grid time, by one stacked test
+and coordinate system (:func:`~daecont.kernel.frame_function`), which
+carries ``fill(times)``, the frames of a list of times from one call:
+emitted float code for paths compiled from expression trees, the paths'
+numpy values otherwise.  No problem keeps one.  A system builds its
+fixed-frame function at the first time its table lacks, a raw march binds
+the raw one (see :class:`~daecont.kernel.March`), and the transform's
+audit reads the raw order-2 frame ``(A, B, dA, dB)`` as stacks, one fill
+per set of times (the audit grid, which ``check`` hands over from its own
+audit at the default grid; for periodicity, ``t`` and ``t + T``):
+orthogonality and constancy of ``A``, periodicity of ``A`` and ``B``,
+drifts that commute with ``A`` and a ``B`` that is invertible at every
+audit-grid time, by one stacked test
 (:func:`~daecont.linalg.solve_stacked`'s pivot flags).
 """
 
@@ -194,7 +199,7 @@ def _frame_samples(prob, grid=DEFAULT_GRID, times=None, frames=None) -> tuple:
 
     times = _grid_times(prob.A, grid) if times is None else times
     frames = kernel.frame_function(prob.A, prob.B, 2) if frames is None else frames
-    entries = np.array([frames(t) for t in times])
+    entries = np.array(frames.fill(times))
     dims = (prob.A.dim, prob.B.dim)
     return (times, *_matrices(entries, dims * (entries.shape[-1] // sum(d * d for d in dims))))
 
@@ -252,9 +257,9 @@ class TransformedSystem:
     system's change; the forcing ``f`` is the problem's, which the emitted
     stage and ``forcing`` conjugate into the frame (see
     :mod:`daecont.kernel`).  ``frames`` maps each time the system has seen
-    to its frame (see :meth:`frame_entries`); a copy made with
-    :func:`dataclasses.replace` starts with an empty table.  Systems
-    compare by identity: each keeps its own frame table.
+    to its frame (see :meth:`frame_entries` and :meth:`frame_grid`); a
+    copy made with :func:`dataclasses.replace` starts with an empty table.
+    Systems compare by identity: each keeps its own frame table.
     """
 
     problem: DaeProblem1 | DaeProblem2
@@ -263,6 +268,18 @@ class TransformedSystem:
     M: np.ndarray
     frames: dict = field(init=False, default_factory=dict, repr=False)
     _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False)
+    _grid: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    def _fixed_frames(self):
+        # the fixed-frame function of the problem's paths, built at the
+        # first miss and again after a path of the problem is replaced
+        made = self._frame_fn
+        if made is None or made[0] is not self.A or made[1] is not self.B:
+            from . import kernel  # kernel imports this module
+
+            made = self._frame_fn = (self.A, self.B, kernel.frame_function(
+                self.A, self.B, self.order, fixed=True))
+        return made[2]
 
     def frame_entries(self, t: float) -> tuple:
         """The frame at ``t`` as one flat tuple of floats, from the table.
@@ -276,14 +293,30 @@ class TransformedSystem:
         """
         entries = self.frames.get(t)
         if entries is None:
-            made = self._frame_fn
-            if made is None or made[0] is not self.A or made[1] is not self.B:
-                from . import kernel  # kernel imports this module
-
-                made = self._frame_fn = (self.A, self.B, kernel.frame_function(
-                    self.A, self.B, self.order, fixed=True))
-            entries = self.frames[t] = made[2](t)
+            entries = self.frames[t] = self._fixed_frames()(t)
         return entries
+
+    def frame_grid(self, h: float, nsteps: int) -> list:
+        """The frames of a march's ``2 nsteps + 1`` times, in order.
+
+        The times are those a march of ``nsteps`` steps of size ``h`` from 0
+        steps by, the running sum ``t + h/2``, ``t + h``: each step's
+        midpoint and end.  The times the table lacks are evaluated by one
+        ``fill`` of the fixed-frame function, in order (so the first one
+        that fails raises, as :meth:`frame_entries` would there), and
+        stored; the list of the last grid asked for is kept.
+        """
+        if self._grid is None or self._grid[:2] != (h, nsteps):
+            times, t, hh = [0.0], 0.0, 0.5 * h
+            for _ in range(nsteps):
+                times += (t + hh, t + h)
+                t = times[-1]
+            table = self.frames
+            missing = [t for t in times if t not in table]
+            if missing:
+                table.update(zip(missing, self._fixed_frames().fill(missing)))
+            self._grid = (h, nsteps, [table[t] for t in times])
+        return self._grid[2]
 
     def push_forward(self, t: float, x, y, xdot=None):
         """Frame node ``(xi, eta, xidot)`` of an original-coordinate node.
@@ -307,13 +340,14 @@ for _name in ("order m s period A B f df g d1g d2g dgdot g_jac1 g_jac2 f_jac "
     setattr(TransformedSystem, _name, property(operator.attrgetter(f"problem.{_name}")))
 
 
-def _transform(prob, validate, labels, drifts) -> TransformedSystem:
+def _transform(prob, validate, labels, drifts, samples=None) -> TransformedSystem:
     # Shared body of both transforms: test B, audit the frame and the
     # commutation of each named drift matrix (zero when absent) with A, on
-    # the stacks of the frame function at the audit grid, then build the
-    # system with ``drifts(M, *drift_matrices) -> (D0, D1)``.  Unvalidated,
-    # only the audit's M is computed.
-    times, a, b, da, _ = _frame_samples(prob)
+    # the stacks of the frame function at the audit grid (samples, when the
+    # caller has filled them; see _frame_samples), then build the system
+    # with ``drifts(M, *drift_matrices) -> (D0, D1)``.  Unvalidated, only
+    # the audit's M is computed.
+    times, a, b, da, _ = _frame_samples(prob) if samples is None else samples
     if validate:  # a singular B is named before a failing A
         _check_invertible(b, times)
     audit = frame_audit(prob.A, stacks=(a, da))
@@ -337,7 +371,23 @@ def fixed_frame(prob) -> TransformedSystem:
     """Fixed-frame form of a first- or second-order problem; a system is its own."""
     if isinstance(prob, TransformedSystem):
         return prob
-    return fixed_frame_first(prob) if prob.order == 1 else fixed_frame_second(prob)
+    return _fixed_frame(prob)
+
+
+def _fixed_frame(prob, validate=True, samples=None) -> TransformedSystem:
+    # the transform of the problem's order, on the caller's samples of its
+    # frame at the audit grid when given
+    if prob.order == 1:
+        return _transform(prob, validate, ("H",), _drifts_first, samples)
+    return _transform(prob, validate, ("H1", "H2"), _drifts_second, samples)
+
+
+def _drifts_first(m, h):
+    return h - m, None
+
+
+def _drifts_second(m, h1, h2):
+    return h1 @ m + h2 - m @ m, h1 - 2.0 * m
 
 
 def fixed_frame_first(prob: DaeProblem1, *, validate: bool = True) -> TransformedSystem:
@@ -347,7 +397,7 @@ def fixed_frame_first(prob: DaeProblem1, *, validate: bool = True) -> Transforme
     periodicity, commutation of ``H``) unless ``validate=False``; the
     audited grid mean ``M`` feeds the drift ``D0 = H - M``.
     """
-    return _transform(prob, validate, ("H",), lambda m, h: (h - m, None))
+    return _transform(prob, validate, ("H",), _drifts_first)
 
 
 def fixed_frame_second(prob: DaeProblem2, *, validate: bool = True) -> TransformedSystem:
@@ -357,10 +407,7 @@ def fixed_frame_second(prob: DaeProblem2, *, validate: bool = True) -> Transform
     with constant product equals ``M^2``, which is what the drift
     formulas use: ``D0 = H1 M + H2 - M^2`` and ``D1 = H1 - 2M``.
     """
-    def drifts(m, h1, h2):
-        return h1 @ m + h2 - m @ m, h1 - 2.0 * m
-
-    return _transform(prob, validate, ("H1", "H2"), drifts)
+    return _transform(prob, validate, ("H1", "H2"), _drifts_second)
 
 
 def c_frame_drifts(c_path: MatrixPath):

@@ -22,7 +22,7 @@ def _count_frames(monkeypatch, record):
     # differenced sample of it) or at each node of a stack, each node of an
     # exponential frame's stack (one exponential for all its orders), or
     # each matrix that an emitted frame function evaluates (A and B, for
-    # order 2 their rates too).
+    # order 2 their rates too), at one time or at each time of a fill.
     at, gather, stack = MatrixPath._at, MatrixPath._gather, MatrixPath.stack
     make = kernel.frame_function
 
@@ -52,6 +52,13 @@ def _count_frames(monkeypatch, record):
                 record(path, t)
             return frames(t)
 
+        def counted_fill(times):
+            for t in times:
+                for path in paths:
+                    record(path, t)
+            return frames.fill(times)
+
+        counted_frames.fill = counted_fill
         return counted_frames
 
     monkeypatch.setattr(MatrixPath, "_at", counted_at)

@@ -31,6 +31,7 @@ from daecont.linalg import (
 )
 from daecont.periodic import DEFAULT_STEPS, _ShootingRunner
 from daecont.paths import MIN_GRID, FrameAudit, LemmaReport, _grid_times, default_tol
+from daecont.probfile import _bracket
 from daecont.semilinear import RANK_REL, ReductionReport
 from daecont.transform import TransformedSystem, _matrices
 
@@ -684,3 +685,19 @@ def certificate_bits(cert):
     return (cert.degree, cert.method, np.float64(cert.boundary_margin).tobytes(),
             [(z.point.tobytes(), z.sign, np.float64(z.det).tobytes(), np.float64(z.residual).tobytes())
              for z in cert.zeros])
+
+
+def row_loop_float_array(a, indent, level):
+    """A finite 1-D or 2-D float array as JSON text, one row at a time: the
+    row loop that ``probfile._float_array`` keeps for arrays that may be
+    inline, applied to every array."""
+    n = a.shape[-1]
+    fmt, inline = ", ".join(["%.17g"] * n), 72 + 2 * (n - 1)
+    rendered = []
+    for row in (a[None] if a.ndim == 1 else a).tolist():
+        text = fmt % tuple(row)
+        if len(text) <= inline:
+            rendered.append("[" + text + "]")
+        else:
+            rendered.append(_bracket(text.split(", "), indent, level + a.ndim - 1))
+    return rendered[0] if a.ndim == 1 else _bracket(rendered, indent, level)

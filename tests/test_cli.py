@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import daecont
-from daecont import kernel
+from daecont import cli, kernel, transform
 
 from daecont.cli import MAX_BRANCH_STEPS, MAX_LEMMA_PATHS, build_parser, main
 from daecont.degree import Box
@@ -18,7 +18,7 @@ from daecont.errors import SingularMatrixError
 from daecont.fixtures import load_fixture, problem_text
 from daecont.kernel import March
 from daecont.linalg import norm_inf
-from daecont.paths import MatrixPath
+from daecont.paths import DEFAULT_GRID, MatrixPath, _grid_times
 from daecont.periodic import branch_seeds
 from daecont.probfile import build_problem, parse_problem
 from daecont.transform import fixed_frame, fixed_frame_first
@@ -262,6 +262,36 @@ def test_audits_and_raw_march_build_one_frame_function(capsys, argv):
     assert kernel._frame_build.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("name", ["commuting_h", "rotating_surface", "rotating_surface_2nd"])
+@pytest.mark.parametrize("grid", [64, 65])
+def test_check_fills_the_audit_grid_once(capsys, path_times, name, grid):
+    # the printed audit's fill at --grid serves the transform's audit when
+    # --grid is the transform's 64-node grid: each of its times is filled
+    # once (A, B, dA, dB), before the periodicity times; another --grid
+    # fills the transform's grid too
+    path = load_fixture(name).A
+    del path_times[:]
+    assert run(capsys, "check", name, "--grid", str(grid))[0] == 0
+    fill = lambda times: [t for t in times.tolist() for _ in range(4)]
+    again = fill(_grid_times(path, 64)) if grid != 64 else []
+    assert path_times == fill(_grid_times(path, grid)) + again + fill(path.periodicity_times())
+
+
+@pytest.mark.parametrize("grid", [64, 65])
+def test_semilinear_check_fills_the_audit_grid_once(capsys, monkeypatch, grid):
+    # the reduced problem's audit fill at --grid 64 serves its transform
+    fills, sample = [], transform._frame_samples
+
+    def counted(prob, grid=DEFAULT_GRID, times=None, frames=None):
+        fills.append(grid if times is None else "times")
+        return sample(prob, grid, times, frames)
+
+    monkeypatch.setattr(transform, "_frame_samples", counted)
+    monkeypatch.setattr(cli, "_frame_samples", counted)
+    assert run(capsys, "check", "semilinear_4x4", "--grid", str(grid))[0] == 0
+    assert fills == ([64] if grid == 64 else [65, 64])
+
+
 @pytest.mark.parametrize("argv", [("check", "rotating_surface"), ("check", "rotating_surface_2nd"),
                                   ("check", "semilinear_4x4"), ("reduce", "semilinear_4x4")],
                          ids=lambda argv: "_".join(argv))
@@ -437,24 +467,17 @@ class TestIntegrate:
         fix = json.loads(out_fix)
         assert np.max(np.abs(np.array(raw["x"]) - np.array(fix["x"]))) <= 1e-6
 
-    def test_second_order_fixed_frame_matches_golden(self, capsys):
-        # pulled-back velocities and the conjugated order-2 forcing
-        code, out, err = run(capsys, "integrate", "rotating_surface_2nd", "--lambda", "0.5",
-                             "--fixed-frame")
-        assert code == 0 and err == ""
-        assert out == (GOLDEN_DIR / "integrate_rotating_surface_2nd_fixed.json").read_text()
-
-    def test_first_order_fixed_frame_matches_golden(self, capsys):
-        code, out, err = run(capsys, "integrate", "rotating_surface", "--lambda", "0.5",
-                             "--fixed-frame")
-        assert code == 0 and err == ""
-        assert out == (GOLDEN_DIR / "integrate_rotating_surface_fixed.json").read_text()
-
-    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
-    def test_raw_matches_golden(self, capsys, name):
-        code, out, err = run(capsys, "integrate", name, "--lambda", "0.5", "--raw")
-        assert code == 0 and err == ""
-        assert out == (GOLDEN_DIR / f"integrate_{name}_raw.json").read_text()
+    @pytest.mark.parametrize("mode", ["raw", "fixed"])
+    @pytest.mark.parametrize("name", ["commuting_h", "rotating_surface", "rotating_surface_2nd",
+                                      "scalar_linear", "semilinear_4x4"])
+    def test_matches_golden(self, capsys, name, mode):
+        # every problem fixture in both modes, byte for byte: order-2
+        # pulled-back velocities, a commuting drift, the closed-form orbit
+        # and a reduced s = 2 pull-back with a time-varying B
+        code, out, err = run(capsys, "integrate", name, "--lambda", "0.5",
+                             "--raw" if mode == "raw" else "--fixed-frame")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN_DIR / f"integrate_{name}_{mode}.json").read_text()
 
     def test_negative_lambda_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -739,12 +762,6 @@ def test_first_order_branch_dump_matches_golden_byte_for_byte(capsys, tmp_path):
                "--h", repr(2.0 * np.pi / 32), "--dump", str(dump)) == (
         0, golden.with_suffix(".csv").read_text(), golden.with_suffix(".err").read_text())
     assert dump.read_bytes() == golden.with_suffix(".dump.json").read_bytes()
-
-
-def test_reduced_fixed_frame_trajectory_matches_golden(capsys):
-    # an s = 2 pull-back with a time-varying B
-    assert run(capsys, "integrate", "semilinear_4x4", "--lambda", "0.5", "--fixed-frame") == (
-        0, (GOLDEN_DIR / "integrate_semilinear_4x4_fixed.json").read_text(), "")
 
 
 def test_a_record_that_fails_at_one_node_raises_its_error():

@@ -587,6 +587,41 @@ class TestFrameTable:
         copy = replace(sys, D0=np.zeros((2, 2)))
         assert list(sys.frames) == [0.5] and copy.frames == {}
 
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd", "semilinear_4x4"])
+    def test_march_reads_its_grid(self, name, monkeypatch, path_times):
+        # the grid's missing times are filled in one call, in march order,
+        # and a march reads the grid's frames, not the table, time by time
+        prob = load_fixture(name)
+        runner = periodic._ShootingRunner(reduce_semilinear(prob) if name == "semilinear_4x4" else prob, 16)
+        sys = runner.sys
+        sys.frame_entries(0.0)
+        fills, fixed = [], sys._fixed_frames()
+        fill = fixed.fill
+        monkeypatch.setattr(fixed, "fill", lambda times: fills.append(times) or fill(times))
+        monkeypatch.setattr(sys, "_fixed_frames", lambda: fixed)
+        del path_times[:]
+        grid = sys.frame_grid(runner.h, 16)
+        times = [0.0]
+        for _ in range(16):  # the running sum a march steps by
+            times += [times[-1] + 0.5 * runner.h, times[-1] + runner.h]
+        assert fills == [times[1:]] and list(sys.frames) == times
+        assert path_times == [t for t in times[1:] for _ in range(2 * sys.order)]
+        assert all(frame is sys.frames[t] for frame, t in zip(grid, times)) and len(grid) == 33
+        assert sys.frame_grid(runner.h, 16) is grid and len(fills) == 1
+        monkeypatch.setattr(type(sys), "frame_entries", lambda self, t: pytest.fail("per-time frame"))
+        nodes = plain_march(runner, 0.5, np.full(runner.state_dim, 0.1))[1]
+        assert [t for t, _, _ in nodes] == times[::2] and len(fills) == 1
+
+    def test_another_grid_fills_the_times_the_table_lacks(self, path_times):
+        sys = periodic._ShootingRunner(load_fixture("rotating_surface"), 16).sys
+        first = sys.frame_grid(sys.period / 16, 16)
+        seen = set(sys.frames)
+        del path_times[:]
+        second = sys.frame_grid(sys.period / 8, 8)
+        new = [t for t in sorted(sys.frames) if t not in seen]
+        assert 0 < len(new) < 17 and path_times == [t for t in new for _ in range(2)]
+        assert second[0] is first[0] and sys.frame_grid(sys.period / 16, 16) == first
+
     def test_fixed_frame_integration_makes_two_path_calls_per_march_time(self, monkeypatch,
                                                                          path_calls):
         # order 1: A and B once at each of the 2N + 1 step and midpoint
@@ -1120,11 +1155,11 @@ class TestKernelSize:
     a change of the emitter that unrolls or repeats code shows here."""
 
     LINES = {  # raw, plain, sensitivity
-        "commuting_h": (174, 217, 268),
-        "rotating_surface": (174, 217, 267),
-        "rotating_surface_2nd": (237, 273, 416),
-        "scalar_linear": (165, 203, 220),
-        "semilinear_4x4": (225, 266, 331),
+        "commuting_h": (174, 218, 269),
+        "rotating_surface": (174, 218, 268),
+        "rotating_surface_2nd": (237, 274, 417),
+        "scalar_linear": (165, 204, 221),
+        "semilinear_4x4": (225, 267, 332),
     }
 
     @pytest.mark.parametrize("name", sorted(LINES))

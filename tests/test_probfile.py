@@ -7,7 +7,10 @@ from daecont.fixtures import PROBLEMS, load_fixture, problem_text
 from daecont.linalg import norm_inf
 from daecont.paths import frame_audit
 from daecont.periodic import Branch, TPair, Trajectory, integrate
+from daecont import probfile
+from daecont.cli import main
 from daecont.probfile import (
+    _float_array,
     _fmt_float,
     _json_value,
     branch_to_csv,
@@ -19,7 +22,7 @@ from daecont.probfile import (
     to_json,
 )
 from daecont.semilinear import check_conditions, reduce_semilinear
-from oracles import semilinear_reduction
+from oracles import row_loop_float_array, semilinear_reduction
 
 
 class TestParseProblem:
@@ -214,6 +217,48 @@ class TestJsonOutput:
         for arr in (a, a.reshape(1, -1), a.reshape(-1, 1), np.resize(a, (3, a.size)), wide):
             for level in (0, 1, 3):
                 assert _json_value(arr, 2, level) == _json_value(arr.tolist(), 2, level)
+
+    EXTREMES = [-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1, -3.0]
+
+    @pytest.mark.parametrize("shape", [(72,), (73,), (300,), (24, 3), (25, 3), (25, 4), (25, 1),
+                                       (24, 1), (25, 0), (0,), (257, 2), (40, 3)])
+    @pytest.mark.parametrize("fill", ["zeros", "extremes", "random"])
+    def test_template_renders_as_the_row_loop(self, shape, fill):
+        # an array that is never inline (1-D above 72 entries, 2-D of 25 or
+        # more rows of 1 to 3 entries) takes one template; each shape on
+        # either side of that rule renders as the row loop did
+        size = int(np.prod(shape))
+        if fill == "zeros":
+            a = np.zeros(shape)
+        elif fill == "extremes":
+            a = np.resize(np.array(self.EXTREMES), shape)
+        else:
+            rng = np.random.default_rng(size)
+            a = (rng.standard_normal(size) * 10.0 ** rng.integers(-310, 308, size)).reshape(shape)
+        for indent, level in ((2, 0), (2, 1), (2, 3), (4, 2)):
+            assert _float_array(a, indent, level) == row_loop_float_array(a, indent, level)
+
+    def test_never_inline_arrays_span_lines(self):
+        # the shortest arrays past the rule: 73 one-character entries, and
+        # 25 rows of one
+        assert _float_array(np.zeros(73), 2, 0) == "[\n" + ",\n".join(["  0"] * 73) + "\n]"
+        assert _float_array(np.zeros((25, 1)), 2, 1) == "[\n" + ",\n".join(["    [0]"] * 25) + "\n  ]"
+        assert _float_array(np.zeros(72), 2, 0) == "[" + ", ".join(["0"] * 72) + "]"
+        assert _float_array(np.zeros((24, 1)), 2, 0) == "[" + ", ".join(["[0]"] * 24) + "]"
+
+    def test_all_zero_dump_renders_as_the_row_loop(self, tmp_path, monkeypatch, capsys):
+        # continue semilinear_4x4 traces the zero branch: every x and y of
+        # its dump is zero, in 257 rows of two
+        dumps = []
+        for route in (None, row_loop_float_array):
+            if route is not None:
+                monkeypatch.setattr(probfile, "_float_array", route)
+            dump = tmp_path / f"dump{len(dumps)}.json"
+            assert main(["continue", "semilinear_4x4", "--steps", "2", "--dump", str(dump)]) == 0
+            dumps.append(dump.read_bytes())
+        capsys.readouterr()
+        assert dumps[0] == dumps[1] and b'"x": [\n        [0, 0],\n' in dumps[0]
 
     def test_reports_serialize(self):
         audit = frame_audit(load_fixture("rotating_surface").A)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -494,6 +495,99 @@ class TestFrameFunction:
         prob = fixture_problem(name)
         audit, sys_t = frame_audit(prob.A), fixed_frame(prob)
         assert sys_t.M.tobytes() == audit.M.tobytes()
+
+
+def fill_error(fill, times):
+    with pytest.raises(DaecontError) as exc:
+        fill(times)
+    return type(exc.value), str(exc.value)
+
+
+class TestFrameFill:
+    """A frame function's fill gives the bits and the first error of one call per time."""
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_fill_equals_one_call_per_time(self, name, fixed):
+        prob = fixture_problem(name)
+        times = march_times(prob.period, 32)
+        for order in (1, 2):
+            for frames in (kernel.frame_function(prob.A, prob.B, order, fixed),
+                           kernel._numpy_frames(prob.A, prob.B, order, fixed and order == 2)):
+                filled = frames.fill(times)
+                assert [type(f) for f in filled] == [tuple] * len(times)
+                assert np.array(filled).tobytes() == np.array([frames(t) for t in times]).tobytes()
+                assert frames.fill([]) == []
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_fill_of_a_python_callable_path(self, fixed, path_calls):
+        prob = load_fixture("rotating_surface_2nd")
+        rotation = lambda t: np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        prob.A = MatrixPath(2, prob.period, rotation, d1=lambda t: rotation(t) @ J, name="A")
+        frames = kernel.frame_function(prob.A, prob.B, 2, fixed)
+        times = march_times(prob.period, 8)
+        del path_calls[:]
+        filled = frames.fill(times)
+        assert path_calls == [prob.A, prob.B, prob.A, prob.B] * len(times)
+        assert np.array(filled).tobytes() == np.array([frames(t) for t in times]).tobytes()
+
+    # the entry fails at t = 1 by a division by zero and at t = 2 by an
+    # overflow, so each error names the time it was raised at
+    TWO_FAILURES = "1/(t - 1) + exp(400*t)"
+
+    @pytest.mark.parametrize("order, fixed", [(1, False), (2, False), (2, True)])
+    @pytest.mark.parametrize("times", [[0.5, 1.0, 2.0], [0.5, 2.0, 1.0], [2.0, 0.5]])
+    @pytest.mark.parametrize("where", ["A", "B"])
+    def test_first_failing_time_raises(self, order, fixed, times, where):
+        rows = [[self.TWO_FAILURES]]
+        a = path([[self.TWO_FAILURES, "0"], ["0", "1"]] if where == "A" else ROTATION, "A")
+        b = path(rows if where == "B" else [["1"]], "B")
+        for frames in (kernel.frame_function(a, b, order, fixed), kernel._numpy_frames(a, b, order, fixed)):
+            one_by_one = lambda ts: [frames(t) for t in ts]
+            assert fill_error(frames.fill, times) == fill_error(one_by_one, times)
+            first = next(t for t in times if t != 0.5)
+            assert fill_error(frames.fill, times) == frame_error(frames, first)
+
+    @pytest.mark.parametrize("times, error", [([0.5, np.pi, 1.0], SingularMatrixError),
+                                              ([0.5, 1.0, np.pi], NonfiniteResultError)])
+    def test_singular_b_and_a_failing_path_raise_in_time_order(self, times, error):
+        a = path([["1/(t - 1)", "0"], ["0", "1"]], "A")
+        b = path([["2 + 2*cos(t)"]], "B")
+        for frames in (kernel.frame_function(a, b, 2, True), kernel._numpy_frames(a, b, 2, True)):
+            assert fill_error(frames.fill, times) == fill_error(lambda ts: [frames(t) for t in ts], times)
+            assert fill_error(frames.fill, times)[0] is error
+
+    def test_time_calls_run_once_per_time(self):
+        # A and dA of the rotation share cos(t) and sin(t): two calls per
+        # time, in frames and in fill, where each entry made its own
+        prob = load_fixture("rotating_surface_2nd")
+        source = kernel._emit_frames(2, 1, True, kernel._frame_fragments(prob.A, prob.B, 2))
+        frames, fill = source.split("    def fill(times):")
+        for body in (frames, fill):
+            assert sorted(re.findall(r"math\.\w+\(t\)", body)) == ["math.cos(t)", "math.sin(t)"]
+
+    @pytest.mark.parametrize("rows", [
+        [["cos(t)", "1/(t - 1)"], ["cos(t)*exp(t)", "exp(t) - sin(t)"]],
+        [["exp(t)", "sin(exp(t))"], ["-sin(t)", "cos(t)"]],
+    ])
+    def test_shared_calls_keep_the_bits_and_the_first_error(self, rows, monkeypatch):
+        # against the frame function that makes every call in its place
+        a, b = path(rows, "A"), path([["2 + sin(t)"]], "B")
+        fragments = kernel._frame_fragments(a, b, 2)
+        shared = kernel._frame_build(2, 1, True, fragments)("A", "B")
+        monkeypatch.setattr(kernel, "_once_per_time", lambda lines: lines)
+        namespace = dict(kernel._GLOBALS)
+        exec(kernel._emit_frames(2, 1, True, fragments), namespace)
+        each = namespace["build"]("A", "B")
+        for t in (0.0, 0.3, 1.0, 700.0, 710.0, np.inf, -np.inf, np.nan):
+            try:
+                want = np.array(each(t)).tobytes()
+            except DaecontError as exc:
+                want = (type(exc), str(exc))
+                assert frame_error(shared, t) == want
+                assert fill_error(shared.fill, [0.3, t]) == want
+                continue
+            assert np.array(shared(t)).tobytes() == want == np.array(shared.fill([t])).tobytes()
 
 
 class TestInvertibleB:
