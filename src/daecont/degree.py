@@ -47,7 +47,7 @@ from .linalg import (
     solve_stacked,
     stacked_maps,
 )
-from .kernel import March, model_errors
+from .kernel import March, frame_function, model_errors
 from .transform import TransformedSystem
 
 __all__ = [
@@ -432,8 +432,8 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
     velocities are those of the moving frame), averaged over the
     ``quad_n >= 8`` uniform times of :func:`~daecont.linalg.quadrature_periodic`,
     with its bits: each value is one call of the emitted loop of the
-    system's plain march (:meth:`~daecont.kernel.March.mean_forcing`),
-    which reads the frame at those times from the system's table.  The
+    system's plain march (:meth:`~daecont.kernel.March.mean_forcing`) on
+    the fixed frames at those times, filled once per map.  The
     branch-seeding map when the drift ``D0`` vanishes (see
     :func:`seeding_map`).  Its ``jac`` and ``arrays`` are absent: its
     Jacobian is formed by forward differences, and the zero search calls
@@ -444,10 +444,11 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
     m = sys.m
     mean_forcing = March(sys, 0.0).mean_forcing
     times = [k * sys.period / quad_n for k in range(quad_n)]
+    pairs = list(zip(times, frame_function(sys.A, sys.B, sys.order, fixed=True).fill(times)))
 
     def omega(z):
         z = np.asarray(z, dtype=float)
-        first = mean_forcing(times, z[:m].tolist(), z[m:].tolist())
+        first = mean_forcing(pairs, z[:m].tolist(), z[m:].tolist())
         return np.concatenate([first, np.atleast_1d(sys.g(z[:m], z[m:]))])
 
     return omega

@@ -55,15 +55,15 @@ it.  The emitted code keeps these rules:
   enters the rate, as it did in the numpy raw march).
 
 The fixed-frame forcing ``F = A(t) f`` of a node has one emitter too: the
-stage's lines, and the plain build's ``forcing``, one loop over a list of
-times at a constant frame node (frame velocities zero) that sums each
-component of ``F`` in order and divides by the count: the mean that the
-averaged map of :mod:`daecont.degree` reads, one call per map value.  A
-fixed-frame build's ``records`` pulls the nodes of a march back in one
-loop too, with a record's lines per node (for order 2 the ``etadot``
-solve, the pull-back and the constraint residual of the pulled-back
-floats), so a trajectory costs one call and comes back as flat lists of
-floats.
+stage's lines, and the plain build's ``forcing``, one loop over pairs of
+a time and its frame at a constant frame node (frame velocities zero)
+that sums each component of ``F`` in order and divides by the count: the
+mean that the averaged map of :mod:`daecont.degree` reads, one call per
+map value.  A fixed-frame build's ``records`` pulls the nodes of a march
+back in one loop too, with a record's lines per node (for order 2 the
+``etadot`` solve, the pull-back and the constraint residual of the
+pulled-back floats), so a trajectory costs one call and comes back as
+flat lists of floats.
 
 Sums of products are plain float sums, where numpy's BLAS may fuse a
 multiply-add: a value can differ from a numpy march in the last bit (the
@@ -80,12 +80,12 @@ forms by differences) is called through an adapter that passes numpy
 arrays and returns a flat list.  The frame is one flat tuple of floats
 per march time.  A raw march calls the raw frame function of its
 problem's paths at each step and midpoint time; a fixed-frame march reads
-the list of its grid's frames, which its system fills from its table and
-one call for the times the table lacks (see
-:meth:`~daecont.transform.TransformedSystem.frame_grid`).  Those tuples
-come from :func:`frame_function`, emitted here too: straight-line code
-over the fragments of the paths' value and derivative functions, with
-their finiteness test and, for the fixed frame's ``d(B^-1)``, the march's
+the frames of its grid, which its system fills in one call (see
+:meth:`~daecont.transform.TransformedSystem.frame_grid`), and each of its
+nodes carries its frame to the records.  Those tuples come from
+:func:`frame_function`, emitted here too: straight-line code over the
+fragments of the paths' value and derivative functions, with their
+finiteness test and, for the fixed frame's ``d(B^-1)``, the march's
 solves (paths without fragments keep their numpy values), once for one
 time and once as ``fill``, a loop over a list of times.  A sensitivity
 march (fixed frame only) carries the derivative of the state with
@@ -167,11 +167,11 @@ class March:
     (``n = order * m``).  The algebraic block is a sequence of ``s``
     floats, ``eta`` in the frame and ``y`` raw.
 
-    ``frame(t)`` is the flat frame at ``t``: the system's
-    ``frame_entries`` (its table), which the records and the forcing read,
-    or for a problem :func:`frame_function` of its paths at its order,
-    which every raw solve and stage reads and which keeps nothing.  A
-    fixed-frame march reads its system's ``frame_grid`` instead.
+    Raw, ``frame(t)`` is the flat frame at ``t``, :func:`frame_function`
+    of the problem's paths at its order, which every solve and stage reads
+    and which keeps nothing.  A fixed-frame march has no ``frame``: it
+    reads its system's ``frame_grid``, its nodes carry their frames to
+    :meth:`records`, and :meth:`mean_forcing` is given its frames.
 
     A ``ValueError`` or ``ArithmeticError`` that a model raises in
     :meth:`resolve`, :meth:`march` or :meth:`records` (a Python callable's
@@ -191,8 +191,7 @@ class March:
         drifts = [np.zeros(model.m**2).tolist() if d is None
                   else np.asarray(d, dtype=float).ravel().tolist() for d in drifts]
         self.m = model.m
-        self.frame = (frame_function(model.A, model.B, model.order) if self.raw
-                      else model.frame_entries)
+        self.frame = frame_function(model.A, model.B, model.order) if self.raw else None
         self.grid = None if self.raw else model.frame_grid
         self._resolve, self._march, self._records, self._forcing = build(
             *functions, self.frame, *drifts, float(lam))
@@ -208,36 +207,36 @@ class March:
         frame = (self.frame(t),) if self.raw else ()
         return self._resolve(t, *frame, *state[: self.m], *eta_guess)
 
-    def mean_forcing(self, times, xi, eta) -> tuple:
-        """The mean over ``times`` of ``F(t, xi, eta) = A(t) f(t, x, y[, xdot, ydot])``.
+    def mean_forcing(self, pairs, xi, eta) -> tuple:
+        """The mean over ``pairs`` of ``F(t, xi, eta) = A(t) f(t, x, y[, xdot, ydot])``.
 
         Plain fixed-frame march only: the stage's forcing at the constant
         frame node ``(xi, eta)``, pulled back with frame velocities zero for
         order 2 (so the original velocities are those of the moving frame),
-        on the frame the model's table gives at each time, in one call that
-        loops over ``times``.  Each component is the float sum of its values
-        in the order of ``times`` divided by their count, the bits of
-        :func:`~daecont.linalg.quadrature_periodic` at its nodes.  A
-        non-finite ``f`` raises :class:`NonfiniteResultError` naming ``t``
-        and the value.
+        for each ``(t, frame)`` of ``pairs`` (``frame`` the fixed frame at
+        ``t``), in one call that loops over them.  Each component is the
+        float sum of its values in the order of ``pairs`` divided by their
+        count, the bits of :func:`~daecont.linalg.quadrature_periodic` at
+        its nodes.  A non-finite ``f`` raises :class:`NonfiniteResultError`
+        naming ``t`` and the value.
         """
-        return self._forcing(times, *xi, *eta)
+        return self._forcing(pairs, *xi, *eta)
 
     @model_errors
     def march(self, state, eta, h, nsteps):
         """``(nodes, end)`` of ``nsteps`` steps of size ``h`` from ``(state, eta)`` at 0.
 
-        ``nodes`` holds every node, start first: ``(t, state, eta)`` with
-        the state's row 0 only in the frame, ``(t, x, y, xdot, ydot)``
-        raw.  ``end`` is the whole end state.  A stage whose constraint
-        solve fails ends the march with its error.  A raw march calls
-        ``frame`` at each step and midpoint time; a fixed-frame one first
-        asks its system for the frames of all of them (see
-        :meth:`~daecont.transform.TransformedSystem.frame_grid`), so a
+        ``nodes`` holds every node, start first: ``(t, state, eta, frame)``
+        in the frame (the state's row 0, and the node's fixed frame), and
+        ``(t, x, y, xdot, ydot)`` raw.  ``end`` is the whole end state.  A
+        stage whose constraint solve fails ends the march with its error.  A
+        raw march calls ``frame`` at each step and midpoint time; a
+        fixed-frame one first asks its system for the frames of all of them
+        (see :meth:`~daecont.transform.TransformedSystem.frame_grid`), so a
         frame that fails raises before the first step.
         """
         h = float(h)
-        steps = nsteps if self.raw else self.grid(h, nsteps)
+        steps = nsteps if self.raw else self.grid(h, nsteps)[1]
         return self._march(0.0, h, steps, *state, *eta)
 
     @model_errors
@@ -245,12 +244,13 @@ class March:
         """``(times, x, y, xdot, ydot, residuals)`` of frame nodes in original coordinates.
 
         Fixed frame only (a raw march's nodes are their records): one call
-        pulls back every node ``(t, state, eta)`` (the state's row 0), for
-        order 2 after its ``etadot`` is solved from the constraint.  Each
-        column is one flat list, node after node: the times, the entries
-        of ``x``, ``y`` and, for order 2, ``xdot`` and ``ydot`` (None for
-        order 1), and the constraint residual ``max|g(A(t) x, B(t) y)|`` of
-        each node's pulled-back floats.  The first node that fails raises.
+        pulls back every node ``(t, state, eta, frame)`` (the state's row 0)
+        on its own frame, for order 2 after its ``etadot`` is solved from the
+        constraint.  Each column is one flat list, node after node: the
+        times, the entries of ``x``, ``y`` and, for order 2, ``xdot`` and
+        ``ydot`` (None for order 1), and the constraint residual
+        ``max|g(A(t) x, B(t) y)|`` of each node's pulled-back floats.  The
+        first node that fails raises.
         """
         return self._records(nodes)
 
@@ -291,7 +291,7 @@ def frame_function(a_path, b_path, order: int, fixed: bool = False):
     The entries of ``A(t)`` and ``B(t)`` and, for order 2, of ``dA(t)`` and
     of ``dB(t)``, or with ``fixed`` of the derivative ``-B^-1 dB B^-1`` of
     ``B(t)^-1``, each matrix row by row: the frame a raw march and the
-    transform's audit (``fixed`` false) or a fixed-frame system's table
+    transform's audit (``fixed`` false) or a fixed-frame system's grid
     reads.  The function carries ``fill(times)``, the list of the frames at
     ``times`` from one call: ``[frames(t) for t in times]``, bit for bit,
     whose first failing time raises its error.  The caller keeps the
@@ -863,11 +863,11 @@ def _emit(models, order, m, s, sensitivity, raw):
             *(f"        {line}" for line in _resolve(models, xis, s, (a, b) if raw else None)),
             f"        return {_unrolled(q)}", ""]
     if not raw:
-        # records: row 0 and q of each node to its time, x, y[, xd, yd] and
-        # the constraint residual max|g(A x, B y)| of the pulled-back
-        # floats, one loop over the nodes; each column is one flat list
+        # records: row 0 and q of each node, on its frame, to its time, x,
+        # y[, xd, yd] and the constraint residual max|g(A x, B y)| of the
+        # pulled-back floats, one loop over the nodes; columns are flat lists
         rec = _Lines(models, m)
-        rec.add(NODE, ["fr = frame(t)", unpack])
+        rec.add(NODE, [unpack])
         if order == 2:
             _rate(rec, order, m, s)
         _pull_back(rec, order, m, s, a, b, da, dbi)
@@ -878,7 +878,7 @@ def _emit(models, order, m, s, sensitivity, raw):
         columns = dict(zip(("xs", "ys", "xds", "yds"), _node_args(order, m, s)))
         src += ["    def records(nodes):",
                 f"        times, rns, {', '.join(columns)} = {', '.join(['[]'] * (len(columns) + 2))}",
-                f"        for t, ({_unrolled(inputs[:n])}), ({_unrolled(q)}) in nodes:",
+                f"        for t, ({_unrolled(inputs[:n])}), ({_unrolled(q)}), fr in nodes:",
                 *(f"            {line}" for line in rec.text),
                 "            times.append(t)",
                 *(f"            {col} += ({_unrolled(v)})" for col, v in columns.items()),
@@ -886,22 +886,23 @@ def _emit(models, order, m, s, sensitivity, raw):
                 f"        return times, {', '.join(columns)}{', None, None' if order == 1 else ''}, rns", ""]
     forcing = not raw and not sensitivity
     if forcing:
-        # forcing: the mean of F at a constant frame node over times, frame
-        # velocities zero (a plain build's alone: the averaged map builds no
-        # sensitivity kernel); each component is summed in order from -0.0,
-        # the identity of float addition, then divided by the count
+        # forcing: the mean of F at a constant frame node over (t, fr)
+        # pairs, frame velocities zero (a plain build's alone: the averaged
+        # map builds no sensitivity kernel); each component is summed in
+        # order from -0.0, the identity of float addition, then divided by
+        # the count
         force = _Lines(models, m)
-        force.add(NODE, ["fr = frame(t)", unpack])
+        force.add(NODE, [unpack])
         _forcing(force, order, m, s, a, b, da, dbi)
         means = _vec("Fm", m)
         zero = _vec("u", m) + _vec("ed", s) if order == 2 else []
-        src += [f"    def forcing(times, {', '.join(xis + q)}):",
+        src += [f"    def forcing(pairs, {', '.join(xis + q)}):",
                 *(f"        {v} = 0.0" for v in zero),
                 f"        {' = '.join(means)} = -0.0",
-                "        for t in times:",
+                "        for t, fr in pairs:",
                 *(f"            {line}" for line in force.text),
                 *(f"            {v} = {v} + {f}" for v, f in zip(means, _vec("F", m))),
-                f"        return {tup([f'{v} / len(times)' for v in means])}", ""]
+                f"        return {tup([f'{v} / len(pairs)' for v in means])}", ""]
     # march: a step loops over its stages, each advancing the RK sum and
     # the next stage's inputs (stage 4: the new state, which is the next
     # stage 1's), then re-solves q; a raw node's rate reads the frame the
@@ -916,7 +917,7 @@ def _emit(models, order, m, s, sensitivity, raw):
         _rate(rate, order, m, s, (a, b, da, dbi))
         node_rate = rate.text
     velocities = (f"{tup(_vec('u', m))}, {tup(_vec('ed', s))}" if order == 2 else "None, None")
-    node = f"(t, {tup(xis)}, {tup(q)}, {velocities})" if raw else f"(t, {tup(inputs[:n])}, {tup(q)})"
+    node = f"(t, {tup(xis)}, {tup(q)}, {velocities})" if raw else f"(t, {tup(inputs[:n])}, {tup(q)}, fr)"
     entries = list(zip(state, inputs, rates, sums))
     # a raw march calls its frame function at each time, a fixed-frame one
     # reads its grid's frames (see March.march) in order

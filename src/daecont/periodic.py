@@ -40,17 +40,16 @@ floats in code emitted per problem (:mod:`daecont.kernel`), and the
 model it is given picks the coordinates.  A march reads the frame at
 each step and midpoint time.  A fixed-frame march first asks its system
 for the frames of those ``2N + 1`` times (see :mod:`daecont.transform`),
-which evaluates the frame paths, in one call, only at the times its
-table has not seen before: a shooting runner keeps one system, and with
-it one table and one grid, for all the marches of a branch (shared with
-the seeding map when the caller passes the system; the trivial pair
-fills the grid), and ``integrate`` and the seeding map fill the table of
-the system they are given.  A raw march evaluates its problem's raw
-frame function (:func:`~daecont.kernel.frame_function`, the march's
-``frame``) at each of its times, records each node right after its
-solve, from that frame, and keeps no table; before it marches,
-``integrate`` tests ``B`` on the audit grid through one fill of the same
-function.
+which the system fills in one call and keeps until another grid is
+asked for: a shooting runner keeps one system, and with it one grid, for
+all the marches of a branch (the trivial pair fills it and records its
+nodes on its frames), and each fixed-frame node carries its frame to the
+records.  A raw march evaluates its problem's raw frame function
+(:func:`~daecont.kernel.frame_function`, the march's ``frame``) at each
+of its times, records each node right after its solve, from that frame,
+and keeps nothing; before it marches, ``integrate`` tests ``B`` on the
+audit grid through one fill of a raw frame function.  In both modes
+``integrate`` checks a given algebraic start on the raw frame at 0.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from .errors import (
     SingularMatrixError,
     SingularMonodromyError,
 )
-from .kernel import March, model_errors
+from .kernel import March, frame_function, model_errors
 from .linalg import NewtonConfig, newton_solve, norm_inf, solve_linear
 from .transform import _check_invertible, _frame_samples, _matrices, fixed_frame
 
@@ -203,18 +202,17 @@ def integrate(
     h = prob.period / DEFAULT_STEPS if h is None else h
     nsteps = _steps_for(prob.period, h)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    # the fixed-frame march reads its frames, the start's too, from its
-    # system's table, the raw one from its problem's frame function
     sys = fixed_frame(prob) if mode == "fixed" else prob
     stepper = March(sys, lam)
+    frames = frame_function(prob.A, prob.B, prob.order)  # the raw frame
     if mode == "raw":
         # the transform's test of B, which names the time of a singular B;
         # an A that fails the frame audit still marches
-        times, _, b = _frame_samples(prob, frames=stepper.frame)[:3]
+        times, _, b = _frame_samples(prob, frames=frames)[:3]
         _check_invertible(b, times)
     if y0 is not None:
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        a0, b0 = _matrices(stepper.frame(0.0), (prob.m, prob.s))
+        a0, b0 = _matrices(frames(0.0), (prob.m, prob.s))
         # a model error here leaves as the march's would
         start_residual = norm_inf(np.atleast_1d(model_errors(prob.g)(a0 @ x0, b0 @ y0)))
         if start_residual > 1e-8:
@@ -223,8 +221,8 @@ def integrate(
                 "pass y0=None to solve for a consistent start"
             )
     xdot0 = None if prob.order == 1 else np.zeros(prob.m)
-    if mode == "fixed":
-        x0, y0, xdot0 = sys.push_forward(0.0, x0, y0, xdot0)
+    if mode == "fixed":  # pushed forward on the first frame of the march's grid
+        x0, y0, xdot0 = sys.push_forward(sys.frame_grid(h, nsteps)[1][0], x0, y0, xdot0)
     state0 = (x0 if xdot0 is None else np.concatenate([x0, xdot0])).tolist()
     y0 = stepper.resolve(0.0, state0, [0.0] * prob.s) if y0 is None else y0.tolist()
     nodes, _ = stepper.march(state0, y0, h, nsteps)
@@ -364,17 +362,14 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     # The seed is a seeding-map zero: the drift annihilates xi0 (or
     # vanishes, when the averaged map seeds) and the constraint holds, so
     # the constant frame state is a solution at lam=0.  Its nodes, at the
-    # node times of a march (bit for bit), are recorded as a march's are,
-    # on the frames of the grid that the branch's marches read.
-    runner.sys.frame_grid(runner.h, runner.nsteps)
+    # node times of the grid that the branch's marches read (every second
+    # time), are recorded as a march's are, on their frames.
+    times, frames = runner.sys.frame_grid(runner.h, runner.nsteps)
     m = runner.prob.m
     xi0, eta0 = seed[:m], seed[m:].tolist()
     state = xi0.tolist() + [0.0] * (runner.state_dim - m)
-    times = [0.0]
-    for _ in range(runner.nsteps):  # the running sum t + h, as a march steps
-        times.append(times[-1] + runner.h)
-    stepper = March(runner.sys, 0.0)
-    return _tpair(0.0, *_trajectory(stepper, [(t, state, eta0) for t in times]), xi0)
+    nodes = [(t, state, eta0, fr) for t, fr in zip(times[::2], frames[::2])]
+    return _tpair(0.0, *_trajectory(March(runner.sys, 0.0), nodes), xi0)
 
 
 def _least_squares_newton(fun, jac, x0):
@@ -444,7 +439,7 @@ def continue_branch(
     """Trace a branch of T-pairs from a seeding-map zero.
 
     ``prob`` is a problem or its fixed-frame system, which the branch's
-    marches then share (with its frame table) with the caller.  ``seed``
+    marches then share (with its frame grid) with the caller.  ``seed``
     lives in (xi, eta) space and must be a zero of the
     :func:`~daecont.degree.seeding_map`; the traced polyline lives in
     ``(lam, xi0)`` space, which is what ``box`` bounds.  The first

@@ -17,30 +17,25 @@ the problem, and maps an original-coordinate node into the frame
 (``push_forward``: ``xi = A(t) x``, ``eta = B(t) y``); the way back (``x =
 A(t).T xi``, ``y = B(t)^{-1} eta``, velocities included for order 2) and
 ``F`` are emitted code of :mod:`daecont.kernel`, which the marches and the
-averaged map run.  The frame depends on time alone, and every fixed-frame
-computation (a march, the averaged map's quadrature) visits the same
-times again and again, so a system keeps the frame of each time it has
-seen in its table ``frames``: filled on first use, keyed by the exact
-float, held as the flat tuple of floats that the emitted code reads, and
-living as long as the system.  A march asks for the frames of its whole
-grid at once (:meth:`TransformedSystem.frame_grid`): the times the table
-lacks are filled by one call, and the system keeps the list of the
-grid's frames, which the march reads in order.
+averaged map run.  The frame depends on time alone, and the marches of a
+system visit the same times again and again, so a system keeps the frames
+of one march grid (:meth:`TransformedSystem.frame_grid`), filled by one
+call and kept until a march asks for another grid or a path of the
+problem is replaced.
 
 Frames come from one function ``t -> tuple`` per pair of paths, order
 and coordinate system (:func:`~daecont.kernel.frame_function`), which
 carries ``fill(times)``, the frames of a list of times from one call:
 emitted float code for paths compiled from expression trees, the paths'
-numpy values otherwise.  No problem keeps one.  A system builds its
-fixed-frame function at the first time its table lacks, a raw march binds
-the raw one (see :class:`~daecont.kernel.March`), and the transform's
-audit reads the raw order-2 frame ``(A, B, dA, dB)`` as stacks, one fill
-per set of times (the audit grid, which ``check`` hands over from its own
-audit at the default grid; for periodicity, ``t`` and ``t + T``):
-orthogonality and constancy of ``A``, periodicity of ``A`` and ``B``,
-drifts that commute with ``A`` and a ``B`` that is invertible at every
-audit-grid time, by one stacked test
-(:func:`~daecont.linalg.solve_stacked`'s pivot flags).
+numpy values otherwise.  No problem keeps one.  A system's grid is one
+fill of the fixed-frame function, a raw march binds the raw one (see
+:class:`~daecont.kernel.March`), and the transform's audit reads the raw
+order-2 frame ``(A, B, dA, dB)`` as stacks, one fill per set of times
+(the audit grid, which ``check`` hands over from its own audit at the
+default grid; for periodicity, ``t`` and ``t + T``): orthogonality and
+constancy of ``A``, periodicity of ``A`` and ``B``, drifts that commute
+with ``A`` and a ``B`` that is invertible at every audit-grid time, by
+one stacked test (:func:`~daecont.linalg.solve_stacked`'s pivot flags).
 """
 
 from __future__ import annotations
@@ -256,77 +251,52 @@ class TransformedSystem:
     the problem when it is asked for, so a change to the problem is the
     system's change; the forcing ``f`` is the problem's, which the emitted
     stage and ``forcing`` conjugate into the frame (see
-    :mod:`daecont.kernel`).  ``frames`` maps each time the system has seen
-    to its frame (see :meth:`frame_entries` and :meth:`frame_grid`); a
-    copy made with :func:`dataclasses.replace` starts with an empty table.
-    Systems compare by identity: each keeps its own frame table.
+    :mod:`daecont.kernel`).  The system keeps the frames of the last march
+    grid asked for (see :meth:`frame_grid`); a copy made with
+    :func:`dataclasses.replace` starts without them.  Systems compare by
+    identity: each keeps its own grid.
     """
 
     problem: DaeProblem1 | DaeProblem2
     D0: np.ndarray
     D1: Optional[np.ndarray]
     M: np.ndarray
-    frames: dict = field(init=False, default_factory=dict, repr=False)
-    _frame_fn: Optional[tuple] = field(default=None, init=False, repr=False)
     _grid: Optional[tuple] = field(default=None, init=False, repr=False)
 
-    def _fixed_frames(self):
-        # the fixed-frame function of the problem's paths, built at the
-        # first miss and again after a path of the problem is replaced
-        made = self._frame_fn
-        if made is None or made[0] is not self.A or made[1] is not self.B:
+    def frame_grid(self, h: float, nsteps: int) -> tuple:
+        """``(times, frames)`` of a march of ``nsteps`` steps of size ``h`` from 0.
+
+        The ``2 nsteps + 1`` times are the running sum a march steps by,
+        ``t + h/2``, ``t + h``: each step's midpoint and end.  Each frame is
+        one flat tuple of floats, the entries of ``A(t)`` and ``B(t)`` and,
+        for order 2, of ``dA(t)`` and the derivative of ``B(t)^-1``, each
+        matrix row by row, from one ``fill`` of the fixed-frame function of
+        the problem's paths (see :func:`~daecont.kernel.frame_function`),
+        whose first failing time raises.  The grid is kept, keyed by the
+        paths, ``h`` and ``nsteps``: a replaced path or another grid fills
+        anew.
+        """
+        key = (self.A, self.B, h, nsteps)
+        if self._grid is None or self._grid[0] != key:
             from . import kernel  # kernel imports this module
 
-            made = self._frame_fn = (self.A, self.B, kernel.frame_function(
-                self.A, self.B, self.order, fixed=True))
-        return made[2]
-
-    def frame_entries(self, t: float) -> tuple:
-        """The frame at ``t`` as one flat tuple of floats, from the table.
-
-        The entries are those of ``A(t)`` and ``B(t)`` and, for order 2, of
-        ``dA(t)`` and the derivative of ``B(t)^-1``, each matrix row by row.
-        A time not in the table is evaluated once, by the fixed-frame
-        function of the problem's paths (see
-        :func:`~daecont.kernel.frame_function`), built at the first such
-        time and again after a path of the problem is replaced, and stored.
-        """
-        entries = self.frames.get(t)
-        if entries is None:
-            entries = self.frames[t] = self._fixed_frames()(t)
-        return entries
-
-    def frame_grid(self, h: float, nsteps: int) -> list:
-        """The frames of a march's ``2 nsteps + 1`` times, in order.
-
-        The times are those a march of ``nsteps`` steps of size ``h`` from 0
-        steps by, the running sum ``t + h/2``, ``t + h``: each step's
-        midpoint and end.  The times the table lacks are evaluated by one
-        ``fill`` of the fixed-frame function, in order (so the first one
-        that fails raises, as :meth:`frame_entries` would there), and
-        stored; the list of the last grid asked for is kept.
-        """
-        if self._grid is None or self._grid[:2] != (h, nsteps):
             times, t, hh = [0.0], 0.0, 0.5 * h
             for _ in range(nsteps):
                 times += (t + hh, t + h)
                 t = times[-1]
-            table = self.frames
-            missing = [t for t in times if t not in table]
-            if missing:
-                table.update(zip(missing, self._fixed_frames().fill(missing)))
-            self._grid = (h, nsteps, [table[t] for t in times])
-        return self._grid[2]
+            fill = kernel.frame_function(self.A, self.B, self.order, fixed=True).fill
+            self._grid = (key, times, fill(times))
+        return self._grid[1:]
 
-    def push_forward(self, t: float, x, y, xdot=None):
-        """Frame node ``(xi, eta, xidot)`` of an original-coordinate node.
+    def push_forward(self, frame, x, y, xdot=None):
+        """Frame node ``(xi, eta, xidot)`` of an original-coordinate node at ``frame``.
 
-        ``xi = A(t) x`` and ``eta = B(t) y``; ``eta`` is None when ``y`` is,
-        and ``xidot`` unless ``xdot`` is given (order 2).  The frame is read
-        through the table.
+        ``frame`` is the node's flat fixed frame, as :meth:`frame_grid`
+        gives it: ``xi = A x`` and ``eta = B y``; ``eta`` is None when ``y``
+        is, and ``xidot`` (``dA x + A xdot``, order 2) when ``xdot`` is.
         """
         dims = (self.m, self.s) if xdot is None else (self.m, self.s, self.m)
-        a, b, *da = _matrices(self.frame_entries(t), dims)
+        a, b, *da = _matrices(frame, dims)
         xi, eta = a @ x, None if y is None else b @ y
         if xdot is None:
             return xi, eta, None
@@ -334,7 +304,7 @@ class TransformedSystem:
 
 
 # Read-only views of the problem's model, as properties: a __getattr__
-# fallback would make every A and B lookup of a table fill a Python call.
+# fallback would make every A and B lookup a Python call.
 for _name in ("order m s period A B f df g d1g d2g dgdot g_jac1 g_jac2 f_jac "
               "gdot_jac").split():
     setattr(TransformedSystem, _name, property(operator.attrgetter(f"problem.{_name}")))

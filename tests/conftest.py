@@ -12,7 +12,7 @@ import collections
 
 import pytest
 
-from daecont import expressions, kernel
+from daecont import degree, expressions, kernel, periodic
 from daecont.paths import MatrixPath
 
 
@@ -64,7 +64,8 @@ def _count_frames(monkeypatch, record):
     monkeypatch.setattr(MatrixPath, "_at", counted_at)
     monkeypatch.setattr(MatrixPath, "_gather", counted_gather)
     monkeypatch.setattr(MatrixPath, "stack", counted_stack)
-    monkeypatch.setattr(kernel, "frame_function", counted_function)
+    for module in (kernel, degree, periodic):  # each module that makes frame functions
+        monkeypatch.setattr(module, "frame_function", counted_function)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from daecont.errors import (
     SingularJacobianError,
     SingularMatrixError,
 )
-from daecont.kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL, March
+from daecont.kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL, March, frame_function
 from daecont.linalg import (
     NEWTON_DAMPING_MIN,
     NEWTON_TOL_STEP,
@@ -150,17 +150,29 @@ def solve_constraint(g, jac, q0):
     )
 
 
+def fixed_frame_at(sys, t):
+    """The flat fixed frame of a system's paths at ``t``, as its grid holds
+    it: one call of the fixed-frame function, which keeps nothing."""
+    return frame_function(sys.A, sys.B, sys.order, fixed=True)(t)
+
+
+def frame_pairs(sys, times):
+    """The ``(t, frame)`` pairs of a system's fixed frames at ``times``, from
+    one fill, as :meth:`~daecont.kernel.March.mean_forcing` reads them."""
+    return list(zip(times, frame_function(sys.A, sys.B, sys.order, fixed=True).fill(times)))
+
+
 def frame_node(sys, t, xi, eta, xid=None, etad=None):
     """The frame at ``t`` as arrays and the original-coordinate node of a frame node.
 
     Returns ``((A, B[, dA, d(B^-1)]), (x, y, xdot, ydot))`` for a
-    fixed-frame system, with the frame read from its table: ``x = A.T
+    fixed-frame system, with the frame from :func:`fixed_frame_at`: ``x = A.T
     xi``, ``y = B^-1 eta`` and, when ``xid`` and ``etad`` are given,
     ``xdot = dA.T xi + A.T xid``, ``ydot = d(B^-1) eta + B^-1 etad``
     (None otherwise).  The numpy node map that the emitted pull-back
     replaced.
     """
-    frame = _matrices(sys.frame_entries(t), (sys.m, sys.s) * sys.order)
+    frame = _matrices(fixed_frame_at(sys, t), (sys.m, sys.s) * sys.order)
     a, b = frame[0], frame[1]
     x, y = a.T @ xi, solve_linear(b, eta)
     if xid is None:
@@ -196,9 +208,9 @@ def averaged_map(sys, z, quad_n=64):
 
 
 def frame_arrays(model, t):
-    """``(A(t), B(t))``: a problem's path values, or a system's frame table."""
+    """``(A(t), B(t))``: a problem's path values, or a system's fixed frame."""
     if isinstance(model, TransformedSystem):
-        return _matrices(model.frame_entries(t), (model.m, model.s))
+        return _matrices(fixed_frame_at(model, t), (model.m, model.s))
     return model.A(t), model.B(t)
 
 
@@ -312,7 +324,7 @@ def shoot(runner, lam, state0):
 
     The plain-march reference that the runner's :meth:`linearize` gives as
     row 0 of its sensitivity march, bit for bit; the march reads, and
-    fills, the runner's frame table.
+    fills, the runner's frame grid.
     """
     state0 = np.asarray(state0, dtype=float)
     return np.array(runner._run(March(runner.sys, lam), state0.tolist())[1]) - state0
@@ -333,8 +345,8 @@ def constraint_residual(traj, model):
 
     The numpy residual that pair assembly replaced with the one the float
     march records with each node.  ``model`` is a problem or its
-    fixed-frame system; a system reads ``A`` and ``B`` through its frame
-    table.
+    fixed-frame system; a system reads ``A`` and ``B`` from its fixed
+    frame.
     """
     worst = 0.0
     for k, t in enumerate(traj.times):

@@ -22,6 +22,7 @@ from daecont.paths import DEFAULT_GRID, MatrixPath, _grid_times
 from daecont.periodic import branch_seeds
 from daecont.probfile import build_problem, parse_problem
 from daecont.transform import fixed_frame, fixed_frame_first
+from oracles import fixed_frame_at
 from test_periodic import MARCH_LEVEL_FAILURES, THREE_CONSTRAINTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -770,7 +771,7 @@ def test_a_record_that_fails_at_one_node_raises_its_error():
     # the per-node record gave
     sys_t = fixed_frame_first(build_problem(parse_problem(TWO_CONSTRAINTS)), validate=False)
     stepper = March(sys_t, 0.0)
-    nodes = [(t, [0.3, 0.1], [0.2, 0.1]) for t in (0.5, 1.0, np.pi, 4.0)]
+    nodes = [(t, [0.3, 0.1], [0.2, 0.1], fixed_frame_at(sys_t, t)) for t in (0.5, 1.0, np.pi, 4.0)]
     times, x, y, xdot, ydot, residuals = stepper.records(nodes[:2])
     assert (times, xdot, ydot) == ([0.5, 1.0], None, None)
     assert x == [0.3112173224275321, -0.05606940539222362, 0.24623779024123157, -0.19841106485555496]

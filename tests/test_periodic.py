@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,11 +28,13 @@ from daecont.periodic import (
     find_tpair,
     integrate,
 )
-from daecont.transform import DaeProblem1, _matrices, fixed_frame
+from daecont.transform import DaeProblem1, fixed_frame
 from oracles import (
     central_jacobian,
     constraint_residual,
+    fixed_frame_at,
     fixed_frame_march,
+    frame_pairs,
     node_records,
     raw_march,
     shoot,
@@ -372,6 +375,27 @@ class TestInitialConsistency:
         assert abs(traj.y[0, 0] - 1.0) <= 1e-10  # q^3 + q = 2 at q = 1
 
 
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
+    @pytest.mark.parametrize("mode", ["raw", "fixed"])
+    def test_given_start_in_either_mode(self, name, mode):
+        # a frame that is not the identity at 0 (A one radian ahead, B = 2 +
+        # sin(t + 1)): a consistent y0 gives the trajectory that y0=None
+        # gives, and the start check reads the raw A(0) and B(0)
+        text = (problem_text(name)
+                .replace("cos(t), -sin(t)\nsin(t), cos(t)", "cos(t + 1), -sin(t + 1)\nsin(t + 1), cos(t + 1)")
+                .replace("[B]\n1\n", "[B]\n2 + sin(t + 1)\n"))
+        prob = build_problem(parse_problem(text))
+        x0, h = np.array([0.3, 0.1]), TWO_PI / 16
+        y0 = consistent_init(prob, 0.0, x0, np.zeros(1))
+        solved, given = (integrate(prob, 0.5, x0, y, h=h, mode=mode) for y in (None, y0))
+        for column in ("times", "x", "y", "xdot", "ydot"):
+            assert bits(getattr(solved, column)) == bits(getattr(given, column)), column
+        residual = norm_inf(prob.g(prob.A(0.0) @ x0, prob.B(0.0) @ (y0 + 1.0)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"initial state violates the constraint (residual {residual:.3e}); ")):
+            integrate(prob, 0.5, x0, y0 + 1.0, h=h, mode=mode)
+
+
 class TestDriftedContinuation:
     def test_commuting_h_branch(self):
         prob = load_fixture("commuting_h")
@@ -505,20 +529,30 @@ class TestTermination:
                             integration_steps=32)
 
 
-class TestFrameTable:
-    """A fixed-frame system evaluates the frame once per time, on first use, and keeps it."""
+class TestFrameGrid:
+    """A fixed-frame system keeps the frames of one march grid, filled in one
+    call; its marches, records, trivial pair and averaged map read frames
+    that are filled already."""
+
+    @staticmethod
+    def grid_times(h, nsteps):
+        # the running sum a march steps by: each step's midpoint and end
+        times = [0.0]
+        for _ in range(nsteps):
+            times += [times[-1] + 0.5 * h, times[-1] + h]
+        return times
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
-    def test_one_entry_per_march_time(self, name):
+    def test_nodes_carry_the_frames_of_the_grid(self, name):
         runner = periodic._ShootingRunner(load_fixture(name), 16)
-        assert runner.sys.frames == {}
         _, nodes = plain_march(runner, 0.5, np.zeros(runner.state_dim))
-        assert len(runner.sys.frames) == 2 * 16 + 1
         sys = runner.sys
+        times, frames = sys.frame_grid(runner.h, 16)
+        assert times == self.grid_times(runner.h, 16) and len(frames) == 2 * 16 + 1
         size = sys.order * (sys.m**2 + sys.s**2)  # A and B, for order 2 dA and d(B^-1) too
-        assert all(len(frame) == size and {type(v) for v in frame} == {float}
-                   for frame in sys.frames.values())
-        assert {t for t, _, _ in nodes} <= set(runner.sys.frames)
+        assert all(len(frame) == size and {type(v) for v in frame} == {float} for frame in frames)
+        assert [t for t, *_ in nodes] == times[::2]
+        assert all(node[3] is frame for node, frame in zip(nodes, frames[::2]))
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
     def test_flows_make_no_path_calls(self, name, path_calls):
@@ -529,12 +563,12 @@ class TestFrameTable:
         # one evaluation of the frame (and, for order 2, its rates) per march time
         assert len(path_calls) == 2 * runner.sys.order * (2 * 16 + 1)
         del path_calls[:]
-        periodic._trajectory(*plain_march(runner, 0.5, state0))  # pulled back at seen times too
+        periodic._trajectory(*plain_march(runner, 0.5, state0))  # records read the nodes' frames
         runner.linearize(0.7, state0)
         second = shoot(runner, 0.5, state0)
         assert path_calls == [] and first.tobytes() == second.tobytes()
 
-    def test_pair_residuals_read_the_table(self, path_calls):
+    def test_pair_residuals_read_the_nodes_frames(self, path_calls):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
         stepper, nodes = plain_march(runner, 0.5, np.array([0.3, 0.1]))
         del path_calls[:]
@@ -545,88 +579,90 @@ class TestFrameTable:
         assert len(path_calls) == 2 * 17
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
-    def test_trivial_pair_reads_the_table(self, name, path_calls):
+    def test_trivial_pair_makes_no_path_call(self, name, path_calls):
         runner = periodic._ShootingRunner(load_fixture(name), 16)
         _, nodes = plain_march(runner, 0.0, np.zeros(runner.state_dim))
         del path_calls[:]
         pair = periodic._trivial_tpair(runner, np.zeros(3))
-        assert path_calls == [] and pair.trajectory.times.tolist() == [t for t, _, _ in nodes]
+        assert path_calls == [] and pair.trajectory.times.tolist() == [t for t, *_ in nodes]
         assert pair.is_trivial and pair.constraint_residual == 0.0
 
-    def test_new_times_are_evaluated_once_and_stored(self, path_calls):
-        runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
-        del path_calls[:]
-        xi = np.array([0.3, 0.1])
-        frame = lambda: _matrices(runner.sys.frame_entries(0.123), (2, 1))[0]
-        x = frame().T @ xi
-        assert len(path_calls) == 2 and list(runner.sys.frames) == [0.123]
-        assert (frame().T @ xi).tobytes() == x.tobytes() and len(path_calls) == 2
-        prob = runner.prob
-        assert np.array_equal(x, prob.A(0.123).T @ xi)
-
-    def test_tabulated_node_equals_evaluated_node(self):
+    def test_grid_frame_equals_a_fresh_evaluation(self):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface_2nd"), 16)
-        plain_march(runner, 0.5, np.zeros(runner.state_dim))
-        t = sorted(runner.sys.frames)[7]  # the midpoint of the fourth step
-        fresh = fixed_frame(runner.prob)
-        assert bits(runner.sys.frame_entries(t)) == bits(fresh.frame_entries(t))
+        times, frames = runner.sys.frame_grid(runner.h, 16)
+        t, frame = times[7], frames[7]  # the midpoint of the fourth step
+        assert bits(frame) == bits(fixed_frame_at(fixed_frame(runner.prob), t))
         node = ([0.3, 0.1, -0.1, 0.4], [0.2])
-        tabulated, evaluated = (node_records(periodic.March(sys, 0.5), [(t, *node)])
-                                for sys in (runner.sys, fresh))
-        assert bits(tabulated) == bits(evaluated)
+        on_grid, fresh = (node_records(periodic.March(runner.sys, 0.5), [(t, *node, fr)])
+                          for fr in (frame, fixed_frame_at(runner.sys, t)))
+        assert bits(on_grid) == bits(fresh)
 
-    def test_each_system_has_its_own_table(self):
+    def test_each_system_owns_its_grid(self, path_calls):
         prob = load_fixture("rotating_surface")
-        integrate(prob, 0.5, np.array([0.3, 0.1]), mode="fixed")
-        assert fixed_frame(prob).frames == {}
-        assert periodic._ShootingRunner(prob, 8).sys.frames == {}
+        h = prob.period / 16
+        integrate(prob, 0.5, np.array([0.3, 0.1]), h=h, mode="fixed")
+        first, second = fixed_frame(prob), fixed_frame(prob)
+        first.frame_grid(h, 16)
+        del path_calls[:]
+        second.frame_grid(h, 16)
+        assert len(path_calls) == 2 * (2 * 16 + 1)
+        del path_calls[:]
+        first.frame_grid(h, 16)
+        assert path_calls == []
 
-    def test_replaced_system_starts_with_an_empty_table(self):
+    def test_replaced_system_starts_without_a_grid(self, path_calls):
         sys = fixed_frame(load_fixture("rotating_surface"))
-        sys.frame_entries(0.5)
+        sys.frame_grid(sys.period / 16, 16)
         copy = replace(sys, D0=np.zeros((2, 2)))
-        assert list(sys.frames) == [0.5] and copy.frames == {}
+        del path_calls[:]
+        sys.frame_grid(sys.period / 16, 16)
+        assert path_calls == []
+        copy.frame_grid(sys.period / 16, 16)
+        assert len(path_calls) == 2 * (2 * 16 + 1)
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd", "semilinear_4x4"])
-    def test_march_reads_its_grid(self, name, monkeypatch, path_times):
-        # the grid's missing times are filled in one call, in march order,
-        # and a march reads the grid's frames, not the table, time by time
+    def test_one_fill_per_grid(self, name, monkeypatch, path_times):
+        # the grid's times are filled in one call, in march order, by a
+        # function that has no per-time call, and the marches read the grid
         prob = load_fixture(name)
         runner = periodic._ShootingRunner(reduce_semilinear(prob) if name == "semilinear_4x4" else prob, 16)
-        sys = runner.sys
-        sys.frame_entries(0.0)
-        fills, fixed = [], sys._fixed_frames()
-        fill = fixed.fill
-        monkeypatch.setattr(fixed, "fill", lambda times: fills.append(times) or fill(times))
-        monkeypatch.setattr(sys, "_fixed_frames", lambda: fixed)
-        del path_times[:]
-        grid = sys.frame_grid(runner.h, 16)
-        times = [0.0]
-        for _ in range(16):  # the running sum a march steps by
-            times += [times[-1] + 0.5 * runner.h, times[-1] + runner.h]
-        assert fills == [times[1:]] and list(sys.frames) == times
-        assert path_times == [t for t in times[1:] for _ in range(2 * sys.order)]
-        assert all(frame is sys.frames[t] for frame, t in zip(grid, times)) and len(grid) == 33
-        assert sys.frame_grid(runner.h, 16) is grid and len(fills) == 1
-        monkeypatch.setattr(type(sys), "frame_entries", lambda self, t: pytest.fail("per-time frame"))
-        nodes = plain_march(runner, 0.5, np.full(runner.state_dim, 0.1))[1]
-        assert [t for t, _, _ in nodes] == times[::2] and len(fills) == 1
+        sys, fills, make = runner.sys, [], kernel.frame_function
 
-    def test_another_grid_fills_the_times_the_table_lacks(self, path_times):
+        class FillOnly:
+            def __init__(self, *args, **kwargs):
+                self.made = make(*args, **kwargs)
+
+            def fill(self, times):
+                fills.append(list(times))
+                return self.made.fill(times)
+
+        monkeypatch.setattr(kernel, "frame_function", FillOnly)
+        del path_times[:]
+        times, frames = sys.frame_grid(runner.h, 16)
+        assert times == self.grid_times(runner.h, 16) and fills == [times]
+        assert path_times == [t for t in times for _ in range(2 * sys.order)]
+        again = sys.frame_grid(runner.h, 16)
+        assert again[0] is times and again[1] is frames and len(fills) == 1
+        nodes = plain_march(runner, 0.5, np.full(runner.state_dim, 0.1))[1]
+        runner.linearize(0.5, np.full(runner.state_dim, 0.1))
+        assert [t for t, *_ in nodes] == times[::2] and len(fills) == 1
+
+    def test_another_grid_is_filled_anew(self, path_times):
         sys = periodic._ShootingRunner(load_fixture("rotating_surface"), 16).sys
         first = sys.frame_grid(sys.period / 16, 16)
-        seen = set(sys.frames)
         del path_times[:]
         second = sys.frame_grid(sys.period / 8, 8)
-        new = [t for t in sorted(sys.frames) if t not in seen]
-        assert 0 < len(new) < 17 and path_times == [t for t in new for _ in range(2)]
-        assert second[0] is first[0] and sys.frame_grid(sys.period / 16, 16) == first
+        assert path_times == [t for t in second[0] for _ in range(2)]
+        assert second[0] == self.grid_times(sys.period / 8, 8)
+        assert bits(second[1][0]) == bits(first[1][0]) and bits(second[1][4]) == bits(first[1][8])
+        del path_times[:]
+        assert sys.frame_grid(sys.period / 16, 16) == first and len(path_times) == 2 * 33
 
-    def test_fixed_frame_integration_makes_two_path_calls_per_march_time(self, monkeypatch,
-                                                                         path_calls):
+    def test_fixed_frame_integration_fills_its_grid_before_the_march(self, monkeypatch,
+                                                                     path_calls):
         # order 1: A and B once at each of the 2N + 1 step and midpoint
-        # times, and none when the nodes are pulled back; the start frame
-        # (t = 0) enters the table before the march, for the start itself
+        # times, in the grid that push_forward reads the start frame from,
+        # and none in the march or when the nodes are pulled back
         march, counts = periodic.March.march, []
 
         def counted(*args):
@@ -637,17 +673,20 @@ class TestFrameTable:
 
         monkeypatch.setattr(periodic.March, "march", counted)
         prob = load_fixture("rotating_surface")
+        sys = fixed_frame(prob)
+        monkeypatch.setattr(periodic, "fixed_frame", lambda model: sys)  # audited already
+        del path_calls[:]
         traj = integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="fixed")
         (in_march, after_march), = counts
-        assert in_march == 2 * 2 * 16 and len(path_calls) == after_march
+        assert in_march == 0 and len(path_calls) == after_march == 2 * (2 * 16 + 1)
         assert len(traj.times) == 17
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
-    def test_fixed_frame_integration_reads_the_start_frame_from_the_table(self, name,
-                                                                          path_times):
-        # at t = 0, past the frame audit: one evaluation of each table entry
-        # (A and B, and for order 2 their rates), which push_forward and the
-        # march both read
+    def test_fixed_frame_integration_reads_the_start_frame_from_the_grid(self, name,
+                                                                         path_times):
+        # at t = 0, past the frame audit: one evaluation of each frame entry
+        # (A and B, and for order 2 their rates), the grid's first, which
+        # push_forward and the march both read
         prob = load_fixture(name)
         fixed_frame(prob)
         audit = path_times.count(0.0)
@@ -673,19 +712,20 @@ class TestFrameTable:
         # evaluations for order 1, 4 for order 2); an order-2 node takes its
         # rate right after its resolve, from the frame the resolve read;
         # N = 256.
-        # Before the march, the test of B samples the march's own frame (A
-        # and B, for order 2 their rates too) at the 64 audit-grid times.
+        # Before the march, the test of B samples the raw frame (A and B,
+        # for order 2 their rates too) at the 64 audit-grid times.
         prob = load_fixture(name)
         del path_calls[:]
         integrate(prob, 0.5, np.zeros(prob.m))
         assert len(path_calls) == bound + 2 * prob.order * 64
 
-    def test_second_averaged_map_call_makes_no_path_call(self, path_calls):
-        omega = averaged_map_fn(fixed_frame(load_fixture("scalar_linear")))
+    def test_an_averaged_map_fills_its_frames_once(self, path_calls):
+        sys = fixed_frame(load_fixture("scalar_linear"))
         del path_calls[:]
-        first = omega(np.array([0.3, 0.2]))
+        omega = averaged_map_fn(sys)
         assert len(path_calls) == 2 * 64
         del path_calls[:]
+        first = omega(np.array([0.3, 0.2]))
         omega(np.array([-0.5, 0.1]))
         assert path_calls == [] and omega(np.array([0.3, 0.2])).tobytes() == first.tobytes()
 
@@ -1098,14 +1138,15 @@ class TestOneCallPerLoop:
         sys = fixed_frame(_shooting_problem(name))
         stepper = periodic.March(sys, 0.0)
         xi, eta = [0.3, -0.2][: sys.m], [0.1, 0.4][: sys.s]
-        ref = quadrature_periodic(lambda t: stepper.mean_forcing((t,), xi, eta), sys.period, 64)
-        times = [k * sys.period / 64 for k in range(64)]
-        assert np.array(stepper.mean_forcing(times, xi, eta)).tobytes() == ref.tobytes()
+        ref = quadrature_periodic(lambda t: stepper.mean_forcing(frame_pairs(sys, [t]), xi, eta),
+                                  sys.period, 64)
+        pairs = frame_pairs(sys, [k * sys.period / 64 for k in range(64)])
+        assert np.array(stepper.mean_forcing(pairs, xi, eta)).tobytes() == ref.tobytes()
 
     def test_the_mean_of_negative_zeros_is_negative_zero(self):
         # the sum starts at the first value, as the quadrature's does
-        stepper = periodic.March(fixed_frame(scalar_problem(f=lambda t, x, y: np.array([-0.0]))), 0.0)
-        (mean,) = stepper.mean_forcing([0.0, 1.0, 2.0], [0.0], [0.0])
+        sys = fixed_frame(scalar_problem(f=lambda t, x, y: np.array([-0.0])))
+        (mean,) = periodic.March(sys, 0.0).mean_forcing(frame_pairs(sys, [0.0, 1.0, 2.0]), [0.0], [0.0])
         assert math.copysign(1.0, mean) == -1.0
 
 
@@ -1155,11 +1196,11 @@ class TestKernelSize:
     a change of the emitter that unrolls or repeats code shows here."""
 
     LINES = {  # raw, plain, sensitivity
-        "commuting_h": (174, 218, 269),
-        "rotating_surface": (174, 218, 268),
-        "rotating_surface_2nd": (237, 274, 417),
-        "scalar_linear": (165, 204, 221),
-        "semilinear_4x4": (225, 267, 332),
+        "commuting_h": (174, 216, 268),
+        "rotating_surface": (174, 216, 267),
+        "rotating_surface_2nd": (237, 272, 416),
+        "scalar_linear": (165, 202, 220),
+        "semilinear_4x4": (225, 265, 331),
     }
 
     @pytest.mark.parametrize("name", sorted(LINES))

@@ -27,7 +27,7 @@ from daecont.transform import (
     fixed_frame_first,
     fixed_frame_second,
 )
-from oracles import fixed_frame_march, forcing, frame_node, node_records
+from oracles import fixed_frame_at, fixed_frame_march, forcing, frame_node, frame_pairs, node_records
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -61,7 +61,7 @@ class TestFixedFrameFirst:
         sys_t = fixed_frame_first(prob)
         assert norm_inf(sys_t.D0) == 0.0
         xi, eta = np.array([0.2, 0.4]), np.array([0.2])
-        forcing_at = March(sys_t, 0.0).mean_forcing((0.7,), xi, eta)  # the mean over one time
+        forcing_at = March(sys_t, 0.0).mean_forcing(frame_pairs(sys_t, [0.7]), xi, eta)  # one time
         assert norm_inf(np.array(forcing_at) - f(0.7, xi, eta)) <= 1e-14
 
     def test_commuting_drift_arithmetic(self):
@@ -145,7 +145,7 @@ class TestFixedFrameSecond:
         assert norm_inf(forcing(sys_t, *args) - f(*args)) <= 1e-12
         # the emitted forcing, at zero frame velocities
         at_rest = args[:3] + (np.zeros(2), np.zeros(1))
-        forcing_at = March(sys_t, 0.0).mean_forcing(args[:1], *args[1:3])  # the mean over one time
+        forcing_at = March(sys_t, 0.0).mean_forcing(frame_pairs(sys_t, args[:1]), *args[1:3])  # one time
         assert norm_inf(np.array(forcing_at) - f(*at_rest)) <= 1e-12
 
     def test_velocity_drift_cancellation(self):
@@ -199,7 +199,7 @@ def frame_system(a_path, b_path):
 
 def pull_back(sys_t, t, xi, eta):
     # (x, y, xdot, ydot) of a first-order frame node, by the march's emitted records
-    return node_records(March(sys_t, 0.0), [(t, list(xi), list(eta))])[0][1:5]
+    return node_records(March(sys_t, 0.0), [(t, list(xi), list(eta), fixed_frame_at(sys_t, t))])[0][1:5]
 
 
 def pull_back_nodes(sys_t, times, xi, eta):
@@ -239,7 +239,7 @@ class TestPullBack:
         sys_t = frame_system(path_fixture("rot2"), path_fixture("rot2cw"))
         for t in np.linspace(0, 2 * np.pi, 17):
             x, y = rng.normal(size=2), rng.normal(size=2)
-            xi, eta, xid = sys_t.push_forward(t, x, y)
+            xi, eta, xid = sys_t.push_forward(fixed_frame_at(sys_t, t), x, y)
             assert xid is None
             x2, y2, _, _ = pull_back(sys_t, t, xi, eta)
             assert norm_inf(x2 - x) <= 1e-12
@@ -254,7 +254,7 @@ class TestPullBack:
         for t in np.linspace(0, prob.period, 7):
             x, xdot = rng.normal(size=prob.m), rng.normal(size=prob.m)
             y, ydot = rng.normal(size=prob.s), rng.normal(size=prob.s)
-            xi, eta, xid = sys_t.push_forward(t, x, y, xdot)
+            xi, eta, xid = sys_t.push_forward(fixed_frame_at(sys_t, t), x, y, xdot)
             etad = prob.B(t, 1) @ y + prob.B(t) @ ydot
             x2, y2, xd2, yd2 = frame_node(sys_t, t, xi, eta, xid, etad)[1]
             for got, want in ((x2, x), (y2, y), (xd2, xdot), (yd2, ydot)):
@@ -293,7 +293,7 @@ class TestDispatch:
         with pytest.raises(TypeError):
             replace(sys_t, f=prob.f)
         z = np.array([0.3, 0.1, 0.2])
-        forcing_at = lambda: March(sys_t, 0.0).mean_forcing((0.5,), [0.3, 0.1], [0.2])
+        forcing_at = lambda: March(sys_t, 0.0).mean_forcing(frame_pairs(sys_t, [0.5]), [0.3, 0.1], [0.2])
         before = forcing_at(), candidate_map(sys_t)(z)
         f, g = prob.f, prob.g
         prob.f, prob.g = (lambda *args: 2.0 * f(*args)), (lambda p, q: 2.0 * g(p, q))
@@ -404,13 +404,16 @@ class TestFrameFunction:
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_problem_and_system_read_the_emitted_function(self, fixed, path_calls):
+        # a raw march's frame at one time, a system's grid of one step
+        # (times 0, 0.3, 0.6)
         prob = load_fixture("rotating_surface_2nd")
-        stepper = March(fixed_frame(prob) if fixed else prob, 0.5)
+        sys_t = fixed_frame(prob)
+        stepper = March(prob, 0.5)
         del path_calls[:]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(MatrixPath, "__call__", None)  # any numpy path call fails
-            entries = stepper.frame(0.3)
-        assert path_calls == [prob.A, prob.B, prob.A, prob.B]
+            entries = sys_t.frame_grid(0.6, 1)[1][1] if fixed else stepper.frame(0.3)
+        assert path_calls == [prob.A, prob.B, prob.A, prob.B] * (3 if fixed else 1)
         assert entries == kernel._numpy_frames(prob.A, prob.B, 2, fixed)(0.3)
 
     def test_fd_problem_takes_the_numpy_route(self):
@@ -424,7 +427,8 @@ class TestFrameFunction:
             traj = integrate(model, 0.5, x0, h=prob.period / 16, mode=mode)
             assert np.isfinite(traj.x).all()
             want = kernel._numpy_frames(prob.A, prob.B, 2, mode == "fixed")(0.25)
-            assert March(model, 0.5).frame(0.25) == want
+            got = model.frame_grid(0.5, 1)[1][1] if mode == "fixed" else March(model, 0.5).frame(0.25)
+            assert got == want
 
     def test_python_callable_path_takes_the_numpy_route(self, path_calls):
         prob = load_fixture("rotating_surface")
@@ -433,21 +437,29 @@ class TestFrameFunction:
                             d1=lambda t: rotation(t) @ J, name="A")
         sys_t = fixed_frame(prob)
         del path_calls[:]
-        entries = sys_t.frame_entries(0.4)
-        assert path_calls == [prob.A, prob.B]
-        assert entries == tuple(rotation(0.4).ravel().tolist()) + (1.0,)
+        times, frames = sys_t.frame_grid(0.8, 1)
+        assert times[1] == 0.4 and path_calls == [prob.A, prob.B] * 3
+        assert frames[1] == tuple(rotation(0.4).ravel().tolist()) + (1.0,)
         traj = integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="raw")
         assert np.isfinite(traj.x).all()
 
     def test_replaced_path_is_read(self):
         # a raw march reads the paths its problem has when it is made, and
-        # a system's table reads them at each time it fills
+        # a system's grid those it has when the grid is asked for: every
+        # frame of a grid asked for after B is replaced, and every node of a
+        # march on it, reads the new B
         prob = load_fixture("rotating_surface")
         sys_t = fixed_frame(prob)
-        assert March(prob, 0.5).frame(0.0) == sys_t.frame_entries(0.0) == (1.0, -0.0, 0.0, 1.0, 1.0)
+        h = prob.period / 16
+        times, frames = sys_t.frame_grid(h, 16)
+        assert March(prob, 0.5).frame(0.0) == frames[0] == (1.0, -0.0, 0.0, 1.0, 1.0)
+        assert {frame[-1] for frame in frames} == {1.0}
         prob.B = path([["2"]], "B")
         assert March(prob, 0.5).frame(0.0) == (1.0, -0.0, 0.0, 1.0, 2.0)
-        assert sys_t.frame_entries(0.0)[-1] == 1.0 and sys_t.frame_entries(0.5)[-1] == 2.0
+        again, replaced = sys_t.frame_grid(h, 16)
+        assert again == times and {frame[-1] for frame in replaced} == {2.0}
+        nodes, _ = March(sys_t, 0.5).march([0.3, 0.1], [0.0], h, 16)
+        assert {frame[-1] for *_, frame in nodes} == {2.0}
 
     @pytest.mark.parametrize("order, fixed", [(1, False), (2, False), (2, True)])
     @pytest.mark.parametrize("entry, t, error", [
