@@ -215,7 +215,7 @@ def _resolve(source: str):
 
 def _frame_audit(problem, grid, tol=None, samples=None):
     # frame_audit of the problem's A on the stacks the transform's audit
-    # reads (one fill of the raw order-2 frame function of its paths, or
+    # reads (one call of the raw order-2 frame function of its paths, or
     # the caller's samples of it at grid), which give the path's bits
     _, a, _, da, _ = _frame_samples(problem, grid) if samples is None else samples
     return frame_audit(problem.A, grid, tol, stacks=(a, da))
@@ -250,7 +250,7 @@ def cmd_check(args) -> int:
             probes = [np.resize(probe, 2 * report.rank)
                       for probe in ([0.7, -0.3, 0.2, 0.5], [1.0, 1.0, 1.0, 0.0], [0.0])]
             reference = fixtures.AVERAGED_MAP_REFERENCES.get(payload.name)
-            # one fill at --grid, which is the transform's when it is the
+            # one set of samples at --grid, which is the transform's when it is the
             # default; the reduced frame may fail the audit, and the map is
             # reported anyway
             samples = _frame_samples(reduced, args.grid)

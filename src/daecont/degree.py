@@ -444,7 +444,7 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
     m = sys.m
     mean_forcing = March(sys, 0.0).mean_forcing
     times = [k * sys.period / quad_n for k in range(quad_n)]
-    pairs = list(zip(times, frame_function(sys.A, sys.B, sys.order, fixed=True).fill(times)))
+    pairs = list(zip(times, frame_function(sys.A, sys.B, sys.order, fixed=True)(times)))
 
     def omega(z):
         z = np.asarray(z, dtype=float)

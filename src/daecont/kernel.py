@@ -77,17 +77,17 @@ function does and raise its :class:`NonfiniteResultError` on a failed
 evaluation, so inlined and called models give the same bits and errors.
 Any other model (a Python callable, or a derivative that the problem
 forms by differences) is called through an adapter that passes numpy
-arrays and returns a flat list.  The frame is one flat tuple of floats
-per march time.  A raw march calls the raw frame function of its
-problem's paths at each step and midpoint time; a fixed-frame march reads
-the frames of its grid, which its system fills in one call (see
-:meth:`~daecont.transform.TransformedSystem.frame_grid`), and each of its
-nodes carries its frame to the records.  Those tuples come from
-:func:`frame_function`, emitted here too: straight-line code over the
+arrays and returns a flat list.  A march reads the frames (one flat
+tuple of floats per time) of its ``2N + 1`` times (:func:`march_times`)
+from one iterator in either coordinates: raw, the frame function of its
+problem's paths runs on the times as it steps; in the frame, they are
+the grid its system keeps (see
+:meth:`~daecont.transform.TransformedSystem.frame_grid`), and each node
+carries its frame to the records.  :func:`frame_function` is emitted
+here too: one loop over the times of straight-line code over the
 fragments of the paths' value and derivative functions, with their
 finiteness test and, for the fixed frame's ``d(B^-1)``, the march's
-solves (paths without fragments keep their numpy values), once for one
-time and once as ``fill``, a loop over a list of times.  A sensitivity
+solves (paths without fragments keep their numpy values).  A sensitivity
 march (fixed frame only) carries the derivative of the state with
 respect to ``(lam, state0)`` in the rows after row 0, which is the plain
 march's arithmetic, bit for bit (see :mod:`daecont.periodic`).
@@ -96,14 +96,14 @@ A kernel is emitted and compiled at the first march, start solve or
 averaged map that needs it, never at set-up, and kept in a bounded cache
 keyed by what its source is emitted from: the problem's shape, the march
 kind and the fragments, so that every parse of one problem shares one
-kernel.  Its source is 165 to 416 lines on the fixtures.  One entry
+kernel.  Its source is 166 to 416 lines on the fixtures.  One entry
 keeps the compiled code of its build function, 8 to 23 KB on the
 fixtures (measured with tracemalloc as what compiling and running the
 build source leaves allocated: 14 KB for the sensitivity kernel of
-``rotating_surface``, 23 KB for that of ``rotating_surface_2nd``), and the
-fragments of its key with their trees, a few KB more; compiling one
-peaks at 1.6 MB.  Frame functions are emitted at their first use, a few
-hundred bytes of source each, and cached the same way.
+``rotating_surface``, 23 KB for that of ``rotating_surface_2nd``), and
+the fragments of its key with their trees, a few KB more; compiling one
+peaks at 1.6 MB.  Frame functions (0.7 to 2.8 KB of source each) are
+emitted at their first use and cached the same way.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ from .linalg import PIVOT_REL, solve_linear
 from .paths import inverse_derivative
 from .transform import TransformedSystem
 
-__all__ = ["March", "frame_function", "model_errors", "CONSTRAINT_SOLVE_TOL", "CONSTRAINT_SOLVE_MAX_ITER"]
+__all__ = ["March", "frame_function", "march_times", "model_errors", "CONSTRAINT_SOLVE_TOL", "CONSTRAINT_SOLVE_MAX_ITER"]
 
 CONSTRAINT_SOLVE_TOL = 1e-12
 CONSTRAINT_SOLVE_MAX_ITER = 40
@@ -167,9 +167,9 @@ class March:
     (``n = order * m``).  The algebraic block is a sequence of ``s``
     floats, ``eta`` in the frame and ``y`` raw.
 
-    Raw, ``frame(t)`` is the flat frame at ``t``, :func:`frame_function`
-    of the problem's paths at its order, which every solve and stage reads
-    and which keeps nothing.  A fixed-frame march has no ``frame``: it
+    A march reads its frames from one iterator.  Raw, ``frames`` is
+    :func:`frame_function` of the problem's paths at its order, run on the
+    march's times as it steps, so nothing is kept.  A fixed-frame march
     reads its system's ``frame_grid``, its nodes carry their frames to
     :meth:`records`, and :meth:`mean_forcing` is given its frames.
 
@@ -191,20 +191,19 @@ class March:
         drifts = [np.zeros(model.m**2).tolist() if d is None
                   else np.asarray(d, dtype=float).ravel().tolist() for d in drifts]
         self.m = model.m
-        self.frame = frame_function(model.A, model.B, model.order) if self.raw else None
+        self.frames = frame_function(model.A, model.B, model.order) if self.raw else None
         self.grid = None if self.raw else model.frame_grid
-        self._resolve, self._march, self._records, self._forcing = build(
-            *functions, self.frame, *drifts, float(lam))
+        self._resolve, self._march, self._records, self._forcing = build(*functions, *drifts, float(lam))
 
     @model_errors
     def resolve(self, t, state, eta_guess) -> tuple:
         """The algebraic block at ``state``'s positions, from ``eta_guess``.
 
         In the frame it solves ``g(xi, eta) = 0`` for ``eta``; raw it solves
-        ``g(A(t) x, B(t) y) = 0`` for ``y`` on the frame ``frame(t)``.  The
+        ``g(A(t) x, B(t) y) = 0`` for ``y`` on the frame at ``t``.  The
         Newton's rules and errors are the march's (see :func:`_newton`).
         """
-        frame = (self.frame(t),) if self.raw else ()
+        frame = (next(self.frames((t,))),) if self.raw else ()
         return self._resolve(t, *frame, *state[: self.m], *eta_guess)
 
     def mean_forcing(self, pairs, xi, eta) -> tuple:
@@ -229,15 +228,15 @@ class March:
         ``nodes`` holds every node, start first: ``(t, state, eta, frame)``
         in the frame (the state's row 0, and the node's fixed frame), and
         ``(t, x, y, xdot, ydot)`` raw.  ``end`` is the whole end state.  A
-        stage whose constraint solve fails ends the march with its error.  A
-        raw march calls ``frame`` at each step and midpoint time; a
-        fixed-frame one first asks its system for the frames of all of them
-        (see :meth:`~daecont.transform.TransformedSystem.frame_grid`), so a
-        frame that fails raises before the first step.
+        stage whose constraint solve fails ends the march with its error.
+        A step reads its midpoint and end frames when it starts (raw, from
+        ``frames`` on :func:`march_times`, so no later frame is read); a
+        fixed-frame march first asks its system for all of them (see
+        :meth:`~daecont.transform.TransformedSystem.frame_grid`).
         """
         h = float(h)
-        steps = nsteps if self.raw else self.grid(h, nsteps)[1]
-        return self._march(0.0, h, steps, *state, *eta)
+        frames = self.frames(march_times(h, nsteps)) if self.raw else self.grid(h, nsteps)[1]
+        return self._march(0.0, h, frames, *state, *eta)
 
     @model_errors
     def records(self, nodes) -> tuple:
@@ -286,25 +285,24 @@ def _build(order, m, s, sensitivity, raw, inlined):
 
 
 def frame_function(a_path, b_path, order: int, fixed: bool = False):
-    """``t -> tuple``: the frame of the paths at ``t``, one flat tuple of floats.
+    """``frames(times)``: a generator of the frames of the paths at ``times``.
 
-    The entries of ``A(t)`` and ``B(t)`` and, for order 2, of ``dA(t)`` and
-    of ``dB(t)``, or with ``fixed`` of the derivative ``-B^-1 dB B^-1`` of
-    ``B(t)^-1``, each matrix row by row: the frame a raw march and the
-    transform's audit (``fixed`` false) or a fixed-frame system's grid
-    reads.  The function carries ``fill(times)``, the list of the frames at
-    ``times`` from one call: ``[frames(t) for t in times]``, bit for bit,
-    whose first failing time raises its error.  The caller keeps the
-    function it needs.  Paths compiled from trees get emitted
-    straight-line code over their fragments, kept in a bounded cache keyed
-    by them, in which each distinct call on the time alone (``cos(t)``)
-    runs once per time.  It gives the bits of the paths' numpy values and
-    of :func:`~daecont.paths.inverse_derivative` (by the march's
-    closed-form solves), and their errors: a failed evaluation raises the
-    compiled function's :class:`NonfiniteResultError`, a non-finite entry
-    :class:`EvaluationError` naming the path, and with ``fixed`` a
-    singular ``B`` :class:`SingularMatrixError`.  Other paths (Python
-    callables, differenced derivatives) are called as arrays, time by time.
+    A frame is one flat tuple of floats: the entries of ``A(t)`` and
+    ``B(t)`` and, for order 2, of ``dA(t)`` and of ``dB(t)``, or with
+    ``fixed`` of the derivative ``-B^-1 dB B^-1`` of ``B(t)^-1``, each
+    matrix row by row, as a raw march and the transform's audit (``fixed``
+    false) or a fixed-frame system's grid reads it.  Each time is read when
+    its frame is asked for, so the first failing time raises its error and
+    no later one is read; one time's frame is ``next(frames((t,)))``.  Paths
+    compiled from trees get one emitted loop over the times, cached by their
+    fragments, in which each distinct call on the time alone (``cos(t)``)
+    runs once per time.  It gives the bits of the paths' numpy values and of
+    :func:`~daecont.paths.inverse_derivative` (by the march's closed-form
+    solves), and their errors: a failed evaluation raises the compiled
+    function's :class:`NonfiniteResultError`, a non-finite entry
+    :class:`EvaluationError` naming the path, and with ``fixed`` a singular
+    ``B`` :class:`SingularMatrixError`.  Other paths (Python callables,
+    differenced derivatives) are called as arrays, time by time.
     """
     fixed = bool(fixed) and order == 2
     fragments = _frame_fragments(a_path, b_path, order)
@@ -314,6 +312,16 @@ def frame_function(a_path, b_path, order: int, fixed: bool = False):
     return build(a_path.name or "<anonymous>", b_path.name or "<anonymous>")
 
 
+def march_times(h, nsteps):
+    """A march's ``2 nsteps + 1`` times: 0, then each step's midpoint and end, summed as it steps."""
+    t, hh = 0.0, 0.5 * h
+    yield t
+    for _ in range(nsteps):
+        yield t + hh
+        t = t + h
+        yield t
+
+
 def _frame_fragments(a_path, b_path, order):
     # the fragments of A and B and, for order 2, of dA and dB; None unless all have them
     fragments = tuple(path.fragments(k) for k in range(order) for path in (a_path, b_path))
@@ -321,15 +329,15 @@ def _frame_fragments(a_path, b_path, order):
 
 
 def _numpy_frames(a_path, b_path, order, fixed):
-    # the frame of paths without fragments, from their arrays
-    def frames(t):
-        mats = (a_path(t), b_path(t))
-        if order == 2:
-            da, db = a_path(t, 1), b_path(t, 1)
-            mats += (da, inverse_derivative(mats[1], db) if fixed else db)
-        return tuple(np.concatenate([x.ravel() for x in mats]).tolist())
+    # the frames of paths without fragments, from their arrays
+    def frames(times):
+        for t in times:
+            mats = (a_path(t), b_path(t))
+            if order == 2:
+                da, db = a_path(t, 1), b_path(t, 1)
+                mats += (da, inverse_derivative(mats[1], db) if fixed else db)
+            yield tuple(np.concatenate([x.ravel() for x in mats]).tolist())
 
-    frames.fill = lambda times: [frames(t) for t in times]
     return frames
 
 
@@ -343,11 +351,10 @@ def _frame_build(m, s, fixed, fragments):
 
 
 def _emit_frames(m, s, fixed, fragments):
-    # The source of a frame function's build: each matrix (A, B, dA, dB) by
-    # its fragments, then MatrixPath's finiteness test of it, in the order
-    # the numpy route evaluates them; d(B^-1) as inverse_derivative solves
-    # it, X = solve(B, dB) and then -solve(B.T, X.T).T.  frames(t) runs
-    # these lines once, and its fill(times) once per time in one loop.
+    # The source of a frame function's build, one loop over the times: each
+    # matrix (A, B, dA, dB) by its fragments, then MatrixPath's finiteness
+    # test of it, in the order the numpy route evaluates them; d(B^-1) as
+    # inverse_derivative solves it, X = solve(B, dB), -solve(B.T, X.T).T.
     mats = [_mat(name, dim, dim) for name, dim in zip(("A", "B", "dA", "dB"), (m, s, m, s))]
     mats = mats[: len(fragments)]
     body = ["t = float(t)"]
@@ -365,16 +372,10 @@ def _emit_frames(m, s, fixed, fragments):
         body += factor + apply
         mats[3] = [[f"(-{v})" for v in row] for row in y]
     body, entries = _once_per_time(body), f"({_unrolled(sum(sum(mats, []), []))})"
-    return "\n".join(["def build(a_name, b_name):", "    def frames(t):",
-                      *(f"        {line}" for line in body),
-                      f"        return {entries}",
-                      "    def fill(times):",
-                      "        out = []",
+    return "\n".join(["def build(a_name, b_name):", "    def frames(times):",
                       "        for t in times:",
                       *(f"            {line}" for line in body),
-                      f"            out.append({entries})",
-                      "        return out",
-                      "    frames.fill = fill",
+                      f"            yield {entries}",
                       "    return frames", ""])
 
 
@@ -850,7 +851,7 @@ def _emit(models, order, m, s, sensitivity, raw):
     sums = [f"ks{r}_{i}" for r in range(rows) for i in range(n)]
     d0 = _unrolled(sum(_mat("D0_", m, m), []))
     d1 = _unrolled(sum(_mat("D1_", m, m), []))
-    src = [f"def build(f, df, g, d1g, d2g, dgdot, frame, D0, D1, lam):",
+    src = ["def build(f, df, g, d1g, d2g, dgdot, D0, D1, lam):",
            f"    {d0} = D0"]
     if order == 2:
         src.append(f"    {d1} = D1")
@@ -919,34 +920,33 @@ def _emit(models, order, m, s, sensitivity, raw):
     velocities = (f"{tup(_vec('u', m))}, {tup(_vec('ed', s))}" if order == 2 else "None, None")
     node = f"(t, {tup(xis)}, {tup(q)}, {velocities})" if raw else f"(t, {tup(inputs[:n])}, {tup(q)}, fr)"
     entries = list(zip(state, inputs, rates, sums))
-    # a raw march calls its frame function at each time, a fixed-frame one
-    # reads its grid's frames (see March.march) in order
-    frame_at = (lambda time: f"frame({time})") if raw else (lambda time: f"fr_{time}")
+    # fr_mid and fr_end, a step's frames, come from the march's one iterator
     advance = ["if stage == 4:",
                *(f"    {v} = {x} = {v} + h6*({acc} + {k})" for v, x, k, acc in entries),
                "    break",
                "if stage == 1:", *(f"    {acc} = {k}" for _, _, k, acc in entries),
                "    t = mid",
-               f"    fr = {frame_at('mid')}",
+               "    fr = fr_mid",
                "else:", *(f"    {acc} = {acc} + 2.0*{k}" for _, _, k, acc in entries),
                "    if stage == 3:",
                "        t = end",
-               f"        fr = {frame_at('end')}",
+               "        fr = fr_end",
                *(f"{x} = {v} + c*{k}" for v, x, k, _ in entries)]
     stage = _stage(models, order, m, s, sensitivity, raw).lines
     first = ["first = True"] if any(level == MARCH for level, _ in stage) else []
-    src += [f"    def march(t, h, {'nsteps' if raw else 'grid'}, {', '.join(state + q)}):",
+    src += [f"    def march(t, h, frames, {', '.join(state + q)}):",
             "        hh = 0.5 * h",
             "        h6 = h / 6.0",
             "        stages = ((1, hh), (2, hh), (3, h), (4, None))",
-            *(["        fr = frame(t)"] if raw else ["        grid = iter(grid)", "        fr = next(grid)"]),
+            "        frames = iter(frames)",
+            "        fr = next(frames)",
             *(f"        {line}" for line in
               [f"{_unrolled(inputs)} = {_unrolled(state)}"] + ([unpack] if node_rate else []) + node_rate),
             f"        nodes = [{node}]",
             "        append = nodes.append",
             "        t_seen = None",
             *(f"        {line}" for line in first),
-            "        for _ in range(nsteps):" if raw else "        for fr_mid, fr_end in zip(grid, grid):",
+            "        for fr_mid, fr_end in zip(frames, frames):",
             "            mid = t + hh",
             "            end = t + h",
             "            for stage, c in stages:",

@@ -37,19 +37,19 @@ own, and its constraint residual comes with the nodes' records.
 
 Every march, raw or fixed-frame, plain or sensitivity, runs on Python
 floats in code emitted per problem (:mod:`daecont.kernel`), and the
-model it is given picks the coordinates.  A march reads the frame at
-each step and midpoint time.  A fixed-frame march first asks its system
-for the frames of those ``2N + 1`` times (see :mod:`daecont.transform`),
-which the system fills in one call and keeps until another grid is
-asked for: a shooting runner keeps one system, and with it one grid, for
-all the marches of a branch (the trivial pair fills it and records its
-nodes on its frames), and each fixed-frame node carries its frame to the
-records.  A raw march evaluates its problem's raw frame function
-(:func:`~daecont.kernel.frame_function`, the march's ``frame``) at each
-of its times, records each node right after its solve, from that frame,
-and keeps nothing; before it marches, ``integrate`` tests ``B`` on the
-audit grid through one fill of a raw frame function.  In both modes
-``integrate`` checks a given algebraic start on the raw frame at 0.
+model it is given picks the coordinates.  A march reads the frames of
+its ``2N + 1`` step and midpoint times from one iterator.  A fixed-frame
+march first asks its system for them (see :mod:`daecont.transform`),
+which the system keeps until another grid is asked for: a shooting
+runner keeps one system, and with it one grid, for all the marches of a
+branch (the trivial pair fills it and records its nodes on its frames),
+and each fixed-frame node carries its frame to the records.  A raw march
+runs its problem's raw frame function
+(:func:`~daecont.kernel.frame_function`) on its times as it steps,
+records each node right after its solve, from its frame, and keeps
+nothing; before it marches, ``integrate`` tests ``B`` on the audit grid
+through one call of a raw frame function.  In both modes ``integrate``
+checks a given algebraic start on the raw frame at 0.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def integrate(
         _check_invertible(b, times)
     if y0 is not None:
         y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        a0, b0 = _matrices(frames(0.0), (prob.m, prob.s))
+        a0, b0 = _matrices(next(frames((0.0,))), (prob.m, prob.s))
         # a model error here leaves as the march's would
         start_residual = norm_inf(np.atleast_1d(model_errors(prob.g)(a0 @ x0, b0 @ y0)))
         if start_residual > 1e-8:

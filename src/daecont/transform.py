@@ -19,18 +19,17 @@ A(t).T xi``, ``y = B(t)^{-1} eta``, velocities included for order 2) and
 ``F`` are emitted code of :mod:`daecont.kernel`, which the marches and the
 averaged map run.  The frame depends on time alone, and the marches of a
 system visit the same times again and again, so a system keeps the frames
-of one march grid (:meth:`TransformedSystem.frame_grid`), filled by one
+of one march grid (:meth:`TransformedSystem.frame_grid`), read by one
 call and kept until a march asks for another grid or a path of the
 problem is replaced.
 
-Frames come from one function ``t -> tuple`` per pair of paths, order
-and coordinate system (:func:`~daecont.kernel.frame_function`), which
-carries ``fill(times)``, the frames of a list of times from one call:
-emitted float code for paths compiled from expression trees, the paths'
-numpy values otherwise.  No problem keeps one.  A system's grid is one
-fill of the fixed-frame function, a raw march binds the raw one (see
-:class:`~daecont.kernel.March`), and the transform's audit reads the raw
-order-2 frame ``(A, B, dA, dB)`` as stacks, one fill per set of times
+Frames come from one generator ``frames(times)`` per pair of paths, order
+and coordinate system (:func:`~daecont.kernel.frame_function`): emitted
+float code for paths compiled from expression trees, the paths' numpy
+values otherwise.  No problem keeps one.  A system's grid holds the
+fixed-frame function's frames, a raw march reads the raw one as it steps
+(see :class:`~daecont.kernel.March`), and the transform's audit reads the
+raw order-2 frame ``(A, B, dA, dB)`` as stacks, one call per set of times
 (the audit grid, which ``check`` hands over from its own audit at the
 default grid; for periodicity, ``t`` and ``t + T``): orthogonality and
 constancy of ``A``, periodicity of ``A`` and ``B``, drifts that commute
@@ -40,6 +39,7 @@ one stacked test (:func:`~daecont.linalg.solve_stacked`'s pivot flags).
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -189,12 +189,12 @@ def _matrices(entries, dims) -> tuple:
 def _frame_samples(prob, grid=DEFAULT_GRID, times=None, frames=None) -> tuple:
     # (times, A, B[, dA, dB]): the matrices of a flat frame function of the
     # problem's paths (by default the raw order-2 one) as stacks at times
-    # (by default the audit grid of grid nodes), from one fill
+    # (by default the audit grid of grid nodes), read as one float stream
     from . import kernel  # kernel imports this module
 
     times = _grid_times(prob.A, grid) if times is None else times
     frames = kernel.frame_function(prob.A, prob.B, 2) if frames is None else frames
-    entries = np.array(frames.fill(times))
+    entries = np.fromiter(itertools.chain.from_iterable(frames(times)), float).reshape(len(times), -1)
     dims = (prob.A.dim, prob.B.dim)
     return (times, *_matrices(entries, dims * (entries.shape[-1] // sum(d * d for d in dims))))
 
@@ -218,8 +218,7 @@ def _check_frame(prob, audit):
         raise HypothesisViolatedError(
             f"frame product is not constant: residual {audit.right_constancy:.3e} > {audit.tol:.1e}"
         )
-    # A's and B's periodicity read one fill, at both paths' times when
-    # their periods differ
+    # A's and B's periodicity read one call, at both paths' times if their periods differ
     ta, tb = prob.A.periodicity_times(), prob.B.periodicity_times()
     _, a, b = _frame_samples(prob, times=ta if np.array_equal(ta, tb) else np.concatenate([ta, tb]))[:3]
     for path, values, label in ((prob.A, a[: len(ta)], "A"), (prob.B, b[-len(tb) :], "B")):
@@ -266,26 +265,22 @@ class TransformedSystem:
     def frame_grid(self, h: float, nsteps: int) -> tuple:
         """``(times, frames)`` of a march of ``nsteps`` steps of size ``h`` from 0.
 
-        The ``2 nsteps + 1`` times are the running sum a march steps by,
-        ``t + h/2``, ``t + h``: each step's midpoint and end.  Each frame is
-        one flat tuple of floats, the entries of ``A(t)`` and ``B(t)`` and,
-        for order 2, of ``dA(t)`` and the derivative of ``B(t)^-1``, each
-        matrix row by row, from one ``fill`` of the fixed-frame function of
-        the problem's paths (see :func:`~daecont.kernel.frame_function`),
-        whose first failing time raises.  The grid is kept, keyed by the
-        paths, ``h`` and ``nsteps``: a replaced path or another grid fills
-        anew.
+        The ``2 nsteps + 1`` times are the running sum a march steps by, ``t
+        + h/2``, ``t + h``: each step's midpoint and end.  Each frame is one
+        flat tuple of floats, the entries of ``A(t)`` and ``B(t)`` and, for
+        order 2, of ``dA(t)`` and the derivative of ``B(t)^-1``, each matrix
+        row by row, by the fixed-frame function of the problem's paths (see
+        :func:`~daecont.kernel.frame_function`), whose first failing time
+        raises.  The grid is kept, keyed by the paths, ``h`` and ``nsteps``:
+        a replaced path or another grid is read anew.
         """
         key = (self.A, self.B, h, nsteps)
         if self._grid is None or self._grid[0] != key:
             from . import kernel  # kernel imports this module
 
-            times, t, hh = [0.0], 0.0, 0.5 * h
-            for _ in range(nsteps):
-                times += (t + hh, t + h)
-                t = times[-1]
-            fill = kernel.frame_function(self.A, self.B, self.order, fixed=True).fill
-            self._grid = (key, times, fill(times))
+            times = list(kernel.march_times(h, nsteps))
+            frames = kernel.frame_function(self.A, self.B, self.order, fixed=True)
+            self._grid = (key, times, list(frames(times)))
         return self._grid[1:]
 
     def push_forward(self, frame, x, y, xdot=None):
@@ -367,7 +362,9 @@ def fixed_frame_first(prob: DaeProblem1, *, validate: bool = True) -> Transforme
     periodicity, commutation of ``H``) unless ``validate=False``; the
     audited grid mean ``M`` feeds the drift ``D0 = H - M``.
     """
-    return _transform(prob, validate, ("H",), _drifts_first)
+    if prob.order != 1:
+        raise ValueError(f"fixed_frame_first needs an order-1 problem, got order {prob.order}")
+    return _fixed_frame(prob, validate)
 
 
 def fixed_frame_second(prob: DaeProblem2, *, validate: bool = True) -> TransformedSystem:
@@ -377,7 +374,9 @@ def fixed_frame_second(prob: DaeProblem2, *, validate: bool = True) -> Transform
     with constant product equals ``M^2``, which is what the drift
     formulas use: ``D0 = H1 M + H2 - M^2`` and ``D1 = H1 - 2M``.
     """
-    return _transform(prob, validate, ("H1", "H2"), _drifts_second)
+    if prob.order != 2:
+        raise ValueError(f"fixed_frame_second needs an order-2 problem, got order {prob.order}")
+    return _fixed_frame(prob, validate)
 
 
 def c_frame_drifts(c_path: MatrixPath):

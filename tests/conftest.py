@@ -22,7 +22,7 @@ def _count_frames(monkeypatch, record):
     # differenced sample of it) or at each node of a stack, each node of an
     # exponential frame's stack (one exponential for all its orders), or
     # each matrix that an emitted frame function evaluates (A and B, for
-    # order 2 their rates too), at one time or at each time of a fill.
+    # order 2 their rates too) at each time it reads.
     at, gather, stack = MatrixPath._at, MatrixPath._gather, MatrixPath.stack
     make = kernel.frame_function
 
@@ -47,19 +47,14 @@ def _count_frames(monkeypatch, record):
             return frames  # the numpy route, which calls the paths
         paths = (a_path, b_path) * order
 
-        def counted_frames(t):
-            for path in paths:
-                record(path, t)
-            return frames(t)
-
-        def counted_fill(times):
+        def recorded(times):
+            # each time as the frame function reads it, before its frame
             for t in times:
                 for path in paths:
                     record(path, t)
-            return frames.fill(times)
+                yield t
 
-        counted_frames.fill = counted_fill
-        return counted_frames
+        return lambda times: frames(recorded(times))
 
     monkeypatch.setattr(MatrixPath, "_at", counted_at)
     monkeypatch.setattr(MatrixPath, "_gather", counted_gather)

@@ -152,14 +152,14 @@ def solve_constraint(g, jac, q0):
 
 def fixed_frame_at(sys, t):
     """The flat fixed frame of a system's paths at ``t``, as its grid holds
-    it: one call of the fixed-frame function, which keeps nothing."""
-    return frame_function(sys.A, sys.B, sys.order, fixed=True)(t)
+    it: the fixed-frame function at one time, which keeps nothing."""
+    return next(frame_function(sys.A, sys.B, sys.order, fixed=True)((t,)))
 
 
 def frame_pairs(sys, times):
     """The ``(t, frame)`` pairs of a system's fixed frames at ``times``, from
-    one fill, as :meth:`~daecont.kernel.March.mean_forcing` reads them."""
-    return list(zip(times, frame_function(sys.A, sys.B, sys.order, fixed=True).fill(times)))
+    one call, as :meth:`~daecont.kernel.March.mean_forcing` reads them."""
+    return list(zip(times, frame_function(sys.A, sys.B, sys.order, fixed=True)(times)))
 
 
 def frame_node(sys, t, xi, eta, xid=None, etad=None):

@@ -19,7 +19,7 @@ from daecont.errors import (
 from daecont.fixtures import load_fixture, problem_text
 from daecont.linalg import NewtonConfig, newton_solve, norm_inf, quadrature_periodic
 from daecont.paths import MatrixPath
-from daecont.probfile import build_problem, parse_problem
+from daecont.probfile import build_problem, expr_path, parse_problem
 from daecont.semilinear import reduce_semilinear
 from daecont.periodic import (
     branch_seeds,
@@ -621,31 +621,32 @@ class TestFrameGrid:
         assert len(path_calls) == 2 * (2 * 16 + 1)
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd", "semilinear_4x4"])
-    def test_one_fill_per_grid(self, name, monkeypatch, path_times):
-        # the grid's times are filled in one call, in march order, by a
-        # function that has no per-time call, and the marches read the grid
+    def test_one_call_per_grid(self, name, monkeypatch, path_times):
+        # the grid's times are read by one call of the frame function, in
+        # march order, and the marches read the grid
         prob = load_fixture(name)
         runner = periodic._ShootingRunner(reduce_semilinear(prob) if name == "semilinear_4x4" else prob, 16)
-        sys, fills, make = runner.sys, [], kernel.frame_function
+        sys, calls, make = runner.sys, [], kernel.frame_function
 
-        class FillOnly:
-            def __init__(self, *args, **kwargs):
-                self.made = make(*args, **kwargs)
+        def counted(*args, **kwargs):
+            frames = make(*args, **kwargs)
 
-            def fill(self, times):
-                fills.append(list(times))
-                return self.made.fill(times)
+            def called(times):
+                calls.append(times := list(times))
+                return frames(times)
 
-        monkeypatch.setattr(kernel, "frame_function", FillOnly)
+            return called
+
+        monkeypatch.setattr(kernel, "frame_function", counted)
         del path_times[:]
         times, frames = sys.frame_grid(runner.h, 16)
-        assert times == self.grid_times(runner.h, 16) and fills == [times]
+        assert times == self.grid_times(runner.h, 16) and calls == [times]
         assert path_times == [t for t in times for _ in range(2 * sys.order)]
         again = sys.frame_grid(runner.h, 16)
-        assert again[0] is times and again[1] is frames and len(fills) == 1
+        assert again[0] is times and again[1] is frames and len(calls) == 1
         nodes = plain_march(runner, 0.5, np.full(runner.state_dim, 0.1))[1]
         runner.linearize(0.5, np.full(runner.state_dim, 0.1))
-        assert [t for t, *_ in nodes] == times[::2] and len(fills) == 1
+        assert [t for t, *_ in nodes] == times[::2] and len(calls) == 1
 
     def test_another_grid_is_filled_anew(self, path_times):
         sys = periodic._ShootingRunner(load_fixture("rotating_surface"), 16).sys
@@ -706,12 +707,11 @@ class TestFrameGrid:
     @pytest.mark.parametrize("name, bound", [("rotating_surface", 1028),
                                              ("rotating_surface_2nd", 2056)])
     def test_raw_integration_evaluates_each_march_time_once(self, name, bound, path_calls):
-        # the raw stepper keeps the frame of the last time it saw: A and B
-        # (order 2: and their rates) once at each of the 2N + 1 march times,
-        # plus the start solve, which reads the frame at t = 0 (2
-        # evaluations for order 1, 4 for order 2); an order-2 node takes its
-        # rate right after its resolve, from the frame the resolve read;
-        # N = 256.
+        # the raw march reads A and B (order 2: and their rates) once at
+        # each of the 2N + 1 march times, plus the start solve, which reads
+        # the frame at t = 0 (2 evaluations for order 1, 4 for order 2); an
+        # order-2 node takes its rate right after its resolve, from the
+        # frame the resolve read; N = 256.
         # Before the march, the test of B samples the raw frame (A and B,
         # for order 2 their rates too) at the 64 audit-grid times.
         prob = load_fixture(name)
@@ -1192,15 +1192,23 @@ class TestNanResiduals:
 
 
 class TestKernelSize:
-    """The emitted source of every kernel of the problem fixtures, in lines:
-    a change of the emitter that unrolls or repeats code shows here."""
+    """The emitted source of every kernel and frame function of the problem
+    fixtures, in lines: a change of the emitter that unrolls or repeats
+    code shows here."""
 
     LINES = {  # raw, plain, sensitivity
-        "commuting_h": (174, 216, 268),
-        "rotating_surface": (174, 216, 267),
-        "rotating_surface_2nd": (237, 272, 416),
-        "scalar_linear": (165, 202, 220),
-        "semilinear_4x4": (225, 265, 331),
+        "commuting_h": (175, 216, 268),
+        "rotating_surface": (175, 216, 267),
+        "rotating_surface_2nd": (238, 272, 416),
+        "scalar_linear": (166, 202, 220),
+        "semilinear_4x4": (226, 265, 331),
+    }
+    FRAME_LINES = {  # raw, fixed frame at the problem's order
+        "commuting_h": (21, 21),
+        "rotating_surface": (21, 21),
+        "rotating_surface_2nd": (36, 42),
+        "scalar_linear": (18, 18),
+        "semilinear_4x4": (24, 24),
     }
 
     @pytest.mark.parametrize("name", sorted(LINES))
@@ -1212,6 +1220,14 @@ class TestKernelSize:
                              sensitivity, model is prob).splitlines())
             for model, sensitivity in ((prob, False), (sys, False), (sys, True)))
         assert sizes == self.LINES[name]
+
+    @pytest.mark.parametrize("name", sorted(FRAME_LINES))
+    def test_frame_source_lines(self, name):
+        prob = _shooting_problem(name)
+        fragments = kernel._frame_fragments(prob.A, prob.B, prob.order)
+        sizes = tuple(len(kernel._emit_frames(prob.m, prob.s, fixed and prob.order == 2, fragments).splitlines())
+                      for fixed in (False, True))
+        assert sizes == self.FRAME_LINES[name]
 
 
 class TestRawMarch:
@@ -1245,6 +1261,63 @@ class TestRawMarch:
             ref = np.array([node[column] for node in ref_nodes])
             assert norm_inf(np.array(got) - ref) <= tol * max(1.0, norm_inf(ref)), column
         assert norm_inf(np.array(end) - ref_end) <= tol * max(1.0, norm_inf(ref_end))
+
+
+class TestRawFrames:
+    """A raw march reads its frames from its frame function on the march's
+    times, as it steps: each step's midpoint and end frames when the step
+    starts, and no frame of a later step."""
+
+    @staticmethod
+    def problem(f=None):
+        # rotating_surface with A = diag(1/(t - 1), 1), which fails at t = 1:
+        # with h = 0.5 the end of the second step
+        prob = load_fixture("rotating_surface")
+        prob.A = expr_path([["1/(t - 1)", "0"], ["0", "1"]], prob.period, name="A")
+        if f is not None:
+            prob.f = f
+        return prob
+
+    @staticmethod
+    def raised(call):
+        with pytest.raises(DaecontError) as exc:
+            call()
+        return type(exc.value), str(exc.value)
+
+    def test_a_failing_end_frame_raises_before_its_step(self):
+        times, force = [], load_fixture("rotating_surface").f
+        stepper = periodic.March(self.problem(lambda t, x, y: (times.append(t), force(t, x, y))[1]), 0.5)
+        state = [0.3, 0.1]
+        eta = stepper.resolve(0.0, state, [0.0])
+        del times[:]
+        frame = self.raised(lambda: next(stepper.frames((1.0,))))
+        assert frame[0] is NonfiniteResultError
+        assert self.raised(lambda: stepper.march(state, eta, 0.5, 4)) == frame
+        assert times == [0.0, 0.25, 0.25, 0.5]  # the stages of the first step alone
+
+    def test_model_error_before_a_later_failing_frame(self):
+        # f overflows at the end of the first step, before the second
+        # step's frames, the first that fail, are read
+        force = load_fixture("rotating_surface").f
+        overflowing = lambda t, x, y: force(t, x, y) + 0.0 * math.exp(2000.0 * t)
+        stepper = periodic.March(self.problem(overflowing), 0.5)
+        state = [0.3, 0.1]
+        eta = stepper.resolve(0.0, state, [0.0])
+        assert self.raised(lambda: stepper.march(state, eta, 0.5, 4)) == (
+            EvaluationError, "model raised OverflowError: math range error")
+
+    @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
+    def test_each_march_time_is_read_once_in_order(self, name, path_times):
+        prob = load_fixture(name)
+        stepper = periodic.March(prob, 0.5)
+        state = [0.3, 0.1] + [0.0] * (prob.order - 1) * prob.m
+        eta = stepper.resolve(0.0, state, [0.0])
+        h = prob.period / 16
+        del path_times[:]
+        nodes, _ = stepper.march(state, eta, h, 16)
+        times = TestFrameGrid.grid_times(h, 16)
+        assert path_times == [t for t in times for _ in range(2 * prob.order)]
+        assert [t for t, *_ in nodes] == times[::2]
 
 
 class TestFloatConstraintNewton:

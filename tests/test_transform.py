@@ -22,6 +22,7 @@ from daecont.probfile import build_problem, expr_path, parse_problem
 from daecont.semilinear import SemiLinearDae, reduce_semilinear
 from daecont.transform import (
     DaeProblem1,
+    _frame_samples,
     c_frame_drifts,
     fixed_frame,
     fixed_frame_first,
@@ -124,8 +125,16 @@ class TestFixedFrameFirst:
             else:
                 fixed_frame_first(prob)
 
+    def test_second_order_problem_is_refused(self):
+        with pytest.raises(ValueError, match=r"^fixed_frame_first needs an order-1 problem, got order 2$"):
+            fixed_frame_first(load_fixture("rotating_surface_2nd"))
+
 
 class TestFixedFrameSecond:
+    def test_first_order_problem_is_refused(self):
+        with pytest.raises(ValueError, match=r"^fixed_frame_second needs an order-2 problem, got order 1$"):
+            fixed_frame_second(load_fixture("rotating_surface"))
+
     def test_rotating_second_order_drifts(self):
         prob = load_fixture("rotating_surface_2nd")
         sys_t = fixed_frame_second(prob)
@@ -368,10 +377,33 @@ def path(rows, name, period=2 * np.pi):
 ROTATION = [["cos(t)", "-sin(t)"], ["sin(t)", "cos(t)"]]
 
 
+def at(frames, t):
+    # the frame of a frame function at one time
+    return next(frames((t,)))
+
+
 def frame_error(frames, t):
     with pytest.raises(DaecontError) as exc:
-        frames(t)
+        at(frames, t)
     return type(exc.value), str(exc.value)
+
+
+def times_error(frames, times):
+    # the error of reading the frames at times, and how many were read before it
+    read = []
+    with pytest.raises(DaecontError) as exc:
+        for frame in frames(times):
+            read.append(frame)
+    return type(exc.value), str(exc.value), len(read)
+
+
+def one_by_one(frames):
+    # the frame function that reads each time by its own call
+    return lambda times: (at(frames, t) for t in times)
+
+
+# the kinds of iterable a frame function reads its times from
+TIME_KINDS = {"list": list, "array": np.array, "generator": lambda times: (t for t in times)}
 
 
 class TestFrameFunction:
@@ -379,17 +411,19 @@ class TestFrameFunction:
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     @pytest.mark.parametrize("fixed", [False, True])
-    def test_bits_equal_the_numpy_route(self, name, fixed):
+    @pytest.mark.parametrize("kind", sorted(TIME_KINDS))
+    def test_bits_equal_the_numpy_route(self, name, fixed, kind):
         prob = fixture_problem(name)
+        times = march_times(prob.period)
         # the problem's own order, and order 2 (the transform's audit) for order 1
         for order in sorted({prob.order, 2}):
             assert kernel._frame_fragments(prob.A, prob.B, order) is not None
-            emitted = kernel.frame_function(prob.A, prob.B, order, fixed)
+            emitted = list(kernel.frame_function(prob.A, prob.B, order, fixed)(TIME_KINDS[kind](times)))
             numpy_route = kernel._numpy_frames(prob.A, prob.B, order, fixed and order == 2)
-            for t in march_times(prob.period):
-                got, want = emitted(t), numpy_route(t)
-                assert {type(v) for v in got} == {float}
-                assert np.array(got).tobytes() == np.array(want).tobytes()
+            want = list(numpy_route(TIME_KINDS[kind](times)))
+            assert len(emitted) == len(want) == len(times)
+            assert {type(v) for frame in emitted for v in frame} == {float}
+            assert np.array(emitted).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("rows", [
         [["2 + cos(t)", "sin(t)"], ["t", "3 - sin(2*t)"]],
@@ -399,8 +433,8 @@ class TestFrameFunction:
     def test_bits_of_a_time_varying_b(self, rows):
         a, b = path(ROTATION, "A"), path(rows, "B")
         emitted, numpy_route = kernel.frame_function(a, b, 2, True), kernel._numpy_frames(a, b, 2, True)
-        for t in march_times(2 * np.pi, 16):
-            assert np.array(emitted(t)).tobytes() == np.array(numpy_route(t)).tobytes()
+        times = march_times(2 * np.pi, 16)
+        assert np.array(list(emitted(times))).tobytes() == np.array(list(numpy_route(times))).tobytes()
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_problem_and_system_read_the_emitted_function(self, fixed, path_calls):
@@ -412,9 +446,9 @@ class TestFrameFunction:
         del path_calls[:]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(MatrixPath, "__call__", None)  # any numpy path call fails
-            entries = sys_t.frame_grid(0.6, 1)[1][1] if fixed else stepper.frame(0.3)
+            entries = sys_t.frame_grid(0.6, 1)[1][1] if fixed else at(stepper.frames, 0.3)
         assert path_calls == [prob.A, prob.B, prob.A, prob.B] * (3 if fixed else 1)
-        assert entries == kernel._numpy_frames(prob.A, prob.B, 2, fixed)(0.3)
+        assert entries == at(kernel._numpy_frames(prob.A, prob.B, 2, fixed), 0.3)
 
     def test_fd_problem_takes_the_numpy_route(self):
         text = problem_text("rotating_surface_2nd").replace(
@@ -426,8 +460,8 @@ class TestFrameFunction:
         for mode, model in (("raw", prob), ("fixed", sys_t)):
             traj = integrate(model, 0.5, x0, h=prob.period / 16, mode=mode)
             assert np.isfinite(traj.x).all()
-            want = kernel._numpy_frames(prob.A, prob.B, 2, mode == "fixed")(0.25)
-            got = model.frame_grid(0.5, 1)[1][1] if mode == "fixed" else March(model, 0.5).frame(0.25)
+            want = at(kernel._numpy_frames(prob.A, prob.B, 2, mode == "fixed"), 0.25)
+            got = model.frame_grid(0.5, 1)[1][1] if mode == "fixed" else at(March(model, 0.5).frames, 0.25)
             assert got == want
 
     def test_python_callable_path_takes_the_numpy_route(self, path_calls):
@@ -452,10 +486,10 @@ class TestFrameFunction:
         sys_t = fixed_frame(prob)
         h = prob.period / 16
         times, frames = sys_t.frame_grid(h, 16)
-        assert March(prob, 0.5).frame(0.0) == frames[0] == (1.0, -0.0, 0.0, 1.0, 1.0)
+        assert at(March(prob, 0.5).frames, 0.0) == frames[0] == (1.0, -0.0, 0.0, 1.0, 1.0)
         assert {frame[-1] for frame in frames} == {1.0}
         prob.B = path([["2"]], "B")
-        assert March(prob, 0.5).frame(0.0) == (1.0, -0.0, 0.0, 1.0, 2.0)
+        assert at(March(prob, 0.5).frames, 0.0) == (1.0, -0.0, 0.0, 1.0, 2.0)
         again, replaced = sys_t.frame_grid(h, 16)
         assert again == times and {frame[-1] for frame in replaced} == {2.0}
         nodes, _ = March(sys_t, 0.5).march([0.3, 0.1], [0.0], h, 16)
@@ -492,7 +526,7 @@ class TestFrameFunction:
         emitted = kernel.frame_function(a, b, 2, True)
         assert frame_error(emitted, t) == (SingularMatrixError, message)
         assert frame_error(kernel._numpy_frames(a, b, 2, True), t) == (SingularMatrixError, message)
-        assert len(kernel.frame_function(a, b, 2, False)(t)) == 8 + 2 * len(rows) ** 2  # raw: no solve
+        assert len(at(kernel.frame_function(a, b, 2, False), t)) == 8 + 2 * len(rows) ** 2  # raw: no solve
 
     def test_two_parses_share_one_function(self):
         first, second = (fixture_problem("semilinear_4x4") for _ in range(2))
@@ -509,39 +543,36 @@ class TestFrameFunction:
         assert sys_t.M.tobytes() == audit.M.tobytes()
 
 
-def fill_error(fill, times):
-    with pytest.raises(DaecontError) as exc:
-        fill(times)
-    return type(exc.value), str(exc.value)
-
-
-class TestFrameFill:
-    """A frame function's fill gives the bits and the first error of one call per time."""
+class TestFrameTimes:
+    """A frame function's frames at many times give the bits and the first
+    error of one call per time, read one time per frame."""
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     @pytest.mark.parametrize("fixed", [False, True])
-    def test_fill_equals_one_call_per_time(self, name, fixed):
+    def test_times_equal_one_call_per_time(self, name, fixed):
         prob = fixture_problem(name)
         times = march_times(prob.period, 32)
         for order in (1, 2):
             for frames in (kernel.frame_function(prob.A, prob.B, order, fixed),
                            kernel._numpy_frames(prob.A, prob.B, order, fixed and order == 2)):
-                filled = frames.fill(times)
-                assert [type(f) for f in filled] == [tuple] * len(times)
-                assert np.array(filled).tobytes() == np.array([frames(t) for t in times]).tobytes()
-                assert frames.fill([]) == []
+                want = np.array([at(frames, t) for t in times]).tobytes()
+                for kind in TIME_KINDS.values():
+                    read = list(frames(kind(times)))
+                    assert [type(f) for f in read] == [tuple] * len(times)
+                    assert np.array(read).tobytes() == want
+                assert list(frames([])) == []
 
     @pytest.mark.parametrize("fixed", [False, True])
-    def test_fill_of_a_python_callable_path(self, fixed, path_calls):
+    def test_times_of_a_python_callable_path(self, fixed, path_calls):
         prob = load_fixture("rotating_surface_2nd")
         rotation = lambda t: np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
         prob.A = MatrixPath(2, prob.period, rotation, d1=lambda t: rotation(t) @ J, name="A")
         frames = kernel.frame_function(prob.A, prob.B, 2, fixed)
         times = march_times(prob.period, 8)
         del path_calls[:]
-        filled = frames.fill(times)
+        read = list(frames(times))
         assert path_calls == [prob.A, prob.B, prob.A, prob.B] * len(times)
-        assert np.array(filled).tobytes() == np.array([frames(t) for t in times]).tobytes()
+        assert np.array(read).tobytes() == np.array([at(frames, t) for t in times]).tobytes()
 
     # the entry fails at t = 1 by a division by zero and at t = 2 by an
     # overflow, so each error names the time it was raised at
@@ -550,33 +581,35 @@ class TestFrameFill:
     @pytest.mark.parametrize("order, fixed", [(1, False), (2, False), (2, True)])
     @pytest.mark.parametrize("times", [[0.5, 1.0, 2.0], [0.5, 2.0, 1.0], [2.0, 0.5]])
     @pytest.mark.parametrize("where", ["A", "B"])
-    def test_first_failing_time_raises(self, order, fixed, times, where):
+    @pytest.mark.parametrize("kind", sorted(TIME_KINDS))
+    def test_first_failing_time_raises(self, order, fixed, times, where, kind):
         rows = [[self.TWO_FAILURES]]
         a = path([[self.TWO_FAILURES, "0"], ["0", "1"]] if where == "A" else ROTATION, "A")
         b = path(rows if where == "B" else [["1"]], "B")
+        first = next(t for t in times if t != 0.5)
         for frames in (kernel.frame_function(a, b, order, fixed), kernel._numpy_frames(a, b, order, fixed)):
-            one_by_one = lambda ts: [frames(t) for t in ts]
-            assert fill_error(frames.fill, times) == fill_error(one_by_one, times)
-            first = next(t for t in times if t != 0.5)
-            assert fill_error(frames.fill, times) == frame_error(frames, first)
+            got = times_error(frames, TIME_KINDS[kind](times))
+            assert got == times_error(one_by_one(frames), times)
+            assert got == (*frame_error(frames, first), times.index(first))
 
     @pytest.mark.parametrize("times, error", [([0.5, np.pi, 1.0], SingularMatrixError),
                                               ([0.5, 1.0, np.pi], NonfiniteResultError)])
-    def test_singular_b_and_a_failing_path_raise_in_time_order(self, times, error):
+    @pytest.mark.parametrize("kind", sorted(TIME_KINDS))
+    def test_singular_b_and_a_failing_path_raise_in_time_order(self, times, error, kind):
         a = path([["1/(t - 1)", "0"], ["0", "1"]], "A")
         b = path([["2 + 2*cos(t)"]], "B")
         for frames in (kernel.frame_function(a, b, 2, True), kernel._numpy_frames(a, b, 2, True)):
-            assert fill_error(frames.fill, times) == fill_error(lambda ts: [frames(t) for t in ts], times)
-            assert fill_error(frames.fill, times)[0] is error
+            got = times_error(frames, TIME_KINDS[kind](times))
+            assert got == times_error(one_by_one(frames), times)
+            assert got[0] is error and got[2] == 1
 
     def test_time_calls_run_once_per_time(self):
-        # A and dA of the rotation share cos(t) and sin(t): two calls per
-        # time, in frames and in fill, where each entry made its own
+        # A and dA of the rotation share cos(t) and sin(t): two calls in the
+        # one loop body, where each entry made its own
         prob = load_fixture("rotating_surface_2nd")
         source = kernel._emit_frames(2, 1, True, kernel._frame_fragments(prob.A, prob.B, 2))
-        frames, fill = source.split("    def fill(times):")
-        for body in (frames, fill):
-            assert sorted(re.findall(r"math\.\w+\(t\)", body)) == ["math.cos(t)", "math.sin(t)"]
+        assert source.count("for t in times:") == 1
+        assert sorted(re.findall(r"math\.\w+\(t\)", source)) == ["math.cos(t)", "math.sin(t)"]
 
     @pytest.mark.parametrize("rows", [
         [["cos(t)", "1/(t - 1)"], ["cos(t)*exp(t)", "exp(t) - sin(t)"]],
@@ -593,13 +626,24 @@ class TestFrameFill:
         each = namespace["build"]("A", "B")
         for t in (0.0, 0.3, 1.0, 700.0, 710.0, np.inf, -np.inf, np.nan):
             try:
-                want = np.array(each(t)).tobytes()
+                want = np.array(at(each, t)).tobytes()
             except DaecontError as exc:
                 want = (type(exc), str(exc))
                 assert frame_error(shared, t) == want
-                assert fill_error(shared.fill, [0.3, t]) == want
+                assert times_error(shared, [0.3, t]) == (*want, 1)
                 continue
-            assert np.array(shared(t)).tobytes() == want == np.array(shared.fill([t])).tobytes()
+            assert np.array(at(shared, t)).tobytes() == want == np.array(list(shared([t]))).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_samples_read_the_frames_as_one_stack(self, name):
+        # the audit's stacks of the raw order-2 frame, at the audit grid and
+        # at each path's periodicity times, hold the bits of the frames
+        prob = fixture_problem(name)
+        frames = kernel.frame_function(prob.A, prob.B, 2)
+        for times in (None, prob.A.periodicity_times(), prob.B.periodicity_times()):
+            times, *stacks = _frame_samples(prob, times=times)
+            got = np.concatenate([x.reshape(len(times), -1) for x in stacks], axis=1)
+            assert got.tobytes() == np.array(list(frames(times))).tobytes()
 
 
 class TestInvertibleB:
