@@ -210,11 +210,13 @@ def _classify(maps, points: np.ndarray, box: Box) -> List[ZeroRecord]:
             for x, d, n in zip(points, det, rnorm)]
 
 
-def _find_zeros(maps, box: Box, grid: int, values=None):
-    # ``maps`` is the map's stacked pair (see _stacked), ``values`` the map
-    # on box.lattice(grid) when the caller has it.
-    lattice = box.lattice(grid)
-    values = maps[0](lattice) if values is None else values
+def _find_zeros(maps, box: Box, grid: int, lattice=None, values=None):
+    # ``maps`` is the map's stacked pair (see _stacked); ``lattice`` and
+    # ``values`` are box.lattice(grid) and the map on it, when the caller
+    # has them.
+    if lattice is None:
+        lattice = box.lattice(grid)
+        values = maps[0](lattice)
     runs = [newton_stacked(*maps, lattice[k : k + NEWTON_BATCH], values[k : k + NEWTON_BATCH],
                            ZERO_NEWTON)
             for k in range(0, len(lattice), NEWTON_BATCH)]
@@ -413,9 +415,10 @@ def degree_generic(fun: Callable[[np.ndarray], np.ndarray], box: Box,
     The map's stacked form serves every step, as in :func:`locate_zeros`.
     """
     maps = _stacked(fun)
-    values = maps[0](box.lattice(grid))
+    lattice = box.lattice(grid)
+    values = maps[0](lattice)
     margin = _boundary_margin(values[box.face_mask(grid)])
-    zeros = _find_zeros(maps, box, grid, values)
+    zeros = _find_zeros(maps, box, grid, lattice, values)
     return DegreeCertificate(
         degree=int(sum(z.sign for z in zeros)),
         zeros=zeros,

@@ -5,9 +5,11 @@ solves and determinants, damped Newton iteration, finite-difference
 Jacobians, an SVD with deterministic signs and periodic quadrature.
 Solves and Newton run on stacks, a point being a stack of one:
 :func:`solve_stacked` (closed forms for 1x1 and 2x2, one partial-pivot
-elimination for every LU of size 3 or more) serves :func:`solve_linear`,
-one copy of the matrix per right-hand side column, and
-:func:`newton_stacked`, the one damped Newton, serves :func:`newton_solve`.
+elimination for every LU of size 3 or more, on the augmented rows
+``[a | b]``) serves :func:`solve_linear`, one copy of the matrix per
+right-hand side column, and :func:`newton_stacked`, the one damped Newton,
+serves :func:`newton_solve`.  The Newton keeps only its live starts in its
+working stacks, so a start that has stopped costs nothing more.
 The SVD is numpy's.  What this module adds is the pivot-threshold
 singularity test and the sign convention.  All functions are pure;
 inputs are never mutated.
@@ -117,26 +119,35 @@ def _eliminate(a: np.ndarray, b: np.ndarray):
     # pivot falls below threshold[k] = PIVOT_REL * ||a[k]||_inf (NaN
     # compares false), after which the system's pivots and x are
     # meaningless.  No warnings: a non-finite entry shows in x.
+    # The elimination runs on the augmented rows [a | b], so that one swap
+    # and one update serve both; the entries below the diagonal are never
+    # read again and are left as they are.
     k, n = b.shape
-    u, x = a.copy(), b.copy()
+    u = np.concatenate([a, b[:, :, None]], axis=2)
     rows = np.arange(k)
     threshold = PIVOT_REL * np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
     pivots = np.empty((k, n))
     singular = np.zeros(k, dtype=bool)
     with np.errstate(all="ignore"):
-        for j in range(n):
+        for j in range(n - 1):
             p = j + np.argmax(np.abs(u[:, j:, j]), axis=1)
             swap = p != j
             if swap.any():  # a fancy-indexed swap costs even where it moves nothing
                 u[rows, j], u[rows, p] = u[rows, p], u[rows, j]
-                x[rows, j], x[rows, p] = x[rows, p], x[rows, j]
             pivots[:, j] = np.where(swap, -u[:, j, j], u[:, j, j])
             singular |= np.abs(u[:, j, j]) < threshold
             pivot = u[:, j, j] = np.where(singular, 1.0, u[:, j, j])
             factor = u[:, j + 1 :, j] / pivot[:, None]
-            u[:, j + 1 :, j:] -= factor[:, :, None] * u[:, None, j, j:]
-            x[:, j + 1 :] -= factor * x[:, j, None]
-        for j in range(n - 1, -1, -1):
+            u[:, j + 1 :, j + 1 :] -= factor[:, :, None] * u[:, None, j, j + 1 :]
+        # the last column has one candidate row: no search, swap or update
+        pivots[:, -1] = u[:, -1, -2]
+        singular |= np.abs(pivots[:, -1]) < threshold
+        u[:, -1, -2] = np.where(singular, 1.0, pivots[:, -1])
+        # einsum sums by the strides it is given: contiguous (k, n, n) and
+        # (k, n) operands keep the bits of every size
+        u, x = u[:, :, :n].copy(), u[:, :, n].copy()
+        x[:, -1] /= u[:, -1, -1]
+        for j in range(n - 2, -1, -1):
             x[:, j] = (x[:, j] - np.einsum("ki,ki->k", u[:, j, j + 1 :], x[:, j + 1 :])) / u[:, j, j]
     return x, pivots, singular, threshold
 
@@ -244,41 +255,66 @@ def newton_stacked(fun, jac, x0: np.ndarray, r0: np.ndarray, cfg: NewtonConfig):
     :func:`solve_linear`'s message or :class:`NoConvergenceError` (a step
     below ``NEWTON_TOL_STEP``, or the budget spent).  A non-finite
     converged iterate raises :class:`EvaluationError`.
+
+    The iterates, values and residual norms of the starts still iterating
+    are compact stacks; a start's iterate is written to the returned array
+    once, when it converges, fails or spends the budget.  Only the starts
+    whose residual did not drop at the full step enter the halving.
+    ``fun`` and ``jac`` are handed these stacks themselves, not copies, and
+    must not write to them.
     """
-    x, r = np.array(x0, dtype=float), np.array(r0, dtype=float)
-    rnorm = np.abs(r).max(axis=1)
+    x = np.array(x0, dtype=float)
     errors = [None] * len(x)
-    live = np.arange(len(x))  # starts still iterating
+    live, xl, rl = np.arange(len(x)), x, np.array(r0, dtype=float)
+    nl = np.abs(rl).max(axis=1)
+    tol = cfg.tol_residual
+
+    def leave(out):
+        nonlocal live, xl, rl, nl
+        x[live[out]] = xl[out]
+        live, xl, rl, nl = live[~out], xl[~out], rl[~out], nl[~out]
+
     for _ in range(cfg.max_iters):
-        live = live[~(rnorm[live] <= cfg.tol_residual)]
+        done = nl <= tol
+        if done.any():
+            leave(done)
         if live.size == 0:
             break
-        j = jac(x[live], r[live])
-        step, singular = solve_stacked(j, -r[live])
+        j = jac(xl, rl)
+        step, singular = solve_stacked(j, -rl)
         if singular.any():
             for k, message in zip(live[singular], _singular_messages(j[singular])):
                 errors[k] = SingularJacobianError(message)
-            live, step = live[~singular], step[~singular]
-        alpha = np.ones(len(live))
-        x_new, r_new = x[live], r[live]
-        rnorm_new = rnorm[live]
-        todo = np.arange(len(live))  # halve the step until the residual drops
-        while todo.size:
-            x_new[todo] = x[live[todo]] + alpha[todo, None] * step[todo]
-            r_new[todo] = fun(x_new[todo])
-            rnorm_new[todo] = np.abs(r_new[todo]).max(axis=1)
-            better = rnorm_new[todo] < rnorm[live[todo]]
-            todo = todo[~(better | (alpha[todo] <= NEWTON_DAMPING_MIN))]
-            alpha[todo] *= 0.5
-        moved = np.abs(alpha[:, None] * step).max(axis=1)
-        stalled = (moved <= NEWTON_TOL_STEP) & (rnorm_new > cfg.tol_residual)
-        for k, size, norm in zip(live[stalled], moved[stalled], rnorm_new[stalled]):
-            errors[k] = NoConvergenceError(f"newton stagnated: step {size:.3e}, residual {norm:.3e}")
-        live = live[~stalled]
-        x[live], r[live], rnorm[live] = x_new[~stalled], r_new[~stalled], rnorm_new[~stalled]
-    for k in live[~(rnorm[live] <= cfg.tol_residual)]:
+            step = step[~singular]
+            leave(singular)
+            if live.size == 0:  # no map call on an empty stack
+                break
+        x_new = xl + step
+        r_new = fun(x_new)
+        n_new = np.abs(r_new).max(axis=1)
+        moved = np.abs(step).max(axis=1)
+        todo = np.flatnonzero(~(n_new < nl))  # halve these steps until the residual drops
+        if todo.size:
+            alpha = np.ones(len(live))
+            while todo.size:
+                alpha[todo] *= 0.5
+                x_new[todo] = xl[todo] + alpha[todo, None] * step[todo]
+                r_new[todo] = fun(x_new[todo])
+                n_new[todo] = np.abs(r_new[todo]).max(axis=1)
+                todo = todo[~((n_new[todo] < nl[todo]) | (alpha[todo] <= NEWTON_DAMPING_MIN))]
+            moved = np.abs(alpha[:, None] * step).max(axis=1)
+        stalled = (moved <= NEWTON_TOL_STEP) & (n_new > tol)
+        if stalled.any():
+            for k, size, norm in zip(live[stalled], moved[stalled], n_new[stalled]):
+                errors[k] = NoConvergenceError(f"newton stagnated: step {size:.3e}, residual {norm:.3e}")
+            leave(stalled)
+            x_new, r_new, n_new = x_new[~stalled], r_new[~stalled], n_new[~stalled]
+        xl, rl, nl = x_new, r_new, n_new
+    spent = ~(nl <= tol)
+    for k, norm in zip(live[spent], nl[spent]):
         errors[k] = NoConvergenceError(f"newton used {cfg.max_iters} iterations, "
-                                       f"residual {rnorm[k]:.3e} > {cfg.tol_residual:.3e}")
+                                       f"residual {norm:.3e} > {tol:.3e}")
+    x[live] = xl
     if not np.all(np.isfinite(x[[error is None for error in errors]])):
         raise EvaluationError("newton iterate is non-finite")
     return x, errors

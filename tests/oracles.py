@@ -20,13 +20,16 @@ from daecont.kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL, Marc
 from daecont.linalg import (
     NEWTON_DAMPING_MIN,
     NEWTON_TOL_STEP,
+    PIVOT_REL,
     _eliminate,
+    _singular_messages,
     determinant,
     fd_jacobian,
     newton_stacked,
     norm_inf,
     quadrature_periodic,
     solve_linear,
+    solve_stacked,
     stacked_maps,
 )
 from daecont.periodic import DEFAULT_STEPS, _ShootingRunner
@@ -116,6 +119,77 @@ def newton_point(residual, jacobian, x0, cfg):
     raise NoConvergenceError(
         f"newton used {cfg.max_iters} iterations, residual {rnorm:.3e} > {cfg.tol_residual:.3e}"
     )
+
+
+def newton_stacked_reference(fun, jac, x0, r0, cfg):
+    """:func:`daecont.linalg.newton_stacked` on full-size arrays: every
+    iteration indexes the iterates, values and norms of all starts by the
+    live ones, and every step goes through the halving loop."""
+    x, r = np.array(x0, dtype=float), np.array(r0, dtype=float)
+    rnorm = np.abs(r).max(axis=1)
+    errors = [None] * len(x)
+    live = np.arange(len(x))
+    for _ in range(cfg.max_iters):
+        live = live[~(rnorm[live] <= cfg.tol_residual)]
+        if live.size == 0:
+            break
+        j = jac(x[live], r[live])
+        step, singular = solve_stacked(j, -r[live])
+        if singular.any():
+            for k, message in zip(live[singular], _singular_messages(j[singular])):
+                errors[k] = SingularJacobianError(message)
+            live, step = live[~singular], step[~singular]
+        alpha = np.ones(len(live))
+        x_new, r_new = x[live], r[live]
+        rnorm_new = rnorm[live]
+        todo = np.arange(len(live))
+        while todo.size:
+            x_new[todo] = x[live[todo]] + alpha[todo, None] * step[todo]
+            r_new[todo] = fun(x_new[todo])
+            rnorm_new[todo] = np.abs(r_new[todo]).max(axis=1)
+            better = rnorm_new[todo] < rnorm[live[todo]]
+            todo = todo[~(better | (alpha[todo] <= NEWTON_DAMPING_MIN))]
+            alpha[todo] *= 0.5
+        moved = np.abs(alpha[:, None] * step).max(axis=1)
+        stalled = (moved <= NEWTON_TOL_STEP) & (rnorm_new > cfg.tol_residual)
+        for k, size, norm in zip(live[stalled], moved[stalled], rnorm_new[stalled]):
+            errors[k] = NoConvergenceError(f"newton stagnated: step {size:.3e}, residual {norm:.3e}")
+        live = live[~stalled]
+        x[live], r[live], rnorm[live] = x_new[~stalled], r_new[~stalled], rnorm_new[~stalled]
+    for k in live[~(rnorm[live] <= cfg.tol_residual)]:
+        errors[k] = NoConvergenceError(f"newton used {cfg.max_iters} iterations, "
+                                       f"residual {rnorm[k]:.3e} > {cfg.tol_residual:.3e}")
+    if not np.all(np.isfinite(x[[error is None for error in errors]])):
+        raise EvaluationError("newton iterate is non-finite")
+    return x, errors
+
+
+def eliminate_reference(a, b):
+    """:func:`daecont.linalg._eliminate` on separate arrays: the matrix and
+    the right-hand sides each swapped and updated in every column, the
+    last one included."""
+    k, n = b.shape
+    u, x = a.copy(), b.copy()
+    rows = np.arange(k)
+    threshold = PIVOT_REL * np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)
+    pivots = np.empty((k, n))
+    singular = np.zeros(k, dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            p = j + np.argmax(np.abs(u[:, j:, j]), axis=1)
+            swap = p != j
+            if swap.any():
+                u[rows, j], u[rows, p] = u[rows, p], u[rows, j]
+                x[rows, j], x[rows, p] = x[rows, p], x[rows, j]
+            pivots[:, j] = np.where(swap, -u[:, j, j], u[:, j, j])
+            singular |= np.abs(u[:, j, j]) < threshold
+            pivot = u[:, j, j] = np.where(singular, 1.0, u[:, j, j])
+            factor = u[:, j + 1 :, j] / pivot[:, None]
+            u[:, j + 1 :, j:] -= factor[:, :, None] * u[:, None, j, j:]
+            x[:, j + 1 :] -= factor * x[:, j, None]
+        for j in range(n - 1, -1, -1):
+            x[:, j] = (x[:, j] - np.einsum("ki,ki->k", u[:, j, j + 1 :], x[:, j + 1 :])) / u[:, j, j]
+    return x, pivots, singular, threshold
 
 
 def solve_constraint(g, jac, q0):

@@ -31,7 +31,7 @@ from daecont.errors import (
     SuspectIncompleteError,
 )
 from daecont.fixtures import load_fixture, problem_text
-from daecont.linalg import norm_inf
+from daecont.linalg import NewtonConfig, norm_inf
 from daecont.paths import MatrixPath, frame_audit
 from daecont.periodic import branch_seeds
 from daecont.probfile import build_problem, parse_problem, to_json
@@ -50,6 +50,7 @@ from oracles import (
     degree_generic_points,
     degree_reduced_points,
     newton_point,
+    newton_stacked_reference,
 )
 
 ROT_M = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -609,7 +610,9 @@ class TestBatchedSearch:
     def test_newton_from_each_start_matches_newton_solve(self, exact):
         # the per-start loop the stacked Newton replaced is the reference:
         # same iterates bit for bit, same starts dropped with the same
-        # errors; 2 unknowns take the closed-form solves, 3 the elimination
+        # errors; 2 unknowns take the closed-form solves, 3 the elimination.
+        # The full-array stacked body it replaced gives the same bytes for
+        # every start, failed ones included, and raises the same errors.
         def fun2(z):
             return np.array([z[0] ** 3 - z[0] + 0.3 * z[1], z[1] ** 2 + z[0] * z[1] - 0.5])
 
@@ -625,23 +628,68 @@ class TestBatchedSearch:
                              [-z[1], -z[0], 2.0 * z[2]]])
 
         # fun3 has no zero where z0 z1 < -0.2: starts there exhaust the budget
-        starts = failed = 0
-        for fun, jac, dim, grid in ((fun2, jac2, 2, 13), (fun3, jac3, 3, 5)):
+        batches = [(fun2, jac2, Box.cube(2.0, 2).lattice(13), degree.ZERO_NEWTON),
+                   (fun3, jac3, Box.cube(2.0, 3).lattice(5), degree.ZERO_NEWTON),
+                   (fun2, jac2, np.array([[0.5, -0.5]]), degree.ZERO_NEWTON),  # a stack of one
+                   (fun3, jac3, np.array([[0.3, 0.8, -0.4]]), degree.ZERO_NEWTON),
+                   *_newton_batches(2), *_newton_batches(3)]
+        starts = failed = raised = 0
+        for fun, jac, lattice, cfg in batches:
             if exact:
                 fun.jac = jac
-            lattice = Box.cube(2.0, dim).lattice(grid)
             maps = degree._stacked(fun)
-            points, errors = linalg.newton_stacked(*maps, lattice, maps[0](lattice), degree.ZERO_NEWTON)
-            starts += len(lattice)
-            for start, point, error in zip(lattice, points, errors):
+            got = _stacked_newton(linalg.newton_stacked, maps, lattice, cfg)
+            ref = _stacked_newton(newton_stacked_reference, maps, lattice, cfg)
+            assert _newton_bits(got) == _newton_bits(ref)
+            points = []
+            for start in lattice:
                 try:
-                    ref = newton_point(fun, jac if exact else None, start, degree.ZERO_NEWTON)
-                except (NoConvergenceError, SingularJacobianError) as exc:
-                    assert type(error) is type(exc) and str(error) == str(exc)
+                    points.append(newton_point(fun, jac if exact else None, start, cfg))
+                except (EvaluationError, NoConvergenceError, SingularJacobianError) as exc:
+                    points.append(exc)
+            if isinstance(got, Exception):  # the batch raises the error of one of its starts
+                raised += 1
+                assert (type(got), str(got)) in {(type(p), str(p)) for p in points
+                                                 if isinstance(p, Exception)}
+                continue
+            starts += len(lattice)
+            for point, error, ref_point in zip(*got, points):
+                if isinstance(ref_point, Exception):
+                    assert type(error) is type(ref_point) and str(error) == str(ref_point)
                     failed += 1
-                    continue
-                assert error is None and point.tobytes() == ref.tobytes()
-        assert 0 < failed < starts
+                else:
+                    assert error is None and point.tobytes() == ref_point.tobytes()
+        assert 0 < failed < starts and raised == 1
+
+    @pytest.mark.parametrize("name, work", [
+        ("commuting_h", [(7, 42, 7, 42), (7, 3482, 7, 3482)]),
+        ("rotating_surface", [(6, 42, 6, 42), (17, 5376, 9, 4656)]),
+    ])
+    def test_newton_work_is_pinned(self, name, work, capsys, monkeypatch):
+        # per batched Newton run of `degree --method both` (the reduced
+        # section, then the generic lattice): calls of the map and the rows
+        # it evaluates, calls of the Jacobian and its rows.  A change to the
+        # search that keeps its output but not its work shows here.
+        runs = []
+
+        def counted(fun, jac, x0, r0, cfg):
+            count = [0, 0, 0, 0]
+
+            def fun_counted(x):
+                count[0:2] = count[0] + 1, count[1] + len(x)
+                return fun(x)
+
+            def jac_counted(x, r):
+                count[2:4] = count[2] + 1, count[3] + len(x)
+                return jac(x, r)
+
+            runs.append(count)
+            return linalg.newton_stacked(fun_counted, jac_counted, x0, r0, cfg)
+
+        monkeypatch.setattr(degree, "newton_stacked", counted)
+        assert main(["degree", name, "--method", "both"]) == 0
+        capsys.readouterr()
+        assert [tuple(count) for count in runs] == work
 
     def test_plain_callable_twin_certifies_the_same(self):
         # rotating_surface with Python callables: no stacked forms, so the
@@ -708,6 +756,43 @@ class TestBatchedSearch:
             for run in (degree_reduced, degree_generic):
                 with pytest.raises(NonfiniteResultError):
                     run(fun, box)
+
+
+def _newton_batches(dim):
+    # Lattice batches of toy maps in ``dim`` unknowns, each driving some of
+    # its starts down one exit of the stacked Newton: a Jacobian singular
+    # at every start on the first iteration; steps halved down to
+    # NEWTON_DAMPING_MIN and taken there until the budget is spent; a step
+    # too small to move, which stagnates; a budget of 3 iterations on a
+    # Newton that halves the residual per iteration (the start at the zero
+    # converges at once); and a NaN value, which spends the budget with the
+    # closed-form solves and makes the elimination raise.  With forward
+    # differences the Jacobians are the maps' own, so only the singular and
+    # NaN batches keep their exits there.
+    eye, lattice = np.eye(dim), Box.cube(1.0, dim).lattice(5 if dim == 2 else 3)
+    maps = [(lambda z: np.append(z[1:] - 1.0, z[1:].sum() + 3.0),
+             lambda z: np.vstack([eye[1:], eye[1:].sum(axis=0)]), degree.ZERO_NEWTON),
+            (lambda z: z.copy(), lambda z: -eye if z[0] > 0.0 else eye, degree.ZERO_NEWTON),
+            (lambda z: z - 1.0, lambda z: 1e20 * eye if z[0] > 0.0 else eye, degree.ZERO_NEWTON),
+            (lambda z: z - 1.0, lambda z: 2.0 * eye, NewtonConfig(max_iters=3)),
+            (lambda z: np.full(dim, np.nan) if z[0] < -0.5 else z - 0.5, lambda z: eye,
+             degree.ZERO_NEWTON)]
+    return [(fun, jac, lattice, cfg) for fun, jac, cfg in maps]
+
+
+def _stacked_newton(newton, maps, starts, cfg):
+    # (x, errors) of a stacked Newton, or the error it raised
+    try:
+        return newton(*maps, starts, maps[0](starts), cfg)
+    except EvaluationError as exc:
+        return exc
+
+
+def _newton_bits(run):
+    if isinstance(run, Exception):
+        return type(run), str(run)
+    x, errors = run
+    return x.tobytes(), [None if e is None else (type(e), str(e)) for e in errors]
 
 
 def _rotating_twin():

@@ -13,6 +13,7 @@ from daecont.errors import (
 from daecont.linalg import (
     PIVOT_REL,
     NewtonConfig,
+    _eliminate,
     determinant,
     fd_jacobian,
     newton_solve,
@@ -25,6 +26,7 @@ from daecont.linalg import (
 from oracles import (
     central_jacobian,
     determinant_of_matrix,
+    eliminate_reference,
     lu_determinant_reference,
     lu_solve_reference,
     rk4_step,
@@ -115,7 +117,8 @@ class TestSolveLinear:
     def test_is_the_stacked_elimination(self, n):
         # one solve: a system solved alone, and each column of a matrix
         # right-hand side, is its solve in a stack, bit for bit (the closed
-        # forms for 1x1 and 2x2, the elimination from 3x3)
+        # forms for 1x1 and 2x2, the elimination from 3x3), also in a stack
+        # of 1,024 systems with singular and non-finite ones among them
         rng = np.random.default_rng(20 + n)
         stack, rhs = rng.normal(size=(8, n, n)), rng.normal(size=(8, n))
         x, singular = solve_stacked(stack, rhs)
@@ -125,6 +128,27 @@ class TestSolveLinear:
         b = rng.normal(size=(n, 3))
         columns, _ = solve_stacked(np.repeat(stack[:1], 3, axis=0), b.T)
         assert solve_linear(stack[0], b).tobytes() == columns.T.tobytes()
+        big, big_rhs = (part[:1024] for part in _test_stack(n, rng))
+        big[[3, 700]], big[[5, 900], 0, -1] = np.nan, np.inf
+        if n < 3:
+            with np.errstate(invalid="ignore"):
+                x, singular = solve_stacked(big, big_rhs)
+        else:  # solve_stacked raises on the non-finite solutions
+            x, _, singular, _ = _eliminate(big, big_rhs)
+        assert singular.any()
+        for k in np.flatnonzero(~singular & np.isfinite(x).all(axis=1)):
+            assert solve_linear(big[k], big_rhs[k]).tobytes() == x[k].tobytes()
+        if n < 3:
+            return
+        # the elimination on separate arrays, every column swapped and
+        # updated, is the reference: the same bytes of x, pivots, flags and
+        # thresholds, also on the non-contiguous views solve_linear passes
+        # (a matrix broadcast over the columns of a transposed right-hand
+        # side) and on a transposed stack
+        for a, b in ((stack, rhs), (big, big_rhs), (np.broadcast_to(stack[0], (3, n, n)), b.T),
+                     (stack.transpose(0, 2, 1), rhs)):
+            got, ref = _eliminate(a, b), eliminate_reference(a, b)
+            assert [part.tobytes() for part in got] == [part.tobytes() for part in ref]
 
     def test_exact_zero_pivot_raises_without_a_warning(self):
         # the elimination divides by no zero pivot and warns of nothing;
