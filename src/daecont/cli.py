@@ -384,7 +384,7 @@ def cmd_continue(args) -> int:
     problem = _first_order_problem(args, "continue")
     nsteps = _integration_steps(problem, args.h)
     seed_box = Box.cube(args.radius, problem.m + problem.s)
-    system = fixed_frame(problem)  # audited and tabulated once for the seeds and the branch
+    system = fixed_frame(problem)  # audited once for the seeds and the branch
     seeds = branch_seeds(system, seed_box)
     if not seeds:
         print("no seeds located in the box", file=sys.stderr)

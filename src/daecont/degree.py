@@ -47,7 +47,7 @@ from .linalg import (
     solve_stacked,
     stacked_maps,
 )
-from .kernel import March, frame_function, model_errors
+from .kernel import March, model_errors
 from .transform import TransformedSystem
 
 __all__ = [
@@ -445,13 +445,13 @@ def averaged_map_fn(sys: TransformedSystem, quad_n: int = 64) -> Callable:
     if quad_n < 8:
         raise ValueError("need at least 8 quadrature nodes")
     m = sys.m
-    mean_forcing = March(sys, 0.0).mean_forcing
+    stepper = March(sys, 0.0)
     times = [k * sys.period / quad_n for k in range(quad_n)]
-    pairs = list(zip(times, frame_function(sys.A, sys.B, sys.order, fixed=True)(times)))
+    pairs = list(zip(times, stepper.frames(times)))
 
     def omega(z):
         z = np.asarray(z, dtype=float)
-        first = mean_forcing(pairs, z[:m].tolist(), z[m:].tolist())
+        first = stepper.mean_forcing(pairs, z[:m].tolist(), z[m:].tolist())
         return np.concatenate([first, np.atleast_1d(sys.g(z[:m], z[m:]))])
 
     return omega

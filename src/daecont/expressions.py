@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    EvaluationError,
     ExpressionSyntaxError,
     NonfiniteResultError,
     UnboundVariableError,
@@ -55,6 +56,10 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "exp")
+# The deepest nesting of parentheses, calls' included, that parses: the
+# parser recurses five frames a level, and CPython's stops at 200 levels of
+# emitted source, which sums and products deepen; half leaves room for both.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open
         self.variables = None if variables is None else set(variables)
 
     def peek(self):
@@ -172,11 +178,13 @@ class _Parser:
                 return node
 
     def unary(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+        # a run of signs, read in a loop; pairs cancel, as negation is exact
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
-            return Unary("neg", self.unary())
-        return self.power()
+            negate = not negate
+        node = self.power()
+        return Unary("neg", node) if negate else node
 
     def power(self) -> Expr:
         node = self.atom()
@@ -201,18 +209,24 @@ class _Parser:
             if nkind == "op" and nvalue == "(":
                 if value not in FUNCTIONS:
                     raise UnknownIdentifierError(f"unknown function {value!r} at offset {offset}")
-                self.advance()
-                arg = self.sum()
-                self.expect_op(")")
-                return Unary(value, arg)
+                return Unary(value, self.group(self.advance()[2]))
             if self.variables is not None and value not in self.variables:
                 raise UnknownIdentifierError(f"unknown variable {value!r} at offset {offset}")
             return Var(value)
         if kind == "op" and value == "(":
-            node = self.sum()
-            self.expect_op(")")
-            return node
+            return self.group(offset)
         raise ExpressionSyntaxError(offset, ("number", "identifier", "(", "-"))
+
+    def group(self, offset) -> Expr:
+        # sum ")" after the "(" at offset, at most MAX_NESTING deep
+        if self.depth == MAX_NESTING:
+            raise ExpressionSyntaxError(offset, (), f"parentheses at offset {offset} nest "
+                                        f"deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        node = self.sum()
+        self.expect_op(")")
+        self.depth -= 1
+        return node
 
 
 def parse_expr(text: str, variables: Optional[Iterable[str]] = None) -> Expr:
@@ -494,10 +508,17 @@ class Fragments:
                 "    raise _nonfinite(exc) from exc"]
 
 
-def _exec(lines) -> Callable:
-    namespace = dict(_COMPILE_GLOBALS)
-    exec("\n".join(lines), namespace)
-    return namespace["compiled"]
+def _define(source: str, names: Mapping, name: str):
+    """What ``source``, run on a copy of ``names``, defines as ``name``: the one
+    place emitted source is compiled.  Source nested past what CPython
+    compiles raises :class:`EvaluationError` naming the cause."""
+    namespace = dict(names)
+    try:
+        exec(source, namespace)
+    except (SyntaxError, RecursionError) as exc:
+        cause = exc.msg if isinstance(exc, SyntaxError) else exc
+        raise EvaluationError(f"emitted code does not compile: {type(exc).__name__}: {cause}") from exc
+    return namespace[name]
 
 
 def _check_bound(trees, varmap: Mapping[str, str]) -> None:
@@ -525,7 +546,7 @@ def _lazy(render: Callable[[], list]) -> Callable:
     def compiled(*values):
         nonlocal fn
         if fn is None:
-            fn = _exec(render())
+            fn = _define("\n".join(render()), _COMPILE_GLOBALS, "compiled")
         return fn(*values)
 
     return compiled

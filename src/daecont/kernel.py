@@ -79,10 +79,8 @@ Any other model (a Python callable, or a derivative that the problem
 forms by differences) is called through an adapter that passes numpy
 arrays and returns a flat list.  A march reads the frames (one flat
 tuple of floats per time) of its ``2N + 1`` times (:func:`march_times`)
-from one iterator in either coordinates: raw, the frame function of its
-problem's paths runs on the times as it steps; in the frame, they are
-the grid its system keeps (see
-:meth:`~daecont.transform.TransformedSystem.frame_grid`), and each node
+from one iterator that its caller fills by the frame function of the
+march's coordinates (:attr:`March.frames`); in the frame each node
 carries its frame to the records.  :func:`frame_function` is emitted
 here too: one loop over the times of straight-line code over the
 fragments of the paths' value and derivative functions, with their
@@ -116,7 +114,7 @@ import re
 import numpy as np
 
 from .errors import EvaluationError, NoConvergenceError, NonfiniteResultError, SingularMatrixError
-from .expressions import Fragments
+from .expressions import Fragments, _define
 from .linalg import PIVOT_REL, solve_linear
 from .paths import inverse_derivative
 from .transform import TransformedSystem
@@ -167,11 +165,10 @@ class March:
     (``n = order * m``).  The algebraic block is a sequence of ``s``
     floats, ``eta`` in the frame and ``y`` raw.
 
-    A march reads its frames from one iterator.  Raw, ``frames`` is
-    :func:`frame_function` of the problem's paths at its order, run on the
-    march's times as it steps, so nothing is kept.  A fixed-frame march
-    reads its system's ``frame_grid``, its nodes carry their frames to
-    :meth:`records`, and :meth:`mean_forcing` is given its frames.
+    ``frames`` is :func:`frame_function` of the model's paths at its order
+    in the march's coordinates (in the frame, the one with ``d(B^-1)``),
+    by which the caller fills the frames of :meth:`march` and
+    :meth:`mean_forcing`; fixed-frame nodes carry theirs to :meth:`records`.
 
     A ``ValueError`` or ``ArithmeticError`` that a model raises in
     :meth:`resolve`, :meth:`march` or :meth:`records` (a Python callable's
@@ -191,8 +188,7 @@ class March:
         drifts = [np.zeros(model.m**2).tolist() if d is None
                   else np.asarray(d, dtype=float).ravel().tolist() for d in drifts]
         self.m = model.m
-        self.frames = frame_function(model.A, model.B, model.order) if self.raw else None
-        self.grid = None if self.raw else model.frame_grid
+        self.frames = frame_function(model.A, model.B, model.order, fixed=not self.raw)
         self._resolve, self._march, self._records, self._forcing = build(*functions, *drifts, float(lam))
 
     @model_errors
@@ -222,21 +218,19 @@ class March:
         return self._forcing(pairs, *xi, *eta)
 
     @model_errors
-    def march(self, state, eta, h, nsteps):
-        """``(nodes, end)`` of ``nsteps`` steps of size ``h`` from ``(state, eta)`` at 0.
+    def march(self, state, eta, h, frames):
+        """``(nodes, end)`` of the steps of size ``h`` from ``(state, eta)`` at 0.
 
         ``nodes`` holds every node, start first: ``(t, state, eta, frame)``
         in the frame (the state's row 0, and the node's fixed frame), and
         ``(t, x, y, xdot, ydot)`` raw.  ``end`` is the whole end state.  A
         stage whose constraint solve fails ends the march with its error.
-        A step reads its midpoint and end frames when it starts (raw, from
-        ``frames`` on :func:`march_times`, so no later frame is read); a
-        fixed-frame march first asks its system for all of them (see
-        :meth:`~daecont.transform.TransformedSystem.frame_grid`).
+        ``frames`` are those of :func:`march_times`, by :attr:`frames`: the
+        start's, then each step's midpoint and end, which the step reads when
+        it starts, ``N`` steps for ``2N + 1`` frames (an iterator is read no
+        further than the step that fails).
         """
-        h = float(h)
-        frames = self.frames(march_times(h, nsteps)) if self.raw else self.grid(h, nsteps)[1]
-        return self._march(0.0, h, frames, *state, *eta)
+        return self._march(0.0, float(h), frames, *state, *eta)
 
     @model_errors
     def records(self, nodes) -> tuple:
@@ -279,9 +273,7 @@ def _adapter(model):
 @functools.lru_cache(maxsize=128)  # a certify pass uses about 75 kernels
 def _build(order, m, s, sensitivity, raw, inlined):
     # The build function of one kernel, emitted and compiled once.
-    namespace = dict(_GLOBALS)
-    exec(_emit(_Models(inlined), order, m, s, sensitivity, raw), namespace)
-    return namespace["build"]
+    return _define(_emit(_Models(inlined), order, m, s, sensitivity, raw), _GLOBALS, "build")
 
 
 def frame_function(a_path, b_path, order: int, fixed: bool = False):
@@ -291,7 +283,7 @@ def frame_function(a_path, b_path, order: int, fixed: bool = False):
     ``B(t)`` and, for order 2, of ``dA(t)`` and of ``dB(t)``, or with
     ``fixed`` of the derivative ``-B^-1 dB B^-1`` of ``B(t)^-1``, each
     matrix row by row, as a raw march and the transform's audit (``fixed``
-    false) or a fixed-frame system's grid reads it.  Each time is read when
+    false) or a fixed-frame march reads it.  Each time is read when
     its frame is asked for, so the first failing time raises its error and
     no later one is read; one time's frame is ``next(frames((t,)))``.  Paths
     compiled from trees get one emitted loop over the times, cached by their
@@ -345,9 +337,7 @@ def _numpy_frames(a_path, b_path, order, fixed):
 def _frame_build(m, s, fixed, fragments):
     # build(a_name, b_name) -> frames(t) of one frame function, emitted and
     # compiled once
-    namespace = dict(_GLOBALS)
-    exec(_emit_frames(m, s, fixed, fragments), namespace)
-    return namespace["build"]
+    return _define(_emit_frames(m, s, fixed, fragments), _GLOBALS, "build")
 
 
 def _emit_frames(m, s, fixed, fragments):

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EvaluationError
-from .expressions import Fragments
+from .expressions import Fragments, _define
 from .linalg import norm_inf, solve_linear
 
 __all__ = [
@@ -276,9 +276,7 @@ def _fill(fragments):
     lines = ["def fill(times):", "    out = []", "    for t in times:",
              *(f"        {line}" for line in fragments.statements(entries, "t")),
              f"        out += ({', '.join(entries)},)", "    return out", ""]
-    namespace = dict(Fragments.GLOBALS)
-    exec("\n".join(lines), namespace)
-    return namespace["fill"]
+    return _define("\n".join(lines), Fragments.GLOBALS, "fill")
 
 
 def _grid_times(path: MatrixPath, grid: int) -> np.ndarray:

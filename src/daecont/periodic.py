@@ -38,22 +38,20 @@ own, and its constraint residual comes with the nodes' records.
 Every march, raw or fixed-frame, plain or sensitivity, runs on Python
 floats in code emitted per problem (:mod:`daecont.kernel`), and the
 model it is given picks the coordinates.  A march reads the frames of
-its ``2N + 1`` step and midpoint times from one iterator.  A fixed-frame
-march first asks its system for them (see :mod:`daecont.transform`),
-which the system keeps until another grid is asked for: a shooting
-runner keeps one system, and with it one grid, for all the marches of a
-branch (the trivial pair fills it and records its nodes on its frames),
-and each fixed-frame node carries its frame to the records.  A raw march
-runs its problem's raw frame function
-(:func:`~daecont.kernel.frame_function`) on its times as it steps,
-records each node right after its solve, from its frame, and keeps
-nothing; before it marches, ``integrate`` tests ``B`` on the audit grid
-through one call of a raw frame function.  In both modes ``integrate``
-checks a given algebraic start on the raw frame at 0.
+its ``2N + 1`` step and midpoint times from one iterator that its caller
+passes (see :class:`~daecont.kernel.March`).  A shooting runner fills
+its one grid at first use for every march of a branch and the trivial
+pair, and each fixed-frame node carries its frame to the records.  A
+raw ``integrate`` passes the frame function's generator, so the march
+reads each frame as it steps and keeps nothing, after a test of ``B`` on
+the audit grid; a fixed-frame one fills its frames first, as the first
+pushes the start forward.  Both check a given algebraic start on the
+raw frame at 0.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -68,7 +66,7 @@ from .errors import (
     SingularMatrixError,
     SingularMonodromyError,
 )
-from .kernel import March, frame_function, model_errors
+from .kernel import March, frame_function, march_times, model_errors
 from .linalg import NewtonConfig, newton_solve, norm_inf, solve_linear
 from .transform import _check_invertible, _frame_samples, _matrices, fixed_frame
 
@@ -221,11 +219,13 @@ def integrate(
                 "pass y0=None to solve for a consistent start"
             )
     xdot0 = None if prob.order == 1 else np.zeros(prob.m)
-    if mode == "fixed":  # pushed forward on the first frame of the march's grid
-        x0, y0, xdot0 = sys.push_forward(sys.frame_grid(h, nsteps)[1][0], x0, y0, xdot0)
+    grid = stepper.frames(march_times(h, nsteps))  # raw, read as the march steps
+    if mode == "fixed":  # filled first: the start is pushed forward on its first frame
+        grid = list(grid)
+        x0, y0, xdot0 = sys.push_forward(grid[0], x0, y0, xdot0)
     state0 = (x0 if xdot0 is None else np.concatenate([x0, xdot0])).tolist()
     y0 = stepper.resolve(0.0, state0, [0.0] * prob.s) if y0 is None else y0.tolist()
-    nodes, _ = stepper.march(state0, y0, h, nsteps)
+    nodes, _ = stepper.march(state0, y0, h, grid)
     return _trajectory(stepper, nodes)[0]
 
 
@@ -256,10 +256,9 @@ class _ShootingRunner:
     the autonomous constraint, so periodicity of ``eta`` is checked a
     posteriori rather than solved for.
 
-    Every march runs the same grid on the runner's one system, whose frame
-    grid fills on the first march (or the trivial pair) and serves every
-    later one; ``prob`` may be that system already.  The runner also keeps
-    the nodes of one march, :meth:`linearize`'s last, for :meth:`make_tpair`.
+    Every march runs the runner's one :attr:`grid` on its one system
+    (``prob`` may be that system already).  The runner also keeps the
+    nodes of one march, :meth:`linearize`'s last, for :meth:`make_tpair`.
     """
 
     def __init__(self, prob, nsteps: int = DEFAULT_STEPS):
@@ -270,10 +269,17 @@ class _ShootingRunner:
         self.sys = fixed_frame(prob)
         self._last = (None,) * 5  # linearize's (key, residual, jacobian, stepper, nodes)
 
+    @functools.cached_property
+    def grid(self):
+        """The ``2N + 1`` :func:`~daecont.kernel.march_times` and the system's
+        fixed frames at them, filled at first use by one frame-function call."""
+        times = list(march_times(self.h, self.nsteps))
+        return times, list(frame_function(self.sys.A, self.sys.B, self.sys.order, fixed=True)(times))
+
     def _run(self, stepper, start):
         # (nodes, end) of one period of stepper from start, a list of floats.
         eta0 = stepper.resolve(0.0, start, [0.0] * self.prob.s)
-        return stepper.march(start, eta0, self.h, self.nsteps)
+        return stepper.march(start, eta0, self.h, self.grid[1])
 
     def linearize(self, lam, state0):
         """Shooting residual and its Jacobian by ``(lam, state0)``.
@@ -364,7 +370,7 @@ def _trivial_tpair(runner: _ShootingRunner, seed: np.ndarray) -> TPair:
     # the constant frame state is a solution at lam=0.  Its nodes, at the
     # node times of the grid that the branch's marches read (every second
     # time), are recorded as a march's are, on their frames.
-    times, frames = runner.sys.frame_grid(runner.h, runner.nsteps)
+    times, frames = runner.grid
     m = runner.prob.m
     xi0, eta0 = seed[:m], seed[m:].tolist()
     state = xi0.tolist() + [0.0] * (runner.state_dim - m)
@@ -438,9 +444,8 @@ def continue_branch(
 ) -> Branch:
     """Trace a branch of T-pairs from a seeding-map zero.
 
-    ``prob`` is a problem or its fixed-frame system, which the branch's
-    marches then share (with its frame grid) with the caller.  ``seed``
-    lives in (xi, eta) space and must be a zero of the
+    ``prob`` is a problem or its fixed-frame system.  ``seed`` lives in
+    (xi, eta) space and must be a zero of the
     :func:`~daecont.degree.seeding_map`; the traced polyline lives in
     ``(lam, xi0)`` space, which is what ``box`` bounds.  The first
     corrected point is taken at ``lam = ds`` (not 0) with the trivial state

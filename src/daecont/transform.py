@@ -17,24 +17,20 @@ the problem, and maps an original-coordinate node into the frame
 (``push_forward``: ``xi = A(t) x``, ``eta = B(t) y``); the way back (``x =
 A(t).T xi``, ``y = B(t)^{-1} eta``, velocities included for order 2) and
 ``F`` are emitted code of :mod:`daecont.kernel`, which the marches and the
-averaged map run.  The frame depends on time alone, and the marches of a
-system visit the same times again and again, so a system keeps the frames
-of one march grid (:meth:`TransformedSystem.frame_grid`), read by one
-call and kept until a march asks for another grid or a path of the
-problem is replaced.
+averaged map run.
 
 Frames come from one generator ``frames(times)`` per pair of paths, order
 and coordinate system (:func:`~daecont.kernel.frame_function`): emitted
 float code for paths compiled from expression trees, the paths' numpy
-values otherwise.  No problem keeps one.  A system's grid holds the
-fixed-frame function's frames, a raw march reads the raw one as it steps
-(see :class:`~daecont.kernel.March`), and the transform's audit reads the
-raw order-2 frame ``(A, B, dA, dB)`` as stacks, one call per set of times
-(the audit grid, which ``check`` hands over from its own audit at the
-default grid; for periodicity, ``t`` and ``t + T``): orthogonality and
-constancy of ``A``, periodicity of ``A`` and ``B``, drifts that commute
-with ``A`` and a ``B`` that is invertible at every audit-grid time, by
-one stacked test (:func:`~daecont.linalg.solve_stacked`'s pivot flags).
+values otherwise.  No problem or system keeps one: a march takes its
+frames from its caller (see :class:`~daecont.kernel.March`), and the
+transform's audit reads the raw order-2 frame ``(A, B, dA, dB)`` as
+stacks, one call per set of times (the audit grid, which ``check`` hands
+over from its own audit at the default grid; for periodicity, ``t`` and
+``t + T``): orthogonality and constancy of ``A``, periodicity of ``A``
+and ``B``, drifts that commute with ``A`` and a ``B`` that is invertible
+at every audit-grid time, by one stacked test
+(:func:`~daecont.linalg.solve_stacked`'s pivot flags).
 """
 
 from __future__ import annotations
@@ -250,45 +246,22 @@ class TransformedSystem:
     the problem when it is asked for, so a change to the problem is the
     system's change; the forcing ``f`` is the problem's, which the emitted
     stage and ``forcing`` conjugate into the frame (see
-    :mod:`daecont.kernel`).  The system keeps the frames of the last march
-    grid asked for (see :meth:`frame_grid`); a copy made with
-    :func:`dataclasses.replace` starts without them.  Systems compare by
-    identity: each keeps its own grid.
+    :mod:`daecont.kernel`).  A system keeps no frames: its marches take
+    theirs from their callers.  Systems compare by identity.
     """
 
     problem: DaeProblem1 | DaeProblem2
     D0: np.ndarray
     D1: Optional[np.ndarray]
     M: np.ndarray
-    _grid: Optional[tuple] = field(default=None, init=False, repr=False)
-
-    def frame_grid(self, h: float, nsteps: int) -> tuple:
-        """``(times, frames)`` of a march of ``nsteps`` steps of size ``h`` from 0.
-
-        The ``2 nsteps + 1`` times are the running sum a march steps by, ``t
-        + h/2``, ``t + h``: each step's midpoint and end.  Each frame is one
-        flat tuple of floats, the entries of ``A(t)`` and ``B(t)`` and, for
-        order 2, of ``dA(t)`` and the derivative of ``B(t)^-1``, each matrix
-        row by row, by the fixed-frame function of the problem's paths (see
-        :func:`~daecont.kernel.frame_function`), whose first failing time
-        raises.  The grid is kept, keyed by the paths, ``h`` and ``nsteps``:
-        a replaced path or another grid is read anew.
-        """
-        key = (self.A, self.B, h, nsteps)
-        if self._grid is None or self._grid[0] != key:
-            from . import kernel  # kernel imports this module
-
-            times = list(kernel.march_times(h, nsteps))
-            frames = kernel.frame_function(self.A, self.B, self.order, fixed=True)
-            self._grid = (key, times, list(frames(times)))
-        return self._grid[1:]
 
     def push_forward(self, frame, x, y, xdot=None):
         """Frame node ``(xi, eta, xidot)`` of an original-coordinate node at ``frame``.
 
-        ``frame`` is the node's flat fixed frame, as :meth:`frame_grid`
-        gives it: ``xi = A x`` and ``eta = B y``; ``eta`` is None when ``y``
-        is, and ``xidot`` (``dA x + A xdot``, order 2) when ``xdot`` is.
+        ``frame`` is the node's flat fixed frame, as the fixed-frame function
+        of the paths gives it (see :func:`~daecont.kernel.frame_function`):
+        ``xi = A x`` and ``eta = B y``; ``eta`` is None when ``y`` is, and
+        ``xidot`` (``dA x + A xdot``, order 2) when ``xdot`` is.
         """
         dims = (self.m, self.s) if xdot is None else (self.m, self.s, self.m)
         a, b, *da = _matrices(frame, dims)

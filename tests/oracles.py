@@ -16,7 +16,7 @@ from daecont.errors import (
     SingularJacobianError,
     SingularMatrixError,
 )
-from daecont.kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL, March, frame_function
+from daecont.kernel import CONSTRAINT_SOLVE_MAX_ITER, CONSTRAINT_SOLVE_TOL, March, frame_function, march_times
 from daecont.linalg import (
     NEWTON_DAMPING_MIN,
     NEWTON_TOL_STEP,
@@ -393,12 +393,21 @@ def node_records(stepper, nodes):
     return list(zip(times, *rows, residuals))
 
 
+def march_over(stepper, state, eta, h, nsteps):
+    """``(nodes, end)`` of ``nsteps`` steps of size ``h`` of ``stepper``.
+
+    The march reads the frames of its coordinates, by its own frame
+    function on :func:`~daecont.kernel.march_times`, as it steps.
+    """
+    return stepper.march(state, eta, h, stepper.frames(march_times(h, nsteps)))
+
+
 def shoot(runner, lam, state0):
     """The shooting residual ``state(T) - state0`` of one plain march on the runner's system.
 
     The plain-march reference that the runner's :meth:`linearize` gives as
     row 0 of its sensitivity march, bit for bit; the march reads, and
-    fills, the runner's frame grid.
+    fills, the runner's grid.
     """
     state0 = np.asarray(state0, dtype=float)
     return np.array(runner._run(March(runner.sys, lam), state0.tolist())[1]) - state0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from daecont import kernel
+from daecont import kernel, periodic
 from daecont.cli import main
 from daecont.degree import Box, _block_map, candidate_map, degree_generic, degree_reduced
 from daecont.expressions import eval_expr, expr_to_text, parse_expr
@@ -244,6 +244,29 @@ def test_criterion_8_march_count(tmp_path, monkeypatch):
     code = main(["continue", "rotating_surface", "--ds", "0.05", "--steps", "40",
                  "--out", str(tmp_path / "branch.csv")])
     assert code == 0 and len(marches) == 118
+
+
+def test_criterion_8_fills_one_grid(tmp_path, monkeypatch):
+    # the trivial pair and the 118 marches of criterion 8 read one grid of
+    # fixed frames, at the 2 * 256 + 1 step and midpoint times, filled once
+    fills, make = [], kernel.frame_function
+
+    def counted(a_path, b_path, order, fixed=False):
+        frames = make(a_path, b_path, order, fixed)
+        if not fixed:
+            return frames
+
+        def filled(times):
+            fills.append(len(times := list(times)))
+            return frames(times)
+
+        return filled
+
+    for module in (kernel, periodic):
+        monkeypatch.setattr(module, "frame_function", counted)
+    code = main(["continue", "rotating_surface", "--ds", "0.05", "--steps", "40",
+                 "--out", str(tmp_path / "branch.csv")])
+    assert code == 0 and fills == [513]
 
 
 def test_criterion_9_averaged_map_report(capsys):

@@ -14,7 +14,8 @@ from daecont import cli, kernel, transform
 
 from daecont.cli import MAX_BRANCH_STEPS, MAX_LEMMA_PATHS, build_parser, main
 from daecont.degree import Box
-from daecont.errors import SingularMatrixError
+from daecont.errors import EvaluationError, SingularMatrixError
+from daecont.expressions import MAX_NESTING
 from daecont.fixtures import load_fixture, problem_text
 from daecont.kernel import March
 from daecont.linalg import norm_inf
@@ -810,6 +811,63 @@ def test_long_sum_runs_as_its_short_form(capsys, tmp_path, argv):
     path.write_text(problem_text("rotating_surface").replace("2*p2^2", "2*p2^2" + " + 0*q" * 300))
     padded = run(capsys, argv[0], str(path), *argv[1:])
     assert padded[0] == 0 and padded == run(capsys, argv[0], "rotating_surface", *argv[1:])
+
+
+G = "q^3 + q - p1^2 - 2*p2^2"  # rotating_surface's constraint
+# g with a nest of n parentheses, or of n calls whose value is zero
+NESTS = {"parentheses": lambda n: "(" * n + G + ")" * n,
+         "calls": lambda n: G + " + 0*" + "sin(" * n + "q" + ")" * n}
+DEPTH_RUNS = [("check",), ("integrate",), ("integrate", "--fixed-frame"), ("continue", "--steps", "2")]
+
+
+def with_g(tmp_path, g):
+    path = tmp_path / "deep.prob"
+    path.write_text(problem_text("rotating_surface").replace(G, g))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", DEPTH_RUNS, ids="_".join)
+@pytest.mark.parametrize("signs", [300, 1000])
+def test_a_run_of_signs_runs_as_its_short_form(capsys, tmp_path, signs, argv):
+    # pairs of unary minus signs cancel at parse
+    signed = run(capsys, argv[0], with_g(tmp_path, f"{G} + {'-' * signs}q"), *argv[1:])
+    assert signed[0] == 0 and signed == run(capsys, argv[0], with_g(tmp_path, f"{G} + q"), *argv[1:])
+
+
+@pytest.mark.parametrize("argv", DEPTH_RUNS, ids="_".join)
+@pytest.mark.parametrize("nest", sorted(NESTS))
+def test_a_nest_at_the_limit_runs(capsys, tmp_path, nest, argv):
+    nested = run(capsys, argv[0], with_g(tmp_path, NESTS[nest](MAX_NESTING)), *argv[1:])
+    assert nested[0] == 0 and nested == run(capsys, argv[0], "rotating_surface", *argv[1:])
+
+
+@pytest.mark.parametrize("nest, offset", [("parentheses", MAX_NESTING),
+                                          ("calls", len(G + " + 0*") + 4 * MAX_NESTING + 3)])
+def test_a_nest_past_the_limit_is_a_syntax_error(capsys, tmp_path, nest, offset):
+    # the first parenthesis past the limit is named; 300 levels is past the
+    # recursion of the parser and CPython's limit on nested parentheses
+    path = with_g(tmp_path, NESTS[nest](300))
+    message = (f"daecont: ExpressionSyntaxError: parentheses at offset {offset} nest deeper "
+               f"than {MAX_NESTING} levels\n")
+    for argv in DEPTH_RUNS:
+        assert run(capsys, argv[0], path, *argv[1:]) == (1, "", message)
+
+
+def test_emitted_code_that_does_not_compile_ends_the_branch(capsys, tmp_path):
+    # the product rule nests df's source one level per factor, past what
+    # CPython compiles: the sensitivity march's kernel fails to build, and
+    # the branch ends after its trivial pair
+    path = tmp_path / "product.prob"
+    text = problem_text("rotating_surface").replace(
+        "cos(t) - x1\n", "cos(t) - x1 + 0*x1" + "*sin(x2)" * 150 + "\n")
+    path.write_text(text)
+    assert run(capsys, "integrate", str(path), "--fixed-frame")[0] == 0
+    code, out, err = run(capsys, "continue", str(path), "--steps", "2")
+    assert code == 0 and err == "branch: 1 pairs, termination: solver_failure\n"
+    assert len(out.splitlines()) == 2  # the header and the trivial pair
+    message = "^emitted code does not compile: SyntaxError: too many nested parentheses$"
+    with pytest.raises(EvaluationError, match=message):
+        March(fixed_frame(build_problem(parse_problem(text))), 0.5, sensitivity=True)
 
 
 def test_python_m_daecont_runs_the_cli():

@@ -10,6 +10,7 @@ from daecont.errors import (
     UnknownIdentifierError,
 )
 from daecont.expressions import (
+    MAX_NESTING,
     Binary,
     Fragments,
     Num,
@@ -85,6 +86,23 @@ class TestParse:
             parse_expr("q^2.5")
         with pytest.raises(ExpressionSyntaxError):
             parse_expr("q^-2")
+
+    @pytest.mark.parametrize("signs, tree", [(1, Unary("neg", Var("q"))), (2, Var("q")),
+                                             (3, Unary("neg", Var("q"))), (1000, Var("q"))])
+    def test_pairs_of_signs_cancel(self, signs, tree):
+        assert parse_expr("-" * signs + "q") == tree
+        assert parse_expr("p - " + "-" * signs + "q") == Binary("-", Var("p"), tree)
+
+    @pytest.mark.parametrize("open_, close", [("(", ")"), ("sin(", ")"), ("(cos(", "))")])
+    def test_nesting_is_limited_at_the_first_paren_past_it(self, open_, close):
+        at_limit = open_ * (MAX_NESTING // len(close)) + "q" + close * (MAX_NESTING // len(close))
+        assert math.isfinite(eval_expr(parse_expr(at_limit), {"q": 0.0}))
+        past = "1 + " + open_ * 300 + "q" + close * 300
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expr(past)
+        assert exc.value.offset == past.index("(", 4 + len(open_) * (MAX_NESTING // len(close)))
+        assert str(exc.value) == (f"parentheses at offset {exc.value.offset} nest deeper "
+                                  f"than {MAX_NESTING} levels")
 
 
 class TestEval:

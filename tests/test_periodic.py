@@ -35,6 +35,7 @@ from oracles import (
     fixed_frame_at,
     fixed_frame_march,
     frame_pairs,
+    march_over,
     node_records,
     raw_march,
     shoot,
@@ -530,9 +531,9 @@ class TestTermination:
 
 
 class TestFrameGrid:
-    """A fixed-frame system keeps the frames of one march grid, filled in one
-    call; its marches, records, trivial pair and averaged map read frames
-    that are filled already."""
+    """A shooting runner fills the frames of its one march grid in one call,
+    and its marches, records and trivial pair read frames that are filled
+    already, as an averaged map reads its own; a system keeps none."""
 
     @staticmethod
     def grid_times(h, nsteps):
@@ -547,7 +548,7 @@ class TestFrameGrid:
         runner = periodic._ShootingRunner(load_fixture(name), 16)
         _, nodes = plain_march(runner, 0.5, np.zeros(runner.state_dim))
         sys = runner.sys
-        times, frames = sys.frame_grid(runner.h, 16)
+        times, frames = runner.grid
         assert times == self.grid_times(runner.h, 16) and len(frames) == 2 * 16 + 1
         size = sys.order * (sys.m**2 + sys.s**2)  # A and B, for order 2 dA and d(B^-1) too
         assert all(len(frame) == size and {type(v) for v in frame} == {float} for frame in frames)
@@ -589,7 +590,7 @@ class TestFrameGrid:
 
     def test_grid_frame_equals_a_fresh_evaluation(self):
         runner = periodic._ShootingRunner(load_fixture("rotating_surface_2nd"), 16)
-        times, frames = runner.sys.frame_grid(runner.h, 16)
+        times, frames = runner.grid
         t, frame = times[7], frames[7]  # the midpoint of the fourth step
         assert bits(frame) == bits(fixed_frame_at(fixed_frame(runner.prob), t))
         node = ([0.3, 0.1, -0.1, 0.4], [0.2])
@@ -597,28 +598,29 @@ class TestFrameGrid:
                           for fr in (frame, fixed_frame_at(runner.sys, t)))
         assert bits(on_grid) == bits(fresh)
 
-    def test_each_system_owns_its_grid(self, path_calls):
+    def test_each_runner_fills_its_grid_once(self, path_calls):
         prob = load_fixture("rotating_surface")
-        h = prob.period / 16
-        integrate(prob, 0.5, np.array([0.3, 0.1]), h=h, mode="fixed")
-        first, second = fixed_frame(prob), fixed_frame(prob)
-        first.frame_grid(h, 16)
+        sys = fixed_frame(prob)
+        first, second = periodic._ShootingRunner(sys, 16), periodic._ShootingRunner(sys, 16)
         del path_calls[:]
-        second.frame_grid(h, 16)
+        shoot(first, 0.5, np.array([0.3, 0.1]))
         assert len(path_calls) == 2 * (2 * 16 + 1)
         del path_calls[:]
-        first.frame_grid(h, 16)
+        assert len(second.grid[1]) == 2 * 16 + 1 and len(path_calls) == 2 * (2 * 16 + 1)
+        del path_calls[:]
+        assert first.grid[1] is not second.grid[1] and first.grid[1] == second.grid[1]
+        shoot(first, 0.7, np.array([0.3, 0.1]))
         assert path_calls == []
 
-    def test_replaced_system_starts_without_a_grid(self, path_calls):
-        sys = fixed_frame(load_fixture("rotating_surface"))
-        sys.frame_grid(sys.period / 16, 16)
-        copy = replace(sys, D0=np.zeros((2, 2)))
-        del path_calls[:]
-        sys.frame_grid(sys.period / 16, 16)
-        assert path_calls == []
-        copy.frame_grid(sys.period / 16, 16)
-        assert len(path_calls) == 2 * (2 * 16 + 1)
+    def test_a_runner_made_after_b_is_replaced_reads_the_new_b(self):
+        prob = load_fixture("rotating_surface")
+        before = periodic._ShootingRunner(prob, 16)
+        frames = before.grid[1]
+        prob.B = expr_path([["2"]], prob.period, name="B")
+        after = periodic._ShootingRunner(prob, 16)
+        assert [fr[4] for fr in after.grid[1]] == [2.0] * (2 * 16 + 1)
+        assert [fr[:4] for fr in after.grid[1]] == [fr[:4] for fr in frames]
+        assert before.grid[1] is frames and {fr[4] for fr in frames} == {1.0}
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd", "semilinear_4x4"])
     def test_one_call_per_grid(self, name, monkeypatch, path_times):
@@ -626,7 +628,7 @@ class TestFrameGrid:
         # march order, and the marches read the grid
         prob = load_fixture(name)
         runner = periodic._ShootingRunner(reduce_semilinear(prob) if name == "semilinear_4x4" else prob, 16)
-        sys, calls, make = runner.sys, [], kernel.frame_function
+        sys, calls, make = runner.sys, [], periodic.frame_function
 
         def counted(*args, **kwargs):
             frames = make(*args, **kwargs)
@@ -637,27 +639,26 @@ class TestFrameGrid:
 
             return called
 
-        monkeypatch.setattr(kernel, "frame_function", counted)
+        for module in (kernel, periodic):
+            monkeypatch.setattr(module, "frame_function", counted)
         del path_times[:]
-        times, frames = sys.frame_grid(runner.h, 16)
+        times, frames = runner.grid
         assert times == self.grid_times(runner.h, 16) and calls == [times]
         assert path_times == [t for t in times for _ in range(2 * sys.order)]
-        again = sys.frame_grid(runner.h, 16)
+        again = runner.grid
         assert again[0] is times and again[1] is frames and len(calls) == 1
         nodes = plain_march(runner, 0.5, np.full(runner.state_dim, 0.1))[1]
         runner.linearize(0.5, np.full(runner.state_dim, 0.1))
         assert [t for t, *_ in nodes] == times[::2] and len(calls) == 1
 
-    def test_another_grid_is_filled_anew(self, path_times):
-        sys = periodic._ShootingRunner(load_fixture("rotating_surface"), 16).sys
-        first = sys.frame_grid(sys.period / 16, 16)
+    def test_a_runner_of_other_steps_fills_its_own_grid(self, path_times):
+        prob = load_fixture("rotating_surface")
+        first, runner = periodic._ShootingRunner(prob, 16).grid, periodic._ShootingRunner(prob, 8)
         del path_times[:]
-        second = sys.frame_grid(sys.period / 8, 8)
+        second = runner.grid
         assert path_times == [t for t in second[0] for _ in range(2)]
-        assert second[0] == self.grid_times(sys.period / 8, 8)
+        assert second[0] == self.grid_times(prob.period / 8, 8)
         assert bits(second[1][0]) == bits(first[1][0]) and bits(second[1][4]) == bits(first[1][8])
-        del path_times[:]
-        assert sys.frame_grid(sys.period / 16, 16) == first and len(path_times) == 2 * 33
 
     def test_fixed_frame_integration_fills_its_grid_before_the_march(self, monkeypatch,
                                                                      path_calls):
@@ -718,6 +719,13 @@ class TestFrameGrid:
         del path_calls[:]
         integrate(prob, 0.5, np.zeros(prob.m))
         assert len(path_calls) == bound + 2 * prob.order * 64
+
+    def test_a_branch_leaves_its_system_as_it_was(self):
+        sys = fixed_frame(load_fixture("rotating_surface"))
+        box = Box(np.array([0.0, -2.0, -2.0]), np.array([1.0, 2.0, 2.0]))
+        branch = continue_branch(sys, np.zeros(3), 0.1, 3, box, integration_steps=16)
+        assert branch.termination == "budget" and len(branch.pairs) == 4
+        assert list(vars(sys)) == ["problem", "D0", "D1", "M"]
 
     def test_an_averaged_map_fills_its_frames_once(self, path_calls):
         sys = fixed_frame(load_fixture("scalar_linear"))
@@ -982,7 +990,7 @@ class TestFloatMarch:
         n = runner.state_dim
         start = z[1:].tolist() + ([0.0] * n + np.eye(n).ravel().tolist() if sensitivity else [])
         eta0 = stepper.resolve(0.0, start, [0.0] * runner.prob.s)
-        nodes, end = stepper.march(start, eta0, runner.h, runner.nsteps)
+        nodes, end = stepper.march(start, eta0, runner.h, runner.grid[1])
         ref_nodes, ref_end = fixed_frame_march(fixed_frame(runner.prob), z[0], z[1:], eta0,
                                                runner.h, runner.nsteps, sensitivity)
         return node_records(stepper, nodes), np.array(end), ref_nodes, ref_end
@@ -1057,11 +1065,11 @@ class TestInlinedModels:
         state0 = x0 if prob.order == 1 else np.concatenate([x0, 0.1 * np.array([0.4, -0.2])[: prob.m]])
         if kind == "raw":
             y0 = consistent_init(prob, 0.0, x0, np.zeros(prob.s))
-            return periodic.March(prob, lam).march(state0.tolist(), y0.tolist(), h, nsteps)
+            return march_over(periodic.March(prob, lam), state0.tolist(), y0.tolist(), h, nsteps)
         stepper = periodic.March(fixed_frame(prob), lam, kind == "sensitivity")
         n = state0.size
         start = state0.tolist() + ([0.0] * n + np.eye(n).ravel().tolist() if kind == "sensitivity" else [])
-        nodes, end = stepper.march(start, stepper.resolve(0.0, start, [0.0] * prob.s), h, nsteps)
+        nodes, end = march_over(stepper, start, stepper.resolve(0.0, start, [0.0] * prob.s), h, nsteps)
         return node_records(stepper, nodes), end
 
     @pytest.mark.parametrize("kind", ["raw", "plain", "sensitivity"])
@@ -1249,7 +1257,7 @@ class TestRawMarch:
         state0 = x0 if prob.order == 1 else np.concatenate([x0, 0.1 * np.array([0.4, -0.2])[:m]])
         y0 = consistent_init(prob, 0.0, x0, np.zeros(prob.s))
         h = prob.period / nsteps
-        nodes, end = periodic.March(prob, 0.7).march(state0.tolist(), y0.tolist(), h, nsteps)
+        nodes, end = march_over(periodic.March(prob, 0.7), state0.tolist(), y0.tolist(), h, nsteps)
         ref_nodes, ref_end = raw_march(prob, 0.7, state0, y0, h, nsteps)
         tol = 1e-8 if name in self.DIFFERENCED else 1e-13
         assert len(nodes) == len(ref_nodes) == nsteps + 1
@@ -1292,7 +1300,7 @@ class TestRawFrames:
         del times[:]
         frame = self.raised(lambda: next(stepper.frames((1.0,))))
         assert frame[0] is NonfiniteResultError
-        assert self.raised(lambda: stepper.march(state, eta, 0.5, 4)) == frame
+        assert self.raised(lambda: march_over(stepper, state, eta, 0.5, 4)) == frame
         assert times == [0.0, 0.25, 0.25, 0.5]  # the stages of the first step alone
 
     def test_model_error_before_a_later_failing_frame(self):
@@ -1303,7 +1311,7 @@ class TestRawFrames:
         stepper = periodic.March(self.problem(overflowing), 0.5)
         state = [0.3, 0.1]
         eta = stepper.resolve(0.0, state, [0.0])
-        assert self.raised(lambda: stepper.march(state, eta, 0.5, 4)) == (
+        assert self.raised(lambda: march_over(stepper, state, eta, 0.5, 4)) == (
             EvaluationError, "model raised OverflowError: math range error")
 
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd"])
@@ -1314,7 +1322,7 @@ class TestRawFrames:
         eta = stepper.resolve(0.0, state, [0.0])
         h = prob.period / 16
         del path_times[:]
-        nodes, _ = stepper.march(state, eta, h, 16)
+        nodes, _ = march_over(stepper, state, eta, h, 16)
         times = TestFrameGrid.grid_times(h, 16)
         assert path_times == [t for t in times for _ in range(2 * prob.order)]
         assert [t for t, *_ in nodes] == times[::2]
@@ -1538,7 +1546,7 @@ class TestFloatMarchErrors:
             if mode == "fixed":
                 solve = lambda: periodic.March(fixed_frame(model), 0.5).resolve(0.0, state, [0.0])
             else:
-                solve = lambda: periodic.March(model, 0.5).march(state, [0.0], model.period / 16, 1)
+                solve = lambda: march_over(periodic.March(model, 0.5), state, [0.0], model.period / 16, 1)
             with pytest.raises(NonfiniteResultError) as caught:
                 solve()
             messages.append(str(caught.value))

@@ -28,7 +28,15 @@ from daecont.transform import (
     fixed_frame_first,
     fixed_frame_second,
 )
-from oracles import fixed_frame_at, fixed_frame_march, forcing, frame_node, frame_pairs, node_records
+from oracles import (
+    fixed_frame_at,
+    fixed_frame_march,
+    forcing,
+    frame_node,
+    frame_pairs,
+    march_over,
+    node_records,
+)
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -316,7 +324,7 @@ class TestDispatch:
         state = [0.3, -0.2, 0.05, 0.4]
         stepper = March(sys_t, 0.7)
         eta = stepper.resolve(0.0, state, [0.1])
-        _, end = stepper.march(state, eta, 0.01, 1)
+        _, end = march_over(stepper, state, eta, 0.01, 1)
         _, ref = fixed_frame_march(sys_t, 0.7, state, eta, 0.01, 1)
         assert norm_inf(np.array(end) - ref[0]) <= 1e-15
 
@@ -438,15 +446,15 @@ class TestFrameFunction:
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_problem_and_system_read_the_emitted_function(self, fixed, path_calls):
-        # a raw march's frame at one time, a system's grid of one step
-        # (times 0, 0.3, 0.6)
+        # a raw march's frame at one time, the frames of a fixed-frame
+        # march of one step (times 0, 0.3, 0.6)
         prob = load_fixture("rotating_surface_2nd")
-        sys_t = fixed_frame(prob)
-        stepper = March(prob, 0.5)
+        stepper = March(fixed_frame(prob) if fixed else prob, 0.5)
         del path_calls[:]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(MatrixPath, "__call__", None)  # any numpy path call fails
-            entries = sys_t.frame_grid(0.6, 1)[1][1] if fixed else at(stepper.frames, 0.3)
+            times = kernel.march_times(0.6, 1) if fixed else (0.3,)
+            entries = list(stepper.frames(times))[1 if fixed else 0]
         assert path_calls == [prob.A, prob.B, prob.A, prob.B] * (3 if fixed else 1)
         assert entries == at(kernel._numpy_frames(prob.A, prob.B, 2, fixed), 0.3)
 
@@ -461,8 +469,7 @@ class TestFrameFunction:
             traj = integrate(model, 0.5, x0, h=prob.period / 16, mode=mode)
             assert np.isfinite(traj.x).all()
             want = at(kernel._numpy_frames(prob.A, prob.B, 2, mode == "fixed"), 0.25)
-            got = model.frame_grid(0.5, 1)[1][1] if mode == "fixed" else at(March(model, 0.5).frames, 0.25)
-            assert got == want
+            assert at(March(model, 0.5).frames, 0.25) == want
 
     def test_python_callable_path_takes_the_numpy_route(self, path_calls):
         prob = load_fixture("rotating_surface")
@@ -471,28 +478,31 @@ class TestFrameFunction:
                             d1=lambda t: rotation(t) @ J, name="A")
         sys_t = fixed_frame(prob)
         del path_calls[:]
-        times, frames = sys_t.frame_grid(0.8, 1)
+        times = list(kernel.march_times(0.8, 1))
+        frames = list(March(sys_t, 0.5).frames(times))
         assert times[1] == 0.4 and path_calls == [prob.A, prob.B] * 3
         assert frames[1] == tuple(rotation(0.4).ravel().tolist()) + (1.0,)
         traj = integrate(prob, 0.5, np.array([0.3, 0.1]), h=prob.period / 16, mode="raw")
         assert np.isfinite(traj.x).all()
 
     def test_replaced_path_is_read(self):
-        # a raw march reads the paths its problem has when it is made, and
-        # a system's grid those it has when the grid is asked for: every
-        # frame of a grid asked for after B is replaced, and every node of a
-        # march on it, reads the new B
+        # a march reads the paths its model has when the march is made: a
+        # fixed-frame march made after B is replaced reads the new B at
+        # every frame and node, one made before keeps the old B
         prob = load_fixture("rotating_surface")
         sys_t = fixed_frame(prob)
         h = prob.period / 16
-        times, frames = sys_t.frame_grid(h, 16)
+        times = list(kernel.march_times(h, 16))
+        before = March(sys_t, 0.5)
+        frames = list(before.frames(times))
         assert at(March(prob, 0.5).frames, 0.0) == frames[0] == (1.0, -0.0, 0.0, 1.0, 1.0)
         assert {frame[-1] for frame in frames} == {1.0}
         prob.B = path([["2"]], "B")
         assert at(March(prob, 0.5).frames, 0.0) == (1.0, -0.0, 0.0, 1.0, 2.0)
-        again, replaced = sys_t.frame_grid(h, 16)
-        assert again == times and {frame[-1] for frame in replaced} == {2.0}
-        nodes, _ = March(sys_t, 0.5).march([0.3, 0.1], [0.0], h, 16)
+        after = March(sys_t, 0.5)
+        assert {frame[-1] for frame in after.frames(times)} == {2.0}
+        assert list(before.frames(times)) == frames
+        nodes, _ = march_over(after, [0.3, 0.1], [0.0], h, 16)
         assert {frame[-1] for *_, frame in nodes} == {2.0}
 
     @pytest.mark.parametrize("order, fixed", [(1, False), (2, False), (2, True)])
