@@ -19,7 +19,9 @@ later stages add theirs, and the constraint re-solve that ends a step
 
 Each value a stage sets has a level: *march* when it reads no stage
 input, *time* when it reads the stage time or the frame, and *node*
-otherwise (the constraint Newton, its Jacobian too).  An inlined model
+otherwise (the constraint Newton, and its Jacobian unless that is
+march-level: then it is set, with its pivot test, once per march, see
+:func:`_newton`).  An inlined model
 takes the level of the arguments its trees read (none: march, ``t``
 alone: time), a model called through the adapter is node-level, and any
 other value takes the highest level of the values it reads.  On the
@@ -542,16 +544,12 @@ def _solve(a, cols, name, on_singular=(), det=None):
     det = det or f"{name}_det"
     names = [[f"{name}{c}_{i}" for i in range(n)] for c in range(len(cols))]
     guard = [f"    {line}" for line in on_singular]
+    lines, test = _pivot_test(a, det)
+    factor = lines + ([f"if {test}:", *guard, f"    {_singular(n)}"] if test else [])
     if n == 1:
-        pivot = a[0][0]
-        factor = [f"if abs({pivot}) < _TINY:", *guard, "    raise SingularMatrixError('1x1 system is singular')"]
-        return factor, [f"{x[0]} = {c[0]} / {pivot}" for x, c in zip(names, cols)], names
+        return factor, [f"{x[0]} = {c[0]} / {a[0][0]}" for x, c in zip(names, cols)], names
     if n == 2:
         (a00, a01), (a10, a11) = a
-        scale = f"max(abs({a00}), abs({a01}), abs({a10}), abs({a11}), 1e-300)"
-        factor = [f"{det} = {a00}*{a11} - {a01}*{a10}",
-                  f"if abs({det}) < (_PIVOT_REL * {scale})**2 or {det} == 0.0:", *guard,
-                  "    raise SingularMatrixError('2x2 system is singular')"]
         apply = []
         for x, (c0, c1) in zip(names, cols):
             apply += [f"{x[0]} = ({a11}*{c0} - {a01}*{c1}) / {det}",
@@ -562,7 +560,25 @@ def _solve(a, cols, name, on_singular=(), det=None):
     apply = ["try:", f"    {name} = solve_linear(np.array({matrix}), np.array({rhs})).tolist()",
              "except SingularMatrixError:", *guard, "    raise"]
     apply += [f"{x[i]} = {name}[{i}][{c}]" for c, x in enumerate(names) for i in range(n)]
-    return [], apply, names
+    return factor, apply, names
+
+
+def _pivot_test(a, det):
+    # The lines that factor a (the 2x2 determinant, named det) and
+    # solve_linear's pivot test on them, a condition that holds when a is
+    # singular; no test for 3x3 and larger, which solve_linear makes
+    n = len(a)
+    if n == 1:
+        return [], f"abs({a[0][0]}) < _TINY"
+    if n == 2:
+        (a00, a01), (a10, a11) = a
+        scale = f"max(abs({a00}), abs({a01}), abs({a10}), abs({a11}), 1e-300)"
+        return [f"{det} = {a00}*{a11} - {a01}*{a10}"], f"abs({det}) < (_PIVOT_REL * {scale})**2 or {det} == 0.0"
+    return [], None
+
+
+def _singular(n):
+    return f"raise SingularMatrixError('{n}x{n} system is singular')"
 
 
 def _norm(r):
@@ -587,6 +603,12 @@ def _newton(call, xi, s, frame=None):
     residual ends the solve (Newton cannot recover from a model value that
     overflowed), and a singular ``dg/dq`` inside the tolerance keeps the
     iterate.
+
+    A march-level Jacobian (see :func:`_constant_jacobian`) is set, with its
+    2x2 determinant and pivot test, once per march or start solve (each
+    sets ``jac_new``): before the loop of the first solve whose first
+    iteration needs it, so the bits, and the first error, stay those of a
+    Jacobian set in every iteration.
     """
     q, r = _vec("q", s), _vec("r", s)
     p, arg, at_p, at_q = xi, q, [], []
@@ -600,7 +622,16 @@ def _newton(call, xi, s, frame=None):
         gq = _mat("gq", s, s)
         jac_lines = call("d2g", sum(gq, []), p, arg)
         jac_lines += [f"{v} = {e}" for v, e in zip(sum(jac, []), sum(_matmul(gq, frame[1]), []))]
-    factor, apply, (step,) = _solve(jac, [r], "dq", on_singular=["if rn <= _TOL:", "    break"])
+    on_singular = ["if rn <= _TOL:", "    break"]
+    factor, apply, (step,) = _solve(jac, [r], "dq", on_singular)
+    once = []
+    if _constant_jacobian(call, frame is not None):
+        lines, test = _pivot_test(jac, "dq_det")
+        lines += [f"dq_singular = {test}"] if test else []
+        once = ["if jac_new and rn != 0.0 and rn < _INF:",
+                *(f"    {line}" for line in jac_lines + lines), "    jac_new = False"]
+        jac_lines = []
+        factor = ["if dq_singular:", *(f"    {line}" for line in on_singular), f"    {_singular(s)}"] if test else []
     residual = call("g", r, p, arg) + _norm(r)
     body = [
         "if rn == 0.0 or (rn <= _TOL and it > 0):",
@@ -618,6 +649,7 @@ def _newton(call, xi, s, frame=None):
         *at_p,
         *at_q,
         *residual,
+        *once,
         "for it in range(_MAX_ITER):",
         *(f"    {line}" for line in body),
         "else:",
@@ -625,6 +657,12 @@ def _newton(call, xi, s, frame=None):
         "        raise NoConvergenceError(",
         "            f'constraint solve stalled at residual {rn:.3e} (tol {_TOL:.1e})')",
     ]
+
+
+def _constant_jacobian(models, raw):
+    # whether the constraint Newton's Jacobian is march-level: d2g in the
+    # frame, reading neither of its arguments
+    return not raw and not models.read("d2g", ("p", "q"))
 
 
 def _resolve(call, xi, s, frame=None):
@@ -848,9 +886,12 @@ def _emit(models, order, m, s, sensitivity, raw):
     unpack, _, a, b, da, dbi = _frame_names(order, m, s, raw)
     tup = lambda names: "(" + _unrolled(names) + ")"
     xis = _vec("xi", m)
+    # the constraint Newton's constant Jacobian is set once per call
+    once = ["jac_new = True"] if _constant_jacobian(models, raw) else []
     # a raw solve reads the frame of its time, which the march passes
     src += [f"    def resolve(t, {'fr, ' * raw}{', '.join(xis + q)}):",
             *([f"        {unpack}"] if raw else []),
+            *(f"        {line}" for line in once),
             *(f"        {line}" for line in _resolve(models, xis, s, (a, b) if raw else None)),
             f"        return {_unrolled(q)}", ""]
     if not raw:
@@ -935,7 +976,7 @@ def _emit(models, order, m, s, sensitivity, raw):
             f"        nodes = [{node}]",
             "        append = nodes.append",
             "        t_seen = None",
-            *(f"        {line}" for line in first),
+            *(f"        {line}" for line in first + once),
             "        for fr_mid, fr_end in zip(frames, frames):",
             "            mid = t + hh",
             "            end = t + h",

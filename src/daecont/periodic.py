@@ -33,7 +33,13 @@ taken at each stage's converged algebraic block.  Its row 0 is the plain
 march, bit for bit.  Newton accepts a point on the residual it evaluated
 there, so the corrector's last march gives the residual, the Jacobian,
 the tangent and the accepted pair's nodes: a pair costs no march of its
-own, and its constraint residual comes with the nodes' records.
+own, and its constraint residual comes with the nodes' records.  That
+march is most often a plain one: a point within ``JACOBIAN_REUSE * (1 +
+|z|_inf)`` of the runner's last sensitivity march (a corrector's last
+step is a few 1e-6 long) gets a plain march and that march's Jacobian,
+the Jacobian reuse of Newton-like correctors (Allgower and Georg).
+Residuals and pairs keep their bits; a Newton step or a tangent there
+reads a Jacobian up to the radius away.
 
 Every march, raw or fixed-frame, plain or sensitivity, runs on Python
 floats in code emitted per problem (:mod:`daecont.kernel`), and the
@@ -91,6 +97,7 @@ LSQ_TOL = 1e-10
 LSQ_MAX_ITER = 30
 _FIRST_STEP = NewtonConfig(max_iters=25, tol_residual=1e-10)
 _CORRECTOR = NewtonConfig(max_iters=15, tol_residual=1e-10)
+JACOBIAN_REUSE = 1e-5  # relative max-norm radius of a Jacobian's reuse (see linearize)
 
 
 @dataclass
@@ -258,7 +265,8 @@ class _ShootingRunner:
 
     Every march runs the runner's one :attr:`grid` on its one system
     (``prob`` may be that system already).  The runner also keeps the
-    nodes of one march, :meth:`linearize`'s last, for :meth:`make_tpair`.
+    nodes of one march, :meth:`linearize`'s last, for :meth:`make_tpair`,
+    and the point of its last sensitivity march for Jacobian reuse.
     """
 
     def __init__(self, prob, nsteps: int = DEFAULT_STEPS):
@@ -268,6 +276,7 @@ class _ShootingRunner:
         self.state_dim = prob.order * prob.m
         self.sys = fixed_frame(prob)
         self._last = (None,) * 5  # linearize's (key, residual, jacobian, stepper, nodes)
+        self._fresh = None  # the point of the last sensitivity march
 
     @functools.cached_property
     def grid(self):
@@ -284,30 +293,42 @@ class _ShootingRunner:
     def linearize(self, lam, state0):
         """Shooting residual and its Jacobian by ``(lam, state0)``.
 
-        One sensitivity march gives both; the residual is its row 0, the
-        plain march's arithmetic, bit for bit.  The result for the last
-        point is kept, keyed by the exact bytes of ``(lam, state0)`` with
-        its march's nodes: one Newton iterate's residual and Jacobian, and
-        the tangent and pair at a converged point, share one march.  Do not
-        modify the arrays.
+        A sensitivity march gives both; the residual is its row 0, the
+        plain march's arithmetic, bit for bit.  A point ``z = (lam,
+        state0)`` within ``JACOBIAN_REUSE * (1 + |z|_inf)`` (max-norm) of
+        the point of the runner's last sensitivity march gets a plain march
+        instead, with that march's Jacobian: the Jacobian returned may be
+        that of a point within the radius.  The result for the last point
+        is kept, keyed by the exact bytes of ``z`` with its march's nodes:
+        one Newton iterate's residual and Jacobian, and the tangent and pair
+        at a converged point, share one march.  Do not modify the arrays.
         """
         state0 = np.asarray(state0, dtype=float)
-        key = np.append(lam, state0).tobytes()
-        if key != self._last[0]:
+        z = np.append(lam, state0)
+        if z.tobytes() == self._last[0]:
+            return self._last[1], self._last[2]
+        if self._fresh is not None and norm_inf(z - self._fresh) < JACOBIAN_REUSE * (1.0 + norm_inf(z)):
+            stepper = March(self.sys, lam)
+            nodes, end = self._run(stepper, state0.tolist())
+            residual, jacobian = np.array(end) - state0, self._last[2]
+        else:
             n = self.state_dim
             stepper = March(self.sys, lam, sensitivity=True)
             start = state0.tolist() + [0.0] * n + np.eye(n).ravel().tolist()
             nodes, end = self._run(stepper, start)
             end = np.array(end).reshape(n + 2, n)
-            jacobian = end[1:].T - np.eye(n, n + 1, 1)
-            self._last = (key, end[0] - state0, jacobian, stepper, nodes)
-        return self._last[1], self._last[2]
+            residual, jacobian = end[0] - state0, end[1:].T - np.eye(n, n + 1, 1)
+            self._fresh = z
+        self._last = (z.tobytes(), residual, jacobian, stepper, nodes)
+        return residual, jacobian
 
     def newton_maps(self, lam=None):
         """Residual and Jacobian callables for :func:`newton_solve`.
 
         The unknown is the start state at a fixed ``lam``, or ``(lam,
-        state0)`` when ``lam`` is None.  Both read :meth:`linearize`.
+        state0)`` when ``lam`` is None.  Both read :meth:`linearize`, so the
+        residual at a point within the reuse radius of the last sensitivity
+        march costs a plain march, and the Jacobian there is that march's.
         """
         if lam is None:
             return (lambda z: self.linearize(z[0], z[1:])[0],

@@ -235,15 +235,18 @@ def test_criterion_8_branch_tracing(tmp_path):
 
 
 def test_criterion_8_march_count(tmp_path, monkeypatch):
-    # the work of criterion 8 in marches, all of them sensitivity marches:
-    # the regression signal of its run time, which a change of the
-    # predictor or corrector moves on purpose
-    marches, march = [], kernel.March.march
+    # the work of criterion 8 in marches: the regression signal of its run
+    # time, which a change of the predictor or corrector moves on purpose.
+    # A sensitivity march carries n + 2 = 4 rows of the n = 2 state; the
+    # plain ones run at points within periodic.JACOBIAN_REUSE of the last
+    # sensitivity march, most of them the accepting march of a corrector
+    rows, march = [], kernel.March.march
     monkeypatch.setattr(kernel.March, "march",
-                        lambda self, *args: marches.append(self) or march(self, *args))
+                        lambda self, state, *args: rows.append(len(state) // 2) or march(self, state, *args))
     code = main(["continue", "rotating_surface", "--ds", "0.05", "--steps", "40",
                  "--out", str(tmp_path / "branch.csv")])
-    assert code == 0 and len(marches) == 118
+    assert code == 0 and len(rows) == 118
+    assert rows.count(4) == 80 and rows.count(1) == 38
 
 
 def test_criterion_8_fills_one_grid(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import daecont
-from daecont import cli, kernel, transform
+from daecont import cli, kernel, periodic, transform
 
 from daecont.cli import MAX_BRANCH_STEPS, MAX_LEMMA_PATHS, build_parser, main
 from daecont.degree import Box
@@ -702,14 +702,11 @@ GOLDEN_VALUE_TOL = 1e-10
 RESIDUAL_LIMITS = {"periodicity_residual": 1e-8, "constraint_residual": 1e-10}
 
 
-def assert_branch_matches_golden(capsys, golden_name, *argv):
-    # Exit code, termination line, header, row count, step and trivial_flag
-    # exact; lambda, xi0_* and the sup norms within GOLDEN_VALUE_TOL;
-    # residuals under their limits.
-    code, out, err = run(capsys, *argv)
-    ref = [line.split(",") for line in (GOLDEN_DIR / golden_name).read_text().splitlines()]
+def assert_branch_close(out, ref_text, tol):
+    # Header, row count, step and trivial_flag exact; lambda, xi0_* and the
+    # sup norms within tol; residuals under their limits.
+    ref = [line.split(",") for line in ref_text.splitlines()]
     rows = [line.split(",") for line in out.splitlines()]
-    assert code == 0 and err == f"branch: {len(ref) - 1} pairs, termination: budget\n"
     assert rows[0] == ref[0] and len(rows) == len(ref)
     header = ref[0]
     for row, ref_row in zip(rows[1:], ref[1:]):
@@ -719,7 +716,16 @@ def assert_branch_matches_golden(capsys, golden_name, *argv):
             elif name in RESIDUAL_LIMITS:
                 assert float(value) <= RESIDUAL_LIMITS[name], name
             else:
-                assert abs(float(value) - float(ref_value)) <= GOLDEN_VALUE_TOL, name
+                assert abs(float(value) - float(ref_value)) <= tol, name
+
+
+def assert_branch_matches_golden(capsys, golden_name, *argv):
+    # Exit code and termination line exact, and the rows within
+    # GOLDEN_VALUE_TOL of the golden's (see assert_branch_close).
+    code, out, err = run(capsys, *argv)
+    ref_text = (GOLDEN_DIR / golden_name).read_text()
+    assert code == 0 and err == f"branch: {len(ref_text.splitlines()) - 1} pairs, termination: budget\n"
+    assert_branch_close(out, ref_text, GOLDEN_VALUE_TOL)
 
 
 @pytest.mark.parametrize("problem, steps", [("commuting_h", "3"),
@@ -735,7 +741,12 @@ def test_branch_of_criterion_8_fixture_matches_golden(capsys):
 
 
 # Recorded at the per-stage-call march: the step loop's march keeps every
-# float operation and its order, so branches stay byte for byte.
+# float operation and its order, so branches stay byte for byte.  The
+# branches of more than one arclength step (rotating_surface_4,
+# commuting_h_3) were recorded again when the corrector's accepting march
+# began to reuse the Jacobian of its previous iterate; their
+# *_fresh_jacobian.csv keep the branches of a sensitivity march at every
+# corrected point, which periodic.JACOBIAN_REUSE = 0 gives back.
 EXACT_BRANCHES = [("rotating_surface", "4"), ("rotating_surface_2nd", "2"), ("commuting_h", "3"),
                   ("semilinear_4x4", "4"), ("scalar_linear", "2")]
 
@@ -745,6 +756,54 @@ def test_branch_matches_golden_byte_for_byte(capsys, problem, steps):
     golden = GOLDEN_DIR / "branch" / f"{problem}_{steps}"
     assert run(capsys, "continue", problem, "--steps", steps) == (
         0, golden.with_suffix(".csv").read_text(), golden.with_suffix(".err").read_text())
+
+
+@pytest.mark.parametrize("problem, steps", [("rotating_surface", "4"), ("commuting_h", "3")])
+def test_branch_without_jacobian_reuse_matches_fresh_golden(capsys, monkeypatch, problem, steps):
+    monkeypatch.setattr(periodic, "JACOBIAN_REUSE", 0.0)
+    golden = GOLDEN_DIR / "branch" / f"{problem}_{steps}"
+    assert run(capsys, "continue", problem, "--steps", steps) == (
+        0, golden.with_name(f"{golden.name}_fresh_jacobian.csv").read_text(),
+        golden.with_suffix(".err").read_text())
+
+
+def test_criterion_8_fixture_without_jacobian_reuse_matches_fresh_golden(capsys, monkeypatch):
+    monkeypatch.setattr(periodic, "JACOBIAN_REUSE", 0.0)
+    assert_branch_matches_golden(capsys, "continue_rotating_surface_6_fresh_jacobian.csv",
+                                 "continue", "rotating_surface", "--steps", "6")
+
+
+# A tangent from the Jacobian of the corrector's previous iterate moves the
+# later points of criterion 8 along the branch (measured: at most 1.1e-7 in
+# lambda, 6.0e-8 in xi0_1 and 8.7e-8 in the sup norms).
+JACOBIAN_REUSE_TOL = 1e-6
+
+
+def test_jacobian_reuse_moves_criterion_8_within_tolerance(capsys, monkeypatch):
+    argv = ("continue", "rotating_surface", "--ds", "0.05", "--steps", "40")
+    reused = run(capsys, *argv)
+    monkeypatch.setattr(periodic, "JACOBIAN_REUSE", 0.0)
+    fresh = run(capsys, *argv)
+    assert reused[0] == fresh[0] == 0
+    assert reused[2] == fresh[2] == "branch: 41 pairs, termination: budget\n"
+    assert_branch_close(reused[1], fresh[1], JACOBIAN_REUSE_TOL)
+    assert_branch_close(fresh[1], reused[1], JACOBIAN_REUSE_TOL)  # the residuals of both
+
+
+def test_predictor_inside_the_reuse_radius_takes_a_plain_march(capsys, monkeypatch):
+    # at ds = 1e-6 the first step converges on its one sensitivity march,
+    # and each arclength step predicts a point within the radius of it,
+    # where a plain march converges at once
+    rows, march = [], kernel.March.march
+    monkeypatch.setattr(kernel.March, "march",
+                        lambda self, state, *args: rows.append(len(state) // 2) or march(self, state, *args))
+    code, out, err = run(capsys, "continue", "rotating_surface", "--ds", "1e-6", "--steps", "3")
+    assert code == 0 and err == "branch: 4 pairs, termination: budget\n"
+    assert sorted(rows) == [1, 1, 4]
+    header, *lines = [line.split(",") for line in out.splitlines()]
+    for line in lines:
+        for name, limit in RESIDUAL_LIMITS.items():
+            assert float(line[header.index(name)]) <= limit, name
 
 
 def test_branch_dump_matches_golden_byte_for_byte(capsys, tmp_path):

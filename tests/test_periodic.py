@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from dataclasses import replace
@@ -911,6 +912,42 @@ class TestExactShootingJacobian:
         assert find_tpair(scalar_problem(), 0.0, np.array([0.7])).is_trivial
         assert len(marches) == 1
 
+    def test_jacobian_reuse_radius(self):
+        # a point within JACOBIAN_REUSE * (1 + |z|_inf) of the last
+        # sensitivity march gets a plain march and that march's Jacobian;
+        # a point outside gets a sensitivity march of its own
+        runner = periodic._ShootingRunner(load_fixture("rotating_surface"), 16)
+        z = self.point(runner)
+        _, jac = runner.linearize(z[0], z[1:])
+        radius = periodic.JACOBIAN_REUSE * (1.0 + norm_inf(z))
+        near, far = z + [0.0, 0.9 * radius, 0.0], z + [0.0, 0.0, -1.1 * radius]
+        residual, reused = runner.linearize(near[0], near[1:])
+        assert reused is jac and residual.tobytes() == shoot(runner, near[0], near[1:]).tobytes()
+        residual, fresh = runner.linearize(far[0], far[1:])
+        assert fresh is not jac and residual.tobytes() == shoot(runner, far[0], far[1:]).tobytes()
+        back = far + [0.0, 0.0, 0.5 * radius]  # within the radius of far, the last sensitivity march
+        assert runner.linearize(back[0], back[1:])[1] is fresh
+
+    def test_find_tpair_keeps_its_bits_at_a_reused_jacobian(self, monkeypatch):
+        # from a guess 1e-7 off the pair, Newton's second point is within
+        # periodic.JACOBIAN_REUSE of its first: a plain march with the first
+        # point's Jacobian converges there, and the pair keeps the bits of a
+        # sensitivity march, since no tangent is formed
+        prob = load_fixture("rotating_surface")
+        guess = find_tpair(prob, 0.5, np.zeros(2)).xi0 + 1e-7
+        rows, march = [], periodic.March.march
+        monkeypatch.setattr(periodic.March, "march",
+                            lambda self, state, *args: rows.append(len(state) // 2) or march(self, state, *args))
+        reused = find_tpair(prob, 0.5, guess)
+        monkeypatch.setattr(periodic, "JACOBIAN_REUSE", 0.0)
+        fresh = find_tpair(prob, 0.5, guess)
+        assert rows == [4, 1, 4, 4]
+        assert reused.xi0.tobytes() == fresh.xi0.tobytes()
+        for column in ("x", "y"):
+            assert getattr(reused.trajectory, column).tobytes() == getattr(fresh.trajectory, column).tobytes()
+        assert (reused.periodicity_residual, reused.constraint_residual) == (
+            fresh.periodicity_residual, fresh.constraint_residual)
+
     @pytest.mark.parametrize("name", ["rotating_surface", "rotating_surface_2nd", "semilinear_4x4"])
     def test_pair_is_the_plain_march_bit_for_bit(self, name):
         runner = periodic._ShootingRunner(_shooting_problem(name), 16)
@@ -1204,12 +1241,15 @@ class TestKernelSize:
     fixtures, in lines: a change of the emitter that unrolls or repeats
     code shows here."""
 
+    # semilinear_4x4's constant constraint Jacobian is set before the
+    # Newton loop, once per march or start solve: 11 lines more for the
+    # guarded block of each of its three solves and the flag it reads
     LINES = {  # raw, plain, sensitivity
         "commuting_h": (175, 216, 268),
         "rotating_surface": (175, 216, 267),
         "rotating_surface_2nd": (238, 272, 416),
         "scalar_linear": (166, 202, 220),
-        "semilinear_4x4": (226, 265, 331),
+        "semilinear_4x4": (226, 276, 342),
     }
     FRAME_LINES = {  # raw, fixed frame at the problem's order
         "commuting_h": (21, 21),
@@ -1236,6 +1276,70 @@ class TestKernelSize:
         sizes = tuple(len(kernel._emit_frames(prob.m, prob.s, fixed and prob.order == 2, fragments).splitlines())
                       for fixed in (False, True))
         assert sizes == self.FRAME_LINES[name]
+
+
+def _outcome(run):
+    # the bytes of each value run returns, or its error's class and message
+    try:
+        return [np.asarray(v, dtype=float).tobytes() for v in run()]
+    except DaecontError as exc:
+        return type(exc), str(exc)
+
+
+def _per_iteration(run):
+    # _outcome(run) on kernels emitted with the constraint Newton's Jacobian
+    # set in every iteration, as if none were march-level
+    constant = kernel._constant_jacobian
+    kernel._build.cache_clear()
+    kernel._constant_jacobian = lambda models, raw: False
+    try:
+        return _outcome(run)
+    finally:
+        kernel._constant_jacobian = constant
+        kernel._build.cache_clear()
+
+
+class TestConstantConstraintJacobian:
+    """A march-level constraint Jacobian (the reduced ``semilinear_4x4``'s
+    ``d2g``) is set once per march or start solve, outside the Newton loop,
+    with the bits and the first error of one set in every iteration."""
+
+    @staticmethod
+    def assigned(root):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name) and target.id == "j0_0" for target in node.targets)]
+
+    @pytest.mark.parametrize("name, constant", [("semilinear_4x4", True), ("rotating_surface", False)])
+    @pytest.mark.parametrize("sensitivity", [False, True])
+    def test_set_outside_the_newton_loop(self, name, constant, sensitivity):
+        sys = fixed_frame(_shooting_problem(name))
+        source = kernel._emit(kernel._Models(kernel._models(sys)[1]), sys.order, sys.m, sys.s, sensitivity, False)
+        march = next(node for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.FunctionDef) and node.name == "march")
+        loops = [node for node in ast.walk(march)
+                 if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(_MAX_ITER)"]
+        inside = sum(len(self.assigned(loop)) for loop in loops)
+        assert len(loops) == 2 and len(self.assigned(march)) == 2
+        assert inside == (0 if constant else 2)
+
+    @pytest.mark.parametrize("name", ["semilinear_4x4", "singular_g_q"])
+    def test_bits_and_errors_of_a_jacobian_set_per_iteration(self, name):
+        if name in MARCH_LEVEL_FAILURES:
+            prob = build_problem(parse_problem(MARCH_LEVEL_FAILURES[name][0]))
+        else:
+            prob = _shooting_problem(name)
+        start = np.array([0.3, -0.2])
+        runs = [lambda: integrate(prob, 0.5, start, mode="fixed").to_dict().values(),
+                lambda: periodic._ShootingRunner(prob, 16).linearize(0.5, start)]
+        # a start residual inside the tolerance: a singular Jacobian keeps the
+        # iterate; outside it, it raises
+        for xi in ([1e-14, 0.0], [0.3, -0.2]):
+            runs.append(lambda xi=xi: [periodic.March(fixed_frame(prob), 0.5).resolve(0.0, xi, [0.0, 0.0])])
+        outcomes = [_outcome(run) for run in runs]
+        assert outcomes == [_per_iteration(run) for run in runs]
+        if name == "singular_g_q":
+            assert outcomes[2] == [np.zeros(2).tobytes()]
+            assert outcomes[1] == outcomes[3] == (SingularMatrixError, "2x2 system is singular")
 
 
 class TestRawMarch:
