@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     BoundaryZeroError,
     DegenerateZeroError,
+    EvaluationError,
     SingularMatrixError,
     SuspectIncompleteError,
 )
@@ -129,6 +130,12 @@ class ZeroRecord:
     sign: int
     det: float
     residual: float
+
+    def __post_init__(self):
+        # no certificate carries a non-finite number
+        if not np.isfinite(self.det):
+            where = np.array2string(self.point, precision=6)
+            raise EvaluationError(f"zero at {where} has a non-finite det J = {self.det}")
 
     def to_dict(self) -> dict:
         return {"point": self.point, "sign": self.sign, "det": self.det,

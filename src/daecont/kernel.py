@@ -20,22 +20,23 @@ later stages add theirs, and the constraint re-solve that ends a step
 Each value a stage sets has a level: *march* when it reads no stage
 input, *time* when it reads the stage time or the frame, and *node*
 otherwise (the constraint Newton, and its Jacobian unless that is
-march-level: then it is set, with its pivot test, once per march, see
-:func:`_newton`).  An inlined model
-takes the level of the arguments its trees read (none: march, ``t``
-alone: time), a model called through the adapter is node-level, and any
-other value takes the highest level of the values it reads.  On the
-reduced ``semilinear_4x4``, ``g_p``, ``g_q`` and ``e = -g_q^-1 g_p`` are
-march-level, ``J = df`` and the sensitivity matrix ``K`` time-level.
-March-level lines run in a march's first stage (under ``if first:``),
-time-level ones only when the stage time is not the previous stage's
-(under ``if fresh:``: a step has two new stage times, since stage 1 has
-the time of the step before's stage 4 and stages 2 and 3 share the
-midpoint), each in its place among the node's lines, so the bits and the
-first error raised are those of a stage that does all its work.  A solve
-is split into factor lines (the pivot test, and the 2x2 determinant) and
-apply lines, and a stage factors each matrix once: a later solve with it
-or its transpose reads its determinant.
+march-level, see :func:`_newton`).  An inlined model takes the level of
+the arguments its trees read (none: march, ``t`` alone: time), a model
+called through the adapter is node-level, and any other value takes the
+highest level of the values it reads.  On the reduced
+``semilinear_4x4``, the Newton's Jacobian, ``g_p``, ``g_q`` and ``e =
+-g_q^-1 g_p`` are march-level, ``J = df`` and the sensitivity matrix
+``K`` time-level.  March-level lines run once, at the start of the
+function that reads them: a march runs them after it reads its start
+frame and before its first step, a start solve before its Newton, so
+one that fails raises before any step.  Time-level lines run, in their
+place among the node's lines, only when the stage time is not the
+previous stage's (under ``if fresh:``: a step has two new stage times,
+since stage 1 has the time of the step before's stage 4 and stages 2
+and 3 share the midpoint).  The bits are those of a stage that does all
+its work.  A solve is split into factor lines (the pivot test, and the
+2x2 determinant) and apply lines, and a stage factors each matrix once:
+a later solve with it or its transpose reads its determinant.
 
 The type of the model picks the coordinates (see :class:`March`).  A
 fixed-frame system solves the autonomous constraint for ``eta``, drifts
@@ -96,7 +97,7 @@ A kernel is emitted and compiled at the first march, start solve or
 averaged map that needs it, never at set-up, and kept in a bounded cache
 keyed by what its source is emitted from: the problem's shape, the march
 kind and the fragments, so that every parse of one problem shares one
-kernel.  Its source is 166 to 416 lines on the fixtures.  One entry
+kernel.  Its source is 166 to 413 lines on the fixtures.  One entry
 keeps the compiled code of its build function, 8 to 23 KB on the
 fixtures (measured with tracemalloc as what compiling and running the
 build source leaves allocated: 14 KB for the sensitivity kernel of
@@ -566,14 +567,16 @@ def _solve(a, cols, name, on_singular=(), det=None):
 def _pivot_test(a, det):
     # The lines that factor a (the 2x2 determinant, named det) and
     # solve_linear's pivot test on them, a condition that holds when a is
-    # singular; no test for 3x3 and larger, which solve_linear makes
+    # singular; no test for 3x3 and larger, which solve_linear makes.  The
+    # 2x2 bound squares by a product, as numpy's ** 2 does: a float power
+    # raises OverflowError where the product is inf
     n = len(a)
     if n == 1:
         return [], f"abs({a[0][0]}) < _TINY"
     if n == 2:
         (a00, a01), (a10, a11) = a
-        scale = f"max(abs({a00}), abs({a01}), abs({a10}), abs({a11}), 1e-300)"
-        return [f"{det} = {a00}*{a11} - {a01}*{a10}"], f"abs({det}) < (_PIVOT_REL * {scale})**2 or {det} == 0.0"
+        bound = f"({det}_b := _PIVOT_REL * max(abs({a00}), abs({a01}), abs({a10}), abs({a11}), 1e-300))"
+        return [f"{det} = {a00}*{a11} - {a01}*{a10}"], f"abs({det}) < {bound} * {det}_b or {det} == 0.0"
     return [], None
 
 
@@ -590,7 +593,8 @@ def _norm(r):
 
 
 def _newton(call, xi, s, frame=None):
-    """Lines that solve ``g(xi, q) = 0`` for ``q0..`` from their warm start.
+    """``(once, lines)``: lines that solve ``g(xi, q) = 0`` for ``q0..`` from
+    their warm start, and the march-level lines they read.
 
     Raw (``frame`` the names of ``A`` and ``B``) they solve ``g(A xi, B q)
     = 0`` with the Jacobian ``g_q B``, and name ``A xi`` ``p0..`` and ``B
@@ -601,14 +605,15 @@ def _newton(call, xi, s, frame=None):
     amplify far past the tolerance of the differential block), the
     residual norm is numpy's max (NaN if any entry is), a non-finite
     residual ends the solve (Newton cannot recover from a model value that
-    overflowed), and a singular ``dg/dq`` inside the tolerance keeps the
-    iterate.
+    overflowed; at a non-finite state the error blames the state, where an
+    earlier value overflowed without raising), and a singular ``dg/dq``
+    inside the tolerance keeps the iterate.
 
-    A march-level Jacobian (see :func:`_constant_jacobian`) is set, with its
-    2x2 determinant and pivot test, once per march or start solve (each
-    sets ``jac_new``): before the loop of the first solve whose first
-    iteration needs it, so the bits, and the first error, stay those of a
-    Jacobian set in every iteration.
+    A march-level Jacobian (see :func:`_constant_jacobian`) is ``once``: its
+    lines, its 2x2 determinant and its pivot test as ``dq_singular``, which
+    the caller runs at the start of its march or start solve; the loop
+    reads them.  Otherwise ``once`` is empty and each iteration sets the
+    Jacobian.
     """
     q, r = _vec("q", s), _vec("r", s)
     p, arg, at_p, at_q = xi, q, [], []
@@ -627,10 +632,7 @@ def _newton(call, xi, s, frame=None):
     once = []
     if _constant_jacobian(call, frame is not None):
         lines, test = _pivot_test(jac, "dq_det")
-        lines += [f"dq_singular = {test}"] if test else []
-        once = ["if jac_new and rn != 0.0 and rn < _INF:",
-                *(f"    {line}" for line in jac_lines + lines), "    jac_new = False"]
-        jac_lines = []
+        once, jac_lines = jac_lines + lines + ([f"dq_singular = {test}"] if test else []), []
         factor = ["if dq_singular:", *(f"    {line}" for line in on_singular), f"    {_singular(s)}"] if test else []
     residual = call("g", r, p, arg) + _norm(r)
     body = [
@@ -645,11 +647,10 @@ def _newton(call, xi, s, frame=None):
         *at_q,
         *residual,
     ]
-    return [
+    solve = [
         *at_p,
         *at_q,
         *residual,
-        *once,
         "for it in range(_MAX_ITER):",
         *(f"    {line}" for line in body),
         "else:",
@@ -657,26 +658,20 @@ def _newton(call, xi, s, frame=None):
         "        raise NoConvergenceError(",
         "            f'constraint solve stalled at residual {rn:.3e} (tol {_TOL:.1e})')",
     ]
+    state = "[" + ", ".join(xi) + "]"
+    return once, ["try:", *(f"    {line}" for line in solve),
+                  "except NonfiniteResultError:",
+                  f"    if {' and '.join(f'isfinite({v})' for v in xi)}:",
+                  "        raise",
+                  "    raise NonfiniteResultError(",
+                  f"        f'state {{{state}}} at t = {{t!r}} is not finite: a model value overflowed'",
+                  "    ) from None"]
 
 
 def _constant_jacobian(models, raw):
     # whether the constraint Newton's Jacobian is march-level: d2g in the
     # frame, reading neither of its arguments
     return not raw and not models.read("d2g", ("p", "q"))
-
-
-def _resolve(call, xi, s, frame=None):
-    # _newton, with a non-finite residual at a non-finite state blamed on
-    # the state, where an earlier value overflowed without raising
-    state = "[" + ", ".join(xi) + "]"
-    finite = " and ".join(f"isfinite({v})" for v in xi)
-    return ["try:", *(f"    {line}" for line in _newton(call, xi, s, frame)),
-            "except NonfiniteResultError:",
-            f"    if {finite}:",
-            "        raise",
-            "    raise NonfiniteResultError(",
-            f"        f'state {{{state}}} at t = {{t!r}} is not finite: a model value overflowed'",
-            "    ) from None"]
 
 
 def _frame_names(order, m, s, raw=False):
@@ -771,15 +766,17 @@ def _stage(models, order, m, s, sensitivity, raw=False):
     body = _Lines(models, m)
     xi, u = _vec("xi", m), _vec("u", m)
     unpack, flat, a, b, da, dbi = _frame_names(order, m, s, raw)
+    once, solve = _newton(models, xi, s, (a, b) if raw else None)
+    body.add(MARCH, once)
     if raw:
         body.add(TIME, [unpack], flat)
-        body.add(NODE, _resolve(models, xi, s, (a, b)))
+        body.add(NODE, solve)
         if order == 2:
             _rate(body, order, m, s, (a, b, da, dbi))
         force = _vec("v", m)
         body.model("f", force, "t", *_node_args(order, m, s, raw))
     else:
-        body.add(NODE, _resolve(models, xi, s))
+        body.add(NODE, solve)
         gp, gq = _rate(body, order, m, s) if (order == 2 or sensitivity) else (None, None)
         body.add(TIME, [unpack], flat)
         _forcing(body, order, m, s, a, b, da, dbi)
@@ -843,27 +840,21 @@ def _sensitivity(body, order, m, s, a, b, da, dbi, gp, gq):
 
 
 def _at_levels(lines):
-    """The lines of a stage, each run of march-level ones under ``if
-    first:`` and each run of time-level ones under ``if fresh:``.
+    """``(once, lines)``: the march-level lines of a stage, and its other
+    lines with each run of time-level ones under ``if fresh:``.
 
     ``fresh`` holds when the stage time ``t`` is not the time of the stage
-    before (``t_seen``), and ``first`` in a march's first stage (its last
-    march-level run clears it): time-level work runs once per stage time
-    and march-level work once per march, each in its place among the
-    node's lines, so the bits and the first error are those of a stage
-    that does all its work.
+    before (``t_seen``), so time-level work runs once per stage time, in
+    its place among the node's lines; the march runs ``once`` before its
+    first step.
     """
-    runs = [(level, [line for _, line in run])
-            for level, run in itertools.groupby(lines, key=lambda line: line[0])]
-    last = max((k for k, (level, _) in enumerate(runs) if level == MARCH), default=None)
+    once = [line for level, line in lines if level == MARCH]
     out = ["fresh = t is not t_seen", "t_seen = t"]
-    for k, (level, run) in enumerate(runs):
-        if level == NODE:
-            out += run
-            continue
-        out += ["if first:" if level == MARCH else "if fresh:", *(f"    {line}" for line in run)]
-        out += ["    first = False"] if k == last else []
-    return out
+    rest = (line for line in lines if line[0] != MARCH)
+    for level, run in itertools.groupby(rest, key=lambda line: line[0]):
+        run = [line for _, line in run]
+        out += run if level == NODE else ["if fresh:", *(f"    {line}" for line in run)]
+    return once, out
 
 
 def _emit(models, order, m, s, sensitivity, raw):
@@ -886,13 +877,11 @@ def _emit(models, order, m, s, sensitivity, raw):
     unpack, _, a, b, da, dbi = _frame_names(order, m, s, raw)
     tup = lambda names: "(" + _unrolled(names) + ")"
     xis = _vec("xi", m)
-    # the constraint Newton's constant Jacobian is set once per call
-    once = ["jac_new = True"] if _constant_jacobian(models, raw) else []
+    once, solve = _newton(models, xis, s, (a, b) if raw else None)
     # a raw solve reads the frame of its time, which the march passes
     src += [f"    def resolve(t, {'fr, ' * raw}{', '.join(xis + q)}):",
             *([f"        {unpack}"] if raw else []),
-            *(f"        {line}" for line in once),
-            *(f"        {line}" for line in _resolve(models, xis, s, (a, b) if raw else None)),
+            *(f"        {line}" for line in once + solve),
             f"        return {_unrolled(q)}", ""]
     if not raw:
         # records: row 0 and q of each node, on its frame, to its time, x,
@@ -963,8 +952,7 @@ def _emit(models, order, m, s, sensitivity, raw):
                "        t = end",
                "        fr = fr_end",
                *(f"{x} = {v} + c*{k}" for v, x, k, _ in entries)]
-    stage = _stage(models, order, m, s, sensitivity, raw).lines
-    first = ["first = True"] if any(level == MARCH for level, _ in stage) else []
+    once, stage = _at_levels(_stage(models, order, m, s, sensitivity, raw).lines)
     src += [f"    def march(t, h, frames, {', '.join(state + q)}):",
             "        hh = 0.5 * h",
             "        h6 = h / 6.0",
@@ -976,13 +964,13 @@ def _emit(models, order, m, s, sensitivity, raw):
             f"        nodes = [{node}]",
             "        append = nodes.append",
             "        t_seen = None",
-            *(f"        {line}" for line in first + once),
+            *(f"        {line}" for line in once),
             "        for fr_mid, fr_end in zip(frames, frames):",
             "            mid = t + hh",
             "            end = t + h",
             "            for stage, c in stages:",
-            *(f"                {line}" for line in [*_at_levels(stage), *advance]),
-            *(f"            {line}" for line in _resolve(models, xis, s, (a, b) if raw else None) + node_rate),
+            *(f"                {line}" for line in stage + advance),
+            *(f"            {line}" for line in solve + node_rate),
             f"            append({node})",
             f"        return nodes, {tup(state)}", ""]
     src += [f"    return resolve, march, {'None' if raw else 'records'}, {'forcing' if forcing else 'None'}", ""]

@@ -94,21 +94,22 @@ def solve_stacked(a: np.ndarray, b: np.ndarray):
     k, n = b.shape
     if a.shape != (k, n, n):
         raise EvaluationError(f"dimension mismatch: matrices {a.shape}, right-hand sides {b.shape}")
-    if n == 1:
-        pivot = a[:, 0, 0]
-        singular = (np.abs(pivot) < PIVOT_REL * np.maximum(np.abs(pivot), 1e-300)) | (pivot == 0.0)
-        return b / np.where(singular, 1.0, pivot)[:, None], singular
-    if n == 2:
+    if n > 2:
+        x, _, singular, _ = _eliminate(a, b)
+        if not np.all(np.isfinite(x[~singular])):
+            raise EvaluationError("linear solve produced non-finite entries")
+        return x, singular
+    with np.errstate(all="ignore"):  # no warnings, as in _eliminate: an overflow shows in x
+        if n == 1:
+            pivot = a[:, 0, 0]
+            singular = (np.abs(pivot) < PIVOT_REL * np.maximum(np.abs(pivot), 1e-300)) | (pivot == 0.0)
+            return b / np.where(singular, 1.0, pivot)[:, None], singular
         scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1e-300)  # ||a||_inf of each system
         det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
         singular = (np.abs(det) < (PIVOT_REL * scale) ** 2) | (det == 0.0)
         det = np.where(singular, 1.0, det)
         return np.stack([(a[:, 1, 1] * b[:, 0] - a[:, 0, 1] * b[:, 1]) / det,
                          (a[:, 0, 0] * b[:, 1] - a[:, 1, 0] * b[:, 0]) / det], axis=-1), singular
-    x, _, singular, _ = _eliminate(a, b)
-    if not np.all(np.isfinite(x[~singular])):
-        raise EvaluationError("linear solve produced non-finite entries")
-    return x, singular
 
 
 def _eliminate(a: np.ndarray, b: np.ndarray):
@@ -173,13 +174,14 @@ def determinant(a: np.ndarray):
     a = np.asarray(a, dtype=float)
     stack = a if a.ndim == 3 else a[None]
     k, n = stack.shape[:2]
-    if n == 1:
-        det = stack[:, 0, 0]
-    elif n == 2:
-        det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
-    else:
-        _, pivots, singular, _ = _eliminate(stack, np.zeros((k, n)))
-        det = np.where(singular, 0.0, np.prod(pivots, axis=1))
+    with np.errstate(all="ignore"):  # no warnings: an overflow shows in det
+        if n == 1:
+            det = stack[:, 0, 0]
+        elif n == 2:
+            det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
+        else:
+            _, pivots, singular, _ = _eliminate(stack, np.zeros((k, n)))
+            det = np.where(singular, 0.0, np.prod(pivots, axis=1))
     return det if a.ndim == 3 else float(det[0])
 
 

@@ -24,7 +24,7 @@ from daecont.periodic import branch_seeds
 from daecont.probfile import build_problem, parse_problem
 from daecont.transform import fixed_frame, fixed_frame_first
 from oracles import fixed_frame_at
-from test_periodic import MARCH_LEVEL_FAILURES, THREE_CONSTRAINTS
+from test_periodic import HUGE_G_Q, MARCH_LEVEL_FAILURES, THREE_CONSTRAINTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "help.txt"
@@ -585,6 +585,33 @@ class TestModelFailure:
         path = tmp_path / f"{case}.prob"
         path.write_text(MARCH_LEVEL_FAILURES[case][0])
         assert run(capsys, argv[0], str(path), *argv[1:]) == (1, "", f"daecont: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("integrate", "--raw"), "NoConvergenceError: constraint solve stalled at residual 1.227e-02 (tol 1.0e-12)"),
+        (("integrate", "--fixed-frame"),
+         "NoConvergenceError: constraint solve stalled at residual 1.227e-02 (tol 1.0e-12)"),
+        (("degree", "--method", "reduced"), "EvaluationError: zero at [0. 0.] has a non-finite det J = inf"),
+    ])
+    def test_huge_constraint_entries_end_typed(self, capsys, tmp_path, argv, message):
+        # g_q = [[1e300, 1], [1, 1e300]]: the 2x2 pivot bounds and det J
+        # overflow to inf, with no OverflowError, warning or traceback
+        path = tmp_path / "huge.prob"
+        path.write_text(HUGE_G_Q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, argv[0], str(path), *argv[1:]) == (1, "", f"daecont: {message}\n")
+
+    def test_huge_constraint_entries_fail_both_degrees(self, capsys, tmp_path):
+        # each method's error in its slot and as one line of its own
+        path = tmp_path / "huge.prob"
+        path.write_text(HUGE_G_Q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "degree", str(path), "--method", "both")
+        assert code == 1 and not json.loads(out)["agree"]
+        assert err.splitlines() == [
+            "daecont: EvaluationError: zero at [0. 0.] has a non-finite det J = inf",
+            "daecont: DegenerateZeroError: zero at [0. 0. 0. 0.] has |det J| = 0.000e+00 < 1e-10"]
 
     def test_overflow_is_named_in_words(self, capsys, tmp_path):
         # the steps of a huge period overflow a float power: no errno tuple

@@ -43,6 +43,7 @@ from daecont.transform import (
     fixed_frame_first,
     fixed_frame_second,
 )
+from test_periodic import HUGE_G_Q
 from oracles import (
     averaged_map,
     central_jacobian,
@@ -308,6 +309,16 @@ class TestDegreeReduced:
     def test_singular_block_rejected(self):
         with pytest.raises(SingularMatrixError):
             degree_reduced(block_map(np.zeros((1, 1)), lambda p, q: q), Box.cube(1.0, 2))
+
+    def test_nonfinite_det_is_refused(self):
+        # no certificate carries a non-finite number: the det J of the
+        # section's zero overflows (g_q = [[1e300, 1], [1, 1e300]]), or its
+        # product with det M does
+        prob = build_problem(parse_problem(HUGE_G_Q))
+        with pytest.raises(EvaluationError, match=r"^zero at \[0\. 0\.\] has a non-finite det J = inf$"):
+            degree_reduced(candidate_map(fixed_frame(prob)), Box.cube(2.0, 4))
+        with pytest.raises(EvaluationError, match=r"^zero at \[0\.  0\.5\] has a non-finite det J = inf$"):
+            degree_reduced(block_map(np.array([[1e200]]), lambda p, q: 1e200 * (q - 0.5)), Box.cube(1.0, 2))
 
 
 class TestDegreeGeneric:

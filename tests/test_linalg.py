@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+from daecont import kernel
 from daecont.errors import (
     EvaluationError,
     NoConvergenceError,
     SingularJacobianError,
     SingularMatrixError,
 )
+from daecont.expressions import _define
 from daecont.linalg import (
     PIVOT_REL,
     NewtonConfig,
@@ -199,6 +201,40 @@ class TestSolveStacked:
             solve_linear(a[1], b[1])
         with pytest.raises(EvaluationError):
             solve_stacked(a, b)
+
+
+    def test_overflow_is_quiet(self):
+        # the closed forms overflow to inf with no warning, as the
+        # elimination does (the suite turns a RuntimeWarning into an
+        # error): 1e300 / 1e-300, and the 2x2 determinant 1e600 and pivot
+        # bound (PIVOT_REL * 1e300)**2
+        x, singular = solve_stacked(np.array([[[1e-300]]]), np.array([[1e300]]))
+        assert x.tolist() == [[np.inf]] and singular.tolist() == [False]
+        a = np.array([[1e300, 1.0], [1.0, 1e300]])
+        x, singular = solve_stacked(a[None], np.ones((1, 2)))
+        assert x.tolist() == [[0.0, 0.0]] and singular.tolist() == [False]
+        assert determinant(a) == np.inf
+
+    def test_emitted_pivot_test_matches_the_stacked_verdict(self):
+        # the march's 2x2 pivot test, on matrices from near-singular to
+        # random at scales from 1e-300 to 1e300, flags the systems that
+        # solve_stacked flags (the float power it once used overflowed
+        # past a scale of about 1.3e167)
+        lines, test = kernel._pivot_test([["a", "b"], ["c", "d"]], "det")
+        source = "\n".join(["def singular(a, b, c, d):", *(f"    {line}" for line in lines),
+                            f"    return {test}", ""])
+        singular = _define(source, kernel._GLOBALS, "singular")
+        rng = np.random.default_rng(24)
+        k = 6000
+        scale = 10.0 ** rng.uniform(-300.0, 300.0, k)
+        u, v = rng.uniform(-1.0, 1.0, (2, k, 2))
+        # rank one plus a relative perturbation around the pivot bound, or random
+        eps = np.where(rng.random(k) < 0.75, 10.0 ** rng.uniform(-32.0, -20.0, k), 1.0)
+        a = scale[:, None, None] * (u[:, :, None] * v[:, None, :] + eps[:, None, None] * rng.uniform(-1.0, 1.0, (k, 2, 2)))
+        expected = solve_stacked(a, np.ones((k, 2)))[1]
+        got = np.array([singular(*m.ravel().tolist()) for m in a])
+        assert (got == expected).all()
+        assert 0.1 < expected.mean() < 0.9 and (scale > 1.3e167).sum() > 1000
 
 
 class TestDeterminant:

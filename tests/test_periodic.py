@@ -780,6 +780,11 @@ MARCH_LEVEL_FAILURES = {
                       NonfiniteResultError, "constraint residual is nan: a model value is not finite"),
 }
 
+# singular_g_q with 1e300 on the diagonal of g_q: its 2x2 pivot bounds,
+# (PIVOT_REL * 1e300)**2, and its determinant overflow to inf
+HUGE_G_Q = MARCH_LEVEL_FAILURES["singular_g_q"][0].replace(
+    "p1 + q1 + q2\np2 + q1 + q2", "p1 + 1e300*q1 + q2\np2 + q1 + 1e300*q2")
+
 
 def _shooting_problem(name):
     # A problem fixture as the shooting layer sees it (semilinear reduced),
@@ -1236,20 +1241,29 @@ class TestNanResiduals:
             runner.make_tpair(0.0, np.zeros(2))
 
 
+def _kernel_sources(name):
+    # the emitted sources of a fixture's raw, plain and sensitivity kernels
+    prob = _shooting_problem(name)
+    sys = fixed_frame(prob)
+    return [kernel._emit(kernel._Models(kernel._models(model)[1]), model.order, model.m, model.s,
+                         sensitivity, model is prob)
+            for model, sensitivity in ((prob, False), (sys, False), (sys, True))]
+
+
 class TestKernelSize:
     """The emitted source of every kernel and frame function of the problem
     fixtures, in lines: a change of the emitter that unrolls or repeats
     code shows here."""
 
-    # semilinear_4x4's constant constraint Jacobian is set before the
-    # Newton loop, once per march or start solve: 11 lines more for the
-    # guarded block of each of its three solves and the flag it reads
+    # March-level lines run once, at the start of the march (the stage's,
+    # and semilinear_4x4's constant constraint Jacobian, which its start
+    # solve sets at its start too), with no flag to guard them
     LINES = {  # raw, plain, sensitivity
-        "commuting_h": (175, 216, 268),
-        "rotating_surface": (175, 216, 267),
-        "rotating_surface_2nd": (238, 272, 416),
-        "scalar_linear": (166, 202, 220),
-        "semilinear_4x4": (226, 276, 342),
+        "commuting_h": (175, 216, 264),
+        "rotating_surface": (175, 216, 264),
+        "rotating_surface_2nd": (238, 272, 413),
+        "scalar_linear": (166, 202, 216),
+        "semilinear_4x4": (226, 259, 320),
     }
     FRAME_LINES = {  # raw, fixed frame at the problem's order
         "commuting_h": (21, 21),
@@ -1261,13 +1275,16 @@ class TestKernelSize:
 
     @pytest.mark.parametrize("name", sorted(LINES))
     def test_source_lines(self, name):
-        prob = _shooting_problem(name)
-        sys = fixed_frame(prob)
-        sizes = tuple(
-            len(kernel._emit(kernel._Models(kernel._models(model)[1]), model.order, model.m, model.s,
-                             sensitivity, model is prob).splitlines())
-            for model, sensitivity in ((prob, False), (sys, False), (sys, True)))
+        sizes = tuple(len(source.splitlines()) for source in _kernel_sources(name))
         assert sizes == self.LINES[name]
+
+    @pytest.mark.parametrize("name", sorted(LINES))
+    def test_no_march_flags(self, name):
+        # march-level work has its place at the start of the march: no
+        # emitted function keeps a flag for its first stage or solve
+        for source in _kernel_sources(name):
+            names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+            assert not names & {"first", "jac_new"}
 
     @pytest.mark.parametrize("name", sorted(FRAME_LINES))
     def test_frame_source_lines(self, name):
@@ -1301,8 +1318,8 @@ def _per_iteration(run):
 
 class TestConstantConstraintJacobian:
     """A march-level constraint Jacobian (the reduced ``semilinear_4x4``'s
-    ``d2g``) is set once per march or start solve, outside the Newton loop,
-    with the bits and the first error of one set in every iteration."""
+    ``d2g``) is set once, at the start of a march or start solve, with the
+    bits and the errors of one set in every iteration."""
 
     @staticmethod
     def assigned(root):
@@ -1312,15 +1329,32 @@ class TestConstantConstraintJacobian:
     @pytest.mark.parametrize("name, constant", [("semilinear_4x4", True), ("rotating_surface", False)])
     @pytest.mark.parametrize("sensitivity", [False, True])
     def test_set_outside_the_newton_loop(self, name, constant, sensitivity):
+        # resolve has one Newton loop, march two (the stage's and the step's
+        # end); a constant j0_0 is assigned once in each, before its loops
         sys = fixed_frame(_shooting_problem(name))
         source = kernel._emit(kernel._Models(kernel._models(sys)[1]), sys.order, sys.m, sys.s, sensitivity, False)
-        march = next(node for node in ast.walk(ast.parse(source))
-                     if isinstance(node, ast.FunctionDef) and node.name == "march")
-        loops = [node for node in ast.walk(march)
-                 if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(_MAX_ITER)"]
-        inside = sum(len(self.assigned(loop)) for loop in loops)
-        assert len(loops) == 2 and len(self.assigned(march)) == 2
-        assert inside == (0 if constant else 2)
+        functions = {node.name: node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+        for function, solves in (("resolve", 1), ("march", 2)):
+            loops = [node for node in ast.walk(functions[function])
+                     if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(_MAX_ITER)"]
+            assigned, inside = self.assigned(functions[function]), sum(len(self.assigned(loop)) for loop in loops)
+            assert len(loops) == solves
+            if constant:
+                assert len(assigned) == 1 and inside == 0
+                assert all(assigned[0].lineno < loop.lineno for loop in loops)
+            else:
+                assert len(assigned) == inside == solves
+
+    def test_march_level_failure_before_the_first_step(self):
+        # the singular constant g_q of the sensitivity's d eta / d xi raises
+        # at the start of the march: no step reads its frames
+        prob = fixed_frame(build_problem(parse_problem(MARCH_LEVEL_FAILURES["singular_g_q"][0])))
+        stepper, read = periodic.March(prob, 0.5, sensitivity=True), []
+        h = prob.period / 16
+        frames = (read.append(frame) or frame for frame in stepper.frames(kernel.march_times(h, 16)))
+        with pytest.raises(SingularMatrixError, match="^2x2 system is singular$"):
+            stepper.march([0.0] * 8, [0.0, 0.0], h, frames)
+        assert len(read) == 1
 
     @pytest.mark.parametrize("name", ["semilinear_4x4", "singular_g_q"])
     def test_bits_and_errors_of_a_jacobian_set_per_iteration(self, name):
