@@ -19,17 +19,17 @@ later stages add theirs, and the constraint re-solve that ends a step
 
 Each value a stage sets has a level: *march* when it reads no stage
 input, *time* when it reads the stage time or the frame, and *node*
-otherwise (the constraint Newton, and its Jacobian unless that is
-march-level, see :func:`_newton`).  An inlined model takes the level of
-the arguments its trees read (none: march, ``t`` alone: time), a model
-called through the adapter is node-level, and any other value takes the
-highest level of the values it reads.  On the reduced
-``semilinear_4x4``, the Newton's Jacobian, ``g_p``, ``g_q`` and ``e =
--g_q^-1 g_p`` are march-level, ``J = df`` and the sensitivity matrix
-``K`` time-level.  March-level lines run once, at the start of the
-function that reads them: a march runs them after it reads its start
-frame and before its first step, a start solve before its Newton, so
-one that fails raises before any step.  Time-level lines run, in their
+otherwise (the constraint Newton, and its Jacobian, raw its ``g_q``,
+unless that is march-level, see :func:`_newton`).  An inlined model
+takes the level of the arguments its trees read (none: march, ``t``
+alone: time), a model called through the adapter is node-level, and any
+other value takes the highest level of the values it reads.  On the
+reduced ``semilinear_4x4``, the Newton's Jacobian (raw: ``g_q``),
+``g_p``, ``g_q`` and ``e = -g_q^-1 g_p`` are march-level, ``J = df`` and
+the sensitivity matrix ``K`` time-level.  March-level lines run once, at
+the start of the function that reads them: a march runs them after it
+reads its start frame and before its start node and first step, a start
+solve before its Newton, so one that fails raises before any step.  Time-level lines run, in their
 place among the node's lines, only when the stage time is not the
 previous stage's (under ``if fresh:``: a step has two new stage times,
 since stage 1 has the time of the step before's stage 4 and stages 2
@@ -474,7 +474,11 @@ class _Lines:
         return names
 
     def model(self, name, targets, *args):
-        self.add(self.level(*self.models.read(name, args)), self.models(name, targets, *args), targets)
+        # a march-level value is set once: the raw Newton's march-level
+        # g_q is the order-2 rate's
+        level = self.level(*self.models.read(name, args))
+        if level > MARCH or any(self.levels.get(v) != MARCH for v in targets):
+            self.add(level, self.models(name, targets, *args), targets)
 
     def solve(self, a, cols, name):
         """The rows of the solution of ``a x = c`` for each column ``c`` of
@@ -609,11 +613,12 @@ def _newton(call, xi, s, frame=None):
     earlier value overflowed without raising), and a singular ``dg/dq``
     inside the tolerance keeps the iterate.
 
-    A march-level Jacobian (see :func:`_constant_jacobian`) is ``once``: its
-    lines, its 2x2 determinant and its pivot test as ``dq_singular``, which
-    the caller runs at the start of its march or start solve; the loop
-    reads them.  Otherwise ``once`` is empty and each iteration sets the
-    Jacobian.
+    A march-level ``d2g`` (see :func:`_constant_jacobian`) is ``once``,
+    which the caller runs at the start of its march or start solve, and the
+    loop reads it.  In the frame, where it is the Jacobian, ``once`` holds
+    its lines, its 2x2 determinant and its pivot test as ``dq_singular``;
+    raw, it holds the lines of ``g_q``, and each iteration sets ``g_q B``.
+    Otherwise ``once`` is empty and each iteration sets the Jacobian.
     """
     q, r = _vec("q", s), _vec("r", s)
     p, arg, at_p, at_q = xi, q, [], []
@@ -621,16 +626,16 @@ def _newton(call, xi, s, frame=None):
         p, arg = _vec("p", len(xi)), _vec("w", s)
         at_p = [f"{v} = {e}" for v, e in zip(p, _matvec(frame[0], xi))]
         at_q = [f"{w} = {e}" for w, e in zip(arg, _matvec(frame[1], q))]
-    jac = _mat("j", s, s)
-    jac_lines = call("d2g", sum(jac, []), p, arg)
+    jac, constant = _mat("j", s, s), _constant_jacobian(call)
+    once, jac_lines = [], call("d2g", sum(jac, []), p, arg)
     if frame is not None:
         gq = _mat("gq", s, s)
-        jac_lines = call("d2g", sum(gq, []), p, arg)
+        d2g = call("d2g", sum(gq, []), p, arg)
+        once, jac_lines = (d2g, []) if constant else ([], d2g)
         jac_lines += [f"{v} = {e}" for v, e in zip(sum(jac, []), sum(_matmul(gq, frame[1]), []))]
     on_singular = ["if rn <= _TOL:", "    break"]
     factor, apply, (step,) = _solve(jac, [r], "dq", on_singular)
-    once = []
-    if _constant_jacobian(call, frame is not None):
+    if constant and frame is None:
         lines, test = _pivot_test(jac, "dq_det")
         once, jac_lines = jac_lines + lines + ([f"dq_singular = {test}"] if test else []), []
         factor = ["if dq_singular:", *(f"    {line}" for line in on_singular), f"    {_singular(s)}"] if test else []
@@ -668,10 +673,10 @@ def _newton(call, xi, s, frame=None):
                   "    ) from None"]
 
 
-def _constant_jacobian(models, raw):
-    # whether the constraint Newton's Jacobian is march-level: d2g in the
-    # frame, reading neither of its arguments
-    return not raw and not models.read("d2g", ("p", "q"))
+def _constant_jacobian(models):
+    # whether the constraint Newton's d2g is march-level: it reads neither
+    # of its arguments (in the frame it is the Jacobian, raw g_q of g_q B)
+    return not models.read("d2g", ("p", "q"))
 
 
 def _frame_names(order, m, s, raw=False):
@@ -690,8 +695,8 @@ def _rate(body, order, m, s, frame=None):
     In the frame ``etadot = solve(g_q, -(g_p @ u))``.  Raw (``frame`` the
     names of ``A``, ``B``, ``dA`` and ``dB``, with ``p = A x`` and ``w = B
     y`` named), ``ydot = solve(g_q B, -(g_p (dA x + A u) + g_q dB y))``; the
-    raw Newton sets ``g_q`` too, at its iterates, which is the same value
-    where ``g_q`` is march-level.
+    raw Newton sets ``g_q`` too, at its iterates, or once where it is
+    march-level, and the rate then reads the Newton's.
     """
     p, at = (_vec("xi", m), _vec("q", s)) if frame is None else (_vec("p", m), _vec("w", s))
     gp, gq = _mat("gp", s, m), _mat("gq", s, s)
@@ -767,7 +772,7 @@ def _stage(models, order, m, s, sensitivity, raw=False):
     xi, u = _vec("xi", m), _vec("u", m)
     unpack, flat, a, b, da, dbi = _frame_names(order, m, s, raw)
     once, solve = _newton(models, xi, s, (a, b) if raw else None)
-    body.add(MARCH, once)
+    body.add(MARCH, once, sum(_mat("gq", s, s), []) if raw and once else ())
     if raw:
         body.add(TIME, [unpack], flat)
         body.add(NODE, solve)
@@ -927,16 +932,16 @@ def _emit(models, order, m, s, sensitivity, raw):
     # march: a step loops over its stages, each advancing the RK sum and
     # the next stage's inputs (stage 4: the new state, which is the next
     # stage 1's), then re-solves q; a raw node's rate reads the frame the
-    # solve read, and sets the stage's march- and time-level names to the
-    # values they hold (the node has stage 4's time, which the next stage
-    # 1 keeps)
+    # solve read, and sets the stage's time-level names to the values they
+    # hold (the node has stage 4's time, which the next stage 1 keeps): its
+    # march-level ones are the stage's, which the march sets at its start
     node_rate = []
     if raw and order == 2:
         rate = _Lines(models, m)
         rate.set(_vec("p", m), _matvec(a, xis))
         rate.set(_vec("w", s), _matvec(b, q))
         _rate(rate, order, m, s, (a, b, da, dbi))
-        node_rate = rate.text
+        node_rate = [line for level, line in rate.lines if level > MARCH]
     velocities = (f"{tup(_vec('u', m))}, {tup(_vec('ed', s))}" if order == 2 else "None, None")
     node = f"(t, {tup(xis)}, {tup(q)}, {velocities})" if raw else f"(t, {tup(inputs[:n])}, {tup(q)}, fr)"
     entries = list(zip(state, inputs, rates, sums))
@@ -959,12 +964,12 @@ def _emit(models, order, m, s, sensitivity, raw):
             "        stages = ((1, hh), (2, hh), (3, h), (4, None))",
             "        frames = iter(frames)",
             "        fr = next(frames)",
+            *(f"        {line}" for line in once),
             *(f"        {line}" for line in
               [f"{_unrolled(inputs)} = {_unrolled(state)}"] + ([unpack] if node_rate else []) + node_rate),
             f"        nodes = [{node}]",
             "        append = nodes.append",
             "        t_seen = None",
-            *(f"        {line}" for line in once),
             "        for fr_mid, fr_end in zip(frames, frames):",
             "            mid = t + hh",
             "            end = t + h",

@@ -234,23 +234,45 @@ def test_criterion_8_branch_tracing(tmp_path):
         assert not tp.is_trivial
 
 
+def march_kinds(monkeypatch):
+    # "S" for a sensitivity march, "P" for a plain one, in march order: a
+    # sensitivity march carries n + 2 rows of the n = order * m <= 2 m
+    # state, a plain one its one row
+    kinds, march = [], kernel.March.march
+    monkeypatch.setattr(kernel.March, "march", lambda self, state, *args: kinds.append(
+        "SP"[len(state) <= 2 * self.m]) or march(self, state, *args))
+    return kinds
+
+
 def test_criterion_8_march_count(tmp_path, monkeypatch):
     # the work of criterion 8 in marches: the regression signal of its run
     # time, which a change of the predictor or corrector moves on purpose.
-    # A sensitivity march carries n + 2 = 4 rows of the n = 2 state; the
-    # plain ones run at points within periodic.JACOBIAN_REUSE of the last
-    # sensitivity march, most of them the accepting march of a corrector
-    rows, march = [], kernel.March.march
-    monkeypatch.setattr(kernel.March, "march",
-                        lambda self, state, *args: rows.append(len(state) // 2) or march(self, state, *args))
+    # The corrector of an arclength step runs a sensitivity march at its
+    # Hermite start; the plain ones run at points within
+    # periodic.JACOBIAN_REUSE of it, the corrector's later iterates
+    kinds = march_kinds(monkeypatch)
     code = main(["continue", "rotating_surface", "--ds", "0.05", "--steps", "40",
                  "--out", str(tmp_path / "branch.csv")])
-    assert code == 0 and len(rows) == 118
-    assert rows.count(4) == 80 and rows.count(1) == 38
+    assert code == 0 and len(kinds) == 85
+    assert kinds.count("S") == 41 and kinds.count("P") == 44
+
+
+@pytest.mark.parametrize("problem, steps, kinds", [
+    ("rotating_surface", "4", "SS" + "SPP" * 3),  # 5 + 6
+    ("rotating_surface_2nd", "2", "SS" + "SPP"),  # 3 + 2
+    ("semilinear_4x4", "4", "SSSS"),  # 4 + 0: the zero branch, where every start is exact
+])
+def test_short_branch_march_kinds(monkeypatch, capsys, problem, steps, kinds):
+    # the marches of the benchmark's short branches, by kind and in order:
+    # the first step's Newton, then per arclength step one sensitivity
+    # march at the Hermite start and plain ones inside the reuse radius
+    got = march_kinds(monkeypatch)
+    assert main(["continue", problem, "--steps", steps]) == 0
+    assert "".join(got) == kinds
 
 
 def test_criterion_8_fills_one_grid(tmp_path, monkeypatch):
-    # the trivial pair and the 118 marches of criterion 8 read one grid of
+    # the trivial pair and the 85 marches of criterion 8 read one grid of
     # fixed frames, at the 2 * 256 + 1 step and midpoint times, filled once
     fills, make = [], kernel.frame_function
 

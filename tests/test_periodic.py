@@ -327,6 +327,74 @@ class TestContinueBranch:
         assert all(p.lam >= 0.0 for p in branch.pairs)
 
 
+class TestHermiteStart:
+    """The corrector's start on a circle of radius R in (lam, xi), by arclength s."""
+
+    R, CENTER = 1.3, np.array([0.2, -0.4])
+
+    def point(self, s):
+        return self.CENTER + self.R * np.array([np.cos(s / self.R), np.sin(s / self.R)])
+
+    def tangent(self, s):
+        return np.array([-np.sin(s / self.R), np.cos(s / self.R)])
+
+    def off_circle(self, w):
+        return abs(math.hypot(*(w - self.CENTER)) - self.R)
+
+    def starts(self, ds, s0=0.7):
+        # (Hermite start, z_lin) of a step ds past s0 + ds, the last accepted
+        # points at s0 and s0 + ds
+        z, t = self.point(s0 + ds), self.tangent(s0 + ds)
+        return periodic._hermite_start((self.point(s0), self.tangent(s0)), z, t, ds), z + ds * t
+
+    def test_error_shrinks_16_times_per_halving(self):
+        # fourth order in ds against the linear predictor's second
+        starts = [self.starts(ds) for ds in (0.1, 0.05, 0.025)]
+        for (hermite, linear), (hermite_half, linear_half) in zip(starts, starts[1:]):
+            assert 14.0 <= self.off_circle(hermite) / self.off_circle(hermite_half) <= 18.0
+            assert 3.8 <= self.off_circle(linear) / self.off_circle(linear_half) <= 4.2
+        assert self.off_circle(starts[0][0]) <= 1e-5 <= 1e-3 <= self.off_circle(starts[0][1])
+
+    @pytest.mark.parametrize("cubic", [True, False], ids=["hermite", "quadratic"])
+    def test_start_lies_on_the_hyperplane(self, cubic):
+        z_prev, z, t = self.point(0.7), self.point(0.8), self.tangent(0.8)
+        previous = (z_prev, self.tangent(0.7) if cubic else None)
+        start = periodic._hermite_start(previous, z, t, 0.1)
+        z_lin = z + 0.1 * t
+        assert abs(t @ (start - z_lin)) <= 1e-16 and norm_inf(start - z_lin) >= 1e-3
+
+    @pytest.mark.parametrize("previous", [
+        lambda z: (z.copy(), np.array([0.0, 1.0])),  # a zero chord
+        lambda z: (z - 0.1, np.array([np.nan, 1.0])),  # a non-finite start
+        lambda z: (z - 1e-160, None),  # a chord so short that the bend overflows
+    ], ids=["zero_chord", "nan_tangent", "tiny_chord"])
+    def test_falls_back_to_the_linear_predictor(self, previous):
+        z, t = self.point(0.8), self.tangent(0.8)
+        start = periodic._hermite_start(previous(z), z, t, 0.1)
+        assert start.tobytes() == (z + 0.1 * t).tobytes()
+
+    def test_half_step_retry_starts_from_the_linear_predictor(self, monkeypatch):
+        # the first corrector fails on purpose; the retry at ds / 2 starts
+        # from z + ds / 2 * t and converges on the circle
+        starts, solve = [], periodic.newton_solve
+
+        def failing_once(fun, jac, x0, cfg):
+            starts.append(x0)
+            if len(starts) == 1:
+                raise NoConvergenceError("injected")
+            return solve(fun, jac, x0, cfg)
+
+        monkeypatch.setattr(periodic, "newton_solve", failing_once)
+        fun = lambda w: np.array([(w - self.CENTER) @ (w - self.CENTER) - self.R**2])
+        jac = lambda w: 2.0 * (w - self.CENTER)[None, :]
+        previous, z, t, ds = (self.point(0.7), self.tangent(0.7)), self.point(0.8), self.tangent(0.8), 0.1
+        box = Box(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
+        w = periodic._arclength_step(fun, jac, previous, z, t, ds, box)
+        assert starts[0].tobytes() == periodic._hermite_start(previous, z, t, ds).tobytes()
+        assert starts[1].tobytes() == (z + 0.5 * ds * t).tobytes()
+        assert self.off_circle(w) <= 1e-10 and abs(t @ (w - starts[1])) <= 1e-15
+
+
 class TestSecondOrder:
     def test_raw_and_fixed_agree(self):
         prob = load_fixture("rotating_surface_2nd")
@@ -1263,7 +1331,7 @@ class TestKernelSize:
         "rotating_surface": (175, 216, 264),
         "rotating_surface_2nd": (238, 272, 413),
         "scalar_linear": (166, 202, 216),
-        "semilinear_4x4": (226, 259, 320),
+        "semilinear_4x4": (219, 259, 320),
     }
     FRAME_LINES = {  # raw, fixed frame at the problem's order
         "commuting_h": (21, 21),
@@ -1308,7 +1376,7 @@ def _per_iteration(run):
     # set in every iteration, as if none were march-level
     constant = kernel._constant_jacobian
     kernel._build.cache_clear()
-    kernel._constant_jacobian = lambda models, raw: False
+    kernel._constant_jacobian = lambda models: False
     try:
         return _outcome(run)
     finally:
@@ -1319,12 +1387,13 @@ def _per_iteration(run):
 class TestConstantConstraintJacobian:
     """A march-level constraint Jacobian (the reduced ``semilinear_4x4``'s
     ``d2g``) is set once, at the start of a march or start solve, with the
-    bits and the errors of one set in every iteration."""
+    bits and the errors of one set in every iteration; raw, where the
+    Jacobian ``g_q B`` reads the frame, so is a march-level ``g_q``."""
 
     @staticmethod
-    def assigned(root):
+    def assigned(root, name="j0_0"):
         return [node for node in ast.walk(root) if isinstance(node, ast.Assign)
-                and any(isinstance(target, ast.Name) and target.id == "j0_0" for target in node.targets)]
+                and any(isinstance(target, ast.Name) and target.id == name for target in node.targets)]
 
     @pytest.mark.parametrize("name, constant", [("semilinear_4x4", True), ("rotating_surface", False)])
     @pytest.mark.parametrize("sensitivity", [False, True])
@@ -1374,6 +1443,51 @@ class TestConstantConstraintJacobian:
         if name == "singular_g_q":
             assert outcomes[2] == [np.zeros(2).tobytes()]
             assert outcomes[1] == outcomes[3] == (SingularMatrixError, "2x2 system is singular")
+
+    @staticmethod
+    def functions(prob):
+        # the emitted functions of the raw kernel of prob, by name
+        source = kernel._emit(kernel._Models(kernel._models(prob)[1]), prob.order, prob.m, prob.s, False, True)
+        return {node.name: node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+
+    @pytest.mark.parametrize("name, constant", [
+        ("semilinear_4x4", ["gq0_0"]),
+        ("linear_constraint_2nd", ["gq0_0", "gp0_0"]),  # and the order-2 node rate's g_p
+        ("rotating_surface_2nd", []),
+    ])
+    def test_raw_g_q_set_outside_the_newton_loop(self, name, constant):
+        # the raw Newton's Jacobian g_q B reads the frame, but a march-level
+        # g_q is set once, at the start of resolve and of march; a g_q that
+        # reads the node is set in every iteration of each Newton loop
+        functions = self.functions(_shooting_problem(name))
+        for function, solves in (("resolve", 1), ("march", 2)):
+            loops = [node for node in ast.walk(functions[function])
+                     if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(_MAX_ITER)"]
+            assert len(loops) == solves
+            for target in ["gq0_0"] + constant[1:] * (function == "march"):
+                assigned = self.assigned(functions[function], target)
+                inside = sum(len(self.assigned(loop, target)) for loop in loops)
+                if constant:
+                    assert len(assigned) == 1 and inside == 0
+                    assert all(assigned[0].lineno < loop.lineno for loop in loops)
+                else:
+                    assert inside == solves
+
+    @pytest.mark.parametrize("name", ["semilinear_4x4", "linear_constraint_2nd", "singular_g_q"])
+    def test_raw_bits_and_errors_of_a_g_q_set_per_iteration(self, name):
+        # integrate --raw and raw start solves, at and off a consistent start
+        if name in MARCH_LEVEL_FAILURES:
+            prob = build_problem(parse_problem(MARCH_LEVEL_FAILURES[name][0]))
+        else:
+            prob = _shooting_problem(name)
+        runs = [lambda: integrate(prob, 0.5, [0.3, -0.2], mode="raw").to_dict().values()]
+        for xi in ([1e-14, 0.0], [0.3, -0.2]):
+            runs.append(lambda xi=xi: [consistent_init(prob, 0.0, xi, np.zeros(prob.s))])
+        outcomes = [_outcome(run) for run in runs]
+        assert outcomes == [_per_iteration(run) for run in runs]
+        if name == "singular_g_q":
+            assert outcomes[1] == [np.zeros(2).tobytes()]
+            assert outcomes[0] == outcomes[2] == (SingularMatrixError, "2x2 system is singular")
 
 
 class TestRawMarch:

@@ -6,7 +6,8 @@
 ``record`` runs every operation in this one process through
 ``daecont.cli.main``, with daecont imported from this checkout's ``src/``,
 and writes, for each, its exit code, the sha256 of its standard output,
-its standard error and any exception that escaped ``main``.  The
+its standard error and any exception that escaped ``main``, and for a
+``continue`` its standard output too, the branch CSV.  The
 operations are the four benchmark workloads at seeds 0-3 (from
 ``perfbench/workloads.py``, which this only reads), then the longer and
 failing branches and the fixtures' ``integrate``, ``degree`` and ``check``
@@ -15,8 +16,14 @@ temporary directory and named relative to it, so that two checkouts give
 comparable records.
 
 ``compare`` lists every operation whose record differs and exits 1 if any
-does, 0 otherwise.  A refactoring that claims to keep the program's
-outputs byte for byte records both commits and compares them.
+does, 0 otherwise.  For a differing ``continue`` recorded with both CSVs
+it prints how far the branch moved: the largest change of each numeric
+column between rows of the same step, and the largest distance of a
+row's ``xi0`` from the other branch at its ``lambda`` (a cubic spline in
+``lambda``, as perfbench checks a branch), both ways.  A refactoring that
+claims to keep the program's outputs byte for byte records both commits
+and compares them; a change that moves branches on purpose shows by how
+much.
 """
 
 import os
@@ -32,6 +39,8 @@ import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(4)
@@ -71,8 +80,11 @@ def run(main, argv):
         code = exc.code if isinstance(exc.code, int) else 1
     except Exception as exc:  # an escaping exception is part of the record
         error = f"{type(exc).__name__}: {exc}"
-    return {"op": " ".join(argv), "exit": code, "error": error,
-            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "stderr": err.getvalue()}
+    result = {"op": " ".join(argv), "exit": code, "error": error,
+              "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "stderr": err.getvalue()}
+    if argv[0] == "continue":
+        result["csv"] = out.getvalue()
+    return result
 
 
 def record(path):
@@ -93,12 +105,51 @@ def record(path):
     print(f"{len(records)} operations recorded in {path}")
 
 
+def branch_table(text):
+    # the header and the float rows of a branch CSV
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
+def off_branch(rows, other, lam, xi0):
+    # the largest distance of the xi0 of rows from the branch other at
+    # their lambda, or None unless other has two rows or more, increasing
+    # in lambda
+    from scipy.interpolate import CubicSpline
+
+    if len(other) < 2 or not np.all(np.diff(other[:, lam]) > 0.0) or not len(rows):
+        return None
+    return float(np.max(np.abs(CubicSpline(other[:, lam], other[:, xi0])(rows[:, lam]) - rows[:, xi0])))
+
+
+def branch_moves(a_csv, b_csv):
+    """The lines of how far branch b moved from branch a: the largest change
+    of each numeric column over the rows of both, and the largest distance of
+    a row's xi0 from the other branch at its lambda."""
+    (header, a), (b_header, b) = branch_table(a_csv), branch_table(b_csv)
+    if header != b_header:
+        return ["    the branch headers differ"]
+    rows = min(len(a), len(b))
+    change = np.max(np.abs(a[:rows] - b[:rows]), axis=0, initial=0.0)
+    lines = [f"    {len(a)} against {len(b)} rows; largest change by column: "
+             + ", ".join(f"{name} {value:.2g}" for name, value in zip(header, change)
+                         if name not in ("step", "trivial_flag"))]
+    lam, xi0 = header.index("lambda"), [k for k, name in enumerate(header) if name.startswith("xi0_")]
+    gaps = [off_branch(a, b, lam, xi0), off_branch(b, a, lam, xi0)]
+    if None in gaps:
+        return lines + ["    no distance at matched lambda: a branch has fewer than two rows or is not "
+                        "increasing in lambda"]
+    return lines + [f"    largest xi0 distance from the other branch at matched lambda: {max(gaps):.2g}"]
+
+
 def compare(a, b):
     first, second = (json.loads(Path(p).read_text()) for p in (a, b))
     differ = [(k, x, y) for k, (x, y) in enumerate(zip(first, second)) if x != y]
     for k, x, y in differ:
         fields = [key for key in x if x[key] != y.get(key)]
         print(f"{k}: {x['op']}: {', '.join(fields)} differ")
+        if "csv" in fields and x["csv"] and y.get("csv"):
+            print("\n".join(branch_moves(x["csv"], y["csv"])))
     if len(first) != len(second):
         print(f"{len(first)} operations against {len(second)}")
     print(f"{len(differ)} of {min(len(first), len(second))} operations differ")
